@@ -1,24 +1,25 @@
 //! `perf_replay` — the reproducible performance harness for the
-//! predict/observe hot path and the streaming replay engine.
+//! predict/observe hot path and the event-driven replay engine.
 //!
 //! Two pinned scenarios (fixed workflows, scale, seed, policy and cluster —
 //! deliberately independent of the `SIZEY_BENCH_*` environment variables, so
 //! two runs on different commits measure the same workload):
 //!
-//! * **replay** (the default): a multi-tenant sweep through the materialised
-//!   event-driven scheduler with one online-learning Sizey predictor per
-//!   tenant, reporting end-to-end throughput in dispatched attempts per
-//!   second and per-call latency percentiles of `MemoryPredictor::predict`
-//!   and `MemoryPredictor::observe` (p50 / p90 / p99 / p999 / max,
-//!   microseconds), plus the number of full model-pool retrains behind the
-//!   observe tail.
+//! * **replay** (the default): a multi-tenant sweep of materialised workloads
+//!   through [`schedule_workflows`], the event-driven engine's collecting
+//!   entry point, with one online-learning Sizey predictor per tenant,
+//!   reporting end-to-end throughput in dispatched attempts per second and
+//!   per-call latency percentiles of `MemoryPredictor::predict` and
+//!   `MemoryPredictor::observe` (p50 / p90 / p99 / p999 / max, microseconds),
+//!   plus the number of full model-pool retrains behind the observe tail.
 //! * **scale** (`--scale`): a million-instance, 50-tenant workload through
-//!   the *streaming* engine ([`schedule_workflows_streaming`]) with
-//!   bounded-history predictors and null sinks. The harness runs the same
-//!   spec at a calibration fraction first and asserts that peak heap usage
-//!   grows **at most logarithmically** with instance count — the
-//!   bounded-memory contract of the streaming pipeline. The run fails loudly
-//!   (non-zero exit) when the ratio of peaks exceeds the logarithmic bound.
+//!   the same engine's *streaming* entry point
+//!   ([`schedule_workflows_streaming`]) with bounded-history predictors and
+//!   null sinks. The harness runs the same spec at a calibration fraction
+//!   first and asserts that peak heap usage grows **at most logarithmically**
+//!   with instance count — the bounded-memory contract of the streaming
+//!   pipeline. The run fails loudly (non-zero exit) when the ratio of peaks
+//!   exceeds the logarithmic bound.
 //!
 //! Either run rewrites its scenario inside `BENCH_replay.json` at the
 //! repository root (schema `sizey-perf-replay/v2`), preserving the other
@@ -272,7 +273,7 @@ impl Drop for TimedPredictor {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario: replay (materialised engine, predict/observe latency).
+// Scenario: replay (materialised tenants, predict/observe latency).
 // ---------------------------------------------------------------------------
 
 fn run_replay(smoke: bool, out_path: &Path) {
@@ -395,7 +396,7 @@ fn run_replay(smoke: bool, out_path: &Path) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario: scale (streaming engine, bounded-RSS gate).
+// Scenario: scale (streaming tenants, bounded-RSS gate).
 // ---------------------------------------------------------------------------
 
 /// One measured streaming replay at a given workload fraction.

@@ -32,9 +32,8 @@ pub use experiment::{Experiment, ExperimentBuilder, ExperimentSpec};
 pub use recovery::{RecoveryTracker, RECOVERY_BAND, RECOVERY_WINDOW};
 pub use registry::{MethodSpec, SpecError};
 pub use sweep::{
-    aggregate_sweep, run_sweep, run_sweep_async_sizey, run_sweep_async_sizey_with_threads,
-    run_sweep_shared_sizey, run_sweep_shared_sizey_with_threads, run_sweep_with_states,
-    run_sweep_with_states_and_threads, run_sweep_with_threads, SweepCell, SweepRow, SweepSpec,
+    aggregate_sweep, run_sweep, run_sweep_async_sizey, run_sweep_shared_sizey,
+    run_sweep_with_states, SweepCell, SweepRow, SweepSpec,
 };
 
 /// Harness-wide settings read from the environment.

@@ -22,9 +22,9 @@ use sizey_core::{
 use sizey_ml::parallel::{default_parallelism, parallel_map};
 use sizey_provenance::TaskRecord;
 use sizey_sim::{
-    replay_workflow_streaming, schedule_workflows_streaming, AttemptContext, AttemptEvent,
-    AttemptSink, CheckpointPredictor, MemoryPredictor, NullRecordSink, NullSink, Prediction,
-    PredictorState, SchedulePolicy, SimulationConfig, StreamingTenant, TaskSubmission,
+    replay_workflow_streaming, schedule_workflows_streaming, AttemptContext, AttemptSink,
+    CheckpointPredictor, MemoryPredictor, NullRecordSink, NullSink, Prediction, PredictorState,
+    SchedulePolicy, SimulationConfig, StreamingTenant, TaskSubmission,
 };
 use sizey_workflows::{stream_workflow, workflow_by_name, DriftSpec, GeneratorConfig};
 use std::sync::{Arc, Mutex};
@@ -79,11 +79,21 @@ impl SweepSpec {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The workload generator settings of every cell with this seed.
+    fn generator(&self, seed: u64) -> GeneratorConfig {
+        GeneratorConfig {
+            scale: self.scale,
+            seed,
+            drift: self.drift,
+            ..GeneratorConfig::default()
+        }
+    }
 }
 
 /// Result of one sweep cell: one workflow replayed with one method under one
 /// policy and seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Workflow name.
     pub workflow: String,
@@ -118,20 +128,8 @@ pub struct SweepCell {
     pub leaked_inflight_retries: usize,
 }
 
-/// Forwards attempt events to a [`RecoveryTracker`] when the sweep has a
-/// drift axis, and is a null sink otherwise.
-struct TrackerSink<'a>(Option<&'a mut RecoveryTracker>);
-
-impl AttemptSink for TrackerSink<'_> {
-    fn record(&mut self, event: &AttemptEvent) {
-        if let Some(tracker) = self.0.as_mut() {
-            tracker.record(event);
-        }
-    }
-}
-
 /// Shares one cell's checkpoint predictor with the multi-tenant engine.
-/// Fault injection lives only in the event-driven engines (the synchronous
+/// Fault injection lives only in the event-driven engine (the synchronous
 /// replay core has no virtual clock to crash against), so a faulted cell
 /// runs its workflow as the sole tenant of [`schedule_workflows_streaming`];
 /// the tenant consumes its predictor box, so the cell keeps the real one
@@ -166,16 +164,17 @@ fn run_cell(
 ) -> (SweepCell, Box<dyn CheckpointPredictor>) {
     let wf_spec = workflow_by_name(workflow).expect("sweep names a known workflow");
     let sim = spec.sim.clone().with_policy(policy);
-    let generator = GeneratorConfig {
-        scale: spec.scale,
-        seed,
-        drift: spec.drift,
-        ..GeneratorConfig::default()
-    };
+    let generator = spec.generator(seed);
     let mut tracker = spec
         .drift
         .map(|drift| RecoveryTracker::with_defaults(drift.changepoint));
-    let mut sink = TrackerSink(tracker.as_mut());
+    // Attempt events feed the recovery tracker when the sweep has a drift
+    // axis, and go nowhere otherwise.
+    let mut null = NullSink;
+    let sink: &mut dyn AttemptSink = match tracker.as_mut() {
+        Some(tracker) => tracker,
+        None => &mut null,
+    };
     let faulted = sim.faults.as_ref().is_some_and(|plan| !plan.is_empty());
     let (aggregates, requeued, leaked, predictor) = if faulted || spec.drift.is_some() {
         // Faults need the event-driven engine (the synchronous replay core
@@ -190,8 +189,7 @@ fn run_cell(
             stream_workflow(&wf_spec, &generator),
             Box::new(SharedCellPredictor(Arc::clone(&shared))),
         );
-        let result =
-            schedule_workflows_streaming(vec![tenant], &sim, &mut sink, &mut NullRecordSink);
+        let result = schedule_workflows_streaming(vec![tenant], &sim, sink, &mut NullRecordSink);
         let report = result
             .reports
             .into_iter()
@@ -218,7 +216,7 @@ fn run_cell(
             stream_workflow(&wf_spec, &generator),
             predictor.as_mut(),
             &sim,
-            &mut sink,
+            sink,
         );
         (aggregates, 0, 0, predictor)
     };
@@ -254,10 +252,10 @@ fn product(spec: &SweepSpec) -> Vec<(String, MethodSpec, u64, SchedulePolicy)> {
     cells
 }
 
-/// Runs the sweep, fanning the cells out across `threads` workers (use
-/// [`default_parallelism`] when unsure). Results come back in cartesian
-/// order: workflows-major, then methods, seeds, policies.
-pub fn run_sweep_with_threads(spec: &SweepSpec, threads: usize) -> Vec<SweepCell> {
+/// Runs the sweep, fanning the cells out across `threads` workers. Results
+/// come back in cartesian order: workflows-major, then methods, seeds,
+/// policies.
+fn run_sweep_with_threads(spec: &SweepSpec, threads: usize) -> Vec<SweepCell> {
     parallel_map(&product(spec), threads, |(wf, method, seed, policy)| {
         run_cell(spec, wf, method, *seed, *policy).0
     })
@@ -268,44 +266,37 @@ pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepCell> {
     run_sweep_with_threads(spec, default_parallelism())
 }
 
-/// Like [`run_sweep_with_threads`], but each cell also hands back the
-/// trained predictor's checkpoint (see [`sizey_sim::lifecycle`]): the state
-/// a later run restores through [`MethodSpec::restore`] to warm-start from
-/// this cell's learned models.
-pub fn run_sweep_with_states_and_threads(
-    spec: &SweepSpec,
-    threads: usize,
-) -> Vec<(SweepCell, PredictorState)> {
-    parallel_map(&product(spec), threads, |(wf, method, seed, policy)| {
-        let (cell, predictor) = run_cell(spec, wf, method, *seed, *policy);
-        let state = predictor.snapshot();
-        (cell, state)
-    })
-}
-
-/// [`run_sweep_with_states_and_threads`] on the default thread pool.
+/// Like [`run_sweep`], but each cell also hands back the trained predictor's
+/// checkpoint (see [`sizey_sim::lifecycle`]): the state a later run restores
+/// through [`MethodSpec::restore`] to warm-start from this cell's learned
+/// models.
 pub fn run_sweep_with_states(spec: &SweepSpec) -> Vec<(SweepCell, PredictorState)> {
-    run_sweep_with_states_and_threads(spec, default_parallelism())
+    parallel_map(
+        &product(spec),
+        default_parallelism(),
+        |(wf, method, seed, policy)| {
+            let (cell, predictor) = run_cell(spec, wf, method, *seed, *policy);
+            let state = predictor.snapshot();
+            (cell, state)
+        },
+    )
 }
 
-/// The sweep's **shared-predictor mode**: instead of replaying every
-/// (workflow, method) cell in isolation with a fresh predictor, each
-/// (seed, policy) cell replays *all* of the spec's workflows concurrently as
-/// tenants of one shared cluster ([`schedule_workflows_streaming`]), every tenant
-/// sized by clones of **one** concurrent sharded Sizey service — the
-/// deployment model of a cluster-wide prediction service, where tenant A's
-/// completions train the models tenant B predicts from.
+/// The body of the two service modes: each (seed, policy) cell replays *all*
+/// of the spec's workflows concurrently as tenants of one shared cluster
+/// ([`schedule_workflows_streaming`]), every tenant sized by a clone of the
+/// one predictor `service` builds for that cell.
 ///
-/// `spec.methods` is ignored (the shared service is always Sizey with the
-/// default configuration); one [`SweepCell`] per workflow is emitted per
+/// `spec.methods` is ignored (the service is always Sizey with the default
+/// configuration); one [`SweepCell`] per workflow is emitted per
 /// (seed, policy), in seed-major then policy then workflow order. The
 /// (seed, policy) cells fan out across `threads` workers; within a cell the
 /// event-driven replay is sequential, so results are deterministic
 /// regardless of the thread count.
-pub fn run_sweep_shared_sizey_with_threads(
+fn run_service_sweep<P: MemoryPredictor + Clone + 'static>(
     spec: &SweepSpec,
-    shards: usize,
     threads: usize,
+    service: impl Fn() -> P + Sync,
 ) -> Vec<SweepCell> {
     let mut cells: Vec<(u64, SchedulePolicy)> = Vec::new();
     for &seed in &spec.seeds {
@@ -314,7 +305,7 @@ pub fn run_sweep_shared_sizey_with_threads(
         }
     }
     let grouped = parallel_map(&cells, threads, |(seed, policy)| {
-        let service = SharedSizey::sizey(SizeyConfig::default(), shards);
+        let service = service();
         let tenants: Vec<StreamingTenant> = spec
             .workflows
             .iter()
@@ -322,15 +313,7 @@ pub fn run_sweep_shared_sizey_with_threads(
                 let wf_spec = workflow_by_name(wf).expect("sweep names a known workflow");
                 StreamingTenant::new(
                     wf.clone(),
-                    stream_workflow(
-                        &wf_spec,
-                        &GeneratorConfig {
-                            scale: spec.scale,
-                            seed: *seed,
-                            drift: spec.drift,
-                            ..GeneratorConfig::default()
-                        },
-                    ),
+                    stream_workflow(&wf_spec, &spec.generator(*seed)),
                     Box::new(service.clone()),
                 )
             })
@@ -361,9 +344,16 @@ pub fn run_sweep_shared_sizey_with_threads(
     grouped.into_iter().flatten().collect()
 }
 
-/// [`run_sweep_shared_sizey_with_threads`] on the default thread pool.
+/// The sweep's **shared-predictor mode**: instead of replaying every
+/// (workflow, method) cell in isolation with a fresh predictor, all of the
+/// spec's workflows share one cluster and **one** concurrent sharded Sizey
+/// service per (seed, policy) cell (see `run_service_sweep`) — the
+/// deployment model of a cluster-wide prediction service, where tenant A's
+/// completions train the models tenant B predicts from.
 pub fn run_sweep_shared_sizey(spec: &SweepSpec, shards: usize) -> Vec<SweepCell> {
-    run_sweep_shared_sizey_with_threads(spec, shards, default_parallelism())
+    run_service_sweep(spec, default_parallelism(), || {
+        SharedSizey::sizey(SizeyConfig::default(), shards)
+    })
 }
 
 /// A replay tenant over the async serving front-end that flushes after every
@@ -372,6 +362,7 @@ pub fn run_sweep_shared_sizey(spec: &SweepSpec, shards: usize) -> Vec<SweepCell>
 /// and bit-identical to the locked [`SharedSizey`] path — the drop-in proof
 /// for [`run_sweep_async_sizey`]. A deployment would skip the per-observe
 /// flush and accept snapshot staleness of one micro-batch.
+#[derive(Clone)]
 struct SyncedAsyncTenant {
     handle: AsyncSizeyHandle,
 }
@@ -401,18 +392,8 @@ impl MemoryPredictor for SyncedAsyncTenant {
 /// emitted cells are bit-identical to the shared-Sizey sweep — pinned by the
 /// crate's tests; this mode exists to prove the async front-end is a
 /// drop-in, not to benchmark it (that is `serve_bench`'s job).
-pub fn run_sweep_async_sizey_with_threads(
-    spec: &SweepSpec,
-    shards: usize,
-    threads: usize,
-) -> Vec<SweepCell> {
-    let mut cells: Vec<(u64, SchedulePolicy)> = Vec::new();
-    for &seed in &spec.seeds {
-        for &policy in &spec.policies {
-            cells.push((seed, policy));
-        }
-    }
-    let grouped = parallel_map(&cells, threads, |(seed, policy)| {
+pub fn run_sweep_async_sizey(spec: &SweepSpec, shards: usize) -> Vec<SweepCell> {
+    run_service_sweep(spec, default_parallelism(), || {
         // A zero-length batch window: the replay flushes after every
         // observe, so there are no stragglers to wait for.
         let config = ServiceConfig {
@@ -420,58 +401,10 @@ pub fn run_sweep_async_sizey_with_threads(
             admission: AdmissionPolicy::Block,
             ..ServiceConfig::default()
         };
-        let handle = AsyncSizey::sizey(SizeyConfig::default(), shards, config).into_handle();
-        let tenants: Vec<StreamingTenant> = spec
-            .workflows
-            .iter()
-            .map(|wf| {
-                let wf_spec = workflow_by_name(wf).expect("sweep names a known workflow");
-                StreamingTenant::new(
-                    wf.clone(),
-                    stream_workflow(
-                        &wf_spec,
-                        &GeneratorConfig {
-                            scale: spec.scale,
-                            seed: *seed,
-                            drift: spec.drift,
-                            ..GeneratorConfig::default()
-                        },
-                    ),
-                    Box::new(SyncedAsyncTenant {
-                        handle: handle.clone(),
-                    }),
-                )
-            })
-            .collect();
-        let sim = spec.sim.clone().with_policy(*policy);
-        let result =
-            schedule_workflows_streaming(tenants, &sim, &mut NullSink, &mut NullRecordSink);
-        result
-            .reports
-            .iter()
-            .map(|report| SweepCell {
-                workflow: report.workflow.clone(),
-                method: MethodSpec::sizey_defaults(),
-                seed: *seed,
-                policy: *policy,
-                wastage_gbh: report.aggregates.total_wastage_gbh,
-                failures: report.aggregates.failures as usize,
-                unfinished: report.aggregates.unfinished_instances,
-                makespan_hours: report.aggregates.makespan_seconds / 3600.0,
-                mean_queue_delay_seconds: report.aggregates.mean_queue_delay_seconds(),
-                runtime_hours: report.aggregates.total_runtime_hours(),
-                time_to_recover_seconds: None,
-                requeued_attempts: result.stats.requeued_attempts,
-                leaked_inflight_retries: result.stats.leaked_inflight_retries,
-            })
-            .collect::<Vec<_>>()
-    });
-    grouped.into_iter().flatten().collect()
-}
-
-/// [`run_sweep_async_sizey_with_threads`] on the default thread pool.
-pub fn run_sweep_async_sizey(spec: &SweepSpec, shards: usize) -> Vec<SweepCell> {
-    run_sweep_async_sizey_with_threads(spec, shards, default_parallelism())
+        SyncedAsyncTenant {
+            handle: AsyncSizey::sizey(SizeyConfig::default(), shards, config).into_handle(),
+        }
+    })
 }
 
 /// One aggregated row of a sweep: a (method, policy) pair summed over
@@ -575,27 +508,16 @@ mod tests {
         let spec = tiny_spec();
         let serial = run_sweep_with_threads(&spec, 1);
         let parallel = run_sweep_with_threads(&spec, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.workflow, b.workflow);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.policy, b.policy);
-            assert_eq!(a.wastage_gbh, b.wastage_gbh);
-            assert_eq!(a.failures, b.failures);
-            assert_eq!(a.makespan_hours, b.makespan_hours);
-        }
+        assert_eq!(serial, parallel);
     }
 
     #[test]
     fn sweep_states_checkpoint_each_cell_predictor() {
         let spec = SweepSpec {
-            workflows: vec!["iwd".to_string()],
             methods: vec![MethodSpec::Preset, MethodSpec::sizey_defaults()],
             seeds: vec![3],
             policies: vec![SchedulePolicy::FirstFit],
-            scale: 0.02,
-            drift: None,
-            sim: SimulationConfig::default(),
+            ..tiny_spec()
         };
         let with_states = run_sweep_with_states(&spec);
         assert_eq!(with_states.len(), 2);
@@ -623,9 +545,7 @@ mod tests {
             methods: vec![],
             seeds: vec![3],
             policies: vec![SchedulePolicy::FirstFit, SchedulePolicy::Backfill],
-            scale: 0.02,
-            drift: None,
-            sim: SimulationConfig::default(),
+            ..tiny_spec()
         };
         let cells = run_sweep_shared_sizey(&spec, 4);
         assert_eq!(cells.len(), 4, "2 workflows x 1 seed x 2 policies");
@@ -635,14 +555,8 @@ mod tests {
         assert!(cells.iter().all(|c| c.wastage_gbh.is_finite()));
         // Deterministic regardless of worker count: each (seed, policy)
         // cell's event-driven replay is sequential.
-        let serial = run_sweep_shared_sizey_with_threads(&spec, 4, 1);
-        for (a, b) in cells.iter().zip(&serial) {
-            assert_eq!(a.workflow, b.workflow);
-            assert_eq!(a.policy, b.policy);
-            assert_eq!(a.wastage_gbh, b.wastage_gbh);
-            assert_eq!(a.failures, b.failures);
-            assert_eq!(a.makespan_hours, b.makespan_hours);
-        }
+        let serial = run_service_sweep(&spec, 1, || SharedSizey::sizey(SizeyConfig::default(), 4));
+        assert_eq!(cells, serial);
     }
 
     /// The async front-end is a drop-in for the locked shared service: the
@@ -655,21 +569,11 @@ mod tests {
             methods: vec![],
             seeds: vec![3],
             policies: vec![SchedulePolicy::FirstFit],
-            scale: 0.02,
-            drift: None,
-            sim: SimulationConfig::default(),
+            ..tiny_spec()
         };
         let shared = run_sweep_shared_sizey(&spec, 4);
         let asynced = run_sweep_async_sizey(&spec, 4);
-        assert_eq!(shared.len(), asynced.len());
-        for (a, b) in shared.iter().zip(&asynced) {
-            assert_eq!(a.workflow, b.workflow);
-            assert_eq!(a.wastage_gbh, b.wastage_gbh, "{}", a.workflow);
-            assert_eq!(a.failures, b.failures);
-            assert_eq!(a.unfinished, b.unfinished);
-            assert_eq!(a.makespan_hours, b.makespan_hours);
-            assert_eq!(a.runtime_hours, b.runtime_hours);
-        }
+        assert_eq!(shared, asynced);
     }
 
     #[test]

@@ -56,9 +56,9 @@ pub struct SimulationConfig {
     /// spread arrivals.
     pub submit_interval_seconds: f64,
     /// Optional fault-injection scenario (node crashes, storms, spot-pool
-    /// preemptions, task kills) driven by the engines' virtual clock. `None`
+    /// preemptions, task kills) driven by the engine's virtual clock. `None`
     /// — the default — is bit-identical to a plan that injects nothing.
-    /// Honoured by the event-driven engines (`schedule_workflows` and
+    /// Honoured by the event-driven engine (`schedule_workflows` and
     /// `schedule_workflows_streaming`); the synchronous per-attempt replay
     /// engine has no virtual-clock event loop and ignores it.
     pub faults: Option<FaultPlan>,

@@ -1,21 +1,22 @@
-//! Deterministic fault injection for the event-driven engines.
+//! Deterministic fault injection for the event-driven engine.
 //!
 //! Real clusters lose nodes, have whole spot pools reclaimed, and kill tasks
 //! for reasons that have nothing to do with memory sizing. A [`FaultPlan`]
 //! describes such a scenario declaratively — single node crashes, correlated
 //! crash *storms*, spot-pool preemptions and targeted task kills — and is
 //! compiled against a [`SimulationConfig`] into a sorted schedule of concrete
-//! [`FaultEvent`]s driven by the engines' virtual clock.
+//! [`FaultEvent`]s driven by the engine's virtual clock.
 //!
 //! # Determinism contract
 //!
 //! Everything is a pure function of the plan, the cluster shape and the
 //! per-storm seeds: compiling the same plan against the same config always
-//! yields the same event schedule, and the two event-driven engines
+//! yields the same event schedule, and the event-driven engine applies it
+//! the same way from both of its entry points
 //! ([`schedule_workflows`](crate::schedule_workflows) and
-//! [`schedule_workflows_streaming`](crate::schedule_workflows_streaming))
-//! process it identically — the fault-determinism property suite pins replays
-//! bit-identical across runs and across engines for every policy.
+//! [`schedule_workflows_streaming`](crate::schedule_workflows_streaming)) —
+//! the fault-determinism property suite pins replays bit-identical across
+//! runs and across entry points for every policy.
 //!
 //! # Requeue semantics
 //!
@@ -26,7 +27,7 @@
 //! consume [`SimulationConfig::max_attempts`] budget and does not trigger
 //! the predictors' max-then-double escalation.
 
-// Fault events fire inside the engines' event loops; the marker opts this
+// Fault events fire inside the engine's event loop; the marker opts this
 // module into the no-panic-hot-path lint rule.
 #![doc = "lint:hot-path"]
 
@@ -84,8 +85,8 @@ pub struct TaskKillBurst {
 
 /// A declarative fault-injection scenario for one simulation run.
 ///
-/// Attach it to a config via [`SimulationConfig::with_faults`]; the engines
-/// compile it once at start-up and the default empty plan is bit-identical
+/// Attach it to a config via [`SimulationConfig::with_faults`]; the engine
+/// compiles it once at start-up and the default empty plan is bit-identical
 /// to running without one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -141,7 +142,7 @@ pub struct FaultEvent {
 }
 
 impl FaultPlan {
-    /// True when the plan injects nothing (the engines skip compilation).
+    /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.node_crashes.is_empty()
             && self.storms.is_empty()

@@ -19,13 +19,17 @@
 //! * [`cluster`] — per-node occupancy with policy-driven node selection,
 //! * [`faults`] — deterministic fault injection: node crashes, correlated
 //!   crash storms, spot-pool preemptions and task kills compiled into
-//!   virtual-clock events processed identically by both event-driven
-//!   engines; killed attempts are requeued without consuming retry budget,
+//!   virtual-clock events for the event-driven engine; killed attempts are
+//!   requeued without consuming retry budget,
 //! * [`queue`] — the virtual-time event heap and the pending-task queue,
 //! * [`scheduler`] — the event-driven scheduler: tasks wait when no node
 //!   fits (over-allocation costs makespan), [`SchedulePolicy`] picks how the
-//!   queue drains, and [`schedule_workflows`] replays several workflows
-//!   *concurrently* against one shared cluster,
+//!   queue drains, and one engine replays several workflows *concurrently*
+//!   against one shared cluster. It has two entry points:
+//!   [`schedule_workflows`] takes materialised tenants and returns every
+//!   attempt event per tenant; [`schedule_workflows_streaming`] pulls
+//!   instances from iterators and hands events to a sink, so memory is
+//!   bounded by the in-flight working set,
 //! * [`lifecycle`] — the snapshot/restore lifecycle:
 //!   [`lifecycle::CheckpointPredictor`] captures a predictor's learned state
 //!   as an event-sourced [`lifecycle::PredictorState`] journal that restores

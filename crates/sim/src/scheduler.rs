@@ -24,12 +24,21 @@
 //! sequential predict→observe loop (which fixes the paper's decision
 //! ordering, and with it the Fig. 8 aggregates) calls
 //! [`Scheduler::run_task`] per attempt and gets back start/finish times and
-//! queue delay. The *event-driven* engine underneath [`schedule_workflows`]
-//! goes further: predictions happen at submission, observations at
-//! completion, and tenants interleave arbitrarily — the decision order is
-//! whatever the virtual clock makes it.
+//! queue delay. The *event-driven* engine goes further: predictions happen
+//! at submission, observations at completion, and tenants interleave
+//! arbitrarily — the decision order is whatever the virtual clock makes it.
+//!
+//! There is one event-driven engine, a private struct that owns the cluster,
+//! the event heap, the pending queue and every other piece of loop state,
+//! with two entry points. [`schedule_workflows_streaming`] pulls instances
+//! from iterators and offers each attempt event to a sink, so memory is
+//! bounded by the in-flight working set; [`schedule_workflows`] takes
+//! materialised tenants, streams them through the same loop and collects the
+//! events into one [`ReplayReport`] per tenant.
 
-use crate::accounting::{AttemptEvent, AttemptSink, RecordSink, ReplayAggregates, ReplayReport};
+use crate::accounting::{
+    AttemptEvent, AttemptSink, NullRecordSink, RecordSink, ReplayAggregates, ReplayReport,
+};
 use crate::cluster::{Cluster, Node};
 use crate::config::SimulationConfig;
 use crate::faults::{FaultAction, FaultCause};
@@ -39,7 +48,7 @@ use crate::queue::{EventHeap, PendingQueue, PendingTask};
 use crate::replay::MIN_ALLOCATION_BYTES;
 use sizey_provenance::{TaskOutcome, TaskRecord};
 use sizey_workflows::TaskInstance;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Scheduling policy for picking when and where a pending task starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -420,10 +429,12 @@ struct RunningAttempt {
     dispatch_id: u64,
 }
 
-/// An event in the multi-tenant engine.
+/// An event on the multi-tenant engine's heap. First submissions are not
+/// heap events: they are injected from the arrival frontier (see
+/// [`Engine::next_arrival`]).
 #[derive(Debug)]
 enum Event {
-    /// A task attempt enters the pending queue.
+    /// A retried or fault-requeued attempt re-enters the pending queue.
     Submit {
         tenant: usize,
         instance: usize,
@@ -448,9 +459,8 @@ struct RunningRef {
 
 /// Registry of currently running attempts keyed by a monotonically
 /// increasing dispatch id. Fault events drain victims in dispatch order
-/// (deterministic and identical in both engines); a completion whose id is
-/// absent is stale — its attempt was fault-killed, released and requeued
-/// when the fault fired.
+/// (deterministic); a completion whose id is absent is stale — its attempt
+/// was fault-killed, released and requeued when the fault fired.
 #[derive(Debug, Default)]
 struct RunningRegistry {
     map: BTreeMap<u64, RunningRef>,
@@ -487,464 +497,6 @@ impl RunningRegistry {
         let ids: Vec<u64> = self.map.keys().take(count).copied().collect();
         ids.iter().filter_map(|id| self.map.remove(id)).collect()
     }
-}
-
-/// Applies one fault action at virtual time `now`, identically in both
-/// event-driven engines. Killed attempts have their resources released and
-/// are requeued as Submit events at `now` with an **unchanged** attempt
-/// number; the retry ledger is deliberately left untouched, so a fault kill
-/// neither consumes attempt budget nor looks like an OOM to the predictors.
-fn apply_fault(
-    action: FaultAction,
-    now: f64,
-    cluster: &mut Cluster,
-    running: &mut RunningRegistry,
-    events: &mut EventHeap<Event>,
-    stats: &mut SchedulerStats,
-) {
-    let (killed, cause) = match action {
-        FaultAction::NodeDown { node, cause } => {
-            cluster.set_offline(node, true);
-            (running.drain_node(node), Some(cause))
-        }
-        FaultAction::NodeUp { node } => {
-            cluster.set_offline(node, false);
-            (Vec::new(), None)
-        }
-        FaultAction::KillTasks { tasks } => (running.drain_oldest(tasks), None),
-    };
-    for r in killed {
-        cluster.release(
-            crate::cluster::Placement { node: r.node },
-            r.allocation_bytes,
-        );
-        events.push(
-            now,
-            Event::Submit {
-                tenant: r.tenant,
-                instance: r.instance,
-                attempt: r.attempt,
-            },
-        );
-        stats.requeued_attempts += 1;
-        match cause {
-            Some(FaultCause::Crash) => stats.crash_lost_attempts += 1,
-            Some(FaultCause::Preemption) => stats.preempted_attempts += 1,
-            None => {}
-        }
-    }
-}
-
-/// Replays several workflows **concurrently** against one shared cluster.
-///
-/// Tenants submit their task instances over virtual time (offset plus
-/// [`SimulationConfig::submit_interval_seconds`] between consecutive
-/// instances; simultaneous arrivals interleave round-robin). Each attempt is
-/// sized by its tenant's predictor at submission, waits in the pending queue
-/// until the scheduling policy grants it a node, runs, and feeds its
-/// provenance record (including the experienced queue delay) back to the
-/// predictor at completion. Failed attempts are resubmitted until they
-/// succeed or exhaust [`SimulationConfig::max_attempts`].
-///
-/// Because allocations are fixed at submission, online methods only benefit
-/// from completions that happen *before* a task arrives: with the default
-/// `submit_interval_seconds = 0.0` every first attempt is sized cold. Spread
-/// arrivals with a positive interval to replay an online-learning scenario.
-///
-/// This is the entry point for contention studies: memory over-allocation by
-/// one tenant delays every tenant's start times and stretches the shared
-/// makespan.
-///
-/// ```
-/// use sizey_sim::{schedule_workflows, PresetPredictor, SimulationConfig, WorkflowTenant};
-/// use sizey_workflows::{generate_workflow, profiles, GeneratorConfig};
-///
-/// let make = |seed| generate_workflow(&profiles::iwd(), &GeneratorConfig::scaled(0.02, seed));
-/// let tenants = vec![
-///     WorkflowTenant::new("iwd-a", make(1), Box::new(PresetPredictor)),
-///     WorkflowTenant::new("iwd-b", make(2), Box::new(PresetPredictor))
-///         .with_arrival_offset(1800.0),
-/// ];
-/// let result = schedule_workflows(tenants, &SimulationConfig::default());
-/// assert_eq!(result.reports.len(), 2);
-/// assert!(result.makespan_seconds > 1800.0);
-/// assert_eq!(result.stats.forced_placements, 0);
-/// ```
-pub fn schedule_workflows(
-    mut tenants: Vec<WorkflowTenant>,
-    config: &SimulationConfig,
-) -> MultiReplayReport {
-    let mut cluster = Cluster::new(config);
-    assert!(
-        cluster.node_count() > 0,
-        "simulation config describes a cluster with no nodes"
-    );
-    let largest_node = cluster.largest_node_memory_bytes();
-    let mut events: EventHeap<Event> = EventHeap::new();
-    let mut pending: PendingQueue<QueuedAttempt> = PendingQueue::new();
-    let mut stats = SchedulerStats::default();
-    let mut makespan = 0.0_f64;
-    // Engine-owned retry state, keyed by (tenant, instance): the allocation
-    // the previous failed attempt ran with. Entries are evicted on success
-    // and on terminal failure alike, so the ledger drains to empty with the
-    // event heap.
-    let mut retries: RetryLedger<(usize, usize)> = RetryLedger::new();
-    let mut running = RunningRegistry::default();
-
-    let mut tenant_events: Vec<Vec<AttemptEvent>> = tenants.iter().map(|_| Vec::new()).collect();
-    let mut unfinished: Vec<usize> = vec![0; tenants.len()];
-
-    // Seed the submission events, round-robin across tenants so simultaneous
-    // arrivals interleave fairly instead of draining tenant 0 first.
-    let max_len = tenants.iter().map(|t| t.instances.len()).max().unwrap_or(0);
-    for idx in 0..max_len {
-        for (ti, tenant) in tenants.iter().enumerate() {
-            if idx < tenant.instances.len() {
-                let time =
-                    tenant.arrival_offset_seconds + idx as f64 * config.submit_interval_seconds;
-                events.push(
-                    time,
-                    Event::Submit {
-                        tenant: ti,
-                        instance: idx,
-                        attempt: 0,
-                    },
-                );
-            }
-        }
-    }
-
-    // Fault events enter the heap *after* the seeded first-submits (arrivals
-    // win time-ties against faults, in both engines) and *before* anything
-    // the run itself pushes (faults win time-ties against completions and
-    // retries — again in both engines, since the streaming engine also
-    // seeds them before its main loop).
-    if let Some(plan) = &config.faults {
-        for fe in plan.compile(config) {
-            events.push(fe.time_seconds, Event::Fault(fe.action));
-        }
-    }
-
-    // Dispatches every queued task the policy allows at virtual time `now`.
-    let try_dispatch = |now: f64,
-                        cluster: &mut Cluster,
-                        pending: &mut PendingQueue<QueuedAttempt>,
-                        events: &mut EventHeap<Event>,
-                        stats: &mut SchedulerStats,
-                        tenant_events: &mut [Vec<AttemptEvent>],
-                        tenants: &[WorkflowTenant],
-                        running: &mut RunningRegistry| {
-        loop {
-            // Head of the queue first: every policy dispatches it if it fits.
-            let head_node = pending
-                .front()
-                .and_then(|t| cluster.select_node(t.allocation_bytes, config.policy));
-            let picked = if let Some(node) = head_node {
-                Some((0, node))
-            } else if config.policy == SchedulePolicy::Backfill {
-                // Head blocked: scan a bounded window behind it for a task
-                // that fits right now.
-                pending
-                    .iter()
-                    .enumerate()
-                    .skip(1)
-                    .take(config.backfill_window)
-                    .find_map(|(idx, t)| {
-                        cluster
-                            .select_node(t.allocation_bytes, config.policy)
-                            .map(|node| (idx, node))
-                    })
-            } else {
-                None
-            };
-            let Some((idx, node)) = picked else { break };
-            let queued = pending.remove(idx).expect("picked index exists");
-            dispatch(
-                queued,
-                node,
-                now,
-                cluster,
-                events,
-                stats,
-                tenant_events,
-                tenants,
-                running,
-            );
-        }
-    };
-
-    while let Some((now, event)) = events.pop() {
-        match event {
-            Event::Submit {
-                tenant: ti,
-                instance,
-                attempt,
-            } => {
-                let tenant = &mut tenants[ti];
-                let inst = &tenant.instances[instance];
-                let true_peak = inst.true_peak_bytes;
-                let base_runtime = inst.base_runtime_seconds;
-                let submission = TaskSubmission {
-                    workflow: inst.workflow.clone(),
-                    task_type: inst.task_type.clone(),
-                    machine: inst.machine.clone(),
-                    sequence: inst.sequence,
-                    input_bytes: inst.input_bytes,
-                    preset_memory_bytes: inst.preset_memory_bytes,
-                };
-                let ctx = AttemptContext {
-                    attempt,
-                    last_allocation_bytes: retries.last_allocation((ti, instance)),
-                };
-                let prediction = tenant.predictor.predict(&submission, ctx);
-                let allocation = prediction
-                    .allocation_bytes
-                    .clamp(MIN_ALLOCATION_BYTES, largest_node);
-                let success = allocation + 1e-6 >= true_peak;
-                let duration = if success {
-                    base_runtime
-                } else {
-                    base_runtime * config.time_to_failure
-                };
-                let queued = PendingTask {
-                    submit_time: now,
-                    allocation_bytes: allocation,
-                    payload: QueuedAttempt {
-                        tenant: ti,
-                        instance,
-                        attempt,
-                        allocation_bytes: allocation,
-                        raw_estimate_bytes: prediction.raw_estimate_bytes,
-                        selected_model: prediction.selected_model.map(String::from),
-                        success,
-                        duration_seconds: duration,
-                    },
-                };
-                if attempt == 0 {
-                    pending.push_back(queued);
-                } else {
-                    // Retries re-enter with their original priority (head of
-                    // the queue), matching the synchronous engine's
-                    // `run_retry` semantics.
-                    pending.push_front(queued);
-                }
-                try_dispatch(
-                    now,
-                    &mut cluster,
-                    &mut pending,
-                    &mut events,
-                    &mut stats,
-                    &mut tenant_events,
-                    &tenants,
-                    &mut running,
-                );
-            }
-            // A Finish whose dispatch ticket is gone is the stale completion
-            // of a fault-killed attempt: its resources were released and it
-            // was requeued when the fault fired — ignore it.
-            Event::Finish(run) if running.finish(run.dispatch_id).is_some() => {
-                cluster.release(
-                    crate::cluster::Placement { node: run.node },
-                    run.task.allocation_bytes,
-                );
-                makespan = makespan.max(now);
-                let ti = run.task.tenant;
-                let inst = &tenants[ti].instances[run.task.instance];
-                let record = TaskRecord {
-                    workflow: tenants[ti].workflow.clone(),
-                    task_type: inst.task_type.clone(),
-                    machine: inst.machine.clone(),
-                    sequence: inst.sequence,
-                    input_bytes: inst.input_bytes,
-                    peak_memory_bytes: if run.task.success {
-                        inst.true_peak_bytes
-                    } else {
-                        run.task.allocation_bytes
-                    },
-                    allocated_memory_bytes: run.task.allocation_bytes,
-                    runtime_seconds: run.task.duration_seconds,
-                    concurrent_tasks: run.concurrent_at_start as u32,
-                    queue_delay_seconds: run.start_time - run.submit_time,
-                    outcome: if run.task.success {
-                        TaskOutcome::Succeeded
-                    } else {
-                        TaskOutcome::FailedOutOfMemory
-                    },
-                };
-                tenants[ti].predictor.observe(&record);
-                if run.task.success {
-                    // Terminal state: retire any pending retry baseline.
-                    retries.finish((ti, run.task.instance));
-                } else {
-                    let next_attempt = run.task.attempt + 1;
-                    if next_attempt < config.max_attempts {
-                        retries.record_failure((ti, run.task.instance), run.task.allocation_bytes);
-                        events.push(
-                            now,
-                            Event::Submit {
-                                tenant: ti,
-                                instance: run.task.instance,
-                                attempt: next_attempt,
-                            },
-                        );
-                    } else {
-                        // Attempt budget exhausted: equally terminal. Before
-                        // the split-API refactor this path leaked the task's
-                        // in-flight allocation entry forever.
-                        retries.finish((ti, run.task.instance));
-                        unfinished[ti] += 1;
-                    }
-                }
-                try_dispatch(
-                    now,
-                    &mut cluster,
-                    &mut pending,
-                    &mut events,
-                    &mut stats,
-                    &mut tenant_events,
-                    &tenants,
-                    &mut running,
-                );
-            }
-            Event::Finish(_) => {}
-            Event::Fault(action) => {
-                apply_fault(
-                    action,
-                    now,
-                    &mut cluster,
-                    &mut running,
-                    &mut events,
-                    &mut stats,
-                );
-                try_dispatch(
-                    now,
-                    &mut cluster,
-                    &mut pending,
-                    &mut events,
-                    &mut stats,
-                    &mut tenant_events,
-                    &tenants,
-                    &mut running,
-                );
-            }
-        }
-
-        // Defensive: a drained event heap with tasks still pending means the
-        // head can never fit (caller bypassed the clamp). Force it through
-        // so the replay terminates.
-        if events.is_empty() && !pending.is_empty() {
-            let queued = pending.remove(0).expect("non-empty queue");
-            stats.forced_placements += 1;
-            dispatch(
-                queued,
-                0,
-                makespan,
-                &mut cluster,
-                &mut events,
-                &mut stats,
-                &mut tenant_events,
-                &tenants,
-                &mut running,
-            );
-        }
-    }
-
-    stats.peak_pending_tasks = pending.peak_len();
-    stats.peak_inflight_retries = retries.peak_entries();
-    stats.leaked_inflight_retries = retries.len();
-    debug_assert_eq!(
-        stats.leaked_inflight_retries, 0,
-        "every task reaches a terminal state, so the retry ledger must drain"
-    );
-
-    let reports = tenants
-        .iter()
-        .zip(tenant_events)
-        .zip(unfinished)
-        .map(|((tenant, events), unfinished_instances)| {
-            let tenant_makespan = events
-                .iter()
-                .map(|e| e.submit_time_seconds + e.duration_seconds)
-                .fold(0.0, f64::max);
-            ReplayReport {
-                method: tenant.predictor.name(),
-                workflow: tenant.workflow.clone(),
-                time_to_failure: config.time_to_failure,
-                events,
-                instances: tenant.instances.len(),
-                unfinished_instances,
-                makespan_seconds: tenant_makespan,
-            }
-        })
-        .collect();
-
-    MultiReplayReport {
-        reports,
-        makespan_seconds: makespan,
-        stats,
-        nodes: cluster.nodes().to_vec(),
-    }
-}
-
-/// Starts a queued attempt on `node` at virtual time `now`: places it,
-/// records the attempt event for its tenant, and schedules its completion.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    queued: PendingTask<QueuedAttempt>,
-    node: usize,
-    now: f64,
-    cluster: &mut Cluster,
-    events: &mut EventHeap<Event>,
-    stats: &mut SchedulerStats,
-    tenant_events: &mut [Vec<AttemptEvent>],
-    tenants: &[WorkflowTenant],
-    running: &mut RunningRegistry,
-) {
-    let mut task = queued.payload;
-    cluster.place_on(node, task.allocation_bytes);
-    let queue_delay = (now - queued.submit_time).max(0.0);
-    stats.record_dispatch(queue_delay, cluster);
-    let inst = &tenants[task.tenant].instances[task.instance];
-    let wasted_bytes = if task.success {
-        (task.allocation_bytes - inst.true_peak_bytes).max(0.0)
-    } else {
-        task.allocation_bytes
-    };
-    tenant_events[task.tenant].push(AttemptEvent {
-        task_type: inst.task_type.clone(),
-        sequence: inst.sequence,
-        attempt: task.attempt,
-        allocated_bytes: task.allocation_bytes,
-        true_peak_bytes: inst.true_peak_bytes,
-        duration_seconds: task.duration_seconds,
-        success: task.success,
-        wastage_gbh: wasted_bytes / 1e9 * task.duration_seconds / 3600.0,
-        raw_estimate_bytes: task.raw_estimate_bytes,
-        // Moved, not cloned: nothing downstream of the attempt event reads
-        // the queued attempt's model name again.
-        selected_model: task.selected_model.take(),
-        submit_time_seconds: now,
-        queue_delay_seconds: queue_delay,
-    });
-    let concurrent = cluster.running_tasks();
-    let dispatch_id = running.insert(RunningRef {
-        tenant: task.tenant,
-        instance: task.instance,
-        attempt: task.attempt,
-        node,
-        allocation_bytes: task.allocation_bytes,
-    });
-    events.push(
-        now + task.duration_seconds,
-        Event::Finish(RunningAttempt {
-            node,
-            submit_time: queued.submit_time,
-            start_time: now,
-            concurrent_at_start: concurrent,
-            task,
-            dispatch_id,
-        }),
-    );
 }
 
 /// One workflow sharing the cluster in a **streaming** multi-tenant replay:
@@ -986,8 +538,8 @@ impl StreamingTenant {
 }
 
 impl From<WorkflowTenant> for StreamingTenant {
-    /// Wraps a materialised tenant; the differential harness replays the
-    /// same workload through both engines this way.
+    /// Streams a materialised tenant's instances out of its `Vec`; this is
+    /// how [`schedule_workflows`] feeds the engine.
     fn from(tenant: WorkflowTenant) -> Self {
         StreamingTenant {
             workflow: tenant.workflow,
@@ -999,7 +551,7 @@ impl From<WorkflowTenant> for StreamingTenant {
 }
 
 /// Per-tenant result of a streaming multi-tenant replay: the online
-/// aggregates stand in for the materialised event list.
+/// aggregates stand in for the event list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingTenantReport {
     /// Workflow (tenant) name.
@@ -1007,8 +559,8 @@ pub struct StreamingTenantReport {
     /// Name of the sizing method.
     pub method: String,
     /// Online aggregates, bit-identical to
-    /// [`ReplayAggregates::from_report`] over the materialised engine's
-    /// report for the same workload.
+    /// [`ReplayAggregates::from_report`] over the tenant's report from
+    /// [`schedule_workflows`] for the same workload.
     pub aggregates: ReplayAggregates,
 }
 
@@ -1019,17 +571,514 @@ pub struct StreamingReplayReport {
     pub reports: Vec<StreamingTenantReport>,
     /// End of the last attempt across all tenants, in seconds.
     pub makespan_seconds: f64,
-    /// Cluster-wide scheduler telemetry (identical to the materialised
-    /// engine's for the same workload).
+    /// Cluster-wide scheduler telemetry.
     pub stats: SchedulerStats,
     /// Final node states, including per-node high-water marks.
     pub nodes: Vec<Node>,
     /// High-water mark of simultaneously in-flight task instances — the
-    /// streaming engine's working set (arrived but not yet terminal).
+    /// engine's working set (arrived but not yet terminal).
     pub peak_inflight_instances: usize,
     /// In-flight instances still resident when the replay drained. Always
     /// zero: instances are evicted on success and on terminal failure alike.
     pub leaked_inflight_instances: usize,
+}
+
+/// The event-driven engine behind [`schedule_workflows`] and
+/// [`schedule_workflows_streaming`], and the one owner of its state.
+///
+/// Task instances are pulled from each tenant's iterator as virtual time
+/// reaches their arrival, held in `inflight` between arrival and terminal
+/// state, and dropped there. Every dispatched attempt is folded into its
+/// tenant's [`ReplayAggregates`] and handed, by value and with the tenant
+/// index, to `on_attempt`; the two entry points differ only in what that
+/// callback does with it.
+struct Engine<'a, F> {
+    config: &'a SimulationConfig,
+    tenants: Vec<StreamingTenant>,
+    on_attempt: F,
+    records: &'a mut dyn RecordSink,
+    cluster: Cluster,
+    largest_node: f64,
+    events: EventHeap<Event>,
+    pending: PendingQueue<QueuedAttempt>,
+    stats: SchedulerStats,
+    running: RunningRegistry,
+    /// Retry state keyed by (tenant, instance): the allocation the previous
+    /// failed attempt ran with. Evicted with the in-flight instance, on
+    /// success and on terminal failure alike.
+    retries: RetryLedger<(usize, usize)>,
+    /// Instances between arrival and terminal state, keyed like `retries`.
+    /// An ordered map, so the heap the engine needs is a function of its
+    /// input and not of the process's hash seed.
+    inflight: BTreeMap<(usize, usize), TaskInstance>,
+    peak_inflight: usize,
+    /// Arrival frontier: index and value of each tenant's next
+    /// not-yet-arrived instance, pulled eagerly so "does this tenant have
+    /// more work?" is answerable without consuming. At most one instance per
+    /// tenant.
+    next_idx: Vec<usize>,
+    peeked: Vec<Option<TaskInstance>>,
+    aggs: Vec<ReplayAggregates>,
+    makespan: f64,
+}
+
+impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
+    fn new(
+        mut tenants: Vec<StreamingTenant>,
+        config: &'a SimulationConfig,
+        records: &'a mut dyn RecordSink,
+        on_attempt: F,
+    ) -> Self {
+        let cluster = Cluster::new(config);
+        assert!(
+            cluster.node_count() > 0,
+            "simulation config describes a cluster with no nodes"
+        );
+        // Faults enter the heap before the run pushes any completion or
+        // retry, so a fault wins a time-tie against those; arrivals win
+        // time-ties against everything on the heap (see `run`).
+        let mut events = EventHeap::new();
+        if let Some(plan) = &config.faults {
+            for fe in plan.compile(config) {
+                events.push(fe.time_seconds, Event::Fault(fe.action));
+            }
+        }
+        Engine {
+            config,
+            on_attempt,
+            records,
+            largest_node: cluster.largest_node_memory_bytes(),
+            cluster,
+            events,
+            pending: PendingQueue::new(),
+            stats: SchedulerStats::default(),
+            running: RunningRegistry::default(),
+            retries: RetryLedger::new(),
+            inflight: BTreeMap::new(),
+            peak_inflight: 0,
+            next_idx: vec![0; tenants.len()],
+            peeked: tenants.iter_mut().map(|t| t.instances.next()).collect(),
+            aggs: vec![ReplayAggregates::new(); tenants.len()],
+            makespan: 0.0,
+            tenants,
+        }
+    }
+
+    /// The earliest pending arrival as (time, tenant), minimal by (time,
+    /// arrival index, tenant index): simultaneous arrivals interleave
+    /// round-robin across tenants instead of draining tenant 0 first.
+    fn next_arrival(&self) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (ti, slot) in self.peeked.iter().enumerate() {
+            if slot.is_none() {
+                continue;
+            }
+            let idx = self.next_idx[ti];
+            let time = self.tenants[ti].arrival_offset_seconds
+                + idx as f64 * self.config.submit_interval_seconds;
+            let better = match best {
+                None => true,
+                Some((bt, bidx, _)) => time < bt || (time == bt && idx < bidx),
+            };
+            if better {
+                best = Some((time, idx, ti));
+            }
+        }
+        best.map(|(time, _, ti)| (time, ti))
+    }
+
+    /// Runs the virtual clock until every instance of every tenant has
+    /// reached a terminal state.
+    fn run(mut self) -> StreamingReplayReport {
+        loop {
+            // Arrivals win time-ties against heap events: a first submission
+            // is ordered before any fault, completion or retry of the same
+            // instant.
+            let heap_time = self.events.peek_time();
+            let arrival = self
+                .next_arrival()
+                .filter(|&(at, _)| heap_time.is_none_or(|ht| at <= ht));
+
+            if let Some((now, ti)) = arrival {
+                let idx = self.next_idx[ti];
+                let inst = self.peeked[ti].take().expect("arrival has an instance");
+                self.peeked[ti] = self.tenants[ti].instances.next();
+                self.next_idx[ti] += 1;
+                self.inflight.insert((ti, idx), inst);
+                self.peak_inflight = self.peak_inflight.max(self.inflight.len());
+                self.submit(now, ti, idx, 0);
+                self.try_dispatch(now);
+            } else if let Some((now, event)) = self.events.pop() {
+                match event {
+                    Event::Submit {
+                        tenant,
+                        instance,
+                        attempt,
+                    } => self.submit(now, tenant, instance, attempt),
+                    Event::Finish(run) if self.running.finish(run.dispatch_id).is_some() => {
+                        self.complete(now, run)
+                    }
+                    // A Finish whose dispatch ticket is gone is the stale
+                    // completion of a fault-killed attempt: its resources
+                    // were released and it was requeued when the fault fired.
+                    Event::Finish(_) => {}
+                    Event::Fault(action) => self.apply_fault(action, now),
+                }
+                self.try_dispatch(now);
+            } else {
+                break;
+            }
+
+            // Defensive: nothing left to arrive or finish but tasks still
+            // pending means the head can never fit (caller bypassed the
+            // clamp, or every node is down for good). Force it through so
+            // the replay terminates.
+            if self.events.is_empty()
+                && !self.pending.is_empty()
+                && self.peeked.iter().all(Option::is_none)
+            {
+                let queued = self.pending.remove(0).expect("non-empty queue");
+                self.stats.forced_placements += 1;
+                self.dispatch(queued, 0, self.makespan);
+            }
+        }
+
+        let mut stats = self.stats;
+        stats.peak_pending_tasks = self.pending.peak_len();
+        stats.peak_inflight_retries = self.retries.peak_entries();
+        stats.leaked_inflight_retries = self.retries.len();
+        debug_assert_eq!(
+            stats.leaked_inflight_retries, 0,
+            "every task reaches a terminal state, so the retry ledger must drain"
+        );
+        let leaked_inflight_instances = self.inflight.len();
+        debug_assert_eq!(
+            leaked_inflight_instances, 0,
+            "every task reaches a terminal state, so the in-flight set must drain"
+        );
+
+        let reports = self
+            .tenants
+            .iter()
+            .zip(self.aggs)
+            .map(|(tenant, aggregates)| StreamingTenantReport {
+                workflow: tenant.workflow.clone(),
+                method: tenant.predictor.name(),
+                aggregates,
+            })
+            .collect();
+
+        StreamingReplayReport {
+            reports,
+            makespan_seconds: self.makespan,
+            stats,
+            nodes: self.cluster.nodes().to_vec(),
+            peak_inflight_instances: self.peak_inflight,
+            leaked_inflight_instances,
+        }
+    }
+
+    /// Sizes one attempt with its tenant's predictor and enqueues it.
+    fn submit(&mut self, now: f64, ti: usize, instance: usize, attempt: u32) {
+        let inst = &self.inflight[&(ti, instance)];
+        let submission = TaskSubmission {
+            workflow: inst.workflow.clone(),
+            task_type: inst.task_type.clone(),
+            machine: inst.machine.clone(),
+            sequence: inst.sequence,
+            input_bytes: inst.input_bytes,
+            preset_memory_bytes: inst.preset_memory_bytes,
+        };
+        let ctx = AttemptContext {
+            attempt,
+            last_allocation_bytes: self.retries.last_allocation((ti, instance)),
+        };
+        let prediction = self.tenants[ti].predictor.predict(&submission, ctx);
+        let allocation = prediction
+            .allocation_bytes
+            .clamp(MIN_ALLOCATION_BYTES, self.largest_node);
+        let success = allocation + 1e-6 >= inst.true_peak_bytes;
+        let duration = if success {
+            inst.base_runtime_seconds
+        } else {
+            inst.base_runtime_seconds * self.config.time_to_failure
+        };
+        let queued = PendingTask {
+            submit_time: now,
+            allocation_bytes: allocation,
+            payload: QueuedAttempt {
+                tenant: ti,
+                instance,
+                attempt,
+                allocation_bytes: allocation,
+                raw_estimate_bytes: prediction.raw_estimate_bytes,
+                selected_model: prediction.selected_model.map(String::from),
+                success,
+                duration_seconds: duration,
+            },
+        };
+        if attempt == 0 {
+            self.pending.push_back(queued);
+        } else {
+            // Retries re-enter with their original priority (head of the
+            // queue), matching the synchronous engine's `run_retry`
+            // semantics.
+            self.pending.push_front(queued);
+        }
+    }
+
+    /// Dispatches every queued task the policy allows at virtual time `now`.
+    fn try_dispatch(&mut self, now: f64) {
+        let policy = self.config.policy;
+        loop {
+            // Head of the queue first: every policy dispatches it if it fits.
+            let head_node = self
+                .pending
+                .front()
+                .and_then(|t| self.cluster.select_node(t.allocation_bytes, policy));
+            let picked = if let Some(node) = head_node {
+                Some((0, node))
+            } else if policy == SchedulePolicy::Backfill {
+                // Head blocked: scan a bounded window behind it for a task
+                // that fits right now.
+                self.pending
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .take(self.config.backfill_window)
+                    .find_map(|(idx, t)| {
+                        self.cluster
+                            .select_node(t.allocation_bytes, policy)
+                            .map(|node| (idx, node))
+                    })
+            } else {
+                None
+            };
+            let Some((idx, node)) = picked else { break };
+            let queued = self.pending.remove(idx).expect("picked index exists");
+            self.dispatch(queued, node, now);
+        }
+    }
+
+    /// Starts a queued attempt on `node` at virtual time `now`: places it,
+    /// folds the attempt event into its tenant's aggregates, hands it to
+    /// `on_attempt`, and schedules its completion.
+    fn dispatch(&mut self, queued: PendingTask<QueuedAttempt>, node: usize, now: f64) {
+        let mut task = queued.payload;
+        self.cluster.place_on(node, task.allocation_bytes);
+        let queue_delay = (now - queued.submit_time).max(0.0);
+        self.stats.record_dispatch(queue_delay, &self.cluster);
+        let inst = &self.inflight[&(task.tenant, task.instance)];
+        let wasted_bytes = if task.success {
+            (task.allocation_bytes - inst.true_peak_bytes).max(0.0)
+        } else {
+            task.allocation_bytes
+        };
+        let event = AttemptEvent {
+            task_type: inst.task_type.clone(),
+            sequence: inst.sequence,
+            attempt: task.attempt,
+            allocated_bytes: task.allocation_bytes,
+            true_peak_bytes: inst.true_peak_bytes,
+            duration_seconds: task.duration_seconds,
+            success: task.success,
+            wastage_gbh: wasted_bytes / 1e9 * task.duration_seconds / 3600.0,
+            raw_estimate_bytes: task.raw_estimate_bytes,
+            // Moved, not cloned: nothing downstream of the attempt event
+            // reads the queued attempt's model name again.
+            selected_model: task.selected_model.take(),
+            submit_time_seconds: now,
+            queue_delay_seconds: queue_delay,
+        };
+        self.aggs[task.tenant].observe_event(&event);
+        (self.on_attempt)(task.tenant, event);
+        let dispatch_id = self.running.insert(RunningRef {
+            tenant: task.tenant,
+            instance: task.instance,
+            attempt: task.attempt,
+            node,
+            allocation_bytes: task.allocation_bytes,
+        });
+        self.events.push(
+            now + task.duration_seconds,
+            Event::Finish(RunningAttempt {
+                node,
+                submit_time: queued.submit_time,
+                start_time: now,
+                concurrent_at_start: self.cluster.running_tasks(),
+                task,
+                dispatch_id,
+            }),
+        );
+    }
+
+    /// Completes a running attempt at virtual time `now`: releases its
+    /// resources, feeds its provenance record to the record sink and the
+    /// tenant's predictor, and either retires the instance or schedules its
+    /// retry.
+    fn complete(&mut self, now: f64, run: RunningAttempt) {
+        self.cluster.release(
+            crate::cluster::Placement { node: run.node },
+            run.task.allocation_bytes,
+        );
+        self.makespan = self.makespan.max(now);
+        let ti = run.task.tenant;
+        let key = (ti, run.task.instance);
+        let inst = &self.inflight[&key];
+        let record = TaskRecord {
+            workflow: self.tenants[ti].workflow.clone(),
+            task_type: inst.task_type.clone(),
+            machine: inst.machine.clone(),
+            sequence: inst.sequence,
+            input_bytes: inst.input_bytes,
+            peak_memory_bytes: if run.task.success {
+                inst.true_peak_bytes
+            } else {
+                run.task.allocation_bytes
+            },
+            allocated_memory_bytes: run.task.allocation_bytes,
+            runtime_seconds: run.task.duration_seconds,
+            concurrent_tasks: run.concurrent_at_start as u32,
+            queue_delay_seconds: run.start_time - run.submit_time,
+            outcome: if run.task.success {
+                TaskOutcome::Succeeded
+            } else {
+                TaskOutcome::FailedOutOfMemory
+            },
+        };
+        self.records.record(&record);
+        self.tenants[ti].predictor.observe(&record);
+        let next_attempt = run.task.attempt + 1;
+        if !run.task.success && next_attempt < self.config.max_attempts {
+            self.retries.record_failure(key, run.task.allocation_bytes);
+            self.events.push(
+                now,
+                Event::Submit {
+                    tenant: ti,
+                    instance: run.task.instance,
+                    attempt: next_attempt,
+                },
+            );
+        } else {
+            // Terminal, by success or by an exhausted attempt budget: the
+            // retry baseline and the in-flight instance leave the working
+            // set together, now — a stranded entry is a leak that grows with
+            // the workload.
+            self.retries.finish(key);
+            self.inflight.remove(&key);
+            self.aggs[ti].observe_instance(run.task.success);
+        }
+    }
+
+    /// Applies one fault action at virtual time `now`. Killed attempts have
+    /// their resources released and are requeued as Submit events at `now`
+    /// with an **unchanged** attempt number; the retry ledger is deliberately
+    /// left untouched, so a fault kill neither consumes attempt budget nor
+    /// looks like an OOM to the predictors.
+    fn apply_fault(&mut self, action: FaultAction, now: f64) {
+        let (killed, cause) = match action {
+            FaultAction::NodeDown { node, cause } => {
+                self.cluster.set_offline(node, true);
+                (self.running.drain_node(node), Some(cause))
+            }
+            FaultAction::NodeUp { node } => {
+                self.cluster.set_offline(node, false);
+                (Vec::new(), None)
+            }
+            FaultAction::KillTasks { tasks } => (self.running.drain_oldest(tasks), None),
+        };
+        for r in killed {
+            self.cluster.release(
+                crate::cluster::Placement { node: r.node },
+                r.allocation_bytes,
+            );
+            self.events.push(
+                now,
+                Event::Submit {
+                    tenant: r.tenant,
+                    instance: r.instance,
+                    attempt: r.attempt,
+                },
+            );
+            self.stats.requeued_attempts += 1;
+            match cause {
+                Some(FaultCause::Crash) => self.stats.crash_lost_attempts += 1,
+                Some(FaultCause::Preemption) => self.stats.preempted_attempts += 1,
+                None => {}
+            }
+        }
+    }
+}
+
+/// Replays several workflows **concurrently** against one shared cluster.
+///
+/// Tenants submit their task instances over virtual time (offset plus
+/// [`SimulationConfig::submit_interval_seconds`] between consecutive
+/// instances; simultaneous arrivals interleave round-robin). Each attempt is
+/// sized by its tenant's predictor at submission, waits in the pending queue
+/// until the scheduling policy grants it a node, runs, and feeds its
+/// provenance record (including the experienced queue delay) back to the
+/// predictor at completion. Failed attempts are resubmitted until they
+/// succeed or exhaust [`SimulationConfig::max_attempts`].
+///
+/// Because allocations are fixed at submission, online methods only benefit
+/// from completions that happen *before* a task arrives: with the default
+/// `submit_interval_seconds = 0.0` every first attempt is sized cold. Spread
+/// arrivals with a positive interval to replay an online-learning scenario.
+///
+/// This is the entry point for contention studies: memory over-allocation by
+/// one tenant delays every tenant's start times and stretches the shared
+/// makespan. It runs the same engine as [`schedule_workflows_streaming`]
+/// and keeps every tenant's attempt events; use the streaming entry point
+/// when the workload or its event trace should not be held in memory.
+///
+/// ```
+/// use sizey_sim::{schedule_workflows, PresetPredictor, SimulationConfig, WorkflowTenant};
+/// use sizey_workflows::{generate_workflow, profiles, GeneratorConfig};
+///
+/// let make = |seed| generate_workflow(&profiles::iwd(), &GeneratorConfig::scaled(0.02, seed));
+/// let tenants = vec![
+///     WorkflowTenant::new("iwd-a", make(1), Box::new(PresetPredictor)),
+///     WorkflowTenant::new("iwd-b", make(2), Box::new(PresetPredictor))
+///         .with_arrival_offset(1800.0),
+/// ];
+/// let result = schedule_workflows(tenants, &SimulationConfig::default());
+/// assert_eq!(result.reports.len(), 2);
+/// assert!(result.makespan_seconds > 1800.0);
+/// assert_eq!(result.stats.forced_placements, 0);
+/// ```
+pub fn schedule_workflows(
+    tenants: Vec<WorkflowTenant>,
+    config: &SimulationConfig,
+) -> MultiReplayReport {
+    let mut events: Vec<Vec<AttemptEvent>> = tenants.iter().map(|_| Vec::new()).collect();
+    let run = Engine::new(
+        tenants.into_iter().map(StreamingTenant::from).collect(),
+        config,
+        &mut NullRecordSink,
+        |ti, event| events[ti].push(event),
+    )
+    .run();
+    let reports = run
+        .reports
+        .into_iter()
+        .zip(events)
+        .map(|(tenant, events)| ReplayReport {
+            method: tenant.method,
+            workflow: tenant.workflow,
+            time_to_failure: config.time_to_failure,
+            events,
+            instances: tenant.aggregates.instances,
+            unfinished_instances: tenant.aggregates.unfinished_instances,
+            makespan_seconds: tenant.aggregates.makespan_seconds,
+        })
+        .collect();
+    MultiReplayReport {
+        reports,
+        makespan_seconds: run.makespan_seconds,
+        stats: run.stats,
+        nodes: run.nodes,
+    }
 }
 
 /// Replays several workflows concurrently against one shared cluster,
@@ -1039,17 +1088,13 @@ pub struct StreamingReplayReport {
 /// [`ReplayAggregates`] online and are offered to `sink`; finished
 /// provenance records (the exact records fed to `observe`) are offered to
 /// `records`. With [`NullSink`](crate::NullSink) /
-/// [`NullRecordSink`](crate::NullRecordSink) the engine's memory is bounded
+/// [`NullRecordSink`] the engine's memory is bounded
 /// by the in-flight working set, independent of total workload size.
 ///
-/// The scheduling decisions are **bit-identical** to
-/// [`schedule_workflows`] on the same workload: arrivals are injected in
-/// exactly the order the materialised engine's seeded submit events pop
-/// (time, then arrival index, then tenant index — and arrivals win ties
-/// against completions/retries, which the materialised engine guarantees by
-/// seeding first-submits before any retry is pushed). The differential
-/// harness pins aggregates, telemetry, node peaks and makespan equal across
-/// both engines.
+/// This is the same engine as [`schedule_workflows`], which collects the
+/// events per tenant instead: for the same workload both entry points make
+/// the same scheduling decisions, and `sink` sees, in dispatch order, exactly
+/// the events that the per-tenant reports hold.
 ///
 /// ```
 /// use sizey_sim::{
@@ -1075,475 +1120,12 @@ pub struct StreamingReplayReport {
 /// assert_eq!(result.stats.forced_placements, 0);
 /// ```
 pub fn schedule_workflows_streaming(
-    mut tenants: Vec<StreamingTenant>,
+    tenants: Vec<StreamingTenant>,
     config: &SimulationConfig,
     sink: &mut dyn AttemptSink,
     records: &mut dyn RecordSink,
 ) -> StreamingReplayReport {
-    let mut cluster = Cluster::new(config);
-    assert!(
-        cluster.node_count() > 0,
-        "simulation config describes a cluster with no nodes"
-    );
-    let largest_node = cluster.largest_node_memory_bytes();
-    let mut events: EventHeap<Event> = EventHeap::new();
-    let mut pending: PendingQueue<QueuedAttempt> = PendingQueue::new();
-    let mut stats = SchedulerStats::default();
-    let mut makespan = 0.0_f64;
-    let mut retries: RetryLedger<(usize, usize)> = RetryLedger::new();
-    let mut running = RunningRegistry::default();
-    let mut aggs: Vec<ReplayAggregates> = tenants.iter().map(|_| ReplayAggregates::new()).collect();
-
-    // Same relative order as the materialised engine: faults enter the heap
-    // before the run pushes any completion or retry (so faults win those
-    // time-ties), while arrivals win time-ties against heap events below.
-    if let Some(plan) = &config.faults {
-        for fe in plan.compile(config) {
-            events.push(fe.time_seconds, Event::Fault(fe.action));
-        }
-    }
-
-    // Arrival frontier: the next not-yet-arrived instance of each tenant,
-    // pulled eagerly so "does this tenant have more work?" is answerable
-    // without consuming. Holds at most one instance per tenant.
-    let mut next_idx: Vec<usize> = vec![0; tenants.len()];
-    let mut peeked: Vec<Option<TaskInstance>> =
-        tenants.iter_mut().map(|t| t.instances.next()).collect();
-    // Instances between arrival and terminal state — the engine's working
-    // set. Evicted on success and on terminal failure alike, together with
-    // the retry ledger entry.
-    let mut inflight: HashMap<(usize, usize), TaskInstance> = HashMap::new();
-    let mut peak_inflight = 0usize;
-
-    // The earliest pending arrival as (time, tenant): minimal by
-    // (time, arrival index, tenant index) — exactly the order the
-    // materialised engine's idx-major seeding loop assigns heap sequence
-    // numbers, so same-time arrivals inject in the same relative order.
-    let next_arrival = |peeked: &[Option<TaskInstance>],
-                        next_idx: &[usize],
-                        tenants: &[StreamingTenant]|
-     -> Option<(f64, usize)> {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (ti, slot) in peeked.iter().enumerate() {
-            if slot.is_none() {
-                continue;
-            }
-            let idx = next_idx[ti];
-            let time =
-                tenants[ti].arrival_offset_seconds + idx as f64 * config.submit_interval_seconds;
-            let better = match best {
-                None => true,
-                Some((bt, bidx, _)) => time < bt || (time == bt && idx < bidx),
-            };
-            if better {
-                best = Some((time, idx, ti));
-            }
-        }
-        best.map(|(time, _, ti)| (time, ti))
-    };
-
-    loop {
-        let arrival = next_arrival(&peeked, &next_idx, &tenants);
-        // Arrivals win time-ties against heap events (completions/retries):
-        // in the materialised engine every first-submit is seeded before any
-        // Finish/retry is pushed, so its heap sequence number is lower and
-        // it pops first on equal times.
-        let take_arrival = match (arrival, events.peek_time()) {
-            (Some((at, _)), Some(ht)) => at <= ht,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-
-        if take_arrival {
-            let (at, ti) = arrival.expect("checked above");
-            let idx = next_idx[ti];
-            let inst = peeked[ti].take().expect("arrival has an instance");
-            peeked[ti] = tenants[ti].instances.next();
-            next_idx[ti] += 1;
-            inflight.insert((ti, idx), inst);
-            peak_inflight = peak_inflight.max(inflight.len());
-            submit_streaming(
-                at,
-                ti,
-                idx,
-                0,
-                &mut tenants,
-                &inflight,
-                &retries,
-                &mut pending,
-                largest_node,
-                config,
-            );
-            try_dispatch_streaming(
-                at,
-                config,
-                &mut cluster,
-                &mut pending,
-                &mut events,
-                &mut stats,
-                &mut aggs,
-                sink,
-                &inflight,
-                &mut running,
-            );
-        } else if let Some((now, event)) = events.pop() {
-            match event {
-                Event::Submit {
-                    tenant: ti,
-                    instance,
-                    attempt,
-                } => {
-                    submit_streaming(
-                        now,
-                        ti,
-                        instance,
-                        attempt,
-                        &mut tenants,
-                        &inflight,
-                        &retries,
-                        &mut pending,
-                        largest_node,
-                        config,
-                    );
-                    try_dispatch_streaming(
-                        now,
-                        config,
-                        &mut cluster,
-                        &mut pending,
-                        &mut events,
-                        &mut stats,
-                        &mut aggs,
-                        sink,
-                        &inflight,
-                        &mut running,
-                    );
-                }
-                // Stale completion of a fault-killed attempt: released and
-                // requeued when the fault fired — ignore it.
-                Event::Finish(run) if running.finish(run.dispatch_id).is_some() => {
-                    cluster.release(
-                        crate::cluster::Placement { node: run.node },
-                        run.task.allocation_bytes,
-                    );
-                    makespan = makespan.max(now);
-                    let ti = run.task.tenant;
-                    let key = (ti, run.task.instance);
-                    let inst = &inflight[&key];
-                    let record = TaskRecord {
-                        workflow: tenants[ti].workflow.clone(),
-                        task_type: inst.task_type.clone(),
-                        machine: inst.machine.clone(),
-                        sequence: inst.sequence,
-                        input_bytes: inst.input_bytes,
-                        peak_memory_bytes: if run.task.success {
-                            inst.true_peak_bytes
-                        } else {
-                            run.task.allocation_bytes
-                        },
-                        allocated_memory_bytes: run.task.allocation_bytes,
-                        runtime_seconds: run.task.duration_seconds,
-                        concurrent_tasks: run.concurrent_at_start as u32,
-                        queue_delay_seconds: run.start_time - run.submit_time,
-                        outcome: if run.task.success {
-                            TaskOutcome::Succeeded
-                        } else {
-                            TaskOutcome::FailedOutOfMemory
-                        },
-                    };
-                    records.record(&record);
-                    tenants[ti].predictor.observe(&record);
-                    if run.task.success {
-                        // Terminal state: retire the retry baseline and the
-                        // in-flight instance together.
-                        retries.finish(key);
-                        inflight.remove(&key);
-                        aggs[ti].observe_instance(true);
-                    } else {
-                        let next_attempt = run.task.attempt + 1;
-                        if next_attempt < config.max_attempts {
-                            retries.record_failure(key, run.task.allocation_bytes);
-                            events.push(
-                                now,
-                                Event::Submit {
-                                    tenant: ti,
-                                    instance: run.task.instance,
-                                    attempt: next_attempt,
-                                },
-                            );
-                        } else {
-                            // Attempt budget exhausted: equally terminal, so
-                            // the instance must leave the working set *now* —
-                            // a stranded entry here is a leak the regression
-                            // suite would catch at scale.
-                            retries.finish(key);
-                            inflight.remove(&key);
-                            aggs[ti].observe_instance(false);
-                        }
-                    }
-                    try_dispatch_streaming(
-                        now,
-                        config,
-                        &mut cluster,
-                        &mut pending,
-                        &mut events,
-                        &mut stats,
-                        &mut aggs,
-                        sink,
-                        &inflight,
-                        &mut running,
-                    );
-                }
-                Event::Finish(_) => {}
-                Event::Fault(action) => {
-                    apply_fault(
-                        action,
-                        now,
-                        &mut cluster,
-                        &mut running,
-                        &mut events,
-                        &mut stats,
-                    );
-                    try_dispatch_streaming(
-                        now,
-                        config,
-                        &mut cluster,
-                        &mut pending,
-                        &mut events,
-                        &mut stats,
-                        &mut aggs,
-                        sink,
-                        &inflight,
-                        &mut running,
-                    );
-                }
-            }
-        } else {
-            break;
-        }
-
-        // Defensive: nothing left to arrive or finish but tasks still
-        // pending means the head can never fit (caller bypassed the clamp).
-        // Force it through so the replay terminates.
-        if events.is_empty() && peeked.iter().all(Option::is_none) && !pending.is_empty() {
-            let queued = pending.remove(0).expect("non-empty queue");
-            stats.forced_placements += 1;
-            dispatch_streaming(
-                queued,
-                0,
-                makespan,
-                &mut cluster,
-                &mut events,
-                &mut stats,
-                &mut aggs,
-                sink,
-                &inflight,
-                &mut running,
-            );
-        }
-    }
-
-    stats.peak_pending_tasks = pending.peak_len();
-    stats.peak_inflight_retries = retries.peak_entries();
-    stats.leaked_inflight_retries = retries.len();
-    debug_assert_eq!(
-        stats.leaked_inflight_retries, 0,
-        "every task reaches a terminal state, so the retry ledger must drain"
-    );
-    let leaked_inflight_instances = inflight.len();
-    debug_assert_eq!(
-        leaked_inflight_instances, 0,
-        "every task reaches a terminal state, so the in-flight set must drain"
-    );
-
-    let reports = tenants
-        .iter()
-        .zip(aggs)
-        .map(|(tenant, aggregates)| StreamingTenantReport {
-            workflow: tenant.workflow.clone(),
-            method: tenant.predictor.name(),
-            aggregates,
-        })
-        .collect();
-
-    StreamingReplayReport {
-        reports,
-        makespan_seconds: makespan,
-        stats,
-        nodes: cluster.nodes().to_vec(),
-        peak_inflight_instances: peak_inflight,
-        leaked_inflight_instances,
-    }
-}
-
-/// Sizes and enqueues one attempt in the streaming engine — the exact
-/// Submit-branch logic of [`schedule_workflows`], reading the instance from
-/// the in-flight working set.
-#[allow(clippy::too_many_arguments)]
-fn submit_streaming(
-    now: f64,
-    ti: usize,
-    instance: usize,
-    attempt: u32,
-    tenants: &mut [StreamingTenant],
-    inflight: &HashMap<(usize, usize), TaskInstance>,
-    retries: &RetryLedger<(usize, usize)>,
-    pending: &mut PendingQueue<QueuedAttempt>,
-    largest_node: f64,
-    config: &SimulationConfig,
-) {
-    let inst = &inflight[&(ti, instance)];
-    let submission = TaskSubmission {
-        workflow: inst.workflow.clone(),
-        task_type: inst.task_type.clone(),
-        machine: inst.machine.clone(),
-        sequence: inst.sequence,
-        input_bytes: inst.input_bytes,
-        preset_memory_bytes: inst.preset_memory_bytes,
-    };
-    let ctx = AttemptContext {
-        attempt,
-        last_allocation_bytes: retries.last_allocation((ti, instance)),
-    };
-    let prediction = tenants[ti].predictor.predict(&submission, ctx);
-    let allocation = prediction
-        .allocation_bytes
-        .clamp(MIN_ALLOCATION_BYTES, largest_node);
-    let success = allocation + 1e-6 >= inst.true_peak_bytes;
-    let duration = if success {
-        inst.base_runtime_seconds
-    } else {
-        inst.base_runtime_seconds * config.time_to_failure
-    };
-    let queued = PendingTask {
-        submit_time: now,
-        allocation_bytes: allocation,
-        payload: QueuedAttempt {
-            tenant: ti,
-            instance,
-            attempt,
-            allocation_bytes: allocation,
-            raw_estimate_bytes: prediction.raw_estimate_bytes,
-            selected_model: prediction.selected_model.map(String::from),
-            success,
-            duration_seconds: duration,
-        },
-    };
-    if attempt == 0 {
-        pending.push_back(queued);
-    } else {
-        // Retries re-enter with their original priority (head of the
-        // queue), matching the synchronous engine's `run_retry` semantics.
-        pending.push_front(queued);
-    }
-}
-
-/// Dispatches every queued task the policy allows at virtual time `now` —
-/// the streaming twin of the materialised engine's `try_dispatch` closure.
-#[allow(clippy::too_many_arguments)]
-fn try_dispatch_streaming(
-    now: f64,
-    config: &SimulationConfig,
-    cluster: &mut Cluster,
-    pending: &mut PendingQueue<QueuedAttempt>,
-    events: &mut EventHeap<Event>,
-    stats: &mut SchedulerStats,
-    aggs: &mut [ReplayAggregates],
-    sink: &mut dyn AttemptSink,
-    inflight: &HashMap<(usize, usize), TaskInstance>,
-    running: &mut RunningRegistry,
-) {
-    loop {
-        // Head of the queue first: every policy dispatches it if it fits.
-        let head_node = pending
-            .front()
-            .and_then(|t| cluster.select_node(t.allocation_bytes, config.policy));
-        let picked = if let Some(node) = head_node {
-            Some((0, node))
-        } else if config.policy == SchedulePolicy::Backfill {
-            // Head blocked: scan a bounded window behind it for a task
-            // that fits right now.
-            pending
-                .iter()
-                .enumerate()
-                .skip(1)
-                .take(config.backfill_window)
-                .find_map(|(idx, t)| {
-                    cluster
-                        .select_node(t.allocation_bytes, config.policy)
-                        .map(|node| (idx, node))
-                })
-        } else {
-            None
-        };
-        let Some((idx, node)) = picked else { break };
-        let queued = pending.remove(idx).expect("picked index exists");
-        dispatch_streaming(
-            queued, node, now, cluster, events, stats, aggs, sink, inflight, running,
-        );
-    }
-}
-
-/// Starts a queued attempt on `node` at virtual time `now` in the streaming
-/// engine: places it, folds the attempt event into its tenant's aggregates,
-/// offers it to the sink, and schedules its completion.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_streaming(
-    queued: PendingTask<QueuedAttempt>,
-    node: usize,
-    now: f64,
-    cluster: &mut Cluster,
-    events: &mut EventHeap<Event>,
-    stats: &mut SchedulerStats,
-    aggs: &mut [ReplayAggregates],
-    sink: &mut dyn AttemptSink,
-    inflight: &HashMap<(usize, usize), TaskInstance>,
-    running: &mut RunningRegistry,
-) {
-    let mut task = queued.payload;
-    cluster.place_on(node, task.allocation_bytes);
-    let queue_delay = (now - queued.submit_time).max(0.0);
-    stats.record_dispatch(queue_delay, cluster);
-    let inst = &inflight[&(task.tenant, task.instance)];
-    let wasted_bytes = if task.success {
-        (task.allocation_bytes - inst.true_peak_bytes).max(0.0)
-    } else {
-        task.allocation_bytes
-    };
-    let event = AttemptEvent {
-        task_type: inst.task_type.clone(),
-        sequence: inst.sequence,
-        attempt: task.attempt,
-        allocated_bytes: task.allocation_bytes,
-        true_peak_bytes: inst.true_peak_bytes,
-        duration_seconds: task.duration_seconds,
-        success: task.success,
-        wastage_gbh: wasted_bytes / 1e9 * task.duration_seconds / 3600.0,
-        raw_estimate_bytes: task.raw_estimate_bytes,
-        selected_model: task.selected_model.take(),
-        submit_time_seconds: now,
-        queue_delay_seconds: queue_delay,
-    };
-    aggs[task.tenant].observe_event(&event);
-    sink.record(&event);
-    let concurrent = cluster.running_tasks();
-    let dispatch_id = running.insert(RunningRef {
-        tenant: task.tenant,
-        instance: task.instance,
-        attempt: task.attempt,
-        node,
-        allocation_bytes: task.allocation_bytes,
-    });
-    events.push(
-        now + task.duration_seconds,
-        Event::Finish(RunningAttempt {
-            node,
-            submit_time: queued.submit_time,
-            start_time: now,
-            concurrent_at_start: concurrent,
-            task,
-            dispatch_id,
-        }),
-    );
+    Engine::new(tenants, config, records, |_, event| sink.record(&event)).run()
 }
 
 #[cfg(test)]
@@ -1845,50 +1427,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_engine_matches_materialised_engine() {
-        use crate::accounting::{NullRecordSink, ReplayAggregates};
-
-        // Mixed workload with retries (peak 7 GB vs preset 2 GB doubles
-        // up to success), arrival offsets, and contention on a tiny node.
-        let mk_tenants = || {
-            let a: Vec<TaskInstance> = (0..6).map(|i| instance(i, 1e9, 100.0, 4e9)).collect();
-            let mut b: Vec<TaskInstance> = (0..4).map(|i| instance(i, 1e9, 80.0, 2e9)).collect();
-            b.push(instance(4, 7e9, 100.0, 2e9));
-            vec![
-                WorkflowTenant::new("a", a, Box::new(PresetPredictor)),
-                WorkflowTenant::new("b", b, Box::new(PresetPredictor)).with_arrival_offset(50.0),
-            ]
-        };
-        for policy in SchedulePolicy::ALL {
-            let config = tiny_cluster(policy);
-            let materialised = schedule_workflows(mk_tenants(), &config);
-            let mut streamed_events: Vec<AttemptEvent> = Vec::new();
-            let streaming = schedule_workflows_streaming(
-                mk_tenants()
-                    .into_iter()
-                    .map(StreamingTenant::from)
-                    .collect(),
-                &config,
-                &mut streamed_events,
-                &mut NullRecordSink,
-            );
-            assert_eq!(streaming.makespan_seconds, materialised.makespan_seconds);
-            assert_eq!(streaming.stats, materialised.stats);
-            assert_eq!(streaming.nodes, materialised.nodes);
-            assert_eq!(streaming.leaked_inflight_instances, 0);
-            for (s, m) in streaming.reports.iter().zip(&materialised.reports) {
-                assert_eq!(s.workflow, m.workflow);
-                assert_eq!(s.method, m.method);
-                assert_eq!(s.aggregates, ReplayAggregates::from_report(m));
-            }
-            // The collecting sink sees every attempt the materialised
-            // engine recorded.
-            let total: usize = materialised.reports.iter().map(|r| r.events.len()).sum();
-            assert_eq!(streamed_events.len(), total);
-        }
-    }
-
-    #[test]
     fn streaming_engine_evicts_terminally_failed_instances() {
         use crate::accounting::{NullRecordSink, NullSink};
 
@@ -2043,65 +1581,6 @@ mod tests {
         assert_eq!(result.stats.crash_lost_attempts, 4);
         assert_eq!(result.stats.forced_placements, 6);
         assert_eq!(result.stats.leaked_inflight_retries, 0);
-    }
-
-    #[test]
-    fn fault_plans_are_bit_identical_across_engines() {
-        use crate::accounting::{NullRecordSink, ReplayAggregates};
-        use crate::faults::{CrashStorm, FaultPlan, NodeCrash, TaskKillBurst};
-
-        let plan = FaultPlan::default()
-            .with_task_kills(TaskKillBurst {
-                time_seconds: 40.0,
-                tasks: 1,
-            })
-            .with_node_crash(NodeCrash {
-                time_seconds: 120.0,
-                node: 0,
-                down_seconds: 60.0,
-            })
-            .with_storm(CrashStorm {
-                time_seconds: 260.0,
-                nodes: 1,
-                down_seconds: 40.0,
-                seed: 11,
-            });
-        let mk_tenants = || {
-            let a: Vec<TaskInstance> = (0..6).map(|i| instance(i, 1e9, 100.0, 4e9)).collect();
-            let mut b: Vec<TaskInstance> = (0..4).map(|i| instance(i, 1e9, 80.0, 2e9)).collect();
-            b.push(instance(4, 7e9, 100.0, 2e9));
-            vec![
-                WorkflowTenant::new("a", a, Box::new(PresetPredictor)),
-                WorkflowTenant::new("b", b, Box::new(PresetPredictor)).with_arrival_offset(50.0),
-            ]
-        };
-        for policy in SchedulePolicy::ALL {
-            let config = SimulationConfig::default()
-                .with_nodes(2, 10e9, 2)
-                .with_policy(policy)
-                .with_faults(plan.clone());
-            let materialised = schedule_workflows(mk_tenants(), &config);
-            assert!(materialised.stats.requeued_attempts > 0, "{policy:?}");
-            let mut streamed_events: Vec<AttemptEvent> = Vec::new();
-            let streaming = schedule_workflows_streaming(
-                mk_tenants()
-                    .into_iter()
-                    .map(StreamingTenant::from)
-                    .collect(),
-                &config,
-                &mut streamed_events,
-                &mut NullRecordSink,
-            );
-            assert_eq!(streaming.makespan_seconds, materialised.makespan_seconds);
-            assert_eq!(streaming.stats, materialised.stats);
-            assert_eq!(streaming.nodes, materialised.nodes);
-            assert_eq!(streaming.leaked_inflight_instances, 0);
-            for (s, m) in streaming.reports.iter().zip(&materialised.reports) {
-                assert_eq!(s.aggregates, ReplayAggregates::from_report(m));
-            }
-            let total: usize = materialised.reports.iter().map(|r| r.events.len()).sum();
-            assert_eq!(streamed_events.len(), total);
-        }
     }
 
     #[test]

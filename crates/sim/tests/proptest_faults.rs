@@ -5,9 +5,11 @@
 //!
 //! 1. **Replay determinism** — running the same faulted scenario twice
 //!    produces bit-identical attempt events and scheduler stats.
-//! 2. **Engine equivalence** — the materialised and streaming event-driven
-//!    engines produce the identical event sequence and stats for the same
-//!    faulted scenario.
+//! 2. **Adapter routing** — `schedule_workflows` (materialised tenants,
+//!    events collected per tenant) and `schedule_workflows_streaming` (flat
+//!    sink) are two entry points of one engine: for the same faulted
+//!    scenario the tenant's event list is exactly the sequence the sink saw,
+//!    with identical stats.
 //! 3. **Conservation** — faults never strand work: every instance finishes
 //!    or exhausts its retry budget, the retry ledger drains to empty, and
 //!    every requeue is accounted to exactly one fault counter.
@@ -128,7 +130,7 @@ fn policy_from(idx: usize) -> SchedulePolicy {
     SchedulePolicy::ALL[idx % SchedulePolicy::ALL.len()]
 }
 
-/// Collects every attempt event the streaming engine emits.
+/// Collects every attempt event the streaming entry point emits.
 #[derive(Default)]
 struct Collect(Vec<AttemptEvent>);
 
@@ -142,9 +144,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // Properties 1 + 2: the same faulted scenario is bit-identical across
-    // runs and across the two event-driven engines, for every policy.
+    // runs and across the engine's two entry points, for every policy.
     #[test]
-    fn fault_replay_is_bit_identical_across_runs_and_engines(
+    fn fault_replay_is_bit_identical_across_runs_and_entry_points(
         tasks in workload_strategy(),
         plan in plan_strategy(),
         policy_idx in 0usize..3,
@@ -175,9 +177,9 @@ proptest! {
             &mut NullRecordSink,
         );
         prop_assert_eq!(&streaming.stats, &first.stats,
-            "stats must be identical across engines");
+            "stats must be identical across entry points");
         prop_assert_eq!(&sink.0, &first.reports[0].events,
-            "event sequences must be bit-identical across engines");
+            "the adapter's tenant events must be the sink's sequence");
         prop_assert_eq!(
             streaming.reports[0].aggregates.unfinished_instances,
             first.reports[0].unfinished_instances

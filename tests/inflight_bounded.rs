@@ -159,8 +159,8 @@ fn crash_lost_tasks_leak_no_inflight_retries_in_either_engine() {
     );
     assert_eq!(streaming.stats.leaked_inflight_retries, 0);
     assert_eq!(streaming.leaked_inflight_instances, 0);
-    // Both engines see the identical fault schedule and workload: the fault
-    // accounting is pinned bit-identical across them.
+    // Both entry points run the same engine over the identical fault
+    // schedule and workload, so the fault accounting matches exactly.
     assert_eq!(
         streaming.stats.crash_lost_attempts,
         materialised.stats.crash_lost_attempts

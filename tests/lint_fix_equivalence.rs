@@ -178,6 +178,168 @@ fn scheduled_multi_tenant_output_is_pinned() {
     check("scheduled_multi_tenant", d, GOLDEN_SCHEDULED);
 }
 
+/// The faulted scenario: two Sizey tenants on a small two-pool cluster with
+/// spread arrivals, under a plan with one fault of every kind placed inside
+/// the busy part of the run. Task types carry a `<tenant>:` prefix so a flat
+/// event stream can be split per tenant again.
+fn faulted_scenario(policy: SchedulePolicy) -> (Vec<WorkflowTenant>, SimulationConfig) {
+    let plan = FaultPlan::default()
+        .with_task_kills(TaskKillBurst {
+            time_seconds: 150.0,
+            tasks: 5,
+        })
+        .with_node_crash(NodeCrash {
+            time_seconds: 300.0,
+            node: 0,
+            down_seconds: 250.0,
+        })
+        .with_storm(CrashStorm {
+            time_seconds: 700.0,
+            nodes: 2,
+            down_seconds: 300.0,
+            seed: 11,
+        })
+        .with_pool_preemption(PoolPreemption {
+            pool: 1,
+            time_seconds: 1100.0,
+            return_after_seconds: 400.0,
+        });
+    let mut config = SimulationConfig::default()
+        .with_nodes(2, 128e9, 6)
+        .with_extra_pool(NodePoolSpec {
+            count: 2,
+            memory_bytes: 64e9,
+            slots: 4,
+        })
+        .with_policy(policy)
+        .with_faults(plan);
+    config.submit_interval_seconds = 2.0;
+    let tenants = [("mag", 0.03, 9u64, 0.0), ("rnaseq", 0.04, 5, 120.0)]
+        .into_iter()
+        .enumerate()
+        .map(|(ti, (name, scale, seed, offset))| {
+            let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
+            let mut instances = generate_workflow(&spec, &GeneratorConfig::scaled(scale, seed));
+            for inst in &mut instances {
+                inst.task_type = TaskTypeId::new(format!("{ti}:{}", inst.task_type.as_str()));
+            }
+            WorkflowTenant::new(
+                spec.name.clone(),
+                instances,
+                Box::new(SizeyPredictor::with_defaults()),
+            )
+            .with_arrival_offset(offset)
+        })
+        .collect();
+    (tenants, config)
+}
+
+fn digest_faulted_run(
+    d: &mut Digest,
+    makespan_seconds: f64,
+    stats: &SchedulerStats,
+    nodes: &[sizey_sim::Node],
+    reports: &[ReplayReport],
+) {
+    d.f64(makespan_seconds);
+    d.u64(stats.dispatched_attempts as u64);
+    d.f64(stats.total_queue_delay_seconds);
+    d.f64(stats.max_queue_delay_seconds);
+    d.u64(stats.peak_running_tasks as u64);
+    d.f64(stats.peak_allocated_bytes);
+    d.u64(stats.peak_pending_tasks as u64);
+    d.u64(stats.forced_placements as u64);
+    d.u64(stats.peak_inflight_retries as u64);
+    d.u64(stats.leaked_inflight_retries as u64);
+    d.u64(stats.requeued_attempts as u64);
+    d.u64(stats.crash_lost_attempts as u64);
+    d.u64(stats.preempted_attempts as u64);
+    for node in nodes {
+        d.f64(node.peak_allocated_bytes);
+        d.u64(node.peak_used_slots as u64);
+    }
+    for report in reports {
+        digest_report(d, report);
+    }
+}
+
+/// Multi-tenant scheduling under fault injection, from both entry points of
+/// the event-driven engine. `GOLDEN_FAULTED` was captured on the commit that
+/// still had a separate event loop behind `schedule_workflows`, so it pins
+/// the single engine to that loop's output and pins the adapter's per-tenant
+/// event routing to the flat stream a `Vec<AttemptEvent>` sink receives.
+#[test]
+fn faulted_multi_tenant_output_is_pinned() {
+    let mut adapter = Digest::new();
+    let mut streaming = Digest::new();
+    for policy in SchedulePolicy::ALL {
+        let (tenants, config) = faulted_scenario(policy);
+        let multi = schedule_workflows(tenants, &config);
+        assert!(multi.stats.crash_lost_attempts > 0, "{policy:?}");
+        assert!(multi.stats.preempted_attempts > 0, "{policy:?}");
+        assert!(
+            multi.stats.requeued_attempts
+                > multi.stats.crash_lost_attempts + multi.stats.preempted_attempts,
+            "{policy:?}: the task-kill burst must hit running attempts"
+        );
+        digest_faulted_run(
+            &mut adapter,
+            multi.makespan_seconds,
+            &multi.stats,
+            &multi.nodes,
+            &multi.reports,
+        );
+
+        let (tenants, config) = faulted_scenario(policy);
+        let mut flat: Vec<sizey_sim::AttemptEvent> = Vec::new();
+        let streamed = schedule_workflows_streaming(
+            tenants.into_iter().map(StreamingTenant::from).collect(),
+            &config,
+            &mut flat,
+            &mut NullRecordSink,
+        );
+        let mut reports: Vec<ReplayReport> = streamed
+            .reports
+            .iter()
+            .map(|r| ReplayReport {
+                method: r.method.clone(),
+                workflow: r.workflow.clone(),
+                time_to_failure: config.time_to_failure,
+                events: Vec::new(),
+                instances: r.aggregates.instances,
+                unfinished_instances: r.aggregates.unfinished_instances,
+                makespan_seconds: r.aggregates.makespan_seconds,
+            })
+            .collect();
+        for event in flat {
+            let (tenant, _) = event
+                .task_type
+                .as_str()
+                .split_once(':')
+                .expect("tenant-prefixed task type");
+            let tenant: usize = tenant.parse().expect("tenant index");
+            reports[tenant].events.push(event);
+        }
+        digest_faulted_run(
+            &mut streaming,
+            streamed.makespan_seconds,
+            &streamed.stats,
+            &streamed.nodes,
+            &reports,
+        );
+    }
+    check(
+        "faulted_multi_tenant (schedule_workflows)",
+        adapter,
+        GOLDEN_FAULTED,
+    );
+    check(
+        "faulted_multi_tenant (schedule_workflows_streaming)",
+        streaming,
+        GOLDEN_FAULTED,
+    );
+}
+
 /// Kernel-level pin of the reworked predict-path pieces: offset strategies
 /// and their dynamic selection, gating, percentile/median, and the
 /// occupancy-model heap ordering — on synthetic fixtures independent of the
@@ -224,3 +386,6 @@ fn predict_path_kernels_are_pinned() {
 const GOLDEN_SERIAL_REPLAY: u64 = 0xfbaee312f934df2d;
 const GOLDEN_SCHEDULED: u64 = 0x861adc7d669c1355;
 const GOLDEN_KERNELS: u64 = 0xfebf2add138eba3e;
+// Captured on the last commit with two event loops (PR 11, 36233a5), where
+// both entry points already printed this value.
+const GOLDEN_FAULTED: u64 = 0x989c776ac153d8f2;

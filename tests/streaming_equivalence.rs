@@ -1,11 +1,20 @@
-//! Differential property tests pinning the streaming replay pipeline
-//! **bit-identical** to the materialised one: iterator-based workload
-//! generation, the single-workflow streaming replay, and the multi-tenant
-//! streaming scheduler must reproduce the materialised engines' outputs
-//! exactly — same instances, same attempt events, same aggregates (exact
-//! `f64` equality), same scheduler telemetry and node peaks, and the same
-//! learned predictor state — for any workload, seed, arrival layout and
-//! scheduling policy.
+//! Property tests for the streaming pipeline, for any workload, seed,
+//! arrival layout and scheduling policy:
+//!
+//! * iterator-based workload generation yields exactly the instances the
+//!   materialised generator produces;
+//! * the single-workflow streaming replay reproduces `replay_workflow`'s
+//!   report — same attempt events, same aggregates (exact `f64` equality),
+//!   same learned predictor state;
+//! * the two entry points of the one event-driven engine agree.
+//!   `schedule_workflows` is an adapter that streams materialised tenants
+//!   through the loop behind `schedule_workflows_streaming` and routes each
+//!   attempt event to its tenant, so this checks the adapter: a tenant built
+//!   from a `Vec` and one built from a generator iterator see the same
+//!   scheduling decisions, the per-tenant event lists fold to the engine's
+//!   online aggregates, and together they hold every event the flat sink saw.
+//!   Cross-commit drift of the engine itself is pinned by the golden digests
+//!   in `lint_fix_equivalence`.
 
 use proptest::prelude::*;
 use sizey_sim::AttemptEvent;
@@ -26,7 +35,7 @@ fn workload(wf_idx: usize, seed: u64) -> (WorkflowSpec, GeneratorConfig) {
 }
 
 /// A predictor handle that survives the replay consuming its tenant, so the
-/// test can compare the learned state of both engines after the run. The
+/// test can compare the learned state of both runs afterwards. The
 /// replay itself is single-threaded; the mutex only satisfies the ownership
 /// story.
 struct SharedCheckpoint(Arc<Mutex<SizeyPredictor>>);
@@ -95,10 +104,11 @@ proptest! {
         );
     }
 
-    /// The multi-tenant streaming scheduler makes the same scheduling
-    /// decisions as the materialised one under every policy: makespan,
-    /// telemetry, per-node peaks, per-tenant aggregates and the learned
-    /// predictor state all match exactly, and no in-flight state leaks.
+    /// Generator-fed streaming tenants and materialised tenants routed
+    /// through the `schedule_workflows` adapter see the same scheduling
+    /// decisions under every policy: makespan, telemetry, per-node peaks,
+    /// per-tenant aggregates and the learned predictor state all match
+    /// exactly, and no in-flight state leaks.
     #[test]
     fn streaming_scheduler_matches_materialised_scheduler(
         seed in 0u64..5000,
@@ -162,7 +172,7 @@ proptest! {
             prop_assert_eq!(
                 ps.lock().expect("predictor lock").snapshot(),
                 pm.lock().expect("predictor lock").snapshot(),
-                "learned state diverged between the engines"
+                "learned state diverged between the entry points"
             );
         }
         let total_events: usize = materialised.reports.iter().map(|r| r.events.len()).sum();

@@ -50,8 +50,8 @@ pub enum OnlineMode {
         /// Completions between two full retrains (0 = never retrain fully).
         /// With deferred retrains enabled (see
         /// [`SizeyPredictor::set_deferred_retrains`](crate::SizeyPredictor::set_deferred_retrains))
-        /// the interval still governs *when* a retrain is staged, but the
-        /// training itself runs off the observe hot path.
+        /// the interval still governs *when* a retrain is staged; the
+        /// training runs at the caller's next `run_pending_retrains`.
         retrain_interval: usize,
         /// Completions between two warm-start MLP updates on the light
         /// (non-retrain) path. The MLP is by far the most expensive member to

@@ -66,7 +66,7 @@ pub use offset::{
     hypothetical_wastage, select_dynamic_offset, select_dynamic_offset_with, OffsetScratch,
     OffsetStrategy,
 };
-pub use pool::{GatedOutcome, ModelPool, PoolScratch, RetrainJob, RetrainPolicy, RetrainedModels};
+pub use pool::{GatedOutcome, ModelPool, PoolScratch};
 pub use raq::{accuracy_score, efficiency_scores, pool_raq_scores, raq_score};
 pub use serve::{
     BatchRequest, ConcurrentPredictor, ConcurrentSizey, ServiceCheckpoint, SharedPredictor,

@@ -47,68 +47,6 @@ pub(crate) const ACCURACY_WINDOW: usize = 50;
 /// pool's current prediction quality instead of long-gone early errors.
 pub(crate) const OFFSET_HISTORY_WINDOW: usize = 40;
 
-/// When the periodic full retrain (and its optional HPO grid search) runs
-/// relative to the observe hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetrainPolicy {
-    /// Retrain synchronously inside `observe_success` (the historical
-    /// behaviour; serial engines keep this so replays stay bit-identical).
-    #[default]
-    Inline,
-    /// Stage a [`RetrainJob`] instead; the caller drains it with
-    /// [`ModelPool::take_retrain_job`], trains off the hot path and commits
-    /// via [`ModelPool::install_retrain`]. Predictions keep serving the old
-    /// models until the install.
-    Deferred,
-}
-
-/// A staged full retrain: cloned models plus a snapshot of the training data,
-/// executable away from the pool (and its locks). The `epoch` ties the result
-/// back to the model state it was staged from.
-pub struct RetrainJob {
-    members: Vec<(ModelClass, Box<dyn Regressor>)>,
-    data: Dataset,
-    hyperparameter_optimization: bool,
-    epoch: u64,
-}
-
-/// The output of [`RetrainJob::execute`], ready for
-/// [`ModelPool::install_retrain`].
-pub struct RetrainedModels {
-    members: Vec<(ModelClass, Box<dyn Regressor>)>,
-    epoch: u64,
-}
-
-impl RetrainJob {
-    /// Trains the cloned members on the snapshot. Runs the exact same
-    /// HPO-or-refit procedure as an inline full retrain, so draining a job
-    /// immediately after each observe reproduces inline retraining bit for
-    /// bit. Takes `&self` so jobs can run on a shared thread pool.
-    pub fn execute(&self) -> RetrainedModels {
-        let members = self
-            .members
-            .iter()
-            .map(|(class, model)| {
-                if self.hyperparameter_optimization && self.data.len() >= 6 {
-                    let specs = ModelSpec::default_grid(*class);
-                    if let Ok(result) = grid_search(&specs, &self.data, 3) {
-                        return (*class, result.model);
-                    }
-                }
-                let mut model = model.clone_box();
-                // `fit` is transactional: a failed refit keeps the previous
-                // fitted state, which is still the best information we have.
-                let _ = model.fit(&self.data);
-                (*class, model)
-            })
-            .collect();
-        RetrainedModels {
-            members,
-            epoch: self.epoch,
-        }
-    }
-}
-
 /// One pool member: a model plus its prequential accuracy history.
 struct PoolMember {
     class: ModelClass,
@@ -179,12 +117,13 @@ pub struct ModelPool {
     /// Completions since the MLP's last warm-start update (drives the
     /// `mlp_update_interval` cadence of incremental mode).
     since_mlp_update: usize,
-    /// Whether periodic retrains run inline or are staged for the caller.
-    retrain_policy: RetrainPolicy,
-    /// A staged-but-not-yet-drained retrain request.
+    /// Whether a due full retrain is staged (`pending_retrain`) instead of
+    /// run inside the observe that found it due.
+    defer_retrains: bool,
+    /// A staged full retrain that [`ModelPool::run_pending_retrain`] has not
+    /// run yet.
     pending_retrain: bool,
-    /// Bumped on every installed or inline full retrain; a staged job
-    /// carries the epoch it saw, and a stale job is discarded on install.
+    /// Number of full retrains that have landed.
     model_epoch: u64,
     /// Largest peak ever observed (successful or exhausted allocation).
     max_observed: Option<f64>,
@@ -214,7 +153,7 @@ impl Clone for ModelPool {
             aggregate_history: self.aggregate_history.clone(),
             since_full_retrain: self.since_full_retrain,
             since_mlp_update: self.since_mlp_update,
-            retrain_policy: self.retrain_policy,
+            defer_retrains: self.defer_retrains,
             pending_retrain: self.pending_retrain,
             model_epoch: self.model_epoch,
             max_observed: self.max_observed,
@@ -284,7 +223,7 @@ impl ModelPool {
             aggregate_history: Vec::new(),
             since_full_retrain: 0,
             since_mlp_update: 0,
-            retrain_policy: RetrainPolicy::default(),
+            defer_retrains: false,
             pending_retrain: false,
             model_epoch: 0,
             max_observed: None,
@@ -325,53 +264,29 @@ impl ModelPool {
         self.model_epoch
     }
 
-    /// Sets whether periodic full retrains run inline or are staged as
-    /// [`RetrainJob`]s for the caller to execute off the hot path.
-    pub fn set_retrain_policy(&mut self, policy: RetrainPolicy) {
-        self.retrain_policy = policy;
+    /// Sets whether a due full retrain is staged for
+    /// [`run_pending_retrain`](ModelPool::run_pending_retrain) (`true`) or
+    /// run inside the observe that found it due (`false`, the default —
+    /// serial engines keep it so replays stay bit-identical).
+    pub fn set_deferred_retrains(&mut self, deferred: bool) {
+        self.defer_retrains = deferred;
     }
 
-    /// True when a retrain has been staged but not yet drained.
+    /// True when a full retrain has been staged but not yet run.
     pub fn has_pending_retrain(&self) -> bool {
         self.pending_retrain
     }
 
-    /// Drains the staged retrain request, if any, into an executable job.
-    /// The job snapshots the current models and training data; run it with
-    /// [`RetrainJob::execute`] and commit via
-    /// [`ModelPool::install_retrain`].
-    pub fn take_retrain_job(&mut self, config: &SizeyConfig) -> Option<RetrainJob> {
-        if !self.pending_retrain {
-            return None;
+    /// Runs the staged full retrain, if any, on the pool's current models
+    /// and training data; predictions serve the previous models until then.
+    /// Returns whether one ran. The interval counter restarted when the
+    /// retrain was staged, so running it late does not shift the schedule.
+    pub fn run_pending_retrain(&mut self, config: &SizeyConfig) -> bool {
+        let pending = std::mem::take(&mut self.pending_retrain);
+        if pending {
+            self.refit_members(config);
         }
-        self.pending_retrain = false;
-        Some(RetrainJob {
-            members: self
-                .members
-                .iter()
-                .map(|m| (m.class, m.model.clone_box()))
-                .collect(),
-            data: self.data.clone(),
-            hyperparameter_optimization: config.hyperparameter_optimization,
-            epoch: self.model_epoch,
-        })
-    }
-
-    /// Commits the models trained by a [`RetrainJob`]. Returns `false` (and
-    /// discards the result) when the pool's models were fully retrained after
-    /// the job was staged — the freshly trained models would be staler than
-    /// what is already serving.
-    pub fn install_retrain(&mut self, trained: RetrainedModels) -> bool {
-        if trained.epoch != self.model_epoch {
-            return false;
-        }
-        for (class, model) in trained.members {
-            if let Some(member) = self.members.iter_mut().find(|m| m.class == class) {
-                member.model = model;
-            }
-        }
-        self.model_epoch += 1;
-        true
+        pending
     }
 
     /// True once the pool has enough data and fitted models to predict.
@@ -540,20 +455,15 @@ impl ModelPool {
     }
 
     /// The drift response: optionally drop the stale pre-drift history so
-    /// the refit tracks the new regime, then force a full retrain through
-    /// the configured [`RetrainPolicy`] (inline trains now; deferred stages
-    /// a [`RetrainJob`] that snapshots the already-trimmed data when
-    /// drained).
+    /// the refit tracks the new regime, then force a full retrain (a staged
+    /// one later trains on the already-trimmed data).
     fn drift_retrain(&mut self, config: &SizeyConfig) {
         if let DriftPolicy::Retrain { keep_recent, .. } = config.drift {
             if keep_recent > 0 && self.data.len() > keep_recent {
                 self.data.drain_front(self.data.len() - keep_recent);
             }
         }
-        match self.retrain_policy {
-            RetrainPolicy::Inline => self.full_retrain(config),
-            RetrainPolicy::Deferred => self.stage_retrain(),
-        }
+        self.full_retrain(config);
     }
 
     /// Incorporates a successful execution: prequential score bookkeeping,
@@ -634,26 +544,17 @@ impl ModelPool {
         if trimmed {
             // The window boundary is a de-facto full retrain, whatever the
             // online mode asked for.
-            match self.retrain_policy {
-                RetrainPolicy::Inline => self.full_retrain(config),
-                RetrainPolicy::Deferred => self.stage_retrain(),
-            }
+            self.full_retrain(config);
         } else {
             match config.online {
-                OnlineMode::FullRetrain => match self.retrain_policy {
-                    RetrainPolicy::Inline => self.full_retrain(config),
-                    RetrainPolicy::Deferred => self.stage_retrain(),
-                },
+                OnlineMode::FullRetrain => self.full_retrain(config),
                 OnlineMode::Incremental {
                     retrain_interval,
                     mlp_update_interval,
                 } => {
                     self.since_full_retrain += 1;
                     if retrain_interval > 0 && self.since_full_retrain >= retrain_interval {
-                        match self.retrain_policy {
-                            RetrainPolicy::Inline => self.full_retrain(config),
-                            RetrainPolicy::Deferred => self.stage_retrain(),
-                        }
+                        self.full_retrain(config);
                     } else {
                         self.incremental_update(mlp_update_interval);
                     }
@@ -725,15 +626,21 @@ impl ModelPool {
         }
     }
 
-    /// Stages a deferred full retrain and restarts the interval counter (the
-    /// staging *is* the scheduled retrain; training happens when the caller
-    /// drains the job).
-    fn stage_retrain(&mut self) {
-        self.pending_retrain = true;
+    /// A full retrain is due, whatever made it so (window trim, FullRetrain
+    /// mode, interval, drift): restart the interval counter, then refit now
+    /// or stage the refit for [`ModelPool::run_pending_retrain`].
+    fn full_retrain(&mut self, config: &SizeyConfig) {
         self.since_full_retrain = 0;
+        if self.defer_retrains {
+            self.pending_retrain = true;
+        } else {
+            self.refit_members(config);
+        }
     }
 
-    fn full_retrain(&mut self, config: &SizeyConfig) {
+    /// Refits every member on the complete training data — a grid search
+    /// when HPO is configured and there is enough data for its folds.
+    fn refit_members(&mut self, config: &SizeyConfig) {
         for member in &mut self.members {
             if config.hyperparameter_optimization && self.data.len() >= 6 {
                 let specs = ModelSpec::default_grid(member.class);
@@ -742,15 +649,10 @@ impl ModelPool {
                     continue;
                 }
             }
-            if member.model.fit(&self.data).is_err() {
-                // Keep the previous model if the refit fails; `fit` is
-                // transactional, so the previous fitted state still serves.
-            }
+            // `fit` is transactional: a failed refit keeps the previous
+            // fitted state, which is still the best information we have.
+            let _ = member.model.fit(&self.data);
         }
-        // A full retrain ran, whatever triggered it (interval, FullRetrain
-        // mode, or an explicit call) — restart the interval counter and
-        // invalidate any in-flight deferred job.
-        self.since_full_retrain = 0;
         self.model_epoch += 1;
     }
 }
@@ -949,53 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_retrains_stage_instead_of_training_inline() {
-        let cfg = SizeyConfig {
-            online: OnlineMode::incremental(3),
-            ..SizeyConfig::default()
-        };
-        let mut pool = ModelPool::new(&cfg);
-        pool.set_retrain_policy(RetrainPolicy::Deferred);
-        // The very first observe cold-start-fits every member on the full
-        // history, which counts as a full retrain; the interval then needs
-        // three further completions to elapse.
-        feed_linear(&mut pool, &cfg, 3);
-        assert!(!pool.has_pending_retrain());
-        feed_linear(&mut pool, &cfg, 1);
-        assert!(pool.has_pending_retrain(), "interval hit must stage a job");
-        assert_eq!(pool.since_full_retrain(), 0);
-
-        let job = pool.take_retrain_job(&cfg).expect("staged job");
-        assert!(!pool.has_pending_retrain());
-        assert!(pool.take_retrain_job(&cfg).is_none());
-
-        let trained = job.execute();
-        assert!(pool.install_retrain(trained));
-        assert_eq!(pool.model_epoch(), 1);
-        assert!(pool.is_ready(cfg.min_history));
-    }
-
-    #[test]
-    fn stale_retrain_results_are_discarded() {
-        let cfg = SizeyConfig {
-            online: OnlineMode::incremental(2),
-            ..SizeyConfig::default()
-        };
-        let mut pool = ModelPool::new(&cfg);
-        pool.set_retrain_policy(RetrainPolicy::Deferred);
-        feed_linear(&mut pool, &cfg, 3);
-        let job = pool.take_retrain_job(&cfg).expect("staged job");
-        // An inline full retrain lands while the job is in flight.
-        pool.full_retrain(&cfg);
-        let stale_epoch = job.epoch;
-        assert!(pool.model_epoch() > stale_epoch);
-        assert!(
-            !pool.install_retrain(job.execute()),
-            "a job staged before the inline retrain must be discarded"
-        );
-    }
-
-    #[test]
     fn deferred_drain_after_each_observe_matches_inline_retraining() {
         let cfg = SizeyConfig {
             online: OnlineMode::incremental(3),
@@ -1003,15 +858,13 @@ mod tests {
         };
         let mut inline = ModelPool::new(&cfg);
         let mut deferred = ModelPool::new(&cfg);
-        deferred.set_retrain_policy(RetrainPolicy::Deferred);
+        deferred.set_deferred_retrains(true);
         for i in 1..=9 {
             let input = i as f64 * 1e9;
             let peak = 2.0 * input + 1e9;
             inline.observe_success(&[input], peak, &cfg);
             deferred.observe_success(&[input], peak, &cfg);
-            if let Some(job) = deferred.take_retrain_job(&cfg) {
-                assert!(deferred.install_retrain(job.execute()));
-            }
+            deferred.run_pending_retrain(&cfg);
             let query = [input + 5e8];
             let a = inline.gated_estimate(&query, &cfg).map(|(d, _)| d.estimate);
             let b = deferred
@@ -1020,7 +873,7 @@ mod tests {
             assert_eq!(
                 a.map(f64::to_bits),
                 b.map(f64::to_bits),
-                "draining immediately after each observe must be bit-identical to inline retrains (observe {i})"
+                "running the staged retrain right after each observe must be bit-identical to inline retrains (observe {i})"
             );
         }
     }
@@ -1179,13 +1032,12 @@ mod tests {
             keep_recent: 0,
         });
         let mut pool = ModelPool::new(&cfg);
-        pool.set_retrain_policy(RetrainPolicy::Deferred);
+        pool.set_deferred_retrains(true);
         feed_linear(&mut pool, &cfg, 6);
-        // The warm-up itself may under-predict enough to fire; drain any
-        // staged job so the next trigger is unambiguously the failure burst.
-        if let Some(job) = pool.take_retrain_job(&cfg) {
-            assert!(pool.install_retrain(job.execute()));
-        }
+        // The warm-up itself may under-predict enough to fire; run any
+        // staged retrain so the next trigger is unambiguously the failure
+        // burst.
+        pool.run_pending_retrain(&cfg);
         let epoch_before = pool.model_epoch();
         assert!(!pool.has_pending_retrain());
         for _ in 0..3 {
@@ -1196,8 +1048,7 @@ mod tests {
             "a deferred pool stages the drift retrain instead of training inline"
         );
         assert_eq!(pool.model_epoch(), epoch_before);
-        let job = pool.take_retrain_job(&cfg).expect("staged drift retrain");
-        assert!(pool.install_retrain(job.execute()));
+        assert!(pool.run_pending_retrain(&cfg));
         assert_eq!(pool.model_epoch(), epoch_before + 1);
     }
 }

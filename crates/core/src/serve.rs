@@ -7,7 +7,7 @@
 //!
 //! * **Sharding** — the key space is partitioned across `shards` independent
 //!   predictor instances by a **stable FNV-1a hash** of
-//!   [`TaskMachineKey`] (task type ×
+//!   [`TaskMachineKey`](sizey_provenance::TaskMachineKey) (task type ×
 //!   machine). All learned state in Sizey
 //!   and the baselines is keyed per (task type, machine), so routing every
 //!   predict *and* observe of a key to the same shard reproduces the serial
@@ -38,11 +38,9 @@ use sizey_sim::{
 };
 
 use crate::config::SizeyConfig;
-use crate::pool::RetrainJob;
 use crate::sizey::SizeyPredictor;
 use parking_lot::RwLock;
 use sizey_ml::parallel::{default_parallelism, parallel_map};
-use sizey_provenance::TaskMachineKey;
 use std::sync::Arc;
 
 /// FNV-1a 64-bit offset basis.
@@ -147,7 +145,8 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     /// can compute them independently.
     ///
     /// Hashing the two components directly avoids cloning two `String`s into
-    /// a [`TaskMachineKey`] per request on the hot path.
+    /// a [`TaskMachineKey`](sizey_provenance::TaskMachineKey) per request on
+    /// the hot path.
     pub fn shard_of_parts(&self, task_type: &TaskTypeId, machine: &MachineId) -> usize {
         (fnv1a_key(task_type, machine) % self.shards.len() as u64) as usize
     }
@@ -245,8 +244,8 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     }
 
     /// Runs `f` on one shard's predictor under its write lock — the
-    /// maintenance hook of the async serving layer (deferred-retrain drains
-    /// between micro-batches). Panics when `shard >= shard_count()`.
+    /// maintenance hook of the async serving layer (capped staged-retrain
+    /// runs after each micro-batch). Panics when `shard >= shard_count()`.
     pub fn with_shard_mut<R>(&self, shard: usize, f: impl FnOnce(&mut P) -> R) -> R {
         f(&mut self.shards[shard].write())
     }
@@ -365,31 +364,48 @@ impl ServiceCheckpoint {
                 })
             }
         };
-        let mut shard_texts: Vec<Vec<&str>> = Vec::with_capacity(n_shards);
-        for line in lines {
-            if line.starts_with("--- shard ") {
-                shard_texts.push(Vec::new());
-            } else if let Some(current) = shard_texts.last_mut() {
-                current.push(line);
-            } else {
-                return Err(StateError::Parse {
-                    line: 3,
-                    message: format!("expected \"--- shard 0\" frame, found {line:?}"),
-                });
+        // Each shard's frame line number and the lines under it. Not
+        // pre-sized: `n_shards` is whatever the file claims.
+        let mut frames: Vec<(usize, Vec<&str>)> = Vec::new();
+        for (idx, line) in lines.enumerate() {
+            let in_order = line
+                .strip_prefix("--- shard ")
+                .map(|index| index.trim().parse() == Ok(frames.len()));
+            match (in_order, frames.last_mut()) {
+                (Some(true), _) => frames.push((idx + 3, Vec::new())),
+                (None, Some((_, text))) => text.push(line),
+                _ => {
+                    return Err(StateError::Parse {
+                        line: idx + 3,
+                        message: format!(
+                            "expected \"--- shard {}\" frame, found {line:?}",
+                            frames.len()
+                        ),
+                    })
+                }
             }
         }
-        if shard_texts.len() != n_shards {
+        if frames.len() != n_shards {
             return Err(StateError::Parse {
                 line: 2,
                 message: format!(
                     "checkpoint declares {n_shards} shards but contains {}",
-                    shard_texts.len()
+                    frames.len()
                 ),
             });
         }
-        let shards = shard_texts
+        let shards = frames
             .into_iter()
-            .map(|text| PredictorState::from_state_string(&text.join("\n")))
+            .map(|(frame_line, text)| {
+                // The shard's line 1 is the file's line `frame_line + 1`.
+                PredictorState::from_state_string(&text.join("\n")).map_err(|e| match e {
+                    StateError::Parse { line, message } => StateError::Parse {
+                        line: line + frame_line,
+                        message,
+                    },
+                    other => other,
+                })
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ServiceCheckpoint { shards })
     }
@@ -456,81 +472,6 @@ impl ConcurrentSizey {
         checkpoint: &ServiceCheckpoint,
     ) -> Result<Self, StateError> {
         ConcurrentPredictor::from_checkpoint(checkpoint, |_| SizeyPredictor::new(config.clone()))
-    }
-
-    /// Opts every shard in (or out of) **deferred retrains**: `observe` only
-    /// stages the periodic full retrain and the HPO grid search instead of
-    /// running them inline, and
-    /// [`observe_batch_retraining`](ConcurrentSizey::observe_batch_retraining)
-    /// executes the staged training off the shard locks. The default (inline
-    /// retrains through plain
-    /// [`observe_batch`](ConcurrentPredictor::observe_batch)) stays
-    /// bit-identical to the serial predictor; this mode trades bounded model
-    /// staleness — predictions keep serving the previous models while the
-    /// replacements train — for an observe path free of training spikes.
-    pub fn with_background_retrains(self, enabled: bool) -> Self {
-        for shard in &self.shards {
-            shard.write().set_deferred_retrains(enabled);
-        }
-        self
-    }
-
-    /// [`observe_batch`](ConcurrentPredictor::observe_batch) plus background
-    /// retraining: after the batch is applied, staged retrain jobs are
-    /// drained under brief per-shard write locks, executed **off the locks**
-    /// on the `sizey-ml` thread pool (predictions keep serving the old
-    /// models), and the freshly trained models are committed under brief
-    /// write locks again. A pool that was fully retrained in the meantime
-    /// discards the stale result (freshness epoch). Returns the number of
-    /// retrains that landed.
-    ///
-    /// Draining after every record (batches of one) reproduces inline
-    /// retraining bit for bit; larger batches only delay *when* the retrain
-    /// runs, never which data it sees at execution time.
-    pub fn observe_batch_retraining(&self, records: &[TaskRecord]) -> usize {
-        self.observe_batch_retraining_capped(records, usize::MAX)
-    }
-
-    /// [`observe_batch_retraining`](ConcurrentSizey::observe_batch_retraining)
-    /// with a ceiling on the retrain work attributed to this call: at most
-    /// `cap` staged jobs are drained (shard order, key order within a shard
-    /// — deterministic), and pools whose jobs were left behind keep them
-    /// staged for the next call. This bounds the worst-case latency of an
-    /// observe batch — without a cap, one unlucky batch can absorb *every*
-    /// pool's periodic retrain at once, which is the observe p99 tail the
-    /// serving layer's micro-batcher needs to avoid. The backlog left behind
-    /// is visible through
-    /// [`pending_retrains`](ConcurrentSizey::pending_retrains).
-    pub fn observe_batch_retraining_capped(&self, records: &[TaskRecord], cap: usize) -> usize {
-        self.observe_batch(records);
-        let mut staged: Vec<(usize, TaskMachineKey, RetrainJob)> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let remaining = cap - staged.len();
-            if remaining == 0 {
-                break;
-            }
-            let mut guard = shard.write();
-            for (key, job) in guard.drain_retrain_jobs_capped(remaining) {
-                staged.push((i, key, job));
-            }
-        }
-        if staged.is_empty() {
-            return 0;
-        }
-        let trained = parallel_map(&staged, self.threads, |(_, _, job)| job.execute());
-        let mut installed = 0;
-        for ((shard, key, _), models) in staged.iter().zip(trained) {
-            if self.shards[*shard].write().install_retrain(key, models) {
-                installed += 1;
-            }
-        }
-        installed
-    }
-
-    /// Staged-but-not-yet-drained retrains across all shards — the backlog a
-    /// capped drain left behind (retrain-stall telemetry).
-    pub fn pending_retrains(&self) -> usize {
-        self.map_shards(|p| p.pending_retrains()).iter().sum()
     }
 }
 
@@ -707,63 +648,6 @@ mod tests {
         assert_eq!(total, records.len());
     }
 
-    /// Draining and installing the staged retrain after every single record
-    /// reproduces inline retraining bit for bit: the job executes on the same
-    /// data and the same prior models an inline retrain would have seen.
-    #[test]
-    fn per_record_background_retrains_match_inline_retraining() {
-        let inline = ConcurrentSizey::sizey(SizeyConfig::default(), 4);
-        let deferred =
-            ConcurrentSizey::sizey(SizeyConfig::default(), 4).with_background_retrains(true);
-        let mut installed = 0;
-        for task_type in ["x", "y"] {
-            for i in 1..=30u64 {
-                let input = i as f64 * 1e9;
-                let r = record(task_type, i, input, 1.5 * input + 5e8);
-                inline.observe(&r);
-                installed += deferred.observe_batch_retraining(std::slice::from_ref(&r));
-            }
-        }
-        assert!(
-            installed >= 2,
-            "the default interval (25) must stage at least one retrain per task type"
-        );
-        for task_type in ["x", "y"] {
-            for (seq, input) in [(900u64, 6e9), (901, 13e9)] {
-                let task = submission(task_type, seq, input);
-                assert_eq!(
-                    inline.predict(&task, AttemptContext::first()),
-                    deferred.predict(&task, AttemptContext::first()),
-                    "background retrains diverged on {task_type}/{seq}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_background_retrains_install_and_keep_serving() {
-        let service =
-            ConcurrentSizey::sizey(SizeyConfig::default(), 2).with_background_retrains(true);
-        let mut records = Vec::new();
-        for i in 1..=30u64 {
-            let input = i as f64 * 1e9;
-            records.push(record("bg", i, input, 2.0 * input + 1e9));
-        }
-        // Plain observe_batch leaves the staged retrain pending; predictions
-        // still serve from the incrementally updated models.
-        service.observe_batch(&records);
-        let task = submission("bg", 500, 6e9);
-        let before = service.predict(&task, AttemptContext::first());
-        assert!(before.raw_estimate_bytes.is_some());
-        // The retraining variant drains and installs the staged job.
-        let installed = service.observe_batch_retraining(&[]);
-        assert_eq!(installed, 1);
-        let after = service.predict(&task, AttemptContext::first());
-        assert!(after.raw_estimate_bytes.is_some());
-        // Nothing left pending: a second drain is a no-op.
-        assert_eq!(service.observe_batch_retraining(&[]), 0);
-    }
-
     #[test]
     fn shard_routing_is_deterministic_and_in_range() {
         let service = ConcurrentSizey::sizey(SizeyConfig::default(), 7);
@@ -821,52 +705,6 @@ mod tests {
             fnv1a_key(&TaskTypeId::new("ab"), &MachineId::new("c")),
             fnv1a_key(&TaskTypeId::new("a"), &MachineId::new("bc"))
         );
-    }
-
-    /// A capped drain takes at most `cap` staged retrains per call, leaves
-    /// the rest staged (visible as `pending_retrains`), and repeated capped
-    /// calls converge to the same installed models as one uncapped drain.
-    #[test]
-    fn capped_retrain_drain_bounds_work_and_leaves_backlog_visible() {
-        let service =
-            ConcurrentSizey::sizey(SizeyConfig::default(), 4).with_background_retrains(true);
-        // Push several key pools past the default retrain interval (25) so
-        // multiple jobs are staged at once.
-        let mut records = Vec::new();
-        for task_type in ["a", "b", "c"] {
-            for i in 1..=30u64 {
-                let input = i as f64 * 1e9;
-                records.push(record(task_type, i, input, 2.0 * input + 1e9));
-            }
-        }
-        service.observe_batch(&records);
-        let staged = service.pending_retrains();
-        assert!(staged >= 3, "expected one staged retrain per task type");
-        // Drain one at a time; each call installs exactly one and the
-        // backlog shrinks monotonically until empty.
-        let mut installed_total = 0;
-        while service.pending_retrains() > 0 {
-            let before = service.pending_retrains();
-            let installed = service.observe_batch_retraining_capped(&[], 1);
-            assert!(installed <= 1, "cap must bound installs per call");
-            installed_total += installed;
-            assert_eq!(service.pending_retrains(), before - 1);
-        }
-        assert_eq!(installed_total, staged);
-        assert_eq!(service.observe_batch_retraining_capped(&[], 1), 0);
-
-        // The capped path lands on the same models as an uncapped drain.
-        let uncapped =
-            ConcurrentSizey::sizey(SizeyConfig::default(), 4).with_background_retrains(true);
-        uncapped.observe_batch_retraining(&records);
-        for task_type in ["a", "b", "c"] {
-            let task = submission(task_type, 900, 6e9);
-            assert_eq!(
-                service.predict(&task, AttemptContext::first()),
-                uncapped.predict(&task, AttemptContext::first()),
-                "capped drains must converge to the uncapped result"
-            );
-        }
     }
 
     #[test]
@@ -977,6 +815,36 @@ mod tests {
             ServiceCheckpoint::from_checkpoint_string("sizey-service-checkpoint v1\nshards 2\n"),
             Err(StateError::Parse { line: 2, .. })
         ));
+        // Line numbers are file-absolute: shard 1's frame is line 7, its
+        // state header line 8, its counter count line 9. A frame index out
+        // of order or not a number is rejected where it stands, so is text
+        // before the first frame, and a hostile count is a mismatch with the
+        // frames present — not an allocation of that size.
+        let empty_state = "sizey-predictor-state v1\ncounters 0\njournal\n";
+        let bare = "sizey-service-checkpoint v1\n";
+        let head: &str = &format!("{bare}shards 2\n--- shard 0\n{empty_state}");
+        let ok = format!("{head}--- shard 1\n{empty_state}");
+        assert!(ServiceCheckpoint::from_checkpoint_string(&ok).is_ok());
+        let hostile: &str = &format!("shards {}\n", usize::MAX);
+        for (prefix, tail, bad_line) in [
+            (head, "--- shard 1\nnope\n", 8),
+            (
+                head,
+                "--- shard 1\nsizey-predictor-state v1\ncounters x\n",
+                9,
+            ),
+            (head, "--- shard 0\n", 7),
+            (head, "--- shard 2\n", 7),
+            (head, "--- shard one\n", 7),
+            (bare, "shards 1\nstray\n", 3),
+            (bare, hostile, 2),
+        ] {
+            let parsed = ServiceCheckpoint::from_checkpoint_string(&format!("{prefix}{tail}"));
+            assert!(
+                matches!(parsed, Err(StateError::Parse { line, .. }) if line == bad_line),
+                "{tail:?}: {parsed:?}"
+            );
+        }
         // A `shards 0` file parses (structurally valid), but restoring a
         // service from it is an error, not a panic — this path handles
         // external data.

@@ -12,8 +12,8 @@
 //!            submit                       micro-batch (≤ batch_max,
 //! tenants ──observe──▶ per-shard bounded ──≤ batch_window)──▶ shard worker
 //!    │                 queues (admission:                        │ observe +
-//!    │                 Block | Shed)                             │ deferred
-//!    │                                                           │ retrain
+//!    │                 Block | Shed)                             │ ≤ cap staged
+//!    │                                                           │ retrains
 //!    └──predict──▶ SnapshotCell per shard ◀────publish clone─────┘
 //!                  (wait-free epoch-swapped reads)
 //! ```
@@ -55,18 +55,18 @@ pub use snapshot::SnapshotCell;
 pub trait ServePredictor: MemoryPredictor + Clone + Send + Sync + 'static {
     /// Switch the predictor between inline retrains (every observe pays for
     /// its own retrains — bit-identical to serial) and staged retrains the
-    /// worker drains via [`run_deferred`](ServePredictor::run_deferred).
+    /// worker runs via [`run_deferred`](ServePredictor::run_deferred).
     fn set_deferred(&mut self, _enabled: bool) {}
 
-    /// Execute at most `cap` staged retrains and install the results.
-    /// Returns how many were installed. Called by the shard worker between
-    /// micro-batches, under the shard write lock — predicts are unaffected
-    /// (they read published snapshots), only observes on this shard wait.
+    /// Run at most `cap` staged retrains, in place, and return how many
+    /// ran. Called by the shard worker after each micro-batch, under the
+    /// shard write lock — predicts are unaffected (they read published
+    /// snapshots), only observes on this shard wait.
     fn run_deferred(&mut self, _cap: usize) -> usize {
         0
     }
 
-    /// Staged retrains not yet executed — the stall backlog surfaced in
+    /// Staged retrains not yet run — the stall backlog surfaced in
     /// [`ServiceStats::retrain_backlog`].
     fn deferred_backlog(&self) -> usize {
         0
@@ -79,15 +79,7 @@ impl ServePredictor for SizeyPredictor {
     }
 
     fn run_deferred(&mut self, cap: usize) -> usize {
-        let jobs = self.drain_retrain_jobs_capped(cap);
-        let mut installed = 0;
-        for (key, job) in jobs {
-            let trained = job.execute();
-            if self.install_retrain(&key, trained) {
-                installed += 1;
-            }
-        }
-        installed
+        self.run_pending_retrains(cap)
     }
 
     fn deferred_backlog(&self) -> usize {

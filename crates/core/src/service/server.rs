@@ -20,8 +20,8 @@
 //! * **Observes are asynchronous.** `observe` enqueues onto the owning
 //!   shard's bounded queue and returns; the shard's worker drains the queue
 //!   in micro-batches (size cap + time window), applies them under the shard
-//!   write lock, optionally runs capped deferred retrains, and publishes a
-//!   fresh snapshot.
+//!   write lock, optionally runs a capped number of staged full retrains in
+//!   place, and publishes a fresh snapshot.
 //! * **Backpressure is explicit.** Queues are bounded; the admission policy
 //!   either blocks the submitter ([`AdmissionPolicy::Block`]) or sheds the
 //!   record and counts it ([`AdmissionPolicy::Shed`]). The queue bound is an
@@ -130,8 +130,9 @@ pub struct ServiceStats {
     pub snapshots_published: u64,
     /// Deferred retrains executed and installed by the workers.
     pub retrains_installed: u64,
-    /// Staged retrains not yet executed (the stall backlog a capped drain
-    /// leaves behind; a gauge, not a monotonic counter).
+    /// Staged retrains not yet run (the stall backlog a capped run leaves
+    /// behind; a gauge, not a monotonic counter), as of each shard worker's
+    /// last micro-batch — exact after a [`flush`](AsyncService::flush).
     pub retrain_backlog: u64,
 }
 
@@ -226,6 +227,9 @@ struct ServiceInner<P> {
     queues: Vec<BoundedQueue<ShardMsg>>,
     snapshots: Vec<SnapshotCell<P>>,
     pauses: Vec<PauseGate>,
+    /// Per-shard [`ServiceStats::retrain_backlog`] gauges, written by the
+    /// shard's worker while it holds the shard lock anyway.
+    retrain_backlogs: Vec<AtomicU64>,
     config: ServiceConfig,
     counters: Counters,
 }
@@ -258,11 +262,13 @@ impl<P: ServePredictor> AsyncService<P> {
             .map(|_| BoundedQueue::new(config.queue_capacity))
             .collect();
         let pauses = (0..shards).map(|_| PauseGate::new()).collect();
+        let retrain_backlogs = service.map_shards(|p| AtomicU64::new(p.deferred_backlog() as u64));
         let inner = Arc::new(ServiceInner {
             service,
             queues,
             snapshots,
             pauses,
+            retrain_backlogs,
             config,
             counters: Counters::default(),
         });
@@ -381,7 +387,8 @@ impl<P: ServePredictor> AsyncService<P> {
         }
     }
 
-    /// A point-in-time reading of the service counters.
+    /// A point-in-time reading of the service counters. Reads atomics only,
+    /// so a monitor polling it never waits behind a worker's retrain.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.inner.counters;
         ServiceStats {
@@ -395,9 +402,9 @@ impl<P: ServePredictor> AsyncService<P> {
             retrains_installed: c.retrains_installed.load(Ordering::Relaxed),
             retrain_backlog: self
                 .inner
-                .service
-                .map_shards(|p| p.deferred_backlog() as u64)
+                .retrain_backlogs
                 .iter()
+                .map(|gauge| gauge.load(Ordering::Relaxed))
                 .sum(),
         }
     }
@@ -459,10 +466,11 @@ impl<P: ServePredictor> Drop for AsyncService<P> {
 
 fn worker_loop<P: ServePredictor>(inner: &ServiceInner<P>, shard: usize) {
     let config = &inner.config;
-    let (Some(queue), Some(cell), Some(pause)) = (
+    let (Some(queue), Some(cell), Some(pause), Some(retrain_backlog)) = (
         inner.queues.get(shard),
         inner.snapshots.get(shard),
         inner.pauses.get(shard),
+        inner.retrain_backlogs.get(shard),
     ) else {
         return;
     };
@@ -489,21 +497,24 @@ fn worker_loop<P: ServePredictor>(inner: &ServiceInner<P>, shard: usize) {
             // One write-lock hold per batch, records in submission order —
             // per-key order is exactly the serial predictor's.
             inner.service.observe_shard(shard, &records);
-            let mut installed = 0u64;
+            let c = &inner.counters;
             if config.deferred_retrains {
-                installed = inner
-                    .service
-                    .with_shard_mut(shard, |p| p.run_deferred(config.retrain_cap_per_batch))
-                    as u64;
+                let (ran, backlog) = inner.service.with_shard_mut(shard, |p| {
+                    (
+                        p.run_deferred(config.retrain_cap_per_batch),
+                        p.deferred_backlog(),
+                    )
+                });
+                c.retrains_installed
+                    .fetch_add(ran as u64, Ordering::Relaxed);
+                retrain_backlog.store(backlog as u64, Ordering::Relaxed);
             }
             // Publish the new state; predicts switch over wait-free.
             cell.store(Arc::new(inner.service.clone_shard(shard)));
-            let c = &inner.counters;
             c.observed
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
             c.batches.fetch_add(1, Ordering::Relaxed);
             c.snapshots_published.fetch_add(1, Ordering::Relaxed);
-            c.retrains_installed.fetch_add(installed, Ordering::Relaxed);
         }
         // Arrive *after* the batch is applied and published: everything
         // queued before the marker is now visible to snapshot predicts.
@@ -669,14 +680,18 @@ mod tests {
         assert_eq!(stats.observed, 50, "accepted observes were lost");
     }
 
+    /// Staged retrains the cap leaves behind show up in `retrain_backlog`,
+    /// and `stats()` reads atomics only: it returns while another thread
+    /// holds the shard's write lock, as a worker does for a whole retrain.
     #[test]
-    fn deferred_retrains_install_and_backlog_is_visible() {
+    fn retrain_backlog_is_visible_without_the_shard_lock() {
         let config = ServiceConfig {
             deferred_retrains: true,
-            retrain_cap_per_batch: 1,
+            // Nothing staged ever runs, so the backlog is one per key.
+            retrain_cap_per_batch: 0,
             ..ServiceConfig::default()
         };
-        let service = AsyncSizey::sizey(SizeyConfig::default(), 2, config);
+        let service = Arc::new(AsyncSizey::sizey(SizeyConfig::default(), 1, config));
         for task_type in ["a", "b"] {
             for i in 1..=30u64 {
                 let input = i as f64 * 1e9;
@@ -684,13 +699,22 @@ mod tests {
             }
         }
         service.flush();
-        let stats = service.stats();
-        assert!(
-            stats.retrains_installed >= 1,
-            "the default interval (25) must trigger a deferred retrain"
-        );
+        let before = service.stats();
+        assert_eq!((before.retrain_backlog, before.retrains_installed), (2, 0));
         let pred = service.predict(&submission("a", 900, 6e9), AttemptContext::first());
         assert!(pred.raw_estimate_bytes.is_some());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (during, stats_thread) = service.service().with_shard_mut(0, |_| {
+            let service = Arc::clone(&service);
+            let stats_thread = std::thread::spawn(move || tx.send(service.stats()));
+            (rx.recv_timeout(Duration::from_secs(30)), stats_thread)
+        });
+        let during = during.expect("stats() must return while the shard is write-locked");
+        assert_eq!(during.retrain_backlog, 2);
+        stats_thread
+            .join()
+            .expect("stats thread")
+            .expect("receiver outlives the send");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use crate::config::{OffsetMode, SizeyConfig};
 use crate::failure::{failure_allocation, failure_allocation_clamped};
 use crate::offset::{select_dynamic_offset_with, OffsetScratch, OffsetStrategy};
-use crate::pool::{ModelPool, PoolScratch, RetrainJob, RetrainPolicy, RetrainedModels};
+use crate::pool::{ModelPool, PoolScratch};
 use sizey_provenance::{
     KeyQuery, KeyRef, ProvenanceStore, TaskMachineKey, TaskOutcome, TaskRecord,
 };
@@ -57,15 +57,15 @@ thread_local! {
 /// The Sizey online memory predictor.
 pub struct SizeyPredictor {
     config: SizeyConfig,
-    // A BTreeMap, not HashMap: snapshot/install/drain paths iterate the
-    // pools, and the deterministic-replay contract needs a stable,
+    // A BTreeMap, not HashMap: the snapshot and staged-retrain paths iterate
+    // the pools, and the deterministic-replay contract needs a stable,
     // platform-independent order (enforced by the no-hash-iter lint).
     pools: BTreeMap<TaskMachineKey, ModelPool>,
-    /// Retrain policy applied to every pool (existing and future). Serial
-    /// engines keep the default [`RetrainPolicy::Inline`]; the concurrent
-    /// serving layer opts pools into deferred retrains so the training runs
-    /// off the observe hot path.
-    retrain_policy: RetrainPolicy,
+    /// Whether every pool (existing and future) stages its due full retrains
+    /// instead of running them inside `observe`. Serial engines keep the
+    /// default `false`; the async serving layer turns it on to cap the
+    /// retrain work per micro-batch.
+    deferred_retrains: bool,
     store: ProvenanceStore,
     /// Wall-clock time of every online-learning step (Fig. 9 telemetry).
     training_times: Vec<Duration>,
@@ -98,7 +98,7 @@ impl Clone for SizeyPredictor {
         SizeyPredictor {
             config: self.config.clone(),
             pools: self.pools.clone(),
-            retrain_policy: self.retrain_policy,
+            deferred_retrains: self.deferred_retrains,
             store: self.store.clone(),
             training_times: self.training_times.clone(),
             offset_selections,
@@ -137,7 +137,7 @@ impl SizeyPredictor {
         SizeyPredictor {
             config,
             pools: BTreeMap::new(),
-            retrain_policy: RetrainPolicy::default(),
+            deferred_retrains: false,
             store,
             training_times: Vec::new(),
             offset_selections: Default::default(),
@@ -187,60 +187,33 @@ impl SizeyPredictor {
 
     /// Switches every pool (existing and future) between inline full
     /// retrains and deferred ones. With deferred retrains, `observe` only
-    /// *stages* the periodic full retrain; the caller drains the staged work
-    /// with [`drain_retrain_jobs`](SizeyPredictor::drain_retrain_jobs),
-    /// executes it off the hot path and commits results via
-    /// [`install_retrain`](SizeyPredictor::install_retrain). Predictions
-    /// keep serving the previous models until the install.
+    /// *stages* a due full retrain; the caller runs the staged work with
+    /// [`run_pending_retrains`](SizeyPredictor::run_pending_retrains).
+    /// Predictions keep serving the previous models until then.
     pub fn set_deferred_retrains(&mut self, deferred: bool) {
-        self.retrain_policy = if deferred {
-            RetrainPolicy::Deferred
-        } else {
-            RetrainPolicy::Inline
-        };
+        self.deferred_retrains = deferred;
         for pool in self.pools.values_mut() {
-            pool.set_retrain_policy(self.retrain_policy);
+            pool.set_deferred_retrains(deferred);
         }
     }
 
-    /// Drains every staged retrain into executable jobs, key-sorted for
-    /// deterministic execution order.
-    pub fn drain_retrain_jobs(&mut self) -> Vec<(TaskMachineKey, RetrainJob)> {
-        let mut jobs: Vec<(TaskMachineKey, RetrainJob)> = Vec::new();
-        for (key, pool) in &mut self.pools {
-            if let Some(job) = pool.take_retrain_job(&self.config) {
-                jobs.push((key.clone(), job));
-            }
-        }
-        jobs.sort_by(|(a, _), (b, _)| a.cmp(b));
-        jobs
+    /// Runs at most `cap` staged full retrains, in key order, and returns
+    /// how many ran. Pools beyond the cap keep their retrain staged for a
+    /// later call — this is how the serving layer bounds the retrain work
+    /// attributed to a single observe batch instead of letting one unlucky
+    /// batch absorb every pool's periodic retrain at once (the observe p99
+    /// tail).
+    pub fn run_pending_retrains(&mut self, cap: usize) -> usize {
+        // Lazy: the `cap`-th retrain that runs is the last pool touched.
+        self.pools
+            .values_mut()
+            .filter_map(|pool| pool.run_pending_retrain(&self.config).then_some(()))
+            .take(cap)
+            .count()
     }
 
-    /// Like [`drain_retrain_jobs`](SizeyPredictor::drain_retrain_jobs) but
-    /// takes at most `cap` staged jobs, key-sorted so the selection is
-    /// deterministic. Pools whose jobs were not taken keep their staged
-    /// request for a later drain — this is how the serving layer bounds the
-    /// retrain work attributed to a single observe batch instead of letting
-    /// one unlucky batch absorb every pool's periodic retrain at once (the
-    /// observe p99 tail). `cap == usize::MAX` is equivalent to the uncapped
-    /// drain.
-    pub fn drain_retrain_jobs_capped(&mut self, cap: usize) -> Vec<(TaskMachineKey, RetrainJob)> {
-        let mut jobs: Vec<(TaskMachineKey, RetrainJob)> = Vec::new();
-        // BTreeMap iteration is already key-sorted, so taking the first `cap`
-        // staged jobs in iteration order is the deterministic selection.
-        for (key, pool) in &mut self.pools {
-            if jobs.len() >= cap {
-                break;
-            }
-            if let Some(job) = pool.take_retrain_job(&self.config) {
-                jobs.push((key.clone(), job));
-            }
-        }
-        jobs
-    }
-
-    /// Number of pools with a staged-but-not-yet-drained retrain — the
-    /// backlog a capped drain left behind (retrain-stall telemetry).
+    /// Number of pools with a staged-but-not-yet-run retrain — the backlog
+    /// a capped run left behind (retrain-stall telemetry).
     pub fn pending_retrains(&self) -> usize {
         self.pools
             .values()
@@ -248,19 +221,10 @@ impl SizeyPredictor {
             .count()
     }
 
-    /// Total full retrains that have landed across all pools (each pool's
-    /// model epoch counts its installed or inline full retrains).
+    /// Total full retrains that have landed across all pools (the sum of
+    /// the pools' model epochs).
     pub fn total_full_retrains(&self) -> u64 {
         self.pools.values().map(|pool| pool.model_epoch()).sum()
-    }
-
-    /// Commits the models trained by a drained [`RetrainJob`]. Returns
-    /// `false` when the pool no longer exists or already retrained past the
-    /// job's epoch (the stale result is discarded).
-    pub fn install_retrain(&mut self, key: &TaskMachineKey, trained: RetrainedModels) -> bool {
-        self.pools
-            .get_mut(key)
-            .is_some_and(|pool| pool.install_retrain(trained))
     }
 
     /// Per-pool completions since the last full retrain (diagnostics; also
@@ -419,10 +383,9 @@ impl MemoryPredictor for SizeyPredictor {
         self.queue_delay_total_seconds += record.queue_delay_seconds.max(0.0);
         self.queue_delay_observations += 1;
         let key = record.key();
-        let policy = self.retrain_policy;
         let pool = self.pools.entry(key).or_insert_with(|| {
             let mut pool = ModelPool::new(&self.config);
-            pool.set_retrain_policy(policy);
+            pool.set_deferred_retrains(self.deferred_retrains);
             pool
         });
 
@@ -909,6 +872,45 @@ mod tests {
             "learned allocation {} should beat the 20 GB preset",
             pred.allocation_bytes
         );
+    }
+
+    /// `run_pending_retrains(cap)` runs at most `cap` staged retrains in key
+    /// order, the backlog falls by exactly the returned count, and
+    /// predictions are served from the previous models meanwhile.
+    #[test]
+    fn capped_pending_retrain_runs_follow_key_order_and_leave_the_backlog_visible() {
+        let mut p = SizeyPredictor::with_defaults();
+        p.set_deferred_retrains(true);
+        // Push three pools past the default retrain interval (25).
+        for task_type in ["c", "a", "b"] {
+            for i in 1..=30u64 {
+                let mut record = success(i, i as f64 * 1e9, 2e9 * i as f64 + 1e9);
+                record.task_type = TaskTypeId::new(task_type);
+                p.observe(&record);
+            }
+        }
+        let pending = |p: &SizeyPredictor| -> Vec<bool> {
+            p.pools
+                .values()
+                .map(|pool| pool.has_pending_retrain())
+                .collect()
+        };
+        assert_eq!(pending(&p), [true, true, true]);
+        assert_eq!(p.total_full_retrains(), 0, "staging trains nothing");
+        assert_eq!(p.run_pending_retrains(0), 0);
+        assert_eq!(p.pending_retrains(), 3);
+        assert_eq!(p.run_pending_retrains(1), 1);
+        assert_eq!(pending(&p), [false, true, true], "key order: a first");
+        let mut still_staged = submission(900, 6e9);
+        still_staged.task_type = TaskTypeId::new("b");
+        let served = p.predict(&still_staged, AttemptContext::first());
+        assert!(served.raw_estimate_bytes.is_some());
+        assert_eq!(p.run_pending_retrains(1), 1);
+        assert_eq!(pending(&p), [false, false, true]);
+        assert_eq!(p.run_pending_retrains(usize::MAX), 1);
+        assert_eq!(p.pending_retrains(), 0);
+        assert_eq!(p.run_pending_retrains(usize::MAX), 0);
+        assert_eq!(p.total_full_retrains(), 3);
     }
 
     #[test]

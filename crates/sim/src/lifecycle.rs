@@ -116,7 +116,8 @@ impl PredictorState {
                 })
             }
         };
-        let mut counters = Vec::with_capacity(n_counters);
+        // Not pre-sized: `n_counters` is whatever the file claims.
+        let mut counters = Vec::new();
         for i in 0..n_counters {
             let line_no = 3 + i;
             let line = lines.next().ok_or(StateError::Parse {
@@ -438,6 +439,13 @@ mod tests {
         let no_journal =
             PredictorState::from_state_string("sizey-predictor-state v1\ncounters 0\n");
         assert!(matches!(no_journal, Err(StateError::Parse { line: 3, .. })));
+        // A hostile count is an error at the first missing counter line, not
+        // an allocation of that size.
+        let hostile = format!("sizey-predictor-state v1\ncounters {}\n", usize::MAX);
+        assert!(matches!(
+            PredictorState::from_state_string(&hostile),
+            Err(StateError::Parse { line: 3, .. })
+        ));
     }
 
     #[test]

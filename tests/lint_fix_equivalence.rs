@@ -381,6 +381,108 @@ fn predict_path_kernels_are_pinned() {
     check("predict_path_kernels", d, GOLDEN_KERNELS);
 }
 
+/// One deferred-serving run through a 1-shard [`AsyncSizey`]: 200 records
+/// over 5 unevenly loaded keys (every 23rd an out-of-memory failure, a regime
+/// change half-way for the drift detector) in micro-batches of exactly 10,
+/// digesting two probe predictions per key and the retrain counters after
+/// each. Returns the largest backlog seen.
+///
+/// `batch_max` 11 and a window far longer than the test fix the batches: the
+/// worker collects ten records and the flush marker, applies them, runs at
+/// most `cap` staged retrains and publishes before `flush` returns.
+/// (`pause_shard` cannot: its gate is only checked between batches, so a
+/// worker already blocked on its queue wakes on the first observe.)
+fn digest_deferred_serve(d: &mut Digest, sizey: SizeyConfig, cap: usize) -> u64 {
+    let config = ServiceConfig {
+        batch_max: 11,
+        batch_window: std::time::Duration::from_secs(600),
+        deferred_retrains: true,
+        retrain_cap_per_batch: cap,
+        ..ServiceConfig::default()
+    };
+    let service = AsyncSizey::sizey(sizey, 1, config);
+    let keys = ["align", "call", "merge", "plot", "sort"];
+    let mut max_backlog = 0;
+    for i in 0..200u64 {
+        let key = (i * i + i / 7) as usize % keys.len();
+        let input = ((i * 37) % 29 + 1) as f64 * 1e9;
+        let slope = if i < 100 { 2.0 } else { 5.0 };
+        let peak = slope * input + (key as f64 + 1.0) * 5e8 + ((i * 13) % 7) as f64 * 1e8;
+        let (outcome, allocated) = if i % 23 == 22 {
+            (TaskOutcome::FailedOutOfMemory, peak * 0.8)
+        } else {
+            (TaskOutcome::Succeeded, peak * 1.5)
+        };
+        assert!(service.observe(&TaskRecord {
+            workflow: "wf".into(),
+            task_type: TaskTypeId::new(keys[key]),
+            machine: MachineId::new("m"),
+            sequence: i,
+            input_bytes: input,
+            peak_memory_bytes: peak,
+            allocated_memory_bytes: allocated,
+            runtime_seconds: 60.0,
+            concurrent_tasks: 1,
+            queue_delay_seconds: 0.0,
+            outcome,
+        }));
+        if i % 10 != 9 {
+            continue;
+        }
+        service.flush();
+        for (key, input) in keys.iter().flat_map(|key| [(key, 3.5e9), (key, 17e9)]) {
+            let probe = TaskSubmission {
+                workflow: "wf".into(),
+                task_type: TaskTypeId::new(*key),
+                machine: MachineId::new("m"),
+                sequence: 1000 + i,
+                input_bytes: input,
+                preset_memory_bytes: 20e9,
+            };
+            let p = service.predict(&probe, AttemptContext::first());
+            d.f64(p.allocation_bytes);
+            d.opt_f64(p.raw_estimate_bytes);
+            d.bytes(p.selected_model.unwrap_or("-").as_bytes());
+        }
+        let stats = service.stats();
+        assert_eq!(stats.batches, i / 10 + 1, "one batch per ten records");
+        d.u64(stats.retrains_installed);
+        d.u64(stats.retrain_backlog);
+        d.u64(stats.batches);
+        max_backlog = max_backlog.max(stats.retrain_backlog);
+    }
+    let stats = service.shutdown();
+    assert!(stats.observed == 200 && stats.retrains_installed > 0);
+    max_backlog
+}
+
+/// The deferred serving path (`ServiceConfig::deferred_retrains`). The golden
+/// was captured on the last commit that ran staged retrains through the
+/// clone → execute → install job hand-off (PR 12, ea73ed5), so it pins the
+/// in-place run to that hand-off's output — interval, window-trim, HPO and
+/// drift retrains, with a live backlog.
+#[test]
+fn deferred_serve_output_is_pinned() {
+    let interval = |n| SizeyConfig {
+        online: OnlineMode::incremental(n),
+        ..SizeyConfig::default()
+    };
+    let mut d = Digest::new();
+    let backlog = digest_deferred_serve(&mut d, interval(6), 1);
+    assert!(backlog > 0, "cap 1 must leave staged retrains behind");
+    digest_deferred_serve(&mut d, interval(6).with_history_window(8), 2);
+    let mut hpo = interval(12);
+    hpo.hyperparameter_optimization = true;
+    digest_deferred_serve(&mut d, hpo, 1);
+    let drift = sizey_core::DriftPolicy::Retrain {
+        window: 4,
+        threshold: 0.75,
+        keep_recent: 6,
+    };
+    digest_deferred_serve(&mut d, interval(6).with_drift_policy(drift), 3);
+    check("deferred_serve", d, GOLDEN_DEFERRED_SERVE);
+}
+
 // Golden digests captured on the tree immediately before the PR-8 lint
 // fixes (see module docs for the capture command).
 const GOLDEN_SERIAL_REPLAY: u64 = 0xfbaee312f934df2d;
@@ -389,3 +491,5 @@ const GOLDEN_KERNELS: u64 = 0xfebf2add138eba3e;
 // Captured on the last commit with two event loops (PR 11, 36233a5), where
 // both entry points already printed this value.
 const GOLDEN_FAULTED: u64 = 0x989c776ac153d8f2;
+// Captured on the last commit with the retrain job hand-off (PR 12, ea73ed5).
+const GOLDEN_DEFERRED_SERVE: u64 = 0x14982b9082ee40e5;

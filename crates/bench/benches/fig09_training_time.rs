@@ -14,10 +14,7 @@ use sizey_core::{ModelPool, OnlineMode, SizeyConfig};
 /// updates, so the measured step isolates the configured learning mode.
 fn warmed_pool(history: usize) -> ModelPool {
     let warm_config = SizeyConfig {
-        online: OnlineMode::Incremental {
-            retrain_interval: 0,
-            mlp_update_interval: 1,
-        },
+        online: OnlineMode::incremental(0),
         hyperparameter_optimization: false,
         ..SizeyConfig::default()
     };
@@ -35,13 +32,10 @@ fn bench_training_step(c: &mut Criterion) {
     group.sample_size(10);
 
     let full = SizeyConfig::full_retraining();
-    // `mlp_update_interval: 1` keeps the benchmark measuring the full
-    // incremental step (including the MLP warm-start) on every iteration.
+    // No scheduled retrains: every iteration measures the light incremental
+    // step, which includes the MLP warm start.
     let incremental = SizeyConfig {
-        online: OnlineMode::Incremental {
-            retrain_interval: 0,
-            mlp_update_interval: 1,
-        },
+        online: OnlineMode::incremental(0),
         ..SizeyConfig::default()
     };
 

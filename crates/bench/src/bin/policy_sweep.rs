@@ -11,7 +11,7 @@
 //! Run with `cargo run -p sizey-bench --release --bin policy_sweep`.
 
 use sizey_bench::{
-    aggregate_sweep, banner, fmt, render_table, run_sweep, HarnessSettings, MethodSpec, SweepSpec,
+    aggregate_sweep, banner, fmt, render_table, ExperimentSpec, HarnessSettings, MethodSpec,
 };
 use sizey_sim::{SchedulePolicy, SimulationConfig};
 
@@ -22,15 +22,7 @@ fn main() {
         &settings,
     );
 
-    // Two nodes with the paper's 128 GB but only 8 slots each: enough memory
-    // for every task, little enough concurrency that sizing quality shows up
-    // as queue delay and makespan.
-    let sim = SimulationConfig::default().with_nodes(2, 128e9, 8);
-    let spec = SweepSpec {
-        workflows: sizey_workflows::WORKFLOW_NAMES
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+    let spec = ExperimentSpec {
         methods: vec![
             MethodSpec::sizey_defaults(),
             MethodSpec::WittPercentile(Default::default()),
@@ -39,19 +31,22 @@ fn main() {
         seeds: vec![settings.seed, settings.seed + 1],
         policies: SchedulePolicy::ALL.to_vec(),
         scale: settings.scale,
-        drift: None,
-        sim,
+        // Two nodes with the paper's 128 GB but only 8 slots each: enough
+        // memory for every task, little enough concurrency that sizing
+        // quality shows up as queue delay and makespan.
+        sim: SimulationConfig::default().with_nodes(2, 128e9, 8),
+        ..ExperimentSpec::default()
     };
     println!(
         "sweep: {} cells ({} workflows x {} methods x {} seeds x {} policies)\n",
         spec.len(),
-        spec.workflows.len(),
+        spec.profiles.len(),
         spec.methods.len(),
         spec.seeds.len(),
         spec.policies.len()
     );
 
-    let cells = run_sweep(&spec);
+    let cells = spec.run().expect("the policy sweep is a valid experiment");
     let rows: Vec<Vec<String>> = aggregate_sweep(&cells)
         .into_iter()
         .map(|row| {
@@ -88,7 +83,7 @@ fn main() {
             .filter(|c| c.method == *method && c.policy == SchedulePolicy::FirstFit)
             .map(|c| c.mean_queue_delay_seconds)
             .sum::<f64>()
-            / spec.workflows.len() as f64
+            / spec.profiles.len() as f64
             / spec.seeds.len() as f64
     };
     let sizey = delay(&MethodSpec::sizey_defaults());

@@ -4,8 +4,9 @@
 //! methods × workflow profiles × seeds × scheduling policies, plus the
 //! simulated cluster. It can be
 //!
-//! * built in code with [`Experiment::builder`]
-//!   (`Experiment::builder().method(..).profile(..).seeds(..).run()`),
+//! * written in code as a struct literal over [`ExperimentSpec::default`],
+//!   the paper's suite — every field is public
+//!   (`ExperimentSpec { seeds: vec![3, 4], ..Default::default() }.run()`),
 //! * loaded from a TOML file ([`ExperimentSpec::from_toml`] /
 //!   [`from_toml_file`](ExperimentSpec::from_toml_file)) — the format the
 //!   `experiment` binary consumes,
@@ -13,9 +14,9 @@
 //!   how the `experiment` binary stamps its checkpoint directory with the
 //!   exact spec that produced it.
 //!
-//! Running a spec delegates to the parallel [sweep runner](crate::sweep):
-//! [`run`](ExperimentSpec::run) returns the same cells `run_sweep` would for
-//! the equivalent [`SweepSpec`] (the integration suite pins this), and
+//! The spec is what the parallel [sweep runner](crate::sweep) executes:
+//! [`run`](ExperimentSpec::run) validates it and returns one cell per
+//! (profile, method, seed, policy), and
 //! [`run_checkpointed`](ExperimentSpec::run_checkpointed) additionally hands
 //! back each cell's trained-predictor checkpoint for warm starts.
 //!
@@ -70,7 +71,7 @@
 //! `profiles` runs all six workflows.
 
 use crate::registry::{invalid, need_float, need_str, need_usize, MethodSpec, SpecError};
-use crate::sweep::{run_sweep, run_sweep_with_states, SweepCell, SweepSpec};
+use crate::sweep::{run_sweep, run_sweep_with_states, SweepCell};
 use crate::toml_lite::{write as toml_write, TomlDocument, TomlTable};
 use sizey_sim::{
     CrashStorm, FaultPlan, NodeCrash, NodePoolSpec, PoolPreemption, PredictorState, SchedulePolicy,
@@ -79,8 +80,8 @@ use sizey_sim::{
 use sizey_workflows::DriftSpec;
 use std::path::Path;
 
-/// A complete, validated experiment description. See the [module
-/// docs](self).
+/// A complete experiment description; [`run`](ExperimentSpec::run) and the
+/// TOML loader validate it. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Experiment name (used in banners and checkpoint directories).
@@ -107,10 +108,6 @@ pub struct ExperimentSpec {
     pub sim: SimulationConfig,
 }
 
-/// Alias for [`ExperimentSpec`] matching the builder-style entry point
-/// (`Experiment::builder()…run()`).
-pub type Experiment = ExperimentSpec;
-
 impl Default for ExperimentSpec {
     /// The paper's full evaluation at smoke scale: six methods, six
     /// workflows, one seed, first-fit.
@@ -132,15 +129,9 @@ impl Default for ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Starts a builder pre-populated with the defaults of
-    /// [`ExperimentSpec::default`]; the first call to `method`/`profile`/
-    /// `seed`/`policy` clears the corresponding default list.
-    pub fn builder() -> ExperimentBuilder {
-        ExperimentBuilder::default()
-    }
-
     /// Validates the spec: non-empty product, known profiles, positive
-    /// scale.
+    /// scale, and a cluster the simulator can run
+    /// ([`SimulationConfig::validate`]).
     pub fn validate(&self) -> Result<(), SpecError> {
         for list in [
             ("methods", self.methods.is_empty()),
@@ -168,28 +159,17 @@ impl ExperimentSpec {
                 });
             }
         }
-        Ok(())
+        self.sim
+            .validate()
+            .map_err(|(key, message)| invalid("[sim]", key, message))
     }
 
-    /// The equivalent [`SweepSpec`] the sweep runner executes.
-    pub fn sweep_spec(&self) -> SweepSpec {
-        SweepSpec {
-            workflows: self.profiles.clone(),
-            methods: self.methods.clone(),
-            seeds: self.seeds.clone(),
-            policies: self.policies.clone(),
-            scale: self.scale,
-            drift: self.drift,
-            sim: self.sim.clone(),
-        }
-    }
-
-    /// Validates and runs the experiment, returning one [`SweepCell`] per
-    /// (profile, method, seed, policy) in cartesian order — bit-identical to
-    /// [`run_sweep`] on [`sweep_spec`](ExperimentSpec::sweep_spec).
+    /// Validates and runs the experiment on the default thread pool,
+    /// returning one [`SweepCell`] per (profile, method, seed, policy) in
+    /// cartesian order: profiles-major, then methods, seeds, policies.
     pub fn run(&self) -> Result<Vec<SweepCell>, SpecError> {
         self.validate()?;
-        Ok(run_sweep(&self.sweep_spec()))
+        Ok(run_sweep(self))
     }
 
     /// Like [`run`](ExperimentSpec::run), but each cell also returns the
@@ -197,7 +177,7 @@ impl ExperimentSpec {
     /// warm-start path.
     pub fn run_checkpointed(&self) -> Result<Vec<(SweepCell, PredictorState)>, SpecError> {
         self.validate()?;
-        Ok(run_sweep_with_states(&self.sweep_spec()))
+        Ok(run_sweep_with_states(self))
     }
 
     /// Number of cells in the cartesian product.
@@ -614,149 +594,6 @@ fn sim_from_table(
     Ok(sim)
 }
 
-/// Builder for [`ExperimentSpec`] — the programmatic twin of the TOML
-/// format.
-///
-/// ```
-/// use sizey_bench::{Experiment, MethodSpec};
-/// use sizey_sim::SchedulePolicy;
-///
-/// let cells = Experiment::builder()
-///     .name("quick-look")
-///     .method(MethodSpec::sizey_defaults())
-///     .method(MethodSpec::Preset)
-///     .profile("iwd")
-///     .seeds([3, 4])
-///     .policy(SchedulePolicy::FirstFit)
-///     .scale(0.02)
-///     .run()
-///     .unwrap();
-/// assert_eq!(cells.len(), 4, "2 methods x 1 profile x 2 seeds x 1 policy");
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ExperimentBuilder {
-    name: Option<String>,
-    methods: Vec<MethodSpec>,
-    profiles: Vec<String>,
-    seeds: Vec<u64>,
-    policies: Vec<SchedulePolicy>,
-    scale: Option<f64>,
-    drift: Option<DriftSpec>,
-    sim: Option<SimulationConfig>,
-}
-
-impl ExperimentBuilder {
-    /// Sets the experiment name.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = Some(name.into());
-        self
-    }
-
-    /// Adds one method (the default suite is used when none are added).
-    pub fn method(mut self, method: MethodSpec) -> Self {
-        self.methods.push(method);
-        self
-    }
-
-    /// Adds several methods.
-    pub fn methods(mut self, methods: impl IntoIterator<Item = MethodSpec>) -> Self {
-        self.methods.extend(methods);
-        self
-    }
-
-    /// Adds one workflow profile (all six are used when none are added).
-    pub fn profile(mut self, profile: impl Into<String>) -> Self {
-        self.profiles.push(profile.into());
-        self
-    }
-
-    /// Adds several workflow profiles.
-    pub fn profiles(mut self, profiles: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        self.profiles.extend(profiles.into_iter().map(Into::into));
-        self
-    }
-
-    /// Adds one workload seed (42 is used when none are added).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seeds.push(seed);
-        self
-    }
-
-    /// Adds several workload seeds.
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds.extend(seeds);
-        self
-    }
-
-    /// Adds one scheduling policy (first-fit is used when none are added).
-    pub fn policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policies.push(policy);
-        self
-    }
-
-    /// Adds several scheduling policies.
-    pub fn policies(mut self, policies: impl IntoIterator<Item = SchedulePolicy>) -> Self {
-        self.policies.extend(policies);
-        self
-    }
-
-    /// Sets the workload scale.
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.scale = Some(scale);
-        self
-    }
-
-    /// Sets the mid-run workload drift.
-    pub fn drift(mut self, drift: DriftSpec) -> Self {
-        self.drift = Some(drift);
-        self
-    }
-
-    /// Sets the simulated cluster configuration.
-    pub fn sim(mut self, sim: SimulationConfig) -> Self {
-        self.sim = Some(sim);
-        self
-    }
-
-    /// Finalises and validates the spec.
-    pub fn build(self) -> Result<ExperimentSpec, SpecError> {
-        let defaults = ExperimentSpec::default();
-        let spec = ExperimentSpec {
-            name: self.name.unwrap_or(defaults.name),
-            methods: if self.methods.is_empty() {
-                defaults.methods
-            } else {
-                self.methods
-            },
-            profiles: if self.profiles.is_empty() {
-                defaults.profiles
-            } else {
-                self.profiles
-            },
-            seeds: if self.seeds.is_empty() {
-                defaults.seeds
-            } else {
-                self.seeds
-            },
-            policies: if self.policies.is_empty() {
-                defaults.policies
-            } else {
-                self.policies
-            },
-            scale: self.scale.unwrap_or(defaults.scale),
-            drift: self.drift,
-            sim: self.sim.unwrap_or(defaults.sim),
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Builds the spec and runs it (see [`ExperimentSpec::run`]).
-    pub fn run(self) -> Result<Vec<SweepCell>, SpecError> {
-        self.build()?.run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,32 +609,63 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_and_overrides() {
-        let spec = Experiment::builder()
-            .name("b")
-            .method(MethodSpec::Preset)
-            .profile("iwd")
-            .seed(7)
-            .scale(0.02)
-            .build()
-            .unwrap();
-        assert_eq!(spec.name, "b");
-        assert_eq!(spec.methods, vec![MethodSpec::Preset]);
-        assert_eq!(spec.profiles, vec!["iwd".to_string()]);
-        assert_eq!(spec.seeds, vec![7]);
-        assert_eq!(spec.policies, vec![SchedulePolicy::FirstFit]);
-    }
-
-    #[test]
     fn validation_rejects_unknown_profiles_and_bad_scales() {
+        let default = ExperimentSpec::default;
+        let with_profile = ExperimentSpec {
+            profiles: vec!["not-a-workflow".to_string()],
+            ..default()
+        };
         assert!(matches!(
-            Experiment::builder().profile("not-a-workflow").build(),
+            with_profile.validate(),
             Err(SpecError::UnknownWorkflow { .. })
         ));
+        let unscaled = ExperimentSpec {
+            scale: 0.0,
+            ..default()
+        };
+        assert!(matches!(unscaled.validate(), Err(SpecError::Empty { .. })));
+        // Hostile `[sim]` values: each used to panic the simulator, hang it,
+        // or run to a meaningless report. The loader names the key instead.
+        let cases = [
+            ("[sim]\nnode_count = 0\n", "node_count"),
+            ("[sim]\nnode_count = 100000000000\n", "node_count"),
+            ("[sim]\nnode_memory_bytes = 1000.0\n", "node_memory_bytes"),
+            ("[sim]\nnode_memory_bytes = 0.0\n", "node_memory_bytes"),
+            ("[sim]\nslots_per_node = 0\n", "slots_per_node"),
+            ("[sim]\nmax_attempts = 0\n", "max_attempts"),
+            ("[sim]\ntime_to_failure = -1.0\n", "time_to_failure"),
+            ("[sim]\ntime_to_failure = 1.5\n", "time_to_failure"),
+            (
+                "[sim]\nsubmit_interval_seconds = -5.0\n",
+                "submit_interval_seconds",
+            ),
+            (
+                "[[node_pool]]\nmemory_bytes = 1000.0\n",
+                "node_pool.memory_bytes",
+            ),
+            ("[[node_pool]]\nslots = 0\n", "node_pool.slots"),
+        ];
+        for (text, expected) in cases {
+            match ExperimentSpec::from_toml(text) {
+                Err(SpecError::InvalidValue { context, key, .. }) => {
+                    assert_eq!((context.as_str(), key.as_str()), ("[sim]", expected));
+                }
+                other => panic!("{text:?}: expected InvalidValue({expected}), got {other:?}"),
+            }
+        }
+        // The TOML layer has no NaN; a spec built in code can carry one.
+        let mut nan_node = default();
+        nan_node.sim.node_memory_bytes = f64::NAN;
         assert!(matches!(
-            Experiment::builder().scale(0.0).build(),
-            Err(SpecError::Empty { .. })
+            nan_node.validate(),
+            Err(SpecError::InvalidValue { key, .. }) if key == "node_memory_bytes"
         ));
+        // Valid corner clusters: all nodes in an extra pool, and the
+        // unbounded reference cluster.
+        ExperimentSpec::from_toml("[sim]\nnode_count = 0\n\n[[node_pool]]\ncount = 2\n").unwrap();
+        let mut unbounded = default();
+        unbounded.sim = SimulationConfig::unbounded();
+        unbounded.validate().unwrap();
     }
 
     #[test]

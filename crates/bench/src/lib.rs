@@ -1,10 +1,11 @@
 //! # sizey-bench
 //!
 //! Benchmark harness regenerating every table and figure of the Sizey
-//! evaluation. Each experiment is a small binary under `src/bin/` (see
-//! `DESIGN.md` §4 for the experiment ↔ binary index); this library holds the
-//! shared machinery: method construction, full-evaluation sweeps across the
-//! six workflows, and plain-text table rendering.
+//! evaluation. Each experiment is a small binary under `src/bin/`, named
+//! after the figure or table it regenerates (README §"Reproducing figures
+//! and tables"); this library holds the shared machinery: method
+//! construction, full-evaluation sweeps across the six workflows, and
+//! plain-text table rendering.
 //!
 //! All harness binaries honour two environment variables so the same code
 //! serves quick smoke runs and full-fidelity reproductions:
@@ -28,13 +29,10 @@ use sizey_workflows::{
     all_workflows, generate_workflow, GeneratorConfig, TaskInstance, WorkflowSpec,
 };
 
-pub use experiment::{Experiment, ExperimentBuilder, ExperimentSpec};
+pub use experiment::ExperimentSpec;
 pub use recovery::{RecoveryTracker, RECOVERY_BAND, RECOVERY_WINDOW};
 pub use registry::{MethodSpec, SpecError};
-pub use sweep::{
-    aggregate_sweep, run_sweep, run_sweep_async_sizey, run_sweep_shared_sizey,
-    run_sweep_with_states, SweepCell, SweepRow, SweepSpec,
-};
+pub use sweep::{aggregate_sweep, SweepCell, SweepRow};
 
 /// Harness-wide settings read from the environment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,20 +97,6 @@ pub fn generate_workloads(settings: &HarnessSettings) -> Vec<Workload> {
         .collect()
 }
 
-/// Replays one method over all workloads **in parallel** (every replay is
-/// independent: each workload gets a fresh predictor built from the spec),
-/// returning one report per workflow in workload order.
-pub fn evaluate_method(
-    method: &MethodSpec,
-    workloads: &[Workload],
-    sim: &SimulationConfig,
-) -> Vec<ReplayReport> {
-    parallel_map(workloads, default_parallelism(), |w| {
-        let mut predictor = method.build();
-        replay_workflow(&w.spec.name, &w.instances, predictor.as_mut(), sim)
-    })
-}
-
 /// Replays the paper's six-method suite ([`MethodSpec::default_suite`]) over
 /// all workloads — the full Fig. 8 / Table II sweep. The whole
 /// method × workload product is fanned out across the [`sizey_ml::parallel`]
@@ -125,9 +109,10 @@ pub fn evaluate_all_methods(
     evaluate_methods(&MethodSpec::default_suite(), workloads, sim)
 }
 
-/// Replays an arbitrary list of method specs over all workloads in parallel,
-/// returning `(method spec, per-workflow reports)` in the given method
-/// order.
+/// Replays an arbitrary list of method specs over all workloads in parallel
+/// (every replay is independent: each (method, workload) cell gets a fresh
+/// predictor built from the spec), returning `(method spec, per-workflow
+/// reports)` in the given method order.
 pub fn evaluate_methods(
     methods: &[MethodSpec],
     workloads: &[Workload],
@@ -232,17 +217,20 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_method_produces_one_report_per_workflow() {
+    fn evaluate_methods_produces_one_report_per_workflow() {
         let settings = HarnessSettings {
             scale: 0.02,
             seed: 3,
         };
         let workloads = generate_workloads(&settings);
-        let reports = evaluate_method(
-            &MethodSpec::Preset,
+        let evaluated = evaluate_methods(
+            &[MethodSpec::Preset],
             &workloads,
             &SimulationConfig::default(),
         );
+        assert_eq!(evaluated.len(), 1);
+        let (method, reports) = &evaluated[0];
+        assert_eq!(*method, MethodSpec::Preset);
         assert_eq!(reports.len(), 6);
         assert!(reports.iter().all(|r| r.method == "Workflow-Presets"));
     }

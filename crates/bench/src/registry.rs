@@ -447,13 +447,9 @@ impl MethodSpec {
                 }
                 match c.online {
                     OnlineMode::FullRetrain => out.push_str("online = \"full-retrain\"\n"),
-                    OnlineMode::Incremental {
-                        retrain_interval,
-                        mlp_update_interval,
-                    } => {
+                    OnlineMode::Incremental { retrain_interval } => {
                         out.push_str("online = \"incremental\"\n");
                         out.push_str(&format!("retrain_interval = {retrain_interval}\n"));
-                        out.push_str(&format!("mlp_update_interval = {mlp_update_interval}\n"));
                     }
                 }
                 let classes: Vec<String> = c
@@ -546,7 +542,6 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
     let mut beta: Option<f64> = None;
     let mut online: Option<&str> = None;
     let mut retrain_interval: Option<usize> = None;
-    let mut mlp_update_interval: Option<usize> = None;
     let mut drift_window: Option<usize> = None;
     let mut drift_threshold: Option<f64> = None;
     let mut drift_keep_recent: Option<usize> = None;
@@ -578,7 +573,18 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
             }
             "online" => online = Some(need_str(context, key, value)?),
             "retrain_interval" => retrain_interval = Some(need_usize(context, key, value)?),
-            "mlp_update_interval" => mlp_update_interval = Some(need_usize(context, key, value)?),
+            // The MLP warm-start cadence used to be a knob whose only value
+            // in use was 1, and checkpoint directories stamped back then
+            // carry that line in their `spec.toml`. 1 is what runs now.
+            "mlp_update_interval" => {
+                if need_usize(context, key, value)? != 1 {
+                    return Err(invalid(
+                        context,
+                        key,
+                        "obsolete key: the MLP warm start runs on every completion, so only 1 is accepted",
+                    ));
+                }
+            }
             "model_classes" => {
                 let items = value
                     .as_array()
@@ -664,49 +670,30 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
         }
         (None, None) => {}
     }
-    let (default_interval, default_mlp_interval) = match OnlineMode::default() {
-        OnlineMode::Incremental {
-            retrain_interval,
-            mlp_update_interval,
-        } => (retrain_interval, mlp_update_interval),
-        OnlineMode::FullRetrain => (25, 4),
+    let default_interval = match OnlineMode::default() {
+        OnlineMode::Incremental { retrain_interval } => retrain_interval,
+        OnlineMode::FullRetrain => 25,
     };
-    match (online, retrain_interval, mlp_update_interval) {
-        (Some("full-retrain"), None, None) => config.online = OnlineMode::FullRetrain,
-        (Some("full-retrain"), Some(_), _) => {
+    match (online, retrain_interval) {
+        (Some("full-retrain"), None) => config.online = OnlineMode::FullRetrain,
+        (Some("full-retrain"), Some(_)) => {
             return Err(invalid(
                 context,
                 "retrain_interval",
                 "retrain_interval only applies to incremental mode",
             ))
         }
-        (Some("full-retrain"), _, Some(_)) => {
-            return Err(invalid(
-                context,
-                "mlp_update_interval",
-                "mlp_update_interval only applies to incremental mode",
-            ))
+        (Some("incremental"), interval) | (None, interval @ Some(_)) => {
+            config.online = OnlineMode::incremental(interval.unwrap_or(default_interval));
         }
-        (Some("incremental"), interval, mlp) => {
-            config.online = OnlineMode::Incremental {
-                retrain_interval: interval.unwrap_or(default_interval),
-                mlp_update_interval: mlp.unwrap_or(default_mlp_interval),
-            };
-        }
-        (Some(other), _, _) => {
+        (Some(other), _) => {
             return Err(invalid(
                 context,
                 "online",
                 format!("unknown online mode {other:?} (full-retrain or incremental)"),
             ))
         }
-        (None, interval @ Some(_), mlp) | (None, interval, mlp @ Some(_)) => {
-            config.online = OnlineMode::Incremental {
-                retrain_interval: interval.unwrap_or(default_interval),
-                mlp_update_interval: mlp.unwrap_or(default_mlp_interval),
-            };
-        }
-        (None, None, None) => {}
+        (None, None) => {}
     }
     // The three drift_* keys configure one DriftPolicy together; any one of
     // them arms the detector, the others fall back to the policy defaults.
@@ -822,6 +809,19 @@ mod tests {
             MethodSpec::from_table(doc.array_of("method")[0]),
             Err(SpecError::UnknownKey { .. })
         ));
+        // The retired MLP cadence knob: the one value old checkpoint stamps
+        // carry still parses (and changes nothing), any other is refused.
+        for value in [1, 4] {
+            let text = format!("[[method]]\nkind = \"sizey\"\nmlp_update_interval = {value}\n");
+            let doc = TomlDocument::parse(&text).unwrap();
+            match MethodSpec::from_table(doc.array_of("method")[0]) {
+                Ok(spec) if value == 1 => assert_eq!(spec, MethodSpec::sizey_defaults()),
+                Err(SpecError::InvalidValue { key, .. }) if value != 1 => {
+                    assert_eq!(key, "mlp_update_interval")
+                }
+                other => panic!("mlp_update_interval = {value}: {other:?}"),
+            }
+        }
     }
 
     #[test]

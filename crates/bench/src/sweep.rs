@@ -7,89 +7,28 @@
 //! and collects one flat table — replacing the serial per-bin loops that
 //! used to walk the product one replay at a time.
 //!
-//! Methods are described by [`MethodSpec`]s (the config-driven registry),
-//! not names: a sweep over two differently configured Sizey variants is as
-//! natural as the paper's six-method comparison, and every cell can hand
-//! back the trained predictor's [`PredictorState`] for the checkpoint
-//! directory of the spec-driven `experiment` binary.
+//! The product is described by an [`ExperimentSpec`], and its public entry
+//! points are that spec's [`run`](ExperimentSpec::run) and
+//! [`run_checkpointed`](ExperimentSpec::run_checkpointed), which validate
+//! before anything here runs. Methods are described by [`MethodSpec`]s (the
+//! config-driven registry), not names: a sweep over two differently
+//! configured Sizey variants is as natural as the paper's six-method
+//! comparison, and every cell can hand back the trained predictor's
+//! [`PredictorState`] for the checkpoint directory of the spec-driven
+//! `experiment` binary.
 
+use crate::experiment::ExperimentSpec;
 use crate::recovery::RecoveryTracker;
 use crate::registry::MethodSpec;
-use crate::HarnessSettings;
-use sizey_core::{
-    AdmissionPolicy, AsyncSizey, AsyncSizeyHandle, ServiceConfig, SharedSizey, SizeyConfig,
-};
 use sizey_ml::parallel::{default_parallelism, parallel_map};
 use sizey_provenance::TaskRecord;
 use sizey_sim::{
     replay_workflow_streaming, schedule_workflows_streaming, AttemptContext, AttemptSink,
     CheckpointPredictor, MemoryPredictor, NullRecordSink, NullSink, Prediction, PredictorState,
-    SchedulePolicy, SimulationConfig, StreamingTenant, TaskSubmission,
+    SchedulePolicy, StreamingTenant, TaskSubmission,
 };
-use sizey_workflows::{stream_workflow, workflow_by_name, DriftSpec, GeneratorConfig};
+use sizey_workflows::{stream_workflow, workflow_by_name, GeneratorConfig};
 use std::sync::{Arc, Mutex};
-
-/// One cartesian sweep over workflows × methods × seeds × policies.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Workflow names to replay (must exist in
-    /// [`sizey_workflows::WORKFLOW_NAMES`]).
-    pub workflows: Vec<String>,
-    /// Sizing methods to compare.
-    pub methods: Vec<MethodSpec>,
-    /// Workload-generation seeds; every seed yields an independent workload.
-    pub seeds: Vec<u64>,
-    /// Scheduling policies to compare.
-    pub policies: Vec<SchedulePolicy>,
-    /// Fraction of the paper's task volume to generate per workload.
-    pub scale: f64,
-    /// Optional mid-run workload drift applied to every generated workload;
-    /// when set, each cell also tracks the [`time_to_recover`](RecoveryTracker)
-    /// metric around the drift changepoint.
-    pub drift: Option<DriftSpec>,
-    /// Base simulation configuration; the policy field is overridden per
-    /// cell.
-    pub sim: SimulationConfig,
-}
-
-impl SweepSpec {
-    /// The full evaluation sweep: all six workflows, every method, one seed,
-    /// every scheduling policy, at the harness scale.
-    pub fn full(settings: &HarnessSettings, sim: SimulationConfig) -> Self {
-        SweepSpec {
-            workflows: sizey_workflows::WORKFLOW_NAMES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            methods: MethodSpec::default_suite(),
-            seeds: vec![settings.seed],
-            policies: SchedulePolicy::ALL.to_vec(),
-            scale: settings.scale,
-            drift: None,
-            sim,
-        }
-    }
-
-    /// Number of cells in the cartesian product.
-    pub fn len(&self) -> usize {
-        self.workflows.len() * self.methods.len() * self.seeds.len() * self.policies.len()
-    }
-
-    /// True when the product is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The workload generator settings of every cell with this seed.
-    fn generator(&self, seed: u64) -> GeneratorConfig {
-        GeneratorConfig {
-            scale: self.scale,
-            seed,
-            drift: self.drift,
-            ..GeneratorConfig::default()
-        }
-    }
-}
 
 /// Result of one sweep cell: one workflow replayed with one method under one
 /// policy and seed.
@@ -117,14 +56,12 @@ pub struct SweepCell {
     pub runtime_hours: f64,
     /// Seconds from the drift changepoint until the method's rolling wastage
     /// re-entered its pre-drift band ([`f64::INFINITY`] = never recovered).
-    /// `None` when the sweep has no [`SweepSpec::drift`] axis.
+    /// `None` when the experiment has no [`ExperimentSpec::drift`] axis.
     pub time_to_recover_seconds: Option<f64>,
     /// Attempts requeued by injected faults without consuming retry budget.
-    /// Cluster-wide (not per-tenant) in the shared/async service modes.
     pub requeued_attempts: usize,
     /// Retry-ledger entries still marked in flight at the end of the replay;
-    /// must stay 0 even when faults strand attempts mid-run. Cluster-wide in
-    /// the shared/async service modes.
+    /// must stay 0 even when faults strand attempts mid-run.
     pub leaked_inflight_retries: usize,
 }
 
@@ -156,19 +93,24 @@ impl MemoryPredictor for SharedCellPredictor {
 /// Replays one sweep cell and returns its result row plus the trained
 /// predictor (for checkpointing).
 fn run_cell(
-    spec: &SweepSpec,
+    spec: &ExperimentSpec,
     workflow: &str,
     method: &MethodSpec,
     seed: u64,
     policy: SchedulePolicy,
 ) -> (SweepCell, Box<dyn CheckpointPredictor>) {
-    let wf_spec = workflow_by_name(workflow).expect("sweep names a known workflow");
+    let wf_spec = workflow_by_name(workflow).expect("a validated spec names known workflows");
     let sim = spec.sim.clone().with_policy(policy);
-    let generator = spec.generator(seed);
+    let generator = GeneratorConfig {
+        scale: spec.scale,
+        seed,
+        drift: spec.drift,
+        ..GeneratorConfig::default()
+    };
     let mut tracker = spec
         .drift
         .map(|drift| RecoveryTracker::with_defaults(drift.changepoint));
-    // Attempt events feed the recovery tracker when the sweep has a drift
+    // Attempt events feed the recovery tracker when the spec has a drift
     // axis, and go nowhere otherwise.
     let mut null = NullSink;
     let sink: &mut dyn AttemptSink = match tracker.as_mut() {
@@ -238,9 +180,9 @@ fn run_cell(
     (cell, predictor)
 }
 
-fn product(spec: &SweepSpec) -> Vec<(String, MethodSpec, u64, SchedulePolicy)> {
+fn product(spec: &ExperimentSpec) -> Vec<(String, MethodSpec, u64, SchedulePolicy)> {
     let mut cells = Vec::with_capacity(spec.len());
-    for wf in &spec.workflows {
+    for wf in &spec.profiles {
         for method in &spec.methods {
             for &seed in &spec.seeds {
                 for &policy in &spec.policies {
@@ -253,16 +195,16 @@ fn product(spec: &SweepSpec) -> Vec<(String, MethodSpec, u64, SchedulePolicy)> {
 }
 
 /// Runs the sweep, fanning the cells out across `threads` workers. Results
-/// come back in cartesian order: workflows-major, then methods, seeds,
+/// come back in cartesian order: profiles-major, then methods, seeds,
 /// policies.
-fn run_sweep_with_threads(spec: &SweepSpec, threads: usize) -> Vec<SweepCell> {
+fn run_sweep_with_threads(spec: &ExperimentSpec, threads: usize) -> Vec<SweepCell> {
     parallel_map(&product(spec), threads, |(wf, method, seed, policy)| {
         run_cell(spec, wf, method, *seed, *policy).0
     })
 }
 
-/// Runs the sweep on the default thread pool.
-pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepCell> {
+/// Runs the sweep of an already validated spec on the default thread pool.
+pub(crate) fn run_sweep(spec: &ExperimentSpec) -> Vec<SweepCell> {
     run_sweep_with_threads(spec, default_parallelism())
 }
 
@@ -270,7 +212,7 @@ pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepCell> {
 /// checkpoint (see [`sizey_sim::lifecycle`]): the state a later run restores
 /// through [`MethodSpec::restore`] to warm-start from this cell's learned
 /// models.
-pub fn run_sweep_with_states(spec: &SweepSpec) -> Vec<(SweepCell, PredictorState)> {
+pub(crate) fn run_sweep_with_states(spec: &ExperimentSpec) -> Vec<(SweepCell, PredictorState)> {
     parallel_map(
         &product(spec),
         default_parallelism(),
@@ -280,131 +222,6 @@ pub fn run_sweep_with_states(spec: &SweepSpec) -> Vec<(SweepCell, PredictorState
             (cell, state)
         },
     )
-}
-
-/// The body of the two service modes: each (seed, policy) cell replays *all*
-/// of the spec's workflows concurrently as tenants of one shared cluster
-/// ([`schedule_workflows_streaming`]), every tenant sized by a clone of the
-/// one predictor `service` builds for that cell.
-///
-/// `spec.methods` is ignored (the service is always Sizey with the default
-/// configuration); one [`SweepCell`] per workflow is emitted per
-/// (seed, policy), in seed-major then policy then workflow order. The
-/// (seed, policy) cells fan out across `threads` workers; within a cell the
-/// event-driven replay is sequential, so results are deterministic
-/// regardless of the thread count.
-fn run_service_sweep<P: MemoryPredictor + Clone + 'static>(
-    spec: &SweepSpec,
-    threads: usize,
-    service: impl Fn() -> P + Sync,
-) -> Vec<SweepCell> {
-    let mut cells: Vec<(u64, SchedulePolicy)> = Vec::new();
-    for &seed in &spec.seeds {
-        for &policy in &spec.policies {
-            cells.push((seed, policy));
-        }
-    }
-    let grouped = parallel_map(&cells, threads, |(seed, policy)| {
-        let service = service();
-        let tenants: Vec<StreamingTenant> = spec
-            .workflows
-            .iter()
-            .map(|wf| {
-                let wf_spec = workflow_by_name(wf).expect("sweep names a known workflow");
-                StreamingTenant::new(
-                    wf.clone(),
-                    stream_workflow(&wf_spec, &spec.generator(*seed)),
-                    Box::new(service.clone()),
-                )
-            })
-            .collect();
-        let sim = spec.sim.clone().with_policy(*policy);
-        let result =
-            schedule_workflows_streaming(tenants, &sim, &mut NullSink, &mut NullRecordSink);
-        result
-            .reports
-            .iter()
-            .map(|report| SweepCell {
-                workflow: report.workflow.clone(),
-                method: MethodSpec::sizey_defaults(),
-                seed: *seed,
-                policy: *policy,
-                wastage_gbh: report.aggregates.total_wastage_gbh,
-                failures: report.aggregates.failures as usize,
-                unfinished: report.aggregates.unfinished_instances,
-                makespan_hours: report.aggregates.makespan_seconds / 3600.0,
-                mean_queue_delay_seconds: report.aggregates.mean_queue_delay_seconds(),
-                runtime_hours: report.aggregates.total_runtime_hours(),
-                time_to_recover_seconds: None,
-                requeued_attempts: result.stats.requeued_attempts,
-                leaked_inflight_retries: result.stats.leaked_inflight_retries,
-            })
-            .collect::<Vec<_>>()
-    });
-    grouped.into_iter().flatten().collect()
-}
-
-/// The sweep's **shared-predictor mode**: instead of replaying every
-/// (workflow, method) cell in isolation with a fresh predictor, all of the
-/// spec's workflows share one cluster and **one** concurrent sharded Sizey
-/// service per (seed, policy) cell (see `run_service_sweep`) — the
-/// deployment model of a cluster-wide prediction service, where tenant A's
-/// completions train the models tenant B predicts from.
-pub fn run_sweep_shared_sizey(spec: &SweepSpec, shards: usize) -> Vec<SweepCell> {
-    run_service_sweep(spec, default_parallelism(), || {
-        SharedSizey::sizey(SizeyConfig::default(), shards)
-    })
-}
-
-/// A replay tenant over the async serving front-end that flushes after every
-/// observe: the simulator's online-learning contract (an observe is visible
-/// to the next predict) holds exactly, so replay results are deterministic
-/// and bit-identical to the locked [`SharedSizey`] path — the drop-in proof
-/// for [`run_sweep_async_sizey`]. A deployment would skip the per-observe
-/// flush and accept snapshot staleness of one micro-batch.
-#[derive(Clone)]
-struct SyncedAsyncTenant {
-    handle: AsyncSizeyHandle,
-}
-
-impl MemoryPredictor for SyncedAsyncTenant {
-    fn name(&self) -> String {
-        self.handle.name()
-    }
-
-    fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
-        // The lock-free snapshot path — what the service would serve live.
-        self.handle.service().predict(task, ctx)
-    }
-
-    fn observe(&mut self, record: &TaskRecord) {
-        let service = self.handle.service();
-        service.observe(record);
-        service.flush();
-    }
-}
-
-/// The sweep's **async-service mode**: like [`run_sweep_shared_sizey`], but
-/// every tenant shares one [`AsyncSizey`] front-end — observes go through
-/// the per-shard request queues and micro-batchers, predictions come off the
-/// lock-free snapshots. Tenants flush after each observe (an internal
-/// `SyncedAsyncTenant` adapter), so each cell's replay stays deterministic and the
-/// emitted cells are bit-identical to the shared-Sizey sweep — pinned by the
-/// crate's tests; this mode exists to prove the async front-end is a
-/// drop-in, not to benchmark it (that is `serve_bench`'s job).
-pub fn run_sweep_async_sizey(spec: &SweepSpec, shards: usize) -> Vec<SweepCell> {
-    run_service_sweep(spec, default_parallelism(), || {
-        // A zero-length batch window: the replay flushes after every
-        // observe, so there are no stragglers to wait for.
-        let config = ServiceConfig {
-            batch_window: std::time::Duration::ZERO,
-            admission: AdmissionPolicy::Block,
-            ..ServiceConfig::default()
-        };
-        SyncedAsyncTenant {
-            handle: AsyncSizey::sizey(SizeyConfig::default(), shards, config).into_handle(),
-        }
-    })
 }
 
 /// One aggregated row of a sweep: a (method, policy) pair summed over
@@ -480,16 +297,16 @@ pub fn aggregate_sweep(cells: &[SweepCell]) -> Vec<SweepRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sizey_core::SizeyConfig;
 
-    fn tiny_spec() -> SweepSpec {
-        SweepSpec {
-            workflows: vec!["iwd".to_string()],
+    fn tiny_spec() -> ExperimentSpec {
+        ExperimentSpec {
+            profiles: vec!["iwd".to_string()],
             methods: vec![MethodSpec::Preset],
             seeds: vec![3, 4],
             policies: vec![SchedulePolicy::FirstFit, SchedulePolicy::BestFit],
             scale: 0.02,
-            drift: None,
-            sim: SimulationConfig::default(),
+            ..ExperimentSpec::default()
         }
     }
 
@@ -513,7 +330,7 @@ mod tests {
 
     #[test]
     fn sweep_states_checkpoint_each_cell_predictor() {
-        let spec = SweepSpec {
+        let spec = ExperimentSpec {
             methods: vec![MethodSpec::Preset, MethodSpec::sizey_defaults()],
             seeds: vec![3],
             policies: vec![SchedulePolicy::FirstFit],
@@ -536,44 +353,6 @@ mod tests {
         assert!(!sizey_state.journal.is_empty());
         let restored = sizey_cell.method.restore(sizey_state).unwrap();
         assert_eq!(restored.snapshot(), *sizey_state);
-    }
-
-    #[test]
-    fn shared_sizey_sweep_emits_one_cell_per_workflow_seed_policy() {
-        let spec = SweepSpec {
-            workflows: vec!["iwd".to_string(), "rnaseq".to_string()],
-            methods: vec![],
-            seeds: vec![3],
-            policies: vec![SchedulePolicy::FirstFit, SchedulePolicy::Backfill],
-            ..tiny_spec()
-        };
-        let cells = run_sweep_shared_sizey(&spec, 4);
-        assert_eq!(cells.len(), 4, "2 workflows x 1 seed x 2 policies");
-        assert!(cells
-            .iter()
-            .all(|c| c.method == MethodSpec::sizey_defaults()));
-        assert!(cells.iter().all(|c| c.wastage_gbh.is_finite()));
-        // Deterministic regardless of worker count: each (seed, policy)
-        // cell's event-driven replay is sequential.
-        let serial = run_service_sweep(&spec, 1, || SharedSizey::sizey(SizeyConfig::default(), 4));
-        assert_eq!(cells, serial);
-    }
-
-    /// The async front-end is a drop-in for the locked shared service: the
-    /// same sweep through `SyncedAsyncTenant`s (snapshot predicts, queued
-    /// observes, flush-per-observe) emits bit-identical cells.
-    #[test]
-    fn async_sizey_sweep_is_bit_identical_to_shared_sizey_sweep() {
-        let spec = SweepSpec {
-            workflows: vec!["iwd".to_string(), "rnaseq".to_string()],
-            methods: vec![],
-            seeds: vec![3],
-            policies: vec![SchedulePolicy::FirstFit],
-            ..tiny_spec()
-        };
-        let shared = run_sweep_shared_sizey(&spec, 4);
-        let asynced = run_sweep_async_sizey(&spec, 4);
-        assert_eq!(shared, asynced);
     }
 
     #[test]

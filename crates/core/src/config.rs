@@ -44,8 +44,9 @@ pub enum OnlineMode {
     /// Fully retrain every model (optionally with hyper-parameter
     /// optimisation) after every completed task.
     FullRetrain,
-    /// Perform lightweight incremental updates, with a full retrain every
-    /// `retrain_interval` completions (0 = never).
+    /// Perform lightweight incremental updates of every pool member —
+    /// including a warm-start MLP step — after every completed task, with a
+    /// full retrain every `retrain_interval` completions (0 = never).
     Incremental {
         /// Completions between two full retrains (0 = never retrain fully).
         /// With deferred retrains enabled (see
@@ -53,24 +54,13 @@ pub enum OnlineMode {
         /// the interval still governs *when* a retrain is staged; the
         /// training runs at the caller's next `run_pending_retrains`.
         retrain_interval: usize,
-        /// Completions between two warm-start MLP updates on the light
-        /// (non-retrain) path. The MLP is by far the most expensive member to
-        /// nudge per observation; updating it every `mlp_update_interval`-th
-        /// completion (1 = every completion, 0 = only at full retrains)
-        /// bounds the per-observe cost while the cheap members still update
-        /// every time.
-        mlp_update_interval: usize,
     },
 }
 
 impl OnlineMode {
-    /// Incremental mode with the given full-retrain interval and the default
-    /// MLP update cadence.
+    /// Incremental mode with the given full-retrain interval.
     pub fn incremental(retrain_interval: usize) -> Self {
-        OnlineMode::Incremental {
-            retrain_interval,
-            mlp_update_interval: 1,
-        }
+        OnlineMode::Incremental { retrain_interval }
     }
 }
 
@@ -149,10 +139,12 @@ pub struct SizeyConfig {
     /// behaviour for unknown task types).
     pub min_history: usize,
     /// While a task type has fewer successful observations than this, the
-    /// allocation is floored at the largest peak observed so far. This guards
-    /// the cold-start phase, where the offset histories are still too short
-    /// to protect against under-prediction; once enough data exists the
-    /// models and offsets take over completely.
+    /// allocation keeps at least 15 % head-room over the raw model estimate
+    /// (unless the offset mode is [`OffsetMode::None`], which promises the
+    /// raw estimate untouched). This guards the cold-start phase, where the
+    /// offset histories are still too short to protect against
+    /// under-prediction; once enough data exists the models and offsets take
+    /// over completely.
     pub cold_start_observations: usize,
     /// Whether a full retrain runs grid-search hyper-parameter optimisation.
     pub hyperparameter_optimization: bool,

@@ -114,9 +114,6 @@ pub struct ModelPool {
     aggregate_history: Vec<(f64, f64)>,
     /// Completions since the last full retrain (drives incremental mode).
     since_full_retrain: usize,
-    /// Completions since the MLP's last warm-start update (drives the
-    /// `mlp_update_interval` cadence of incremental mode).
-    since_mlp_update: usize,
     /// Whether a due full retrain is staged (`pending_retrain`) instead of
     /// run inside the observe that found it due.
     defer_retrains: bool,
@@ -152,7 +149,6 @@ impl Clone for ModelPool {
             data: self.data.clone(),
             aggregate_history: self.aggregate_history.clone(),
             since_full_retrain: self.since_full_retrain,
-            since_mlp_update: self.since_mlp_update,
             defer_retrains: self.defer_retrains,
             pending_retrain: self.pending_retrain,
             model_epoch: self.model_epoch,
@@ -222,7 +218,6 @@ impl ModelPool {
             data: Dataset::new(),
             aggregate_history: Vec::new(),
             since_full_retrain: 0,
-            since_mlp_update: 0,
             defer_retrains: false,
             pending_retrain: false,
             model_epoch: 0,
@@ -548,15 +543,12 @@ impl ModelPool {
         } else {
             match config.online {
                 OnlineMode::FullRetrain => self.full_retrain(config),
-                OnlineMode::Incremental {
-                    retrain_interval,
-                    mlp_update_interval,
-                } => {
+                OnlineMode::Incremental { retrain_interval } => {
                     self.since_full_retrain += 1;
                     if retrain_interval > 0 && self.since_full_retrain >= retrain_interval {
                         self.full_retrain(config);
                     } else {
-                        self.incremental_update(mlp_update_interval);
+                        self.incremental_update();
                     }
                 }
             }
@@ -574,29 +566,20 @@ impl ModelPool {
     }
 
     /// The light (non-retrain) update of incremental mode: exact or
-    /// append-style `partial_fit`s for the cheap members, and a warm-start
-    /// update for the MLP every `mlp_update_interval`-th completion.
-    fn incremental_update(&mut self, mlp_update_interval: usize) {
-        self.since_mlp_update += 1;
-        let update_mlp = mlp_update_interval > 0 && self.since_mlp_update >= mlp_update_interval;
-        if update_mlp {
-            // The MLP's warm-start update runs on a recent window of the data
-            // rather than the single new observation; a gradient step on one
-            // point would drag the network towards it and destabilise the
-            // pool between full retrains.
-            self.data.tail_into(16, &mut self.tail_scratch);
-            self.since_mlp_update = 0;
-        }
+    /// append-style `partial_fit`s for the cheap members and a warm-start
+    /// update for the MLP, on every completion.
+    fn incremental_update(&mut self) {
+        // The MLP's warm-start update runs on a recent window of the data
+        // rather than the single new observation; a gradient step on one
+        // point would drag the network towards it and destabilise the pool
+        // between full retrains.
+        self.data.tail_into(16, &mut self.tail_scratch);
         // Track whether this update degenerated into refitting *every* member
         // on the complete history (cold start, or every incremental update
         // failing): that is a de-facto full retrain and restarts the interval
         // counter, so the next scheduled retrain is not fired spuriously.
         let mut pool_fully_refit = true;
         for member in &mut self.members {
-            if member.class == ModelClass::Mlp && member.model.is_fitted() && !update_mlp {
-                pool_fully_refit = false;
-                continue;
-            }
             let was_fitted = member.model.is_fitted();
             let result = if was_fitted {
                 let update = if member.class == ModelClass::Mlp {
@@ -881,10 +864,7 @@ mod tests {
     /// Online mode with no scheduled full retrains: the model epoch can only
     /// move when the drift detector fires, which makes triggers observable.
     fn no_scheduled_retrains() -> OnlineMode {
-        OnlineMode::Incremental {
-            retrain_interval: 0,
-            mlp_update_interval: 1,
-        }
+        OnlineMode::incremental(0)
     }
 
     #[test]

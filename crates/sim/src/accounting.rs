@@ -92,7 +92,8 @@ impl ReplayReport {
     }
 
     /// Total time attempts spent waiting for cluster resources, in seconds —
-    /// the contention cost the occupancy sketch could not see.
+    /// the contention cost the paper's evaluation leaves out of scope
+    /// (assumption A2).
     pub fn total_queue_delay_seconds(&self) -> f64 {
         self.events.iter().map(|e| e.queue_delay_seconds).sum()
     }

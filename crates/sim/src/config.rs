@@ -1,8 +1,12 @@
 //! Simulation parameters.
 
+use crate::attempt::MIN_ALLOCATION_BYTES;
 use crate::faults::FaultPlan;
 use crate::scheduler::SchedulePolicy;
 use sizey_workflows::profiles::{NODE_COUNT, NODE_MEMORY_BYTES};
+
+/// Largest cluster [`SimulationConfig::validate`] accepts, in nodes.
+const MAX_NODES: usize = 1_000_000;
 
 /// One homogeneous group of nodes inside a (possibly heterogeneous) cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,9 +120,10 @@ impl SimulationConfig {
     }
 
     /// A configuration with effectively unlimited capacity: one node with
-    /// infinite memory and an unbounded slot count, so no task ever waits.
-    /// This is the reference mode under which the event-driven scheduler and
-    /// the legacy occupancy model must produce identical wastage.
+    /// infinite memory and an unbounded slot count, so no task ever waits
+    /// and no allocation is clamped from above. This is the reference mode
+    /// for "capacity changes timing, never decisions": every attempt has a
+    /// queue delay of exactly zero.
     pub fn unbounded() -> Self {
         SimulationConfig {
             node_count: 1,
@@ -126,6 +131,62 @@ impl SimulationConfig {
             slots_per_node: usize::MAX,
             ..SimulationConfig::default()
         }
+    }
+
+    /// Checks that the configuration describes a cluster the engines can
+    /// simulate, returning the offending field — named as in the `[sim]`
+    /// table of an experiment spec, `node_pool.*` for an extra pool — and
+    /// what is wrong with it. Spec files are edited by hand, and the engines
+    /// assume a non-empty cluster (of at most 1,000,000 nodes: it is built
+    /// node by node) whose every node can host the minimum allocation, a
+    /// forward-running clock and at least one attempt per task.
+    pub fn validate(&self) -> Result<(), (&'static str, String)> {
+        let bad = |key, expected: &str, found: &dyn std::fmt::Display| {
+            Err((key, format!("expected {expected}, found {found}")))
+        };
+        let total_nodes = self
+            .extra_node_pools
+            .iter()
+            .fold(self.node_count, |n, pool| n.saturating_add(pool.count));
+        if !(1..=MAX_NODES).contains(&total_nodes) {
+            let expected = format!("between 1 and {MAX_NODES} nodes in total");
+            return bad("node_count", &expected, &total_nodes);
+        }
+        let default_pool = NodePoolSpec {
+            count: self.node_count,
+            memory_bytes: self.node_memory_bytes,
+            slots: self.slots_per_node,
+        };
+        let pools = std::iter::once(("node_memory_bytes", "slots_per_node", &default_pool)).chain(
+            self.extra_node_pools
+                .iter()
+                .map(|pool| ("node_pool.memory_bytes", "node_pool.slots", pool)),
+        );
+        for (memory_key, slots_key, pool) in pools.filter(|(_, _, pool)| pool.count > 0) {
+            // Infinite memory is a valid (unbounded) node; NaN is not.
+            if pool.memory_bytes.is_nan() || pool.memory_bytes < MIN_ALLOCATION_BYTES {
+                let expected =
+                    format!("at least {MIN_ALLOCATION_BYTES} bytes, the minimum allocation");
+                return bad(memory_key, &expected, &pool.memory_bytes);
+            }
+            if pool.slots == 0 {
+                return bad(slots_key, "at least one task slot", &0);
+            }
+        }
+        if self.max_attempts == 0 {
+            return bad("max_attempts", "at least one attempt per task", &0);
+        }
+        let ttf = self.time_to_failure;
+        if !(ttf > 0.0 && ttf <= 1.0) {
+            let expected = "a fraction of the runtime in (0, 1]";
+            return bad("time_to_failure", expected, &ttf);
+        }
+        let interval = self.submit_interval_seconds;
+        if !(interval >= 0.0 && interval.is_finite()) {
+            let expected = "a finite, non-negative number of seconds";
+            return bad("submit_interval_seconds", expected, &interval);
+        }
+        Ok(())
     }
 
     /// All node pools of the cluster: the default pool followed by the extra

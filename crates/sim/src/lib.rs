@@ -34,9 +34,10 @@
 //!   [`lifecycle::CheckpointPredictor`] captures a predictor's learned state
 //!   as an event-sourced [`lifecycle::PredictorState`] journal that restores
 //!   bit-identically on a fresh instance,
-//! * [`replay`] — the paper's single-workflow replay engine (now backed by
-//!   the scheduler, with the legacy occupancy sketch kept as
-//!   [`replay_workflow_occupancy`] for reference),
+//! * [`replay`] — the paper's single-workflow replay engine: the strict
+//!   predict→observe sequence per instance, timed by the synchronous
+//!   [`Scheduler`]. It and the event-driven engine cost every attempt with
+//!   one private attempt model, so the paper's accounting rule exists once,
 //! * [`accounting`] — wastage (GBh), failure, runtime, queue-delay,
 //!   model-selection and prediction-error aggregation used by every figure
 //!   of the evaluation.
@@ -57,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
+mod attempt;
 pub mod cluster;
 pub mod config;
 pub mod faults;
@@ -71,6 +73,7 @@ pub use accounting::{
     aggregate_method, AttemptEvent, AttemptSink, MethodAggregate, NullRecordSink, NullSink,
     RecordSink, ReplayAggregates, ReplayReport,
 };
+pub use attempt::MIN_ALLOCATION_BYTES;
 pub use cluster::{Cluster, Node, Placement, FIT_TOLERANCE};
 pub use config::{NodePoolSpec, SimulationConfig};
 pub use faults::{
@@ -80,10 +83,7 @@ pub use faults::{
 pub use inflight::RetryLedger;
 pub use lifecycle::{CheckpointPredictor, CompactedCheckpoint, PredictorState, StateError};
 pub use predictor::{AttemptContext, MemoryPredictor, Prediction, PresetPredictor, TaskSubmission};
-pub use replay::{
-    replay_with, replay_workflow, replay_workflow_occupancy, replay_workflow_streaming,
-    MIN_ALLOCATION_BYTES,
-};
+pub use replay::{replay_workflow, replay_workflow_streaming};
 pub use scheduler::{
     schedule_workflows, schedule_workflows_streaming, MultiReplayReport, SchedulePolicy,
     ScheduledAttempt, Scheduler, SchedulerStats, StreamingReplayReport, StreamingTenant,

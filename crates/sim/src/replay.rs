@@ -7,8 +7,11 @@
 //! A3), failed attempts cost `time_to_failure × runtime` and are retried with
 //! the predictor's own failure-handling policy, and every finished attempt is
 //! fed back to the predictor as a provenance record for online learning.
+//! That per-attempt rule is the crate's one private attempt model, which the
+//! event-driven engine in [`scheduler`](crate::scheduler) costs its attempts
+//! with too.
 //!
-//! Timing is delegated to the event-driven [`Scheduler`]: each attempt is
+//! Timing is delegated to the synchronous [`Scheduler`]: each attempt is
 //! submitted to a FIFO queue over a cluster of finite nodes, waits when no
 //! node fits, and occupies its node for the attempt duration. Over-allocation
 //! therefore costs *makespan* (and queue delay, which the provenance records
@@ -16,25 +19,15 @@
 //! and with them wastage and failure counts, the paper's Fig. 8 aggregates —
 //! are unaffected by timing: the predict→observe ordering is the strict
 //! per-instance sequence the paper uses, regardless of cluster capacity.
-//!
-//! The pre-scheduler capacity sketch survives as
-//! [`replay_workflow_occupancy`]: a lazy-release first-fit occupancy model
-//! with no queueing. The property suite asserts that it and the scheduler
-//! produce identical wastage under unbounded capacity.
 
 use crate::accounting::{AttemptEvent, AttemptSink, ReplayAggregates, ReplayReport};
-use crate::cluster::Cluster;
+use crate::attempt::Attempt;
+pub use crate::attempt::MIN_ALLOCATION_BYTES;
 use crate::config::SimulationConfig;
 use crate::predictor::{AttemptContext, MemoryPredictor, TaskSubmission};
 use crate::scheduler::Scheduler;
-use sizey_provenance::{TaskOutcome, TaskRecord};
 use sizey_workflows::TaskInstance;
 use std::borrow::Borrow;
-use std::collections::BinaryHeap;
-
-/// Minimum allocation the resource manager accepts (64 MB), so degenerate
-/// predictions cannot request zero memory.
-pub const MIN_ALLOCATION_BYTES: f64 = 64e6;
 
 /// The sequential replay core shared by the materialised
 /// ([`replay_workflow`]) and streaming ([`replay_workflow_streaming`])
@@ -59,14 +52,7 @@ where
 
     for inst in instances {
         let inst = inst.borrow();
-        let submission = TaskSubmission {
-            workflow: inst.workflow.clone(),
-            task_type: inst.task_type.clone(),
-            machine: inst.machine.clone(),
-            sequence: inst.sequence,
-            input_bytes: inst.input_bytes,
-            preset_memory_bytes: inst.preset_memory_bytes,
-        };
+        let submission = TaskSubmission::from(inst);
 
         let mut attempt = 0u32;
         let mut finished = false;
@@ -84,77 +70,35 @@ where
                 last_allocation_bytes: last_allocation,
             };
             let prediction = predictor.predict(&submission, ctx);
-            let allocation = prediction
-                .allocation_bytes
-                .clamp(MIN_ALLOCATION_BYTES, largest_node);
-            last_allocation = Some(allocation);
-
-            let success = allocation + 1e-6 >= inst.true_peak_bytes;
-            let duration = if success {
-                inst.base_runtime_seconds
-            } else {
-                inst.base_runtime_seconds * config.time_to_failure
-            };
-            let wasted_bytes = if success {
-                (allocation - inst.true_peak_bytes).max(0.0)
-            } else {
-                allocation
-            };
-            let wastage_gbh = wasted_bytes / 1e9 * duration / 3600.0;
+            let run = Attempt::size(inst, &prediction, largest_node, config.time_to_failure);
+            last_allocation = Some(run.allocation_bytes);
 
             let scheduled = if attempt == 0 {
-                scheduler.run_task(submit_time, allocation, duration)
+                scheduler.run_task(submit_time, run.allocation_bytes, run.duration_seconds)
             } else {
                 // Retries re-enter with their original queue priority: they
                 // wait for capacity, not behind the FIFO floor.
-                scheduler.run_retry(submit_time, allocation, duration)
+                scheduler.run_retry(submit_time, run.allocation_bytes, run.duration_seconds)
             };
             makespan = makespan.max(scheduled.finish_seconds);
 
-            let event = AttemptEvent {
-                task_type: inst.task_type.clone(),
-                sequence: inst.sequence,
+            let event = run.event(
+                inst,
                 attempt,
-                allocated_bytes: allocation,
-                true_peak_bytes: inst.true_peak_bytes,
-                duration_seconds: duration,
-                success,
-                wastage_gbh,
-                raw_estimate_bytes: prediction.raw_estimate_bytes,
-                selected_model: prediction.selected_model.map(String::from),
-                submit_time_seconds: scheduled.start_seconds,
-                queue_delay_seconds: scheduled.queue_delay_seconds,
-            };
+                scheduled.start_seconds,
+                scheduled.queue_delay_seconds,
+            );
             agg.observe_event(&event);
             sink.record(&event);
 
-            // Feed the monitoring record back for online learning. On
-            // failure the monitored "peak" is the allocation that was
-            // exhausted — the true peak was never observed.
-            let record = TaskRecord {
-                workflow: workflow.to_string(),
-                task_type: inst.task_type.clone(),
-                machine: inst.machine.clone(),
-                sequence: inst.sequence,
-                input_bytes: inst.input_bytes,
-                peak_memory_bytes: if success {
-                    inst.true_peak_bytes
-                } else {
-                    allocation
-                },
-                allocated_memory_bytes: allocation,
-                runtime_seconds: duration,
-                concurrent_tasks: scheduler.running_tasks() as u32,
-                queue_delay_seconds: scheduled.queue_delay_seconds,
-                outcome: if success {
-                    TaskOutcome::Succeeded
-                } else {
-                    TaskOutcome::FailedOutOfMemory
-                },
-            };
-            predictor.observe(&record);
+            predictor.observe(&run.record(
+                inst,
+                workflow,
+                scheduler.running_tasks() as u32,
+                scheduled.queue_delay_seconds,
+            ));
 
-            if success {
+            if run.success {
                 finished = true;
                 break;
             }
@@ -230,198 +174,11 @@ where
     agg
 }
 
-/// Replays a workflow with a fresh predictor produced by `make_predictor` —
-/// convenience wrapper used by the benchmark harnesses, which compare many
-/// methods over many workflows.
-pub fn replay_with<F, P>(
-    workflow: &str,
-    instances: &[TaskInstance],
-    config: &SimulationConfig,
-    make_predictor: F,
-) -> ReplayReport
-where
-    F: FnOnce() -> P,
-    P: MemoryPredictor,
-{
-    let mut predictor = make_predictor();
-    replay_workflow(workflow, instances, &mut predictor, config)
-}
-
-/// A running task in the legacy occupancy model, ordered by finish time
-/// (min-heap).
-#[derive(Debug, Clone, PartialEq)]
-struct RunningTask {
-    finish_time: f64,
-    allocation: f64,
-    placement: crate::cluster::Placement,
-}
-
-impl Eq for RunningTask {}
-
-impl Ord for RunningTask {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse so the BinaryHeap pops the earliest finish time first.
-        other.finish_time.total_cmp(&self.finish_time)
-    }
-}
-
-impl PartialOrd for RunningTask {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The pre-scheduler replay: the paper's light first-fit occupancy sketch
-/// with lazy release and no pending queue (tasks never wait; capacity is
-/// drained on demand). Kept as the reference model the event-driven
-/// scheduler is property-tested against: under unbounded capacity both must
-/// produce identical wastage, failures and per-attempt decisions.
-pub fn replay_workflow_occupancy(
-    workflow: &str,
-    instances: &[TaskInstance],
-    predictor: &mut dyn MemoryPredictor,
-    config: &SimulationConfig,
-) -> ReplayReport {
-    let mut cluster = Cluster::new(config);
-    let mut running: BinaryHeap<RunningTask> = BinaryHeap::new();
-    let mut clock = 0.0_f64;
-    let mut makespan = 0.0_f64;
-    let mut events = Vec::with_capacity(instances.len());
-    let mut unfinished = 0usize;
-
-    for inst in instances {
-        let submission = TaskSubmission {
-            workflow: inst.workflow.clone(),
-            task_type: inst.task_type.clone(),
-            machine: inst.machine.clone(),
-            sequence: inst.sequence,
-            input_bytes: inst.input_bytes,
-            preset_memory_bytes: inst.preset_memory_bytes,
-        };
-
-        let mut attempt = 0u32;
-        let mut finished = false;
-        let mut last_allocation: Option<f64> = None;
-        while attempt < config.max_attempts {
-            let ctx = AttemptContext {
-                attempt,
-                last_allocation_bytes: last_allocation,
-            };
-            let prediction = predictor.predict(&submission, ctx);
-            let allocation = prediction
-                .allocation_bytes
-                .clamp(MIN_ALLOCATION_BYTES, config.node_memory_bytes);
-            last_allocation = Some(allocation);
-
-            // Occupancy model: make room, then place.
-            while cluster.try_place(allocation).is_none() {
-                match running.pop() {
-                    Some(done) => {
-                        clock = clock.max(done.finish_time);
-                        cluster.release(done.placement, done.allocation);
-                    }
-                    None => break,
-                }
-            }
-            let placement = cluster
-                .try_place(allocation)
-                .or_else(|| {
-                    // Drain everything if a single huge allocation still does
-                    // not fit next to leftovers.
-                    while let Some(done) = running.pop() {
-                        clock = clock.max(done.finish_time);
-                        cluster.release(done.placement, done.allocation);
-                    }
-                    cluster.try_place(allocation)
-                })
-                .unwrap_or(crate::cluster::Placement { node: 0 });
-
-            let success = allocation + 1e-6 >= inst.true_peak_bytes;
-            let duration = if success {
-                inst.base_runtime_seconds
-            } else {
-                inst.base_runtime_seconds * config.time_to_failure
-            };
-            let wasted_bytes = if success {
-                (allocation - inst.true_peak_bytes).max(0.0)
-            } else {
-                allocation
-            };
-            let wastage_gbh = wasted_bytes / 1e9 * duration / 3600.0;
-
-            let finish_time = clock + duration;
-            makespan = makespan.max(finish_time);
-            running.push(RunningTask {
-                finish_time,
-                allocation,
-                placement,
-            });
-
-            events.push(AttemptEvent {
-                task_type: inst.task_type.clone(),
-                sequence: inst.sequence,
-                attempt,
-                allocated_bytes: allocation,
-                true_peak_bytes: inst.true_peak_bytes,
-                duration_seconds: duration,
-                success,
-                wastage_gbh,
-                raw_estimate_bytes: prediction.raw_estimate_bytes,
-                selected_model: prediction.selected_model.map(String::from),
-                submit_time_seconds: clock,
-                queue_delay_seconds: 0.0,
-            });
-
-            let record = TaskRecord {
-                workflow: workflow.to_string(),
-                task_type: inst.task_type.clone(),
-                machine: inst.machine.clone(),
-                sequence: inst.sequence,
-                input_bytes: inst.input_bytes,
-                peak_memory_bytes: if success {
-                    inst.true_peak_bytes
-                } else {
-                    allocation
-                },
-                allocated_memory_bytes: allocation,
-                runtime_seconds: duration,
-                concurrent_tasks: cluster.running_tasks() as u32,
-                queue_delay_seconds: 0.0,
-                outcome: if success {
-                    TaskOutcome::Succeeded
-                } else {
-                    TaskOutcome::FailedOutOfMemory
-                },
-            };
-            predictor.observe(&record);
-
-            if success {
-                finished = true;
-                break;
-            }
-            attempt += 1;
-        }
-        if !finished {
-            unfinished += 1;
-        }
-    }
-
-    ReplayReport {
-        method: predictor.name(),
-        workflow: workflow.to_string(),
-        time_to_failure: config.time_to_failure,
-        events,
-        instances: instances.len(),
-        unfinished_instances: unfinished,
-        makespan_seconds: makespan,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predictor::{Prediction, PresetPredictor};
-    use sizey_provenance::{MachineId, TaskTypeId};
+    use sizey_provenance::{MachineId, TaskOutcome, TaskRecord, TaskTypeId};
 
     fn instance(seq: u64, input: f64, peak: f64, runtime: f64, preset: f64) -> TaskInstance {
         TaskInstance {
@@ -603,16 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_with_builds_a_fresh_predictor() {
-        let instances = vec![instance(0, 1e9, 1e9, 60.0, 4e9)];
-        let report = replay_with("wf", &instances, &SimulationConfig::default(), || {
-            PresetPredictor
-        });
-        assert_eq!(report.method, "Workflow-Presets");
-        assert_eq!(report.instances, 1);
-    }
-
-    #[test]
     fn streaming_replay_matches_materialised_report() {
         use crate::accounting::NullSink;
         let instances: Vec<TaskInstance> = (0..15)
@@ -636,18 +383,32 @@ mod tests {
         assert_eq!(events, report.events);
     }
 
+    /// The clamp of the attempt model is total: a NaN prediction is sized to
+    /// the 64 MB floor instead of carrying NaN into the wastage sums, and a
+    /// hand-built cluster whose largest node is below the floor clamps to
+    /// the node instead of panicking inside `f64::clamp`.
     #[test]
-    fn occupancy_and_scheduler_replays_agree_under_unbounded_capacity() {
-        let instances: Vec<TaskInstance> = (0..12)
-            .map(|i| instance(i, 1e9 * (i + 1) as f64, 3e9, 600.0, 4e9))
-            .collect();
-        let config = SimulationConfig::unbounded();
-        let mut a = PresetPredictor;
-        let mut b = PresetPredictor;
-        let new = replay_workflow("wf", &instances, &mut a, &config);
-        let old = replay_workflow_occupancy("wf", &instances, &mut b, &config);
-        assert_eq!(new.events.len(), old.events.len());
-        assert_eq!(new.total_failures(), old.total_failures());
-        assert_eq!(new.total_wastage_gbh(), old.total_wastage_gbh());
+    fn nan_predictions_and_tiny_nodes_replay_with_finite_wastage() {
+        // The first instance fits the floor, the second never does.
+        let instances = vec![
+            instance(0, 1e9, 32e6, 60.0, 4e9),
+            instance(1, 1e9, 1e9, 60.0, 4e9),
+        ];
+        let config = SimulationConfig::default();
+        let mut nan = Fixed { bytes: f64::NAN };
+        let report = replay_workflow("wf", &instances, &mut nan, &config);
+        assert_eq!(report.events.len(), 1 + config.max_attempts as usize);
+        assert!(report
+            .events
+            .iter()
+            .all(|e| e.allocated_bytes == MIN_ALLOCATION_BYTES));
+        assert_eq!(report.unfinished_instances, 1);
+        assert!(report.total_wastage_gbh().is_finite());
+
+        let tiny = SimulationConfig::default().with_nodes(1, 32e6, 4);
+        let report = replay_workflow("wf", &instances[..1], &mut PresetPredictor, &tiny);
+        assert_eq!(report.events[0].allocated_bytes, 32e6);
+        assert!(report.events[0].success);
+        assert!(report.total_wastage_gbh().is_finite());
     }
 }

@@ -39,14 +39,13 @@
 use crate::accounting::{
     AttemptEvent, AttemptSink, NullRecordSink, RecordSink, ReplayAggregates, ReplayReport,
 };
+use crate::attempt::Attempt;
 use crate::cluster::{Cluster, Node};
 use crate::config::SimulationConfig;
 use crate::faults::{FaultAction, FaultCause};
 use crate::inflight::RetryLedger;
 use crate::predictor::{AttemptContext, MemoryPredictor, TaskSubmission};
 use crate::queue::{EventHeap, PendingQueue, PendingTask};
-use crate::replay::MIN_ALLOCATION_BYTES;
-use sizey_provenance::{TaskOutcome, TaskRecord};
 use sizey_workflows::TaskInstance;
 use std::collections::BTreeMap;
 
@@ -403,17 +402,14 @@ pub struct MultiReplayReport {
     pub nodes: Vec<Node>,
 }
 
-/// Payload of a queued attempt in the event-driven engine.
+/// Payload of a queued attempt in the event-driven engine: whose attempt it
+/// is, and how it was sized at submission.
 #[derive(Debug, Clone)]
 struct QueuedAttempt {
     tenant: usize,
     instance: usize,
     attempt: u32,
-    allocation_bytes: f64,
-    raw_estimate_bytes: Option<f64>,
-    selected_model: Option<String>,
-    success: bool,
-    duration_seconds: f64,
+    run: Attempt,
 }
 
 /// Payload of a completion event in the event-driven engine.
@@ -781,40 +777,27 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
     /// Sizes one attempt with its tenant's predictor and enqueues it.
     fn submit(&mut self, now: f64, ti: usize, instance: usize, attempt: u32) {
         let inst = &self.inflight[&(ti, instance)];
-        let submission = TaskSubmission {
-            workflow: inst.workflow.clone(),
-            task_type: inst.task_type.clone(),
-            machine: inst.machine.clone(),
-            sequence: inst.sequence,
-            input_bytes: inst.input_bytes,
-            preset_memory_bytes: inst.preset_memory_bytes,
-        };
         let ctx = AttemptContext {
             attempt,
             last_allocation_bytes: self.retries.last_allocation((ti, instance)),
         };
-        let prediction = self.tenants[ti].predictor.predict(&submission, ctx);
-        let allocation = prediction
-            .allocation_bytes
-            .clamp(MIN_ALLOCATION_BYTES, self.largest_node);
-        let success = allocation + 1e-6 >= inst.true_peak_bytes;
-        let duration = if success {
-            inst.base_runtime_seconds
-        } else {
-            inst.base_runtime_seconds * self.config.time_to_failure
-        };
+        let prediction = self.tenants[ti]
+            .predictor
+            .predict(&TaskSubmission::from(inst), ctx);
+        let run = Attempt::size(
+            inst,
+            &prediction,
+            self.largest_node,
+            self.config.time_to_failure,
+        );
         let queued = PendingTask {
             submit_time: now,
-            allocation_bytes: allocation,
+            allocation_bytes: run.allocation_bytes,
             payload: QueuedAttempt {
                 tenant: ti,
                 instance,
                 attempt,
-                allocation_bytes: allocation,
-                raw_estimate_bytes: prediction.raw_estimate_bytes,
-                selected_model: prediction.selected_model.map(String::from),
-                success,
-                duration_seconds: duration,
+                run,
             },
         };
         if attempt == 0 {
@@ -864,32 +847,12 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
     /// folds the attempt event into its tenant's aggregates, hands it to
     /// `on_attempt`, and schedules its completion.
     fn dispatch(&mut self, queued: PendingTask<QueuedAttempt>, node: usize, now: f64) {
-        let mut task = queued.payload;
-        self.cluster.place_on(node, task.allocation_bytes);
+        let task = queued.payload;
+        self.cluster.place_on(node, task.run.allocation_bytes);
         let queue_delay = (now - queued.submit_time).max(0.0);
         self.stats.record_dispatch(queue_delay, &self.cluster);
         let inst = &self.inflight[&(task.tenant, task.instance)];
-        let wasted_bytes = if task.success {
-            (task.allocation_bytes - inst.true_peak_bytes).max(0.0)
-        } else {
-            task.allocation_bytes
-        };
-        let event = AttemptEvent {
-            task_type: inst.task_type.clone(),
-            sequence: inst.sequence,
-            attempt: task.attempt,
-            allocated_bytes: task.allocation_bytes,
-            true_peak_bytes: inst.true_peak_bytes,
-            duration_seconds: task.duration_seconds,
-            success: task.success,
-            wastage_gbh: wasted_bytes / 1e9 * task.duration_seconds / 3600.0,
-            raw_estimate_bytes: task.raw_estimate_bytes,
-            // Moved, not cloned: nothing downstream of the attempt event
-            // reads the queued attempt's model name again.
-            selected_model: task.selected_model.take(),
-            submit_time_seconds: now,
-            queue_delay_seconds: queue_delay,
-        };
+        let event = task.run.event(inst, task.attempt, now, queue_delay);
         self.aggs[task.tenant].observe_event(&event);
         (self.on_attempt)(task.tenant, event);
         let dispatch_id = self.running.insert(RunningRef {
@@ -897,10 +860,10 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             instance: task.instance,
             attempt: task.attempt,
             node,
-            allocation_bytes: task.allocation_bytes,
+            allocation_bytes: task.run.allocation_bytes,
         });
         self.events.push(
-            now + task.duration_seconds,
+            now + task.run.duration_seconds,
             Event::Finish(RunningAttempt {
                 node,
                 submit_time: queued.submit_time,
@@ -917,40 +880,25 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
     /// tenant's predictor, and either retires the instance or schedules its
     /// retry.
     fn complete(&mut self, now: f64, run: RunningAttempt) {
+        let sized = run.task.run;
         self.cluster.release(
             crate::cluster::Placement { node: run.node },
-            run.task.allocation_bytes,
+            sized.allocation_bytes,
         );
         self.makespan = self.makespan.max(now);
         let ti = run.task.tenant;
         let key = (ti, run.task.instance);
-        let inst = &self.inflight[&key];
-        let record = TaskRecord {
-            workflow: self.tenants[ti].workflow.clone(),
-            task_type: inst.task_type.clone(),
-            machine: inst.machine.clone(),
-            sequence: inst.sequence,
-            input_bytes: inst.input_bytes,
-            peak_memory_bytes: if run.task.success {
-                inst.true_peak_bytes
-            } else {
-                run.task.allocation_bytes
-            },
-            allocated_memory_bytes: run.task.allocation_bytes,
-            runtime_seconds: run.task.duration_seconds,
-            concurrent_tasks: run.concurrent_at_start as u32,
-            queue_delay_seconds: run.start_time - run.submit_time,
-            outcome: if run.task.success {
-                TaskOutcome::Succeeded
-            } else {
-                TaskOutcome::FailedOutOfMemory
-            },
-        };
+        let record = sized.record(
+            &self.inflight[&key],
+            &self.tenants[ti].workflow,
+            run.concurrent_at_start as u32,
+            run.start_time - run.submit_time,
+        );
         self.records.record(&record);
         self.tenants[ti].predictor.observe(&record);
         let next_attempt = run.task.attempt + 1;
-        if !run.task.success && next_attempt < self.config.max_attempts {
-            self.retries.record_failure(key, run.task.allocation_bytes);
+        if !sized.success && next_attempt < self.config.max_attempts {
+            self.retries.record_failure(key, sized.allocation_bytes);
             self.events.push(
                 now,
                 Event::Submit {
@@ -966,7 +914,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             // the workload.
             self.retries.finish(key);
             self.inflight.remove(&key);
-            self.aggs[ti].observe_instance(run.task.success);
+            self.aggs[ti].observe_instance(sized.success);
         }
     }
 
@@ -1132,7 +1080,7 @@ pub fn schedule_workflows_streaming(
 mod tests {
     use super::*;
     use crate::predictor::{Prediction, PresetPredictor};
-    use sizey_provenance::{MachineId, TaskTypeId};
+    use sizey_provenance::{MachineId, TaskRecord, TaskTypeId};
 
     fn instance(seq: u64, peak: f64, runtime: f64, preset: f64) -> TaskInstance {
         TaskInstance {

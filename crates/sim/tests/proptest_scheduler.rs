@@ -8,16 +8,16 @@
 //!    witness every instant of the simulation.
 //! 2. **Liveness** — every submitted task eventually finishes or exhausts
 //!    its retry budget; nothing is lost in the queue or double-counted.
-//! 3. **Equivalence** — under unbounded capacity the scheduler-backed replay
-//!    produces exactly the wastage of the legacy occupancy model (the
-//!    pre-scheduler Fig. 8 path).
+//! 3. **Capacity changes timing, never decisions** — the same workload on a
+//!    roomy and on a tight cluster with the same largest node makes
+//!    bit-identical sizing decisions (the paper's Fig. 8 aggregates); only
+//!    queue delay and makespan grow. Under unbounded capacity nothing waits.
 
 use proptest::prelude::*;
 use sizey_provenance::{MachineId, TaskRecord, TaskTypeId};
 use sizey_sim::{
-    replay_workflow, replay_workflow_occupancy, schedule_workflows, AttemptContext,
-    MemoryPredictor, Prediction, PresetPredictor, SchedulePolicy, SimulationConfig, TaskSubmission,
-    WorkflowTenant,
+    replay_workflow, schedule_workflows, AttemptContext, MemoryPredictor, Prediction,
+    PresetPredictor, SchedulePolicy, SimulationConfig, TaskSubmission, WorkflowTenant,
 };
 use sizey_workflows::TaskInstance;
 
@@ -144,29 +144,39 @@ proptest! {
         prop_assert!(report.makespan_seconds >= 0.0);
     }
 
-    // Invariant 3: with capacity out of the picture the scheduler must not
-    // change a single decision — wastage, failures and event sequences are
-    // identical to the legacy occupancy model.
+    // Invariant 3: capacity changes timing, never decisions. A cluster with
+    // the same largest node (so the same clamp) but room for two tasks at a
+    // time sizes every attempt exactly as the default cluster does, and can
+    // only wait longer; with capacity out of the picture nothing waits.
     #[test]
-    fn unbounded_capacity_reproduces_the_occupancy_model(
+    fn capacity_changes_timing_never_decisions(
         tasks in workload_strategy(),
     ) {
-        let config = SimulationConfig::unbounded();
         let instances = build(&tasks);
-        let mut a = PresetPredictor;
-        let mut b = PresetPredictor;
-        let new = replay_workflow("wf", &instances, &mut a, &config);
-        let old = replay_workflow_occupancy("wf", &instances, &mut b, &config);
-        prop_assert_eq!(new.events.len(), old.events.len());
-        prop_assert_eq!(new.total_failures(), old.total_failures());
-        prop_assert_eq!(new.unfinished_instances, old.unfinished_instances);
-        // Bit-identical, not approximately equal.
-        prop_assert_eq!(new.total_wastage_gbh(), old.total_wastage_gbh());
-        for (e_new, e_old) in new.events.iter().zip(&old.events) {
-            prop_assert_eq!(e_new.allocated_bytes, e_old.allocated_bytes);
-            prop_assert_eq!(e_new.wastage_gbh, e_old.wastage_gbh);
-            prop_assert_eq!(e_new.success, e_old.success);
+        let roomy_config = SimulationConfig::default();
+        let tight_config =
+            SimulationConfig::default().with_nodes(1, roomy_config.node_memory_bytes, 2);
+        let roomy = replay_workflow("wf", &instances, &mut PresetPredictor, &roomy_config);
+        let tight = replay_workflow("wf", &instances, &mut PresetPredictor, &tight_config);
+        prop_assert_eq!(roomy.events.len(), tight.events.len());
+        prop_assert_eq!(roomy.unfinished_instances, tight.unfinished_instances);
+        for (r, t) in roomy.events.iter().zip(&tight.events) {
+            // Bit-identical, not approximately equal.
+            prop_assert_eq!(r.allocated_bytes, t.allocated_bytes);
+            prop_assert_eq!(r.wastage_gbh, t.wastage_gbh);
+            prop_assert_eq!(r.success, t.success);
+            prop_assert_eq!(&r.selected_model, &t.selected_model);
         }
+        prop_assert!(tight.total_queue_delay_seconds() >= roomy.total_queue_delay_seconds());
+        prop_assert!(tight.makespan_seconds >= roomy.makespan_seconds);
+
+        let unbounded = replay_workflow(
+            "wf",
+            &instances,
+            &mut PresetPredictor,
+            &SimulationConfig::unbounded(),
+        );
+        prop_assert!(unbounded.events.iter().all(|e| e.queue_delay_seconds == 0.0));
     }
 
     // Finite capacity can only add waiting: makespan under a constrained

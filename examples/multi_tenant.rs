@@ -219,4 +219,9 @@ fn main() {
         "async-run wastage {async_wastage:.2} GBh vs locked-run {locked_wastage:.2} GBh \
          — the front-end changes the serving mechanics, not the decisions"
     );
+    assert_eq!(
+        async_wastage.to_bits(),
+        locked_wastage.to_bits(),
+        "the async front-end must make the locked service's decisions"
+    );
 }

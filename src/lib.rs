@@ -20,8 +20,8 @@
 pub mod prelude {
     pub use sizey_baselines::{PresetPredictor, TovarPpm, WittLr, WittPercentile, WittWastage};
     pub use sizey_bench::{
-        aggregate_sweep, run_sweep, Experiment, ExperimentBuilder, ExperimentSpec, MethodSpec,
-        RecoveryTracker, SpecError, SweepCell, SweepRow, SweepSpec, RECOVERY_BAND, RECOVERY_WINDOW,
+        aggregate_sweep, ExperimentSpec, MethodSpec, RecoveryTracker, SpecError, SweepCell,
+        SweepRow, RECOVERY_BAND, RECOVERY_WINDOW,
     };
     pub use sizey_core::{
         AdmissionPolicy, AsyncHandle, AsyncService, AsyncSizey, AsyncSizeyHandle, BatchRequest,
@@ -34,13 +34,13 @@ pub mod prelude {
         MachineId, ProvenanceStore, TaskMachineKey, TaskOutcome, TaskRecord, TaskTypeId,
     };
     pub use sizey_sim::{
-        aggregate_method, replay_workflow, replay_workflow_occupancy, replay_workflow_streaming,
-        schedule_workflows, schedule_workflows_streaming, AttemptContext, AttemptSink,
-        CheckpointPredictor, CompactedCheckpoint, CrashStorm, FaultPlan, MemoryPredictor,
-        MultiReplayReport, NodeCrash, NodePoolSpec, NullRecordSink, NullSink, PoolPreemption,
-        Prediction, PredictorState, RecordSink, ReplayAggregates, ReplayReport, SchedulePolicy,
-        Scheduler, SchedulerStats, SimulationConfig, StateError, StreamingReplayReport,
-        StreamingTenant, StreamingTenantReport, TaskKillBurst, TaskSubmission, WorkflowTenant,
+        aggregate_method, replay_workflow, replay_workflow_streaming, schedule_workflows,
+        schedule_workflows_streaming, AttemptContext, AttemptSink, CheckpointPredictor,
+        CompactedCheckpoint, CrashStorm, FaultPlan, MemoryPredictor, MultiReplayReport, NodeCrash,
+        NodePoolSpec, NullRecordSink, NullSink, PoolPreemption, Prediction, PredictorState,
+        RecordSink, ReplayAggregates, ReplayReport, SchedulePolicy, Scheduler, SchedulerStats,
+        SimulationConfig, StateError, StreamingReplayReport, StreamingTenant,
+        StreamingTenantReport, TaskKillBurst, TaskSubmission, WorkflowTenant,
     };
     pub use sizey_workflows::{
         all_workflows, generate_workflow, profiles, stream_workflow, DriftSpec, GeneratorConfig,

@@ -1,7 +1,7 @@
-//! Integration tests for the spec-driven experiment entry point: the
-//! `ExperimentSpec` path (TOML or builder) must reproduce `run_sweep` on the
-//! equivalent `SweepSpec` bit for bit, and its checkpoints must restore
-//! bit-identically — the contract the `experiment` binary relies on.
+//! Integration tests for the spec-driven experiment entry point: an
+//! `ExperimentSpec` loaded from TOML and one written as a struct literal are
+//! the same value and run to the same cells, and its checkpoints must
+//! restore bit-identically — the contract the `experiment` binary relies on.
 
 use sizey_suite::prelude::*;
 
@@ -19,52 +19,30 @@ kind = "sizey"
 kind = "preset"
 "#;
 
-fn assert_cells_equal(a: &[SweepCell], b: &[SweepCell]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.workflow, y.workflow);
-        assert_eq!(x.method, y.method);
-        assert_eq!(x.seed, y.seed);
-        assert_eq!(x.policy, y.policy);
-        assert_eq!(x.wastage_gbh, y.wastage_gbh, "{}/{}", x.workflow, x.seed);
-        assert_eq!(x.failures, y.failures);
-        assert_eq!(x.makespan_hours, y.makespan_hours);
-        assert_eq!(x.unfinished, y.unfinished);
-    }
-}
-
-/// Acceptance criterion: the spec-driven runner reproduces `run_sweep` for
-/// an equivalent spec.
+/// The TOML format and the struct literal are two spellings of one
+/// description: they compare equal, so the one runner gives both the same
+/// cells, one per entry of the cartesian product.
 #[test]
 fn experiment_spec_reproduces_run_sweep() {
-    let spec = ExperimentSpec::from_toml(SMOKE_TOML).unwrap();
-    let from_spec = spec.run().unwrap();
-
-    let sweep = SweepSpec {
-        workflows: vec!["iwd".to_string()],
+    let parsed = ExperimentSpec::from_toml(SMOKE_TOML).unwrap();
+    let literal = ExperimentSpec {
+        name: "parity".to_string(),
         methods: vec![MethodSpec::sizey_defaults(), MethodSpec::Preset],
+        profiles: vec!["iwd".to_string()],
         seeds: vec![3, 4],
         policies: vec![SchedulePolicy::FirstFit, SchedulePolicy::BestFit],
         scale: 0.02,
-        drift: None,
-        sim: SimulationConfig::default(),
+        ..ExperimentSpec::default()
     };
-    let from_sweep = run_sweep(&sweep);
-    assert_cells_equal(&from_spec, &from_sweep);
+    assert_eq!(parsed, literal);
 
-    // The builder route produces the same spec, hence the same cells.
-    let built = Experiment::builder()
-        .name("parity")
-        .method(MethodSpec::sizey_defaults())
-        .method(MethodSpec::Preset)
-        .profile("iwd")
-        .seeds([3, 4])
-        .policies([SchedulePolicy::FirstFit, SchedulePolicy::BestFit])
-        .scale(0.02)
-        .build()
-        .unwrap();
-    assert_eq!(built.sweep_spec().methods, spec.methods);
-    assert_cells_equal(&built.run().unwrap(), &from_spec);
+    let cells = parsed.run().unwrap();
+    assert_eq!(
+        cells.len(),
+        8,
+        "1 profile x 2 methods x 2 seeds x 2 policies"
+    );
+    assert_eq!(cells, literal.run().unwrap());
 }
 
 /// The checkpointed variant returns the same cells plus states that restore
@@ -76,7 +54,7 @@ fn experiment_checkpoints_restore_bit_identically() {
     let plain = spec.run().unwrap();
     let checkpointed = spec.run_checkpointed().unwrap();
     let cells: Vec<SweepCell> = checkpointed.iter().map(|(c, _)| c.clone()).collect();
-    assert_cells_equal(&cells, &plain);
+    assert_eq!(cells, plain);
     for (cell, state) in &checkpointed {
         // Codec + registry restore round trip, exactly as the binary does.
         let text = state.to_state_string();

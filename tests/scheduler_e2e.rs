@@ -145,3 +145,55 @@ fn heterogeneous_pool_raises_the_allocation_ceiling() {
         assert!(e.allocated_bytes <= 512e9);
     }
 }
+
+// The async serving front-end is a drop-in for the locked shared service at
+// the engine level: two workflows as tenants of one `SharedSizey`, then of
+// one `AsyncSizey` whose tenants flush after every observe (keeping the
+// simulator's observe-then-predict contract), make the same decisions event
+// for event — each tenant's completions training what the other predicts from.
+#[test]
+fn async_and_shared_tenants_make_identical_decisions() {
+    struct FlushedAsyncTenant(AsyncSizeyHandle);
+    impl MemoryPredictor for FlushedAsyncTenant {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
+            // The lock-free snapshot path — what the service serves live.
+            self.0.service().predict(task, ctx)
+        }
+        fn observe(&mut self, record: &TaskRecord) {
+            self.0.service().observe(record);
+            self.0.service().flush();
+        }
+    }
+
+    let mut sim = constrained();
+    sim.submit_interval_seconds = 10.0;
+    let run = |predictor: &dyn Fn() -> Box<dyn MemoryPredictor>| {
+        schedule_workflows(
+            vec![
+                WorkflowTenant::new("iwd", workload("iwd", 0.02, 3), predictor()),
+                WorkflowTenant::new("mag", workload("mag", 0.02, 3), predictor()),
+            ],
+            &sim,
+        )
+    };
+
+    let shared = SharedSizey::sizey(SizeyConfig::default(), 4);
+    let locked = run(&|| Box::new(shared.clone()));
+    let handle =
+        AsyncSizey::sizey(SizeyConfig::default(), 4, ServiceConfig::default()).into_handle();
+    let asynced = run(&|| Box::new(FlushedAsyncTenant(handle.clone())));
+
+    assert_eq!(locked.stats, asynced.stats);
+    for (l, a) in locked.reports.iter().zip(&asynced.reports) {
+        assert!(
+            l.events.iter().any(|e| e.selected_model.is_some()),
+            "{}: the shared models must take over from the presets",
+            l.workflow
+        );
+        assert_eq!(l.events, a.events, "{}", l.workflow);
+        assert_eq!(l.unfinished_instances, a.unfinished_instances);
+    }
+}

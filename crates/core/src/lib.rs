@@ -25,8 +25,9 @@
 //!   `observe`),
 //! * [`serve`] — the concurrent serving layer: [`ConcurrentPredictor`]
 //!   shards predictors by (task type, machine) behind per-shard read-write
-//!   locks and batches predictions across a thread pool;
-//!   [`SharedPredictor`] handles let several tenants share one service,
+//!   locks; its clones are the handles several tenants share one service
+//!   through, and it checkpoints to the same
+//!   [`PredictorState`](sizey_sim::PredictorState) as a serial predictor,
 //! * [`service`] — the async serving front-end: [`AsyncService`] puts
 //!   bounded per-shard request queues with micro-batching and admission
 //!   control in front of the write path, and serves predictions lock-free
@@ -68,13 +69,9 @@ pub use offset::{
 };
 pub use pool::{GatedOutcome, ModelPool, PoolScratch};
 pub use raq::{accuracy_score, efficiency_scores, pool_raq_scores, raq_score};
-pub use serve::{
-    BatchRequest, ConcurrentPredictor, ConcurrentSizey, ServiceCheckpoint, SharedPredictor,
-    SharedSizey, DEFAULT_SHARDS,
-};
+pub use serve::{ConcurrentPredictor, ConcurrentSizey};
 pub use service::{
-    AdmissionPolicy, AsyncHandle, AsyncService, AsyncSizey, AsyncSizeyHandle, ServePredictor,
-    ServiceConfig, ServiceStats,
+    AdmissionPolicy, AsyncService, AsyncSizey, ServePredictor, ServiceConfig, ServiceStats,
 };
 pub use sizey::SizeyPredictor;
 

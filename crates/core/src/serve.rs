@@ -14,22 +14,25 @@
 //!   predictor's decisions bit for bit while letting unrelated keys proceed
 //!   in parallel. The hash is pinned by this crate (not borrowed from std),
 //!   so shard assignments are identical across binaries, rustc releases and
-//!   platforms — which is what makes [`ServiceCheckpoint`]s portable.
+//!   platforms — external routers (the async layer's per-shard queues) can
+//!   compute them independently.
 //! * **Locking discipline** — each shard sits behind its own
 //!   `parking_lot::RwLock`. Predictions take the shard's read lock (many
 //!   concurrent readers); model updates take its write lock. A write stalls
 //!   only the readers of its own shard, never the other `shards - 1`.
-//! * **Batching** — [`ConcurrentPredictor::predict_batch`] fans a slice of
-//!   submissions across scoped worker threads ([`sizey_ml::parallel`]
-//!   spawns per call — small batches run inline instead), and
-//!   [`ConcurrentPredictor::observe_batch`] groups records by shard so each
-//!   write lock is taken once per batch instead of once per record (shards
-//!   are updated in parallel, records within a shard in input order).
-//!
-//! [`SharedPredictor`] is a cheap cloneable handle implementing
-//! [`MemoryPredictor`], so one concurrent service instance can sit behind
-//! several [`WorkflowTenant`](sizey_sim::WorkflowTenant)s of a multi-tenant
-//! replay — every tenant then learns from every tenant's completions.
+//! * **Write batching** — [`ConcurrentPredictor::observe_batch`] groups
+//!   records by shard so each write lock is taken once per batch instead of
+//!   once per record (shards are updated in parallel, records within a shard
+//!   in input order).
+//! * **Sharing** — a [`ConcurrentPredictor`] is its own handle: `clone()`
+//!   bumps one `Arc` and the clone implements [`MemoryPredictor`], so one
+//!   service can sit behind several
+//!   [`WorkflowTenant`](sizey_sim::WorkflowTenant)s of a multi-tenant replay
+//!   — every tenant then learns from every tenant's completions.
+//! * **Checkpointing** — the service is a [`CheckpointPredictor`]: it
+//!   snapshots to the same [`PredictorState`] (and so the same text codec and
+//!   file format) as a serial predictor, and restoring routes the journal
+//!   through the shard hash — into any shard count.
 
 use sizey_provenance::{MachineId, TaskRecord, TaskTypeId};
 use sizey_sim::{
@@ -52,9 +55,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 ///
 /// The algorithm is pinned here by constant, so the value — and therefore
 /// every shard assignment derived from it — is identical across binaries,
-/// rustc releases and platforms. (The previous `DefaultHasher` routing was
-/// only stable within one binary: std does not pin SipHash's parameters
-/// across releases, which made per-shard checkpoint restores non-portable.)
+/// rustc releases and platforms (std does not pin `DefaultHasher`'s SipHash
+/// parameters across releases).
 ///
 /// The two components are separated by a `0xFF` byte, which cannot occur in
 /// UTF-8, so `("ab", "c")` and `("a", "bc")` hash differently.
@@ -73,62 +75,42 @@ fn fnv1a_key(task_type: &TaskTypeId, machine: &MachineId) -> u64 {
     hash
 }
 
-/// Default number of shards: enough to keep a 16-thread pool busy without
-/// fragmenting small key spaces.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// One prediction request of a batch: a task submission plus the
-/// engine-owned retry context of this attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchRequest {
-    /// The submitted task.
-    pub task: TaskSubmission,
-    /// Retry state of this attempt (use [`AttemptContext::first`] for first
-    /// submissions).
-    pub ctx: AttemptContext,
-}
-
-impl BatchRequest {
-    /// A first-submission request.
-    pub fn first(task: TaskSubmission) -> Self {
-        BatchRequest {
-            task,
-            ctx: AttemptContext::first(),
-        }
-    }
-}
-
 /// A sharded, lock-striped predictor service.
 ///
 /// Generic over the predictor type: any [`MemoryPredictor`] whose learned
 /// state is partitioned by (task type, machine) — Sizey and all the
 /// baselines — can be served concurrently. See the
 /// [module docs](self) for the sharding and locking discipline.
+///
+/// Cloning is cheap and **shares** the shards: hand clones to several
+/// tenants (each clone is a [`MemoryPredictor`]) and they learn from one
+/// another's completions. `observe` through the trait takes the owning
+/// shard's write lock internally, so `&mut self` is satisfied without
+/// exclusive ownership. [`clone_shard`](ConcurrentPredictor::clone_shard) is
+/// the *deep* copy.
 pub struct ConcurrentPredictor<P> {
-    shards: Vec<RwLock<P>>,
-    threads: usize,
+    shards: Arc<[RwLock<P>]>,
 }
 
 /// The concurrent Sizey service.
 pub type ConcurrentSizey = ConcurrentPredictor<SizeyPredictor>;
 
+impl<P> Clone for ConcurrentPredictor<P> {
+    fn clone(&self) -> Self {
+        ConcurrentPredictor {
+            shards: Arc::clone(&self.shards),
+        }
+    }
+}
+
 impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     /// Builds a service with `shards` independent predictor instances
-    /// produced by `factory` (called once per shard, in shard order). Batch
-    /// calls fan out across [`default_parallelism`] threads; tune with
-    /// [`with_threads`](ConcurrentPredictor::with_threads).
+    /// produced by `factory` (called once per shard, in shard order).
     pub fn new(shards: usize, factory: impl FnMut(usize) -> P) -> Self {
         assert!(shards > 0, "a predictor service needs at least one shard");
         ConcurrentPredictor {
             shards: (0..shards).map(factory).map(RwLock::new).collect(),
-            threads: default_parallelism(),
         }
-    }
-
-    /// Sets the number of worker threads used by the batch APIs.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Number of shards.
@@ -140,9 +122,8 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     /// (task type, machine) key lands on the same shard for the lifetime of
     /// the service. The underlying FNV-1a key hash is pinned by this
     /// crate, so the assignment is also stable across binaries and rustc
-    /// releases — shard indices may be persisted (see [`ServiceCheckpoint`])
-    /// and external routers (the async serving layer's per-shard queues)
-    /// can compute them independently.
+    /// releases, and external routers (the async serving layer's per-shard
+    /// queues) can compute it independently.
     ///
     /// Hashing the two components directly avoids cloning two `String`s into
     /// a [`TaskMachineKey`](sizey_provenance::TaskMachineKey) per request on
@@ -176,30 +157,6 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
             .observe(record);
     }
 
-    /// Batches below this size are sized inline: [`parallel_map`] spawns
-    /// scoped OS threads per call (there is no persistent pool), and for a
-    /// handful of microsecond-scale predictions the spawn/join cost would
-    /// exceed the work being fanned out.
-    const SEQUENTIAL_BATCH_CUTOFF: usize = 32;
-
-    /// Sizes a whole batch of submissions, fanning the requests across
-    /// scoped worker threads. Results come back in request order. This is
-    /// the hot path of a prediction service: per-request cost is one shard
-    /// read lock, so throughput scales with cores once the batch is large
-    /// enough to amortize the per-call thread spawns (small batches run
-    /// inline — `SEQUENTIAL_BATCH_CUTOFF`).
-    pub fn predict_batch(&self, requests: &[BatchRequest]) -> Vec<Prediction> {
-        if self.threads == 1 || requests.len() < Self::SEQUENTIAL_BATCH_CUTOFF {
-            return requests
-                .iter()
-                .map(|request| self.predict(&request.task, request.ctx))
-                .collect();
-        }
-        parallel_map(requests, self.threads, |request| {
-            self.predict(&request.task, request.ctx)
-        })
-    }
-
     /// Applies a batch of monitoring records with write batching: records
     /// are grouped by shard, each shard's write lock is taken **once**, and
     /// the shards update in parallel. Within a shard, records apply in input
@@ -216,7 +173,7 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
             .collect();
         tagged.sort_by_key(|(shard, _)| *shard);
         let groups: Vec<&[(usize, &TaskRecord)]> = tagged.chunk_by(|a, b| a.0 == b.0).collect();
-        parallel_map(&groups, self.threads, |group| {
+        parallel_map(&groups, default_parallelism(), |group| {
             let mut guard = self.shards[group[0].0].write();
             for (_, record) in *group {
                 guard.observe(record);
@@ -249,11 +206,6 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     pub fn with_shard_mut<R>(&self, shard: usize, f: impl FnOnce(&mut P) -> R) -> R {
         f(&mut self.shards[shard].write())
     }
-
-    /// Wraps the service in a cheap cloneable [`SharedPredictor`] handle.
-    pub fn into_shared(self) -> SharedPredictor<P> {
-        SharedPredictor(Arc::new(self))
-    }
 }
 
 impl<P: Clone> ConcurrentPredictor<P> {
@@ -267,186 +219,67 @@ impl<P: Clone> ConcurrentPredictor<P> {
     }
 }
 
-/// A checkpoint of a whole sharded service: one [`PredictorState`] per
-/// shard, in shard order.
-///
-/// Shard routing hashes with a stable FNV-1a hash pinned by this crate, so a
-/// checkpoint restored **shard-by-shard**
-/// ([`ConcurrentPredictor::from_checkpoint`]) is bit-exact across binaries,
-/// rustc releases and platforms — the only requirement is the same shard
-/// count. [`ServiceCheckpoint::merged`] folds the checkpoint into one
-/// re-shardable state for re-sharding or warm-starting a single serial
-/// predictor.
-///
-/// **Migration note (pre-FNV checkpoints):** checkpoints written by builds
-/// that still routed with `std`'s `DefaultHasher` placed each key's history
-/// on a shard the FNV routing may not agree with. Restoring such a file
-/// shard-by-shard would strand histories on shards their keys no longer
-/// route to; restore it once through [`ServiceCheckpoint::merged`] into a
-/// fresh predictor (or replay it through
-/// [`ConcurrentPredictor::observe_batch`]) and re-checkpoint. The text
-/// format itself is unchanged (`sizey-service-checkpoint v1` — the format
-/// never encoded the hash, which is exactly why the old files stay
-/// parseable).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceCheckpoint {
-    /// Per-shard snapshots, indexed by shard.
-    pub shards: Vec<PredictorState>,
+impl<P: MemoryPredictor + Sync> MemoryPredictor for ConcurrentPredictor<P> {
+    fn name(&self) -> String {
+        self.shards[0].read().name()
+    }
+
+    fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
+        ConcurrentPredictor::predict(self, task, ctx)
+    }
+
+    fn observe(&mut self, record: &TaskRecord) {
+        ConcurrentPredictor::observe(self, record);
+    }
 }
 
-/// Magic first line of the serialised [`ServiceCheckpoint`] format.
-const SERVICE_CHECKPOINT_HEADER: &str = "sizey-service-checkpoint v1";
-
-impl ServiceCheckpoint {
-    /// Folds the per-shard states into a single [`PredictorState`]: journals
-    /// are concatenated in shard order and counters are summed by name.
-    ///
-    /// All learned state in the workspace's predictors is keyed per
-    /// (task type, machine), and every record of one key lives in exactly one
-    /// shard (in observation order), so the merged journal preserves each
-    /// key's history exactly — restoring it yields bit-identical
-    /// *predictions* even though the cross-key interleaving differs from the
-    /// original global observation order.
-    pub fn merged(&self) -> PredictorState {
-        let mut journal = Vec::with_capacity(self.shards.iter().map(|s| s.journal.len()).sum());
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        for shard in &self.shards {
-            journal.extend(shard.journal.iter().cloned());
-            for (name, value) in &shard.counters {
-                match counters.iter_mut().find(|(n, _)| n == name) {
+/// A service checkpoints to the same [`PredictorState`] as a serial
+/// predictor. All learned state in the workspace's predictors is keyed per
+/// (task type, machine), and every record of one key lives in exactly one
+/// shard (in observation order), so the state preserves each key's history
+/// exactly even though the cross-key interleaving differs from the global
+/// observation order: restored into the shard count it was taken from, the
+/// service re-snapshots to the same state; restored into any other shard
+/// count, or into one serial predictor, it makes bit-identical predictions.
+impl<P: CheckpointPredictor + Sync> CheckpointPredictor for ConcurrentPredictor<P> {
+    /// Shard journals concatenated in shard order, counters summed by name
+    /// and name-sorted. Writers are not blocked globally: each shard is
+    /// read-locked briefly and independently, so the snapshot is per-shard
+    /// consistent (the unit of all learned state).
+    fn snapshot(&self) -> PredictorState {
+        let mut merged = PredictorState::empty();
+        for shard in self.shards.iter() {
+            let state = shard.read().snapshot();
+            merged.journal.extend(state.journal);
+            for (name, value) in state.counters {
+                match merged.counters.iter_mut().find(|(n, _)| *n == name) {
                     Some((_, total)) => *total += value,
-                    None => counters.push((name.clone(), *value)),
+                    None => merged.counters.push((name, value)),
                 }
             }
         }
-        counters.sort();
-        PredictorState { journal, counters }
+        merged.counters.sort();
+        merged
     }
 
-    /// Serialises the checkpoint into a plain-text form (shard states are
-    /// framed by `--- shard <i>` separators).
-    pub fn to_checkpoint_string(&self) -> String {
-        let mut out = String::new();
-        out.push_str(SERVICE_CHECKPOINT_HEADER);
-        out.push('\n');
-        out.push_str(&format!("shards {}\n", self.shards.len()));
-        for (i, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!("--- shard {i}\n"));
-            out.push_str(&shard.to_state_string());
+    /// Routes every journal record to the shard its key hashes to (in
+    /// journal order, so each key keeps its history), gives the counters —
+    /// telemetry totals with no per-key meaning — to shard 0, and restores
+    /// every shard through its own `restore`, which is where
+    /// [`StateError::NotFresh`] and [`StateError::UnknownCounter`] come from.
+    /// After an error the service is partly restored; build a new one.
+    fn restore(&mut self, state: &PredictorState) -> Result<(), StateError> {
+        let mut per_shard = vec![PredictorState::empty(); self.shards.len()];
+        for record in &state.journal {
+            per_shard[self.shard_of_record(record)]
+                .journal
+                .push(Arc::clone(record));
         }
-        out
-    }
-
-    /// Parses a checkpoint from the plain-text form.
-    pub fn from_checkpoint_string(content: &str) -> Result<Self, StateError> {
-        let mut lines = content.lines();
-        match lines.next() {
-            Some(first) if first.trim() == SERVICE_CHECKPOINT_HEADER => {}
-            other => {
-                return Err(StateError::Parse {
-                    line: 1,
-                    message: format!("expected {SERVICE_CHECKPOINT_HEADER:?}, found {other:?}"),
-                })
-            }
+        per_shard[0].counters = state.counters.clone();
+        for (shard, shard_state) in self.shards.iter().zip(&per_shard) {
+            shard.write().restore(shard_state)?;
         }
-        let n_shards: usize = match lines.next() {
-            Some(decl) => decl
-                .strip_prefix("shards ")
-                .and_then(|rest| rest.trim().parse().ok())
-                .ok_or(StateError::Parse {
-                    line: 2,
-                    message: format!("expected \"shards <n>\", found {decl:?}"),
-                })?,
-            None => {
-                return Err(StateError::Parse {
-                    line: 2,
-                    message: "missing \"shards <n>\" line".to_string(),
-                })
-            }
-        };
-        // Each shard's frame line number and the lines under it. Not
-        // pre-sized: `n_shards` is whatever the file claims.
-        let mut frames: Vec<(usize, Vec<&str>)> = Vec::new();
-        for (idx, line) in lines.enumerate() {
-            let in_order = line
-                .strip_prefix("--- shard ")
-                .map(|index| index.trim().parse() == Ok(frames.len()));
-            match (in_order, frames.last_mut()) {
-                (Some(true), _) => frames.push((idx + 3, Vec::new())),
-                (None, Some((_, text))) => text.push(line),
-                _ => {
-                    return Err(StateError::Parse {
-                        line: idx + 3,
-                        message: format!(
-                            "expected \"--- shard {}\" frame, found {line:?}",
-                            frames.len()
-                        ),
-                    })
-                }
-            }
-        }
-        if frames.len() != n_shards {
-            return Err(StateError::Parse {
-                line: 2,
-                message: format!(
-                    "checkpoint declares {n_shards} shards but contains {}",
-                    frames.len()
-                ),
-            });
-        }
-        let shards = frames
-            .into_iter()
-            .map(|(frame_line, text)| {
-                // The shard's line 1 is the file's line `frame_line + 1`.
-                PredictorState::from_state_string(&text.join("\n")).map_err(|e| match e {
-                    StateError::Parse { line, message } => StateError::Parse {
-                        line: line + frame_line,
-                        message,
-                    },
-                    other => other,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServiceCheckpoint { shards })
-    }
-}
-
-impl<P: CheckpointPredictor + Sync> ConcurrentPredictor<P> {
-    /// Snapshots every shard under its read lock, in shard order. Writers
-    /// are not blocked globally: each shard is locked briefly and
-    /// independently, so the checkpoint is per-shard consistent (the unit of
-    /// all learned state).
-    pub fn checkpoint(&self) -> ServiceCheckpoint {
-        ServiceCheckpoint {
-            shards: self.map_shards(|p| p.snapshot()),
-        }
-    }
-
-    /// Rebuilds a service from a checkpoint: `factory` builds one fresh
-    /// predictor per shard (same configuration as the checkpointed service)
-    /// and each shard restores its own state. The shard count is taken from
-    /// the checkpoint. See [`ServiceCheckpoint`] for the same-binary caveat;
-    /// to re-shard, restore [`ServiceCheckpoint::merged`] into a fresh
-    /// predictor or feed it through [`ConcurrentPredictor::observe_batch`].
-    pub fn from_checkpoint(
-        checkpoint: &ServiceCheckpoint,
-        mut factory: impl FnMut(usize) -> P,
-    ) -> Result<Self, StateError> {
-        // A `shards 0` file parses structurally, but an error (not a panic)
-        // is the right answer on this recovery path.
-        if checkpoint.shards.is_empty() {
-            return Err(StateError::EmptyCheckpoint);
-        }
-        let mut shards = Vec::with_capacity(checkpoint.shards.len());
-        for (i, state) in checkpoint.shards.iter().enumerate() {
-            let mut predictor = factory(i);
-            predictor.restore(state)?;
-            shards.push(RwLock::new(predictor));
-        }
-        Ok(ConcurrentPredictor {
-            shards,
-            threads: default_parallelism(),
-        })
+        Ok(())
     }
 }
 
@@ -455,85 +288,6 @@ impl ConcurrentSizey {
     /// with identical configuration.
     pub fn sizey(config: SizeyConfig, shards: usize) -> Self {
         ConcurrentPredictor::new(shards, |_| SizeyPredictor::new(config.clone()))
-    }
-
-    /// A concurrent Sizey service with the paper's default configuration and
-    /// [`DEFAULT_SHARDS`] shards.
-    pub fn sizey_defaults() -> Self {
-        Self::sizey(SizeyConfig::default(), DEFAULT_SHARDS)
-    }
-
-    /// Restores a concurrent Sizey service from a checkpoint taken with
-    /// [`ConcurrentPredictor::checkpoint`]. The configuration must equal the
-    /// checkpointed service's (learned state is a function of configuration
-    /// plus observations); the shard count comes from the checkpoint.
-    pub fn sizey_from_checkpoint(
-        config: SizeyConfig,
-        checkpoint: &ServiceCheckpoint,
-    ) -> Result<Self, StateError> {
-        ConcurrentPredictor::from_checkpoint(checkpoint, |_| SizeyPredictor::new(config.clone()))
-    }
-}
-
-/// A cloneable handle to a [`ConcurrentPredictor`] that itself implements
-/// [`MemoryPredictor`]: hand clones to several
-/// [`WorkflowTenant`](sizey_sim::WorkflowTenant)s and they will share one
-/// learned state across the whole cluster. `observe` through the handle
-/// takes the owning shard's write lock internally, so `&mut self` on the
-/// trait is satisfied without exclusive ownership.
-pub struct SharedPredictor<P>(Arc<ConcurrentPredictor<P>>);
-
-impl<P> Clone for SharedPredictor<P> {
-    fn clone(&self) -> Self {
-        SharedPredictor(Arc::clone(&self.0))
-    }
-}
-
-impl<P> SharedPredictor<P> {
-    /// The underlying service (for batch APIs and telemetry).
-    pub fn service(&self) -> &ConcurrentPredictor<P> {
-        &self.0
-    }
-}
-
-impl<P: CheckpointPredictor + Sync> SharedPredictor<P> {
-    /// Snapshots the shared service (see [`ConcurrentPredictor::checkpoint`]).
-    pub fn checkpoint(&self) -> ServiceCheckpoint {
-        self.0.checkpoint()
-    }
-
-    /// Restores a shared service from a checkpoint (see
-    /// [`ConcurrentPredictor::from_checkpoint`]); tenants of a new run can
-    /// warm-start from the learned state of a previous one.
-    pub fn from_checkpoint(
-        checkpoint: &ServiceCheckpoint,
-        factory: impl FnMut(usize) -> P,
-    ) -> Result<Self, StateError> {
-        Ok(ConcurrentPredictor::from_checkpoint(checkpoint, factory)?.into_shared())
-    }
-}
-
-/// The shared concurrent Sizey handle.
-pub type SharedSizey = SharedPredictor<SizeyPredictor>;
-
-impl SharedSizey {
-    /// A shared concurrent Sizey service (see [`ConcurrentSizey::sizey`]).
-    pub fn sizey(config: SizeyConfig, shards: usize) -> Self {
-        ConcurrentSizey::sizey(config, shards).into_shared()
-    }
-}
-
-impl<P: MemoryPredictor + Sync> MemoryPredictor for SharedPredictor<P> {
-    fn name(&self) -> String {
-        self.0.shards[0].read().name()
-    }
-
-    fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
-        self.0.predict(task, ctx)
-    }
-
-    fn observe(&mut self, record: &TaskRecord) {
-        self.0.observe(record);
     }
 }
 
@@ -579,7 +333,7 @@ mod tests {
     #[test]
     fn sharded_decisions_match_the_serial_predictor() {
         let mut serial = SizeyPredictor::with_defaults();
-        let concurrent = ConcurrentSizey::sizey_defaults();
+        let concurrent = ConcurrentSizey::sizey(SizeyConfig::default(), 16);
         for task_type in ["align", "sort", "call", "merge", "plot"] {
             train(&mut |r| serial.observe(r), task_type, 14);
             train(&mut |r| concurrent.observe(r), task_type, 14);
@@ -598,33 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_sequential_predicts_in_order() {
-        let concurrent = ConcurrentSizey::sizey_defaults().with_threads(4);
-        for task_type in ["a", "b", "c"] {
-            train(&mut |r| concurrent.observe(r), task_type, 12);
-        }
-        let requests: Vec<BatchRequest> = (0..60)
-            .map(|i| {
-                let task_type = ["a", "b", "c"][i % 3];
-                BatchRequest::first(submission(task_type, 200 + i as u64, (i + 1) as f64 * 5e8))
-            })
-            .collect();
-        let batched = concurrent.predict_batch(&requests);
-        assert_eq!(batched.len(), requests.len());
-        for (request, prediction) in requests.iter().zip(&batched) {
-            assert_eq!(*prediction, concurrent.predict(&request.task, request.ctx));
-        }
-        // Small batches take the inline path; same contract.
-        let tiny = &requests[..5];
-        for (request, prediction) in tiny.iter().zip(concurrent.predict_batch(tiny)) {
-            assert_eq!(prediction, concurrent.predict(&request.task, request.ctx));
-        }
-    }
-
-    #[test]
     fn observe_batch_is_equivalent_to_serial_observes() {
-        let batched = ConcurrentSizey::sizey_defaults();
-        let serial = ConcurrentSizey::sizey_defaults();
+        let batched = ConcurrentSizey::sizey(SizeyConfig::default(), 16);
+        let serial = ConcurrentSizey::sizey(SizeyConfig::default(), 16);
         let mut records = Vec::new();
         for task_type in ["x", "y"] {
             for i in 1..=15u64 {
@@ -667,12 +397,11 @@ mod tests {
         }
     }
 
-    /// Golden shard assignments: the FNV-1a routing hash is part of the
-    /// [`ServiceCheckpoint`] portability contract, so its exact values are
-    /// pinned here. If this test ever fails, the hash changed — which
-    /// silently strands every persisted checkpoint's per-key history on
-    /// shards their keys no longer route to. Bump the checkpoint header and
-    /// write a migration before touching these constants.
+    /// Golden shard assignments: the FNV-1a routing hash is pinned so every
+    /// binary and every external router agrees on which shard owns a key. No
+    /// checkpoint stores a shard index (restore re-routes the journal), so a
+    /// hash change strands no persisted state — but it does move every key's
+    /// traffic, so change these constants deliberately.
     #[test]
     fn shard_routing_matches_golden_fnv_assignments() {
         // (task type, machine, fnv1a_key, key % 16, key % 7) — values
@@ -709,13 +438,17 @@ mod tests {
 
     #[test]
     fn shared_handle_clones_share_learned_state() {
-        let mut handle_a = SharedSizey::sizey(SizeyConfig::default(), 4);
+        let mut handle_a = ConcurrentSizey::sizey(SizeyConfig::default(), 4);
         let handle_b = handle_a.clone();
-        // Tenant A observes; tenant B predicts from the shared state.
-        train(&mut |r| handle_a.observe(r), "shared", 14);
+        // Tenant A observes; tenant B predicts from the shared state — both
+        // through the trait, as a `Box<dyn MemoryPredictor>` tenant would.
+        train(
+            &mut |r| MemoryPredictor::observe(&mut handle_a, r),
+            "shared",
+            14,
+        );
         let task = submission("shared", 500, 5e9);
-        let through_b =
-            sizey_sim::MemoryPredictor::predict(&handle_b, &task, AttemptContext::first());
+        let through_b = MemoryPredictor::predict(&handle_b, &task, AttemptContext::first());
         assert!(through_b.raw_estimate_bytes.is_some());
         assert!(through_b.allocation_bytes < 20e9);
         assert_eq!(handle_b.name(), "Sizey");
@@ -735,130 +468,80 @@ mod tests {
         let _ = ConcurrentSizey::sizey(SizeyConfig::default(), 0);
     }
 
-    /// A service restored from a checkpoint is bit-identical to the
-    /// original: same shard states, same decisions, and checkpointing the
-    /// restored service reproduces the checkpoint.
+    /// Every prediction of `a` on seen and unseen keys is bit-equal to `b`'s.
+    fn assert_same_decisions(a: &dyn MemoryPredictor, b: &dyn MemoryPredictor, seen: &[&str]) {
+        for task_type in seen.iter().chain(&["unseen"]) {
+            for (seq, input) in [(100u64, 2e9), (101, 8.5e9)] {
+                let task = submission(task_type, seq, input);
+                assert_eq!(
+                    a.predict(&task, AttemptContext::first()),
+                    b.predict(&task, AttemptContext::first()),
+                    "restored predictor diverged on {task_type}/{seq}"
+                );
+            }
+        }
+    }
+
+    /// A service restored from its own snapshot at the same shard count is
+    /// bit-identical to the original: same decisions, and snapshotting the
+    /// restored service reproduces the snapshot. Restore demands a fresh
+    /// service.
     #[test]
     fn service_checkpoint_restores_bit_identically() {
         let original = ConcurrentSizey::sizey(SizeyConfig::default(), 4);
         for task_type in ["align", "sort", "call"] {
             train(&mut |r| original.observe(r), task_type, 14);
         }
-        // Warm the predict path so shard diagnostics are non-trivial.
+        // Warm the predict path so the offset-selection counters are
+        // non-trivial.
         for task_type in ["align", "sort"] {
             let _ = original.predict(&submission(task_type, 90, 5e9), AttemptContext::first());
         }
-        let checkpoint = original.checkpoint();
-        assert_eq!(checkpoint.shards.len(), 4);
+        let checkpoint = original.snapshot();
+        assert_eq!(checkpoint.journal.len(), 3 * 14);
+        assert!(!checkpoint.counters.is_empty());
 
-        let restored =
-            ConcurrentSizey::sizey_from_checkpoint(SizeyConfig::default(), &checkpoint).unwrap();
-        assert_eq!(restored.shard_count(), 4);
-        // Checkpointing the freshly restored service reproduces the
+        let mut restored = ConcurrentSizey::sizey(SizeyConfig::default(), 4);
+        restored.restore(&checkpoint).unwrap();
+        // Snapshotting the freshly restored service reproduces the
         // checkpoint exactly (before any further predicts advance the
         // offset-selection counters).
-        assert_eq!(restored.checkpoint(), checkpoint);
-        for task_type in ["align", "sort", "call", "unseen"] {
-            for (seq, input) in [(100u64, 2e9), (101, 8.5e9)] {
-                let task = submission(task_type, seq, input);
-                assert_eq!(
-                    original.predict(&task, AttemptContext::first()),
-                    restored.predict(&task, AttemptContext::first()),
-                    "restored service diverged on {task_type}/{seq}"
-                );
-            }
-        }
+        assert_eq!(restored.snapshot(), checkpoint);
+        assert_same_decisions(&original, &restored, &["align", "sort", "call"]);
+        assert!(matches!(
+            restored.restore(&checkpoint),
+            Err(StateError::NotFresh { observed }) if observed > 0
+        ));
     }
 
-    /// The text codec round-trips a whole service checkpoint, and the merged
-    /// state warm-starts a serial predictor with identical decisions (the
-    /// re-sharding path: per-key histories survive the fold).
+    /// The one state codec round-trips a service checkpoint, and the state
+    /// warm-starts a service of another shard count or a serial predictor
+    /// with identical decisions (re-sharding: per-key histories survive the
+    /// merge and the re-routing).
     #[test]
     fn checkpoint_codec_and_merge_round_trip() {
         let service = ConcurrentSizey::sizey(SizeyConfig::default(), 3);
-        for task_type in ["x", "y"] {
+        for task_type in ["x", "y", "z"] {
             train(&mut |r| service.observe(r), task_type, 12);
         }
-        let checkpoint = service.checkpoint();
-        let text = checkpoint.to_checkpoint_string();
-        let parsed = ServiceCheckpoint::from_checkpoint_string(&text).unwrap();
+        let checkpoint = service.snapshot();
+        let parsed = PredictorState::from_state_string(&checkpoint.to_state_string()).unwrap();
         assert_eq!(parsed, checkpoint);
+        let per_shard: usize = service.map_shards(|p| p.provenance().len()).iter().sum();
+        assert_eq!(checkpoint.journal.len(), per_shard);
+
+        let mut resharded = ConcurrentSizey::sizey(SizeyConfig::default(), 7);
+        resharded.restore(&parsed).unwrap();
+        assert_eq!(resharded.snapshot().journal.len(), per_shard);
+        assert_same_decisions(&service, &resharded, &["x", "y", "z"]);
 
         let mut serial = SizeyPredictor::with_defaults();
-        serial.restore(&checkpoint.merged()).unwrap();
-        for task_type in ["x", "y"] {
-            let task = submission(task_type, 500, 6e9);
-            assert_eq!(
-                service.predict(&task, AttemptContext::first()),
-                serial.predict(&task, AttemptContext::first()),
-                "merged warm-start diverged on {task_type}"
-            );
-        }
-        let total_records: usize = checkpoint.shards.iter().map(|s| s.journal.len()).sum();
-        assert_eq!(checkpoint.merged().journal.len(), total_records);
-
-        // Shared handles expose the same lifecycle.
-        let shared = SharedSizey::from_checkpoint(&checkpoint, |_| {
-            SizeyPredictor::new(SizeyConfig::default())
-        })
-        .unwrap();
-        assert_eq!(shared.checkpoint(), checkpoint);
-    }
-
-    #[test]
-    fn malformed_service_checkpoints_are_rejected() {
-        assert!(matches!(
-            ServiceCheckpoint::from_checkpoint_string("bogus"),
-            Err(StateError::Parse { line: 1, .. })
-        ));
-        assert!(matches!(
-            ServiceCheckpoint::from_checkpoint_string("sizey-service-checkpoint v1\nshards 2\n"),
-            Err(StateError::Parse { line: 2, .. })
-        ));
-        // Line numbers are file-absolute: shard 1's frame is line 7, its
-        // state header line 8, its counter count line 9. A frame index out
-        // of order or not a number is rejected where it stands, so is text
-        // before the first frame, and a hostile count is a mismatch with the
-        // frames present — not an allocation of that size.
-        let empty_state = "sizey-predictor-state v1\ncounters 0\njournal\n";
-        let bare = "sizey-service-checkpoint v1\n";
-        let head: &str = &format!("{bare}shards 2\n--- shard 0\n{empty_state}");
-        let ok = format!("{head}--- shard 1\n{empty_state}");
-        assert!(ServiceCheckpoint::from_checkpoint_string(&ok).is_ok());
-        let hostile: &str = &format!("shards {}\n", usize::MAX);
-        for (prefix, tail, bad_line) in [
-            (head, "--- shard 1\nnope\n", 8),
-            (
-                head,
-                "--- shard 1\nsizey-predictor-state v1\ncounters x\n",
-                9,
-            ),
-            (head, "--- shard 0\n", 7),
-            (head, "--- shard 2\n", 7),
-            (head, "--- shard one\n", 7),
-            (bare, "shards 1\nstray\n", 3),
-            (bare, hostile, 2),
-        ] {
-            let parsed = ServiceCheckpoint::from_checkpoint_string(&format!("{prefix}{tail}"));
-            assert!(
-                matches!(parsed, Err(StateError::Parse { line, .. }) if line == bad_line),
-                "{tail:?}: {parsed:?}"
-            );
-        }
-        // A `shards 0` file parses (structurally valid), but restoring a
-        // service from it is an error, not a panic — this path handles
-        // external data.
-        let empty =
-            ServiceCheckpoint::from_checkpoint_string("sizey-service-checkpoint v1\nshards 0\n")
-                .unwrap();
-        assert!(matches!(
-            ConcurrentSizey::sizey_from_checkpoint(SizeyConfig::default(), &empty),
-            Err(StateError::EmptyCheckpoint)
-        ));
+        serial.restore(&parsed).unwrap();
+        assert_same_decisions(&service, &serial, &["x", "y", "z"]);
     }
 
     /// Snapshot counters are name-sorted (the `PredictorState` contract), so
-    /// restoring a `merged()` checkpoint — which also name-sorts — and
+    /// restoring a service's merged snapshot — which also name-sorts — and
     /// re-snapshotting reproduces it even when several offset strategies
     /// have non-zero tallies.
     #[test]
@@ -888,7 +571,7 @@ mod tests {
             service.observe(&record("a", i, input, 2.0 * input + 5e8));
             let _ = service.predict(&submission("a", 2000 + i, input), AttemptContext::first());
         }
-        let merged = service.checkpoint().merged();
+        let merged = service.snapshot();
         let mut restored = SizeyPredictor::with_defaults();
         restored.restore(&merged).unwrap();
         assert_eq!(

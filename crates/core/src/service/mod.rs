@@ -2,9 +2,9 @@
 //! snapshot predicts on top of the sharded
 //! [`ConcurrentPredictor`](crate::serve::ConcurrentPredictor).
 //!
-//! The locked [`SharedSizey`](crate::serve::SharedSizey) path couples the
-//! two halves of serving: a tenant's observe holds a shard write lock while
-//! models retrain, so an unlucky predict on the same shard stalls for the
+//! The locked [`ConcurrentSizey`](crate::serve::ConcurrentSizey) path couples
+//! the two halves of serving: a tenant's observe holds a shard write lock
+//! while models retrain, so an unlucky predict on the same shard stalls for the
 //! whole retrain (the millisecond-scale observe tail in `BENCH_replay.json`
 //! bleeds into the microsecond predict path). This module decouples them:
 //!
@@ -39,10 +39,7 @@ pub mod server;
 pub mod snapshot;
 
 pub use queue::{BoundedQueue, SendError};
-pub use server::{
-    AdmissionPolicy, AsyncHandle, AsyncService, AsyncSizey, AsyncSizeyHandle, ServiceConfig,
-    ServiceStats,
-};
+pub use server::{AdmissionPolicy, AsyncService, AsyncSizey, ServiceConfig, ServiceStats};
 pub use snapshot::SnapshotCell;
 
 /// What a predictor must provide to be served by [`AsyncService`]:

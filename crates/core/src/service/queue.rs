@@ -191,11 +191,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// True once [`close`](BoundedQueue::close) was called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
 }
 
 #[cfg(test)]

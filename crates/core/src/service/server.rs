@@ -32,14 +32,14 @@
 //!
 //! **Bit-identity.** Records of one (task type, machine) key always land on
 //! one shard's queue in submission order, so each shard's predictor consumes
-//! the exact per-key record sequence the locked [`SharedSizey`] path would
+//! the exact per-key record sequence the locked [`ConcurrentSizey`] path would
 //! have applied — and the snapshot is a deep [`Clone`] of that predictor.
 //! After a [`flush`](AsyncService::flush), predictions through the snapshot
 //! path are therefore bit-identical to the locked path and to a serial
 //! predictor fed the same per-key sequences (pinned by the
 //! `service_equivalence` proptests).
 //!
-//! [`SharedSizey`]: crate::serve::SharedSizey
+//! [`ConcurrentSizey`]: crate::serve::ConcurrentSizey
 
 // The predict path of the serving layer lives here; the marker opts the
 // module into the no-panic-hot-path lint rule.
@@ -53,7 +53,7 @@ use crate::service::ServePredictor;
 use crate::sizey::SizeyPredictor;
 use parking_lot::{Condvar, Mutex};
 use sizey_provenance::TaskRecord;
-use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
+use sizey_sim::{AttemptContext, Prediction, TaskSubmission};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -235,8 +235,9 @@ struct ServiceInner<P> {
 }
 
 /// The async serving front-end. See the [module docs](self) for the
-/// pipeline and guarantees; [`AsyncSizey`] is the Sizey instantiation and
-/// [`AsyncHandle`] the cloneable [`MemoryPredictor`] view for tenants.
+/// pipeline and guarantees; [`AsyncSizey`] is the Sizey instantiation.
+/// Tenants share one service through an `Arc<AsyncService<P>>`: it drains
+/// and joins when the last reference drops.
 pub struct AsyncService<P: ServePredictor> {
     inner: Arc<ServiceInner<P>>,
     workers: Vec<JoinHandle<()>>,
@@ -416,14 +417,6 @@ impl<P: ServePredictor> AsyncService<P> {
         &self.inner.service
     }
 
-    /// Wraps the service in a cheap cloneable [`AsyncHandle`] implementing
-    /// [`MemoryPredictor`] — the view multi-tenant replays hand to each
-    /// tenant. The service shuts down (drain + join) when the last handle
-    /// drops.
-    pub fn into_handle(self) -> AsyncHandle<P> {
-        AsyncHandle(Arc::new(self))
-    }
-
     /// Graceful shutdown: closes every queue (new submissions are shed),
     /// waits for the workers to drain and apply everything already accepted,
     /// joins them, and returns the final counters.
@@ -521,48 +514,6 @@ fn worker_loop<P: ServePredictor>(inner: &ServiceInner<P>, shard: usize) {
         for gate in gates.drain(..) {
             gate.arrive();
         }
-    }
-}
-
-/// A cloneable handle to an [`AsyncService`] implementing
-/// [`MemoryPredictor`]: hand clones to several tenants and they share one
-/// learned state — predicts are lock-free snapshot reads, observes enqueue
-/// onto the async pipeline. The service drains and joins when the last
-/// handle drops.
-pub struct AsyncHandle<P: ServePredictor>(Arc<AsyncService<P>>);
-
-/// The shared async Sizey handle.
-pub type AsyncSizeyHandle = AsyncHandle<SizeyPredictor>;
-
-impl<P: ServePredictor> Clone for AsyncHandle<P> {
-    fn clone(&self) -> Self {
-        AsyncHandle(Arc::clone(&self.0))
-    }
-}
-
-impl<P: ServePredictor> AsyncHandle<P> {
-    /// The underlying service (flush, stats, batch APIs).
-    pub fn service(&self) -> &AsyncService<P> {
-        &self.0
-    }
-}
-
-impl<P: ServePredictor> MemoryPredictor for AsyncHandle<P> {
-    fn name(&self) -> String {
-        match self.0.inner.snapshots.first() {
-            Some(cell) => cell.load().name(),
-            None => String::new(),
-        }
-    }
-
-    fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
-        self.0.predict(task, ctx)
-    }
-
-    fn observe(&mut self, record: &TaskRecord) {
-        // Under Block admission nothing is lost; under Shed the drop is
-        // deliberate and counted.
-        let _ = self.0.observe(record);
     }
 }
 
@@ -715,24 +666,6 @@ mod tests {
             .join()
             .expect("stats thread")
             .expect("receiver outlives the send");
-    }
-
-    #[test]
-    fn handle_clones_share_state_and_shutdown_on_last_drop() {
-        let service = AsyncSizey::sizey(SizeyConfig::default(), 2, ServiceConfig::default());
-        let mut writer = service.into_handle();
-        let reader = writer.clone();
-        for i in 1..=15u64 {
-            let input = i as f64 * 1e9;
-            MemoryPredictor::observe(&mut writer, &record("shared", i, input, 2.0 * input));
-        }
-        reader.service().flush();
-        let through_reader =
-            reader.predict(&submission("shared", 500, 5e9), AttemptContext::first());
-        assert!(through_reader.raw_estimate_bytes.is_some());
-        assert_eq!(reader.name(), "Sizey");
-        drop(writer);
-        drop(reader); // last handle: drains and joins without deadlock
     }
 
     #[test]

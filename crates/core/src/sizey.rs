@@ -443,8 +443,9 @@ impl CheckpointPredictor for SizeyPredictor {
             })
             .collect();
         // Name-sorted, matching the `PredictorState` contract — and the
-        // order `ServiceCheckpoint::merged` produces, so a snapshot of a
-        // restored merged state compares equal to the merged state.
+        // order a `ConcurrentPredictor` snapshot merges its shards' counters
+        // into, so a snapshot of a restored service state compares equal to
+        // that state.
         counters.sort();
         PredictorState { journal, counters }
     }

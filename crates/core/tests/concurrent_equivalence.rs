@@ -1,20 +1,38 @@
 //! Property tests for the concurrent serving layer and the offset
 //! strategies' empty-history contract.
 //!
-//! The sharded [`SharedSizey`] service must be a *drop-in* replacement for
+//! The sharded [`ConcurrentSizey`] service must be a *drop-in* replacement for
 //! the serial [`SizeyPredictor`]: driven single-threaded through the same
 //! replay, every allocation decision must be bit-identical. This holds
 //! because all of Sizey's learned state is keyed by (task type, machine)
 //! and the service routes every predict and observe of a key to the same
 //! shard — the property test is the proof that no hidden cross-key state
-//! was missed.
+//! was missed. The same fact makes a service's checkpoint independent of its
+//! shard count: a [`PredictorState`] snapshot restores into any number of
+//! shards and the run continues bit-identically.
 
 use proptest::prelude::*;
 use sizey_core::OffsetStrategy;
-use sizey_core::{SharedSizey, SizeyConfig, SizeyPredictor};
+use sizey_core::{ConcurrentSizey, SizeyConfig, SizeyPredictor};
 use sizey_ml::metrics::{median, std_dev};
-use sizey_sim::{replay_workflow, SimulationConfig};
-use sizey_workflows::{generate_workflow, workflow_by_name, GeneratorConfig, WORKFLOW_NAMES};
+use sizey_sim::{replay_workflow, CheckpointPredictor, PredictorState, SimulationConfig};
+use sizey_workflows::{
+    generate_workflow, workflow_by_name, GeneratorConfig, TaskInstance, WORKFLOW_NAMES,
+};
+
+fn small_workload(name: &str, seed: u64) -> Vec<TaskInstance> {
+    let spec = workflow_by_name(name).expect("known workflow");
+    generate_workflow(
+        &spec,
+        &GeneratorConfig {
+            scale: 0.01,
+            seed,
+            min_instances: 6,
+            interleave: true,
+            drift: None,
+        },
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -29,23 +47,13 @@ proptest! {
         shards in 1usize..9,
     ) {
         let name = WORKFLOW_NAMES[wf_idx];
-        let spec = workflow_by_name(name).expect("known workflow");
-        let instances = generate_workflow(
-            &spec,
-            &GeneratorConfig {
-                scale: 0.01,
-                seed,
-                min_instances: 6,
-                interleave: true,
-                drift: None,
-            },
-        );
+        let instances = small_workload(name, seed);
         let sim = SimulationConfig::default();
 
         let mut serial = SizeyPredictor::with_defaults();
         let serial_report = replay_workflow(name, &instances, &mut serial, &sim);
 
-        let mut shared = SharedSizey::sizey(SizeyConfig::default(), shards);
+        let mut shared = ConcurrentSizey::sizey(SizeyConfig::default(), shards);
         let shared_report = replay_workflow(name, &instances, &mut shared, &sim);
 
         prop_assert_eq!(serial_report.events.len(), shared_report.events.len());
@@ -64,6 +72,45 @@ proptest! {
             serial_report.unfinished_instances,
             shared_report.unfinished_instances
         );
+    }
+
+    /// The lifecycle guarantee, extended to services: a service checkpointed
+    /// mid-workflow and restored — through the text codec — into a service
+    /// of **any** shard count continues the replay bit-identically to the
+    /// uninterrupted original, and at the original shard count it also
+    /// re-snapshots to the checkpoint.
+    #[test]
+    fn service_snapshot_restores_into_any_shard_count(
+        seed in 0u64..3000,
+        wf_idx in 0usize..6,
+        from in 1usize..9,
+        to in 1usize..9,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let name = WORKFLOW_NAMES[wf_idx];
+        let instances = small_workload(name, seed);
+        let cut = (instances.len() as f64 * cut_frac) as usize;
+        let sim = SimulationConfig::default();
+
+        let mut original = ConcurrentSizey::sizey(SizeyConfig::default(), from);
+        replay_workflow(name, &instances[..cut], &mut original, &sim);
+        let state = original.snapshot();
+        let parsed = PredictorState::from_state_string(&state.to_state_string())
+            .map_err(|e| TestCaseError::fail(format!("codec failed: {e}")))?;
+        prop_assert_eq!(&parsed, &state, "text codec round-trip changed the state");
+
+        let mut restored = ConcurrentSizey::sizey(SizeyConfig::default(), to);
+        restored
+            .restore(&parsed)
+            .map_err(|e| TestCaseError::fail(format!("restore failed: {e}")))?;
+        if from == to {
+            prop_assert_eq!(restored.snapshot(), state);
+        }
+
+        let original_tail = replay_workflow(name, &instances[cut..], &mut original, &sim);
+        let restored_tail = replay_workflow(name, &instances[cut..], &mut restored, &sim);
+        // Bitwise equality of every field of every attempt.
+        prop_assert_eq!(original_tail.events, restored_tail.events);
     }
 
     /// Histories with no under-predictions must keep yielding a 0.0 offset

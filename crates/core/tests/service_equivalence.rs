@@ -2,10 +2,10 @@
 //!
 //! Three guarantees are pinned here:
 //!
-//! 1. **Snapshot ≡ locked ≡ SharedSizey.** After a
+//! 1. **Snapshot ≡ locked ≡ ConcurrentSizey.** After a
 //!    [`flush`](sizey_core::AsyncService::flush), the lock-free snapshot
 //!    predict path is bit-identical to the locked path on the same service,
-//!    and both are bit-identical to a locked [`SharedSizey`] fed the same
+//!    and both are bit-identical to a locked [`ConcurrentSizey`] fed the same
 //!    records directly — for any record stream, shard count and micro-batch
 //!    geometry. This holds because per-shard queues preserve per-key
 //!    submission order and a predictor's state is a pure function of its
@@ -18,9 +18,9 @@
 //!    loses an accepted observe, whatever is still queued.
 
 use proptest::prelude::*;
-use sizey_core::{AdmissionPolicy, AsyncSizey, ServiceConfig, SharedSizey, SizeyConfig};
+use sizey_core::{AdmissionPolicy, AsyncSizey, ConcurrentSizey, ServiceConfig, SizeyConfig};
 use sizey_provenance::{MachineId, TaskOutcome, TaskRecord, TaskTypeId};
-use sizey_sim::{AttemptContext, MemoryPredictor, TaskSubmission};
+use sizey_sim::{AttemptContext, TaskSubmission};
 use std::time::Duration;
 
 const TASK_TYPES: [&str; 5] = ["align", "sort", "merge", "variant-call", "qc"];
@@ -60,7 +60,7 @@ proptest! {
 
     /// Guarantee 1: for any record stream and service geometry, the
     /// flushed snapshot path, the locked path and a directly-driven
-    /// `SharedSizey` agree bitwise on every prediction.
+    /// `ConcurrentSizey` agree bitwise on every prediction.
     #[test]
     fn snapshot_locked_and_shared_paths_are_bit_identical_after_flush(
         stream in proptest::collection::vec(
@@ -77,7 +77,7 @@ proptest! {
             ..ServiceConfig::default()
         };
         let service = AsyncSizey::sizey(SizeyConfig::default(), shards, config);
-        let mut reference = SharedSizey::sizey(SizeyConfig::default(), shards);
+        let reference = ConcurrentSizey::sizey(SizeyConfig::default(), shards);
 
         for (seq, &(t, m, input, factor)) in stream.iter().enumerate() {
             let rec = record(t, m, seq as u64 + 1, input, factor);
@@ -100,7 +100,7 @@ proptest! {
                         // must run the exact same arithmetic on the exact
                         // same state as the locked reference.
                         prop_assert_eq!(&snap, &shared,
-                            "async vs SharedSizey diverged on {}/{}", t, m);
+                            "async vs ConcurrentSizey diverged on {}/{}", t, m);
                     }
                 }
             }

@@ -4,6 +4,11 @@
 //! per line. It is intentionally trivial — the paper's provenance data is a
 //! table of task metrics — and avoids pulling a serialisation format crate
 //! into the workspace. Round-tripping is covered by unit and property tests.
+//!
+//! The three name columns (workflow, task type, machine) are free text that a
+//! serving deployment takes from its tenants, so the characters the format
+//! gives meaning to are backslash-escaped in them: `\\`, `\t`, `\n`, `\r`.
+//! Names without those characters are written byte for byte.
 
 use crate::record::{MachineId, TaskOutcome, TaskRecord, TaskTypeId};
 use std::fmt::Write as _;
@@ -53,6 +58,46 @@ impl From<io::Error> for TraceError {
     }
 }
 
+/// Appends a name column followed by its tab, escaping the separators (and
+/// the escape character itself) so the line still splits into its columns.
+fn push_name_column(out: &mut String, name: &str) {
+    for c in name.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\t' => out.push_str("\\t"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
+    out.push('\t');
+}
+
+/// Undoes [`push_name_column`]'s escaping.
+fn parse_name_column(field: &str, line_no: usize) -> Result<String, TraceError> {
+    let mut name = String::with_capacity(field.len());
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            name.push(c);
+            continue;
+        }
+        name.push(match chars.next() {
+            Some('\\') => '\\',
+            Some('t') => '\t',
+            Some('n') => '\n',
+            Some('r') => '\r',
+            _ => {
+                return Err(TraceError::Parse {
+                    line: line_no,
+                    message: format!("unknown escape in name {field:?}"),
+                })
+            }
+        });
+    }
+    Ok(name)
+}
+
 /// Formats one record as a trace line (no trailing newline). The single
 /// source of truth for the line format, shared by the batch serialiser and
 /// the streaming [`TraceWriter`].
@@ -61,13 +106,13 @@ fn format_record_line(out: &mut String, r: &TaskRecord) {
         TaskOutcome::Succeeded => "ok",
         TaskOutcome::FailedOutOfMemory => "oom",
     };
+    push_name_column(out, &r.workflow);
+    push_name_column(out, r.task_type.as_str());
+    push_name_column(out, r.machine.as_str());
     // Writing to a String cannot fail.
     let _ = write!(
         out,
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        r.workflow,
-        r.task_type.as_str(),
-        r.machine.as_str(),
+        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         r.sequence,
         r.input_bytes,
         r.peak_memory_bytes,
@@ -114,9 +159,9 @@ fn parse_record_line(
         }
     };
     Ok(Some(TaskRecord {
-        workflow: fields[0].to_string(),
-        task_type: TaskTypeId::new(fields[1]),
-        machine: MachineId::new(fields[2]),
+        workflow: parse_name_column(fields[0], line_no)?,
+        task_type: TaskTypeId::new(parse_name_column(fields[1], line_no)?),
+        machine: MachineId::new(parse_name_column(fields[2], line_no)?),
         sequence: fields[3].parse().map_err(|e| TraceError::Parse {
             line: line_no,
             message: format!("invalid sequence {:?}: {e}", fields[3]),
@@ -369,6 +414,32 @@ mod tests {
         let text = to_trace_string(&records);
         let parsed = from_trace_string(&text).unwrap();
         assert_eq!(records, parsed);
+    }
+
+    /// Names are tenant-supplied free text: the separators and the escape
+    /// character survive the codec, and every record still is one line.
+    #[test]
+    fn names_with_separators_round_trip() {
+        let mut records = sample_records();
+        records[0].workflow = "wf\twith\ttabs".to_string();
+        records[1].task_type = TaskTypeId::new("align\tv2");
+        records[2].machine = MachineId::new("node\n1\r");
+        records[3].task_type = TaskTypeId::new("C:\\tools\\new\\\\");
+        records[4].workflow = "\\t is not a tab".to_string();
+        let text = to_trace_string(&records);
+        assert_eq!(text.lines().count(), 1 + records.len());
+        assert_eq!(from_trace_string(&text).unwrap(), records);
+        let streamed: Result<Vec<_>, _> = TraceReader::new(text.as_bytes()).unwrap().collect();
+        assert_eq!(streamed.unwrap(), records);
+
+        let unknown = to_trace_string(&sample_records()[..1]).replace("mag", "m\\ag");
+        let err = from_trace_string(&unknown).unwrap_err();
+        assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
+        let dangling = to_trace_string(&sample_records()[..1]).replace("mag", "mag\\");
+        assert!(matches!(
+            from_trace_string(&dangling),
+            Err(TraceError::Parse { line: 2, .. })
+        ));
     }
 
     #[test]

@@ -145,7 +145,16 @@ impl PredictorState {
             }
         }
         let remainder: Vec<&str> = lines.collect();
-        let journal = from_trace_string(&remainder.join("\n"))?
+        // The trace codec counts from its own header, which is the line
+        // after the marker: report where in *this* file the journal broke.
+        let journal = from_trace_string(&remainder.join("\n"))
+            .map_err(|e| match e {
+                TraceError::Parse { line, message } => TraceError::Parse {
+                    line: line + journal_line_no,
+                    message,
+                },
+                other => other,
+            })?
             .into_iter()
             .map(Arc::new)
             .collect();
@@ -176,7 +185,8 @@ pub enum StateError {
         /// What went wrong.
         message: String,
     },
-    /// The journal section of a checkpoint failed to parse.
+    /// The journal section of a checkpoint failed to parse; line numbers
+    /// count from the top of the checkpoint, like [`StateError::Parse`]'s.
     Trace(TraceError),
     /// [`CheckpointPredictor::restore`] was called on a predictor that has
     /// already observed records; restore requires a freshly built instance
@@ -192,9 +202,6 @@ pub enum StateError {
         /// The offending counter name.
         name: String,
     },
-    /// A service checkpoint declares zero shards — structurally valid on
-    /// disk, but a sharded service cannot be rebuilt from it.
-    EmptyCheckpoint,
 }
 
 impl std::fmt::Display for StateError {
@@ -215,9 +222,6 @@ impl std::fmt::Display for StateError {
                     f,
                     "state contains a counter unknown to this method: {name:?}"
                 )
-            }
-            StateError::EmptyCheckpoint => {
-                write!(f, "service checkpoint has zero shards; nothing to restore")
             }
         }
     }
@@ -446,6 +450,21 @@ mod tests {
             PredictorState::from_state_string(&hostile),
             Err(StateError::Parse { line: 3, .. })
         ));
+        // Journal errors are file-absolute too: header, count, one counter,
+        // marker and trace header put the first record on line 6.
+        let state = PredictorState {
+            journal: vec![Arc::new(record(0, TaskOutcome::Succeeded))],
+            counters: vec![("a".to_string(), 1)],
+        };
+        let bad_outcome = state.to_state_string().replace("\tok\n", "\texploded\n");
+        let parsed = PredictorState::from_state_string(&bad_outcome);
+        assert!(
+            matches!(
+                parsed,
+                Err(StateError::Trace(TraceError::Parse { line: 6, .. }))
+            ),
+            "{parsed:?}"
+        );
     }
 
     #[test]
@@ -500,8 +519,17 @@ mod tests {
 
     #[test]
     fn state_files_round_trip() {
+        // Names are tenant-supplied: separators in them must not break the
+        // file apart.
+        let mut hostile = record(4, TaskOutcome::FailedOutOfMemory);
+        hostile.workflow = "wf\r\n".to_string();
+        hostile.task_type = TaskTypeId::new("align\tv2");
+        hostile.machine = MachineId::new("rack\\node");
         let state = PredictorState {
-            journal: vec![Arc::new(record(3, TaskOutcome::Succeeded))],
+            journal: vec![
+                Arc::new(record(3, TaskOutcome::Succeeded)),
+                Arc::new(hostile),
+            ],
             counters: vec![("c".to_string(), 1)],
         };
         let dir = std::env::temp_dir().join("sizey-lifecycle-test");

@@ -9,17 +9,20 @@
 //! replay running alone on the same cluster.
 //!
 //! The later runs replace both tenants' private predictors with clones of
-//! **one** shared concurrent Sizey service ([`SharedSizey`]): every tenant's
-//! completions train the shards every tenant predicts from, the deployment
-//! model of a cluster-wide sizing service. The final run upgrades that
-//! service to the **async front-end** ([`AsyncSizey`]): observes flow
-//! through bounded per-shard request queues into micro-batching workers,
+//! **one** shared concurrent Sizey service ([`ConcurrentSizey`]): every
+//! tenant's completions train the shards every tenant predicts from, the
+//! deployment model of a cluster-wide sizing service. A warm-start run carries
+//! the service's checkpoint through a state file into fresh services of 8 and
+//! of 3 shards and asserts both make the same decisions. The final run
+//! upgrades the service to the **async front-end** ([`AsyncSizey`]): observes
+//! flow through bounded per-shard request queues into micro-batching workers,
 //! predictions come off lock-free model snapshots, and the service reports
 //! its queue/batch/snapshot telemetry at the end.
 //!
 //! Run with `cargo run --release --example multi_tenant [scale]`.
 
 use sizey_suite::prelude::*;
+use std::sync::Arc;
 
 fn iwd_tenant(scale: f64) -> WorkflowTenant {
     let iwd = generate_workflow(
@@ -35,6 +38,33 @@ fn rnaseq_tenant(scale: f64) -> WorkflowTenant {
         &GeneratorConfig::scaled(scale, 42),
     );
     WorkflowTenant::new("rnaseq", rnaseq, MethodSpec::Preset.build())
+}
+
+/// Runs rnaseq and iwd as tenants of one shared sizing service; `handle`
+/// gives each tenant its own handle to it.
+fn run_on_service(
+    scale: f64,
+    sim: &SimulationConfig,
+    handle: impl Fn() -> Box<dyn MemoryPredictor>,
+) -> MultiReplayReport {
+    let tenant = |name: &str, spec: &WorkflowSpec| {
+        WorkflowTenant::new(
+            name,
+            generate_workflow(spec, &GeneratorConfig::scaled(scale, 42)),
+            handle(),
+        )
+    };
+    schedule_workflows(
+        vec![
+            tenant("rnaseq", &sizey_workflows::profiles::rnaseq()),
+            tenant("iwd", &sizey_workflows::profiles::iwd()),
+        ],
+        sim,
+    )
+}
+
+fn total_wastage(result: &MultiReplayReport) -> f64 {
+    result.reports.iter().map(|r| r.total_wastage_gbh()).sum()
 }
 
 fn print_run(label: &str, result: &MultiReplayReport) {
@@ -96,57 +126,41 @@ fn main() {
     // Cluster-wide sizing service: both tenants share ONE concurrent Sizey
     // instance (sharded by task type × machine behind read-write locks), so
     // rnaseq benefits from the provenance iwd produced and vice versa.
-    let service = SharedSizey::sizey(SizeyConfig::default(), 8);
-    let mk = |name: &str, spec: &WorkflowSpec| {
-        WorkflowTenant::new(
-            name,
-            generate_workflow(spec, &GeneratorConfig::scaled(scale, 42)),
-            Box::new(service.clone()),
-        )
-    };
-    let pooled = schedule_workflows(
-        vec![
-            mk("rnaseq", &sizey_workflows::profiles::rnaseq()),
-            mk("iwd", &sizey_workflows::profiles::iwd()),
-        ],
-        &sim,
-    );
+    let service = ConcurrentSizey::sizey(SizeyConfig::default(), 8);
+    let pooled = run_on_service(scale, &sim, || Box::new(service.clone()));
     print_run(
         "both tenants on ONE shared concurrent Sizey service",
         &pooled,
     );
-    let records: usize = service
-        .service()
-        .map_shards(|p| p.provenance().len())
-        .iter()
-        .sum();
+    let records: usize = service.map_shards(|p| p.provenance().len()).iter().sum();
     println!(
         "shared service observed {records} records across {} shards",
-        service.service().shard_count()
+        service.shard_count()
     );
 
-    // Warm start: checkpoint the trained service and hand the learned state
-    // to a brand-new service instance — the restored tenants replay the same
+    // Warm start: checkpoint the trained service — the same `PredictorState`
+    // file a serial predictor writes — and hand the learned state to a
+    // brand-new service instance. The restored tenants replay the same
     // workloads without a cold-start phase, and the decisions are
     // bit-identical to re-running on the original (still-trained) service.
-    let checkpoint = service.checkpoint();
-    let warm =
-        SharedSizey::from_checkpoint(&checkpoint, |_| SizeyPredictor::new(SizeyConfig::default()))
+    let path =
+        std::env::temp_dir().join(format!("sizey-multi-tenant-{}.state", std::process::id()));
+    let snapshot = service.snapshot();
+    snapshot
+        .write_state_file(&path)
+        .expect("checkpoint file is writable");
+    let checkpoint = PredictorState::read_state_file(&path).expect("checkpoint file parses");
+    std::fs::remove_file(&path).expect("checkpoint file is removable");
+    assert_eq!(checkpoint, snapshot, "state file round trip");
+    // Restore re-routes the journal by key, so the shard count of the new
+    // service is free: 8 as before, or 3 — same decisions either way.
+    let run_warm = |shards: usize| {
+        let mut warm = ConcurrentSizey::sizey(SizeyConfig::default(), shards);
+        warm.restore(&checkpoint)
             .expect("checkpoint restores on a fresh service");
-    let mk_warm = |name: &str, spec: &WorkflowSpec| {
-        WorkflowTenant::new(
-            name,
-            generate_workflow(spec, &GeneratorConfig::scaled(scale, 42)),
-            Box::new(warm.clone()),
-        )
+        run_on_service(scale, &sim, || Box::new(warm.clone()))
     };
-    let warmed = schedule_workflows(
-        vec![
-            mk_warm("rnaseq", &sizey_workflows::profiles::rnaseq()),
-            mk_warm("iwd", &sizey_workflows::profiles::iwd()),
-        ],
-        &sim,
-    );
+    let warmed = run_warm(8);
     print_run(
         "same tenants warm-started from the service checkpoint",
         &warmed,
@@ -154,17 +168,14 @@ fn main() {
     println!(
         "warm start carried over {} journaled records; second-run wastage {:.2} GBh vs \
          cold-run {:.2} GBh",
-        checkpoint.merged().journal.len(),
-        warmed
-            .reports
-            .iter()
-            .map(|r| r.total_wastage_gbh())
-            .sum::<f64>(),
-        pooled
-            .reports
-            .iter()
-            .map(|r| r.total_wastage_gbh())
-            .sum::<f64>(),
+        checkpoint.journal.len(),
+        total_wastage(&warmed),
+        total_wastage(&pooled),
+    );
+    assert_eq!(
+        total_wastage(&run_warm(3)).to_bits(),
+        total_wastage(&warmed).to_bits(),
+        "a checkpoint must restore into any shard count with the same decisions"
     );
 
     // The async serving front-end: same shared service, but observes now
@@ -174,47 +185,39 @@ fn main() {
     // contract (and stays bit-identical to the locked runs above); a live
     // deployment would skip the flush and accept one micro-batch of
     // snapshot staleness in exchange for never blocking a predict.
-    let async_handle =
-        AsyncSizey::sizey(SizeyConfig::default(), 8, ServiceConfig::default()).into_handle();
-    struct SyncedTenant(AsyncSizeyHandle);
+    let async_service = Arc::new(AsyncSizey::sizey(
+        SizeyConfig::default(),
+        8,
+        ServiceConfig::default(),
+    ));
+    struct SyncedTenant(Arc<AsyncSizey>);
     impl MemoryPredictor for SyncedTenant {
         fn name(&self) -> String {
-            self.0.name()
+            self.0.service().name()
         }
         fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
             self.0.predict(task, ctx)
         }
         fn observe(&mut self, record: &TaskRecord) {
-            self.0.service().observe(record);
-            self.0.service().flush();
+            self.0.observe(record);
+            self.0.flush();
         }
     }
-    let mk_async = |name: &str, spec: &WorkflowSpec| {
-        WorkflowTenant::new(
-            name,
-            generate_workflow(spec, &GeneratorConfig::scaled(scale, 42)),
-            Box::new(SyncedTenant(async_handle.clone())),
-        )
-    };
-    let asynced = schedule_workflows(
-        vec![
-            mk_async("rnaseq", &sizey_workflows::profiles::rnaseq()),
-            mk_async("iwd", &sizey_workflows::profiles::iwd()),
-        ],
-        &sim,
-    );
+    let asynced = run_on_service(scale, &sim, || {
+        Box::new(SyncedTenant(Arc::clone(&async_service)))
+    });
     print_run(
         "both tenants on the ASYNC queue/snapshot front-end",
         &asynced,
     );
-    let stats = async_handle.service().stats();
+    let stats = async_service.stats();
     println!(
         "async service: {} observes accepted ({} shed), {} micro-batches, \
          {} snapshots published, {} predicts served lock-free",
         stats.accepted, stats.shed, stats.batches, stats.snapshots_published, stats.predicts
     );
-    let locked_wastage: f64 = pooled.reports.iter().map(|r| r.total_wastage_gbh()).sum();
-    let async_wastage: f64 = asynced.reports.iter().map(|r| r.total_wastage_gbh()).sum();
+    let locked_wastage = total_wastage(&pooled);
+    let async_wastage = total_wastage(&asynced);
     println!(
         "async-run wastage {async_wastage:.2} GBh vs locked-run {locked_wastage:.2} GBh \
          — the front-end changes the serving mechanics, not the decisions"

@@ -24,10 +24,9 @@ pub mod prelude {
         SweepRow, RECOVERY_BAND, RECOVERY_WINDOW,
     };
     pub use sizey_core::{
-        AdmissionPolicy, AsyncHandle, AsyncService, AsyncSizey, AsyncSizeyHandle, BatchRequest,
-        ConcurrentPredictor, ConcurrentSizey, GatingStrategy, OffsetMode, OffsetStrategy,
-        OnlineMode, ServePredictor, ServiceCheckpoint, ServiceConfig, ServiceStats,
-        SharedPredictor, SharedSizey, SizeyConfig, SizeyPredictor,
+        AdmissionPolicy, AsyncService, AsyncSizey, ConcurrentPredictor, ConcurrentSizey,
+        GatingStrategy, OffsetMode, OffsetStrategy, OnlineMode, ServePredictor, ServiceConfig,
+        ServiceStats, SizeyConfig, SizeyPredictor,
     };
     pub use sizey_ml::{Dataset, ModelClass, Regressor};
     pub use sizey_provenance::{

@@ -70,7 +70,7 @@ fn sizey_retry_state_stays_bounded_when_tasks_terminally_fail() {
     // The shared concurrent service is equally stateless per task: after the
     // carnage above, a retry with no engine context starts from the preset
     // escalation base for an unknown key, same as a fresh service.
-    let service = SharedSizey::sizey(SizeyConfig::default(), 4);
+    let service = ConcurrentSizey::sizey(SizeyConfig::default(), 4);
     let task = TaskSubmission {
         workflow: "wf".into(),
         task_type: TaskTypeId::new("unseen"),
@@ -83,7 +83,7 @@ fn sizey_retry_state_stays_bounded_when_tasks_terminally_fail() {
         attempt: 1,
         last_allocation_bytes: None,
     };
-    assert_eq!(service.service().predict(&task, ctx).allocation_bytes, 8e9);
+    assert_eq!(service.predict(&task, ctx).allocation_bytes, 8e9);
 }
 
 /// Fault-injection satellite: tasks lost to node crashes (including ones

@@ -3,6 +3,7 @@
 //! makespan, and multi-tenant contention.
 
 use sizey_suite::prelude::*;
+use std::sync::Arc;
 
 fn workload(name: &str, scale: f64, seed: u64) -> Vec<TaskInstance> {
     let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
@@ -147,24 +148,24 @@ fn heterogeneous_pool_raises_the_allocation_ceiling() {
 }
 
 // The async serving front-end is a drop-in for the locked shared service at
-// the engine level: two workflows as tenants of one `SharedSizey`, then of
+// the engine level: two workflows as tenants of one `ConcurrentSizey`, then of
 // one `AsyncSizey` whose tenants flush after every observe (keeping the
 // simulator's observe-then-predict contract), make the same decisions event
 // for event — each tenant's completions training what the other predicts from.
 #[test]
 fn async_and_shared_tenants_make_identical_decisions() {
-    struct FlushedAsyncTenant(AsyncSizeyHandle);
+    struct FlushedAsyncTenant(Arc<AsyncSizey>);
     impl MemoryPredictor for FlushedAsyncTenant {
         fn name(&self) -> String {
-            self.0.name()
+            self.0.service().name()
         }
         fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
             // The lock-free snapshot path — what the service serves live.
-            self.0.service().predict(task, ctx)
+            self.0.predict(task, ctx)
         }
         fn observe(&mut self, record: &TaskRecord) {
-            self.0.service().observe(record);
-            self.0.service().flush();
+            self.0.observe(record);
+            self.0.flush();
         }
     }
 
@@ -180,11 +181,14 @@ fn async_and_shared_tenants_make_identical_decisions() {
         )
     };
 
-    let shared = SharedSizey::sizey(SizeyConfig::default(), 4);
+    let shared = ConcurrentSizey::sizey(SizeyConfig::default(), 4);
     let locked = run(&|| Box::new(shared.clone()));
-    let handle =
-        AsyncSizey::sizey(SizeyConfig::default(), 4, ServiceConfig::default()).into_handle();
-    let asynced = run(&|| Box::new(FlushedAsyncTenant(handle.clone())));
+    let handle = Arc::new(AsyncSizey::sizey(
+        SizeyConfig::default(),
+        4,
+        ServiceConfig::default(),
+    ));
+    let asynced = run(&|| Box::new(FlushedAsyncTenant(Arc::clone(&handle))));
 
     assert_eq!(locked.stats, asynced.stats);
     for (l, a) in locked.reports.iter().zip(&asynced.reports) {

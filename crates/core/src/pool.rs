@@ -137,11 +137,13 @@ pub struct ModelPool {
 }
 
 /// Cloning a pool deep-copies its models (via [`Regressor::clone_box`]) and
-/// histories. This is the basis of the serving layer's immutable predictor
-/// snapshots: the clone predicts bit-identically to the original because
-/// every input to the prediction pipeline — models, training data, accuracy
-/// and offset histories — is carried over. The transient scratch buffers are
-/// reset to empty; they are recycled capacity, not state.
+/// histories. This is the copy half of the predictor's copy-on-write pools
+/// (a write to a pool that a clone or published view still holds lands on a
+/// clone of it): the clone predicts *and keeps learning* bit-identically to
+/// the original because every input to both pipelines — models, training
+/// data, accuracy and offset histories, retrain counters — is carried over.
+/// The transient scratch buffers are reset to empty; they are recycled
+/// capacity, not state.
 impl Clone for ModelPool {
     fn clone(&self) -> Self {
         ModelPool {
@@ -265,6 +267,11 @@ impl ModelPool {
     /// serial engines keep it so replays stay bit-identical).
     pub fn set_deferred_retrains(&mut self, deferred: bool) {
         self.defer_retrains = deferred;
+    }
+
+    /// Whether due full retrains are staged rather than run inline.
+    pub fn defers_retrains(&self) -> bool {
+        self.defer_retrains
     }
 
     /// True when a full retrain has been staged but not yet run.

@@ -41,6 +41,7 @@ use sizey_sim::{
 };
 
 use crate::config::SizeyConfig;
+use crate::service::ServePredictor;
 use crate::sizey::SizeyPredictor;
 use parking_lot::RwLock;
 use sizey_ml::parallel::{default_parallelism, parallel_map};
@@ -86,8 +87,9 @@ fn fnv1a_key(task_type: &TaskTypeId, machine: &MachineId) -> u64 {
 /// tenants (each clone is a [`MemoryPredictor`]) and they learn from one
 /// another's completions. `observe` through the trait takes the owning
 /// shard's write lock internally, so `&mut self` is satisfied without
-/// exclusive ownership. [`clone_shard`](ConcurrentPredictor::clone_shard) is
-/// the *deep* copy.
+/// exclusive ownership. [`clone_shard`](ConcurrentPredictor::clone_shard)
+/// is the copy that stops following the shard: the read-only view the async
+/// layer publishes.
 pub struct ConcurrentPredictor<P> {
     shards: Arc<[RwLock<P>]>,
 }
@@ -208,14 +210,18 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     }
 }
 
-impl<P: Clone> ConcurrentPredictor<P> {
-    /// Deep-clones one shard's predictor under its read lock. This is the
-    /// snapshot primitive of the lock-free serving path: the clone shares no
-    /// mutable state with the shard, so it can be published behind an
-    /// immutable pointer and read without any lock while the shard keeps
-    /// learning. Panics when `shard >= shard_count()`.
+impl<P: ServePredictor> ConcurrentPredictor<P> {
+    /// Takes one shard's [`published_view`](ServePredictor::published_view)
+    /// under its read lock. This is the publish primitive of the lock-free
+    /// serving path: the view predicts like the shard does now and no later
+    /// write to the shard can change it, so it can sit behind an immutable
+    /// pointer and be read without any lock while the shard keeps learning.
+    /// For Sizey the view shares every pool with the shard (a later write
+    /// copies only the pool it touches) and leaves the provenance store
+    /// behind, so the cost follows the key count, not the learned state.
+    /// Panics when `shard >= shard_count()`.
     pub fn clone_shard(&self, shard: usize) -> P {
-        self.shards[shard].read().clone()
+        self.shards[shard].read().published_view()
     }
 }
 

@@ -14,7 +14,7 @@
 //!    │                 queues (admission:                        │ observe +
 //!    │                 Block | Shed)                             │ ≤ cap staged
 //!    │                                                           │ retrains
-//!    └──predict──▶ SnapshotCell per shard ◀────publish clone─────┘
+//!    └──predict──▶ SnapshotCell per shard ◀────publish view──────┘
 //!                  (wait-free epoch-swapped reads)
 //! ```
 //!
@@ -43,13 +43,28 @@ pub use server::{AdmissionPolicy, AsyncService, AsyncSizey, ServiceConfig, Servi
 pub use snapshot::SnapshotCell;
 
 /// What a predictor must provide to be served by [`AsyncService`]:
-/// the ordinary [`MemoryPredictor`] read/learn API, deep [`Clone`] for
-/// snapshot publication, and (optionally) a deferred-retrain protocol so
-/// the worker can cap retrain work per micro-batch.
+/// the ordinary [`MemoryPredictor`] read/learn API, a value to publish for
+/// lock-free reads, and (optionally) a deferred-retrain protocol so the
+/// worker can cap retrain work per micro-batch.
 ///
-/// The retrain hooks default to no-ops, so any cloneable predictor can be
-/// served; [`SizeyPredictor`] wires them to its staged-retrain machinery.
+/// Every hook has a default, so any cloneable predictor can be served;
+/// [`SizeyPredictor`] publishes a view that shares its pools instead of
+/// copying them and wires the retrain hooks to its staged-retrain machinery.
 pub trait ServePredictor: MemoryPredictor + Clone + Send + Sync + 'static {
+    /// The value a shard worker publishes after each micro-batch
+    /// ([`ConcurrentPredictor::clone_shard`](crate::serve::ConcurrentPredictor::clone_shard)).
+    /// It must `predict` bit-identically to `self` as of this call and keep
+    /// doing so whatever `self` observes afterwards; it need not carry state
+    /// `predict` never reads. The default is a full clone.
+    fn published_view(&self) -> Self {
+        self.clone()
+    }
+
+    /// Called once per shard when a service starts, before the first view is
+    /// published: lay the learned state out for reading, if the predictor
+    /// has a cheaper layout than the one incremental learning left behind.
+    fn pack(&mut self) {}
+
     /// Switch the predictor between inline retrains (every observe pays for
     /// its own retrains — bit-identical to serial) and staged retrains the
     /// worker runs via [`run_deferred`](ServePredictor::run_deferred).
@@ -71,6 +86,14 @@ pub trait ServePredictor: MemoryPredictor + Clone + Send + Sync + 'static {
 }
 
 impl ServePredictor for SizeyPredictor {
+    fn published_view(&self) -> Self {
+        SizeyPredictor::published_view(self)
+    }
+
+    fn pack(&mut self) {
+        self.pack_pools();
+    }
+
     fn set_deferred(&mut self, enabled: bool) {
         self.set_deferred_retrains(enabled);
     }

@@ -9,7 +9,7 @@
 //!                                                │  observe_shard(batch)
 //!                                                │  run_deferred(≤ cap)
 //!                                                ▼
-//! predict(task)  ◀──wait-free load── [SnapshotCell] ◀── publish clone
+//! predict(task)  ◀──wait-free load── [SnapshotCell] ◀── publish view
 //! ```
 //!
 //! * **Predicts never take a lock.** Every shard's learned state is
@@ -21,7 +21,12 @@
 //!   shard's bounded queue and returns; the shard's worker drains the queue
 //!   in micro-batches (size cap + time window), applies them under the shard
 //!   write lock, optionally runs a capped number of staged full retrains in
-//!   place, and publishes a fresh snapshot.
+//!   place, and publishes a fresh snapshot — the predictor's
+//!   [`published_view`](ServePredictor::published_view), taken by
+//!   [`clone_shard`](ConcurrentPredictor::clone_shard). Sizey's view shares
+//!   its model pools with the live predictor and leaves out what `predict`
+//!   never reads, so a publish costs one `Arc` bump per resident key and the
+//!   next batch copies only the pools it writes to.
 //! * **Backpressure is explicit.** Queues are bounded; the admission policy
 //!   either blocks the submitter ([`AdmissionPolicy::Block`]) or sheds the
 //!   record and counts it ([`AdmissionPolicy::Shed`]). The queue bound is an
@@ -33,7 +38,8 @@
 //! **Bit-identity.** Records of one (task type, machine) key always land on
 //! one shard's queue in submission order, so each shard's predictor consumes
 //! the exact per-key record sequence the locked [`ConcurrentSizey`] path would
-//! have applied — and the snapshot is a deep [`Clone`] of that predictor.
+//! have applied — and the snapshot holds that predictor's pools themselves,
+//! which the predictor's later writes copy rather than change.
 //! After a [`flush`](AsyncService::flush), predictions through the snapshot
 //! path are therefore bit-identical to the locked path and to a serial
 //! predictor fed the same per-key sequences (pinned by the
@@ -247,14 +253,18 @@ pub struct AsyncService<P: ServePredictor> {
 pub type AsyncSizey = AsyncService<SizeyPredictor>;
 
 impl<P: ServePredictor> AsyncService<P> {
-    /// Wraps an existing sharded service: publishes each shard's initial
-    /// snapshot and spawns one micro-batching worker thread per shard.
+    /// Wraps an existing sharded service: packs each shard
+    /// ([`ServePredictor::pack`]), publishes its initial snapshot and spawns
+    /// one micro-batching worker thread per shard.
     pub fn new(service: ConcurrentPredictor<P>, config: ServiceConfig) -> Self {
         let shards = service.shard_count();
-        if config.deferred_retrains {
-            for shard in 0..shards {
-                service.with_shard_mut(shard, |p| p.set_deferred(true));
-            }
+        for shard in 0..shards {
+            service.with_shard_mut(shard, |p| {
+                if config.deferred_retrains {
+                    p.set_deferred(true);
+                }
+                p.pack();
+            });
         }
         let snapshots = (0..shards)
             .map(|shard| SnapshotCell::new(Arc::new(service.clone_shard(shard))))
@@ -713,6 +723,43 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.observed, stats.accepted);
         assert_eq!(stats.accepted + stats.shed, stats.submitted);
+    }
+
+    /// Offset selections made on the lock-free path are tallied on the live
+    /// predictor, not on the published copy the next publish replaces: N
+    /// snapshot predicts, a publish and M more checkpoint as N + M, and the
+    /// tally survives a restore.
+    #[test]
+    fn snapshot_predicts_are_counted_in_the_checkpoint() {
+        use sizey_sim::CheckpointPredictor;
+        let service = AsyncSizey::sizey(SizeyConfig::default(), 2, ServiceConfig::default());
+        let warm = |from: u64| {
+            for i in from..from + 15 {
+                let input = i as f64 * 1e9;
+                service.observe(&record("align", i, input, 2.0 * input + 1e9));
+            }
+            service.flush();
+        };
+        let predict = |times: u64| {
+            for i in 0..times {
+                let pred =
+                    service.predict(&submission("align", 100 + i, 5e9), AttemptContext::first());
+                assert!(pred.raw_estimate_bytes.is_some(), "snapshot must be warm");
+            }
+        };
+        warm(1);
+        predict(20);
+        let published = service.stats().snapshots_published;
+        warm(16);
+        assert!(service.stats().snapshots_published > published);
+        predict(7);
+        let checkpoint = service.service().snapshot();
+        let counted: u64 = checkpoint.counters.iter().map(|(_, n)| n).sum();
+        assert_eq!(counted, 27, "counters {:?}", checkpoint.counters);
+
+        let mut restored = crate::serve::ConcurrentSizey::sizey(SizeyConfig::default(), 3);
+        restored.restore(&checkpoint).expect("fresh service");
+        assert_eq!(restored.snapshot().counters, checkpoint.counters);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the async serving front-end.
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. **Snapshot ≡ locked ≡ ConcurrentSizey.** After a
 //!    [`flush`](sizey_core::AsyncService::flush), the lock-free snapshot
@@ -9,18 +9,27 @@
 //!    records directly — for any record stream, shard count and micro-batch
 //!    geometry. This holds because per-shard queues preserve per-key
 //!    submission order and a predictor's state is a pure function of its
-//!    per-key record sequence; snapshots are deep clones of that state.
+//!    per-key record sequence; snapshots are read-only views of that state.
 //! 2. **Backpressure invariants.** Queue depths never exceed the configured
 //!    capacity and every submission is accounted for:
 //!    `accepted + shed == submitted`, and after shutdown
 //!    `observed == accepted`.
 //! 3. **Shutdown drains.** Closing the service never deadlocks and never
 //!    loses an accepted observe, whatever is still queued.
+//! 4. **Published views are isolated and shared.** A
+//!    [`published_view`](sizey_core::ServePredictor::published_view) keeps
+//!    predicting what it predicted when it was taken, whatever the predictor
+//!    it came from learns afterwards; taking views changes nothing the live
+//!    predictor does; and a batch that wrote to *m* of *n* keys leaves
+//!    exactly *n − m* pools shared between consecutive views.
 
 use proptest::prelude::*;
-use sizey_core::{AdmissionPolicy, AsyncSizey, ConcurrentSizey, ServiceConfig, SizeyConfig};
+use sizey_core::{
+    AdmissionPolicy, AsyncSizey, ConcurrentSizey, OnlineMode, ServePredictor, ServiceConfig,
+    SizeyConfig, SizeyPredictor,
+};
 use sizey_provenance::{MachineId, TaskOutcome, TaskRecord, TaskTypeId};
-use sizey_sim::{AttemptContext, TaskSubmission};
+use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 use std::time::Duration;
 
 const TASK_TYPES: [&str; 5] = ["align", "sort", "merge", "variant-call", "qc"];
@@ -52,6 +61,118 @@ fn submission(type_idx: usize, machine_idx: usize, input_gb: f64) -> TaskSubmiss
         sequence: 9_000,
         input_bytes: input_gb * 1e9,
         preset_memory_bytes: 20e9,
+    }
+}
+
+/// Every probe prediction over the first `types` × `machines` keys: two
+/// inputs, first attempt and a retry.
+fn probe(predictor: &SizeyPredictor, types: usize, machines: usize) -> Vec<Prediction> {
+    let mut out = Vec::new();
+    for t in 0..types {
+        for m in 0..machines {
+            for input_gb in [0.5, 7.0] {
+                let task = submission(t, m, input_gb);
+                for ctx in [AttemptContext::first(), AttemptContext::retry(1, 8e9)] {
+                    out.push(predictor.predict(&task, ctx));
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Guarantee 4, isolation: a view taken at step *i* predicts at the end
+    /// of the stream exactly what it predicted at step *i*, and the live
+    /// predictor it was taken from ends bit-identical to a serial predictor
+    /// that was fed the same stream and never published anything — over
+    /// successes, OOM failures, `history_window` trims and staged retrains.
+    #[test]
+    fn published_views_are_isolated_from_later_writes(
+        stream in proptest::collection::vec(
+            (0usize..2, 0usize..2, 1.0f64..12.0, 1.2f64..3.0, 0u8..6),
+            10..90,
+        ),
+        window in prop_oneof![Just(None), Just(Some(6usize)), Just(Some(16usize))],
+        deferred in 0u8..2,
+        retrain_cap in 0usize..3,
+        view_every in 1usize..9,
+    ) {
+        let config = SizeyConfig {
+            online: OnlineMode::incremental(4),
+            history_window: window,
+            ..SizeyConfig::default()
+        };
+        let mut live = SizeyPredictor::new(config.clone());
+        let mut serial = SizeyPredictor::new(config);
+        live.set_deferred_retrains(deferred == 1);
+        serial.set_deferred_retrains(deferred == 1);
+
+        let mut views = Vec::new();
+        for (step, &(t, m, input, factor, oom)) in stream.iter().enumerate() {
+            let mut rec = record(t, m, step as u64 + 1, input, factor);
+            if oom == 0 {
+                rec.outcome = TaskOutcome::FailedOutOfMemory;
+                rec.allocated_memory_bytes = rec.peak_memory_bytes * 0.8;
+            }
+            for predictor in [&mut live, &mut serial] {
+                predictor.observe(&rec);
+                predictor.run_pending_retrains(retrain_cap);
+            }
+            if step % view_every == 0 {
+                let view = ServePredictor::published_view(&live);
+                let then = probe(&view, 2, 2);
+                prop_assert_eq!(&then, &probe(&live, 2, 2), "view differs from its source");
+                views.push((step, view, then));
+            }
+        }
+        for (step, view, then) in &views {
+            prop_assert_eq!(&probe(view, 2, 2), then, "view of step {} moved", step);
+        }
+        prop_assert_eq!(probe(&live, 2, 2), probe(&serial, 2, 2));
+        prop_assert_eq!(live.pending_retrains(), serial.pending_retrains());
+        prop_assert_eq!(live.total_full_retrains(), serial.total_full_retrains());
+    }
+}
+
+/// Guarantee 4, sharing: between two consecutive published views of a batch
+/// that touched *m* of *n* keys, exactly *n − m* pools are the same
+/// allocation and *m* are not — a publish costs what the batch wrote, not
+/// what the shard holds.
+#[test]
+fn consecutive_views_share_every_pool_the_batch_left_alone() {
+    let (types, machines) = (TASK_TYPES.len(), MACHINES.len());
+    let n = types * machines;
+    let mut live = SizeyPredictor::with_defaults();
+    let mut seq = 0;
+    for round in 0..3 {
+        for key in 0..n {
+            seq += 1;
+            live.observe(&record(
+                key % types,
+                key / types,
+                seq,
+                2.0 + round as f64,
+                2.0,
+            ));
+        }
+    }
+    assert_eq!(live.n_pools(), n);
+    let mut before = live.published_view();
+    assert_eq!(before.pools_shared_with(&live), n);
+    for m in [0, 1, 4, n] {
+        // Two writes to each of the first `m` keys: a pool is copied at
+        // most once per publish, however often the batch writes to it.
+        for key in (0..m).chain(0..m) {
+            seq += 1;
+            live.observe(&record(key % types, key / types, seq, 5.0, 2.0));
+        }
+        let after = live.published_view();
+        assert_eq!(after.pools_shared_with(&before), n - m, "batch of {m} keys");
+        assert_eq!(after.pools_shared_with(&live), n);
+        before = after;
     }
 }
 

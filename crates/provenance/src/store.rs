@@ -38,8 +38,7 @@ pub struct ProvenanceStore {
 
 /// Cloning takes a consistent snapshot of the whole store under its read
 /// lock. Records are `Arc`-shared, so the deep part of the clone is the
-/// index maps, not the monitoring data — this is what makes periodic
-/// predictor snapshots (the lock-free serving path) affordable.
+/// index maps, not the monitoring data.
 impl Clone for ProvenanceStore {
     fn clone(&self) -> Self {
         ProvenanceStore {

@@ -2,9 +2,10 @@
 //! retraining (including hyper-parameter optimisation) and incremental
 //! retraining, per workflow.
 //!
-//! Run with `cargo run -p sizey-bench --release --bin fig09_training_time_table`.
-//! A Criterion micro-benchmark of the same quantity lives in
-//! `benches/fig09_training_time.rs`.
+//! Run with `cargo run -p sizey-bench --release --bin fig09_training_time_table`;
+//! the `Overall medians` line carries the result. The repo benchmark
+//! (`benchmark/`) times the same learning step per layer
+//! (`pool.retrain_p50_ms`, `pool.incremental_p50_us`, `ml.*.fit_us`).
 
 use sizey_bench::{banner, fmt, render_table, HarnessSettings, MethodSpec};
 use sizey_core::SizeyConfig;

@@ -130,8 +130,9 @@ impl Default for ExperimentSpec {
 
 impl ExperimentSpec {
     /// Validates the spec: non-empty product, known profiles, positive
-    /// scale, and a cluster the simulator can run
-    /// ([`SimulationConfig::validate`]).
+    /// scale, a cluster the simulator can run
+    /// ([`SimulationConfig::validate`]), a finite drift and fault entries
+    /// that all target that cluster ([`FaultPlan::validate`]).
     pub fn validate(&self) -> Result<(), SpecError> {
         for list in [
             ("methods", self.methods.is_empty()),
@@ -161,7 +162,29 @@ impl ExperimentSpec {
         }
         self.sim
             .validate()
-            .map_err(|(key, message)| invalid("[sim]", key, message))
+            .map_err(|(key, message)| invalid("[sim]", key, message))?;
+        if let Some(drift) = &self.drift {
+            let scale = drift.memory_scale;
+            if !(scale.is_finite() && scale > 0.0) {
+                let message = format!("expected a finite factor above 0, found {scale}");
+                return Err(invalid("[drift]", "memory_scale", message));
+            }
+            let slope = drift.slope_delta_bytes_per_input_byte;
+            if !slope.is_finite() {
+                let message = format!("expected a finite number, found {slope}");
+                return Err(invalid(
+                    "[drift]",
+                    "slope_delta_bytes_per_input_byte",
+                    message,
+                ));
+            }
+        }
+        match &self.sim.faults {
+            Some(faults) => faults
+                .validate(&self.sim)
+                .map_err(|(table, key, message)| invalid(table, key, message)),
+            None => Ok(()),
+        }
     }
 
     /// Validates and runs the experiment on the default thread pool,
@@ -645,14 +668,56 @@ mod tests {
             ),
             ("[[node_pool]]\nslots = 0\n", "node_pool.slots"),
         ];
-        for (text, expected) in cases {
+        // Fault and drift entries the engine would silently skip or turn
+        // into a meaningless workload: the loader names the table and key.
+        let fault_and_drift_cases = [
+            ("[[node_crash]]\nnode = 100000\n", "[[node_crash]]", "node"),
+            (
+                "[[node_crash]]\ntime_seconds = -1.0\n",
+                "[[node_crash]]",
+                "time_seconds",
+            ),
+            (
+                "[[crash_storm]]\ntime_seconds = inf\n",
+                "[[crash_storm]]",
+                "time_seconds",
+            ),
+            ("[[crash_storm]]\nnodes = 0\n", "[[crash_storm]]", "nodes"),
+            (
+                "[[pool_preemption]]\npool = 1\n",
+                "[[pool_preemption]]",
+                "pool",
+            ),
+            (
+                "[[task_kill]]\ntime_seconds = -5.0\n",
+                "[[task_kill]]",
+                "time_seconds",
+            ),
+            ("[[task_kill]]\ntasks = 0\n", "[[task_kill]]", "tasks"),
+            ("[drift]\nmemory_scale = 0.0\n", "[drift]", "memory_scale"),
+            ("[drift]\nmemory_scale = inf\n", "[drift]", "memory_scale"),
+            (
+                "[drift]\nslope_delta_bytes_per_input_byte = -inf\n",
+                "[drift]",
+                "slope_delta_bytes_per_input_byte",
+            ),
+        ];
+        let sim_cases = cases.iter().map(|&(text, key)| (text, "[sim]", key));
+        for (text, context, key) in sim_cases.chain(fault_and_drift_cases) {
             match ExperimentSpec::from_toml(text) {
-                Err(SpecError::InvalidValue { context, key, .. }) => {
-                    assert_eq!((context.as_str(), key.as_str()), ("[sim]", expected));
+                Err(SpecError::InvalidValue {
+                    context: found_context,
+                    key: found_key,
+                    ..
+                }) => {
+                    assert_eq!((found_context.as_str(), found_key.as_str()), (context, key));
                 }
-                other => panic!("{text:?}: expected InvalidValue({expected}), got {other:?}"),
+                other => panic!("{text:?}: expected InvalidValue({key}), got {other:?}"),
             }
         }
+        // A pool index counts the extra pools, so pool 1 exists here.
+        ExperimentSpec::from_toml("[[node_pool]]\ncount = 2\n\n[[pool_preemption]]\npool = 1\n")
+            .unwrap();
         // The TOML layer has no NaN; a spec built in code can carry one.
         let mut nan_node = default();
         nan_node.sim.node_memory_bytes = f64::NAN;

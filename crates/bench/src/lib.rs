@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
-pub mod perf_json;
 pub mod recovery;
 pub mod registry;
 pub mod sweep;

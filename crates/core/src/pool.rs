@@ -469,13 +469,15 @@ impl ModelPool {
     }
 
     /// Incorporates a successful execution: prequential score bookkeeping,
-    /// dataset growth and the online model update. Returns the time spent
-    /// training.
+    /// dataset growth and the online model update. The pre-learning
+    /// aggregate estimate runs over the caller's recycled `scratch`. Returns
+    /// the time spent training.
     pub fn observe_success(
         &mut self,
         features: &[f64],
         peak_bytes: f64,
         config: &SizeyConfig,
+        scratch: &mut PoolScratch,
     ) -> Duration {
         // 1. Prequential accuracy update: ask every fitted member what it
         //    would have predicted *before* learning from this task. The
@@ -497,9 +499,9 @@ impl ModelPool {
         // under-predicted when the raw aggregate fell below the actual peak.
         // No estimate (cold start) → no detector update.
         let mut drift_under = None;
-        if let Some((decision, _)) = self.gated_estimate(features, config) {
-            self.aggregate_history.push((decision.estimate, peak_bytes));
-            drift_under = Some(decision.estimate < peak_bytes);
+        if let Some(outcome) = self.gated_estimate_with(features, config, scratch) {
+            self.aggregate_history.push((outcome.estimate, peak_bytes));
+            drift_under = Some(outcome.estimate < peak_bytes);
         }
 
         // 3. Grow the training data.
@@ -659,7 +661,12 @@ mod tests {
     fn feed_linear(pool: &mut ModelPool, cfg: &SizeyConfig, n: usize) {
         for i in 1..=n {
             let input = i as f64 * 1e9;
-            pool.observe_success(&[input], 2.0 * input + 1e9, cfg);
+            pool.observe_success(
+                &[input],
+                2.0 * input + 1e9,
+                cfg,
+                &mut PoolScratch::default(),
+            );
         }
     }
 
@@ -743,11 +750,11 @@ mod tests {
     fn max_observed_tracks_successes_and_failures() {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
-        pool.observe_success(&[1e9], 3e9, &cfg);
+        pool.observe_success(&[1e9], 3e9, &cfg, &mut PoolScratch::default());
         assert_eq!(pool.max_observed(), Some(3e9));
         pool.observe_failure(8e9, &cfg);
         assert_eq!(pool.max_observed(), Some(8e9));
-        pool.observe_success(&[1e9], 5e9, &cfg);
+        pool.observe_success(&[1e9], 5e9, &cfg, &mut PoolScratch::default());
         assert_eq!(pool.max_observed(), Some(8e9));
     }
 
@@ -812,7 +819,12 @@ mod tests {
         let mut pool = ModelPool::new(&cfg);
         for i in 1..=300 {
             let input = (i % 20 + 1) as f64 * 1e9;
-            pool.observe_success(&[input], 2.0 * input + 1e9, &cfg);
+            pool.observe_success(
+                &[input],
+                2.0 * input + 1e9,
+                &cfg,
+                &mut PoolScratch::default(),
+            );
         }
         // Amortised trim: the dataset never doubles the window.
         assert!(pool.n_observations() < 32, "kept {}", pool.n_observations());
@@ -852,8 +864,8 @@ mod tests {
         for i in 1..=9 {
             let input = i as f64 * 1e9;
             let peak = 2.0 * input + 1e9;
-            inline.observe_success(&[input], peak, &cfg);
-            deferred.observe_success(&[input], peak, &cfg);
+            inline.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
+            deferred.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
             deferred.run_pending_retrain(&cfg);
             let query = [input + 5e8];
             let a = inline.gated_estimate(&query, &cfg).map(|(d, _)| d.estimate);
@@ -894,8 +906,8 @@ mod tests {
             } else {
                 6.0 * input + 8e9
             };
-            a.observe_success(&[input], peak, &off);
-            b.observe_success(&[input], peak, &armed);
+            a.observe_success(&[input], peak, &off, &mut PoolScratch::default());
+            b.observe_success(&[input], peak, &armed, &mut PoolScratch::default());
             let query = [input + 5e8];
             let ea = a.gated_estimate(&query, &off).map(|(d, _)| d.estimate);
             let eb = b.gated_estimate(&query, &armed).map(|(d, _)| d.estimate);
@@ -934,8 +946,8 @@ mod tests {
         for i in 11..=18 {
             let input = i as f64 * 1e9;
             let peak = 6.0 * input + 8e9;
-            drifting.observe_success(&[input], peak, &cfg);
-            control.observe_success(&[input], peak, &off);
+            drifting.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
+            control.observe_success(&[input], peak, &off, &mut PoolScratch::default());
         }
         assert!(
             drifting.model_epoch() > epoch_before,
@@ -965,7 +977,12 @@ mod tests {
         let mut fired = false;
         for i in 11..=20 {
             let input = i as f64 * 1e9;
-            pool.observe_success(&[input], 6.0 * input + 8e9, &cfg);
+            pool.observe_success(
+                &[input],
+                6.0 * input + 8e9,
+                &cfg,
+                &mut PoolScratch::default(),
+            );
             if pool.model_epoch() > epoch_before {
                 fired = true;
                 assert_eq!(

@@ -5,8 +5,9 @@
 //! The locked [`ConcurrentSizey`](crate::serve::ConcurrentSizey) path couples
 //! the two halves of serving: a tenant's observe holds a shard write lock
 //! while models retrain, so an unlucky predict on the same shard stalls for the
-//! whole retrain (the millisecond-scale observe tail in `BENCH_replay.json`
-//! bleeds into the microsecond predict path). This module decouples them:
+//! whole retrain (the millisecond-scale `observe.p99_us` in
+//! `BENCH_layers.json` bleeds into the microsecond predict path). This module
+//! decouples them:
 //!
 //! ```text
 //!            submit                       micro-batch (≤ batch_max,

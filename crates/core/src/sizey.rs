@@ -51,8 +51,9 @@ thread_local! {
     /// per thread rather than per predictor; after the first prediction on a
     /// thread the steady-state predict path performs zero heap allocations
     /// (asserted by the counting-allocator harness behind
-    /// `cargo xtask lint --dynamic`).
-    static PREDICT_SCRATCH: RefCell<PoolScratch> = RefCell::new(PoolScratch::default());
+    /// `cargo xtask lint --dynamic`). `observe` borrows the same buffers for
+    /// its pre-learning aggregate estimate.
+    static POOL_SCRATCH: RefCell<PoolScratch> = RefCell::new(PoolScratch::default());
 }
 
 /// The Sizey online memory predictor.
@@ -407,7 +408,7 @@ impl MemoryPredictor for SizeyPredictor {
             };
         };
         let features = [task.input_bytes];
-        PREDICT_SCRATCH.with(|cell| {
+        POOL_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             match pool.gated_estimate_with(&features, &self.config, scratch) {
                 None => {
@@ -459,11 +460,14 @@ impl MemoryPredictor for SizeyPredictor {
 
         match record.outcome {
             TaskOutcome::Succeeded => {
-                let duration = pool.observe_success(
-                    &record.features(),
-                    record.peak_memory_bytes,
-                    &self.config,
-                );
+                let duration = POOL_SCRATCH.with(|cell| {
+                    pool.observe_success(
+                        &record.features(),
+                        record.peak_memory_bytes,
+                        &self.config,
+                        &mut cell.borrow_mut(),
+                    )
+                });
                 self.training_times.push(duration);
                 if self.config.history_window.is_some()
                     && self.training_times.len() >= 2 * Self::TRAINING_TIMES_WINDOW

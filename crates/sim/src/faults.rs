@@ -110,6 +110,67 @@ pub enum FaultCause {
     Preemption,
 }
 
+/// Why [`FaultPlan::compile`] would skip an entry: the offending key (named
+/// as in the experiment-spec fault tables) and what is wrong with it.
+type FaultDefect = (&'static str, String);
+
+/// A fault fires at a finite, non-negative virtual time.
+fn check_time(time: f64) -> Result<(), FaultDefect> {
+    if time.is_finite() && time >= 0.0 {
+        Ok(())
+    } else {
+        let message = format!("expected a finite, non-negative time, found {time}");
+        Err(("time_seconds", message))
+    }
+}
+
+/// An index must name one of `count` nodes or pools.
+fn check_index(key: &'static str, index: usize, count: usize) -> Result<(), FaultDefect> {
+    if index < count {
+        Ok(())
+    } else {
+        let message = format!("expected an index below {count}, found {index}");
+        Err((key, message))
+    }
+}
+
+/// A storm or kill burst must affect at least one node or task.
+fn check_positive(key: &'static str, n: usize) -> Result<(), FaultDefect> {
+    if n > 0 {
+        Ok(())
+    } else {
+        Err((key, "expected at least 1, found 0".to_string()))
+    }
+}
+
+impl NodeCrash {
+    fn check(&self, node_count: usize) -> Result<(), FaultDefect> {
+        check_time(self.time_seconds)?;
+        check_index("node", self.node, node_count)
+    }
+}
+
+impl CrashStorm {
+    fn check(&self) -> Result<(), FaultDefect> {
+        check_time(self.time_seconds)?;
+        check_positive("nodes", self.nodes)
+    }
+}
+
+impl PoolPreemption {
+    fn check(&self, pool_count: usize) -> Result<(), FaultDefect> {
+        check_time(self.time_seconds)?;
+        check_index("pool", self.pool, pool_count)
+    }
+}
+
+impl TaskKillBurst {
+    fn check(&self) -> Result<(), FaultDefect> {
+        check_time(self.time_seconds)?;
+        check_positive("tasks", self.tasks)
+    }
+}
+
 /// A concrete action the engine applies at a fault event's time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
@@ -174,6 +235,37 @@ impl FaultPlan {
         self
     }
 
+    /// Checks every entry against the cluster described by `config`,
+    /// returning the first one [`compile`](FaultPlan::compile) would skip as
+    /// `(table, key, what is wrong)`, with the table named as in an
+    /// experiment spec (`[[node_crash]]` etc.). An entry is skipped when its
+    /// time is negative or not finite, its `node` or `pool` lies outside the
+    /// cluster, or a storm's `nodes` or a burst's `tasks` is zero.
+    pub fn validate(
+        &self,
+        config: &SimulationConfig,
+    ) -> Result<(), (&'static str, &'static str, String)> {
+        let pools = config.node_pools();
+        let node_count: usize = pools.iter().map(|p| p.count).sum();
+        let in_table = |table| move |(key, message)| (table, key, message);
+        for crash in &self.node_crashes {
+            crash
+                .check(node_count)
+                .map_err(in_table("[[node_crash]]"))?;
+        }
+        for storm in &self.storms {
+            storm.check().map_err(in_table("[[crash_storm]]"))?;
+        }
+        for preemption in &self.pool_preemptions {
+            let check = preemption.check(pools.len());
+            check.map_err(in_table("[[pool_preemption]]"))?;
+        }
+        for burst in &self.task_kills {
+            burst.check().map_err(in_table("[[task_kill]]"))?;
+        }
+        Ok(())
+    }
+
     /// Compiles the plan into a time-sorted schedule of concrete events for
     /// the cluster described by `config`.
     ///
@@ -181,8 +273,8 @@ impl FaultPlan {
     ///   seed — distinct nodes, reported in ascending id order.
     /// * Pool preemptions resolve the pool index against
     ///   [`SimulationConfig::node_pools`] node-id ranges.
-    /// * Events with non-finite times, and node/pool indices outside the
-    ///   cluster, are skipped rather than panicking.
+    /// * Entries that [`validate`](FaultPlan::validate) rejects are skipped
+    ///   rather than panicking.
     /// * A finite non-negative downtime schedules the matching `NodeUp`;
     ///   an infinite one keeps the node down forever.
     ///
@@ -194,13 +286,7 @@ impl FaultPlan {
         let mut out: Vec<FaultEvent> = Vec::new();
 
         let mut down_up = |time: f64, nodes: &[usize], down: f64, cause: FaultCause| {
-            if !time.is_finite() || time < 0.0 {
-                return;
-            }
             for &node in nodes {
-                if node >= node_count {
-                    continue;
-                }
                 out.push(FaultEvent {
                     time_seconds: time,
                     action: FaultAction::NodeDown { node, cause },
@@ -215,7 +301,11 @@ impl FaultPlan {
             }
         };
 
-        for crash in &self.node_crashes {
+        for crash in self
+            .node_crashes
+            .iter()
+            .filter(|c| c.check(node_count).is_ok())
+        {
             down_up(
                 crash.time_seconds,
                 &[crash.node],
@@ -223,7 +313,7 @@ impl FaultPlan {
                 FaultCause::Crash,
             );
         }
-        for storm in &self.storms {
+        for storm in self.storms.iter().filter(|s| s.check().is_ok()) {
             let mut ids: Vec<usize> = (0..node_count).collect();
             let mut rng = StdRng::seed_from_u64(storm.seed);
             ids.shuffle(&mut rng);
@@ -236,16 +326,11 @@ impl FaultPlan {
                 FaultCause::Crash,
             );
         }
-        for preemption in &self.pool_preemptions {
-            let mut start = 0usize;
-            let mut range: Vec<usize> = Vec::new();
-            for (pi, pool) in pools.iter().enumerate() {
-                if pi == preemption.pool {
-                    range = (start..start + pool.count).collect();
-                    break;
-                }
-                start += pool.count;
-            }
+        let preemptions = self.pool_preemptions.iter();
+        for preemption in preemptions.filter(|p| p.check(pools.len()).is_ok()) {
+            let start: usize = pools.iter().take(preemption.pool).map(|p| p.count).sum();
+            let count = pools.get(preemption.pool).map_or(0, |p| p.count);
+            let range: Vec<usize> = (start..start + count).collect();
             down_up(
                 preemption.time_seconds,
                 &range,
@@ -253,10 +338,7 @@ impl FaultPlan {
                 FaultCause::Preemption,
             );
         }
-        for burst in &self.task_kills {
-            if !burst.time_seconds.is_finite() || burst.time_seconds < 0.0 || burst.tasks == 0 {
-                continue;
-            }
+        for burst in self.task_kills.iter().filter(|k| k.check().is_ok()) {
             out.push(FaultEvent {
                 time_seconds: burst.time_seconds,
                 action: FaultAction::KillTasks { tasks: burst.tasks },
@@ -432,6 +514,16 @@ mod tests {
                 tasks: 0,
             });
         assert!(plan.compile(&config()).is_empty());
+        // `validate` names the first entry `compile` skipped.
+        let (table, key, _) = plan.validate(&config()).unwrap_err();
+        assert_eq!((table, key), ("[[node_crash]]", "node"));
+        let kills_only = FaultPlan {
+            task_kills: plan.task_kills.clone(),
+            ..FaultPlan::default()
+        };
+        let (table, key, _) = kills_only.validate(&config()).unwrap_err();
+        assert_eq!((table, key), ("[[task_kill]]", "tasks"));
+        assert_eq!(FaultPlan::default().validate(&config()), Ok(()));
     }
 
     #[test]

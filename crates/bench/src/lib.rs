@@ -13,6 +13,9 @@
 //! * `SIZEY_BENCH_SCALE` — fraction of the paper's task-instance volume to
 //!   generate (default `0.1`),
 //! * `SIZEY_BENCH_SEED` — workload generation seed (default `42`).
+//!
+//! A value that does not parse (or a scale outside `(0, 2]`) stops the
+//! binary with exit status 1 instead of silently running the default.
 
 #![warn(missing_docs)]
 
@@ -52,23 +55,38 @@ impl Default for HarnessSettings {
 }
 
 impl HarnessSettings {
-    /// Reads `SIZEY_BENCH_SCALE` and `SIZEY_BENCH_SEED` from the environment,
-    /// falling back to the defaults (scale 0.1, seed 42).
+    /// Reads `SIZEY_BENCH_SCALE` and `SIZEY_BENCH_SEED` from the environment
+    /// (unset variables keep the defaults, scale 0.1 and seed 42). A value
+    /// [`parse`](Self::parse) refuses is printed to stderr with its variable
+    /// name, and the process exits with status 1: a figure must never be
+    /// computed at a scale or seed other than the one asked for.
     pub fn from_env() -> Self {
+        let scale = std::env::var("SIZEY_BENCH_SCALE").ok();
+        let seed = std::env::var("SIZEY_BENCH_SEED").ok();
+        HarnessSettings::parse(scale.as_deref(), seed.as_deref()).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(1);
+        })
+    }
+
+    /// Parses the two settings from their raw values (`None` keeps the
+    /// default). The scale must be a number in `(0, 2]`, the seed a `u64`;
+    /// the error names the variable and quotes its value.
+    pub fn parse(scale: Option<&str>, seed: Option<&str>) -> Result<HarnessSettings, String> {
         let mut settings = HarnessSettings::default();
-        if let Ok(scale) = std::env::var("SIZEY_BENCH_SCALE") {
-            if let Ok(v) = scale.parse::<f64>() {
-                if v > 0.0 && v <= 2.0 {
-                    settings.scale = v;
-                }
-            }
+        if let Some(raw) = scale {
+            settings.scale = raw
+                .parse::<f64>()
+                .ok()
+                .filter(|v| *v > 0.0 && *v <= 2.0)
+                .ok_or_else(|| format!("SIZEY_BENCH_SCALE={raw:?} is not a number in (0, 2]"))?;
         }
-        if let Ok(seed) = std::env::var("SIZEY_BENCH_SEED") {
-            if let Ok(v) = seed.parse::<u64>() {
-                settings.seed = v;
-            }
+        if let Some(raw) = seed {
+            settings.seed = raw
+                .parse::<u64>()
+                .map_err(|_| format!("SIZEY_BENCH_SEED={raw:?} is not an unsigned integer"))?;
         }
-        settings
+        Ok(settings)
     }
 
     /// The generator configuration corresponding to these settings.
@@ -202,6 +220,34 @@ mod tests {
         let s = HarnessSettings::from_env();
         assert_eq!(s.scale, 0.1);
         assert_eq!(s.seed, 42);
+    }
+
+    #[test]
+    fn settings_parse_accepts_valid_values_and_names_bad_ones() {
+        let ok = |scale: Option<&str>, seed: Option<&str>| {
+            let s = HarnessSettings::parse(scale, seed).unwrap();
+            (s.scale, s.seed)
+        };
+        assert_eq!(ok(None, None), (0.1, 42));
+        assert_eq!(ok(Some("1.0"), None), (1.0, 42));
+        assert_eq!(ok(Some("0.5"), Some("7")), (0.5, 7));
+        assert_eq!(ok(Some("2"), Some("0")), (2.0, 0));
+        for (scale, seed, variable) in [
+            (Some("1,0"), None, "SIZEY_BENCH_SCALE=\"1,0\""),
+            (Some(""), None, "SIZEY_BENCH_SCALE"),
+            (Some(" 0.5"), None, "SIZEY_BENCH_SCALE"),
+            (Some("0"), None, "SIZEY_BENCH_SCALE=\"0\""),
+            (Some("-0.1"), None, "SIZEY_BENCH_SCALE"),
+            (Some("2.5"), None, "SIZEY_BENCH_SCALE=\"2.5\""),
+            (Some("NaN"), None, "SIZEY_BENCH_SCALE"),
+            (Some("inf"), None, "SIZEY_BENCH_SCALE"),
+            (None, Some("seven"), "SIZEY_BENCH_SEED=\"seven\""),
+            (None, Some("-1"), "SIZEY_BENCH_SEED"),
+            (Some("1.0"), Some("4.2"), "SIZEY_BENCH_SEED"),
+        ] {
+            let err = HarnessSettings::parse(scale, seed).unwrap_err();
+            assert!(err.contains(variable), "{scale:?}/{seed:?}: {err}");
+        }
     }
 
     #[test]

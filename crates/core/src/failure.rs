@@ -89,6 +89,9 @@ mod tests {
             let mut prev = 0.0;
             for attempt in 1..=12u32 {
                 let alloc = failure_allocation_clamped(max_obs, failed, attempt, cap);
+                let expected =
+                    crate::reference::retry_allocation(max_obs, failed, attempt, Some(cap));
+                assert_eq!(alloc.to_bits(), expected.to_bits());
                 assert!(alloc <= cap, "attempt {attempt} exceeded the largest node");
                 assert!(
                     alloc >= prev,

@@ -4,43 +4,21 @@
 //! mechanism assigns each predictor a weight and produces a single aggregate
 //! estimate — either by picking the best model (Argmax) or by a softmax
 //! consensus over the RAQ scores (Interpolation, Eq. 4).
+//!
+//! [`gate_with`] is the kernel the predict path runs, allocation-free over
+//! a caller-owned weights buffer. The plain statement of the gate it must
+//! match bit for bit is the test-only `reference.rs` module of this crate.
 
 use crate::config::GatingStrategy;
 
-/// Result of gating: the aggregate estimate, the per-model weights, and the
-/// index of the dominant model (used for the Fig. 11 model-share analysis).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatingDecision {
-    /// The aggregated memory estimate in bytes.
-    pub estimate: f64,
-    /// One weight per pool member, summing to 1.
-    pub weights: Vec<f64>,
-    /// Index of the model with the largest weight.
-    pub dominant_model: usize,
-}
-
-/// Applies the gating strategy to the pool estimates and their RAQ scores.
+/// Applies the gating strategy to the pool estimates and their RAQ scores,
+/// writing one weight per pool member into the caller-owned `weights`
+/// buffer. Returns the aggregate estimate and the index of the dominant
+/// model (the largest weight; the first one wins ties).
 ///
 /// # Panics
 /// Panics if `estimates` and `raq_scores` have different lengths or are
 /// empty — the pool never calls the gate without at least one fitted model.
-pub fn gate(strategy: GatingStrategy, estimates: &[f64], raq_scores: &[f64]) -> GatingDecision {
-    let mut weights = Vec::new();
-    let (estimate, dominant_model) = gate_with(strategy, estimates, raq_scores, &mut weights);
-    GatingDecision {
-        estimate,
-        weights,
-        dominant_model,
-    }
-}
-
-/// [`gate`] into a caller-owned weights buffer — the allocation-free twin
-/// used by the predict hot path. On return `weights` holds one weight per
-/// pool member; the aggregate estimate and the index of the dominant model
-/// are returned directly. Identical arithmetic to [`gate`].
-///
-/// # Panics
-/// Same contract as [`gate`].
 pub fn gate_with(
     strategy: GatingStrategy,
     estimates: &[f64],
@@ -102,19 +80,36 @@ fn softmax_into(scores: &[f64], beta: f64, out: &mut Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, Gate};
+
+    /// The gate through the kernel, asserted bit-equal to the reference.
+    fn gate(strategy: GatingStrategy, estimates: &[f64], raq_scores: &[f64]) -> Gate {
+        let mut weights = Vec::new();
+        let (estimate, dominant) = gate_with(strategy, estimates, raq_scores, &mut weights);
+        let kernel = Gate {
+            estimate,
+            weights,
+            dominant,
+        };
+        assert_eq!(
+            reference::gate_bits(&kernel),
+            reference::gate_bits(&reference::gate(strategy, estimates, raq_scores))
+        );
+        kernel
+    }
 
     #[test]
     fn argmax_strategy_selects_highest_raq() {
         let d = gate(GatingStrategy::Argmax, &[1e9, 2e9, 3e9], &[0.2, 0.9, 0.5]);
         assert_eq!(d.estimate, 2e9);
-        assert_eq!(d.dominant_model, 1);
+        assert_eq!(d.dominant, 1);
         assert_eq!(d.weights, vec![0.0, 1.0, 0.0]);
     }
 
     #[test]
     fn argmax_ties_pick_the_first() {
         let d = gate(GatingStrategy::Argmax, &[1e9, 2e9], &[0.5, 0.5]);
-        assert_eq!(d.dominant_model, 0);
+        assert_eq!(d.dominant, 0);
     }
 
     #[test]
@@ -127,7 +122,7 @@ mod tests {
         let sum: f64 = d.weights.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert!(d.weights.iter().all(|&w| (0.0..=1.0).contains(&w)));
-        assert_eq!(d.dominant_model, 1);
+        assert_eq!(d.dominant, 1);
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
         assert!((d.weights[0] - 0.6899744811276125).abs() < 1e-12);
         assert!((d.weights[1] - 0.3100255188723875).abs() < 1e-12);
         assert!((d.estimate - 3.24010207548955e9).abs() < 0.5);
-        assert_eq!(d.dominant_model, 0);
+        assert_eq!(d.dominant, 0);
     }
 
     #[test]
@@ -203,8 +198,8 @@ mod tests {
             &estimates,
             &raq,
         );
-        assert_eq!(hard.dominant_model, 1);
-        assert_eq!(soft.dominant_model, 1);
+        assert_eq!(hard.dominant, 1);
+        assert_eq!(soft.dominant, 1);
         // Argmax returns the winner's estimate verbatim; interpolation blends.
         assert_eq!(hard.estimate, 2.0e9);
         assert!(soft.estimate > 1.0e9 && soft.estimate < 3.0e9);
@@ -226,19 +221,19 @@ mod tests {
             assert!((w - 1.0 / 3.0).abs() < 1e-12);
         }
         let hard = gate(GatingStrategy::Argmax, &estimates, &raq);
-        assert_eq!(hard.dominant_model, 0);
+        assert_eq!(hard.dominant, 0);
         assert_eq!(hard.estimate, 1.0e9);
     }
 
     #[test]
     #[should_panic(expected = "cannot gate an empty pool")]
     fn gating_empty_pool_panics() {
-        let _ = gate(GatingStrategy::Argmax, &[], &[]);
+        let _ = gate_with(GatingStrategy::Argmax, &[], &[], &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "one RAQ score per estimate")]
     fn mismatched_lengths_panic() {
-        let _ = gate(GatingStrategy::Argmax, &[1.0], &[0.1, 0.2]);
+        let _ = gate_with(GatingStrategy::Argmax, &[1.0], &[0.1, 0.2], &mut Vec::new());
     }
 }

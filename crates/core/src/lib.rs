@@ -56,19 +56,18 @@ pub mod gating;
 pub mod offset;
 pub mod pool;
 pub mod raq;
+#[cfg(test)]
+mod reference;
 pub mod serve;
 pub mod service;
 pub mod sizey;
 
 pub use config::{DriftPolicy, GatingStrategy, OffsetMode, OnlineMode, SizeyConfig};
 pub use failure::{failure_allocation, failure_allocation_clamped};
-pub use gating::{gate, gate_with, GatingDecision};
-pub use offset::{
-    hypothetical_wastage, select_dynamic_offset, select_dynamic_offset_with, OffsetScratch,
-    OffsetStrategy,
-};
+pub use gating::gate_with;
+pub use offset::{select_dynamic_offset_with, OffsetScratch, OffsetStrategy};
 pub use pool::{GatedOutcome, ModelPool, PoolScratch};
-pub use raq::{accuracy_score, efficiency_scores, pool_raq_scores, raq_score};
+pub use raq::raq_score;
 pub use serve::{ConcurrentPredictor, ConcurrentSizey};
 pub use service::{
     AdmissionPolicy, AsyncService, AsyncSizey, ServePredictor, ServiceConfig, ServiceStats,

@@ -8,6 +8,11 @@
 //! under-prediction error — and during online learning the strategy that
 //! *would have* caused the least wastage on the already executed tasks is
 //! selected.
+//!
+//! [`OffsetStrategy::offset_with`] and [`select_dynamic_offset_with`] are
+//! the kernels the predict path runs, over caller-owned buffers. The plain
+//! statement of §II-E they must match bit for bit is the test-only
+//! `reference.rs` module of this crate.
 
 use sizey_ml::metrics::{percentile_in_place, std_dev};
 
@@ -44,16 +49,9 @@ impl OffsetStrategy {
     }
 
     /// Computes the offset (in bytes) this strategy derives from the history
-    /// of `(prediction, actual)` pairs.
-    pub fn offset(&self, history: &[(f64, f64)]) -> f64 {
-        let mut scratch = OffsetScratch::default();
-        self.offset_with(history, &mut scratch)
-    }
-
-    /// [`OffsetStrategy::offset`] over caller-owned buffers — the
-    /// allocation-free twin used by the predict hot path. Identical
-    /// arithmetic: the same error values in the same order, the median
-    /// strategies sort the scratch buffer in place instead of a fresh copy.
+    /// of `(prediction, actual)` pairs, over caller-owned buffers (the
+    /// median strategies sort the scratch buffer in place). An empty history
+    /// needs no offset.
     pub fn offset_with(&self, history: &[(f64, f64)], scratch: &mut OffsetScratch) -> f64 {
         if history.is_empty() {
             return 0.0;
@@ -105,7 +103,7 @@ impl std::fmt::Display for OffsetStrategy {
 /// overshoot of the subsequent retry. The retry follows Sizey's failure
 /// handling (maximum ever observed, roughly twice the typical peak), so its
 /// cost is approximated as `2 × actual`.
-pub fn hypothetical_wastage(history: &[(f64, f64)], offset: f64) -> f64 {
+fn hypothetical_wastage(history: &[(f64, f64)], offset: f64) -> f64 {
     history
         .iter()
         .map(|&(pred, actual)| {
@@ -121,15 +119,8 @@ pub fn hypothetical_wastage(history: &[(f64, f64)], offset: f64) -> f64 {
 
 /// Selects the offset strategy that would have caused the least wastage on
 /// the observed history (the paper's dynamic offset selection), together with
-/// the offset value it yields.
-pub fn select_dynamic_offset(history: &[(f64, f64)]) -> (OffsetStrategy, f64) {
-    let mut scratch = OffsetScratch::default();
-    select_dynamic_offset_with(history, &mut scratch)
-}
-
-/// [`select_dynamic_offset`] over caller-owned buffers — the allocation-free
-/// twin used by the predict hot path. Identical candidate order and
-/// tie-breaking.
+/// the offset value it yields, over caller-owned buffers. Candidates are
+/// tried in [`OffsetStrategy::ALL`] order and the first wins ties.
 pub fn select_dynamic_offset_with(
     history: &[(f64, f64)],
     scratch: &mut OffsetScratch,
@@ -153,11 +144,33 @@ pub fn select_dynamic_offset_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+
+    /// One strategy's offset through the kernel, asserted bit-equal to the
+    /// reference.
+    fn offset(strategy: OffsetStrategy, history: &[(f64, f64)]) -> f64 {
+        let kernel = strategy.offset_with(history, &mut OffsetScratch::default());
+        let expected = reference::strategy_offset(strategy, history);
+        assert_eq!(kernel.to_bits(), expected.to_bits(), "{strategy}");
+        kernel
+    }
+
+    /// The dynamic selection through the kernel, asserted bit-equal to the
+    /// reference.
+    fn select(history: &[(f64, f64)]) -> (OffsetStrategy, f64) {
+        let (strategy, offset) = select_dynamic_offset_with(history, &mut OffsetScratch::default());
+        let expected = reference::dynamic_offset(history);
+        assert_eq!(
+            (strategy, offset.to_bits()),
+            (expected.0, expected.1.to_bits())
+        );
+        (strategy, offset)
+    }
 
     #[test]
     fn empty_history_gives_zero_offset() {
         for s in OffsetStrategy::ALL {
-            assert_eq!(s.offset(&[]), 0.0);
+            assert_eq!(offset(s, &[]), 0.0);
         }
     }
 
@@ -165,7 +178,7 @@ mod tests {
     fn perfect_predictions_need_no_offset() {
         let history = vec![(1e9, 1e9), (2e9, 2e9)];
         for s in OffsetStrategy::ALL {
-            assert_eq!(s.offset(&history), 0.0, "{s}");
+            assert_eq!(offset(s, &history), 0.0, "{s}");
         }
     }
 
@@ -174,30 +187,33 @@ mod tests {
         // Errors: +1 GB, +3 GB, -2 GB → under-predictions {1, 3} → median 2.
         let history = vec![(1e9, 2e9), (1e9, 4e9), (5e9, 3e9)];
         let s = OffsetStrategy::MedianErrorUnderpredictions;
-        assert!((s.offset(&history) - 2e9).abs() < 1e-3);
+        assert!((offset(s, &history) - 2e9).abs() < 1e-3);
     }
 
     #[test]
     fn median_error_uses_absolute_errors() {
         let history = vec![(1e9, 2e9), (5e9, 3e9)];
         // |errors| = {1 GB, 2 GB} → median 1.5 GB.
-        assert!((OffsetStrategy::MedianError.offset(&history) - 1.5e9).abs() < 1e-3);
+        assert!((offset(OffsetStrategy::MedianError, &history) - 1.5e9).abs() < 1e-3);
     }
 
     #[test]
     fn std_dev_strategies_are_nonnegative() {
         let history = vec![(1e9, 0.5e9), (1e9, 1.5e9), (1e9, 3e9)];
         for s in OffsetStrategy::ALL {
-            assert!(s.offset(&history) >= 0.0);
+            assert!(offset(s, &history) >= 0.0);
         }
     }
 
     #[test]
     fn only_overpredictions_yield_zero_underprediction_offsets() {
         let history = vec![(5e9, 1e9), (6e9, 2e9)];
-        assert_eq!(OffsetStrategy::StdDevUnderpredictions.offset(&history), 0.0);
         assert_eq!(
-            OffsetStrategy::MedianErrorUnderpredictions.offset(&history),
+            offset(OffsetStrategy::StdDevUnderpredictions, &history),
+            0.0
+        );
+        assert_eq!(
+            offset(OffsetStrategy::MedianErrorUnderpredictions, &history),
             0.0
         );
     }
@@ -218,11 +234,11 @@ mod tests {
         let history: Vec<(f64, f64)> = (1..=20)
             .map(|i| (i as f64 * 1e9, i as f64 * 1e9 + 2e9))
             .collect();
-        let (strategy, offset) = select_dynamic_offset(&history);
-        assert!(offset >= 1.9e9, "{strategy} offset {offset}");
-        let cost_selected = hypothetical_wastage(&history, offset);
+        let (strategy, chosen) = select(&history);
+        assert!(chosen >= 1.9e9, "{strategy} offset {chosen}");
+        let cost_selected = hypothetical_wastage(&history, chosen);
         for s in OffsetStrategy::ALL {
-            let cost = hypothetical_wastage(&history, s.offset(&history));
+            let cost = hypothetical_wastage(&history, offset(s, &history));
             assert!(cost_selected <= cost + 1e-6);
         }
     }
@@ -238,8 +254,8 @@ mod tests {
                 (actual + noise, actual)
             })
             .collect();
-        let (_, offset) = select_dynamic_offset(&history);
-        assert!(offset <= 0.2e9, "offset {offset} should stay small");
+        let (_, chosen) = select(&history);
+        assert!(chosen <= 0.2e9, "offset {chosen} should stay small");
     }
 
     #[test]

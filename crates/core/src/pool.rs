@@ -24,7 +24,7 @@
 #![doc = "lint:hot-path"]
 
 use crate::config::{DriftPolicy, OnlineMode, SizeyConfig};
-use crate::gating::{gate_with, GatingDecision};
+use crate::gating::gate_with;
 use crate::offset::OffsetScratch;
 use crate::raq::{accuracy_score_cached, pair_accuracy, pool_raq_scores_into};
 use sizey_ml::dataset::Dataset;
@@ -296,18 +296,15 @@ impl ModelPool {
         self.data.len() >= min_history.max(1) && self.members.iter().any(|m| m.model.is_fitted())
     }
 
-    /// Produces each fitted member's estimate for the given features,
-    /// clamped to be non-negative. Returns `None` when no member can predict.
-    pub fn individual_estimates(&self, features: &[f64]) -> Option<Vec<(ModelClass, f64)>> {
-        let mut scratch = PoolScratch::default();
-        self.individual_estimates_into(features, &mut scratch)?;
-        Some(std::mem::take(&mut scratch.estimates))
-    }
-
-    /// Fills `scratch.estimates` with each fitted member's non-negative
-    /// estimate. Returns `None` (leaving the buffer empty) when no member
-    /// can predict — same filtering as [`ModelPool::individual_estimates`].
-    fn individual_estimates_into(&self, features: &[f64], scratch: &mut PoolScratch) -> Option<()> {
+    /// Fills `scratch.estimates` with each fitted member's estimate for the
+    /// given features, clamped to be non-negative; non-finite estimates are
+    /// dropped. Returns `None` (leaving the buffer empty) when no member can
+    /// predict.
+    pub(crate) fn individual_estimates_into(
+        &self,
+        features: &[f64],
+        scratch: &mut PoolScratch,
+    ) -> Option<()> {
         scratch.estimates.clear();
         for m in &self.members {
             if !m.model.is_fitted() {
@@ -330,36 +327,9 @@ impl ModelPool {
     }
 
     /// Runs the full prediction pipeline for one query: individual estimates,
-    /// RAQ scores, gating. Returns `None` when the pool is not ready.
-    ///
-    /// Reference entry point delegating to
-    /// [`ModelPool::gated_estimate_with`]; the hot path calls the latter
-    /// directly with a recycled [`PoolScratch`].
-    pub fn gated_estimate(
-        &self,
-        features: &[f64],
-        config: &SizeyConfig,
-    ) -> Option<(GatingDecision, Vec<(ModelClass, f64)>)> {
-        let mut scratch = PoolScratch::default();
-        let outcome = self.gated_estimate_with(features, config, &mut scratch)?;
-        let dominant_model = scratch
-            .estimates
-            .iter()
-            .position(|(class, _)| *class == outcome.dominant)?;
-        Some((
-            GatingDecision {
-                estimate: outcome.estimate,
-                weights: std::mem::take(&mut scratch.weights),
-                dominant_model,
-            },
-            std::mem::take(&mut scratch.estimates),
-        ))
-    }
-
-    /// [`ModelPool::gated_estimate`] over caller-owned buffers — the
-    /// allocation-free pipeline the predict hot path runs. Identical
-    /// arithmetic at every stage (estimates, accuracy window, RAQ, gating);
-    /// the per-member details stay in `scratch` instead of being returned.
+    /// RAQ scores, gating. Returns `None` when the pool is not ready. The
+    /// per-member details (estimates, weights) stay in the caller's
+    /// recycled `scratch`, so the predict hot path allocates nothing.
     pub fn gated_estimate_with(
         &self,
         features: &[f64],
@@ -469,9 +439,9 @@ impl ModelPool {
     }
 
     /// Incorporates a successful execution: prequential score bookkeeping,
-    /// dataset growth and the online model update. The pre-learning
-    /// aggregate estimate runs over the caller's recycled `scratch`. Returns
-    /// the time spent training.
+    /// dataset growth and the online model update. The pre-learning member
+    /// predictions and aggregate estimate run over the caller's recycled
+    /// `scratch`. Returns the time spent training.
     pub fn observe_success(
         &mut self,
         features: &[f64],
@@ -485,7 +455,7 @@ impl ModelPool {
         //    only ever sum cached values.
         for member in &mut self.members {
             if member.model.is_fitted() {
-                if let Ok(pred) = member.model.predict(features) {
+                if let Ok(pred) = member.model.predict_with(features, &mut scratch.ml) {
                     if pred.is_finite() {
                         member
                             .accuracy_scores
@@ -658,6 +628,24 @@ mod tests {
         SizeyConfig::default()
     }
 
+    /// The gated pipeline's outcome, with the per-member estimates and
+    /// weights it left in its scratch.
+    fn gated(
+        pool: &ModelPool,
+        features: &[f64],
+        cfg: &SizeyConfig,
+    ) -> Option<(GatedOutcome, PoolScratch)> {
+        let mut scratch = PoolScratch::default();
+        let outcome = pool.gated_estimate_with(features, cfg, &mut scratch)?;
+        Some((outcome, scratch))
+    }
+
+    fn estimates(pool: &ModelPool, features: &[f64]) -> Option<Vec<(ModelClass, f64)>> {
+        let mut scratch = PoolScratch::default();
+        pool.individual_estimates_into(features, &mut scratch)?;
+        Some(scratch.estimates)
+    }
+
     fn feed_linear(pool: &mut ModelPool, cfg: &SizeyConfig, n: usize) {
         for i in 1..=n {
             let input = i as f64 * 1e9;
@@ -675,8 +663,8 @@ mod tests {
         let cfg = config();
         let pool = ModelPool::new(&cfg);
         assert!(!pool.is_ready(cfg.min_history));
-        assert!(pool.individual_estimates(&[1e9]).is_none());
-        assert!(pool.gated_estimate(&[1e9], &cfg).is_none());
+        assert!(estimates(&pool, &[1e9]).is_none());
+        assert!(gated(&pool, &[1e9], &cfg).is_none());
         assert_eq!(pool.max_observed(), None);
     }
 
@@ -694,7 +682,7 @@ mod tests {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 8);
-        let estimates = pool.individual_estimates(&[4e9]).unwrap();
+        let estimates = estimates(&pool, &[4e9]).unwrap();
         assert_eq!(estimates.len(), 4);
         for (_, value) in &estimates {
             assert!(*value > 0.0);
@@ -706,15 +694,15 @@ mod tests {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 15);
-        let (decision, _) = pool.gated_estimate(&[8e9], &cfg).unwrap();
+        let (outcome, scratch) = gated(&pool, &[8e9], &cfg).unwrap();
         let truth = 2.0 * 8e9 + 1e9;
         assert!(
-            (decision.estimate - truth).abs() / truth < 0.5,
+            (outcome.estimate - truth).abs() / truth < 0.5,
             "estimate {} vs truth {}",
-            decision.estimate,
+            outcome.estimate,
             truth
         );
-        let weight_sum: f64 = decision.weights.iter().sum();
+        let weight_sum: f64 = scratch.weights.iter().sum();
         assert!((weight_sum - 1.0).abs() < 1e-9);
     }
 
@@ -723,10 +711,13 @@ mod tests {
         let cfg = config().with_gating(GatingStrategy::Argmax);
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 12);
-        let (decision, estimates) = pool.gated_estimate(&[5e9], &cfg).unwrap();
-        assert!(decision.dominant_model < estimates.len());
+        let (outcome, scratch) = gated(&pool, &[5e9], &cfg).unwrap();
+        assert!(scratch
+            .estimates
+            .iter()
+            .any(|(class, _)| *class == outcome.dominant));
         assert_eq!(
-            decision.weights.iter().filter(|&&w| w == 1.0).count(),
+            scratch.weights.iter().filter(|&&w| w == 1.0).count(),
             1,
             "argmax puts all weight on one model"
         );
@@ -775,7 +766,7 @@ mod tests {
         let cfg = config().with_model_classes(vec![ModelClass::Linear, ModelClass::Knn]);
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 6);
-        let estimates = pool.individual_estimates(&[3e9]).unwrap();
+        let estimates = estimates(&pool, &[3e9]).unwrap();
         assert_eq!(estimates.len(), 2);
         let classes: Vec<ModelClass> = estimates.iter().map(|(c, _)| *c).collect();
         assert!(classes.contains(&ModelClass::Linear));
@@ -834,12 +825,12 @@ mod tests {
         assert!(pool.aggregate_history().len() < 2 * OFFSET_HISTORY_WINDOW);
         // The pool still predicts from the retained window.
         assert!(pool.is_ready(cfg.min_history));
-        let (decision, _) = pool.gated_estimate(&[10e9], &cfg).unwrap();
+        let (outcome, _) = gated(&pool, &[10e9], &cfg).unwrap();
         let truth = 2.0 * 10e9 + 1e9;
         assert!(
-            (decision.estimate - truth).abs() / truth < 0.5,
+            (outcome.estimate - truth).abs() / truth < 0.5,
             "estimate {} vs truth {}",
-            decision.estimate,
+            outcome.estimate,
             truth
         );
     }
@@ -868,10 +859,8 @@ mod tests {
             deferred.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
             deferred.run_pending_retrain(&cfg);
             let query = [input + 5e8];
-            let a = inline.gated_estimate(&query, &cfg).map(|(d, _)| d.estimate);
-            let b = deferred
-                .gated_estimate(&query, &cfg)
-                .map(|(d, _)| d.estimate);
+            let a = gated(&inline, &query, &cfg).map(|(d, _)| d.estimate);
+            let b = gated(&deferred, &query, &cfg).map(|(d, _)| d.estimate);
             assert_eq!(
                 a.map(f64::to_bits),
                 b.map(f64::to_bits),
@@ -909,8 +898,8 @@ mod tests {
             a.observe_success(&[input], peak, &off, &mut PoolScratch::default());
             b.observe_success(&[input], peak, &armed, &mut PoolScratch::default());
             let query = [input + 5e8];
-            let ea = a.gated_estimate(&query, &off).map(|(d, _)| d.estimate);
-            let eb = b.gated_estimate(&query, &armed).map(|(d, _)| d.estimate);
+            let ea = gated(&a, &query, &off).map(|(d, _)| d.estimate);
+            let eb = gated(&b, &query, &armed).map(|(d, _)| d.estimate);
             assert_eq!(
                 ea.map(f64::to_bits),
                 eb.map(f64::to_bits),

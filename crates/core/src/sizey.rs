@@ -321,13 +321,11 @@ impl SizeyPredictor {
         }
     }
 
-    /// Looks the task's pool up without cloning the two key `String`s: the
-    /// `BTreeMap` is probed through the [`KeyQuery`] borrowed-key view.
-    fn pool_for(&self, task: &TaskSubmission) -> Option<&ModelPool> {
-        let probe = KeyRef {
-            task_type: task.task_type.as_str(),
-            machine: task.machine.as_str(),
-        };
+    /// Looks a (task type, machine) pool up without cloning the two key
+    /// `String`s: the `BTreeMap` is probed through the [`KeyQuery`]
+    /// borrowed-key view.
+    pub(crate) fn pool_for(&self, task_type: &str, machine: &str) -> Option<&ModelPool> {
+        let probe = KeyRef { task_type, machine };
         self.pools.get(&probe as &dyn KeyQuery).map(Arc::as_ref)
     }
 
@@ -381,7 +379,9 @@ impl MemoryPredictor for SizeyPredictor {
             let last = ctx
                 .last_allocation_bytes
                 .unwrap_or(task.preset_memory_bytes);
-            let max_observed = self.pool_for(task).and_then(ModelPool::max_observed);
+            let max_observed = self
+                .pool_for(task.task_type.as_str(), task.machine.as_str())
+                .and_then(ModelPool::max_observed);
             let allocation = match self.config.node_capacity_bytes {
                 Some(capacity) => {
                     failure_allocation_clamped(max_observed, last, ctx.attempt, capacity)
@@ -398,7 +398,7 @@ impl MemoryPredictor for SizeyPredictor {
         // One pool lookup serves the whole first-attempt path; the feature
         // vector lives on the stack (same single value
         // `TaskSubmission::features` would box).
-        let Some(pool) = self.pool_for(task) else {
+        let Some(pool) = self.pool_for(task.task_type.as_str(), task.machine.as_str()) else {
             // Unknown task type: submit with the user-provided, usually
             // conservative estimate.
             return Prediction {

@@ -12,8 +12,8 @@
 //! shards and the run continues bit-identically.
 
 use proptest::prelude::*;
-use sizey_core::OffsetStrategy;
 use sizey_core::{ConcurrentSizey, SizeyConfig, SizeyPredictor};
+use sizey_core::{OffsetScratch, OffsetStrategy};
 use sizey_ml::metrics::{median, std_dev};
 use sizey_sim::{replay_workflow, CheckpointPredictor, PredictorState, SimulationConfig};
 use sizey_workflows::{
@@ -128,14 +128,13 @@ proptest! {
             .iter()
             .map(|&margin| (10e9 + margin, 10e9))
             .collect();
-        prop_assert_eq!(
-            OffsetStrategy::StdDevUnderpredictions.offset(&history),
-            0.0
-        );
-        prop_assert_eq!(
-            OffsetStrategy::MedianErrorUnderpredictions.offset(&history),
-            0.0
-        );
+        let mut scratch = OffsetScratch::default();
+        for strategy in [
+            OffsetStrategy::StdDevUnderpredictions,
+            OffsetStrategy::MedianErrorUnderpredictions,
+        ] {
+            prop_assert_eq!(strategy.offset_with(&history, &mut scratch), 0.0);
+        }
     }
 }
 
@@ -147,6 +146,7 @@ fn empty_slice_metrics_are_zero_not_nan() {
     assert_eq!(std_dev(&[]), 0.0);
     assert_eq!(median(&[]), 0.0);
     for strategy in OffsetStrategy::ALL {
-        assert_eq!(strategy.offset(&[]), 0.0, "{strategy}");
+        let offset = strategy.offset_with(&[], &mut OffsetScratch::default());
+        assert_eq!(offset, 0.0, "{strategy}");
     }
 }

@@ -147,8 +147,10 @@ impl KnnRegression {
         self.rows_since_rescale
     }
 
-    /// Returns the indices and distances of the `k` nearest stored
-    /// observations to `query` (in scaled space), closest first.
+    /// Writes the indices and distances of the `k` nearest stored
+    /// observations to `query` (in scaled space), closest first, into
+    /// `scratch.dists`; the scaled query lives in `scratch` too, so the
+    /// steady-state path performs no allocations.
     ///
     /// Partial selection: only the k nearest are moved to the front and
     /// ordered, instead of sorting all n distances. The comparator is total
@@ -156,15 +158,6 @@ impl KnnRegression {
     /// upstream — ranks last instead of panicking the predict hot path, and
     /// ties break by insertion index, matching the stable full sort this
     /// replaces bit for bit.
-    fn nearest(&self, query: &[f64]) -> Vec<(usize, f64)> {
-        let mut scratch = PredictScratch::default();
-        self.nearest_with(query, &mut scratch);
-        std::mem::take(&mut scratch.dists)
-    }
-
-    /// [`Self::nearest`] into caller-owned buffers: the scaled query and the
-    /// distance table live in `scratch`, so the steady-state path performs
-    /// no allocations. On return `scratch.dists` holds the k neighbours.
     fn nearest_with(&self, query: &[f64], scratch: &mut PredictScratch) {
         let width = self.n_features.max(1);
         self.scaler.transform_into(query, &mut scratch.scaled_query);
@@ -293,12 +286,8 @@ impl Regressor for KnnRegression {
     }
 
     fn predict(&self, features: &[f64]) -> Result<f64, ModelError> {
-        if !self.fitted || self.targets.is_empty() {
-            return Err(ModelError::NotFitted);
-        }
-        validate_query(features, self.n_features)?;
-        let neighbours = self.nearest(features);
-        Ok(self.aggregate(&neighbours))
+        let mut scratch = PredictScratch::default();
+        self.predict_with(features, &mut scratch)
     }
 
     fn predict_with(

@@ -18,7 +18,7 @@
 //! allocation, estimate, queue delay or model-selection string changes
 //! anywhere, the digest changes.
 
-use sizey_core::select_dynamic_offset;
+use sizey_core::{select_dynamic_offset_with, OffsetScratch};
 use sizey_suite::prelude::*;
 
 /// FNV-1a, 64 bit: simple, dependency-free, stable across platforms.
@@ -350,6 +350,7 @@ fn predict_path_kernels_are_pinned() {
     // Offset strategies over a history with under- and over-predictions of
     // varying magnitude (windows shorter and longer than the median buffer).
     let mut history: Vec<(f64, f64)> = Vec::new();
+    let mut scratch = OffsetScratch::default();
     let mut x = 1.0_f64;
     for i in 0..60 {
         x = (x * 1.3 + i as f64).rem_euclid(97.0);
@@ -358,9 +359,9 @@ fn predict_path_kernels_are_pinned() {
         history.push((pred, actual.max(1e6)));
         let window = &history[history.len().saturating_sub(40)..];
         for strategy in OffsetStrategy::ALL {
-            d.f64(strategy.offset(window));
+            d.f64(strategy.offset_with(window, &mut scratch));
         }
-        let (strategy, offset) = select_dynamic_offset(window);
+        let (strategy, offset) = select_dynamic_offset_with(window, &mut scratch);
         d.bytes(strategy.name().as_bytes());
         d.f64(offset);
     }

@@ -4,17 +4,14 @@
 //!
 //! * k-NN: flattened/pre-scaled buffer + `select_nth_unstable` partial
 //!   selection vs. scale-per-row + stable full sort,
-//! * RAQ: cached per-pair accuracy contributions vs. re-scoring the
-//!   prequential history on every call,
 //! * `Cluster::select_node`: the free-capacity index (segment tree +
 //!   ordered-by-free set) vs. the naive linear scans, across random
 //!   occupancy states, policies and degenerate allocations.
+//!
+//! Sizey's RAQ, gating and offset kernels are held to the paper reference
+//! inside `sizey-core` (its test-only `reference.rs` oracle).
 
 use proptest::prelude::*;
-use sizey_core::raq::{
-    accuracy_score, accuracy_score_cached, pair_accuracy, pool_raq_scores,
-    pool_raq_scores_from_accuracy,
-};
 use sizey_ml::forest::{ForestConfig, RandomForestRegression};
 use sizey_ml::knn::{KnnConfig, KnnRegression, KnnWeighting};
 use sizey_ml::linear::{LinearConfig, LinearRegression};
@@ -329,56 +326,6 @@ proptest! {
         let p = forest.predict(&[query]).unwrap();
         prop_assert!(p.is_finite());
         prop_assert!(p >= lo - 1e-6 && p <= hi + 1e-6, "p = {} outside [{}, {}]", p, lo, hi);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RAQ: cached per-pair contributions vs. per-call re-scoring.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn cached_accuracy_and_raq_scores_are_bit_identical(
-        histories in proptest::collection::vec(
-            proptest::collection::vec((0.0f64..1e12, 1.0f64..1e12), 0..80),
-            1..5,
-        ),
-        alpha in 0.0f64..1.0,
-        window in 1usize..60,
-    ) {
-        // Estimates derived from the histories so they are arbitrary but
-        // deterministic.
-        let estimates: Vec<f64> = histories
-            .iter()
-            .map(|h| h.first().map_or(1e9, |(p, _)| *p + 1.0))
-            .collect();
-        // Full-history equivalence.
-        let naive = pool_raq_scores(&histories, &estimates, alpha);
-        let cached_accuracies: Vec<f64> = histories
-            .iter()
-            .map(|h| {
-                let scores: Vec<f64> =
-                    h.iter().map(|&(p, a)| pair_accuracy(p, a)).collect();
-                accuracy_score_cached(&scores)
-            })
-            .collect();
-        let cached = pool_raq_scores_from_accuracy(&cached_accuracies, &estimates, alpha);
-        prop_assert_eq!(naive.len(), cached.len());
-        for (n, c) in naive.iter().zip(cached.iter()) {
-            prop_assert_eq!(n.to_bits(), c.to_bits());
-        }
-        // Windowed equivalence (the predict path scores a bounded window):
-        // summing the cached tail must equal re-scoring the tail pairs.
-        for h in &histories {
-            let tail = &h[h.len().saturating_sub(window)..];
-            let scores: Vec<f64> = tail.iter().map(|&(p, a)| pair_accuracy(p, a)).collect();
-            prop_assert_eq!(
-                accuracy_score_cached(&scores).to_bits(),
-                accuracy_score(tail).to_bits()
-            );
-        }
     }
 }
 

@@ -124,11 +124,17 @@ proptest! {
         alpha in 0.0f64..1.0,
         history_len in 0usize..10,
     ) {
-        let histories: Vec<Vec<(f64, f64)>> = estimates
+        let accuracies: Vec<f64> = estimates
             .iter()
-            .map(|&e| (0..history_len).map(|i| (e * (1.0 + i as f64 * 0.01), e)).collect())
+            .map(|&e| {
+                let pairs: Vec<f64> = (0..history_len)
+                    .map(|i| sizey_core::raq::pair_accuracy(e * (1.0 + i as f64 * 0.01), e))
+                    .collect();
+                sizey_core::raq::accuracy_score_cached(&pairs)
+            })
             .collect();
-        let scores = sizey_core::pool_raq_scores(&histories, &estimates, alpha);
+        let mut scores = Vec::new();
+        sizey_core::raq::pool_raq_scores_into(&accuracies, &estimates, alpha, &mut scores);
         prop_assert_eq!(scores.len(), estimates.len());
         for s in scores {
             prop_assert!((0.0..=1.0).contains(&s));
@@ -146,14 +152,15 @@ proptest! {
             .enumerate()
             .map(|(i, _)| ((seed as usize + i * 37) % 100) as f64 / 100.0)
             .collect();
+        let mut weights = Vec::new();
         for strategy in [GatingStrategy::Argmax, GatingStrategy::Interpolation { beta }] {
-            let decision = sizey_core::gate(strategy, &estimates, &raq);
-            let sum: f64 = decision.weights.iter().sum();
+            let (estimate, _) = sizey_core::gate_with(strategy, &estimates, &raq, &mut weights);
+            let sum: f64 = weights.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9);
             let min = estimates.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = estimates.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(decision.estimate >= min - 1e-6);
-            prop_assert!(decision.estimate <= max + 1e-6);
+            prop_assert!(estimate >= min - 1e-6);
+            prop_assert!(estimate <= max + 1e-6);
         }
     }
 
@@ -161,14 +168,23 @@ proptest! {
     fn offset_strategies_are_nonnegative_and_dynamic_is_optimal(
         history in prop::collection::vec((1.0e8f64..50.0e9, 1.0e8f64..50.0e9), 1..30)
     ) {
+        // The selection's objective: the surplus of a sufficient allocation,
+        // or the allocation plus a `2 × actual` retry for an insufficient one.
+        let cost = |offset: f64| -> f64 {
+            history
+                .iter()
+                .map(|&(pred, actual)| {
+                    let alloc = pred + offset;
+                    if alloc >= actual { alloc - actual } else { alloc + 2.0 * actual }
+                })
+                .sum()
+        };
+        let mut scratch = sizey_core::OffsetScratch::default();
+        let (_, chosen_offset) = sizey_core::select_dynamic_offset_with(&history, &mut scratch);
         for strategy in OffsetStrategy::ALL {
-            prop_assert!(strategy.offset(&history) >= 0.0);
-        }
-        let (_, chosen_offset) = sizey_core::select_dynamic_offset(&history);
-        let chosen_cost = sizey_core::hypothetical_wastage(&history, chosen_offset);
-        for strategy in OffsetStrategy::ALL {
-            let cost = sizey_core::hypothetical_wastage(&history, strategy.offset(&history));
-            prop_assert!(chosen_cost <= cost + 1e-6);
+            let offset = strategy.offset_with(&history, &mut scratch);
+            prop_assert!(offset >= 0.0);
+            prop_assert!(cost(chosen_offset) <= cost(offset) + 1e-6);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! # sizey-bench
 //!
 //! Benchmark harness regenerating every table and figure of the Sizey
-//! evaluation. Each experiment is a small binary under `src/bin/`, named
-//! after the figure or table it regenerates (README §"Reproducing figures
-//! and tables"); this library holds the shared machinery: method
+//! evaluation. The `repro` binary runs them; each is a section named after
+//! the figure, table or ablation it regenerates (README §"Reproducing
+//! figures and tables"). This library holds the shared machinery: method
 //! construction, full-evaluation sweeps across the six workflows, and
 //! plain-text table rendering.
 //!
@@ -189,7 +189,8 @@ pub fn fmt(value: f64, decimals: usize) -> String {
 }
 
 /// Prints the standard harness banner (experiment id, scale, seed) so every
-/// binary's output is self-describing.
+/// output is self-describing. Pass the settings the workloads were
+/// generated at, not the requested ones, when they differ.
 pub fn banner(experiment: &str, settings: &HarnessSettings) {
     println!("=== {experiment} ===");
     println!(

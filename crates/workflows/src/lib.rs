@@ -9,7 +9,6 @@
 //! workloads calibrated to every statistic the paper publishes about them
 //! (Table I inventory, Fig. 1 memory distributions, Fig. 2 input/memory
 //! relations, Fig. 7 resource spreads, the Prokka instance count of Fig. 12).
-//! See `DESIGN.md` for the substitution rationale.
 //!
 //! * [`model`] — workflow / task type / task instance types,
 //! * [`memfn`] — input, memory-response and runtime models,

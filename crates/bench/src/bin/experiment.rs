@@ -17,9 +17,12 @@
 //!   starts.
 //!
 //! After writing, every state file is read back, restored through the
-//! registry and re-snapshotted; the run fails (non-zero exit) unless each
-//! round-trip is bit-identical — so a green run *proves* the checkpoints are
-//! usable, and CI greps for the "checkpoint round-trip verified" line.
+//! registry and re-snapshotted; the run fails (non-zero exit, naming the
+//! state file) unless each round-trip is bit-identical — so a green run
+//! *proves* the checkpoints are usable, and CI greps for the "checkpoint
+//! round-trip verified" line. A bounded-history Sizey (`history_window`)
+//! fails here once its store has evicted: its journal is a suffix, and
+//! restore refuses it.
 //!
 //! Example: `cargo run --release -p sizey-bench --bin experiment -- \
 //! crates/bench/specs/smoke.toml /tmp/sizey-checkpoints`
@@ -222,7 +225,10 @@ fn write_and_verify_checkpoints(
         if read_back != *state {
             return Err(format!("{}: state changed on disk", path.display()).into());
         }
-        let restored = cell.method.restore(&read_back)?;
+        let restored = cell
+            .method
+            .restore(&read_back)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
         if restored.snapshot() != *state {
             return Err(format!(
                 "{}: restored predictor does not reproduce its checkpoint",

@@ -167,11 +167,11 @@ pub struct SizeyConfig {
     ///
     /// `None` (the default) retains everything and reproduces the paper
     /// setup exactly. **Trade-off:** a bounded predictor's event-sourced
-    /// snapshot only contains the retained journal suffix, so the
-    /// full-journal restore contract requires the unbounded default (or an
-    /// externally maintained
-    /// [`CompactedCheckpoint`](sizey_sim::CompactedCheckpoint) capturing the
-    /// stream from the start).
+    /// snapshot only contains the retained journal suffix, and replaying a
+    /// suffix would rebuild a different predictor. Once records have been
+    /// evicted, the snapshot records how many, and
+    /// [`restore`](sizey_sim::CheckpointPredictor::restore) refuses it with
+    /// [`StateError::TruncatedJournal`](sizey_sim::StateError::TruncatedJournal).
     pub history_window: Option<usize>,
     /// Drift response: off by default (bit-identical to the paper setup);
     /// see [`DriftPolicy`].

@@ -272,7 +272,9 @@ impl<P: CheckpointPredictor + Sync> CheckpointPredictor for ConcurrentPredictor<
     /// journal order, so each key keeps its history), gives the counters —
     /// telemetry totals with no per-key meaning — to shard 0, and restores
     /// every shard through its own `restore`, which is where
-    /// [`StateError::NotFresh`] and [`StateError::UnknownCounter`] come from.
+    /// [`StateError::NotFresh`], [`StateError::UnknownCounter`] and (from
+    /// shard 0, for a bounded-history service's summed eviction count)
+    /// [`StateError::TruncatedJournal`] come from.
     /// After an error the service is partly restored; build a new one.
     fn restore(&mut self, state: &PredictorState) -> Result<(), StateError> {
         let mut per_shard = vec![PredictorState::empty(); self.shards.len()];
@@ -518,6 +520,30 @@ mod tests {
             restored.restore(&checkpoint),
             Err(StateError::NotFresh { observed }) if observed > 0
         ));
+    }
+
+    /// A bounded-history service's snapshot sums its shards' eviction
+    /// counts, and restoring it is refused through shard 0, which receives
+    /// every counter, before any shard replays a record.
+    #[test]
+    fn bounded_service_checkpoint_is_refused() {
+        let bounded = SizeyConfig::default().with_history_window(8);
+        let service = ConcurrentSizey::sizey(bounded.clone(), 3);
+        for task_type in ["align", "sort", "call"] {
+            train(&mut |r| service.observe(r), task_type, 14);
+        }
+        let evicted: u64 = service
+            .map_shards(|p| p.provenance().evicted())
+            .iter()
+            .sum();
+        assert!(evicted > 0);
+        let mut restored = ConcurrentSizey::sizey(bounded, 5);
+        assert!(matches!(
+            restored.restore(&service.snapshot()),
+            Err(StateError::TruncatedJournal { evicted: n }) if n == evicted
+        ));
+        let replayed: usize = restored.map_shards(|p| p.provenance().len()).iter().sum();
+        assert_eq!(replayed, 0);
     }
 
     /// The one state codec round-trips a service checkpoint, and the state

@@ -131,10 +131,11 @@ impl SizeyPredictor {
 
     /// Creates a Sizey predictor with the given configuration.
     pub fn new(config: SizeyConfig) -> Self {
-        // A bounded-history predictor also bounds its provenance store: the
-        // store is snapshot/diagnostic state (predictions read the pools),
-        // so retaining a recent window keeps memory O(window) while the
-        // all-time per-key peaks the store tracks survive eviction.
+        // A bounded-history predictor also bounds its provenance store, the
+        // journal snapshots are taken from. Predictions read only the pools
+        // (the retry escalation's per-key maximum included), so retaining a
+        // recent window keeps memory O(window) and costs only restorability:
+        // `restore` refuses a snapshot taken after the store evicted.
         let store = match config.history_window {
             Some(window) => ProvenanceStore::with_retention(window.max(1)),
             None => ProvenanceStore::new(),
@@ -490,6 +491,12 @@ impl MemoryPredictor for SizeyPredictor {
 /// [`name`](OffsetStrategy::name)).
 const OFFSET_COUNTER_PREFIX: &str = "offset-selected.";
 
+/// Counter under which a snapshot records how many journal records the
+/// bounded store had evicted. Written only when non-zero, so unbounded
+/// snapshots carry no trace of it; its presence makes
+/// [`restore`](CheckpointPredictor::restore) refuse the state.
+const EVICTED_COUNTER: &str = "journal.evicted";
+
 /// Event-sourced snapshot/restore: Sizey's learned state — model pools,
 /// offset histories, provenance, queue-delay telemetry — is a deterministic
 /// function of the observation stream (the stochastic pool members are
@@ -498,7 +505,10 @@ const OFFSET_COUNTER_PREFIX: &str = "offset-selected.";
 /// Restoring replays the journal through [`MemoryPredictor::observe`] on a
 /// freshly built predictor with the *same configuration*, which reconstructs
 /// every pool bit for bit; per-step wall-clock training times are
-/// re-measured during the replay rather than carried over.
+/// re-measured during the replay rather than carried over. A bounded
+/// [`SizeyConfig::history_window`] store journals only its retained suffix,
+/// so such a snapshot says how much it lost and restore refuses it with
+/// [`StateError::TruncatedJournal`].
 impl CheckpointPredictor for SizeyPredictor {
     fn snapshot(&self) -> PredictorState {
         // The journal *shares* the store's records (satellite fix for the
@@ -514,6 +524,10 @@ impl CheckpointPredictor for SizeyPredictor {
                 (n > 0).then(|| (format!("{OFFSET_COUNTER_PREFIX}{}", strategy.name()), n))
             })
             .collect();
+        let evicted = self.store.evicted();
+        if evicted > 0 {
+            counters.push((EVICTED_COUNTER.to_string(), evicted));
+        }
         // Name-sorted, matching the `PredictorState` contract — and the
         // order a `ConcurrentPredictor` snapshot merges its shards' counters
         // into, so a snapshot of a restored service state compares equal to
@@ -527,6 +541,9 @@ impl CheckpointPredictor for SizeyPredictor {
             return Err(StateError::NotFresh {
                 observed: self.store.len(),
             });
+        }
+        if let Some(&(_, evicted)) = state.counters.iter().find(|(n, _)| n == EVICTED_COUNTER) {
+            return Err(StateError::TruncatedJournal { evicted });
         }
         for record in &state.journal {
             self.observe(record);
@@ -921,7 +938,9 @@ mod tests {
     /// The bounded-history mode behind million-task streaming replays:
     /// provenance, training telemetry and (via the pools) training data all
     /// stay bounded while the predictor keeps learning from the recent
-    /// window.
+    /// window. Its snapshot journals only that window, so it names the
+    /// evicted count and a restore refuses it rather than rebuild a
+    /// different predictor.
     #[test]
     fn bounded_history_window_keeps_predictor_state_bounded() {
         let cfg = SizeyConfig::default().with_history_window(32);
@@ -945,6 +964,23 @@ mod tests {
             "learned allocation {} should beat the 20 GB preset",
             pred.allocation_bytes
         );
+        let state = p.snapshot();
+        assert_eq!(state.journal.len(), 32);
+        assert!(state.counters.contains(&(EVICTED_COUNTER.to_string(), 668)));
+        let mut fresh = SizeyPredictor::new(SizeyConfig::default().with_history_window(32));
+        assert!(matches!(
+            fresh.restore(&state),
+            Err(StateError::TruncatedJournal { evicted: 668 })
+        ));
+        // Refused before any replay: the target is still fresh.
+        assert!(fresh.provenance().is_empty());
+        // A window the run never filled evicts nothing, so its snapshot is
+        // the unbounded one and restores.
+        let mut small = SizeyPredictor::new(SizeyConfig::default().with_history_window(32));
+        train(&mut small, 10);
+        let state = small.snapshot();
+        assert!(state.counters.iter().all(|(n, _)| n != EVICTED_COUNTER));
+        fresh.restore(&state).unwrap();
     }
 
     /// A deferred-retrain predictor with pools "a", "b" and "c" (observed out

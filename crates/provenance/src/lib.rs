@@ -3,16 +3,18 @@
 //! Provenance substrate for the Sizey reproduction.
 //!
 //! In the paper (Fig. 3), Sizey is attached to the provenance database of a
-//! scientific workflow management system: on every task submission it
-//! retrieves the historical executions of the same task type on the same
-//! machine configuration, and on every task completion new monitoring data is
-//! appended. This crate provides:
+//! scientific workflow management system: on every task completion new
+//! monitoring data is appended, and Sizey learns from it. In this workspace
+//! each completed record is fed to the predictor's `observe`, and the
+//! per-(task type, machine) training history lives in Sizey's model pools.
+//! What this crate keeps is the record itself and the journal of records:
 //!
 //! * [`record::TaskRecord`] — one finished physical task execution with its
 //!   measured input size, peak memory, allocation, runtime and outcome,
-//! * [`store::ProvenanceStore`] — a thread-safe, indexed in-memory store with
-//!   the query surface Sizey needs,
-//! * [`trace_io`] — a plain-text trace format for persisting and replaying
+//! * [`store::ProvenanceStore`] — the observation journal: a thread-safe,
+//!   append-only record log (optionally bounded) that predictors snapshot
+//!   and restore from,
+//! * [`trace_io`] — the plain-text trace codec for persisting and replaying
 //!   collections of records.
 //!
 //! ## Example
@@ -49,7 +51,4 @@ pub use record::{
     TaskMachineKey, TaskOutcome, TaskRecord, TaskTypeId,
 };
 pub use store::ProvenanceStore;
-pub use trace_io::{
-    from_trace_string, read_trace, to_trace_string, trace_reader_from_file, trace_writer_to_file,
-    write_trace, TraceError, TraceReader, TraceWriter,
-};
+pub use trace_io::{from_trace_string, read_trace, to_trace_string, write_trace, TraceError};

@@ -1,44 +1,39 @@
-//! The in-memory provenance store.
+//! The in-memory provenance store: the observation journal.
 //!
 //! The store plays the role of the provenance database attached to the
 //! scientific workflow management system in the paper's Fig. 3: when a task
-//! is submitted, Sizey retrieves all historical executions of the same
-//! (task type, machine) combination; when a task finishes, its monitoring
-//! data is appended. The store is thread-safe so the simulator can complete
-//! tasks from several worker threads while predictors query concurrently.
+//! finishes, its monitoring data is appended. In this workspace it is the
+//! **journal** — the ordered record log a predictor snapshots
+//! ([`ProvenanceStore::all_records`]) and restores from. The per-key training
+//! history Sizey predicts from lives in its model pools, so the store keeps
+//! no per-key index: the query methods scan the retained records. The store
+//! is thread-safe so the simulator can complete tasks from several worker
+//! threads while others read.
 //!
 //! ## Bounded retention
 //!
 //! By default the store retains every record forever. For streaming replays
 //! whose working set must stay bounded (million-task traces), a **retention
 //! limit** turns the record log into a ring buffer: once more than `limit`
-//! records are stored, the oldest are evicted. Records keep stable,
-//! monotonically increasing ids, so the per-key indexes stay consistent
-//! across evictions; [`ProvenanceStore::total_inserted`] and
-//! [`ProvenanceStore::evicted`] expose the all-time counters. Two pieces of
-//! state deliberately survive eviction so that bounding the store never
-//! weakens safety-critical answers:
-//!
-//! * [`max_observed_peak`](ProvenanceStore::max_observed_peak) is a running
-//!   maximum over **all** inserted records, evicted or not (the
-//!   failure-handling escalation must never forget a large peak), and
-//! * [`knows_task_type`](ProvenanceStore::knows_task_type) stays true for a
-//!   task type whose records have all been evicted.
+//! records are stored, the oldest are evicted, and every query answers from
+//! the retained records only. [`ProvenanceStore::total_inserted`] and
+//! [`ProvenanceStore::evicted`] expose the all-time counters, so a journal
+//! that has lost its head can say so.
 
 use crate::record::{TaskMachineKey, TaskOutcome, TaskRecord, TaskTypeId};
 use parking_lot::RwLock;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Thread-safe, indexed provenance store.
+/// Thread-safe, append-only record log with optional bounded retention.
 #[derive(Debug, Default)]
 pub struct ProvenanceStore {
     inner: RwLock<StoreInner>,
 }
 
 /// Cloning takes a consistent snapshot of the whole store under its read
-/// lock. Records are `Arc`-shared, so the deep part of the clone is the
-/// index maps, not the monitoring data.
+/// lock. Records are `Arc`-shared, so the clone copies pointers, not the
+/// monitoring data.
 impl Clone for ProvenanceStore {
     fn clone(&self) -> Self {
         ProvenanceStore {
@@ -49,17 +44,8 @@ impl Clone for ProvenanceStore {
 
 #[derive(Debug, Default, Clone)]
 struct StoreInner {
-    /// Retained records in insertion order. Record `i` of the deque has the
-    /// stable id `base + i`.
+    /// Retained records in insertion order.
     records: VecDeque<Arc<TaskRecord>>,
-    /// Stable id of the oldest retained record (number of evictions so far).
-    base: u64,
-    /// Index: (task type, machine) -> stable record ids, insertion order.
-    by_key: HashMap<TaskMachineKey, VecDeque<u64>>,
-    /// Index: task type -> stable record ids (across machines).
-    by_task_type: HashMap<TaskTypeId, VecDeque<u64>>,
-    /// All-time maximum peak per key; survives eviction.
-    max_peak_by_key: HashMap<TaskMachineKey, f64>,
     /// All-time number of inserted records (retained + evicted).
     total_inserted: u64,
     /// Retention limit; `None` keeps everything (the default).
@@ -67,36 +53,6 @@ struct StoreInner {
     /// Number of currently running tasks, maintained by the execution
     /// environment and exposed to predictors as context.
     running_tasks: u32,
-}
-
-impl StoreInner {
-    fn get(&self, id: u64) -> Option<&Arc<TaskRecord>> {
-        id.checked_sub(self.base)
-            .and_then(|offset| self.records.get(offset as usize))
-    }
-
-    /// Evicts the oldest retained record, unlinking it from both indexes
-    /// (the oldest record's id is by construction at the front of its
-    /// per-key lists).
-    fn evict_front(&mut self) {
-        let Some(record) = self.records.pop_front() else {
-            return;
-        };
-        let id = self.base;
-        self.base += 1;
-        if let Some(ids) = self.by_key.get_mut(&record.key()) {
-            if ids.front() == Some(&id) {
-                ids.pop_front();
-            }
-        }
-        if let Some(ids) = self.by_task_type.get_mut(&record.task_type) {
-            if ids.front() == Some(&id) {
-                ids.pop_front();
-            }
-        }
-        // Empty index entries are kept on purpose: `knows_task_type` must
-        // keep answering true after the type's records age out.
-    }
 }
 
 impl ProvenanceStore {
@@ -113,47 +69,14 @@ impl ProvenanceStore {
         store
     }
 
-    /// Changes the retention limit. `None` disables eviction; a limit
-    /// smaller than the current size evicts immediately.
-    pub fn set_retention(&self, limit: Option<usize>) {
-        let mut inner = self.inner.write();
-        inner.retention = limit.map(|l| l.max(1));
-        if let Some(cap) = inner.retention {
-            while inner.records.len() > cap {
-                inner.evict_front();
-            }
-        }
-    }
-
-    /// The current retention limit (`None` = unlimited).
-    pub fn retention(&self) -> Option<usize> {
-        self.inner.read().retention
-    }
-
-    /// Appends a finished task record.
+    /// Appends a finished task record, evicting the oldest one when the
+    /// retention limit is exceeded.
     pub fn insert(&self, record: TaskRecord) {
         let mut inner = self.inner.write();
-        let id = inner.base + inner.records.len() as u64;
-        let key = record.key();
-        let task_type = record.task_type.clone();
-        let peak = record.peak_memory_bytes;
         inner.records.push_back(Arc::new(record));
-        inner.by_key.entry(key.clone()).or_default().push_back(id);
-        inner
-            .by_task_type
-            .entry(task_type)
-            .or_default()
-            .push_back(id);
-        inner
-            .max_peak_by_key
-            .entry(key)
-            .and_modify(|m| *m = m.max(peak))
-            .or_insert(peak);
         inner.total_inserted += 1;
-        if let Some(cap) = inner.retention {
-            while inner.records.len() > cap {
-                inner.evict_front();
-            }
+        if inner.retention.is_some_and(|cap| inner.records.len() > cap) {
+            inner.records.pop_front();
         }
     }
 
@@ -174,79 +97,74 @@ impl ProvenanceStore {
 
     /// Number of records evicted by the retention limit so far.
     pub fn evicted(&self) -> u64 {
-        self.inner.read().base
+        let inner = self.inner.read();
+        inner.total_inserted - inner.records.len() as u64
+    }
+
+    /// The retained records `keep` accepts, in insertion order.
+    fn retained(&self, keep: impl Fn(&TaskRecord) -> bool) -> Vec<Arc<TaskRecord>> {
+        let inner = self.inner.read();
+        inner.records.iter().filter(|r| keep(r)).cloned().collect()
     }
 
     /// All retained records for one (task type, machine) combination, in
-    /// insertion order. This is the query Sizey issues on every task
-    /// submission.
+    /// insertion order.
     pub fn history(&self, key: &TaskMachineKey) -> Vec<Arc<TaskRecord>> {
-        let inner = self.inner.read();
-        inner
-            .by_key
-            .get(key)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|&id| inner.get(id).cloned())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.retained(|r| r.task_type == key.task_type && r.machine == key.machine)
     }
 
     /// All retained records of a task type regardless of machine, in
     /// insertion order.
     pub fn history_for_task_type(&self, task_type: &TaskTypeId) -> Vec<Arc<TaskRecord>> {
-        let inner = self.inner.read();
-        inner
-            .by_task_type
-            .get(task_type)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|&id| inner.get(id).cloned())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.retained(|r| r.task_type == *task_type)
     }
 
     /// Only the successful retained records for a (task type, machine)
     /// combination. Models are trained on successful executions — failed
     /// attempts never observed the true peak.
     pub fn successful_history(&self, key: &TaskMachineKey) -> Vec<Arc<TaskRecord>> {
-        self.history(key)
-            .into_iter()
-            .filter(|r| r.outcome == TaskOutcome::Succeeded)
-            .collect()
+        self.retained(|r| {
+            r.outcome == TaskOutcome::Succeeded
+                && r.task_type == key.task_type
+                && r.machine == key.machine
+        })
     }
 
     /// Number of retained executions for a (task type, machine) combination.
     pub fn count(&self, key: &TaskMachineKey) -> usize {
-        self.inner.read().by_key.get(key).map_or(0, VecDeque::len)
+        self.history(key).len()
     }
 
-    /// True when the task type has been observed before on any machine —
-    /// including types whose records have since been evicted.
+    /// True when a retained record has this task type, on any machine.
     pub fn knows_task_type(&self, task_type: &TaskTypeId) -> bool {
-        self.inner.read().by_task_type.contains_key(task_type)
-    }
-
-    /// Largest peak memory ever observed for a (task type, machine)
-    /// combination, if any — an all-time maximum that survives eviction, so
-    /// the failure-handling strategy never forgets a large peak.
-    pub fn max_observed_peak(&self, key: &TaskMachineKey) -> Option<f64> {
-        self.inner.read().max_peak_by_key.get(key).copied()
-    }
-
-    /// All distinct task types seen so far (including evicted ones).
-    pub fn task_types(&self) -> Vec<TaskTypeId> {
         let inner = self.inner.read();
-        let mut types: Vec<TaskTypeId> = inner.by_task_type.keys().cloned().collect();
+        inner.records.iter().any(|r| r.task_type == *task_type)
+    }
+
+    /// Largest peak memory among the retained records of a (task type,
+    /// machine) combination, if any.
+    pub fn max_observed_peak(&self, key: &TaskMachineKey) -> Option<f64> {
+        self.history(key)
+            .iter()
+            .map(|r| r.peak_memory_bytes)
+            .reduce(f64::max)
+    }
+
+    /// The distinct task types of the retained records, sorted.
+    pub fn task_types(&self) -> Vec<TaskTypeId> {
+        let mut types: Vec<TaskTypeId> = self
+            .all_records()
+            .iter()
+            .map(|r| r.task_type.clone())
+            .collect();
         types.sort();
+        types.dedup();
         types
     }
 
     /// A snapshot of every retained record in insertion order.
     pub fn all_records(&self) -> Vec<Arc<TaskRecord>> {
-        self.inner.read().records.iter().map(Arc::clone).collect()
+        self.retained(|_| true)
     }
 
     /// Sets the number of currently running tasks (maintained by the
@@ -265,10 +183,6 @@ impl ProvenanceStore {
     pub fn clear(&self) {
         let mut inner = self.inner.write();
         inner.records.clear();
-        inner.base = 0;
-        inner.by_key.clear();
-        inner.by_task_type.clear();
-        inner.max_peak_by_key.clear();
         inner.total_inserted = 0;
         inner.running_tasks = 0;
     }
@@ -418,35 +332,21 @@ mod tests {
     }
 
     #[test]
-    fn max_peak_and_task_types_survive_eviction() {
+    fn queries_forget_evicted_records() {
         let store = ProvenanceStore::with_retention(2);
         let key = TaskMachineKey::new("a", "m1");
         store.insert(record("a", "m1", 0, 9e9, TaskOutcome::FailedOutOfMemory));
         store.insert(record("b", "m1", 1, 1e9, TaskOutcome::Succeeded));
         store.insert(record("b", "m1", 2, 2e9, TaskOutcome::Succeeded));
         store.insert(record("b", "m1", 3, 3e9, TaskOutcome::Succeeded));
-        // The "a" record (and its 9 GB peak) has been evicted...
+        // The "a" record (and its 9 GB peak) has been evicted. The store is
+        // the journal, so it answers from what it still holds; the retry
+        // escalation reads the model pool's maximum, not this.
         assert!(store.history(&key).is_empty());
-        // ...but the safety-critical answers survive.
-        assert_eq!(store.max_observed_peak(&key), Some(9e9));
-        assert!(store.knows_task_type(&TaskTypeId::new("a")));
-    }
-
-    #[test]
-    fn set_retention_trims_immediately_and_can_be_lifted() {
-        let store = ProvenanceStore::new();
-        for seq in 0..10 {
-            store.insert(record("a", "m1", seq, 1.0, TaskOutcome::Succeeded));
-        }
-        store.set_retention(Some(3));
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.evicted(), 7);
-        store.set_retention(None);
-        for seq in 10..20 {
-            store.insert(record("a", "m1", seq, 1.0, TaskOutcome::Succeeded));
-        }
-        assert_eq!(store.len(), 13);
-        assert_eq!(store.retention(), None);
+        assert_eq!(store.max_observed_peak(&key), None);
+        assert!(!store.knows_task_type(&TaskTypeId::new("a")));
+        assert_eq!(store.task_types(), vec![TaskTypeId::new("b")]);
+        assert_eq!(store.evicted(), 2);
     }
 
     #[test]

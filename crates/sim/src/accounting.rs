@@ -199,10 +199,8 @@ impl<F: FnMut(&AttemptEvent)> AttemptSink for F {
 }
 
 /// Where the streaming engines deliver finished provenance records (the
-/// exact records fed to `observe`). The opt-in `--trace` sink forwards them
-/// to an incremental
-/// [`TraceWriter`](sizey_provenance::trace_io::TraceWriter); the default
-/// [`NullRecordSink`] discards them.
+/// exact records fed to `observe`). Any `FnMut(&TaskRecord)` closure is a
+/// sink; the default [`NullRecordSink`] discards them.
 pub trait RecordSink {
     /// Called once per finished attempt, in completion order.
     fn record(&mut self, record: &sizey_provenance::TaskRecord);

@@ -81,7 +81,7 @@ pub use faults::{
     TaskKillBurst,
 };
 pub use inflight::RetryLedger;
-pub use lifecycle::{CheckpointPredictor, CompactedCheckpoint, PredictorState, StateError};
+pub use lifecycle::{CheckpointPredictor, PredictorState, StateError};
 pub use predictor::{AttemptContext, MemoryPredictor, Prediction, PresetPredictor, TaskSubmission};
 pub use replay::{replay_workflow, replay_workflow_streaming};
 pub use scheduler::{

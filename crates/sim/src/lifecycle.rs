@@ -26,19 +26,22 @@
 //! * **Wall-clock telemetry** (e.g. Sizey's per-step training times) is
 //!   re-measured during the restore replay rather than carried over — it is
 //!   wall-clock data and would be stale on the restoring host anyway.
+//! * **Bounded history** — a predictor that evicts old records (Sizey with a
+//!   `history_window`) can only journal the retained suffix, and replaying a
+//!   suffix rebuilds a different predictor. Such a snapshot records how many
+//!   records it lost, and restore refuses it with
+//!   [`StateError::TruncatedJournal`] instead of returning an impostor.
 //!
 //! [`PredictorState`] round-trips through a plain-text format (the journal
 //! reuses the provenance TSV trace codec) so checkpoints can be written to a
 //! checkpoint directory, diffed, and shipped between runs. `f64` values are
 //! printed with Rust's shortest-round-trip formatting, so the text form is
 //! lossless.
+#![doc = "lint:hot-path"]
 
 use crate::predictor::{MemoryPredictor, PresetPredictor};
 use serde::{Deserialize, Serialize};
-use sizey_provenance::{
-    from_trace_string, to_trace_string, trace_reader_from_file, trace_writer_to_file, TaskRecord,
-    TraceError,
-};
+use sizey_provenance::{from_trace_string, to_trace_string, TaskRecord, TraceError};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -202,6 +205,12 @@ pub enum StateError {
         /// The offending counter name.
         name: String,
     },
+    /// The state's journal had lost its oldest records to a bounded history
+    /// when it was taken, so replaying it cannot rebuild the predictor.
+    TruncatedJournal {
+        /// Number of records evicted before the snapshot.
+        evicted: u64,
+    },
 }
 
 impl std::fmt::Display for StateError {
@@ -223,6 +232,11 @@ impl std::fmt::Display for StateError {
                     "state contains a counter unknown to this method: {name:?}"
                 )
             }
+            StateError::TruncatedJournal { evicted } => write!(
+                f,
+                "checkpoint journal is truncated: a bounded history evicted {evicted} \
+                 records before the snapshot, so replaying it cannot rebuild the predictor"
+            ),
         }
     }
 }
@@ -232,125 +246,6 @@ impl std::error::Error for StateError {}
 impl From<TraceError> for StateError {
     fn from(e: TraceError) -> Self {
         StateError::Trace(e)
-    }
-}
-
-/// File name of the base checkpoint inside a compacted-checkpoint directory.
-const COMPACTED_BASE_FILE: &str = "base.state";
-/// File name of the appendable journal tail (provenance TSV trace).
-const COMPACTED_TAIL_FILE: &str = "tail.trace";
-/// File name of the sealed final counters (journal-less state file).
-const COMPACTED_COUNTERS_FILE: &str = "counters.state";
-
-/// A **compacted** predictor checkpoint: an earlier full checkpoint plus the
-/// journal tail observed since, plus the final predict-path counters.
-///
-/// A long-running service that re-serialised its entire observation journal
-/// on every checkpoint would pay `O(n)` I/O per checkpoint and `O(n²)` over
-/// a run. Compaction makes checkpointing incremental: take a full
-/// [`PredictorState`] once (the *base*), then only **append** each newly
-/// observed record to the tail — on disk the tail is a provenance TSV trace
-/// written with the streaming
-/// [`TraceWriter`](sizey_provenance::trace_io::TraceWriter), so a checkpoint
-/// step costs one record of I/O, not the whole history.
-///
-/// [`resolve`](CompactedCheckpoint::resolve) reassembles the equivalent full
-/// [`PredictorState`] (base journal ++ tail, sealed counters); restoring
-/// from it is **bit-identical** to restoring from a full checkpoint taken at
-/// the same point — the property suite asserts this for every predictor
-/// class in the registry, across cut points.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CompactedCheckpoint {
-    /// The full checkpoint this compaction starts from.
-    pub base: PredictorState,
-    /// Records observed after `base` was taken, in observation order.
-    pub tail: Vec<Arc<TaskRecord>>,
-    /// Predict-path counters at seal time. Observing records never touches
-    /// the predict-path tallies, so the tail alone cannot reproduce them;
-    /// they are carried explicitly (initialised from `base`, updated by
-    /// [`seal_counters`](CompactedCheckpoint::seal_counters)).
-    pub counters: Vec<(String, u64)>,
-}
-
-impl CompactedCheckpoint {
-    /// Starts a compacted checkpoint from a full base checkpoint.
-    pub fn new(base: PredictorState) -> Self {
-        let counters = base.counters.clone();
-        CompactedCheckpoint {
-            base,
-            tail: Vec::new(),
-            counters,
-        }
-    }
-
-    /// Appends one newly observed record to the journal tail. Must be called
-    /// with exactly the records fed to [`MemoryPredictor::observe`], in the
-    /// same order.
-    pub fn append(&mut self, record: Arc<TaskRecord>) {
-        self.tail.push(record);
-    }
-
-    /// Replaces the sealed counters with the live predictor's current ones
-    /// (from [`CheckpointPredictor::snapshot`]).
-    pub fn seal_counters(&mut self, counters: Vec<(String, u64)>) {
-        self.counters = counters;
-    }
-
-    /// Reassembles the equivalent full [`PredictorState`]: base journal
-    /// followed by the tail, under the sealed counters.
-    pub fn resolve(&self) -> PredictorState {
-        let mut journal = Vec::with_capacity(self.base.journal.len() + self.tail.len());
-        journal.extend(self.base.journal.iter().cloned());
-        journal.extend(self.tail.iter().cloned());
-        PredictorState {
-            journal,
-            counters: self.counters.clone(),
-        }
-    }
-
-    /// Restores the compacted state onto a freshly built predictor —
-    /// equivalent to `predictor.restore(&self.resolve())`.
-    pub fn restore_into(&self, predictor: &mut dyn CheckpointPredictor) -> Result<(), StateError> {
-        predictor.restore(&self.resolve())
-    }
-
-    /// Writes the checkpoint into `dir` as three files: the base state, the
-    /// tail trace (streamed record by record) and the sealed counters.
-    pub fn write_dir(&self, dir: impl AsRef<Path>) -> Result<(), StateError> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir).map_err(StateError::Io)?;
-        self.base.write_state_file(dir.join(COMPACTED_BASE_FILE))?;
-        let mut writer =
-            trace_writer_to_file(dir.join(COMPACTED_TAIL_FILE)).map_err(StateError::Trace)?;
-        for record in &self.tail {
-            writer.write_record(record).map_err(StateError::Trace)?;
-        }
-        writer.finish().map_err(StateError::Trace)?;
-        let sealed = PredictorState {
-            journal: Vec::new(),
-            counters: self.counters.clone(),
-        };
-        sealed.write_state_file(dir.join(COMPACTED_COUNTERS_FILE))
-    }
-
-    /// Reads a checkpoint previously written with
-    /// [`write_dir`](CompactedCheckpoint::write_dir), streaming the tail
-    /// trace record by record.
-    pub fn read_dir(dir: impl AsRef<Path>) -> Result<Self, StateError> {
-        let dir = dir.as_ref();
-        let base = PredictorState::read_state_file(dir.join(COMPACTED_BASE_FILE))?;
-        let mut tail = Vec::new();
-        for record in
-            trace_reader_from_file(dir.join(COMPACTED_TAIL_FILE)).map_err(StateError::Trace)?
-        {
-            tail.push(Arc::new(record.map_err(StateError::Trace)?));
-        }
-        let sealed = PredictorState::read_state_file(dir.join(COMPACTED_COUNTERS_FILE))?;
-        Ok(CompactedCheckpoint {
-            base,
-            tail,
-            counters: sealed.counters,
-        })
     }
 }
 
@@ -481,40 +376,6 @@ mod tests {
             fresh.restore(&foreign),
             Err(StateError::UnknownCounter { .. })
         ));
-    }
-
-    #[test]
-    fn compacted_checkpoint_resolves_to_base_plus_tail() {
-        let base = PredictorState {
-            journal: vec![Arc::new(record(0, TaskOutcome::Succeeded))],
-            counters: vec![("c".to_string(), 1)],
-        };
-        let mut compacted = CompactedCheckpoint::new(base.clone());
-        assert_eq!(compacted.resolve(), base);
-        compacted.append(Arc::new(record(1, TaskOutcome::FailedOutOfMemory)));
-        compacted.append(Arc::new(record(2, TaskOutcome::Succeeded)));
-        compacted.seal_counters(vec![("c".to_string(), 5)]);
-        let resolved = compacted.resolve();
-        assert_eq!(resolved.journal.len(), 3);
-        assert_eq!(resolved.journal[0], base.journal[0]);
-        assert_eq!(resolved.journal[2].sequence, 2);
-        assert_eq!(resolved.counters, vec![("c".to_string(), 5)]);
-    }
-
-    #[test]
-    fn compacted_checkpoint_round_trips_through_directory() {
-        let base = PredictorState {
-            journal: vec![Arc::new(record(0, TaskOutcome::Succeeded))],
-            counters: vec![("c".to_string(), 1)],
-        };
-        let mut compacted = CompactedCheckpoint::new(base);
-        compacted.append(Arc::new(record(1, TaskOutcome::FailedOutOfMemory)));
-        compacted.seal_counters(vec![("c".to_string(), 2), ("d".to_string(), 0)]);
-        let dir = std::env::temp_dir().join("sizey-compacted-checkpoint-test");
-        compacted.write_dir(&dir).unwrap();
-        let read = CompactedCheckpoint::read_dir(&dir).unwrap();
-        assert_eq!(read, compacted);
-        assert_eq!(read.resolve(), compacted.resolve());
     }
 
     #[test]

@@ -34,12 +34,12 @@ pub mod prelude {
     };
     pub use sizey_sim::{
         aggregate_method, replay_workflow, replay_workflow_streaming, schedule_workflows,
-        schedule_workflows_streaming, AttemptContext, AttemptSink, CheckpointPredictor,
-        CompactedCheckpoint, CrashStorm, FaultPlan, MemoryPredictor, MultiReplayReport, NodeCrash,
-        NodePoolSpec, NullRecordSink, NullSink, PoolPreemption, Prediction, PredictorState,
-        RecordSink, ReplayAggregates, ReplayReport, SchedulePolicy, Scheduler, SchedulerStats,
-        SimulationConfig, StateError, StreamingReplayReport, StreamingTenant,
-        StreamingTenantReport, TaskKillBurst, TaskSubmission, WorkflowTenant,
+        schedule_workflows_streaming, AttemptContext, AttemptSink, CheckpointPredictor, CrashStorm,
+        FaultPlan, MemoryPredictor, MultiReplayReport, NodeCrash, NodePoolSpec, NullRecordSink,
+        NullSink, PoolPreemption, Prediction, PredictorState, RecordSink, ReplayAggregates,
+        ReplayReport, SchedulePolicy, Scheduler, SchedulerStats, SimulationConfig, StateError,
+        StreamingReplayReport, StreamingTenant, StreamingTenantReport, TaskKillBurst,
+        TaskSubmission, WorkflowTenant,
     };
     pub use sizey_workflows::{
         all_workflows, generate_workflow, profiles, stream_workflow, DriftSpec, GeneratorConfig,

@@ -66,11 +66,11 @@ pub struct SweepCell {
 }
 
 /// Shares one cell's checkpoint predictor with the multi-tenant engine.
-/// Fault injection lives only in the event-driven engine (the synchronous
-/// replay core has no virtual clock to crash against), so a faulted cell
-/// runs its workflow as the sole tenant of [`schedule_workflows_streaming`];
-/// the tenant consumes its predictor box, so the cell keeps the real one
-/// behind this handle and unwraps it after the run for checkpointing.
+/// Faults and a submission cadence exist only in the event-driven engine
+/// (the sequential replay is untimed), so such a cell runs its workflow as
+/// the sole tenant of [`schedule_workflows_streaming`]; the tenant consumes
+/// its predictor box, so the cell keeps the real one behind this handle and
+/// unwraps it after the run for checkpointing.
 struct SharedCellPredictor(Arc<Mutex<Box<dyn CheckpointPredictor>>>);
 
 impl MemoryPredictor for SharedCellPredictor {
@@ -118,13 +118,13 @@ fn run_cell(
         None => &mut null,
     };
     let faulted = sim.faults.as_ref().is_some_and(|plan| !plan.is_empty());
-    let (aggregates, requeued, leaked, predictor) = if faulted || spec.drift.is_some() {
-        // Faults need the event-driven engine (the synchronous replay core
-        // has no virtual clock to crash against), and drift cells need its
-        // submission cadence — the sync core submits every first attempt at
-        // t=0, which would collapse the time-to-recover axis to zero. Run
-        // the workflow as the sole tenant and hand the shared predictor back
-        // out afterwards.
+    let timed = sim.submit_interval_seconds > 0.0;
+    let (aggregates, requeued, leaked, predictor) = if faulted || timed || spec.drift.is_some() {
+        // Faults and a submission cadence need the event-driven engine's
+        // virtual clock, and so do drift cells: the untimed replay starts
+        // every first attempt at t=0, which would collapse the
+        // time-to-recover axis to zero. Run the workflow as the sole tenant
+        // and hand the shared predictor back out afterwards.
         let shared: Arc<Mutex<Box<dyn CheckpointPredictor>>> = Arc::new(Mutex::new(method.build()));
         let tenant = StreamingTenant::new(
             workflow.to_string(),
@@ -353,6 +353,32 @@ mod tests {
         assert!(!sizey_state.journal.is_empty());
         let restored = sizey_cell.method.restore(sizey_state).unwrap();
         assert_eq!(restored.snapshot(), *sizey_state);
+    }
+
+    /// Regression: a `[sim] submit_interval_seconds` cadence used to be
+    /// ignored unless the cell also had faults or drift, because only those
+    /// went to the event-driven engine; the untimed replay started every
+    /// instance at t = 0.
+    #[test]
+    fn submit_cadence_reaches_the_event_driven_engine() {
+        let mut spec = ExperimentSpec {
+            seeds: vec![3],
+            policies: vec![SchedulePolicy::FirstFit],
+            ..tiny_spec()
+        };
+        spec.sim.submit_interval_seconds = 600.0;
+        let instances = stream_workflow(
+            &workflow_by_name("iwd").unwrap(),
+            &GeneratorConfig::scaled(spec.scale, 3),
+        )
+        .count();
+        let cells = run_sweep(&spec);
+        let last_arrival = (instances - 1) as f64 * 600.0;
+        assert!(
+            cells[0].makespan_hours * 3600.0 >= last_arrival,
+            "makespan {} h ends before the last arrival at {last_arrival} s",
+            cells[0].makespan_hours
+        );
     }
 
     #[test]

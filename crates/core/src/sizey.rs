@@ -82,12 +82,6 @@ pub struct SizeyPredictor {
     /// [`published_view`](SizeyPredictor::published_view) serves are tallied
     /// on the predictor it was taken from.
     offset_selections: Arc<[AtomicUsize; OffsetStrategy::ALL.len()]>,
-    /// Cumulative queue delay reported by observed records, and the number of
-    /// records carrying it — contention telemetry from the event-driven
-    /// scheduler (a tenant whose tasks keep waiting is being starved by
-    /// someone's over-allocation).
-    queue_delay_total_seconds: f64,
-    queue_delay_observations: usize,
 }
 
 /// Cloning produces an independent predictor whose `predict` results are
@@ -147,8 +141,6 @@ impl SizeyPredictor {
             store,
             training_times: Vec::new(),
             offset_selections: Arc::default(),
-            queue_delay_total_seconds: 0.0,
-            queue_delay_observations: 0,
         }
     }
 
@@ -171,8 +163,6 @@ impl SizeyPredictor {
             store: ProvenanceStore::new(),
             training_times: Vec::new(),
             offset_selections: Arc::clone(&self.offset_selections),
-            queue_delay_total_seconds: self.queue_delay_total_seconds,
-            queue_delay_observations: self.queue_delay_observations,
         }
     }
 
@@ -306,22 +296,6 @@ impl SizeyPredictor {
             .collect()
     }
 
-    /// Cumulative queue delay (seconds) across all observed attempts — the
-    /// contention this predictor's tasks experienced in the cluster queue.
-    pub fn total_queue_delay_seconds(&self) -> f64 {
-        self.queue_delay_total_seconds
-    }
-
-    /// Mean queue delay per observed attempt in seconds (zero before any
-    /// observation).
-    pub fn mean_queue_delay_seconds(&self) -> f64 {
-        if self.queue_delay_observations == 0 {
-            0.0
-        } else {
-            self.queue_delay_total_seconds / self.queue_delay_observations as f64
-        }
-    }
-
     /// Looks a (task type, machine) pool up without cloning the two key
     /// `String`s: the `BTreeMap` is probed through the [`KeyQuery`]
     /// borrowed-key view.
@@ -449,8 +423,6 @@ impl MemoryPredictor for SizeyPredictor {
 
     fn observe(&mut self, record: &TaskRecord) {
         self.store.insert(record.clone());
-        self.queue_delay_total_seconds += record.queue_delay_seconds.max(0.0);
-        self.queue_delay_observations += 1;
         let key = record.key();
         // Copies the pool first if a clone or published view still holds it.
         let pool = Arc::make_mut(self.pools.entry(key).or_insert_with(|| {

@@ -184,14 +184,14 @@ pub struct TaskRecord {
     pub allocated_memory_bytes: f64,
     /// Wall-clock runtime of the attempt in seconds.
     pub runtime_seconds: f64,
-    /// Number of tasks concurrently running when this one was submitted
-    /// (available to models as an additional feature).
+    /// Number of tasks running on the cluster when this attempt started,
+    /// itself included. Journalled context, not a model feature. Zero from
+    /// the untimed sequential replay.
     pub concurrent_tasks: u32,
     /// Time the attempt spent waiting in the cluster's pending queue before
     /// resources were granted, in seconds. Zero when the task started
-    /// immediately (or when the record predates the event-driven scheduler).
-    /// Predictors can use this as a contention signal: over-allocation by one
-    /// tenant shows up as queue delay for everyone.
+    /// immediately, and always from the untimed sequential replay. One
+    /// tenant's over-allocation shows up here as queue delay for everyone.
     pub queue_delay_seconds: f64,
     /// Outcome of the attempt.
     pub outcome: TaskOutcome,
@@ -206,9 +206,8 @@ impl TaskRecord {
         }
     }
 
-    /// Feature vector used by the prediction models. The paper's primary
-    /// feature is the input size; the number of concurrently running tasks is
-    /// retrieved from the provenance store as additional context.
+    /// Feature vector used by the prediction models: the input size, the
+    /// paper's one feature.
     pub fn features(&self) -> Vec<f64> {
         vec![self.input_bytes]
     }

@@ -365,8 +365,6 @@ pub struct MethodAggregate {
     pub total_runtime_hours: f64,
     /// Total number of failed attempts over all workflows.
     pub total_failures: usize,
-    /// Total queue delay over all workflows in seconds.
-    pub total_queue_delay_seconds: f64,
     /// Wastage per workflow in GBh (Table II row).
     pub wastage_per_workflow: BTreeMap<String, f64>,
 }
@@ -388,10 +386,6 @@ pub fn aggregate_method(reports: &[ReplayReport]) -> MethodAggregate {
         total_wastage_gbh: reports.iter().map(ReplayReport::total_wastage_gbh).sum(),
         total_runtime_hours: reports.iter().map(ReplayReport::total_runtime_hours).sum(),
         total_failures: reports.iter().map(ReplayReport::total_failures).sum(),
-        total_queue_delay_seconds: reports
-            .iter()
-            .map(ReplayReport::total_queue_delay_seconds)
-            .sum(),
         wastage_per_workflow,
     }
 }

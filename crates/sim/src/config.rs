@@ -22,6 +22,10 @@ pub struct NodePoolSpec {
 /// Parameters of an online replay, mirroring the knobs the paper's simulated
 /// environment exposes (Section III-A), extended with the event-driven
 /// scheduler's policy and cluster-shape knobs.
+///
+/// The untimed sequential replay (`replay_workflow`) reads only
+/// `time_to_failure`, `max_attempts` and the largest node; every other field
+/// is for the event-driven engine (`schedule_workflows`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Fraction of a task's runtime after which an under-provisioned task
@@ -49,22 +53,17 @@ pub struct SimulationConfig {
     pub policy: SchedulePolicy,
     /// How many queued tasks behind the head of the pending queue the
     /// [`SchedulePolicy::Backfill`] policy may inspect when the head does not
-    /// fit. Bounds the dispatch cost per completion event. Only the
-    /// event-driven engine (`schedule_workflows`) maintains a materialised
-    /// pending queue; the synchronous replay engine approximates backfill
-    /// without a window (see [`SchedulePolicy::Backfill`]).
+    /// fit. Bounds the dispatch cost per completion event.
     pub backfill_window: usize,
     /// Simulated inter-arrival time between consecutive task submissions of
-    /// one workflow, in seconds. The paper's replay submits everything
-    /// upfront (0.0); multi-tenant experiments can use a positive value to
-    /// spread arrivals.
+    /// one workflow in the event-driven engine, in seconds. The paper's
+    /// replay submits everything upfront (0.0); a positive value spreads
+    /// arrivals.
     pub submit_interval_seconds: f64,
     /// Optional fault-injection scenario (node crashes, storms, spot-pool
-    /// preemptions, task kills) driven by the engine's virtual clock. `None`
-    /// — the default — is bit-identical to a plan that injects nothing.
-    /// Honoured by the event-driven engine (`schedule_workflows` and
-    /// `schedule_workflows_streaming`); the synchronous per-attempt replay
-    /// engine has no virtual-clock event loop and ignores it.
+    /// preemptions, task kills) driven by the event-driven engine's virtual
+    /// clock. `None` — the default — is bit-identical to a plan that injects
+    /// nothing.
     pub faults: Option<FaultPlan>,
 }
 

@@ -35,9 +35,10 @@
 //!   as an event-sourced [`lifecycle::PredictorState`] journal that restores
 //!   bit-identically on a fresh instance,
 //! * [`replay`] — the paper's single-workflow replay engine: the strict
-//!   predict→observe sequence per instance, timed by the synchronous
-//!   [`Scheduler`]. It and the event-driven engine cost every attempt with
-//!   one private attempt model, so the paper's accounting rule exists once,
+//!   predict→observe sequence per instance, untimed (nothing queues; the
+//!   event-driven engine is the one timing model). Both engines cost every
+//!   attempt with one private attempt model, so the paper's accounting rule
+//!   exists once,
 //! * [`accounting`] — wastage (GBh), failure, runtime, queue-delay,
 //!   model-selection and prediction-error aggregation used by every figure
 //!   of the evaluation.
@@ -86,6 +87,5 @@ pub use predictor::{AttemptContext, MemoryPredictor, Prediction, PresetPredictor
 pub use replay::{replay_workflow, replay_workflow_streaming};
 pub use scheduler::{
     schedule_workflows, schedule_workflows_streaming, MultiReplayReport, SchedulePolicy,
-    ScheduledAttempt, Scheduler, SchedulerStats, StreamingReplayReport, StreamingTenant,
-    StreamingTenantReport, WorkflowTenant,
+    SchedulerStats, StreamingReplayReport, StreamingTenant, StreamingTenantReport, WorkflowTenant,
 };

@@ -11,21 +11,22 @@
 //! event-driven engine in [`scheduler`](crate::scheduler) costs its attempts
 //! with too.
 //!
-//! Timing is delegated to the synchronous [`Scheduler`]: each attempt is
-//! submitted to a FIFO queue over a cluster of finite nodes, waits when no
-//! node fits, and occupies its node for the attempt duration. Over-allocation
-//! therefore costs *makespan* (and queue delay, which the provenance records
-//! carry back to the predictors), not just GB·h. The allocation *decisions* —
-//! and with them wastage and failure counts, the paper's Fig. 8 aggregates —
-//! are unaffected by timing: the predict→observe ordering is the strict
-//! per-instance sequence the paper uses, regardless of cluster capacity.
+//! The replay is untimed, like the paper's (assumption A2 puts scheduling
+//! out of scope): nothing queues, so a first attempt starts at t = 0 and a
+//! retry when its failed predecessor finishes, every attempt with zero queue
+//! delay and every record with zero concurrent tasks. The makespan is the
+//! end of the latest attempt. Queueing, placement and contention belong to
+//! the event-driven engine in [`scheduler`](crate::scheduler). The
+//! allocation *decisions* — and with them wastage and failure counts, the
+//! paper's Fig. 8 aggregates — depend only on the strict per-instance
+//! predict→observe sequence, so of the cluster only the largest node (the
+//! allocation clamp) matters here.
 
 use crate::accounting::{AttemptEvent, AttemptSink, ReplayAggregates, ReplayReport};
 use crate::attempt::Attempt;
 pub use crate::attempt::MIN_ALLOCATION_BYTES;
 use crate::config::SimulationConfig;
 use crate::predictor::{AttemptContext, MemoryPredictor, TaskSubmission};
-use crate::scheduler::Scheduler;
 use sizey_workflows::TaskInstance;
 use std::borrow::Borrow;
 
@@ -33,7 +34,6 @@ use std::borrow::Borrow;
 /// ([`replay_workflow`]) and streaming ([`replay_workflow_streaming`])
 /// entry points: consumes instances from any iterator, delivers every
 /// attempt event to `sink` and folds it into `agg` in replay order.
-/// Returns the simulated makespan.
 fn replay_core<I>(
     workflow: &str,
     instances: I,
@@ -41,14 +41,11 @@ fn replay_core<I>(
     config: &SimulationConfig,
     sink: &mut dyn AttemptSink,
     agg: &mut ReplayAggregates,
-) -> f64
-where
+) where
     I: IntoIterator,
     I::Item: Borrow<TaskInstance>,
 {
-    let mut scheduler = Scheduler::new(config);
     let largest_node = config.largest_node_memory_bytes();
-    let mut makespan = 0.0_f64;
 
     for inst in instances {
         let inst = inst.borrow();
@@ -73,49 +70,28 @@ where
             let run = Attempt::size(inst, &prediction, largest_node, config.time_to_failure);
             last_allocation = Some(run.allocation_bytes);
 
-            let scheduled = if attempt == 0 {
-                scheduler.run_task(submit_time, run.allocation_bytes, run.duration_seconds)
-            } else {
-                // Retries re-enter with their original queue priority: they
-                // wait for capacity, not behind the FIFO floor.
-                scheduler.run_retry(submit_time, run.allocation_bytes, run.duration_seconds)
-            };
-            makespan = makespan.max(scheduled.finish_seconds);
-
-            let event = run.event(
-                inst,
-                attempt,
-                scheduled.start_seconds,
-                scheduled.queue_delay_seconds,
-            );
+            let event = run.event(inst, attempt, submit_time, 0.0);
             agg.observe_event(&event);
             sink.record(&event);
-
-            predictor.observe(&run.record(
-                inst,
-                workflow,
-                scheduler.running_tasks() as u32,
-                scheduled.queue_delay_seconds,
-            ));
+            predictor.observe(&run.record(inst, workflow, 0, 0.0));
 
             if run.success {
                 finished = true;
                 break;
             }
-            submit_time = scheduled.finish_seconds;
+            submit_time += run.duration_seconds;
             attempt += 1;
         }
         agg.observe_instance(finished);
     }
-    makespan
 }
 
 /// Replays one workflow against one sizing method.
 ///
-/// All first attempts are submitted at virtual time zero in instance order
-/// (the paper replays a finished trace, not a timed arrival process); a
-/// retry is submitted when its failed predecessor finishes. The scheduler
-/// dispatches FIFO in that submission order under the configured policy.
+/// All first attempts start at virtual time zero in instance order (the
+/// paper replays a finished trace, not a timed arrival process); a retry
+/// starts when its failed predecessor finishes. The report's makespan is
+/// therefore the longest retry chain.
 pub fn replay_workflow(
     workflow: &str,
     instances: &[TaskInstance],
@@ -124,7 +100,7 @@ pub fn replay_workflow(
 ) -> ReplayReport {
     let mut events: Vec<AttemptEvent> = Vec::with_capacity(instances.len());
     let mut agg = ReplayAggregates::new();
-    let makespan = replay_core(
+    replay_core(
         workflow,
         instances,
         predictor,
@@ -140,7 +116,7 @@ pub fn replay_workflow(
         events,
         instances: agg.instances,
         unfinished_instances: agg.unfinished_instances,
-        makespan_seconds: makespan,
+        makespan_seconds: agg.makespan_seconds,
     }
 }
 
@@ -169,8 +145,7 @@ where
     I::Item: Borrow<TaskInstance>,
 {
     let mut agg = ReplayAggregates::new();
-    let makespan = replay_core(workflow, instances, predictor, config, sink, &mut agg);
-    agg.makespan_seconds = makespan;
+    replay_core(workflow, instances, predictor, config, sink, &mut agg);
     agg
 }
 
@@ -346,16 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn finite_capacity_queueing_stretches_makespan() {
-        // 4 tasks of 8 GB / 1 h on a single 10 GB node: they serialize.
+    fn replay_is_untimed_whatever_the_capacity() {
+        // 4 tasks of 8 GB / 1 h on a single 10 GB node would serialize in
+        // the event-driven engine; the replay queues nothing.
         let instances: Vec<TaskInstance> =
             (0..4).map(|i| instance(i, 1e9, 1e9, 3600.0, 8e9)).collect();
         let config = SimulationConfig::default().with_nodes(1, 10e9, 32);
         let mut p = PresetPredictor;
         let report = replay_workflow("wf", &instances, &mut p, &config);
-        assert!((report.makespan_seconds - 4.0 * 3600.0).abs() < 1e-6);
-        // Queue delays: 0 + 1 + 2 + 3 hours.
-        assert!((report.total_queue_delay_seconds() - 6.0 * 3600.0).abs() < 1e-6);
+        assert!((report.makespan_seconds - 3600.0).abs() < 1e-6);
+        assert!(report
+            .events
+            .iter()
+            .all(|e| e.submit_time_seconds == 0.0 && e.queue_delay_seconds == 0.0));
         assert_eq!(report.total_failures(), 0);
     }
 

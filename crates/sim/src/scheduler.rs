@@ -19,14 +19,12 @@
 //!   tenants share one cluster, interleaved by submission time, each with
 //!   its own predictor learning online from its own records.
 //!
-//! Two engines share the cluster model. The *synchronous* [`Scheduler`] is
-//! used by [`replay_workflow`](crate::replay::replay_workflow): the replay's
-//! sequential predict→observe loop (which fixes the paper's decision
-//! ordering, and with it the Fig. 8 aggregates) calls
-//! [`Scheduler::run_task`] per attempt and gets back start/finish times and
-//! queue delay. The *event-driven* engine goes further: predictions happen
-//! at submission, observations at completion, and tenants interleave
-//! arbitrarily — the decision order is whatever the virtual clock makes it.
+//! This is the crate's one timing model. The paper's sequential
+//! [`replay_workflow`](crate::replay::replay_workflow) is untimed: it fixes
+//! the predict→observe order, and with it the Fig. 8 aggregates, without
+//! queueing anything. Here predictions happen at submission, observations at
+//! completion, and tenants interleave arbitrarily — the decision order is
+//! whatever the virtual clock makes it.
 //!
 //! There is one event-driven engine, a private struct that owns the cluster,
 //! the event heap, the pending queue and every other piece of loop state,
@@ -59,12 +57,8 @@ pub enum SchedulePolicy {
     BestFit,
     /// FIFO with backfilling: a task whose resources are free right now may
     /// start ahead of a blocked head-of-queue (aggressive backfill, no
-    /// reservation for the head). In the event-driven engine
-    /// ([`schedule_workflows`]) the scan behind the head is bounded by
-    /// [`SimulationConfig::backfill_window`]; the synchronous
-    /// [`Scheduler`] used by `replay_workflow` approximates backfill by
-    /// dropping the FIFO start-order constraint entirely — every task
-    /// starts as soon as capacity allows at its own submission time.
+    /// reservation for the head). The scan behind the head is bounded by
+    /// [`SimulationConfig::backfill_window`].
     Backfill,
 }
 
@@ -159,195 +153,6 @@ impl SchedulerStats {
         } else {
             self.total_queue_delay_seconds / self.dispatched_attempts as f64
         }
-    }
-}
-
-/// Timing of one attempt as decided by the synchronous [`Scheduler`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduledAttempt {
-    /// Virtual time at which the attempt started running.
-    pub start_seconds: f64,
-    /// Virtual time at which the attempt finishes.
-    pub finish_seconds: f64,
-    /// Node hosting the attempt.
-    pub node: usize,
-    /// Time spent waiting for resources (`start - submit`).
-    pub queue_delay_seconds: f64,
-}
-
-/// A completion in the synchronous engine's running set.
-#[derive(Debug, Clone, Copy)]
-struct SyncFinish {
-    node: usize,
-    allocation_bytes: f64,
-}
-
-/// The synchronous scheduling core: a virtual clock plus a running set,
-/// consumed one task at a time in submission order (FIFO).
-///
-/// [`Scheduler::run_task`] answers "given everything scheduled so far, when
-/// does this task start and where?". Tasks wait when no node fits — the
-/// clock advances to completions until capacity frees up — so memory
-/// over-allocation directly costs makespan. `FirstFit`/`BestFit` keep strict
-/// FIFO start-order (a task never starts before an earlier-submitted one);
-/// `Backfill` lets a task start at its own submission time when capacity is
-/// already free, jumping the FIFO floor.
-#[derive(Debug, Clone)]
-pub struct Scheduler {
-    cluster: Cluster,
-    policy: SchedulePolicy,
-    running: EventHeap<SyncFinish>,
-    /// Start time of the most recently dispatched task (the FIFO floor).
-    fifo_floor: f64,
-    stats: SchedulerStats,
-}
-
-impl Scheduler {
-    /// Builds a scheduler over the cluster described by `config`.
-    pub fn new(config: &SimulationConfig) -> Self {
-        let cluster = Cluster::new(config);
-        assert!(
-            cluster.node_count() > 0,
-            "simulation config describes a cluster with no nodes"
-        );
-        Scheduler {
-            cluster,
-            policy: config.policy,
-            running: EventHeap::new(),
-            fifo_floor: 0.0,
-            stats: SchedulerStats::default(),
-        }
-    }
-
-    /// Schedules one task: finds the earliest start time at or after
-    /// `submit_time_seconds` when a node can host `allocation_bytes`, places
-    /// it there for `duration_seconds`, and returns the timing.
-    ///
-    /// `allocation_bytes` must not exceed the largest node's capacity (the
-    /// replay engine clamps before calling); an unplaceable task is forced
-    /// onto node 0 and counted in [`SchedulerStats::forced_placements`]
-    /// rather than looping forever.
-    pub fn run_task(
-        &mut self,
-        submit_time_seconds: f64,
-        allocation_bytes: f64,
-        duration_seconds: f64,
-    ) -> ScheduledAttempt {
-        let respect_floor = self.policy != SchedulePolicy::Backfill;
-        self.schedule(
-            submit_time_seconds,
-            allocation_bytes,
-            duration_seconds,
-            respect_floor,
-            respect_floor,
-        )
-    }
-
-    /// Schedules a **requeued** (retry) attempt. Retries re-enter the queue
-    /// with their original priority — standard resource-manager behaviour —
-    /// so they neither wait behind the FIFO floor nor raise it for
-    /// first-submission tasks; they only wait for actual capacity.
-    pub fn run_retry(
-        &mut self,
-        submit_time_seconds: f64,
-        allocation_bytes: f64,
-        duration_seconds: f64,
-    ) -> ScheduledAttempt {
-        self.schedule(
-            submit_time_seconds,
-            allocation_bytes,
-            duration_seconds,
-            false,
-            false,
-        )
-    }
-
-    fn schedule(
-        &mut self,
-        submit_time_seconds: f64,
-        allocation_bytes: f64,
-        duration_seconds: f64,
-        respect_floor: bool,
-        update_floor: bool,
-    ) -> ScheduledAttempt {
-        let mut t = if respect_floor {
-            // FIFO: a first-submission task never starts before one
-            // submitted ahead of it. (Backfill relaxes this: a task may
-            // start at its own submission time when capacity is free.)
-            submit_time_seconds.max(self.fifo_floor)
-        } else {
-            submit_time_seconds
-        };
-        self.release_until(t);
-
-        let node = loop {
-            if let Some(n) = self.cluster.select_node(allocation_bytes, self.policy) {
-                break n;
-            }
-            match self.running.pop() {
-                Some((finish, done)) => {
-                    t = t.max(finish);
-                    self.cluster.release(
-                        crate::cluster::Placement { node: done.node },
-                        done.allocation_bytes,
-                    );
-                }
-                None => {
-                    // Even an empty cluster cannot host this allocation —
-                    // the caller bypassed the largest-node clamp. Force it
-                    // through so the replay still terminates.
-                    self.stats.forced_placements += 1;
-                    break 0;
-                }
-            }
-        };
-
-        self.cluster.place_on(node, allocation_bytes);
-        if update_floor {
-            self.fifo_floor = self.fifo_floor.max(t);
-        }
-        let finish = t + duration_seconds;
-        self.running.push(
-            finish,
-            SyncFinish {
-                node,
-                allocation_bytes,
-            },
-        );
-        let queue_delay = (t - submit_time_seconds).max(0.0);
-        self.stats.record_dispatch(queue_delay, &self.cluster);
-        ScheduledAttempt {
-            start_seconds: t,
-            finish_seconds: finish,
-            node,
-            queue_delay_seconds: queue_delay,
-        }
-    }
-
-    /// Releases every task that finishes at or before `time`.
-    fn release_until(&mut self, time: f64) {
-        while self.running.peek_time().is_some_and(|t| t <= time) {
-            let (_, done) = self.running.pop().expect("peeked event exists");
-            self.cluster.release(
-                crate::cluster::Placement { node: done.node },
-                done.allocation_bytes,
-            );
-        }
-    }
-
-    /// Number of currently running tasks.
-    pub fn running_tasks(&self) -> usize {
-        self.cluster.running_tasks()
-    }
-
-    /// The cluster state (including per-node high-water marks).
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Scheduler telemetry collected so far.
-    pub fn stats(&self) -> &SchedulerStats {
-        &self.stats
     }
 }
 
@@ -804,8 +609,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             self.pending.push_back(queued);
         } else {
             // Retries re-enter with their original priority (head of the
-            // queue), matching the synchronous engine's `run_retry`
-            // semantics.
+            // queue), standard resource-manager behaviour.
             self.pending.push_front(queued);
         }
     }
@@ -1103,84 +907,6 @@ mod tests {
         SimulationConfig::default()
             .with_nodes(1, 10e9, 2)
             .with_policy(policy)
-    }
-
-    #[test]
-    fn sync_scheduler_runs_tasks_immediately_when_capacity_allows() {
-        let mut s = Scheduler::new(&tiny_cluster(SchedulePolicy::FirstFit));
-        let a = s.run_task(0.0, 4e9, 100.0);
-        assert_eq!(a.start_seconds, 0.0);
-        assert_eq!(a.finish_seconds, 100.0);
-        assert_eq!(a.queue_delay_seconds, 0.0);
-        let b = s.run_task(0.0, 4e9, 50.0);
-        assert_eq!(b.start_seconds, 0.0);
-        assert_eq!(s.running_tasks(), 2);
-    }
-
-    #[test]
-    fn sync_scheduler_queues_when_memory_is_exhausted() {
-        let mut s = Scheduler::new(&tiny_cluster(SchedulePolicy::FirstFit));
-        s.run_task(0.0, 8e9, 100.0);
-        // 8 of 10 GB taken: the next 8 GB task must wait for the completion.
-        let b = s.run_task(0.0, 8e9, 50.0);
-        assert_eq!(b.start_seconds, 100.0);
-        assert_eq!(b.finish_seconds, 150.0);
-        assert_eq!(b.queue_delay_seconds, 100.0);
-        assert_eq!(s.stats().max_queue_delay_seconds, 100.0);
-    }
-
-    #[test]
-    fn sync_scheduler_queues_when_slots_are_exhausted() {
-        let mut s = Scheduler::new(&tiny_cluster(SchedulePolicy::FirstFit));
-        s.run_task(0.0, 1e9, 100.0);
-        s.run_task(0.0, 1e9, 200.0);
-        // Both slots busy; third task waits for the earliest completion.
-        let c = s.run_task(0.0, 1e9, 10.0);
-        assert_eq!(c.start_seconds, 100.0);
-    }
-
-    #[test]
-    fn fifo_floor_prevents_overtaking() {
-        let mut s = Scheduler::new(&tiny_cluster(SchedulePolicy::FirstFit));
-        s.run_task(0.0, 8e9, 100.0);
-        let waited = s.run_task(0.0, 8e9, 50.0);
-        assert_eq!(waited.start_seconds, 100.0);
-        // A later 1 GB submission would fit at t = 0, but FIFO keeps order.
-        let small = s.run_task(0.0, 1e9, 10.0);
-        assert!(small.start_seconds >= waited.start_seconds);
-    }
-
-    #[test]
-    fn retries_bypass_and_do_not_raise_the_fifo_floor() {
-        let mut s = Scheduler::new(&tiny_cluster(SchedulePolicy::FirstFit));
-        s.run_task(0.0, 4e9, 100.0);
-        // A retry submitted at t = 500 (after its failed attempt) starts at
-        // its own submission time…
-        let retry = s.run_retry(500.0, 4e9, 100.0);
-        assert_eq!(retry.start_seconds, 500.0);
-        // …and does not push the FIFO floor forward: a first-submission
-        // task arriving at 0 still starts immediately.
-        let first = s.run_task(0.0, 1e9, 10.0);
-        assert_eq!(first.start_seconds, 0.0);
-    }
-
-    #[test]
-    fn backfill_lets_small_tasks_jump_the_floor() {
-        let mut s = Scheduler::new(&tiny_cluster(SchedulePolicy::Backfill));
-        s.run_task(0.0, 8e9, 100.0);
-        let waited = s.run_task(0.0, 8e9, 50.0);
-        assert_eq!(waited.start_seconds, 100.0);
-        // Backfill: the 1 GB task starts at its own submission time.
-        let small = s.run_task(0.0, 1e9, 10.0);
-        assert_eq!(small.start_seconds, 0.0);
-    }
-
-    #[test]
-    fn forced_placement_counts_unschedulable_tasks() {
-        let mut s = Scheduler::new(&tiny_cluster(SchedulePolicy::FirstFit));
-        let a = s.run_task(0.0, 20e9, 10.0);
-        assert_eq!(a.node, 0);
-        assert_eq!(s.stats().forced_placements, 1);
     }
 
     #[test]

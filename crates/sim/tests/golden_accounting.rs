@@ -35,9 +35,8 @@ fn instance(seq: u64, name: &str, peak: f64, runtime: f64, preset: f64) -> TaskI
 ///   (8 − 6) GB × 1 h = **2 GBh**. Attempt 0 runs 0 → 3600; the retry is
 ///   submitted at 3600 and runs 3600 → 7200.
 /// * Task C — peak 1 GB, preset 1 GB, 0.5 h. Succeeds exactly, **0 GBh**.
-///   Submitted at time 0; B's retry re-enters the queue with its original
-///   priority and does not raise the FIFO floor, and the cluster has ample
-///   capacity, so C starts at 0 with no queue delay and runs 0 → 1800.
+///   Submitted at time 0; the replay queues nothing, so C starts at 0 with
+///   no queue delay and runs 0 → 1800.
 ///
 /// Totals: wastage 2 + 4 + 2 + 0 = **8 GBh**, failures **1**, 4 attempt
 /// events, makespan **7200 s** (B's retry ends last), zero queue delay,

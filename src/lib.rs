@@ -37,7 +37,7 @@ pub mod prelude {
         schedule_workflows_streaming, AttemptContext, AttemptSink, CheckpointPredictor, CrashStorm,
         FaultPlan, MemoryPredictor, MultiReplayReport, NodeCrash, NodePoolSpec, NullRecordSink,
         NullSink, PoolPreemption, Prediction, PredictorState, RecordSink, ReplayAggregates,
-        ReplayReport, SchedulePolicy, Scheduler, SchedulerStats, SimulationConfig, StateError,
+        ReplayReport, SchedulePolicy, SchedulerStats, SimulationConfig, StateError,
         StreamingReplayReport, StreamingTenant, StreamingTenantReport, TaskKillBurst,
         TaskSubmission, WorkflowTenant,
     };

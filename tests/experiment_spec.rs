@@ -92,8 +92,8 @@ fn experiment_aggregate_rows_are_ordered() {
     );
 }
 
-/// The four checked-in fault/drift scenario specs stay loadable, and each
-/// actually exercises the axis it is named for.
+/// The five checked-in fault, drift and contention scenario specs stay
+/// loadable, and each actually exercises the axis it is named for.
 #[test]
 fn checked_in_scenario_specs_parse() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/specs");
@@ -118,6 +118,17 @@ fn checked_in_scenario_specs_parse() {
             "{name} spec round-trips"
         );
     }
+    let contention = ExperimentSpec::from_toml_file(format!("{dir}/contention.toml")).unwrap();
+    assert_eq!(contention.policies, SchedulePolicy::ALL.to_vec());
+    assert!(
+        contention.sim.submit_interval_seconds > 0.0,
+        "a cadence routes contention.toml to the event-driven engine"
+    );
+    assert_eq!(
+        ExperimentSpec::from_toml(&contention.to_toml()).unwrap(),
+        contention,
+        "contention spec round-trips"
+    );
 }
 
 /// The checked-in CI smoke spec stays loadable and small.

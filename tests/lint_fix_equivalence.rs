@@ -58,12 +58,16 @@ impl Digest {
     }
 }
 
-fn digest_report(d: &mut Digest, report: &ReplayReport) {
+/// Digests a report; `timed = false` leaves out the makespan and each
+/// event's start time and queue delay, which keeps only the decisions.
+fn digest_report(d: &mut Digest, report: &ReplayReport, timed: bool) {
     d.bytes(report.method.as_bytes());
     d.bytes(report.workflow.as_bytes());
     d.u64(report.instances as u64);
     d.u64(report.unfinished_instances as u64);
-    d.f64(report.makespan_seconds);
+    if timed {
+        d.f64(report.makespan_seconds);
+    }
     d.u64(report.events.len() as u64);
     for e in &report.events {
         d.bytes(e.task_type.as_str().as_bytes());
@@ -82,8 +86,10 @@ fn digest_report(d: &mut Digest, report: &ReplayReport) {
             }
             None => d.u64(0),
         }
-        d.f64(e.submit_time_seconds);
-        d.f64(e.queue_delay_seconds);
+        if timed {
+            d.f64(e.submit_time_seconds);
+            d.f64(e.queue_delay_seconds);
+        }
     }
 }
 
@@ -105,22 +111,19 @@ fn check(name: &str, digest: Digest, golden: u64) {
 /// Single-tenant serial replays across two workflow profiles: exercises the
 /// full Sizey predict path (gating, RAQ, offsets, all four model classes)
 /// plus the `total_cmp` conversions in the accounting sorts.
+///
+/// Two digests: the full one, and the decisions alone (no timing terms),
+/// which must hold through any change that only moves timing.
 #[test]
 fn serial_replay_output_is_pinned() {
     let mut d = Digest::new();
+    let mut decisions = Digest::new();
     for (name, scale, seed) in [("iwd", 0.06, 17), ("chipseq", 0.05, 3)] {
         let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
         let instances = generate_workflow(&spec, &GeneratorConfig::scaled(scale, seed));
         let sim = SimulationConfig::default();
         let mut sizey = SizeyPredictor::with_defaults();
         let report = replay_workflow(&spec.name, &instances, &mut sizey, &sim);
-        digest_report(&mut d, &report);
-        // The model-selection shares run through the descending share sort
-        // (one of the partial_cmp → total_cmp conversions).
-        for (model, share) in report.model_selection_share() {
-            d.bytes(model.as_bytes());
-            d.f64(share);
-        }
         // Offset-selection diagnostics pin the dynamic-offset rework.
         let mut selections: Vec<(&'static str, usize)> = sizey
             .offset_selections()
@@ -128,12 +131,26 @@ fn serial_replay_output_is_pinned() {
             .map(|(s, n)| (s.name(), n))
             .collect();
         selections.sort();
-        for (strategy, count) in selections {
-            d.bytes(strategy.as_bytes());
-            d.u64(count as u64);
+        for (d, timed) in [(&mut d, true), (&mut decisions, false)] {
+            digest_report(d, &report, timed);
+            // The model-selection shares run through the descending share
+            // sort (one of the partial_cmp → total_cmp conversions).
+            for (model, share) in report.model_selection_share() {
+                d.bytes(model.as_bytes());
+                d.f64(share);
+            }
+            for (strategy, count) in &selections {
+                d.bytes(strategy.as_bytes());
+                d.u64(*count as u64);
+            }
         }
     }
     check("serial_replay", d, GOLDEN_SERIAL_REPLAY);
+    check(
+        "serial_replay (decisions)",
+        decisions,
+        GOLDEN_SERIAL_DECISIONS,
+    );
 }
 
 /// Multi-tenant event-driven scheduling under BestFit and Backfill:
@@ -172,7 +189,7 @@ fn scheduled_multi_tenant_output_is_pinned() {
         d.u64(multi.stats.peak_inflight_retries as u64);
         d.u64(multi.stats.leaked_inflight_retries as u64);
         for report in &multi.reports {
-            digest_report(&mut d, report);
+            digest_report(&mut d, report, true);
         }
     }
     check("scheduled_multi_tenant", d, GOLDEN_SCHEDULED);
@@ -259,7 +276,7 @@ fn digest_faulted_run(
         d.u64(node.peak_used_slots as u64);
     }
     for report in reports {
-        digest_report(d, report);
+        digest_report(d, report, true);
     }
 }
 
@@ -473,8 +490,12 @@ fn deferred_serve_output_is_pinned() {
 
 // Golden digests captured on the tree immediately before the PR-8 lint
 // fixes (see module docs for the capture command).
-const GOLDEN_SERIAL_REPLAY: u64 = 0xfbaee312f934df2d;
 const GOLDEN_SCHEDULED: u64 = 0x861adc7d669c1355;
+// The full serial digest moved from 0xfbaee312f934df2d when the sequential
+// replay became untimed. The decisions digest was captured on the last commit
+// with the timed replay (caf8e34) and held.
+const GOLDEN_SERIAL_REPLAY: u64 = 0x791ce3698f60ee62;
+const GOLDEN_SERIAL_DECISIONS: u64 = 0xa8588288b6132b3a;
 // Captured on the last commit with the occupancy replay (PR 16, c69b2f6),
 // with only that replay's section cut from the test.
 const GOLDEN_KERNELS: u64 = 0xf55545e555ed2f3d;

@@ -16,30 +16,84 @@ fn constrained() -> SimulationConfig {
     SimulationConfig::default().with_nodes(1, 128e9, 64)
 }
 
+/// `instances` as the sole tenant of `sim`, one arriving every `cadence`
+/// seconds, so that an online method learns from completions before later
+/// tasks arrive.
+fn one_tenant(
+    name: &str,
+    instances: Vec<TaskInstance>,
+    predictor: Box<dyn MemoryPredictor>,
+    sim: &SimulationConfig,
+    cadence: f64,
+) -> ReplayReport {
+    let sim = SimulationConfig {
+        submit_interval_seconds: cadence,
+        ..sim.clone()
+    };
+    let result = schedule_workflows(vec![WorkflowTenant::new(name, instances, predictor)], &sim);
+    assert_eq!(result.stats.forced_placements, 0);
+    result.reports.into_iter().next().expect("one tenant")
+}
+
+/// The sizing decisions of a report — allocation, outcome and wastage per
+/// (instance, attempt) — independent of the order attempts were dispatched
+/// in.
+fn decisions(report: &ReplayReport) -> Vec<(u64, u32, f64, bool, f64)> {
+    let mut out: Vec<_> = report
+        .events
+        .iter()
+        .map(|e| {
+            (
+                e.sequence,
+                e.attempt,
+                e.allocated_bytes,
+                e.success,
+                e.wastage_gbh,
+            )
+        })
+        .collect();
+    out.sort_by_key(|d| (d.0, d.1));
+    out
+}
+
 // Acceptance criterion: finite-capacity queueing strictly increases makespan
 // for an over-allocating predictor compared to Sizey on the same workload —
-// over-allocation now costs time, not just GB·h.
+// over-allocation costs time, not just GB·h.
 #[test]
 fn overallocation_strictly_increases_makespan_under_queueing() {
     let instances = workload("eager", 0.04, 17);
     let sim = constrained();
 
-    let mut presets = PresetPredictor;
-    let preset_report = replay_workflow("eager", &instances, &mut presets, &sim);
-    let mut sizey = SizeyPredictor::with_defaults();
-    let sizey_report = replay_workflow("eager", &instances, &mut sizey, &sim);
+    let preset = one_tenant(
+        "eager",
+        instances.clone(),
+        Box::new(PresetPredictor),
+        &sim,
+        60.0,
+    );
+    let sizey = one_tenant(
+        "eager",
+        instances,
+        Box::new(SizeyPredictor::with_defaults()),
+        &sim,
+        60.0,
+    );
 
-    assert_eq!(preset_report.unfinished_instances, 0);
-    assert_eq!(sizey_report.unfinished_instances, 0);
+    assert_eq!(preset.unfinished_instances, 0);
+    assert_eq!(sizey.unfinished_instances, 0);
     assert!(
-        preset_report.makespan_seconds > sizey_report.makespan_seconds,
-        "presets makespan {} s should exceed Sizey makespan {} s on a \
-         memory-constrained cluster",
-        preset_report.makespan_seconds,
-        sizey_report.makespan_seconds
+        sizey.events.iter().any(|e| e.selected_model.is_some()),
+        "Sizey must learn from completions before later arrivals"
     );
     assert!(
-        preset_report.total_queue_delay_seconds() > sizey_report.total_queue_delay_seconds(),
+        preset.makespan_seconds > sizey.makespan_seconds,
+        "presets makespan {} s should exceed Sizey makespan {} s on a \
+         memory-constrained cluster",
+        preset.makespan_seconds,
+        sizey.makespan_seconds
+    );
+    assert!(
+        preset.total_queue_delay_seconds() > sizey.total_queue_delay_seconds(),
         "over-allocation should also show up as queue delay"
     );
 }
@@ -50,19 +104,29 @@ fn overallocation_strictly_increases_makespan_under_queueing() {
 #[test]
 fn finite_capacity_strictly_increases_makespan_vs_unbounded() {
     let instances = workload("iwd", 0.06, 17);
-    let mut a = PresetPredictor;
-    let finite = replay_workflow("iwd", &instances, &mut a, &constrained());
-    let mut b = PresetPredictor;
-    let unbounded = replay_workflow("iwd", &instances, &mut b, &SimulationConfig::unbounded());
+    let finite = one_tenant(
+        "iwd",
+        instances.clone(),
+        Box::new(PresetPredictor),
+        &constrained(),
+        1.0,
+    );
+    let unbounded = one_tenant(
+        "iwd",
+        instances,
+        Box::new(PresetPredictor),
+        &SimulationConfig::unbounded(),
+        1.0,
+    );
     assert!(
         finite.makespan_seconds > unbounded.makespan_seconds,
         "finite {} s vs unbounded {} s",
         finite.makespan_seconds,
         unbounded.makespan_seconds
     );
+    assert_eq!(unbounded.total_queue_delay_seconds(), 0.0);
     // Decisions are identical either way — only timing changes.
-    assert_eq!(finite.total_wastage_gbh(), unbounded.total_wastage_gbh());
-    assert_eq!(finite.total_failures(), unbounded.total_failures());
+    assert_eq!(decisions(&finite), decisions(&unbounded));
 }
 
 // Multi-tenant contention on real workloads: a preset-sized tenant sharing
@@ -103,29 +167,33 @@ fn multi_tenant_replay_completes_and_contention_is_visible() {
     assert!(shared.makespan_seconds >= alone.makespan_seconds);
 }
 
-// Scheduling policies only move tasks in time: the allocation decisions, and
-// with them wastage and failures, are identical across policies for the
-// sequential replay.
+// Scheduling policies only move tasks in time: for a method that does not
+// learn, the allocation decisions, and with them wastage and failures, are
+// identical across policies, while the timing differs.
 #[test]
 fn policies_change_timing_but_not_decisions() {
     let instances = workload("rnaseq", 0.03, 11);
-    let mut reference: Option<ReplayReport> = None;
-    for policy in SchedulePolicy::ALL {
-        let mut p = PresetPredictor;
-        let report = replay_workflow(
-            "rnaseq",
-            &instances,
-            &mut p,
-            &constrained().with_policy(policy),
-        );
-        if let Some(r) = &reference {
-            assert_eq!(r.total_wastage_gbh(), report.total_wastage_gbh());
-            assert_eq!(r.total_failures(), report.total_failures());
-            assert_eq!(r.events.len(), report.events.len());
-        } else {
-            reference = Some(report);
-        }
+    let reports: Vec<ReplayReport> = SchedulePolicy::ALL
+        .into_iter()
+        .map(|policy| {
+            one_tenant(
+                "rnaseq",
+                instances.clone(),
+                Box::new(PresetPredictor),
+                &constrained().with_policy(policy),
+                10.0,
+            )
+        })
+        .collect();
+    for report in &reports[1..] {
+        assert_eq!(decisions(report), decisions(&reports[0]));
     }
+    assert!(
+        reports
+            .iter()
+            .any(|r| r.total_queue_delay_seconds() != reports[0].total_queue_delay_seconds()),
+        "some policy must change the timing"
+    );
 }
 
 // Heterogeneous pools end to end: adding a big-memory node lets allocations

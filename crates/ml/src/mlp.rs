@@ -140,23 +140,38 @@ impl Layer {
     }
 }
 
-/// Gradient accumulators for one layer.
-#[derive(Debug, Clone, Default)]
-struct LayerGrad {
-    d_w: Vec<f64>,
-    d_b: Vec<f64>,
-}
-
-/// Reusable buffers of the training loop — gradient accumulators, per-layer
-/// activations and the backpropagated deltas. Owned by one `train_epochs`
-/// call and threaded through every batch, so the per-sample inner loops
+/// Flat buffers of the training loop, sized once per `train_epochs` call
+/// and threaded through every batch, so the per-sample and per-batch loops
 /// allocate nothing.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TrainScratch {
-    grads: Vec<LayerGrad>,
-    activations: Vec<Vec<f64>>,
+    /// Every layer's activations back to back, the input first.
+    acts: Vec<f64>,
+    /// Delta of the layer being back-propagated, and the one below it.
     delta: Vec<f64>,
     next_delta: Vec<f64>,
+    /// Gradient accumulators back to back: per layer, its weights (row-major
+    /// like [`Layer::weights`]) then its biases.
+    grads: Vec<f64>,
+}
+
+impl TrainScratch {
+    fn for_layers(layers: &[Layer]) -> Self {
+        let inputs = layers.first().map_or(0, |l| l.inputs);
+        let outputs: usize = layers.iter().map(|l| l.outputs).sum();
+        let widest = layers
+            .iter()
+            .map(|l| l.inputs.max(l.outputs))
+            .max()
+            .unwrap_or(0);
+        let params = layers.iter().map(|l| l.weights.len() + l.biases.len());
+        TrainScratch {
+            acts: vec![0.0; inputs + outputs],
+            delta: vec![0.0; widest],
+            next_delta: vec![0.0; widest],
+            grads: vec![0.0; params.sum()],
+        }
+    }
 }
 
 /// MLP regressor with Adam optimisation.
@@ -208,33 +223,11 @@ impl MlpRegression {
         self.adam_step = 0;
     }
 
-    /// Forward pass recording the activations of every layer (input first)
-    /// into `activations`, whose buffers are reused across samples — the
-    /// training loop runs thousands of forward passes per observe, and
-    /// per-sample activation vectors dominated its cost. Arithmetic matches
-    /// the predict path ([`MlpRegression::forward_scalar`]) bit for bit.
-    fn forward_into(&self, input: &[f64], activations: &mut Vec<Vec<f64>>) {
-        activations.resize(self.layers.len() + 1, Vec::new());
-        activations[0].clear();
-        activations[0].extend_from_slice(input);
-        for li in 0..self.layers.len() {
-            let (prev, rest) = activations.split_at_mut(li + 1);
-            let output = &mut rest[0];
-            self.layers[li].forward(&prev[li], output);
-            if li != self.layers.len() - 1 {
-                for z in output.iter_mut() {
-                    *z = self.config.activation.forward(*z);
-                }
-            }
-        }
-    }
-
     /// Forward pass returning only the output value, ping-ponging two
     /// caller-owned activation buffers (cleared and refilled layer by
-    /// layer). The training pass needs every layer's activations
-    /// ([`MlpRegression::forward_all`]); the predict hot path does not, so
-    /// it skips the per-layer activation vectors entirely. Arithmetic is
-    /// identical, so predictions match `forward_all` bit for bit — and no
+    /// layer). The training pass keeps every layer's activations
+    /// ([`MlpRegression::forward_train`]); the predict hot path does not.
+    /// Arithmetic is identical, so the two agree bit for bit, and no
     /// allocations happen once the buffers have grown to the widest layer.
     fn forward_scalar_into(
         &self,
@@ -256,64 +249,103 @@ impl MlpRegression {
         current[0]
     }
 
-    /// Runs one Adam update over a mini-batch. Returns the batch mean squared
-    /// error (in scaled target space). `scratch` carries the gradient
-    /// accumulators and per-sample buffers across batches and epochs, so the
-    /// inner loop performs no allocations.
-    fn train_batch(&mut self, batch: &[(Vec<f64>, f64)], scratch: &mut TrainScratch) -> f64 {
-        scratch
-            .grads
-            .resize_with(self.layers.len(), LayerGrad::default);
-        for (layer, grad) in self.layers.iter().zip(scratch.grads.iter_mut()) {
-            grad.d_w.clear();
-            grad.d_w.resize(layer.weights.len(), 0.0);
-            grad.d_b.clear();
-            grad.d_b.resize(layer.biases.len(), 0.0);
-        }
-        let mut loss = 0.0;
-
-        for (features, target) in batch {
-            self.forward_into(features, &mut scratch.activations);
-            let activations = &scratch.activations;
-            let prediction = activations.last().expect("output")[0];
-            let error = prediction - target;
-            loss += error * error;
-
-            // Backward pass: delta for the output layer is just the error
-            // (linear output + squared loss).
-            scratch.delta.clear();
-            scratch.delta.push(error);
-            for li in (0..self.layers.len()).rev() {
-                let layer = &self.layers[li];
-                let input_act = &activations[li];
-                let grad = &mut scratch.grads[li];
-                for (o, &d) in scratch.delta.iter().enumerate().take(layer.outputs) {
-                    grad.d_b[o] += d;
-                    let row = &mut grad.d_w[o * layer.inputs..(o + 1) * layer.inputs];
-                    for (g, x) in row.iter_mut().zip(input_act.iter()) {
-                        *g += d * x;
-                    }
+    /// Forward pass over `acts`, whose first `inputs` entries hold the
+    /// (scaled) sample: each layer's activations are written right behind
+    /// its input. Returns the output. Arithmetic matches
+    /// [`MlpRegression::forward_scalar_into`] bit for bit.
+    fn forward_train(&self, acts: &mut [f64]) -> f64 {
+        let last = self.layers.len() - 1;
+        let mut start = 0;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(start + layer.inputs);
+            let input = &done[start..];
+            for (o, out) in rest[..layer.outputs].iter_mut().enumerate() {
+                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                let mut sum = layer.biases[o];
+                for (w, x) in row.iter().zip(input) {
+                    sum += w * x;
                 }
-                if li == 0 {
-                    break;
-                }
-                // Propagate delta to the previous layer.
-                scratch.next_delta.clear();
-                scratch.next_delta.resize(layer.inputs, 0.0);
-                for (o, &d) in scratch.delta.iter().enumerate().take(layer.outputs) {
-                    let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
-                    for (nd, w) in scratch.next_delta.iter_mut().zip(row.iter()) {
-                        *nd += w * d;
-                    }
-                }
-                // Multiply by the activation derivative of the previous
-                // layer's (activated) outputs.
-                let prev_act = &activations[li];
-                for (nd, a) in scratch.next_delta.iter_mut().zip(prev_act.iter()) {
-                    *nd *= self.config.activation.derivative(*a);
-                }
-                std::mem::swap(&mut scratch.delta, &mut scratch.next_delta);
+                *out = if li == last {
+                    sum
+                } else {
+                    self.config.activation.forward(sum)
+                };
             }
+            start += layer.inputs;
+        }
+        acts[start]
+    }
+
+    /// Back-propagates one sample's output `error` through the activations
+    /// [`MlpRegression::forward_train`] left in `scratch.acts`, adding its
+    /// gradient into `scratch.grads`.
+    fn backward(&self, error: f64, scratch: &mut TrainScratch) {
+        let TrainScratch {
+            acts,
+            delta,
+            next_delta,
+            grads,
+        } = scratch;
+        // The output layer's delta is just the error (linear output +
+        // squared loss).
+        delta[0] = error;
+        let mut act_end = acts.len() - 1; // the output layer has one unit
+        let mut grad_end = grads.len();
+        for (li, layer) in self.layers.iter().enumerate().rev() {
+            let input_act = &acts[act_end - layer.inputs..act_end];
+            let grad_start = grad_end - layer.weights.len() - layer.biases.len();
+            let (d_w, d_b) = grads[grad_start..grad_end].split_at_mut(layer.weights.len());
+            let delta_out = &delta[..layer.outputs];
+            for (o, &d) in delta_out.iter().enumerate() {
+                d_b[o] += d;
+                let row = &mut d_w[o * layer.inputs..(o + 1) * layer.inputs];
+                for (g, x) in row.iter_mut().zip(input_act) {
+                    *g += d * x;
+                }
+            }
+            if li == 0 {
+                break;
+            }
+            // Propagate delta to the previous layer.
+            let below = &mut next_delta[..layer.inputs];
+            below.fill(0.0);
+            for (o, &d) in delta_out.iter().enumerate() {
+                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                for (nd, w) in below.iter_mut().zip(row) {
+                    *nd += w * d;
+                }
+            }
+            // Multiply by the activation derivative of the previous layer's
+            // (activated) outputs, which are this layer's input.
+            for (nd, a) in below.iter_mut().zip(input_act) {
+                *nd *= self.config.activation.derivative(*a);
+            }
+            std::mem::swap(delta, next_delta);
+            act_end -= layer.inputs;
+            grad_end = grad_start;
+        }
+    }
+
+    /// Runs one Adam update over the mini-batch of sample positions `batch`
+    /// into the flat scaled rows `xs` and targets `ys`. Returns the batch
+    /// mean squared error (in scaled target space).
+    fn train_batch(
+        &mut self,
+        batch: &[u32],
+        xs: &[f64],
+        ys: &[f64],
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        scratch.grads.fill(0.0);
+        let width = self.n_features;
+        let mut loss = 0.0;
+        for &p in batch {
+            let p = p as usize;
+            scratch.acts[..width].copy_from_slice(&xs[p * width..(p + 1) * width]);
+            let prediction = self.forward_train(&mut scratch.acts);
+            let error = prediction - ys[p];
+            loss += error * error;
+            self.backward(error, scratch);
         }
 
         // Adam update. The bias-correction denominators depend only on the
@@ -327,43 +359,57 @@ impl MlpRegression {
         let bias_correction2 = 1.0 - beta2.powf(t);
         let lr = self.config.learning_rate;
         let decay = self.config.weight_decay;
-        for (layer, grad) in self.layers.iter_mut().zip(scratch.grads.iter()) {
-            for i in 0..layer.weights.len() {
-                let g = grad.d_w[i] / n + decay * layer.weights[i];
-                layer.m_w[i] = beta1 * layer.m_w[i] + (1.0 - beta1) * g;
-                layer.v_w[i] = beta2 * layer.v_w[i] + (1.0 - beta2) * g * g;
-                let m_hat = layer.m_w[i] / bias_correction1;
-                let v_hat = layer.v_w[i] / bias_correction2;
-                layer.weights[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        let adam = |param: &mut f64, m: &mut f64, v: &mut f64, g: f64| {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bias_correction1;
+            let v_hat = *v / bias_correction2;
+            *param -= lr * m_hat / (v_hat.sqrt() + eps);
+        };
+        let mut grads = scratch.grads.as_slice();
+        for layer in &mut self.layers {
+            let (d_w, rest) = grads.split_at(layer.weights.len());
+            let (d_b, rest) = rest.split_at(layer.biases.len());
+            grads = rest;
+            let weights = layer.weights.iter_mut().zip(&mut layer.m_w);
+            for ((w, m), (v, &d)) in weights.zip(layer.v_w.iter_mut().zip(d_w)) {
+                adam(w, m, v, d / n + decay * *w);
             }
-            for i in 0..layer.biases.len() {
-                let g = grad.d_b[i] / n;
-                layer.m_b[i] = beta1 * layer.m_b[i] + (1.0 - beta1) * g;
-                layer.v_b[i] = beta2 * layer.v_b[i] + (1.0 - beta2) * g * g;
-                let m_hat = layer.m_b[i] / bias_correction1;
-                let v_hat = layer.v_b[i] / bias_correction2;
-                layer.biases[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            let biases = layer.biases.iter_mut().zip(&mut layer.m_b);
+            for ((b, m), (v, &d)) in biases.zip(layer.v_b.iter_mut().zip(d_b)) {
+                adam(b, m, v, d / n);
             }
         }
         loss / n
     }
 
     /// Trains for up to `epochs` passes over `data` (already raw-space).
+    ///
+    /// The rows are scaled once into one flat row-major buffer, and each
+    /// epoch shuffles a permutation of sample positions rather than the
+    /// samples: the shuffle draws the same swaps for any slice of the same
+    /// length, so batch `k` of an epoch holds the same samples, in the same
+    /// order, as a shuffle of the rows themselves would. A call allocates
+    /// seven buffers (rows, targets, permutation and the four of
+    /// [`TrainScratch`]), however many rows and epochs it runs.
     fn train_epochs(&mut self, data: &Dataset, epochs: usize) {
-        let scaled_features = self.feature_scaler.transform_batch(data.features());
-        let scaled_targets = self.target_scaler.transform_batch(data.targets());
-        let mut samples: Vec<(Vec<f64>, f64)> =
-            scaled_features.into_iter().zip(scaled_targets).collect();
-        let mut scratch = TrainScratch::default();
+        let mut xs = Vec::with_capacity(data.len() * self.n_features);
+        for row in data.features() {
+            self.feature_scaler.transform_append(row, &mut xs);
+        }
+        let ys = self.target_scaler.transform_batch(data.targets());
+        let n = u32::try_from(data.len()).expect("an MLP trains on fewer than 2^32 rows");
+        let mut perm: Vec<u32> = (0..n).collect();
+        let mut scratch = TrainScratch::for_layers(&self.layers);
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(self.adam_step));
         let mut best_loss = f64::INFINITY;
         let mut stall = 0usize;
         for _ in 0..epochs {
-            samples.shuffle(&mut rng);
+            perm.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
-            for batch in samples.chunks(self.config.batch_size.max(1)) {
-                epoch_loss += self.train_batch(batch, &mut scratch);
+            for batch in perm.chunks(self.config.batch_size.max(1)) {
+                epoch_loss += self.train_batch(batch, &xs, &ys, &mut scratch);
                 batches += 1;
             }
             let epoch_loss = epoch_loss / batches.max(1) as f64;
@@ -451,6 +497,300 @@ impl Regressor for MlpRegression {
 
     fn clone_box(&self) -> Box<dyn Regressor> {
         Box::new(self.clone())
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The training loop [`MlpRegression::train_epochs`] replaced, kept as
+    //! plain code: the test oracle the flat kernel is held to bit for bit.
+    //!
+    //! Samples are `(Vec<f64>, f64)` pairs built per call and shuffled in
+    //! place; activations and gradients are per-layer vectors. Nothing here
+    //! is tuned for speed. The flat kernel must match it exactly, so its
+    //! summation orders (`sum = bias; sum += w * x`, the back-propagated
+    //! delta's `0.0 + w * d`, the Adam update) are the ones to keep.
+
+    use super::*;
+
+    /// Gradient accumulators for one layer.
+    #[derive(Debug, Clone, Default)]
+    struct LayerGrad {
+        d_w: Vec<f64>,
+        d_b: Vec<f64>,
+    }
+
+    /// Gradient accumulators, per-layer activations and deltas.
+    #[derive(Debug, Default)]
+    struct TrainScratch {
+        grads: Vec<LayerGrad>,
+        activations: Vec<Vec<f64>>,
+        delta: Vec<f64>,
+        next_delta: Vec<f64>,
+    }
+
+    /// Forward pass recording the activations of every layer, input first.
+    fn forward_into(model: &MlpRegression, input: &[f64], activations: &mut Vec<Vec<f64>>) {
+        activations.resize(model.layers.len() + 1, Vec::new());
+        activations[0].clear();
+        activations[0].extend_from_slice(input);
+        for li in 0..model.layers.len() {
+            let (prev, rest) = activations.split_at_mut(li + 1);
+            let output = &mut rest[0];
+            model.layers[li].forward(&prev[li], output);
+            if li != model.layers.len() - 1 {
+                for z in output.iter_mut() {
+                    *z = model.config.activation.forward(*z);
+                }
+            }
+        }
+    }
+
+    /// One Adam update over a mini-batch; returns the batch mean squared
+    /// error in scaled target space.
+    fn train_batch(
+        model: &mut MlpRegression,
+        batch: &[(Vec<f64>, f64)],
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        scratch
+            .grads
+            .resize_with(model.layers.len(), LayerGrad::default);
+        for (layer, grad) in model.layers.iter().zip(scratch.grads.iter_mut()) {
+            grad.d_w.clear();
+            grad.d_w.resize(layer.weights.len(), 0.0);
+            grad.d_b.clear();
+            grad.d_b.resize(layer.biases.len(), 0.0);
+        }
+        let mut loss = 0.0;
+
+        for (features, target) in batch {
+            forward_into(model, features, &mut scratch.activations);
+            let activations = &scratch.activations;
+            let prediction = activations.last().expect("output")[0];
+            let error = prediction - target;
+            loss += error * error;
+
+            scratch.delta.clear();
+            scratch.delta.push(error);
+            for li in (0..model.layers.len()).rev() {
+                let layer = &model.layers[li];
+                let input_act = &activations[li];
+                let grad = &mut scratch.grads[li];
+                for (o, &d) in scratch.delta.iter().enumerate().take(layer.outputs) {
+                    grad.d_b[o] += d;
+                    let row = &mut grad.d_w[o * layer.inputs..(o + 1) * layer.inputs];
+                    for (g, x) in row.iter_mut().zip(input_act.iter()) {
+                        *g += d * x;
+                    }
+                }
+                if li == 0 {
+                    break;
+                }
+                scratch.next_delta.clear();
+                scratch.next_delta.resize(layer.inputs, 0.0);
+                for (o, &d) in scratch.delta.iter().enumerate().take(layer.outputs) {
+                    let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                    for (nd, w) in scratch.next_delta.iter_mut().zip(row.iter()) {
+                        *nd += w * d;
+                    }
+                }
+                let prev_act = &activations[li];
+                for (nd, a) in scratch.next_delta.iter_mut().zip(prev_act.iter()) {
+                    *nd *= model.config.activation.derivative(*a);
+                }
+                std::mem::swap(&mut scratch.delta, &mut scratch.next_delta);
+            }
+        }
+
+        let n = batch.len() as f64;
+        model.adam_step += 1;
+        let t = model.adam_step as f64;
+        let (beta1, beta2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
+        let bias_correction1 = 1.0 - beta1.powf(t);
+        let bias_correction2 = 1.0 - beta2.powf(t);
+        let lr = model.config.learning_rate;
+        let decay = model.config.weight_decay;
+        for (layer, grad) in model.layers.iter_mut().zip(scratch.grads.iter()) {
+            for i in 0..layer.weights.len() {
+                let g = grad.d_w[i] / n + decay * layer.weights[i];
+                layer.m_w[i] = beta1 * layer.m_w[i] + (1.0 - beta1) * g;
+                layer.v_w[i] = beta2 * layer.v_w[i] + (1.0 - beta2) * g * g;
+                let m_hat = layer.m_w[i] / bias_correction1;
+                let v_hat = layer.v_w[i] / bias_correction2;
+                layer.weights[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            for i in 0..layer.biases.len() {
+                let g = grad.d_b[i] / n;
+                layer.m_b[i] = beta1 * layer.m_b[i] + (1.0 - beta1) * g;
+                layer.v_b[i] = beta2 * layer.v_b[i] + (1.0 - beta2) * g * g;
+                let m_hat = layer.m_b[i] / bias_correction1;
+                let v_hat = layer.v_b[i] / bias_correction2;
+                layer.biases[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        }
+        loss / n
+    }
+
+    /// Up to `epochs` shuffled passes over `data` (raw space).
+    fn train_epochs(model: &mut MlpRegression, data: &Dataset, epochs: usize) {
+        let scaled_features = model.feature_scaler.transform_batch(data.features());
+        let scaled_targets = model.target_scaler.transform_batch(data.targets());
+        let mut samples: Vec<(Vec<f64>, f64)> =
+            scaled_features.into_iter().zip(scaled_targets).collect();
+        let mut scratch = TrainScratch::default();
+        let mut rng = StdRng::seed_from_u64(model.config.seed.wrapping_add(model.adam_step));
+        let mut best_loss = f64::INFINITY;
+        let mut stall = 0usize;
+        for _ in 0..epochs {
+            samples.shuffle(&mut rng);
+            let mut epoch_loss = 0.0;
+            let mut batches = 0usize;
+            for batch in samples.chunks(model.config.batch_size.max(1)) {
+                epoch_loss += train_batch(model, batch, &mut scratch);
+                batches += 1;
+            }
+            let epoch_loss = epoch_loss / batches.max(1) as f64;
+            if best_loss - epoch_loss > model.config.tolerance {
+                best_loss = epoch_loss;
+                stall = 0;
+            } else {
+                stall += 1;
+                if stall >= model.config.patience {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// [`Regressor::fit`] on the reference loop.
+    fn fit(model: &mut MlpRegression, data: &Dataset) {
+        model.n_features = data.n_features();
+        model.feature_scaler = Scaler::new(ScalerKind::Standard);
+        model.feature_scaler.fit(data.features());
+        model.target_scaler = TargetScaler::new();
+        model.target_scaler.fit(data.targets());
+        model.init_layers(model.n_features);
+        train_epochs(model, data, model.config.max_epochs);
+        model.fitted = true;
+    }
+
+    /// [`Regressor::partial_fit`] on a fitted model, on the reference loop.
+    fn partial_fit(model: &mut MlpRegression, data: &Dataset) {
+        train_epochs(model, data, model.config.incremental_epochs);
+    }
+
+    mod tests {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn dataset(rows: &[(f64, f64, f64, f64)], n_features: usize) -> Dataset {
+            let features = rows
+                .iter()
+                .map(|&(a, b, c, _)| [a, b, c][..n_features].to_vec())
+                .collect();
+            Dataset::from_parts(features, rows.iter().map(|r| r.3).collect())
+        }
+
+        /// Every parameter, Adam moment and step of the two models, as bits.
+        fn state_bits(model: &MlpRegression) -> (u64, Vec<u64>) {
+            let mut bits = Vec::new();
+            for layer in &model.layers {
+                for buffer in [
+                    &layer.weights,
+                    &layer.biases,
+                    &layer.m_w,
+                    &layer.v_w,
+                    &layer.m_b,
+                    &layer.v_b,
+                ] {
+                    bits.extend(buffer.iter().map(|v| v.to_bits()));
+                }
+            }
+            (model.adam_step, bits)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A `fit` followed by several `partial_fit`s trains the same
+            /// network, bit for bit, on the flat kernel and on the reference
+            /// loop: every weight, moment and Adam step, and every
+            /// prediction on a probe grid. Covers one and two hidden
+            /// layers, ReLU and tanh, 1–3 features, row counts that are not
+            /// a multiple of the batch size, and (with an infinite
+            /// tolerance) the early-stopping exit after `patience` epochs.
+            #[test]
+            fn flat_training_matches_the_reference(
+                shape in (0usize..2, 0usize..2, 1usize..4, 1usize..20, 0usize..3),
+                epochs in (1usize..40, 1usize..6, 1usize..8, 0u64..1_000),
+                rows in prop::collection::vec(
+                    (0.0f64..1e10, -5.0f64..5.0, 0.0f64..3.0, 1e8f64..1e11),
+                    1..48,
+                ),
+                updates in prop::collection::vec(1usize..20, 0..5),
+                probes in prop::collection::vec((0.0f64..1e10, -5.0f64..5.0, 0.0f64..3.0), 1..12),
+            ) {
+                let (depth, activation, n_features, batch_size, tolerance) = shape;
+                let (max_epochs, incremental_epochs, patience, seed) = epochs;
+                let config = MlpConfig {
+                    hidden_layers: vec![16; depth + 1],
+                    activation: [Activation::Relu, Activation::Tanh][activation],
+                    max_epochs,
+                    incremental_epochs,
+                    batch_size,
+                    tolerance: [1e-6, 1e-2, f64::INFINITY][tolerance],
+                    patience,
+                    seed,
+                    ..MlpConfig::default()
+                };
+                let mut flat = MlpRegression::new(config.clone());
+                let mut reference = MlpRegression::new(config);
+                let initial = dataset(&rows, n_features);
+                flat.fit(&initial).unwrap();
+                fit(&mut reference, &initial);
+                let mut steps = vec![initial];
+                for &len in &updates {
+                    // Warm starts on rows that cycle through the sample.
+                    let chunk: Vec<_> = rows.iter().cycle().skip(steps.len()).take(len).copied().collect();
+                    steps.push(dataset(&chunk, n_features));
+                }
+                for (step, data) in steps.iter().enumerate() {
+                    if step > 0 {
+                        flat.partial_fit(data).unwrap();
+                        partial_fit(&mut reference, data);
+                    }
+                    prop_assert_eq!(state_bits(&flat), state_bits(&reference), "step {}", step);
+                    for &(a, b, c) in &probes {
+                        let query = &[a, b, c][..n_features];
+                        let got = flat.predict(query).map(f64::to_bits).ok();
+                        let want = reference.predict(query).map(f64::to_bits).ok();
+                        prop_assert_eq!(got, want, "step {} query {:?}", step, query);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn an_infinite_tolerance_stops_after_patience_epochs() {
+            // 10 rows in batches of 4 make 3 Adam steps per epoch.
+            let rows: Vec<_> = (0..10)
+                .map(|i| (i as f64, 0.0, 0.0, 2.0 * i as f64))
+                .collect();
+            let config = MlpConfig {
+                max_epochs: 50,
+                batch_size: 4,
+                tolerance: f64::INFINITY,
+                patience: 3,
+                ..MlpConfig::default()
+            };
+            let mut flat = MlpRegression::new(config.clone());
+            let mut reference = MlpRegression::new(config);
+            flat.fit(&dataset(&rows, 1)).unwrap();
+            fit(&mut reference, &dataset(&rows, 1));
+            assert_eq!(flat.adam_step, 9);
+            assert_eq!(state_bits(&flat), state_bits(&reference));
+        }
     }
 }
 

@@ -20,8 +20,10 @@ pub fn default_parallelism() -> usize {
 /// Applies `f` to every item of `items` in parallel (dynamic work stealing via
 /// an atomic index) and returns the results in input order.
 ///
-/// Falls back to a sequential loop for small inputs where thread spawn
-/// overhead would dominate.
+/// Runs on the calling thread when `threads` is 1 or there are at most two
+/// items. Spawning the workers costs tens of microseconds, so a caller whose
+/// items are cheap passes `threads = 1` itself (see
+/// [`crate::forest::PARALLEL_FIT_MIN_ROWS`]).
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -281,6 +281,12 @@ impl Scaler {
     /// identical arithmetic.
     pub fn transform_into(&self, row: &[f64], out: &mut Vec<f64>) {
         out.clear();
+        self.transform_append(row, out);
+    }
+
+    /// Appends the transform of one row to `out`: [`Scaler::transform_into`]
+    /// without the clear, for packing rows into one flat buffer.
+    pub fn transform_append(&self, row: &[f64], out: &mut Vec<f64>) {
         if !self.fitted || self.kind == ScalerKind::Identity {
             out.extend_from_slice(row);
             return;

@@ -4,6 +4,16 @@
 //! greedily minimise the within-node variance (equivalently maximise variance
 //! reduction) and are searched over candidate thresholds at the midpoints
 //! between consecutive distinct feature values.
+//!
+//! The split search sorts once per tree, not once per node. Growth gathers
+//! each candidate feature into a contiguous column and stable-sorts the
+//! training sample by it at the root. Every node then owns a `[lo, hi)`
+//! range of those sorted lists and of the sample in its original order. A
+//! split stable-partitions every list in place, so each child's ranges are
+//! already sorted and the search at a node is one linear scan per feature.
+//! Stable-partitioning a stable-sorted list gives the same list as
+//! stable-sorting the partitioned one (ties keep their sample order), so the
+//! tree is, bit for bit, the one a per-node sort grows.
 
 use crate::dataset::Dataset;
 use crate::model::{validate_query, validate_training_data, ModelClass, ModelError, Regressor};
@@ -59,10 +69,213 @@ pub struct RegressionTree {
     feature_order: Vec<usize>,
 }
 
+/// The best split found at a node.
 struct SplitCandidate {
-    feature: usize,
+    /// Position of the feature in the candidate list (its column in
+    /// [`Growth`]).
+    slot: usize,
     threshold: f64,
     score: f64,
+}
+
+/// The buffers one tree grows in. A sample position `p` in `0..m` (a `u32`)
+/// names the `p`-th entry of the training index list, so positions follow
+/// the order the sample was given in (the bootstrap order, for a forest
+/// tree).
+struct Growth<'a> {
+    config: &'a TreeConfig,
+    /// Dataset column of each candidate slot, in evaluation order.
+    features: Vec<usize>,
+    /// Sample size.
+    m: usize,
+    /// Target of each sample position.
+    y: Vec<f64>,
+    /// Candidate columns by sample position: slot `s` is `x[s*m..(s+1)*m]`.
+    x: Vec<f64>,
+    /// Sample positions in their original order, partitioned split by split.
+    /// Sums and leaf means read it, so they add in the sample order.
+    order: Vec<u32>,
+    /// Per slot, the sample positions sorted by that column (ties in sample
+    /// order), partitioned split by split: slot `s` is `sorted[s*m..(s+1)*m]`.
+    sorted: Vec<u32>,
+    /// Side of the split being applied, by sample position.
+    goes_left: Vec<bool>,
+    /// Holds the right-hand side of a stable partition.
+    right: Vec<u32>,
+    nodes: Vec<Node>,
+}
+
+impl<'a> Growth<'a> {
+    /// Gathers the candidate columns of the rows `indices` selects and
+    /// sorts the sample once per candidate.
+    fn new(
+        config: &'a TreeConfig,
+        features: Vec<usize>,
+        data: &Dataset,
+        indices: &[usize],
+        nodes: Vec<Node>,
+    ) -> Self {
+        let m = indices.len();
+        let rows = data.features();
+        let y: Vec<f64> = indices.iter().map(|&i| data.targets()[i]).collect();
+        let mut x = Vec::with_capacity(features.len() * m);
+        for &f in &features {
+            x.extend(indices.iter().map(|&i| rows[i][f]));
+        }
+        let positions = 0..u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
+        let mut sorted = Vec::with_capacity(features.len() * m);
+        for slot in 0..features.len() {
+            let column = &x[slot * m..(slot + 1) * m];
+            let start = sorted.len();
+            sorted.extend(positions.clone());
+            // Positions are unique, so breaking value ties by position gives
+            // the stable order without a stable sort's scratch buffer.
+            sorted[start..].sort_unstable_by(|&a, &b| {
+                column[a as usize]
+                    .total_cmp(&column[b as usize])
+                    .then(a.cmp(&b))
+            });
+        }
+        Growth {
+            config,
+            features,
+            m,
+            y,
+            x,
+            order: positions.collect(),
+            sorted,
+            goes_left: vec![false; m],
+            right: vec![0; m],
+            nodes,
+        }
+    }
+
+    fn mean(&self, lo: usize, hi: usize) -> f64 {
+        if lo == hi {
+            0.0
+        } else {
+            self.order[lo..hi]
+                .iter()
+                .map(|&p| self.y[p as usize])
+                .sum::<f64>()
+                / (hi - lo) as f64
+        }
+    }
+
+    fn best_split(&self, lo: usize, hi: usize) -> Option<SplitCandidate> {
+        let n = hi - lo;
+        let node = &self.order[lo..hi];
+        let parent_sum: f64 = node.iter().map(|&p| self.y[p as usize]).sum();
+        let parent_sq: f64 = node
+            .iter()
+            .map(|&p| self.y[p as usize] * self.y[p as usize])
+            .sum();
+        let parent_sse = parent_sq - parent_sum * parent_sum / n as f64;
+
+        let m = self.m;
+        let mut best: Option<SplitCandidate> = None;
+        for slot in 0..self.features.len() {
+            let x = &self.x[slot * m..(slot + 1) * m];
+            let sorted = &self.sorted[slot * m + lo..slot * m + hi];
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            for (prev_pos, pair) in sorted.windows(2).enumerate() {
+                let (prev, next) = (pair[0] as usize, pair[1] as usize);
+                let y_prev = self.y[prev];
+                left_sum += y_prev;
+                left_sq += y_prev * y_prev;
+
+                let x_prev = x[prev];
+                let x_next = x[next];
+                if x_prev == x_next {
+                    continue; // cannot split between identical values
+                }
+                let n_left = prev_pos + 1;
+                let n_right = n - n_left;
+                if n_left < self.config.min_samples_leaf || n_right < self.config.min_samples_leaf {
+                    continue;
+                }
+                let right_sum = parent_sum - left_sum;
+                let right_sq = parent_sq - left_sq;
+                let left_sse = left_sq - left_sum * left_sum / n_left as f64;
+                let right_sse = right_sq - right_sum * right_sum / n_right as f64;
+                let gain = parent_sse - (left_sse + right_sse);
+                if gain > best.as_ref().map_or(1e-12, |b| b.score) {
+                    best = Some(SplitCandidate {
+                        slot,
+                        threshold: 0.5 * (x_prev + x_next),
+                        score: gain,
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    /// Sends the node `[lo, hi)` to its children: every list is stably
+    /// partitioned in place, left (`x <= threshold`) first. Returns the
+    /// boundary.
+    fn partition(&mut self, lo: usize, hi: usize, split: &SplitCandidate) -> usize {
+        let m = self.m;
+        let x = &self.x[split.slot * m..(split.slot + 1) * m];
+        for &p in &self.order[lo..hi] {
+            let p = p as usize;
+            self.goes_left[p] = x[p] <= split.threshold;
+        }
+        let mid = lo + stable_partition(&mut self.order[lo..hi], &self.goes_left, &mut self.right);
+        for slot in 0..self.features.len() {
+            let list = &mut self.sorted[slot * m + lo..slot * m + hi];
+            stable_partition(list, &self.goes_left, &mut self.right);
+        }
+        mid
+    }
+
+    /// Grows the subtree over `[lo, hi)` in pre-order and returns its root.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let split = if depth >= self.config.max_depth || hi - lo < self.config.min_samples_split {
+            None
+        } else {
+            self.best_split(lo, hi)
+        };
+        let Some(split) = split else {
+            let value = self.mean(lo, hi);
+            self.nodes.push(Node::Leaf { value });
+            return self.nodes.len() - 1;
+        };
+        let mid = self.partition(lo, hi, &split);
+        // Reserve a slot for this split node, then build children.
+        let node_pos = self.nodes.len();
+        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
+        let left = self.grow(lo, mid, depth + 1);
+        let right = self.grow(mid, hi, depth + 1);
+        self.nodes[node_pos] = Node::Split {
+            feature: self.features[split.slot],
+            threshold: split.threshold,
+            left,
+            right,
+        };
+        node_pos
+    }
+}
+
+/// Moves the positions of `list` that go left to its front and the rest
+/// behind them, each side in its original order. Returns the left count.
+/// The loop has no branch on the side, which a predictor would miss half the
+/// time: each position is written to both sides and only its own side's
+/// cursor advances. `right` is at least as long as `list`.
+fn stable_partition(list: &mut [u32], goes_left: &[bool], right: &mut [u32]) -> usize {
+    let mut n_left = 0;
+    let mut n_right = 0;
+    for r in 0..list.len() {
+        let p = list[r];
+        let left = goes_left[p as usize];
+        list[n_left] = p;
+        right[n_right] = p;
+        n_left += usize::from(left);
+        n_right += usize::from(!left);
+    }
+    list[n_left..].copy_from_slice(&right[..n_right]);
+    n_left
 }
 
 impl RegressionTree {
@@ -118,22 +331,32 @@ impl RegressionTree {
 
     /// Fits the tree on the observations of `data` selected by `indices`
     /// (duplicates allowed — this is how the random forest trains on a
-    /// bootstrap resample **without materialising the sample**: the former
-    /// implementation cloned every selected row into a scratch dataset per
-    /// tree). Training on `indices` is bit-identical to fitting on the
-    /// materialised subset: every split-search pass visits the selected rows
-    /// in the same order.
+    /// bootstrap resample without materialising the sample). The result is
+    /// bit-identical to fitting on `data.subset(&indices)`: the sample keeps
+    /// the order of `indices` throughout.
     pub fn fit_with_indices(
         &mut self,
         data: &Dataset,
         indices: Vec<usize>,
     ) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        self.nodes.clear();
-        self.n_features = data.n_features();
-        self.build(data, indices, 0);
-        self.fitted = true;
+        self.grow(data, indices);
         Ok(())
+    }
+
+    /// The one growth path of [`Regressor::fit`] and
+    /// [`RegressionTree::fit_with_indices`]. `indices` is freed once the
+    /// growth buffers hold the sample.
+    fn grow(&mut self, data: &Dataset, indices: Vec<usize>) {
+        self.n_features = data.n_features();
+        let features = self.candidate_features(self.n_features);
+        let mut nodes = std::mem::take(&mut self.nodes);
+        nodes.clear();
+        let mut growth = Growth::new(&self.config, features, data, &indices, nodes);
+        drop(indices);
+        growth.grow(0, growth.m, 0);
+        self.nodes = growth.nodes;
+        self.fitted = true;
     }
 
     fn candidate_features(&self, n_features: usize) -> Vec<usize> {
@@ -151,105 +374,12 @@ impl RegressionTree {
             _ => all,
         }
     }
-
-    fn best_split(&self, data: &Dataset, indices: &[usize]) -> Option<SplitCandidate> {
-        let n = indices.len();
-        if n < self.config.min_samples_split {
-            return None;
-        }
-        let parent_sum: f64 = indices.iter().map(|&i| data.targets()[i]).sum();
-        let parent_sq: f64 = indices
-            .iter()
-            .map(|&i| data.targets()[i] * data.targets()[i])
-            .sum();
-        let parent_sse = parent_sq - parent_sum * parent_sum / n as f64;
-
-        let mut best: Option<SplitCandidate> = None;
-        for &feature in &self.candidate_features(data.n_features()) {
-            // Sort indices by this feature value.
-            let mut order: Vec<usize> = indices.to_vec();
-            order.sort_by(|&a, &b| {
-                data.features()[a][feature].total_cmp(&data.features()[b][feature])
-            });
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            for split_pos in 1..n {
-                let prev = order[split_pos - 1];
-                let y_prev = data.targets()[prev];
-                left_sum += y_prev;
-                left_sq += y_prev * y_prev;
-
-                let x_prev = data.features()[prev][feature];
-                let x_next = data.features()[order[split_pos]][feature];
-                if x_prev == x_next {
-                    continue; // cannot split between identical values
-                }
-                let n_left = split_pos;
-                let n_right = n - split_pos;
-                if n_left < self.config.min_samples_leaf || n_right < self.config.min_samples_leaf {
-                    continue;
-                }
-                let right_sum = parent_sum - left_sum;
-                let right_sq = parent_sq - left_sq;
-                let left_sse = left_sq - left_sum * left_sum / n_left as f64;
-                let right_sse = right_sq - right_sum * right_sum / n_right as f64;
-                let gain = parent_sse - (left_sse + right_sse);
-                if gain > best.as_ref().map_or(1e-12, |b| b.score) {
-                    best = Some(SplitCandidate {
-                        feature,
-                        threshold: 0.5 * (x_prev + x_next),
-                        score: gain,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    fn build(&mut self, data: &Dataset, indices: Vec<usize>, depth: usize) -> usize {
-        let mean = if indices.is_empty() {
-            0.0
-        } else {
-            indices.iter().map(|&i| data.targets()[i]).sum::<f64>() / indices.len() as f64
-        };
-        if depth >= self.config.max_depth || indices.len() < self.config.min_samples_split {
-            self.nodes.push(Node::Leaf { value: mean });
-            return self.nodes.len() - 1;
-        }
-        match self.best_split(data, &indices) {
-            None => {
-                self.nodes.push(Node::Leaf { value: mean });
-                self.nodes.len() - 1
-            }
-            Some(split) => {
-                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-                    .into_iter()
-                    .partition(|&i| data.features()[i][split.feature] <= split.threshold);
-                // Reserve a slot for this split node, then build children.
-                let node_pos = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: mean }); // placeholder
-                let left = self.build(data, left_idx, depth + 1);
-                let right = self.build(data, right_idx, depth + 1);
-                self.nodes[node_pos] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    left,
-                    right,
-                };
-                node_pos
-            }
-        }
-    }
 }
 
 impl Regressor for RegressionTree {
     fn fit(&mut self, data: &Dataset) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        self.nodes.clear();
-        self.n_features = data.n_features();
-        let indices: Vec<usize> = (0..data.len()).collect();
-        self.build(data, indices, 0);
-        self.fitted = true;
+        self.grow(data, (0..data.len()).collect());
         Ok(())
     }
 

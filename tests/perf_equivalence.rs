@@ -4,12 +4,16 @@
 //!
 //! * k-NN: flattened/pre-scaled buffer + `select_nth_unstable` partial
 //!   selection vs. scale-per-row + stable full sort,
+//! * regression tree: one presort per feature + in-place stable partitions
+//!   vs. a stable sort of every node's index list per feature,
 //! * `Cluster::select_node`: the free-capacity index (segment tree +
 //!   ordered-by-free set) vs. the naive linear scans, across random
 //!   occupancy states, policies and degenerate allocations.
 //!
 //! Sizey's RAQ, gating and offset kernels are held to the paper reference
-//! inside `sizey-core` (its test-only `reference.rs` oracle).
+//! inside `sizey-core` (its test-only `reference.rs` oracle), and the MLP's
+//! flat training kernel to its former loop inside `sizey-ml`
+//! (`mlp::reference`).
 
 use proptest::prelude::*;
 use sizey_ml::forest::{ForestConfig, RandomForestRegression};
@@ -17,6 +21,7 @@ use sizey_ml::knn::{KnnConfig, KnnRegression, KnnWeighting};
 use sizey_ml::linear::{LinearConfig, LinearRegression};
 use sizey_ml::model::Regressor;
 use sizey_ml::scaler::{Scaler, ScalerKind};
+use sizey_ml::tree::{RegressionTree, TreeConfig};
 use sizey_sim::{Node, Placement};
 use sizey_suite::prelude::*;
 
@@ -163,6 +168,318 @@ proptest! {
         let optimized = model.predict(&[query]).unwrap();
         let reference = naive_knn_predict(config, &rows, &targets, &[query]);
         prop_assert_eq!(optimized.to_bits(), reference.to_bits());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Regression tree: presorted growth vs. the per-node sort.
+// ---------------------------------------------------------------------------
+
+/// A node of the reference tree. Its variants and fields are named like the
+/// library's private arena node, so the two arenas print the same `Debug`
+/// text exactly when they are equal (`f64`'s `Debug` output round-trips).
+#[derive(Debug)]
+enum TreeNode {
+    Leaf {
+        value: f64,
+    },
+    Split {
+        feature: usize,
+        threshold: f64,
+        left: usize,
+        right: usize,
+    },
+}
+
+/// The per-node-sort tree growth the presorted one replaced, verbatim: every
+/// node stable-sorts a copy of its index list by each candidate feature, and
+/// every split allocates both children's lists.
+struct NaiveTree {
+    config: TreeConfig,
+    feature_order: Vec<usize>,
+    nodes: Vec<TreeNode>,
+}
+
+impl NaiveTree {
+    fn grow(
+        config: TreeConfig,
+        feature_order: &[usize],
+        data: &Dataset,
+        indices: Vec<usize>,
+    ) -> Self {
+        let mut tree = NaiveTree {
+            config,
+            feature_order: feature_order.to_vec(),
+            nodes: Vec::new(),
+        };
+        tree.build(data, indices, 0);
+        tree
+    }
+
+    fn candidate_features(&self, n_features: usize) -> Vec<usize> {
+        let all: Vec<usize> = if self.feature_order.is_empty() {
+            (0..n_features).collect()
+        } else {
+            self.feature_order
+                .iter()
+                .copied()
+                .filter(|&f| f < n_features)
+                .collect()
+        };
+        match self.config.max_features {
+            Some(k) if k < all.len() => all[..k].to_vec(),
+            _ => all,
+        }
+    }
+
+    /// The best `(feature, threshold, score)`.
+    fn best_split(&self, data: &Dataset, indices: &[usize]) -> Option<(usize, f64, f64)> {
+        let n = indices.len();
+        if n < self.config.min_samples_split {
+            return None;
+        }
+        let parent_sum: f64 = indices.iter().map(|&i| data.targets()[i]).sum();
+        let parent_sq: f64 = indices
+            .iter()
+            .map(|&i| data.targets()[i] * data.targets()[i])
+            .sum();
+        let parent_sse = parent_sq - parent_sum * parent_sum / n as f64;
+
+        let mut best: Option<(usize, f64, f64)> = None;
+        for &feature in &self.candidate_features(data.n_features()) {
+            let mut order: Vec<usize> = indices.to_vec();
+            order.sort_by(|&a, &b| {
+                data.features()[a][feature].total_cmp(&data.features()[b][feature])
+            });
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            for split_pos in 1..n {
+                let prev = order[split_pos - 1];
+                let y_prev = data.targets()[prev];
+                left_sum += y_prev;
+                left_sq += y_prev * y_prev;
+
+                let x_prev = data.features()[prev][feature];
+                let x_next = data.features()[order[split_pos]][feature];
+                if x_prev == x_next {
+                    continue;
+                }
+                let n_left = split_pos;
+                let n_right = n - split_pos;
+                if n_left < self.config.min_samples_leaf || n_right < self.config.min_samples_leaf {
+                    continue;
+                }
+                let right_sum = parent_sum - left_sum;
+                let right_sq = parent_sq - left_sq;
+                let left_sse = left_sq - left_sum * left_sum / n_left as f64;
+                let right_sse = right_sq - right_sum * right_sum / n_right as f64;
+                let gain = parent_sse - (left_sse + right_sse);
+                if gain > best.map_or(1e-12, |b| b.2) {
+                    best = Some((feature, 0.5 * (x_prev + x_next), gain));
+                }
+            }
+        }
+        best
+    }
+
+    fn build(&mut self, data: &Dataset, indices: Vec<usize>, depth: usize) -> usize {
+        let mean = if indices.is_empty() {
+            0.0
+        } else {
+            indices.iter().map(|&i| data.targets()[i]).sum::<f64>() / indices.len() as f64
+        };
+        if depth >= self.config.max_depth || indices.len() < self.config.min_samples_split {
+            self.nodes.push(TreeNode::Leaf { value: mean });
+            return self.nodes.len() - 1;
+        }
+        match self.best_split(data, &indices) {
+            None => {
+                self.nodes.push(TreeNode::Leaf { value: mean });
+                self.nodes.len() - 1
+            }
+            Some((feature, threshold, _)) => {
+                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
+                    .into_iter()
+                    .partition(|&i| data.features()[i][feature] <= threshold);
+                let node_pos = self.nodes.len();
+                self.nodes.push(TreeNode::Leaf { value: mean });
+                let left = self.build(data, left_idx, depth + 1);
+                let right = self.build(data, right_idx, depth + 1);
+                self.nodes[node_pos] = TreeNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                };
+                node_pos
+            }
+        }
+    }
+
+    fn depth(&self, idx: usize) -> usize {
+        match &self.nodes[idx] {
+            TreeNode::Leaf { .. } => 0,
+            TreeNode::Split { left, right, .. } => 1 + self.depth(*left).max(self.depth(*right)),
+        }
+    }
+
+    fn predict(&self, features: &[f64]) -> f64 {
+        let mut idx = 0;
+        loop {
+            match &self.nodes[idx] {
+                TreeNode::Leaf { value } => return *value,
+                TreeNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    idx = if features[*feature] <= *threshold {
+                        *left
+                    } else {
+                        *right
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `nodes: [..]` arena of a fitted tree's `Debug` text.
+fn tree_arena(tree: &RegressionTree) -> String {
+    let text = format!("{tree:?}");
+    let start = text
+        .find("nodes: ")
+        .expect("RegressionTree prints its arena")
+        + "nodes: ".len();
+    let end = text
+        .find(", n_features: ")
+        .expect("arena is followed by n_features");
+    text[start..end].to_string()
+}
+
+/// Holds a fitted tree to the reference grown from the same sample: arena,
+/// node count, depth, and the prediction at every training row and at every
+/// finite split threshold (substituted into each row).
+fn assert_tree_matches(
+    tree: &RegressionTree,
+    naive: &NaiveTree,
+    rows: &[Vec<f64>],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(tree_arena(tree), format!("{:?}", naive.nodes));
+    prop_assert_eq!(tree.n_nodes(), naive.nodes.len());
+    prop_assert_eq!(tree.depth(), naive.depth(0));
+    let mut probes: Vec<Vec<f64>> = rows.to_vec();
+    for node in &naive.nodes {
+        if let TreeNode::Split {
+            feature, threshold, ..
+        } = node
+        {
+            if threshold.is_finite() {
+                for row in rows {
+                    let mut probe = row.clone();
+                    probe[*feature] = *threshold;
+                    probes.push(probe);
+                }
+            }
+        }
+    }
+    for probe in &probes {
+        let got = tree.predict(probe).unwrap();
+        prop_assert_eq!(
+            got.to_bits(),
+            naive.predict(probe).to_bits(),
+            "probe {:?}",
+            probe
+        );
+    }
+    Ok(())
+}
+
+/// A feature value: mostly runs of small integers (ties, including ±0), some
+/// continuous values, and a few near ±`f64::MAX`. Those stand in for ±inf,
+/// which training rejects before growth: the midpoint of two of them
+/// overflows to an infinite threshold. The float just above 1 has a
+/// midpoint with 1 that rounds to 1, so a row can sit on a threshold.
+fn tree_feature() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        4 => (0u8..5).prop_map(f64::from),
+        1 => prop_oneof![Just(-0.0), Just(1.0 + f64::EPSILON)],
+        4 => -1e6f64..1e6,
+        1 => prop_oneof![Just(f64::MAX), Just(-f64::MAX), Just(1e308), Just(-1e308)],
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The presorted growth vs. the per-node sort, on the full sample and on
+    /// a bootstrap (duplicated indices, any order), for 1–3 features, any
+    /// `max_features` subset of a shuffled `feature_order`, depths 0–9,
+    /// `min_samples_split` 0–4 and `min_samples_leaf` 1–3. Also pins
+    /// `fit_with_indices(d, idx)` to `fit(&d.subset(&idx))`, and the
+    /// rejection of ±inf features by both entry points.
+    #[test]
+    fn presorted_tree_growth_matches_the_per_node_sort(
+        raw in proptest::collection::vec(
+            (tree_feature(), tree_feature(), tree_feature(), prop_oneof![
+                (0u8..4).prop_map(|k| f64::from(k) * 1e9),
+                1e8f64..1e11,
+            ]),
+            1..120,
+        ),
+        shape in (1usize..4, 0usize..10, 0usize..5, 1usize..4, 0usize..4),
+        order_keys in proptest::collection::vec(0u32..1_000, 3..4),
+        bootstrap in proptest::collection::vec(0usize..1_000, 1..240),
+        shuffled in 0u8..2,
+    ) {
+        let (n_features, max_depth, min_samples_split, min_samples_leaf, max_features) = shape;
+        let rows: Vec<Vec<f64>> = raw.iter().map(|r| [r.0, r.1, r.2][..n_features].to_vec()).collect();
+        let targets: Vec<f64> = raw.iter().map(|r| r.3).collect();
+        let data = Dataset::from_parts(rows.clone(), targets);
+        let config = TreeConfig {
+            max_depth,
+            min_samples_split,
+            min_samples_leaf,
+            max_features: (max_features > 0).then_some(max_features),
+        };
+        // A shuffled order over all three features, as the forest draws it
+        // (entries past the dataset's width are skipped), or none.
+        let mut feature_order: Vec<usize> = (0..3).collect();
+        feature_order.sort_by_key(|&f| order_keys[f]);
+        if shuffled == 0 {
+            feature_order.clear();
+        }
+        let new_tree = || {
+            let mut tree = RegressionTree::new(config);
+            if !feature_order.is_empty() {
+                tree.set_feature_order(feature_order.clone());
+            }
+            tree
+        };
+
+        let mut full = new_tree();
+        full.fit(&data).unwrap();
+        let naive = NaiveTree::grow(config, &feature_order, &data, (0..rows.len()).collect());
+        assert_tree_matches(&full, &naive, &rows)?;
+
+        let indices: Vec<usize> = bootstrap.iter().map(|&i| i % rows.len()).collect();
+        let mut indexed = new_tree();
+        indexed.fit_with_indices(&data, indices.clone()).unwrap();
+        let naive = NaiveTree::grow(config, &feature_order, &data, indices.clone());
+        assert_tree_matches(&indexed, &naive, &rows)?;
+
+        let mut subset = new_tree();
+        subset.fit(&data.subset(&indices)).unwrap();
+        prop_assert_eq!(format!("{indexed:?}"), format!("{subset:?}"));
+
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = rows.clone();
+            poisoned[indices[0]][0] = bad;
+            let poisoned = Dataset::from_parts(poisoned, data.targets().to_vec());
+            prop_assert!(new_tree().fit(&poisoned).is_err());
+            prop_assert!(new_tree().fit_with_indices(&poisoned, indices.clone()).is_err());
+        }
     }
 }
 

@@ -6,15 +6,22 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Observation history of successful executions, grouped per
-/// (task type, machine) combination.
+/// (task type, machine) combination, with each key's learned state `S`
+/// stored beside its observations so that an observe or a predict costs one
+/// map lookup.
 ///
-/// Alongside the per-key indices, the history keeps a **journal** of every
-/// record passed to [`History::observe`] (including failed attempts, which
-/// contribute nothing to the indices) in observation order. The journal is
-/// the event source backing the snapshot/restore lifecycle
-/// ([`sizey_sim::lifecycle`]): all baseline state is a deterministic function
-/// of it, so replaying it through a fresh predictor reconstructs the learned
-/// state bit for bit.
+/// Each baseline folds a success into its per-key state when it is
+/// observed (a running cost sum, incremental normal equations, a sorted
+/// sample) and keeps the fitted answer there; predict only reads it.
+/// Failed attempts never change a key's observations or state.
+///
+/// The history also keeps a **journal** of every record passed to
+/// [`History::observe`] (including failed attempts) in observation order.
+/// The journal is the event source backing the snapshot/restore lifecycle
+/// ([`sizey_sim::lifecycle`]): the observations and every key's state are a
+/// deterministic function of it, so replaying it through a fresh predictor
+/// re-derives the learned state bit for bit, and a snapshot never
+/// serialises the derived state.
 ///
 /// The journal grows with every observation — a deliberate trade-off: the
 /// baselines now mirror the provenance-database model the paper attaches to
@@ -24,11 +31,19 @@ use std::sync::Arc;
 /// deployment that needs bounded memory and no checkpoints can periodically
 /// swap the predictor for a fresh one restored from a truncated journal.
 #[derive(Debug, Default, Clone)]
-pub struct History {
-    observations: HashMap<TaskMachineKey, Vec<Observation>>,
+pub struct History<S> {
+    keys: HashMap<TaskMachineKey, KeyHistory<S>>,
     /// Reference-counted so snapshots share the records instead of
     /// deep-cloning the journal a second time.
     journal: Vec<Arc<TaskRecord>>,
+}
+
+/// One key's successful observations in arrival order, and the state a
+/// baseline derived from them.
+#[derive(Debug, Default, Clone)]
+struct KeyHistory<S> {
+    observations: Vec<Observation>,
+    state: S,
 }
 
 /// One successful task execution as seen by a baseline method.
@@ -40,29 +55,34 @@ pub struct Observation {
     pub peak_bytes: f64,
 }
 
-impl History {
+impl<S: Default> History<S> {
     /// Creates an empty history.
     pub fn new() -> Self {
         History::default()
     }
 
-    /// Records a finished attempt. Only successful executions carry a true
-    /// peak measurement and enter the per-key indices; failed attempts are
-    /// ignored there (failure handling is the responsibility of each
-    /// method), but every record enters the journal so snapshots stay a
-    /// faithful event log.
-    pub fn observe(&mut self, record: &TaskRecord) {
+    /// Records a finished attempt. Every record enters the journal, so
+    /// snapshots stay a faithful event log. Only a successful execution
+    /// carries a true peak measurement: it is appended to its key's
+    /// observations, which are returned (the new one last) together with the
+    /// key's state for the caller to fold it in. A failed attempt returns
+    /// `None` (failure handling is the responsibility of each method).
+    pub fn observe(&mut self, record: &TaskRecord) -> Option<(&[Observation], &mut S)> {
         self.journal.push(Arc::new(record.clone()));
         if record.outcome != TaskOutcome::Succeeded {
-            return;
+            return None;
         }
-        self.observations
-            .entry(record.key())
-            .or_default()
-            .push(Observation {
-                input_bytes: record.input_bytes,
-                peak_bytes: record.peak_memory_bytes,
-            });
+        let entry = self.keys.entry(record.key()).or_default();
+        entry.observations.push(Observation {
+            input_bytes: record.input_bytes,
+            peak_bytes: record.peak_memory_bytes,
+        });
+        Some((&entry.observations, &mut entry.state))
+    }
+
+    /// The state of a key with at least one successful observation.
+    pub fn state(&self, key: &TaskMachineKey) -> Option<&S> {
+        self.keys.get(key).map(|entry| &entry.state)
     }
 
     /// Every record ever observed, in observation order — the event source
@@ -74,29 +94,6 @@ impl History {
     /// True when nothing has been observed yet (fresh instance).
     pub fn is_fresh(&self) -> bool {
         self.journal.is_empty()
-    }
-
-    /// All successful observations for a key, in arrival order.
-    pub fn get(&self, key: &TaskMachineKey) -> &[Observation] {
-        self.observations.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of successful observations for a key.
-    pub fn count(&self, key: &TaskMachineKey) -> usize {
-        self.get(key).len()
-    }
-
-    /// The peak memory values for a key.
-    pub fn peaks(&self, key: &TaskMachineKey) -> Vec<f64> {
-        self.get(key).iter().map(|o| o.peak_bytes).collect()
-    }
-
-    /// The maximum observed peak for a key, if any.
-    pub fn max_peak(&self, key: &TaskMachineKey) -> Option<f64> {
-        self.get(key)
-            .iter()
-            .map(|o| o.peak_bytes)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 }
 
@@ -161,54 +158,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn only_successful_records_are_stored() {
-        let mut h = History::new();
-        h.observe(&record(1e9, TaskOutcome::Succeeded));
-        h.observe(&record(9e9, TaskOutcome::FailedOutOfMemory));
-        let key = TaskMachineKey::new("t", "m");
-        assert_eq!(h.count(&key), 1);
-        assert_eq!(h.peaks(&key), vec![1e9]);
-        assert_eq!(h.max_peak(&key), Some(1e9));
+    /// Counts the observations each success hands to its key's state.
+    fn peaks_seen(h: &mut History<usize>, record: &TaskRecord) -> Option<Vec<f64>> {
+        let (observations, state) = h.observe(record)?;
+        *state += 1;
+        Some(observations.iter().map(|o| o.peak_bytes).collect())
     }
 
     #[test]
-    fn unknown_key_is_empty() {
-        let h = History::new();
-        let key = TaskMachineKey::new("unknown", "m");
-        assert!(h.get(&key).is_empty());
-        assert_eq!(h.count(&key), 0);
-        assert_eq!(h.max_peak(&key), None);
+    fn only_successful_records_reach_the_key() {
+        let mut h = History::new();
+        let key = TaskMachineKey::new("t", "m");
+        assert!(h.state(&key).is_none());
+        assert!(peaks_seen(&mut h, &record(9e9, TaskOutcome::FailedOutOfMemory)).is_none());
+        assert!(h.state(&key).is_none(), "a failure creates no key");
+        assert_eq!(
+            peaks_seen(&mut h, &record(1e9, TaskOutcome::Succeeded)),
+            Some(vec![1e9])
+        );
+        assert!(peaks_seen(&mut h, &record(8e9, TaskOutcome::FailedOutOfMemory)).is_none());
+        assert_eq!(h.state(&key), Some(&1), "failures leave the state alone");
+        assert!(h.state(&TaskMachineKey::new("unknown", "m")).is_none());
+    }
+
+    #[test]
+    fn observations_preserve_arrival_order() {
+        let mut h = History::new();
+        let mut last = None;
+        for i in [3, 1, 5, 2, 4] {
+            last = peaks_seen(&mut h, &record(i as f64 * 1e9, TaskOutcome::Succeeded));
+        }
+        assert_eq!(last, Some(vec![3e9, 1e9, 5e9, 2e9, 4e9]));
+        assert_eq!(h.state(&TaskMachineKey::new("t", "m")), Some(&5));
     }
 
     #[test]
     fn journal_keeps_every_record_in_order() {
         let mut h = History::new();
         assert!(h.is_fresh());
-        h.observe(&record(1e9, TaskOutcome::Succeeded));
-        h.observe(&record(9e9, TaskOutcome::FailedOutOfMemory));
-        h.observe(&record(2e9, TaskOutcome::Succeeded));
+        peaks_seen(&mut h, &record(1e9, TaskOutcome::Succeeded));
+        peaks_seen(&mut h, &record(9e9, TaskOutcome::FailedOutOfMemory));
+        peaks_seen(&mut h, &record(2e9, TaskOutcome::Succeeded));
         assert!(!h.is_fresh());
         assert_eq!(h.journal().len(), 3, "failures enter the journal too");
         assert_eq!(h.journal()[1].outcome, TaskOutcome::FailedOutOfMemory);
-        // Replaying the journal into a fresh history reproduces the indices.
+        // Replaying the journal into a fresh history re-derives the
+        // observations and the state.
         let mut replayed = History::new();
-        for r in h.journal() {
-            replayed.observe(r);
+        let mut last = None;
+        for r in h.journal().to_vec() {
+            last = peaks_seen(&mut replayed, &r).or(last);
         }
+        assert_eq!(last, Some(vec![1e9, 2e9]));
         let key = TaskMachineKey::new("t", "m");
-        assert_eq!(replayed.peaks(&key), h.peaks(&key));
-    }
-
-    #[test]
-    fn observations_preserve_order() {
-        let mut h = History::new();
-        for i in 1..=5 {
-            h.observe(&record(i as f64 * 1e9, TaskOutcome::Succeeded));
-        }
-        let key = TaskMachineKey::new("t", "m");
-        let peaks = h.peaks(&key);
-        assert_eq!(peaks, vec![1e9, 2e9, 3e9, 4e9, 5e9]);
-        assert_eq!(h.max_peak(&key), Some(5e9));
+        assert_eq!(replayed.state(&key), h.state(&key));
+        assert_eq!(replayed.journal().len(), 3);
     }
 }

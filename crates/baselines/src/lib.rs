@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod history;
+mod line;
 pub mod tovar_ppm;
 pub mod witt_lr;
 pub mod witt_percentile;

@@ -9,8 +9,16 @@
 //! conservative re-run at the machine maximum. If the first allocation fails,
 //! the node's maximum memory is allocated (the authors' conservative failure
 //! handling).
+//!
+//! **Cost.** A key keeps one running expected-cost sum per candidate peak.
+//! A successful observe of its n-th peak adds that peak's cost term to the
+//! n − 1 existing sums, sums the new candidate's terms over all n peaks and
+//! re-takes the argmin: O(n). Predict reads the stored allocation: O(1).
+//! Each sum is the same left fold over the peaks in arrival order as
+//! summing them afresh, so the choice is bit-identical to recomputing it
+//! from the whole sample.
 
-use crate::history::History;
+use crate::history::{History, Observation};
 use sizey_provenance::{TaskMachineKey, TaskRecord};
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
@@ -46,7 +54,18 @@ impl Default for TovarPpmConfig {
 #[derive(Debug, Default, Clone)]
 pub struct TovarPpm {
     config: TovarPpmConfig,
-    history: History,
+    history: History<Candidates>,
+}
+
+/// A key's candidate allocations with their running expected-cost sums.
+#[derive(Debug, Default, Clone)]
+struct Candidates {
+    /// `cost_sums[c]`: the cost terms of candidate `c` (the key's `c`-th
+    /// peak plus head-room) summed over every peak so far, in arrival order.
+    cost_sums: Vec<f64>,
+    /// The least-expected-cost allocation, once the key has `min_history`
+    /// peaks and some candidate has a cost below infinity.
+    best: Option<f64>,
 }
 
 impl TovarPpm {
@@ -69,44 +88,56 @@ impl TovarPpm {
             machine: task.machine.clone(),
         }
     }
+}
 
-    /// Expected cost of allocating `alloc` given the empirical peak sample.
-    fn expected_cost(&self, alloc: f64, peaks: &[f64]) -> f64 {
-        let n = peaks.len() as f64;
-        peaks
-            .iter()
-            .map(|&peak| {
-                if alloc >= peak {
-                    alloc - peak
-                } else {
-                    // Failed attempt wastes the allocation, and the retry at
-                    // the machine maximum wastes the surplus there.
-                    alloc + (self.config.node_memory_bytes - peak)
-                }
-            })
-            .sum::<f64>()
-            / n
+/// The allocation a candidate peak stands for.
+fn allocation(config: &TovarPpmConfig, candidate: f64) -> f64 {
+    candidate * (1.0 + config.headroom)
+}
+
+/// Cost of allocating `alloc` to a task that peaks at `peak`.
+fn cost_term(config: &TovarPpmConfig, alloc: f64, peak: f64) -> f64 {
+    if alloc >= peak {
+        alloc - peak
+    } else {
+        // Failed attempt wastes the allocation, and the retry at the
+        // machine maximum wastes the surplus there.
+        alloc + (config.node_memory_bytes - peak)
     }
+}
 
-    /// Picks the observed peak value (plus head-room) with the least expected
-    /// cost, or `None` without enough history.
-    fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
-        let key = Self::key(task);
-        let peaks = self.history.peaks(&key);
-        if peaks.len() < self.config.min_history {
-            return None;
+impl Candidates {
+    /// Folds the key's newest peak (the last of `observations`) into the
+    /// cost sums and re-picks the candidate with the least expected cost,
+    /// the first one on ties. `best` stays `None` below `min_history`.
+    fn learn(&mut self, config: &TovarPpmConfig, observations: &[Observation]) {
+        let peak = observations
+            .last()
+            .expect("observe hands over the new peak")
+            .peak_bytes;
+        for (sum, candidate) in self.cost_sums.iter_mut().zip(observations) {
+            *sum += cost_term(config, allocation(config, candidate.peak_bytes), peak);
         }
-        let mut best = None;
+        let alloc = allocation(config, peak);
+        self.cost_sums.push(
+            observations
+                .iter()
+                .map(|o| cost_term(config, alloc, o.peak_bytes))
+                .sum::<f64>(),
+        );
+        self.best = None;
+        if observations.len() < config.min_history {
+            return;
+        }
+        let n = observations.len() as f64;
         let mut best_cost = f64::INFINITY;
-        for &candidate in &peaks {
-            let alloc = candidate * (1.0 + self.config.headroom);
-            let cost = self.expected_cost(alloc, &peaks);
+        for (&sum, candidate) in self.cost_sums.iter().zip(observations) {
+            let cost = sum / n;
             if cost < best_cost {
                 best_cost = cost;
-                best = Some(alloc);
+                self.best = Some(allocation(config, candidate.peak_bytes));
             }
         }
-        best
     }
 }
 
@@ -125,7 +156,10 @@ impl MemoryPredictor for TovarPpm {
                 selected_model: None,
             };
         }
-        let raw = self.estimate(task);
+        let raw = self
+            .history
+            .state(&Self::key(task))
+            .and_then(|candidates| candidates.best);
         Prediction {
             allocation_bytes: raw.unwrap_or(task.preset_memory_bytes),
             raw_estimate_bytes: raw,
@@ -134,7 +168,9 @@ impl MemoryPredictor for TovarPpm {
     }
 
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        if let Some((observations, candidates)) = self.history.observe(record) {
+            candidates.learn(&self.config, observations);
+        }
     }
 }
 
@@ -223,13 +259,21 @@ mod tests {
 
     #[test]
     fn expected_cost_matches_manual_computation() {
-        let p = TovarPpm::new();
-        let peaks = [1.0, 3.0];
-        // alloc = 2: covers first (cost 1), misses second
-        // (cost 2 + node - 3).
+        // Peaks 1 and 3 without head-room: candidate 1 covers the first
+        // (cost 0) and misses the second (cost 1 + node - 3); candidate 3
+        // covers both (cost 2 + 0). The sums are kept per candidate.
+        let config = TovarPpmConfig {
+            headroom: 0.0,
+            ..TovarPpmConfig::default()
+        };
+        let mut p = TovarPpm::with_config(config);
+        p.observe(&success(1.0));
+        p.observe(&success(3.0));
+        let key = TaskMachineKey::new("t", "m");
+        let state = p.history.state(&key).unwrap();
         let node = NODE_MEMORY_BYTES;
-        let expected = (1.0 + (2.0 + node - 3.0)) / 2.0;
-        assert!((p.expected_cost(2.0, &peaks) - expected).abs() < 1e-6);
+        assert_eq!(state.cost_sums, vec![0.0 + (1.0 + node - 3.0), 2.0 + 0.0]);
+        assert_eq!(state.best, Some(3.0));
     }
 
     #[test]

@@ -5,12 +5,18 @@
 //! between actual and predicted peaks so that underestimation becomes
 //! unlikely. Before enough history exists, the user preset is used; a failed
 //! attempt doubles the previous allocation.
+//!
+//! **Cost.** A key keeps one regression whose normal equations absorb each
+//! success as it is observed: O(1) to fold the row in. From `min_history`
+//! successes on, the observe also solves eagerly and re-derives the
+//! residual offset in one pass over the key's n observations: O(n). Predict
+//! evaluates the stored line plus the stored offset: O(1). The Gram sums
+//! accumulate row by row in the order a fresh fit would visit them, so the
+//! answer is bit-identical to refitting the whole history.
 
 use crate::history::History;
-use sizey_ml::dataset::Dataset;
-use sizey_ml::linear::LinearRegression;
+use crate::line::{IncrementalLine, LineScratch};
 use sizey_ml::metrics::std_dev;
-use sizey_ml::model::Regressor;
 use sizey_provenance::{TaskMachineKey, TaskRecord};
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
@@ -38,7 +44,9 @@ impl Default for WittLrConfig {
 #[derive(Debug, Default, Clone)]
 pub struct WittLr {
     config: WittLrConfig,
-    history: History,
+    history: History<IncrementalLine>,
+    /// Reused by every observe's residual pass.
+    scratch: LineScratch,
 }
 
 impl WittLr {
@@ -51,7 +59,7 @@ impl WittLr {
     pub fn with_config(config: WittLrConfig) -> Self {
         WittLr {
             config,
-            history: History::new(),
+            ..WittLr::default()
         }
     }
 
@@ -61,38 +69,6 @@ impl WittLr {
             machine: task.machine.clone(),
         }
     }
-
-    /// Fits the regression on the current history and returns the offset
-    /// prediction for the submitted input size, or `None` when there is not
-    /// enough history.
-    fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
-        let key = Self::key(task);
-        let observations = self.history.get(&key);
-        if observations.len() < self.config.min_history {
-            return None;
-        }
-        let xs: Vec<f64> = observations.iter().map(|o| o.input_bytes).collect();
-        let ys: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
-        let data = Dataset::from_univariate(&xs, &ys);
-        let mut model = LinearRegression::with_defaults();
-        model.fit(&data).ok()?;
-        let prediction = model.predict(&[task.input_bytes]).ok()?;
-
-        // Offset: the spread of the residuals on the training data.
-        let residuals: Vec<f64> = observations
-            .iter()
-            .filter_map(|o| {
-                model
-                    .predict(&[o.input_bytes])
-                    .ok()
-                    .map(|p| o.peak_bytes - p)
-            })
-            .collect();
-        let offset = std_dev(&residuals) * self.config.offset_sigmas;
-        // Floor at a small positive allocation so the doubling-based failure
-        // handling always escalates.
-        Some((prediction + offset).max(128e6))
-    }
 }
 
 impl MemoryPredictor for WittLr {
@@ -101,7 +77,10 @@ impl MemoryPredictor for WittLr {
     }
 
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
-        let raw = self.estimate(task);
+        let raw = self
+            .history
+            .state(&Self::key(task))
+            .and_then(|line| line.evaluate(task.input_bytes));
         let base = raw.unwrap_or(task.preset_memory_bytes);
         Prediction {
             allocation_bytes: base * 2.0_f64.powi(ctx.attempt as i32),
@@ -110,8 +89,18 @@ impl MemoryPredictor for WittLr {
         }
     }
 
+    // Folds the key's newest observation into its regression and, with
+    // enough history, re-derives the offset: the spread of the residuals
+    // on the training data.
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        let Some((observations, line)) = self.history.observe(record) else {
+            return;
+        };
+        if !line.absorb(observations, self.config.min_history) {
+            return;
+        }
+        self.scratch.residual_pass(&line.model, observations);
+        line.shift = Some(std_dev(&self.scratch.residuals) * self.config.offset_sigmas);
     }
 }
 

@@ -6,9 +6,14 @@
 //! values of the same task type. The paper's evaluation uses the conservative
 //! 95th percentile. Before any history exists the user preset is used, and a
 //! failed attempt doubles the previous allocation.
+//!
+//! **Cost.** A key keeps its peaks sorted: a successful observe inserts the
+//! new peak at its place under `total_cmp`, O(log n) to find it and O(n) to
+//! shift the tail. Predict reads the interpolated percentile from the sorted
+//! peaks: O(1), bit-identical to sorting a copy of them.
 
 use crate::history::History;
-use sizey_ml::metrics::percentile;
+use sizey_ml::metrics::percentile_of_sorted;
 use sizey_provenance::{TaskMachineKey, TaskRecord};
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
@@ -35,16 +40,14 @@ impl Default for WittPercentileConfig {
 #[derive(Debug, Default, Clone)]
 pub struct WittPercentile {
     config: WittPercentileConfig,
-    history: History,
+    /// Each key's peaks, sorted ascending under `total_cmp`.
+    history: History<Vec<f64>>,
 }
 
 impl WittPercentile {
     /// Creates the predictor with the paper's default (95th percentile).
     pub fn new() -> Self {
-        WittPercentile {
-            config: WittPercentileConfig::default(),
-            history: History::new(),
-        }
+        WittPercentile::default()
     }
 
     /// Creates the predictor with a custom configuration.
@@ -62,12 +65,15 @@ impl WittPercentile {
         }
     }
 
-    fn base_estimate(&self, task: &TaskSubmission) -> f64 {
-        let key = Self::key(task);
-        if self.history.count(&key) < self.config.min_history {
-            return task.preset_memory_bytes;
-        }
-        percentile(&self.history.peaks(&key), self.config.percentile)
+    /// The configured percentile of the key's peaks, or `None` below
+    /// `min_history`.
+    fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
+        let sorted = self
+            .history
+            .state(&Self::key(task))
+            .map_or(&[][..], Vec::as_slice);
+        (sorted.len() >= self.config.min_history)
+            .then(|| percentile_of_sorted(sorted, self.config.percentile))
     }
 }
 
@@ -77,17 +83,21 @@ impl MemoryPredictor for WittPercentile {
     }
 
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
-        let base = self.base_estimate(task);
-        let allocation = base * 2.0_f64.powi(ctx.attempt as i32);
+        let raw = self.estimate(task);
+        let base = raw.unwrap_or(task.preset_memory_bytes);
         Prediction {
-            allocation_bytes: allocation,
-            raw_estimate_bytes: Some(base),
+            allocation_bytes: base * 2.0_f64.powi(ctx.attempt as i32),
+            raw_estimate_bytes: raw,
             selected_model: None,
         }
     }
 
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        if let Some((_, sorted)) = self.history.observe(record) {
+            let peak = record.peak_memory_bytes;
+            let at = sorted.partition_point(|p| p.total_cmp(&peak).is_le());
+            sorted.insert(at, peak);
+        }
     }
 }
 
@@ -127,12 +137,16 @@ mod tests {
 
     #[test]
     fn uses_preset_without_history() {
-        let p = WittPercentile::new();
-        assert_eq!(
-            p.predict(&submission(), AttemptContext::first())
-                .allocation_bytes,
-            10e9
-        );
+        let mut p = WittPercentile::new();
+        for observed in 0..2 {
+            let pred = p.predict(&submission(), AttemptContext::first());
+            assert_eq!(pred.allocation_bytes, 10e9, "{observed} observed");
+            // The preset is not a model estimate.
+            assert_eq!(pred.raw_estimate_bytes, None, "{observed} observed");
+            p.observe(&success(3e9));
+        }
+        let pred = p.predict(&submission(), AttemptContext::first());
+        assert_eq!(pred.raw_estimate_bytes, Some(3e9));
     }
 
     #[test]

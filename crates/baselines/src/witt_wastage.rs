@@ -8,14 +8,19 @@
 //! cost model — over-allocation costs its surplus, under-allocation costs the
 //! failed attempt plus a conservative retry — and the line with the lowest
 //! cost is used. A failed attempt doubles the allocation.
+//!
+//! **Cost.** A key keeps one regression whose normal equations absorb each
+//! success as it is observed: O(1) to fold the row in. From `min_history`
+//! successes on, the observe also solves eagerly, makes one residual pass
+//! over the key's n observations, sorts the residuals once, reads every
+//! candidate quantile from that sorted buffer and prices each candidate on
+//! the history: O(n log n + n·q) for q candidate quantiles. Predict
+//! evaluates the stored line plus the stored shift: O(1). The answer is
+//! bit-identical to refitting the whole history.
 
 use crate::history::History;
-#[cfg(test)]
-use crate::history::Observation;
-use sizey_ml::dataset::Dataset;
-use sizey_ml::linear::LinearRegression;
-use sizey_ml::metrics::percentile;
-use sizey_ml::model::Regressor;
+use crate::line::{IncrementalLine, LineScratch};
+use sizey_ml::metrics::percentile_of_sorted;
 use sizey_provenance::{TaskMachineKey, TaskRecord};
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
@@ -49,7 +54,9 @@ impl Default for WittWastageConfig {
 #[derive(Debug, Default, Clone)]
 pub struct WittWastage {
     config: WittWastageConfig,
-    history: History,
+    history: History<IncrementalLine>,
+    /// Reused by every observe's residual pass.
+    scratch: LineScratch,
 }
 
 impl WittWastage {
@@ -62,7 +69,7 @@ impl WittWastage {
     pub fn with_config(config: WittWastageConfig) -> Self {
         WittWastage {
             config,
-            history: History::new(),
+            ..WittWastage::default()
         }
     }
 
@@ -76,64 +83,12 @@ impl WittWastage {
     /// Wastage cost of allocating `alloc` for a task that actually peaks at
     /// `peak`: surplus when sufficient, failed work plus a full re-run at the
     /// actual peak when insufficient.
-    fn wastage_cost(&self, alloc: f64, peak: f64) -> f64 {
+    fn wastage_cost(config: &WittWastageConfig, alloc: f64, peak: f64) -> f64 {
         if alloc >= peak {
             alloc - peak
         } else {
-            alloc + self.config.failure_penalty * peak
+            alloc + config.failure_penalty * peak
         }
-    }
-
-    /// Fits the base regression and picks the intercept shift with the least
-    /// historical wastage. Returns the estimate for the submitted input.
-    fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
-        let key = Self::key(task);
-        let observations = self.history.get(&key);
-        if observations.len() < self.config.min_history {
-            return None;
-        }
-        let xs: Vec<f64> = observations.iter().map(|o| o.input_bytes).collect();
-        let ys: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
-        let data = Dataset::from_univariate(&xs, &ys);
-        let mut model = LinearRegression::with_defaults();
-        model.fit(&data).ok()?;
-
-        let base_predictions: Vec<f64> = observations
-            .iter()
-            .map(|o| model.predict(&[o.input_bytes]).unwrap_or(o.peak_bytes))
-            .collect();
-        let residuals: Vec<f64> = observations
-            .iter()
-            .zip(base_predictions.iter())
-            .map(|(o, p)| o.peak_bytes - p)
-            .collect();
-
-        // Evaluate every candidate shift on the historical data.
-        let mut best_shift = 0.0;
-        let mut best_cost = f64::INFINITY;
-        for &q in &self.config.candidate_quantiles {
-            let shift = percentile(&residuals, q).max(0.0);
-            let cost: f64 = observations
-                .iter()
-                .zip(base_predictions.iter())
-                .map(|(o, p)| self.wastage_cost(p + shift, o.peak_bytes))
-                .sum();
-            if cost < best_cost {
-                best_cost = cost;
-                best_shift = shift;
-            }
-        }
-
-        let prediction = model.predict(&[task.input_bytes]).ok()? + best_shift;
-        // Floor at a small positive allocation: a non-positive estimate (from
-        // extrapolating a downward-sloping fit) would make the doubling-based
-        // failure handling useless.
-        Some(prediction.max(128e6))
-    }
-
-    #[cfg(test)]
-    fn observations(&self, key: &TaskMachineKey) -> &[Observation] {
-        self.history.get(key)
     }
 }
 
@@ -143,7 +98,10 @@ impl MemoryPredictor for WittWastage {
     }
 
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
-        let raw = self.estimate(task);
+        let raw = self
+            .history
+            .state(&Self::key(task))
+            .and_then(|line| line.evaluate(task.input_bytes));
         let base = raw.unwrap_or(task.preset_memory_bytes);
         Prediction {
             allocation_bytes: base * 2.0_f64.powi(ctx.attempt as i32),
@@ -152,8 +110,36 @@ impl MemoryPredictor for WittWastage {
         }
     }
 
+    // Folds the key's newest observation into its regression and, with
+    // enough history, picks the intercept shift with the least historical
+    // wastage (first wins on ties).
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        let Some((observations, line)) = self.history.observe(record) else {
+            return;
+        };
+        if !line.absorb(observations, self.config.min_history) {
+            return;
+        }
+        let scratch = &mut self.scratch;
+        scratch.residual_pass(&line.model, observations);
+        scratch.residuals.sort_by(|a, b| a.total_cmp(b));
+
+        // Evaluate every candidate shift on the historical data.
+        let mut best_shift = 0.0;
+        let mut best_cost = f64::INFINITY;
+        for &q in &self.config.candidate_quantiles {
+            let shift = percentile_of_sorted(&scratch.residuals, q).max(0.0);
+            let cost: f64 = observations
+                .iter()
+                .zip(scratch.fitted.iter())
+                .map(|(o, p)| Self::wastage_cost(&self.config, p + shift, o.peak_bytes))
+                .sum();
+            if cost < best_cost {
+                best_cost = cost;
+                best_shift = shift;
+            }
+        }
+        line.shift = Some(best_shift);
     }
 }
 
@@ -203,16 +189,16 @@ mod tests {
 
     #[test]
     fn wastage_cost_penalises_underallocation() {
-        let p = WittWastage::new();
-        assert_eq!(p.wastage_cost(5.0, 3.0), 2.0);
+        let config = WittWastageConfig::default();
+        assert_eq!(WittWastage::wastage_cost(&config, 5.0, 3.0), 2.0);
         // With the default penalty of 0 a failed attempt costs its own
         // allocation.
-        assert_eq!(p.wastage_cost(2.0, 3.0), 2.0);
-        let strict = WittWastage::with_config(WittWastageConfig {
+        assert_eq!(WittWastage::wastage_cost(&config, 2.0, 3.0), 2.0);
+        let strict = WittWastageConfig {
             failure_penalty: 1.0,
-            ..WittWastageConfig::default()
-        });
-        assert_eq!(strict.wastage_cost(2.0, 3.0), 5.0);
+            ..config
+        };
+        assert_eq!(WittWastage::wastage_cost(&strict, 2.0, 3.0), 5.0);
     }
 
     #[test]
@@ -256,7 +242,7 @@ mod tests {
             p.observe(&success(i as f64 * 1e9, 2.0 * i as f64 * 1e9));
         }
         let key = TaskMachineKey::new("t", "m");
-        assert_eq!(p.observations(&key).len(), 5);
+        assert_eq!(p.history.state(&key).unwrap().model.n_observations(), 5);
         let base = p
             .predict(&submission(3e9), AttemptContext::first())
             .allocation_bytes;

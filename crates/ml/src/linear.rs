@@ -193,6 +193,19 @@ impl LinearRegression {
         Ok(coeffs)
     }
 
+    /// Solves the normal equations for the current sufficient statistics now
+    /// instead of on the next predict, and reports the solve's outcome. Like
+    /// `fit` it is transactional: a failed solve leaves the previous
+    /// coefficients, and their staleness, as they were. Errors with
+    /// [`ModelError::NotFitted`] before any update.
+    pub fn solve(&mut self) -> Result<(), ModelError> {
+        let gram = self.gram.as_ref().ok_or(ModelError::NotFitted)?;
+        let coeffs = LinearRegression::solve_stats(gram, &self.moments, self.config)?;
+        *self.coefficients.get_mut().expect("lock") = coeffs;
+        *self.coefficients_stale.get_mut() = false;
+        Ok(())
+    }
+
     /// Runs the lazy solve if updates left the coefficients stale. If the
     /// solve fails the previous coefficients keep serving (the staleness flag
     /// is still cleared so the hot path does not retry on every predict).
@@ -222,15 +235,9 @@ impl Regressor for LinearRegression {
         // features) must leave the previous model serving.
         let mut fresh = LinearRegression::new(self.config);
         fresh.accumulate(data);
-        let gram = fresh.gram.as_ref().expect("accumulate initialises gram");
-        let coeffs = LinearRegression::solve_stats(gram, &fresh.moments, self.config)?;
-        self.gram = fresh.gram;
-        self.moments = fresh.moments;
-        self.n_observations = fresh.n_observations;
-        self.n_features = fresh.n_features;
-        *self.coefficients.write().expect("lock") = coeffs;
-        self.coefficients_stale.store(false, Ordering::Release);
-        self.fitted = true;
+        fresh.solve()?;
+        fresh.fitted = true;
+        *self = fresh;
         Ok(())
     }
 
@@ -445,6 +452,26 @@ mod tests {
             "failed refit must leave predictions untouched"
         );
         assert_eq!(m.n_observations(), 50);
+    }
+
+    #[test]
+    fn eager_solve_commits_only_on_success() {
+        let mut m = LinearRegression::with_defaults();
+        assert!(matches!(m.solve(), Err(ModelError::NotFitted)));
+        let data = linear_dataset(2.0, 1.0, 10);
+        m.partial_fit(&data).unwrap();
+        m.solve().unwrap();
+        let mut fitted = LinearRegression::with_defaults();
+        fitted.fit(&data).unwrap();
+        let before = m.coefficients.read().expect("lock").clone();
+        assert_eq!(before, fitted.coefficients());
+
+        // An overflowing row poisons the Gram sums: the solve fails and
+        // commits nothing.
+        m.partial_fit(&Dataset::from_univariate(&[1e300], &[1.0]))
+            .unwrap();
+        assert!(matches!(m.solve(), Err(ModelError::Numerical(_))));
+        assert_eq!(*m.coefficients.read().expect("lock"), before);
     }
 
     #[test]

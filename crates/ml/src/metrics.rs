@@ -134,22 +134,30 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 /// allocation-free twin used by the predict hot path (offset strategies).
 /// Identical arithmetic: same total-order sort, same interpolation.
 pub fn percentile_in_place(values: &mut [f64], p: f64) -> f64 {
-    if values.is_empty() {
+    values.sort_by(|a, b| a.total_cmp(b));
+    percentile_of_sorted(values, p)
+}
+
+/// [`percentile`] of a slice that is already sorted ascending under
+/// `total_cmp`: no copy, no sort, O(1). Callers that keep their values
+/// sorted, or read several percentiles of one buffer, sort once and call
+/// this. Returns 0 for an empty slice.
+pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    values.sort_by(|a, b| a.total_cmp(b));
     let p = p.clamp(0.0, 100.0);
-    if values.len() == 1 {
-        return values[0];
+    if sorted.len() == 1 {
+        return sorted[0];
     }
-    let rank = p / 100.0 * (values.len() - 1) as f64;
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        values[lo]
+        sorted[lo]
     } else {
         let frac = rank - lo as f64;
-        values[lo] * (1.0 - frac) + values[hi] * frac
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
@@ -297,6 +305,15 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert_eq!(percentile(&[7.0], 50.0), 7.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+        // The sorted-slice entry point reads the same values without sorting.
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        for p in [0.0, 25.0, 50.0, 95.0, 100.0] {
+            assert_eq!(
+                percentile_of_sorted(&sorted, p).to_bits(),
+                percentile(&v, p).to_bits()
+            );
+        }
+        assert_eq!(percentile_of_sorted(&[], 50.0), 0.0);
     }
 
     #[test]

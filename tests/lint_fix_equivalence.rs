@@ -488,6 +488,41 @@ fn deferred_serve_output_is_pinned() {
     check("deferred_serve", d, GOLDEN_DEFERRED_SERVE);
 }
 
+/// The four paper baselines, replayed serially over two small workloads:
+/// every allocation, outcome and retry of Witt-LR, Witt-Percentile,
+/// Witt-Wastage and Tovar-PPM. The golden was captured on the last commit
+/// whose baselines refit from the whole history on every predict (6b42316),
+/// so it pins the incremental per-observe learning to that output.
+///
+/// Raw estimates are left out: on that commit Witt-Percentile still reported
+/// its preset as a model estimate below `min_history`, which it no longer
+/// does. The first attempt's allocation is the raw estimate whenever there is
+/// one, and `perf_equivalence` holds the raw estimates bit for bit to the
+/// from-scratch estimators.
+#[test]
+fn baseline_replay_output_is_pinned() {
+    let mut d = Digest::new();
+    for (name, scale, seed) in [("iwd", 0.06, 17), ("rnaseq", 0.3, 5)] {
+        let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
+        let instances = generate_workflow(&spec, &GeneratorConfig::scaled(scale, seed));
+        let sim = SimulationConfig::default();
+        let methods: [Box<dyn MemoryPredictor>; 4] = [
+            Box::new(WittLr::new()),
+            Box::new(WittPercentile::new()),
+            Box::new(WittWastage::new()),
+            Box::new(TovarPpm::new()),
+        ];
+        for mut method in methods {
+            let mut report = replay_workflow(&spec.name, &instances, method.as_mut(), &sim);
+            for event in &mut report.events {
+                event.raw_estimate_bytes = None;
+            }
+            digest_report(&mut d, &report, false);
+        }
+    }
+    check("baseline_replay", d, GOLDEN_BASELINES);
+}
+
 // Golden digests captured on the tree immediately before the PR-8 lint
 // fixes (see module docs for the capture command).
 const GOLDEN_SCHEDULED: u64 = 0x861adc7d669c1355;
@@ -504,3 +539,5 @@ const GOLDEN_KERNELS: u64 = 0xf55545e555ed2f3d;
 const GOLDEN_FAULTED: u64 = 0x989c776ac153d8f2;
 // Captured on the last commit with the retrain job hand-off (PR 12, ea73ed5).
 const GOLDEN_DEFERRED_SERVE: u64 = 0x14982b9082ee40e5;
+// Captured on the last commit with per-predict baseline refits (6b42316).
+const GOLDEN_BASELINES: u64 = 0x499b5d8198b383be;

@@ -8,7 +8,9 @@
 //!   vs. a stable sort of every node's index list per feature,
 //! * `Cluster::select_node`: the free-capacity index (segment tree +
 //!   ordered-by-free set) vs. the naive linear scans, across random
-//!   occupancy states, policies and degenerate allocations.
+//!   occupancy states, policies and degenerate allocations,
+//! * the four paper baselines: per-key state learned once per successful
+//!   observe vs. refitting the key's whole history on every predict.
 //!
 //! Sizey's RAQ, gating and offset kernels are held to the paper reference
 //! inside `sizey-core` (its test-only `reference.rs` oracle), and the MLP's
@@ -16,6 +18,7 @@
 //! (`mlp::reference`).
 
 use proptest::prelude::*;
+use sizey_baselines::{TovarPpmConfig, WittLrConfig, WittPercentileConfig, WittWastageConfig};
 use sizey_ml::forest::{ForestConfig, RandomForestRegression};
 use sizey_ml::knn::{KnnConfig, KnnRegression, KnnWeighting};
 use sizey_ml::linear::{LinearConfig, LinearRegression};
@@ -643,6 +646,340 @@ proptest! {
         let p = forest.predict(&[query]).unwrap();
         prop_assert!(p.is_finite());
         prop_assert!(p >= lo - 1e-6 && p <= hi + 1e-6, "p = {} outside [{}, {}]", p, lo, hi);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Baselines: learning once per successful observe vs. refitting the key's
+// whole history on every predict.
+// ---------------------------------------------------------------------------
+
+/// The four baselines' estimators as they were before they learned
+/// incrementally, verbatim over a plain observation list: every call refits
+/// the key's whole history. One change: Witt-Percentile returns `None`
+/// rather than the preset below `min_history`.
+mod from_scratch {
+    use sizey_baselines::{
+        Observation, TovarPpmConfig, WittLrConfig, WittPercentileConfig, WittWastageConfig,
+    };
+    use sizey_ml::linear::LinearRegression;
+    use sizey_ml::metrics::{percentile, std_dev};
+    use sizey_ml::model::Regressor;
+    use sizey_ml::Dataset;
+
+    fn expected_cost(config: &TovarPpmConfig, alloc: f64, peaks: &[f64]) -> f64 {
+        let n = peaks.len() as f64;
+        peaks
+            .iter()
+            .map(|&peak| {
+                if alloc >= peak {
+                    alloc - peak
+                } else {
+                    alloc + (config.node_memory_bytes - peak)
+                }
+            })
+            .sum::<f64>()
+            / n
+    }
+
+    pub fn tovar_ppm(config: &TovarPpmConfig, observations: &[Observation]) -> Option<f64> {
+        let peaks: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
+        if peaks.len() < config.min_history {
+            return None;
+        }
+        let mut best = None;
+        let mut best_cost = f64::INFINITY;
+        for &candidate in &peaks {
+            let alloc = candidate * (1.0 + config.headroom);
+            let cost = expected_cost(config, alloc, &peaks);
+            if cost < best_cost {
+                best_cost = cost;
+                best = Some(alloc);
+            }
+        }
+        best
+    }
+
+    pub fn witt_lr(config: &WittLrConfig, observations: &[Observation], input: f64) -> Option<f64> {
+        if observations.len() < config.min_history {
+            return None;
+        }
+        let xs: Vec<f64> = observations.iter().map(|o| o.input_bytes).collect();
+        let ys: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
+        let data = Dataset::from_univariate(&xs, &ys);
+        let mut model = LinearRegression::with_defaults();
+        model.fit(&data).ok()?;
+        let prediction = model.predict(&[input]).ok()?;
+        let residuals: Vec<f64> = observations
+            .iter()
+            .filter_map(|o| {
+                model
+                    .predict(&[o.input_bytes])
+                    .ok()
+                    .map(|p| o.peak_bytes - p)
+            })
+            .collect();
+        let offset = std_dev(&residuals) * config.offset_sigmas;
+        Some((prediction + offset).max(128e6))
+    }
+
+    fn wastage_cost(config: &WittWastageConfig, alloc: f64, peak: f64) -> f64 {
+        if alloc >= peak {
+            alloc - peak
+        } else {
+            alloc + config.failure_penalty * peak
+        }
+    }
+
+    pub fn witt_wastage(
+        config: &WittWastageConfig,
+        observations: &[Observation],
+        input: f64,
+    ) -> Option<f64> {
+        if observations.len() < config.min_history {
+            return None;
+        }
+        let xs: Vec<f64> = observations.iter().map(|o| o.input_bytes).collect();
+        let ys: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
+        let data = Dataset::from_univariate(&xs, &ys);
+        let mut model = LinearRegression::with_defaults();
+        model.fit(&data).ok()?;
+        let base_predictions: Vec<f64> = observations
+            .iter()
+            .map(|o| model.predict(&[o.input_bytes]).unwrap_or(o.peak_bytes))
+            .collect();
+        let residuals: Vec<f64> = observations
+            .iter()
+            .zip(base_predictions.iter())
+            .map(|(o, p)| o.peak_bytes - p)
+            .collect();
+        let mut best_shift = 0.0;
+        let mut best_cost = f64::INFINITY;
+        for &q in &config.candidate_quantiles {
+            let shift = percentile(&residuals, q).max(0.0);
+            let cost: f64 = observations
+                .iter()
+                .zip(base_predictions.iter())
+                .map(|(o, p)| wastage_cost(config, p + shift, o.peak_bytes))
+                .sum();
+            if cost < best_cost {
+                best_cost = cost;
+                best_shift = shift;
+            }
+        }
+        let prediction = model.predict(&[input]).ok()? + best_shift;
+        Some(prediction.max(128e6))
+    }
+
+    pub fn witt_percentile(
+        config: &WittPercentileConfig,
+        observations: &[Observation],
+    ) -> Option<f64> {
+        if observations.len() < config.min_history {
+            return None;
+        }
+        let peaks: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
+        Some(percentile(&peaks, config.percentile))
+    }
+}
+
+/// Input sizes and peaks for the baseline equivalence: a few repeated values
+/// (duplicate peaks tie Tovar's argmin; identical inputs leave the Gram
+/// matrix singular, so the ridge escalates), continuous values, and rarely a
+/// value that poisons a key (NaN, ±inf) or overflows its normal equations
+/// so that every later solve fails (±1e300).
+fn baseline_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        6 => (1u8..4).prop_map(|k| f64::from(k) * 1e9),
+        6 => 1e8f64..1e11,
+        1 => prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(1e300),
+            Just(-1e300),
+        ],
+    ]
+}
+
+/// The four live baselines, as a snapshot/restore cycle rebuilds them.
+struct LiveBaselines {
+    tovar: TovarPpm,
+    lr: WittLr,
+    wastage: WittWastage,
+    percentile: WittPercentile,
+}
+
+/// Restores `live`'s snapshot into `fresh`.
+fn restored<P: CheckpointPredictor>(live: &P, mut fresh: P) -> P {
+    fresh
+        .restore(&live.snapshot())
+        .expect("a fresh instance accepts the snapshot");
+    fresh
+}
+
+/// Asserts one prediction's bits against the reference's `(allocation, raw)`.
+fn assert_same_prediction(
+    method: &str,
+    got: Prediction,
+    raw: Option<f64>,
+    allocation: f64,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        got.allocation_bytes.to_bits(),
+        allocation.to_bits(),
+        "{} allocation {} vs {}",
+        method,
+        got.allocation_bytes,
+        allocation
+    );
+    prop_assert_eq!(
+        got.raw_estimate_bytes.map(f64::to_bits),
+        raw.map(f64::to_bits),
+        "{} raw estimate {:?} vs {:?}",
+        method,
+        got.raw_estimate_bytes,
+        raw
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Tovar-PPM, Witt-LR, Witt-Wastage and Witt-Percentile, which learn
+    /// once per successful observe, vs. their former estimators, which
+    /// refit the key's whole history on every predict. One random stream
+    /// over 1–3 keys of successes, out-of-memory failures and predicts at
+    /// attempts 0–3, with random `min_history` (0–4) and knobs; the live
+    /// predictors are snapshotted and restored into fresh instances at a
+    /// random point and carry on. Every allocation and raw estimate must be
+    /// bit-identical.
+    #[test]
+    fn baselines_match_the_from_scratch_estimators(
+        ops in proptest::collection::vec(
+            (0u8..10, 0usize..3, baseline_value(), baseline_value(), 0u8..4),
+            1..160,
+        ),
+        n_keys in 1usize..4,
+        min_history in (0usize..5, 0usize..5, 0usize..5, 0usize..5),
+        knobs in (0u8..2, 0u8..2, 0u8..2, 0u8..5),
+        restore_at in 0usize..200,
+    ) {
+        let (tovar_knob, lr_knob, wastage_knob, percentile_knob) = knobs;
+        let tovar_config = TovarPpmConfig {
+            min_history: min_history.0,
+            node_memory_bytes: [128e9, 16e9][usize::from(tovar_knob)],
+            headroom: [0.02, 0.0][usize::from(tovar_knob)],
+        };
+        let lr_config = WittLrConfig {
+            min_history: min_history.1,
+            offset_sigmas: [1.0, 2.5][usize::from(lr_knob)],
+        };
+        let wastage_config = WittWastageConfig {
+            min_history: min_history.2,
+            failure_penalty: [0.0, 1.0][usize::from(wastage_knob)],
+            ..WittWastageConfig::default()
+        };
+        let percentile_config = WittPercentileConfig {
+            min_history: min_history.3,
+            percentile: [95.0, 50.0, 0.0, 100.0, 37.5][usize::from(percentile_knob)],
+        };
+        let fresh = || LiveBaselines {
+            tovar: TovarPpm::with_config(tovar_config),
+            lr: WittLr::with_config(lr_config),
+            wastage: WittWastage::with_config(wastage_config.clone()),
+            percentile: WittPercentile::with_config(percentile_config),
+        };
+        let mut live = fresh();
+        let mut history: Vec<Vec<sizey_baselines::Observation>> = vec![Vec::new(); n_keys];
+
+        for (step, &(kind, key, input, peak, attempt)) in ops.iter().enumerate() {
+            if step == restore_at {
+                let empty = fresh();
+                live = LiveBaselines {
+                    tovar: restored(&live.tovar, empty.tovar),
+                    lr: restored(&live.lr, empty.lr),
+                    wastage: restored(&live.wastage, empty.wastage),
+                    percentile: restored(&live.percentile, empty.percentile),
+                };
+            }
+            let key = key % n_keys;
+            let task_type = TaskTypeId::new(format!("t{key}"));
+            if kind < 6 {
+                let succeeded = kind < 5;
+                let record = TaskRecord {
+                    workflow: "wf".into(),
+                    task_type,
+                    machine: MachineId::new("m"),
+                    sequence: step as u64,
+                    input_bytes: input,
+                    peak_memory_bytes: peak,
+                    allocated_memory_bytes: 64e9,
+                    runtime_seconds: 60.0,
+                    concurrent_tasks: 0,
+                    queue_delay_seconds: 0.0,
+                    outcome: if succeeded {
+                        TaskOutcome::Succeeded
+                    } else {
+                        TaskOutcome::FailedOutOfMemory
+                    },
+                };
+                live.tovar.observe(&record);
+                live.lr.observe(&record);
+                live.wastage.observe(&record);
+                live.percentile.observe(&record);
+                if succeeded {
+                    history[key].push(sizey_baselines::Observation {
+                        input_bytes: input,
+                        peak_bytes: peak,
+                    });
+                }
+                continue;
+            }
+            let task = TaskSubmission {
+                workflow: "wf".into(),
+                task_type,
+                machine: MachineId::new("m"),
+                sequence: step as u64,
+                input_bytes: input,
+                preset_memory_bytes: 7e9 + key as f64 * 1e9,
+            };
+            let attempt = u32::from(attempt);
+            let ctx = if attempt == 0 {
+                AttemptContext::first()
+            } else {
+                AttemptContext::retry(attempt, 32e9)
+            };
+            let observations = &history[key];
+            let doubled = |raw: Option<f64>| {
+                raw.unwrap_or(task.preset_memory_bytes) * 2.0_f64.powi(attempt as i32)
+            };
+
+            let raw = from_scratch::tovar_ppm(&tovar_config, observations);
+            let (raw, allocation) = if attempt > 0 {
+                (None, tovar_config.node_memory_bytes)
+            } else {
+                (raw, raw.unwrap_or(task.preset_memory_bytes))
+            };
+            assert_same_prediction("Tovar-PPM", live.tovar.predict(&task, ctx), raw, allocation)?;
+            let raw = from_scratch::witt_lr(&lr_config, observations, input);
+            assert_same_prediction("Witt-LR", live.lr.predict(&task, ctx), raw, doubled(raw))?;
+            let raw = from_scratch::witt_wastage(&wastage_config, observations, input);
+            assert_same_prediction(
+                "Witt-Wastage",
+                live.wastage.predict(&task, ctx),
+                raw,
+                doubled(raw),
+            )?;
+            let raw = from_scratch::witt_percentile(&percentile_config, observations);
+            assert_same_prediction(
+                "Witt-Percentile",
+                live.percentile.predict(&task, ctx),
+                raw,
+                doubled(raw),
+            )?;
+        }
     }
 }
 

@@ -10,7 +10,8 @@
 //! **Cost.** A key keeps its peaks sorted: a successful observe inserts the
 //! new peak at its place under `total_cmp`, O(log n) to find it and O(n) to
 //! shift the tail. Predict reads the interpolated percentile from the sorted
-//! peaks: O(1), bit-identical to sorting a copy of them.
+//! peaks: O(1), bit-identical to sorting a copy of them. Non-finite peaks are
+//! journalled but left out of the sorted peaks.
 
 use crate::history::History;
 use sizey_ml::metrics::percentile_of_sorted;
@@ -95,6 +96,11 @@ impl MemoryPredictor for WittPercentile {
     fn observe(&mut self, record: &TaskRecord) {
         if let Some((_, sorted)) = self.history.observe(record) {
             let peak = record.peak_memory_bytes;
+            // A non-finite peak would become the percentile of every later
+            // predict; it is journalled but not learned from.
+            if !peak.is_finite() {
+                return;
+            }
             let at = sorted.partition_point(|p| p.total_cmp(&peak).is_le());
             sorted.insert(at, peak);
         }

@@ -20,6 +20,11 @@
 //! Numbers written by the spec serialisers use Rust's shortest-round-trip
 //! `f64` formatting, so `parse` → serialise → `parse` is lossless.
 
+// Spec files are user input: the parser must return a line-numbered error,
+// never panic, on any bytes. The marker opts the module into the
+// no-panic-hot-path lint rule.
+#![doc = "lint:hot-path"]
+
 /// A parsed TOML value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TomlValue {
@@ -139,10 +144,12 @@ impl TomlDocument {
 
     /// Parses a document from text.
     pub fn parse(text: &str) -> Result<Self, TomlError> {
+        // Where the next `key = value` goes: the root table, or the header
+        // pushed last onto `tables` or `array_tables`.
         enum Target {
             Root,
-            Table(usize),
-            ArrayTable(usize),
+            Table,
+            ArrayTable,
         }
         let mut doc = TomlDocument::default();
         let mut target = Target::Root;
@@ -164,7 +171,7 @@ impl TomlDocument {
                         line: line_no,
                     },
                 ));
-                target = Target::ArrayTable(doc.array_tables.len() - 1);
+                target = Target::ArrayTable;
                 continue;
             }
             if let Some(name) = line.strip_prefix('[') {
@@ -186,7 +193,7 @@ impl TomlDocument {
                         line: line_no,
                     },
                 ));
-                target = Target::Table(doc.tables.len() - 1);
+                target = Target::Table;
                 continue;
             }
             let (key, value) = line.split_once('=').ok_or_else(|| TomlError {
@@ -202,10 +209,14 @@ impl TomlDocument {
             }
             let value = parse_value(value.trim(), line_no)?;
             let table = match target {
-                Target::Root => &mut doc.root,
-                Target::Table(i) => &mut doc.tables[i].1,
-                Target::ArrayTable(i) => &mut doc.array_tables[i].1,
-            };
+                Target::Root => Some(&mut doc.root),
+                Target::Table => doc.tables.last_mut().map(|(_, t)| t),
+                Target::ArrayTable => doc.array_tables.last_mut().map(|(_, t)| t),
+            }
+            .ok_or_else(|| TomlError {
+                line: line_no,
+                message: "key outside any table".to_string(),
+            })?;
             if table.get(key).is_some() {
                 return Err(TomlError {
                     line: line_no,
@@ -271,7 +282,7 @@ fn strip_comment(line: &str) -> &str {
                 continue;
             }
             '"' if !escaped => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
+            '#' if !in_string => return line.get(..i).unwrap_or(line),
             _ => {}
         }
         escaped = false;
@@ -315,12 +326,13 @@ fn parse_value(text: &str, line: usize) -> Result<TomlValue, TomlError> {
     // are malformed rather than silently normalised.
     if text.contains('_') {
         let bytes = text.as_bytes();
-        let well_placed = text.char_indices().all(|(i, c)| {
-            c != '_'
-                || (i > 0
-                    && bytes[i - 1].is_ascii_digit()
-                    && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit()))
-        });
+        let digit_at = |j: Option<usize>| {
+            j.and_then(|j| bytes.get(j))
+                .is_some_and(|b| b.is_ascii_digit())
+        };
+        let well_placed = text
+            .char_indices()
+            .all(|(i, c)| c != '_' || (digit_at(i.checked_sub(1)) && digit_at(i.checked_add(1))));
         if !well_placed {
             return Err(TomlError {
                 line,

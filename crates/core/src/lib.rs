@@ -69,9 +69,7 @@ pub use offset::{select_dynamic_offset_with, OffsetScratch, OffsetStrategy};
 pub use pool::{GatedOutcome, ModelPool, PoolScratch};
 pub use raq::raq_score;
 pub use serve::{ConcurrentPredictor, ConcurrentSizey};
-pub use service::{
-    AdmissionPolicy, AsyncService, AsyncSizey, ServePredictor, ServiceConfig, ServiceStats,
-};
+pub use service::{AdmissionPolicy, AsyncService, AsyncSizey, ServiceConfig, ServiceStats};
 pub use sizey::SizeyPredictor;
 
 #[cfg(test)]

@@ -389,10 +389,7 @@ impl ModelPool {
     /// (during the cold start the preset drives allocations and a failure
     /// says nothing about the models).
     pub fn observe_failure(&mut self, exhausted_allocation: f64, config: &SizeyConfig) {
-        self.max_observed = Some(
-            self.max_observed
-                .map_or(exhausted_allocation, |m| m.max(exhausted_allocation)),
-        );
+        self.max_observed = max_finite(self.max_observed, exhausted_allocation);
         if self.is_ready(config.min_history) && self.note_drift_observation(true, config) {
             self.drift_retrain(config);
         }
@@ -476,7 +473,7 @@ impl ModelPool {
 
         // 3. Grow the training data.
         self.data.push(features.to_vec(), peak_bytes);
-        self.max_observed = Some(self.max_observed.map_or(peak_bytes, |m| m.max(peak_bytes)));
+        self.max_observed = max_finite(self.max_observed, peak_bytes);
 
         // 3b. Opt-in bounded history: once the training set doubles the
         // configured window it is drained back to the window (amortised
@@ -617,6 +614,16 @@ impl ModelPool {
         }
         self.model_epoch += 1;
     }
+}
+
+/// Folds `value` into a running maximum, skipping non-finite values: one
+/// infinite or NaN peak in a journal must not become every later retry's
+/// allocation.
+fn max_finite(max: Option<f64>, value: f64) -> Option<f64> {
+    if !value.is_finite() {
+        return max;
+    }
+    Some(max.map_or(value, |m| m.max(value)))
 }
 
 #[cfg(test)]

@@ -343,7 +343,9 @@ impl ReferenceSizey {
             }
             TaskOutcome::FailedOutOfMemory => record.allocated_memory_bytes,
         };
-        history.max_observed = Some(history.max_observed.map_or(observed, |m| m.max(observed)));
+        if observed.is_finite() {
+            history.max_observed = Some(history.max_observed.map_or(observed, |m| m.max(observed)));
+        }
     }
 
     /// The allocation the paper prescribes for `task` at `ctx`.

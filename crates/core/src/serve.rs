@@ -41,7 +41,6 @@ use sizey_sim::{
 };
 
 use crate::config::SizeyConfig;
-use crate::service::ServePredictor;
 use crate::sizey::SizeyPredictor;
 use parking_lot::RwLock;
 use sizey_ml::parallel::{default_parallelism, parallel_map};
@@ -210,21 +209,6 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     }
 }
 
-impl<P: ServePredictor> ConcurrentPredictor<P> {
-    /// Takes one shard's [`published_view`](ServePredictor::published_view)
-    /// under its read lock. This is the publish primitive of the lock-free
-    /// serving path: the view predicts like the shard does now and no later
-    /// write to the shard can change it, so it can sit behind an immutable
-    /// pointer and be read without any lock while the shard keeps learning.
-    /// For Sizey the view shares every pool with the shard (a later write
-    /// copies only the pool it touches) and leaves the provenance store
-    /// behind, so the cost follows the key count, not the learned state.
-    /// Panics when `shard >= shard_count()`.
-    pub fn clone_shard(&self, shard: usize) -> P {
-        self.shards[shard].read().published_view()
-    }
-}
-
 impl<P: MemoryPredictor + Sync> MemoryPredictor for ConcurrentPredictor<P> {
     fn name(&self) -> String {
         self.shards[0].read().name()
@@ -296,6 +280,19 @@ impl ConcurrentSizey {
     /// with identical configuration.
     pub fn sizey(config: SizeyConfig, shards: usize) -> Self {
         ConcurrentPredictor::new(shards, |_| SizeyPredictor::new(config.clone()))
+    }
+
+    /// Takes one shard's [`published_view`](SizeyPredictor::published_view)
+    /// under its read lock. This is the publish primitive of the lock-free
+    /// serving path: the view predicts like the shard does now and no later
+    /// write to the shard can change it, so it can sit behind an immutable
+    /// pointer and be read without any lock while the shard keeps learning.
+    /// The view shares every pool with the shard (a later write copies only
+    /// the pool it touches) and leaves the provenance store behind, so the
+    /// cost follows the key count, not the learned state. Panics when
+    /// `shard >= shard_count()`.
+    pub fn clone_shard(&self, shard: usize) -> SizeyPredictor {
+        self.shards[shard].read().published_view()
     }
 }
 

@@ -7,7 +7,7 @@
 //! ```text
 //! observe(record) ──route──▶ [shard queue] ──▶ micro-batcher (worker thread)
 //!                                                │  observe_shard(batch)
-//!                                                │  run_deferred(≤ cap)
+//!                                                │  run_pending_retrains(≤ cap)
 //!                                                ▼
 //! predict(task)  ◀──wait-free load── [SnapshotCell] ◀── publish view
 //! ```
@@ -22,8 +22,8 @@
 //!   in micro-batches (size cap + time window), applies them under the shard
 //!   write lock, optionally runs a capped number of staged full retrains in
 //!   place, and publishes a fresh snapshot — the predictor's
-//!   [`published_view`](ServePredictor::published_view), taken by
-//!   [`clone_shard`](ConcurrentPredictor::clone_shard). Sizey's view shares
+//!   [`published_view`](SizeyPredictor::published_view), taken by
+//!   [`clone_shard`](ConcurrentPredictor::clone_shard). The view shares
 //!   its model pools with the live predictor and leaves out what `predict`
 //!   never reads, so a publish costs one `Arc` bump per resident key and the
 //!   next batch copies only the pools it writes to.
@@ -55,11 +55,10 @@ use crate::config::SizeyConfig;
 use crate::serve::ConcurrentPredictor;
 use crate::service::queue::BoundedQueue;
 use crate::service::snapshot::SnapshotCell;
-use crate::service::ServePredictor;
 use crate::sizey::SizeyPredictor;
 use parking_lot::{Condvar, Mutex};
 use sizey_provenance::TaskRecord;
-use sizey_sim::{AttemptContext, Prediction, TaskSubmission};
+use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -228,10 +227,10 @@ enum ShardMsg {
     Flush(Arc<FlushGate>),
 }
 
-struct ServiceInner<P> {
-    service: ConcurrentPredictor<P>,
+struct ServiceInner {
+    service: ConcurrentPredictor<SizeyPredictor>,
     queues: Vec<BoundedQueue<ShardMsg>>,
-    snapshots: Vec<SnapshotCell<P>>,
+    snapshots: Vec<SnapshotCell<SizeyPredictor>>,
     pauses: Vec<PauseGate>,
     /// Per-shard [`ServiceStats::retrain_backlog`] gauges, written by the
     /// shard's worker while it holds the shard lock anyway.
@@ -240,30 +239,29 @@ struct ServiceInner<P> {
     counters: Counters,
 }
 
-/// The async serving front-end. See the [module docs](self) for the
-/// pipeline and guarantees; [`AsyncSizey`] is the Sizey instantiation.
-/// Tenants share one service through an `Arc<AsyncService<P>>`: it drains
-/// and joins when the last reference drops.
-pub struct AsyncService<P: ServePredictor> {
-    inner: Arc<ServiceInner<P>>,
+/// The async Sizey serving front-end. See the [module docs](self) for the
+/// pipeline and guarantees. Tenants share one service through an
+/// `Arc<AsyncService>`: it drains and joins when the last reference drops.
+pub struct AsyncService {
+    inner: Arc<ServiceInner>,
     workers: Vec<JoinHandle<()>>,
 }
 
-/// The async Sizey service.
-pub type AsyncSizey = AsyncService<SizeyPredictor>;
+/// The async Sizey service (the name the serving layer's callers use).
+pub type AsyncSizey = AsyncService;
 
-impl<P: ServePredictor> AsyncService<P> {
-    /// Wraps an existing sharded service: packs each shard
-    /// ([`ServePredictor::pack`]), publishes its initial snapshot and spawns
-    /// one micro-batching worker thread per shard.
-    pub fn new(service: ConcurrentPredictor<P>, config: ServiceConfig) -> Self {
+impl AsyncService {
+    /// Wraps an existing sharded service: packs each shard's pools
+    /// ([`SizeyPredictor::pack_pools`]), publishes its initial snapshot and
+    /// spawns one micro-batching worker thread per shard.
+    pub fn new(service: ConcurrentPredictor<SizeyPredictor>, config: ServiceConfig) -> Self {
         let shards = service.shard_count();
         for shard in 0..shards {
             service.with_shard_mut(shard, |p| {
                 if config.deferred_retrains {
-                    p.set_deferred(true);
+                    p.set_deferred_retrains(true);
                 }
-                p.pack();
+                p.pack_pools();
             });
         }
         let snapshots = (0..shards)
@@ -273,7 +271,7 @@ impl<P: ServePredictor> AsyncService<P> {
             .map(|_| BoundedQueue::new(config.queue_capacity))
             .collect();
         let pauses = (0..shards).map(|_| PauseGate::new()).collect();
-        let retrain_backlogs = service.map_shards(|p| AtomicU64::new(p.deferred_backlog() as u64));
+        let retrain_backlogs = service.map_shards(|p| AtomicU64::new(p.pending_retrains() as u64));
         let inner = Arc::new(ServiceInner {
             service,
             queues,
@@ -423,7 +421,7 @@ impl<P: ServePredictor> AsyncService<P> {
     /// The wrapped sharded service (telemetry, checkpoints). Mutating it
     /// directly bypasses the queues; the snapshots will catch up at the next
     /// micro-batch on the affected shard.
-    pub fn service(&self) -> &ConcurrentPredictor<P> {
+    pub fn service(&self) -> &ConcurrentPredictor<SizeyPredictor> {
         &self.inner.service
     }
 
@@ -448,9 +446,7 @@ impl<P: ServePredictor> AsyncService<P> {
             let _ = worker.join();
         }
     }
-}
 
-impl AsyncSizey {
     /// An async Sizey service: `shards` independent [`SizeyPredictor`]s with
     /// identical configuration behind the queue/snapshot front-end.
     pub fn sizey(config: SizeyConfig, shards: usize, service_config: ServiceConfig) -> Self {
@@ -461,13 +457,13 @@ impl AsyncSizey {
     }
 }
 
-impl<P: ServePredictor> Drop for AsyncService<P> {
+impl Drop for AsyncService {
     fn drop(&mut self) {
         self.close_and_join();
     }
 }
 
-fn worker_loop<P: ServePredictor>(inner: &ServiceInner<P>, shard: usize) {
+fn worker_loop(inner: &ServiceInner, shard: usize) {
     let config = &inner.config;
     let (Some(queue), Some(cell), Some(pause), Some(retrain_backlog)) = (
         inner.queues.get(shard),
@@ -504,8 +500,8 @@ fn worker_loop<P: ServePredictor>(inner: &ServiceInner<P>, shard: usize) {
             if config.deferred_retrains {
                 let (ran, backlog) = inner.service.with_shard_mut(shard, |p| {
                     (
-                        p.run_deferred(config.retrain_cap_per_batch),
-                        p.deferred_backlog(),
+                        p.run_pending_retrains(config.retrain_cap_per_batch),
+                        p.pending_retrains(),
                     )
                 });
                 c.retrains_installed

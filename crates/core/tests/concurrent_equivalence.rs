@@ -28,7 +28,6 @@ fn small_workload(name: &str, seed: u64) -> Vec<TaskInstance> {
             scale: 0.01,
             seed,
             min_instances: 6,
-            interleave: true,
             drift: None,
         },
     )

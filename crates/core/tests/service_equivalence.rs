@@ -17,7 +17,7 @@
 //! 3. **Shutdown drains.** Closing the service never deadlocks and never
 //!    loses an accepted observe, whatever is still queued.
 //! 4. **Published views are isolated and shared.** A
-//!    [`published_view`](sizey_core::ServePredictor::published_view) keeps
+//!    [`published_view`](sizey_core::SizeyPredictor::published_view) keeps
 //!    predicting what it predicted when it was taken, whatever the predictor
 //!    it came from learns afterwards; taking views changes nothing the live
 //!    predictor does; and a batch that wrote to *m* of *n* keys leaves
@@ -25,8 +25,8 @@
 
 use proptest::prelude::*;
 use sizey_core::{
-    AdmissionPolicy, AsyncSizey, ConcurrentSizey, OnlineMode, ServePredictor, ServiceConfig,
-    SizeyConfig, SizeyPredictor,
+    AdmissionPolicy, AsyncSizey, ConcurrentSizey, OnlineMode, ServiceConfig, SizeyConfig,
+    SizeyPredictor,
 };
 use sizey_provenance::{MachineId, TaskOutcome, TaskRecord, TaskTypeId};
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
@@ -122,7 +122,7 @@ proptest! {
                 predictor.run_pending_retrains(retrain_cap);
             }
             if step % view_every == 0 {
-                let view = ServePredictor::published_view(&live);
+                let view = live.published_view();
                 let then = probe(&view, 2, 2);
                 prop_assert_eq!(&then, &probe(&live, 2, 2), "view differs from its source");
                 views.push((step, view, then));

@@ -1,7 +1,5 @@
 //! Training data containers shared by all regressors.
 
-use crate::matrix::Matrix;
-
 /// A supervised regression dataset: a design matrix of feature rows and a
 /// response vector of targets (peak memory in bytes for the Sizey use case).
 #[derive(Debug, Default)]
@@ -105,37 +103,6 @@ impl Dataset {
     /// Returns the i-th observation.
     pub fn get(&self, i: usize) -> (&[f64], f64) {
         (&self.features[i], self.targets[i])
-    }
-
-    /// Builds the design matrix (one row per observation). The flat
-    /// row-major buffer is filled directly — no intermediate per-row
-    /// vectors.
-    pub fn design_matrix(&self) -> Matrix {
-        if self.is_empty() {
-            return Matrix::zeros(0, 0);
-        }
-        let cols = self.n_features();
-        let mut data = Vec::with_capacity(self.len() * cols);
-        for row in &self.features {
-            data.extend_from_slice(row);
-        }
-        Matrix::from_vec(self.len(), cols, data)
-    }
-
-    /// Builds the design matrix with a leading intercept column of ones,
-    /// writing the flat buffer directly (the former implementation built a
-    /// temporary `Vec` per row and then copied the lot again).
-    pub fn design_matrix_with_intercept(&self) -> Matrix {
-        if self.is_empty() {
-            return Matrix::zeros(0, 0);
-        }
-        let cols = self.n_features() + 1;
-        let mut data = Vec::with_capacity(self.len() * cols);
-        for row in &self.features {
-            data.push(1.0);
-            data.extend_from_slice(row);
-        }
-        Matrix::from_vec(self.len(), cols, data)
     }
 
     /// Returns a new dataset containing only the observations at `indices`.
@@ -250,15 +217,6 @@ mod tests {
         let mut ds = Dataset::new();
         ds.push(vec![1.0, 2.0], 5.0);
         ds.push(vec![3.0], 6.0);
-    }
-
-    #[test]
-    fn design_matrix_with_intercept_prepends_ones() {
-        let ds = Dataset::from_univariate(&[2.0, 3.0], &[1.0, 1.0]);
-        let m = ds.design_matrix_with_intercept();
-        assert_eq!(m.cols(), 2);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(1, 1)], 3.0);
     }
 
     #[test]

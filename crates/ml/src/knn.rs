@@ -135,12 +135,6 @@ impl KnnRegression {
         self.rows_since_rescale = 0;
     }
 
-    /// Live-vs-epoch scaler parameter drift (diagnostic; see
-    /// [`Scaler::param_drift`]).
-    pub fn scaler_drift(&self) -> f64 {
-        self.live_scaler.param_drift(&self.scaler)
-    }
-
     /// Observations appended since the stored buffer was last rescaled
     /// against fresh scaler parameters (diagnostic).
     pub fn rows_since_rescale(&self) -> usize {
@@ -471,13 +465,14 @@ mod tests {
         m.partial_fit(&Dataset::from_univariate(&[10.05], &[3.0]))
             .unwrap();
         assert_eq!(m.rows_since_rescale(), 1);
-        assert!(m.scaler_drift() > 0.0 && m.scaler_drift() < 0.01);
+        let drift = m.live_scaler.param_drift(&m.scaler);
+        assert!(drift > 0.0 && drift < 0.01);
         // A far-out row exceeds the drift threshold and forces an epoch
         // reset: buffer rescaled, live == epoch again.
         m.partial_fit(&Dataset::from_univariate(&[30.0], &[4.0]))
             .unwrap();
         assert_eq!(m.rows_since_rescale(), 0);
-        assert_eq!(m.scaler_drift(), 0.0);
+        assert_eq!(m.live_scaler.param_drift(&m.scaler), 0.0);
 
         // The periodic bound rescales even when the drift never trips.
         let mut p = KnnRegression::new(KnnConfig {

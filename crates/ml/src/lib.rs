@@ -53,7 +53,6 @@ pub use forest::{ForestConfig, RandomForestRegression};
 pub use hpo::{cross_validate, grid_search, grid_search_class, GridSearchResult, ModelSpec};
 pub use knn::{KnnConfig, KnnRegression, KnnWeighting};
 pub use linear::{LinearConfig, LinearRegression};
-pub use metrics::SummaryStats;
 pub use mlp::{Activation, MlpConfig, MlpRegression};
 pub use model::{ModelClass, ModelError, PredictScratch, Regressor};
 pub use scaler::{Scaler, ScalerKind, TargetScaler};

@@ -1,16 +1,13 @@
 //! Dense, row-major matrix and vector kernels.
 //!
-//! The Sizey model pool only ever deals with small, dense design matrices
-//! (tens to a few thousand rows, a handful of feature columns), so a simple
-//! contiguous row-major layout with cache-friendly loops is both sufficient
-//! and fast. All kernels are allocation-conscious: the hot paths
-//! ([`Matrix::matmul`], [`Matrix::solve`]) reuse buffers where possible and
-//! avoid bounds checks in inner loops via iterator/chunk access.
+//! The Sizey model pool only ever deals with small, dense systems (the
+//! linear model's normal equations, a handful of feature columns wide), so a
+//! contiguous row-major layout solved by Gaussian elimination is sufficient.
 
 use std::fmt;
 
 /// A dense, row-major matrix of `f64` values.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -47,20 +44,6 @@ impl fmt::Display for MatrixError {
 
 impl std::error::Error for MatrixError {}
 
-impl fmt::Debug for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
-        for r in 0..self.rows.min(8) {
-            write!(f, "  [")?;
-            for c in 0..self.cols.min(8) {
-                write!(f, "{:>10.4} ", self[(r, c)])?;
-            }
-            writeln!(f, "]")?;
-        }
-        write!(f, "]")
-    }
-}
-
 impl Matrix {
     /// Creates a matrix of the given shape filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -69,192 +52,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "buffer length {} does not match shape {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix { rows, cols, data }
-    }
-
-    /// Creates a matrix from a slice of rows.
-    ///
-    /// # Panics
-    /// Panics if the rows have inconsistent lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        if rows.is_empty() {
-            return Matrix::zeros(0, 0);
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "all rows must have the same length");
-            data.extend_from_slice(row);
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
-    /// Creates the `n`-by-`n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Returns the underlying row-major buffer.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Returns a single row as a slice.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Returns a mutable view of a single row.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Iterates over the rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Extracts a column as an owned vector.
-    pub fn column(&self, c: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Appends a row to the matrix.
-    ///
-    /// # Panics
-    /// Panics if the row length does not match the column count (unless the
-    /// matrix is still empty, in which case the row defines the width).
-    pub fn push_row(&mut self, row: &[f64]) {
-        if self.rows == 0 && self.cols == 0 {
-            self.cols = row.len();
-        }
-        assert_eq!(row.len(), self.cols, "row length must match column count");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// Returns the transpose of the matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
-    /// Dense matrix multiplication `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
-        if self.cols != other.rows {
-            return Err(MatrixError::ShapeMismatch {
-                expected: format!("left cols == right rows ({})", self.cols),
-                got: format!(
-                    "{}x{} * {}x{}",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the innermost accesses contiguous in both
-        // the output row and the right-hand-side row.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += aik * b;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, MatrixError> {
-        if self.cols != v.len() {
-            return Err(MatrixError::ShapeMismatch {
-                expected: format!("vector of length {}", self.cols),
-                got: format!("length {}", v.len()),
-            });
-        }
-        Ok(self.iter_rows().map(|row| dot(row, v)).collect())
-    }
-
-    /// Computes `self^T * self`, the Gram matrix of the design matrix.
-    pub fn gram(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.cols);
-        for row in self.iter_rows() {
-            for (i, &xi) in row.iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &xj) in out_row.iter_mut().zip(row.iter()) {
-                    *o += xi * xj;
-                }
-            }
-        }
-        out
-    }
-
-    /// Computes `self^T * y` for a response vector `y`.
-    pub fn xty(&self, y: &[f64]) -> Result<Vec<f64>, MatrixError> {
-        if self.rows != y.len() {
-            return Err(MatrixError::ShapeMismatch {
-                expected: format!("vector of length {}", self.rows),
-                got: format!("length {}", y.len()),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (row, &yi) in self.iter_rows().zip(y.iter()) {
-            for (o, &x) in out.iter_mut().zip(row.iter()) {
-                *o += x * yi;
-            }
-        }
-        Ok(out)
     }
 
     /// Solves the linear system `self * x = b` for square `self` using
@@ -333,11 +130,6 @@ impl Matrix {
             self[(i, i)] += lambda;
         }
     }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -357,13 +149,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Dot product of two equally sized slices.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
 /// Squared Euclidean distance between two equally sized slices.
 #[inline]
 pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
@@ -377,29 +162,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// Euclidean distance between two equally sized slices.
-#[inline]
-pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
-    squared_distance(a, b).sqrt()
-}
-
-/// `axpy`: `y += alpha * x` elementwise.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Scales a vector in place.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,117 +170,29 @@ mod tests {
         (a - b).abs() <= eps
     }
 
+    fn from_rows(rows: &[[f64; 2]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), 2);
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m[(r, c)] = v;
+            }
+        }
+        m
+    }
+
     #[test]
     fn zeros_has_requested_shape() {
         let m = Matrix::zeros(3, 4);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn identity_is_diagonal_ones() {
-        let m = Matrix::identity(4);
-        for r in 0..4 {
-            for c in 0..4 {
-                assert_eq!(m[(r, c)], if r == c { 1.0 } else { 0.0 });
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn from_vec_rejects_wrong_length() {
-        let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn from_rows_round_trips() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m[(0, 1)], 2.0);
-        assert_eq!(m[(1, 0)], 3.0);
-        assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.column(0), vec![1.0, 3.0]);
-    }
-
-    #[test]
-    fn push_row_grows_matrix() {
-        let mut m = Matrix::zeros(0, 0);
-        m.push_row(&[1.0, 2.0, 3.0]);
-        m.push_row(&[4.0, 5.0, 6.0]);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m[(1, 2)], 6.0);
-    }
-
-    #[test]
-    fn transpose_swaps_indices() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(2, 0)], 3.0);
-        assert_eq!(t[(0, 1)], 4.0);
-    }
-
-    #[test]
-    fn matmul_matches_hand_computed_product() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c[(0, 0)], 19.0);
-        assert_eq!(c[(0, 1)], 22.0);
-        assert_eq!(c[(1, 0)], 43.0);
-        assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn matmul_rejects_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(MatrixError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn matvec_matches_manual_result() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let v = a.matvec(&[1.0, 1.0]).unwrap();
-        assert_eq!(v, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn gram_is_symmetric_and_matches_xtx() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let g = x.gram();
-        let expected = x.transpose().matmul(&x).unwrap();
-        for r in 0..2 {
-            for c in 0..2 {
-                assert!(approx_eq(g[(r, c)], expected[(r, c)], 1e-10));
-                assert!(approx_eq(g[(r, c)], g[(c, r)], 1e-10));
-            }
-        }
-    }
-
-    #[test]
-    fn xty_matches_transpose_matvec() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let y = vec![1.0, 0.5, 2.0];
-        let a = x.xty(&y).unwrap();
-        let b = x.transpose().matvec(&y).unwrap();
-        for (ai, bi) in a.iter().zip(b.iter()) {
-            assert!(approx_eq(*ai, *bi, 1e-10));
-        }
+        assert_eq!((m.rows, m.cols), (3, 4));
+        assert!(m.data.iter().all(|&v| v == 0.0));
+        assert_eq!(m[(2, 3)], 0.0);
     }
 
     #[test]
     fn solve_recovers_known_solution() {
-        let a = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]);
-        let x_true = [1.0, 2.0];
-        let b = a.matvec(&x_true).unwrap();
-        let x = a.solve(&b).unwrap();
+        let a = from_rows(&[[4.0, 1.0], [1.0, 3.0]]);
+        // b = A · [1, 2]
+        let x = a.solve(&[6.0, 7.0]).unwrap();
         assert!(approx_eq(x[0], 1.0, 1e-9));
         assert!(approx_eq(x[1], 2.0, 1e-9));
     }
@@ -526,7 +200,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Leading zero on the diagonal forces a row swap.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 1.0]]);
+        let a = from_rows(&[[0.0, 1.0], [2.0, 1.0]]);
         let b = vec![1.0, 3.0];
         let x = a.solve(&b).unwrap();
         assert!(approx_eq(x[0], 1.0, 1e-9));
@@ -535,7 +209,7 @@ mod tests {
 
     #[test]
     fn solve_detects_singular_matrix() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
+        let a = from_rows(&[[1.0, 2.0], [2.0, 4.0]]);
         assert_eq!(a.solve(&[1.0, 2.0]), Err(MatrixError::Singular));
     }
 
@@ -546,6 +220,7 @@ mod tests {
             a.solve(&[1.0, 2.0]),
             Err(MatrixError::ShapeMismatch { .. })
         ));
+        assert_eq!(Matrix::zeros(0, 0).solve(&[]), Err(MatrixError::Empty));
     }
 
     #[test]
@@ -558,31 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_distances_are_consistent() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0, 6.0];
-        assert_eq!(dot(&a, &b), 32.0);
-        assert_eq!(squared_distance(&a, &b), 27.0);
-        assert!(approx_eq(
-            euclidean_distance(&a, &b),
-            27.0_f64.sqrt(),
-            1e-12
-        ));
-    }
-
-    #[test]
-    fn axpy_and_scale_modify_in_place() {
-        let x = [1.0, 2.0];
-        let mut y = [10.0, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
-        scale(0.5, &mut y);
-        assert_eq!(y, [6.0, 12.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!(approx_eq(m.frobenius_norm(), 5.0, 1e-12));
+    fn squared_distance_matches_hand_computation() {
+        assert_eq!(squared_distance(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 27.0);
+        assert_eq!(squared_distance(&[], &[]), 0.0);
     }
 }

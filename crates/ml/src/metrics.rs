@@ -4,20 +4,6 @@
 //! by the Sizey core crate (accuracy sub-score, offset strategies, figure
 //! reproduction statistics).
 
-/// Mean absolute error.
-pub fn mae(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len());
-    if y_true.is_empty() {
-        return 0.0;
-    }
-    y_true
-        .iter()
-        .zip(y_pred.iter())
-        .map(|(t, p)| (t - p).abs())
-        .sum::<f64>()
-        / y_true.len() as f64
-}
-
 /// Mean squared error.
 pub fn mse(y_true: &[f64], y_pred: &[f64]) -> f64 {
     assert_eq!(y_true.len(), y_pred.len());
@@ -33,36 +19,6 @@ pub fn mse(y_true: &[f64], y_pred: &[f64]) -> f64 {
         })
         .sum::<f64>()
         / y_true.len() as f64
-}
-
-/// Root mean squared error.
-pub fn rmse(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    mse(y_true, y_pred).sqrt()
-}
-
-/// Coefficient of determination R².
-///
-/// Returns 0 when the target variance is zero and the predictions are exact,
-/// and can be negative for models worse than predicting the mean.
-pub fn r2(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len());
-    if y_true.is_empty() {
-        return 0.0;
-    }
-    let mean = mean(y_true);
-    let ss_tot: f64 = y_true.iter().map(|t| (t - mean) * (t - mean)).sum();
-    let ss_res: f64 = y_true
-        .iter()
-        .zip(y_pred.iter())
-        .map(|(t, p)| (t - p) * (t - p))
-        .sum();
-    if ss_tot == 0.0 {
-        if ss_res == 0.0 {
-            return 1.0;
-        }
-        return 0.0;
-    }
-    1.0 - ss_res / ss_tot
 }
 
 /// Mean absolute percentage error (as a fraction, not percent). Observations
@@ -161,115 +117,15 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Minimum of a slice; 0 when empty.
-pub fn min(values: &[f64]) -> f64 {
-    values
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min)
-        .pipe_finite_or(0.0)
-}
-
-/// Maximum of a slice; 0 when empty.
-pub fn max(values: &[f64]) -> f64 {
-    values
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max)
-        .pipe_finite_or(0.0)
-}
-
-trait FiniteOr {
-    fn pipe_finite_or(self, default: f64) -> f64;
-}
-
-impl FiniteOr for f64 {
-    fn pipe_finite_or(self, default: f64) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            default
-        }
-    }
-}
-
-/// Five-number-style summary of a sample, used by the figure harnesses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SummaryStats {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl SummaryStats {
-    /// Computes summary statistics over a sample. Returns an all-zero summary
-    /// for an empty slice.
-    pub fn from_values(values: &[f64]) -> Self {
-        SummaryStats {
-            count: values.len(),
-            mean: mean(values),
-            std_dev: std_dev(values),
-            min: min(values),
-            p25: percentile(values, 25.0),
-            median: median(values),
-            p75: percentile(values, 75.0),
-            p95: percentile(values, 95.0),
-            max: max(values),
-        }
-    }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.p75 - self.p25
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mae_mse_rmse_match_hand_computation() {
+    fn mse_matches_hand_computation() {
         let t = [1.0, 2.0, 3.0];
         let p = [1.0, 3.0, 5.0];
-        assert!((mae(&t, &p) - 1.0).abs() < 1e-12);
         assert!((mse(&t, &p) - 5.0 / 3.0).abs() < 1e-12);
-        assert!((rmse(&t, &p) - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_is_one_for_perfect_prediction() {
-        let t = [1.0, 2.0, 3.0];
-        assert!((r2(&t, &t) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_is_zero_for_mean_prediction() {
-        let t = [1.0, 2.0, 3.0];
-        let p = [2.0, 2.0, 2.0];
-        assert!(r2(&t, &p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_handles_constant_targets() {
-        let t = [5.0, 5.0];
-        assert_eq!(r2(&t, &[5.0, 5.0]), 1.0);
-        assert_eq!(r2(&t, &[4.0, 6.0]), 0.0);
     }
 
     #[test]
@@ -321,26 +177,5 @@ mod tests {
         let v = [0.0, 10.0];
         assert!((percentile(&v, 25.0) - 2.5).abs() < 1e-12);
         assert!((percentile(&v, 95.0) - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_max_handle_empty() {
-        assert_eq!(min(&[]), 0.0);
-        assert_eq!(max(&[]), 0.0);
-        assert_eq!(min(&[3.0, -1.0]), -1.0);
-        assert_eq!(max(&[3.0, -1.0]), 3.0);
-    }
-
-    #[test]
-    fn summary_stats_are_consistent() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = SummaryStats::from_values(&v);
-        assert_eq!(s.count, 100);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.median - 50.5).abs() < 1e-12);
-        assert!(s.iqr() > 0.0);
-        assert!(s.p95 > s.p75 && s.p75 > s.median && s.median > s.p25);
     }
 }

@@ -11,8 +11,6 @@ pub enum ScalerKind {
     Standard,
     /// Scale each column into the `[0, 1]` interval.
     MinMax,
-    /// Leave values untouched.
-    Identity,
 }
 
 /// Per-column affine transform `x -> (x - shift) / scale` fitted on training
@@ -143,7 +141,6 @@ impl Scaler {
             return;
         }
         match self.kind {
-            ScalerKind::Identity => {}
             ScalerKind::Standard => {
                 let n = n_rows as f64;
                 for c in 0..n_cols {
@@ -210,7 +207,6 @@ impl Scaler {
         self.shift = vec![0.0; n_cols];
         self.scale = vec![1.0; n_cols];
         match self.kind {
-            ScalerKind::Identity => {}
             ScalerKind::Standard => {
                 for c in 0..n_cols {
                     let var = self.m2[c] / self.count.max(1) as f64;
@@ -254,7 +250,7 @@ impl Scaler {
     pub fn transform_flat_into(&self, data: &[f64], n_cols: usize, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(data.len());
-        if !self.fitted || self.kind == ScalerKind::Identity || n_cols == 0 {
+        if !self.fitted || n_cols == 0 {
             out.extend_from_slice(data);
             return;
         }
@@ -287,7 +283,7 @@ impl Scaler {
     /// Appends the transform of one row to `out`: [`Scaler::transform_into`]
     /// without the clear, for packing rows into one flat buffer.
     pub fn transform_append(&self, row: &[f64], out: &mut Vec<f64>) {
-        if !self.fitted || self.kind == ScalerKind::Identity {
+        if !self.fitted {
             out.extend_from_slice(row);
             return;
         }
@@ -303,12 +299,6 @@ impl Scaler {
     /// Transforms a batch of rows.
     pub fn transform_batch(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         rows.iter().map(|r| self.transform(r)).collect()
-    }
-
-    /// Fits and immediately transforms the training rows.
-    pub fn fit_transform(&mut self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.fit(rows);
-        self.transform_batch(rows)
     }
 }
 
@@ -378,11 +368,16 @@ impl TargetScaler {
 mod tests {
     use super::*;
 
+    fn fit_transform(scaler: &mut Scaler, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        scaler.fit(rows);
+        scaler.transform_batch(rows)
+    }
+
     #[test]
     fn standard_scaler_centres_and_scales() {
         let rows = vec![vec![1.0, 100.0], vec![3.0, 300.0], vec![5.0, 500.0]];
         let mut s = Scaler::new(ScalerKind::Standard);
-        let t = s.fit_transform(&rows);
+        let t = fit_transform(&mut s, &rows);
         // Column means of the transformed data must be ~0.
         for c in 0..2 {
             let mean: f64 = t.iter().map(|r| r[c]).sum::<f64>() / 3.0;
@@ -399,7 +394,7 @@ mod tests {
     fn minmax_scaler_maps_to_unit_interval() {
         let rows = vec![vec![2.0], vec![4.0], vec![6.0]];
         let mut s = Scaler::new(ScalerKind::MinMax);
-        let t = s.fit_transform(&rows);
+        let t = fit_transform(&mut s, &rows);
         assert_eq!(t[0][0], 0.0);
         assert_eq!(t[2][0], 1.0);
         assert!((t[1][0] - 0.5).abs() < 1e-12);
@@ -409,19 +404,11 @@ mod tests {
     fn constant_column_does_not_divide_by_zero() {
         let rows = vec![vec![7.0], vec![7.0]];
         let mut s = Scaler::new(ScalerKind::Standard);
-        let t = s.fit_transform(&rows);
+        let t = fit_transform(&mut s, &rows);
         assert!(t.iter().all(|r| r[0].is_finite()));
         let mut m = Scaler::new(ScalerKind::MinMax);
-        let t2 = m.fit_transform(&rows);
+        let t2 = fit_transform(&mut m, &rows);
         assert!(t2.iter().all(|r| r[0].is_finite()));
-    }
-
-    #[test]
-    fn identity_scaler_is_a_noop() {
-        let rows = vec![vec![1.0, 2.0]];
-        let mut s = Scaler::new(ScalerKind::Identity);
-        let t = s.fit_transform(&rows);
-        assert_eq!(t, rows);
     }
 
     #[test]
@@ -440,11 +427,7 @@ mod tests {
             vec![2.0, 50.0],
         ];
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        for kind in [
-            ScalerKind::Standard,
-            ScalerKind::MinMax,
-            ScalerKind::Identity,
-        ] {
+        for kind in [ScalerKind::Standard, ScalerKind::MinMax] {
             let mut by_rows = Scaler::new(kind);
             by_rows.fit(&rows);
             let mut by_flat = Scaler::new(kind);

@@ -20,7 +20,7 @@
 //! ## Example
 //!
 //! ```
-//! use sizey_provenance::{ProvenanceStore, TaskRecord, TaskTypeId, MachineId, TaskOutcome, TaskMachineKey};
+//! use sizey_provenance::{ProvenanceStore, TaskRecord, TaskTypeId, MachineId, TaskOutcome};
 //!
 //! let store = ProvenanceStore::new();
 //! store.insert(TaskRecord {
@@ -36,8 +36,9 @@
 //!     queue_delay_seconds: 0.0,
 //!     outcome: TaskOutcome::Succeeded,
 //! });
-//! let history = store.history(&TaskMachineKey::new("FastQC", "node-1"));
-//! assert_eq!(history.len(), 1);
+//! assert_eq!(store.len(), 1);
+//! let journal = store.all_records();
+//! assert_eq!(journal[0].task_type.as_str(), "FastQC");
 //! ```
 
 #![warn(missing_docs)]

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sizey_provenance::MachineId;
+use std::collections::VecDeque;
 
 /// Configuration of the workload generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,15 +31,11 @@ pub struct GeneratorConfig {
     /// filters out task types with only a single or very few executions, so
     /// the default is 4.
     pub min_instances: usize,
-    /// When true, the arrival order interleaves task types (wave-by-wave,
-    /// like a data-parallel DAG); when false, instances arrive grouped by
-    /// task type.
-    pub interleave: bool,
     /// Optional mid-run regime change applied to every instance's true peak
     /// memory past a changepoint in arrival order (see [`DriftSpec`]). The
-    /// transform happens after all sampling, so it consumes no RNG draws and
-    /// the materialised and streaming generators stay bit-identical. `None`
-    /// (the default) reproduces the stationary workload exactly.
+    /// transform is keyed on the arrival sequence and consumes no RNG draws,
+    /// so every other field is the same with or without it. `None` (the
+    /// default) reproduces the stationary workload exactly.
     pub drift: Option<DriftSpec>,
 }
 
@@ -48,7 +45,6 @@ impl Default for GeneratorConfig {
             seed: 42,
             scale: 1.0,
             min_instances: 4,
-            interleave: true,
             drift: None,
         }
     }
@@ -71,106 +67,43 @@ impl GeneratorConfig {
     }
 }
 
-/// Generates the physical task instances of one workflow execution.
+/// Generates the physical task instances of one workflow execution: the
+/// [`WorkflowStream`] of `spec` and `config`, collected.
 pub fn generate_workflow(spec: &WorkflowSpec, config: &GeneratorConfig) -> Vec<TaskInstance> {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ hash_name(&spec.name));
-    let machine = MachineId::new(MACHINE_NAME);
-
-    // Draw every instance per task type first.
-    let mut per_type: Vec<Vec<TaskInstance>> = Vec::with_capacity(spec.task_types.len());
-    for task_type in &spec.task_types {
-        let count = scaled_count(task_type.instances, config);
-        let mut instances = Vec::with_capacity(count);
-        for _ in 0..count {
-            instances.push(instantiate(spec, task_type, &machine, &mut rng));
-        }
-        per_type.push(instances);
-    }
-
-    // Interleave into an arrival order.
-    let mut ordered: Vec<TaskInstance> = Vec::with_capacity(per_type.iter().map(Vec::len).sum());
-    if config.interleave {
-        let mut cursors: Vec<usize> = vec![0; per_type.len()];
-        loop {
-            let mut progressed = false;
-            // Visit task types in a shuffled order each wave so no type is
-            // systematically first.
-            let mut order: Vec<usize> = (0..per_type.len()).collect();
-            order.shuffle(&mut rng);
-            for &ti in &order {
-                // Each wave emits a small burst per type, proportional to how
-                // many instances the type has left relative to others.
-                let remaining = per_type[ti].len() - cursors[ti];
-                if remaining == 0 {
-                    continue;
-                }
-                let burst = (remaining / 8).clamp(1, 16);
-                for _ in 0..burst {
-                    if cursors[ti] < per_type[ti].len() {
-                        ordered.push(per_type[ti][cursors[ti]].clone());
-                        cursors[ti] += 1;
-                        progressed = true;
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    } else {
-        for instances in &per_type {
-            ordered.extend(instances.iter().cloned());
-        }
-    }
-
-    // Assign the submission sequence in arrival order, then apply the
-    // optional drift — a pure post-transform keyed on the sequence, so it
-    // cannot perturb any RNG draw above.
-    for (i, inst) in ordered.iter_mut().enumerate() {
-        inst.sequence = i as u64;
-        if let Some(drift) = &config.drift {
-            inst.true_peak_bytes =
-                drift.apply(inst.sequence, inst.input_bytes, inst.true_peak_bytes);
-        }
-    }
-    ordered
+    stream_workflow(spec, config).collect()
 }
 
-/// A lazily evaluated, allocation-bounded stream of the exact instances
-/// [`generate_workflow`] would materialise — same spec, same config, same
-/// seed, same arrival order, **bit-identical** values.
+/// The arrival-ordered instances of one workflow execution, drawn lazily.
 ///
-/// The materialised generator works in two phases over a single RNG: phase 1
-/// draws every instance type-by-type, phase 2 interleaves them into waves
-/// using the *same* RNG for the per-wave shuffles. The stream reproduces this
-/// without retaining the drawn instances: the constructor clones the RNG
-/// state at the start of each type's draw block (one small `[u64; 4]` state
-/// per type), advances the main RNG past all draws by drawing-and-discarding,
-/// and then re-draws each instance on demand from its type's cloned RNG in
-/// the original draw order while the advanced main RNG replays the wave
-/// shuffles. Peak memory is `O(#task_types)` regardless of how many instances
-/// the workflow has; the constructor costs one extra pass of RNG work.
+/// One RNG, seeded from the config seed and the workflow name, defines the
+/// workload. It first draws every instance of each task type in turn (a
+/// *draw block* per type), then shuffles the type order once per *wave*: each
+/// wave emits a burst of `clamp(remaining / 8, 1, 16)` instances from every
+/// type with instances left, so types arrive roughly round-robin, as in a
+/// data-parallel DAG execution.
 ///
-/// The differential harness (`tests/streaming_equivalence.rs`) pins
-/// `WorkflowStream::collect::<Vec<_>>() == generate_workflow(..)` across
-/// profiles, seeds and scales.
+/// The stream never holds the drawn instances. The constructor keeps a copy
+/// of the RNG at the start of each type's draw block (one small state per
+/// type) and advances the main RNG past the block; each emitted instance is
+/// then re-drawn from its type's copy in draw order, while the main RNG
+/// replays the wave shuffles. Memory is `O(#task_types)` however many
+/// instances the workflow has. Sequence numbers and the optional drift are
+/// applied on emission, in arrival order.
 #[derive(Debug, Clone)]
 pub struct WorkflowStream {
     spec: WorkflowSpec,
     machine: MachineId,
-    /// Main RNG, advanced past every phase-1 draw; replays the wave shuffles.
+    /// Main RNG, advanced past every draw block; replays the wave shuffles.
     rng: StdRng,
     /// Per task type: the RNG state at the start of the type's draw block.
     type_rngs: Vec<StdRng>,
     /// Per task type: total instances to emit.
     counts: Vec<usize>,
-    /// Per task type: instances emitted so far.
+    /// Per task type: instances planned into waves so far.
     cursors: Vec<usize>,
-    /// When true, emit wave-interleaved; when false, grouped by type.
-    interleave: bool,
-    /// Flattened emission plan of the current wave: one type index per
-    /// pending instance (bounded by `#types * 16`).
-    wave: std::collections::VecDeque<usize>,
+    /// Emission plan of the current wave: one type index per pending
+    /// instance (bounded by `#types * 16`).
+    wave: VecDeque<usize>,
     /// Next submission sequence number, assigned in arrival order.
     next_sequence: u64,
     /// Instances still to be emitted across all types.
@@ -180,34 +113,29 @@ pub struct WorkflowStream {
 }
 
 impl WorkflowStream {
-    /// Builds the stream for one workflow execution. Equivalent to
-    /// [`generate_workflow`] with the same arguments, but lazy.
+    /// Builds the stream for one workflow execution.
     pub fn new(spec: &WorkflowSpec, config: &GeneratorConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed ^ hash_name(&spec.name));
-        let machine = MachineId::new(MACHINE_NAME);
         let mut type_rngs = Vec::with_capacity(spec.task_types.len());
         let mut counts = Vec::with_capacity(spec.task_types.len());
         for task_type in &spec.task_types {
             let count = scaled_count(task_type.instances, config);
             type_rngs.push(rng.clone());
-            // Advance the main RNG past this type's draw block; the drawn
-            // instances are discarded (they will be re-drawn on demand from
-            // the cloned state).
+            // Skip the block; its instances are re-drawn on emission.
             for _ in 0..count {
-                let _ = instantiate(spec, task_type, &machine, &mut rng);
+                Draw::sample(task_type, &mut rng);
             }
             counts.push(count);
         }
         let remaining_total = counts.iter().sum();
         WorkflowStream {
             spec: spec.clone(),
-            machine,
+            machine: MachineId::new(MACHINE_NAME),
             rng,
             type_rngs,
             cursors: vec![0; counts.len()],
             counts,
-            interleave: config.interleave,
-            wave: std::collections::VecDeque::new(),
+            wave: VecDeque::new(),
             next_sequence: 0,
             remaining_total,
             drift: config.drift,
@@ -220,36 +148,27 @@ impl WorkflowStream {
         self.counts.iter().sum()
     }
 
-    /// Plans the next wave of the interleaved order, mirroring one iteration
-    /// of the materialised generator's wave loop (shuffle the type order,
-    /// then burst `clamp(remaining / 8, 1, 16)` instances per type).
+    /// Plans the next wave: shuffle the type order, then reserve a burst of
+    /// `clamp(remaining / 8, 1, 16)` instances per type with any left.
     fn plan_wave(&mut self) {
         let mut order: Vec<usize> = (0..self.counts.len()).collect();
         order.shuffle(&mut self.rng);
-        for &ti in &order {
+        for ti in order {
             let remaining = self.counts[ti] - self.cursors[ti];
             if remaining == 0 {
                 continue;
             }
             let burst = (remaining / 8).clamp(1, 16);
-            for _ in 0..burst {
-                self.wave.push_back(ti);
-            }
-            // Reserve the burst so the next type's `remaining` in this wave
-            // matches the materialised generator (cursors only advance for
-            // the type being visited, exactly once per wave).
+            self.wave.extend(std::iter::repeat_n(ti, burst));
             self.cursors[ti] += burst;
         }
     }
 
-    /// Draws the next instance of type `ti` from its cloned RNG state.
+    /// Draws the next instance of type `ti` from its draw-block RNG.
     fn emit(&mut self, ti: usize) -> TaskInstance {
-        let mut inst = instantiate(
-            &self.spec,
-            &self.spec.task_types[ti],
-            &self.machine,
-            &mut self.type_rngs[ti],
-        );
+        let task_type = &self.spec.task_types[ti];
+        let draw = Draw::sample(task_type, &mut self.type_rngs[ti]);
+        let mut inst = draw.build(&self.spec.name, task_type, &self.machine);
         inst.sequence = self.next_sequence;
         if let Some(drift) = &self.drift {
             inst.true_peak_bytes =
@@ -268,19 +187,11 @@ impl Iterator for WorkflowStream {
         if self.remaining_total == 0 {
             return None;
         }
-        if self.interleave {
-            while self.wave.is_empty() {
-                self.plan_wave();
-            }
-            let ti = self.wave.pop_front().expect("planned wave is non-empty");
-            Some(self.emit(ti))
-        } else {
-            // Grouped order: first type with instances left. `cursors` here
-            // counts emissions directly (no wave reservations).
-            let ti = (0..self.counts.len()).find(|&ti| self.cursors[ti] < self.counts[ti])?;
-            self.cursors[ti] += 1;
-            Some(self.emit(ti))
+        while self.wave.is_empty() {
+            self.plan_wave();
         }
+        let ti = self.wave.pop_front()?;
+        Some(self.emit(ti))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -290,57 +201,60 @@ impl Iterator for WorkflowStream {
 
 impl ExactSizeIterator for WorkflowStream {}
 
-/// Streaming counterpart of [`generate_workflow`]: yields the identical
-/// instance sequence without materialising it.
+/// Streams the instances of one workflow execution (see [`WorkflowStream`]).
 pub fn stream_workflow(spec: &WorkflowSpec, config: &GeneratorConfig) -> WorkflowStream {
     WorkflowStream::new(spec, config)
-}
-
-/// Generates all six evaluation workflows with the same configuration.
-pub fn generate_all(
-    specs: &[WorkflowSpec],
-    config: &GeneratorConfig,
-) -> Vec<(WorkflowSpec, Vec<TaskInstance>)> {
-    specs
-        .iter()
-        .map(|s| (s.clone(), generate_workflow(s, config)))
-        .collect()
 }
 
 fn scaled_count(instances: usize, config: &GeneratorConfig) -> usize {
     ((instances as f64 * config.scale).round() as usize).max(config.min_instances)
 }
 
-fn instantiate(
-    spec: &WorkflowSpec,
-    task_type: &TaskTypeSpec,
-    machine: &MachineId,
-    rng: &mut StdRng,
-) -> TaskInstance {
-    let input_bytes = task_type.input_model.sample(rng);
-    let true_peak_bytes = task_type.memory_model.sample(rng, input_bytes);
-    let base_runtime_seconds = task_type.runtime_model.sample(rng, input_bytes);
-    let fp = task_type.footprint;
-    let cpu = sampling::truncated_normal(
-        rng,
-        fp.cpu_utilization_pct,
-        fp.cpu_utilization_pct * fp.cpu_cv,
-        1.0,
-    );
-    let io_read = input_bytes * fp.io_read_factor * sampling::multiplicative_noise(rng, 0.2);
-    let io_write = input_bytes * fp.io_write_factor * sampling::multiplicative_noise(rng, 0.3);
-    TaskInstance {
-        workflow: spec.name.clone(),
-        task_type: task_type.id(),
-        machine: machine.clone(),
-        sequence: 0, // assigned later in arrival order
-        input_bytes,
-        true_peak_bytes,
-        base_runtime_seconds,
-        preset_memory_bytes: task_type.preset_memory_bytes,
-        cpu_utilization_pct: cpu,
-        io_read_bytes: io_read,
-        io_write_bytes: io_write,
+/// The random numbers behind one instance, in draw order.
+struct Draw {
+    input_bytes: f64,
+    true_peak_bytes: f64,
+    base_runtime_seconds: f64,
+    cpu_utilization_pct: f64,
+    io_read_noise: f64,
+    io_write_noise: f64,
+}
+
+impl Draw {
+    fn sample(task_type: &TaskTypeSpec, rng: &mut StdRng) -> Draw {
+        let input_bytes = task_type.input_model.sample(rng);
+        let fp = task_type.footprint;
+        Draw {
+            input_bytes,
+            true_peak_bytes: task_type.memory_model.sample(rng, input_bytes),
+            base_runtime_seconds: task_type.runtime_model.sample(rng, input_bytes),
+            cpu_utilization_pct: sampling::truncated_normal(
+                rng,
+                fp.cpu_utilization_pct,
+                fp.cpu_utilization_pct * fp.cpu_cv,
+                1.0,
+            ),
+            io_read_noise: sampling::multiplicative_noise(rng, 0.2),
+            io_write_noise: sampling::multiplicative_noise(rng, 0.3),
+        }
+    }
+
+    /// The instance these draws describe, with sequence 0.
+    fn build(self, workflow: &str, task_type: &TaskTypeSpec, machine: &MachineId) -> TaskInstance {
+        let fp = task_type.footprint;
+        TaskInstance {
+            workflow: workflow.to_string(),
+            task_type: task_type.id(),
+            machine: machine.clone(),
+            sequence: 0,
+            input_bytes: self.input_bytes,
+            true_peak_bytes: self.true_peak_bytes,
+            base_runtime_seconds: self.base_runtime_seconds,
+            preset_memory_bytes: task_type.preset_memory_bytes,
+            cpu_utilization_pct: self.cpu_utilization_pct,
+            io_read_bytes: self.input_bytes * fp.io_read_factor * self.io_read_noise,
+            io_write_bytes: self.input_bytes * fp.io_write_factor * self.io_write_noise,
+        }
     }
 }
 
@@ -431,29 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn grouped_order_keeps_types_contiguous() {
-        let spec = profiles::iwd();
-        let cfg = GeneratorConfig {
-            interleave: false,
-            scale: 0.05,
-            ..GeneratorConfig::default()
-        };
-        let instances = generate_workflow(&spec, &cfg);
-        // Count transitions between different task types; grouped order has
-        // exactly n_types - 1 transitions.
-        let transitions = instances
-            .windows(2)
-            .filter(|w| w[0].task_type != w[1].task_type)
-            .count();
-        assert_eq!(transitions, spec.n_task_types() - 1);
-    }
-
-    #[test]
     fn instances_have_positive_resources() {
-        for (spec, instances) in generate_all(
-            &profiles::all_workflows(),
-            &GeneratorConfig::scaled(0.02, 5),
-        ) {
+        for spec in profiles::all_workflows() {
+            let instances = generate_workflow(&spec, &GeneratorConfig::scaled(0.02, 5));
             assert!(!instances.is_empty(), "{} generated nothing", spec.name);
             for inst in &instances {
                 assert!(inst.input_bytes > 0.0);
@@ -468,32 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_materialised_generation() {
-        for spec in profiles::all_workflows() {
-            for interleave in [true, false] {
-                let cfg = GeneratorConfig {
-                    scale: 0.03,
-                    seed: 91,
-                    min_instances: 4,
-                    interleave,
-                    drift: None,
-                };
-                let materialised = generate_workflow(&spec, &cfg);
-                let stream = stream_workflow(&spec, &cfg);
-                assert_eq!(stream.len(), materialised.len());
-                assert_eq!(stream.total_instances(), materialised.len());
-                let streamed: Vec<TaskInstance> = stream.collect();
-                assert_eq!(
-                    streamed, materialised,
-                    "{} interleave={interleave}",
-                    spec.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn drift_changes_only_post_changepoint_peaks_and_keeps_streams_identical() {
+    fn drift_changes_only_post_changepoint_peaks() {
         let spec = profiles::iwd();
         let stationary_cfg = GeneratorConfig::scaled(0.05, 17);
         let changepoint = 40;
@@ -531,10 +400,6 @@ mod tests {
             }
         }
         assert!(shifted > 0, "drift shifted no peaks");
-
-        // The streaming generator applies the same transform bit-identically.
-        let streamed: Vec<TaskInstance> = stream_workflow(&spec, &drifted_cfg).collect();
-        assert_eq!(streamed, drifted);
 
         // The identity drift is bit-identical to no drift at all.
         let identity = stationary_cfg.with_drift(DriftSpec::scale_shift(0, 1.0));

@@ -39,9 +39,7 @@ pub mod profiles;
 pub mod sampling;
 pub mod stats;
 
-pub use generator::{
-    generate_all, generate_workflow, stream_workflow, GeneratorConfig, WorkflowStream,
-};
+pub use generator::{generate_workflow, stream_workflow, GeneratorConfig, WorkflowStream};
 pub use memfn::{DriftSpec, InputModel, MemoryModel, RuntimeModel};
 pub use model::{ResourceFootprint, TaskInstance, TaskTypeSpec, WorkflowSpec};
 pub use profiles::{

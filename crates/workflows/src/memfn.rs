@@ -194,11 +194,11 @@ impl MemoryModel {
 /// peak' = max(peak * memory_scale + slope_delta_bytes_per_input_byte * input, 16 MB)
 /// ```
 ///
-/// The transform is applied *after* sampling, so it consumes no RNG draws —
-/// the materialised generator and [`WorkflowStream`](crate::WorkflowStream)
-/// stay bit-identical by construction, and a drifted workload with
-/// `memory_scale = 1.0, slope_delta = 0.0` is bit-identical to a stationary
-/// one.
+/// The transform is applied *after* sampling (on emission from the
+/// [`WorkflowStream`](crate::WorkflowStream)), so it consumes no RNG draws:
+/// every other field of a drifted workload equals the stationary one, and a
+/// drifted workload with `memory_scale = 1.0, slope_delta = 0.0` is
+/// bit-identical to a stationary one.
 ///
 /// [`sequence`]: crate::TaskInstance::sequence
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -25,8 +25,8 @@ pub mod prelude {
     };
     pub use sizey_core::{
         AdmissionPolicy, AsyncService, AsyncSizey, ConcurrentPredictor, ConcurrentSizey,
-        GatingStrategy, OffsetMode, OffsetStrategy, OnlineMode, ServePredictor, ServiceConfig,
-        ServiceStats, SizeyConfig, SizeyPredictor,
+        GatingStrategy, OffsetMode, OffsetStrategy, OnlineMode, ServiceConfig, ServiceStats,
+        SizeyConfig, SizeyPredictor,
     };
     pub use sizey_ml::{Dataset, ModelClass, Regressor};
     pub use sizey_provenance::{

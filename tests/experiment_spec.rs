@@ -3,7 +3,10 @@
 //! the same value and run to the same cells, and its checkpoints must
 //! restore bit-identically — the contract the `experiment` binary relies on.
 
+use proptest::prelude::*;
+use sizey_bench::toml_lite::TomlDocument;
 use sizey_suite::prelude::*;
+use std::sync::OnceLock;
 
 const SMOKE_TOML: &str = r#"
 name = "parity"
@@ -144,4 +147,99 @@ fn checked_in_smoke_spec_parses() {
     // Round-trip: the spec the `experiment` bin stamps into its checkpoint
     // directory reparses to the same spec.
     assert_eq!(ExperimentSpec::from_toml(&spec.to_toml()).unwrap(), spec);
+}
+
+/// The committed spec files, read once, in file-name order.
+fn committed_specs() -> &'static [String] {
+    static SPECS: OnceLock<Vec<String>> = OnceLock::new();
+    SPECS.get_or_init(|| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/specs");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("spec directory")
+            .map(|entry| entry.expect("spec entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|path| std::fs::read_to_string(path).expect("spec file"))
+            .collect()
+    })
+}
+
+/// Applies one byte edit: `kind` 0 overwrites, 1 inserts before and 2
+/// deletes the byte at `pos` (modulo the length).
+fn mutate(bytes: &mut Vec<u8>, (kind, pos, byte): (u8, usize, u8)) {
+    if bytes.is_empty() {
+        bytes.push(byte);
+        return;
+    }
+    let at = pos % bytes.len();
+    match kind {
+        0 => bytes[at] = byte,
+        1 => bytes.insert(at, byte),
+        _ => {
+            bytes.remove(at);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Byte-level fuzz of the spec parser. After 1–8 random overwrites,
+    /// insertions or deletions of a committed spec file, neither
+    /// `TomlDocument::parse` nor `ExperimentSpec::from_toml` panics, every
+    /// TOML error names a line of the input, and whatever parses as a spec
+    /// prints to a fixed point (`to_toml` of the reparsed print is the
+    /// print).
+    #[test]
+    fn spec_parser_survives_byte_mutations(
+        spec_idx in 0usize..64,
+        edits in proptest::collection::vec(
+            (
+                0u8..3,
+                0usize..1 << 16,
+                prop_oneof![
+                    4 => 0u8..=255,
+                    2 => prop_oneof![
+                        Just(b'['), Just(b']'), Just(b'"'), Just(b'='), Just(b'#'),
+                        Just(b','), Just(b'_'), Just(b'.'), Just(b'-'), Just(b'e'),
+                        Just(b'\\'), Just(b'\n'),
+                    ],
+                    1 => b'0'..=b'9',
+                ],
+            ),
+            1..9,
+        ),
+    ) {
+        let specs = committed_specs();
+        prop_assert!(!specs.is_empty(), "no committed spec files");
+        let mut bytes = specs[spec_idx % specs.len()].clone().into_bytes();
+        for &edit in &edits {
+            mutate(&mut bytes, edit);
+        }
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let doc = std::panic::catch_unwind(|| TomlDocument::parse(&text))
+            .map_err(|_| TestCaseError::fail(format!("TOML parser panicked on {text:?}")))?;
+        if let Err(e) = doc {
+            let lines = text.lines().count();
+            prop_assert!(
+                (1..=lines).contains(&e.line),
+                "error line {} outside 1..={} in {:?}",
+                e.line,
+                lines,
+                text
+            );
+        }
+        let parsed = std::panic::catch_unwind(|| ExperimentSpec::from_toml(&text))
+            .map_err(|_| TestCaseError::fail(format!("spec parser panicked on {text:?}")))?;
+        if let Ok(spec) = parsed {
+            let printed = spec.to_toml();
+            let reparsed = ExperimentSpec::from_toml(&printed).map_err(|e| {
+                TestCaseError::fail(format!("printed spec does not parse: {e}\n{printed}"))
+            })?;
+            prop_assert_eq!(reparsed.to_toml(), printed);
+        }
+    }
 }

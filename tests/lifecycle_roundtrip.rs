@@ -18,7 +18,6 @@ fn small_workload(name: &str, seed: u64) -> Vec<TaskInstance> {
             scale: 0.01,
             seed,
             min_instances: 8,
-            interleave: true,
             drift: None,
         },
     )
@@ -186,7 +185,6 @@ proptest! {
                 scale: 0.01,
                 seed,
                 min_instances: 30,
-                interleave: true,
                 drift: None,
             },
         );
@@ -326,6 +324,96 @@ proptest! {
             Err(other) => {
                 return Err(TestCaseError::fail(format!("unexpected error kind: {other}")));
             }
+        }
+    }
+}
+
+/// The numerical edges fed through every predictor: not-a-number, both
+/// infinities, both zeros, the smallest subnormal and a huge finite value.
+const EDGES: [f64; 7] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    5e-324,
+    1e300,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every predictor of the default suite observes a key whose records
+    /// carry one of [`EDGES`] every few records, as the input size or as the
+    /// peak (successes and failures alike, as a hand-edited journal could).
+    /// After each observe, first attempts and retries for an ordinary and
+    /// for an edge input stay finite and positive, and the final state
+    /// snapshots, prints, parses and restores.
+    #[test]
+    fn every_predictor_survives_numerical_edges(
+        edge_idx in 0usize..EDGES.len(),
+        edge_as_input in 0u8..2,
+        every in 3usize..12,
+        peaks in proptest::collection::vec(1e8f64..4e10, 40..41),
+    ) {
+        let edge = EDGES[edge_idx];
+        let edge_as_input = edge_as_input == 1;
+        for method in MethodSpec::default_suite() {
+            let mut predictor = method.build();
+            for (i, &peak) in peaks.iter().enumerate() {
+                let edged = i % every == every - 1;
+                let input = if edged && edge_as_input { edge } else { peak / 4.0 };
+                let peak = if edged && !edge_as_input { edge } else { peak };
+                for probe_input in [2e9, edge] {
+                    let task = TaskSubmission {
+                        workflow: "wf".into(),
+                        task_type: TaskTypeId::new("t"),
+                        machine: MachineId::new("m"),
+                        sequence: i as u64,
+                        input_bytes: probe_input,
+                        preset_memory_bytes: 8e9,
+                    };
+                    let first = predictor.predict(&task, AttemptContext::first());
+                    let retry = predictor.predict(
+                        &task,
+                        AttemptContext {
+                            attempt: 1,
+                            last_allocation_bytes: Some(first.allocation_bytes),
+                        },
+                    );
+                    for (attempt, p) in [first, retry].iter().enumerate() {
+                        prop_assert!(
+                            p.allocation_bytes.is_finite() && p.allocation_bytes > 0.0,
+                            "{} attempt {} allocated {} after {} records (edge {}, as input: {}, probe input {})",
+                            method.name(), attempt, p.allocation_bytes, i, edge, edge_as_input, probe_input
+                        );
+                    }
+                }
+                predictor.observe(&TaskRecord {
+                    workflow: "wf".into(),
+                    task_type: TaskTypeId::new("t"),
+                    machine: MachineId::new("m"),
+                    sequence: i as u64,
+                    input_bytes: input,
+                    peak_memory_bytes: peak,
+                    allocated_memory_bytes: 8e9,
+                    runtime_seconds: 60.0,
+                    concurrent_tasks: 1,
+                    queue_delay_seconds: 0.0,
+                    outcome: if i % 5 == 4 {
+                        TaskOutcome::FailedOutOfMemory
+                    } else {
+                        TaskOutcome::Succeeded
+                    },
+                });
+            }
+            let text = predictor.snapshot().to_state_string();
+            let parsed = PredictorState::from_state_string(&text)
+                .map_err(|e| TestCaseError::fail(format!("{}: codec failed: {e}", method.name())))?;
+            let restored = method
+                .restore(&parsed)
+                .map_err(|e| TestCaseError::fail(format!("{}: restore failed: {e}", method.name())))?;
+            prop_assert_eq!(restored.snapshot().to_state_string(), text);
         }
     }
 }

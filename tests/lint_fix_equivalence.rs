@@ -523,6 +523,46 @@ fn baseline_replay_output_is_pinned() {
     check("baseline_replay", d, GOLDEN_BASELINES);
 }
 
+/// Every field of every generated instance, bit for bit: the six workflows
+/// at seeds 42 and 7 and scales 0.05 and 1.0, plus one drifted workload.
+/// The generator is the repo's ground truth, so this pins the RNG draw order,
+/// the wave interleaving, the sequence numbers and the drift transform.
+#[test]
+fn generated_workloads_are_pinned() {
+    let mut d = Digest::new();
+    let drifted = GeneratorConfig::scaled(0.3, 11).with_drift(DriftSpec {
+        changepoint: 25,
+        memory_scale: 1.4,
+        slope_delta_bytes_per_input_byte: -0.2,
+    });
+    for spec in sizey_workflows::all_workflows() {
+        let mut configs = vec![drifted];
+        for seed in [42, 7] {
+            for scale in [0.05, 1.0] {
+                configs.push(GeneratorConfig::scaled(scale, seed));
+            }
+        }
+        for config in &configs {
+            let instances = generate_workflow(&spec, config);
+            d.u64(instances.len() as u64);
+            for inst in &instances {
+                d.bytes(inst.workflow.as_bytes());
+                d.bytes(inst.task_type.as_str().as_bytes());
+                d.bytes(inst.machine.as_str().as_bytes());
+                d.u64(inst.sequence);
+                d.f64(inst.input_bytes);
+                d.f64(inst.true_peak_bytes);
+                d.f64(inst.base_runtime_seconds);
+                d.f64(inst.preset_memory_bytes);
+                d.f64(inst.cpu_utilization_pct);
+                d.f64(inst.io_read_bytes);
+                d.f64(inst.io_write_bytes);
+            }
+        }
+    }
+    check("generated", d, GOLDEN_GENERATED);
+}
+
 // Golden digests captured on the tree immediately before the PR-8 lint
 // fixes (see module docs for the capture command).
 const GOLDEN_SCHEDULED: u64 = 0x861adc7d669c1355;
@@ -541,3 +581,6 @@ const GOLDEN_FAULTED: u64 = 0x989c776ac153d8f2;
 const GOLDEN_DEFERRED_SERVE: u64 = 0x14982b9082ee40e5;
 // Captured on the last commit with per-predict baseline refits (6b42316).
 const GOLDEN_BASELINES: u64 = 0x499b5d8198b383be;
+// Captured on the last commit with the two-phase materialised generator
+// beside the lazy stream (eb87959).
+const GOLDEN_GENERATED: u64 = 0x758694b58a7983d1;

@@ -656,8 +656,9 @@ proptest! {
 
 /// The four baselines' estimators as they were before they learned
 /// incrementally, verbatim over a plain observation list: every call refits
-/// the key's whole history. One change: Witt-Percentile returns `None`
-/// rather than the preset below `min_history`.
+/// the key's whole history. Two changes to Witt-Percentile: it returns
+/// `None` rather than the preset below `min_history`, and it skips
+/// non-finite peaks.
 mod from_scratch {
     use sizey_baselines::{
         Observation, TovarPpmConfig, WittLrConfig, WittPercentileConfig, WittWastageConfig,
@@ -775,10 +776,16 @@ mod from_scratch {
         config: &WittPercentileConfig,
         observations: &[Observation],
     ) -> Option<f64> {
-        if observations.len() < config.min_history {
+        // Non-finite peaks are not learned from (they used to poison every
+        // later predict); the rest is the former estimator.
+        let peaks: Vec<f64> = observations
+            .iter()
+            .map(|o| o.peak_bytes)
+            .filter(|p| p.is_finite())
+            .collect();
+        if peaks.len() < config.min_history {
             return None;
         }
-        let peaks: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
         Some(percentile(&peaks, config.percentile))
     }
 }

@@ -13,7 +13,6 @@ fn tiny_config() -> GeneratorConfig {
         scale: 0.02,
         seed: 1234,
         min_instances: 2,
-        interleave: true,
         drift: None,
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the streaming pipeline, for any workload, seed,
-//! arrival layout and scheduling policy:
+//! arrival layout and scheduling policy (`generate_workflow` is the collected
+//! `stream_workflow`; the generated instances themselves are pinned by
+//! `GOLDEN_GENERATED` in `lint_fix_equivalence`):
 //!
-//! * iterator-based workload generation yields exactly the instances the
-//!   materialised generator produces;
 //! * the single-workflow streaming replay reproduces `replay_workflow`'s
 //!   report — same attempt events, same aggregates (exact `f64` equality),
 //!   same learned predictor state;
@@ -28,7 +28,6 @@ fn workload(wf_idx: usize, seed: u64) -> (WorkflowSpec, GeneratorConfig) {
         scale: 0.01,
         seed,
         min_instances: 10,
-        interleave: true,
         drift: None,
     };
     (spec, config)
@@ -56,19 +55,6 @@ impl MemoryPredictor for SharedCheckpoint {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The streaming generator yields exactly the instances the materialised
-    /// generator produces, in the same order.
-    #[test]
-    fn stream_workflow_matches_materialised_generation(
-        seed in 0u64..5000,
-        wf_idx in 0usize..6,
-    ) {
-        let (spec, config) = workload(wf_idx, seed);
-        let materialised = generate_workflow(&spec, &config);
-        let streamed: Vec<TaskInstance> = stream_workflow(&spec, &config).collect();
-        prop_assert_eq!(streamed, materialised);
-    }
 
     /// The single-workflow streaming replay reproduces the materialised
     /// report exactly: same attempt events, same aggregates, and the two

@@ -29,7 +29,7 @@ use sizey_ml::linear::LinearRegression;
 use sizey_ml::metrics::{mape, median};
 use sizey_ml::model::{ModelClass, Regressor};
 use sizey_ml::parallel::{default_parallelism, parallel_map};
-use sizey_provenance::{TaskRecord, TaskTypeId};
+use sizey_provenance::{TaskOutcome, TaskRecord, TaskTypeId};
 use sizey_sim::{
     aggregate_method, replay_workflow, AttemptContext, MemoryPredictor, MethodAggregate,
     Prediction, ReplayReport, SimulationConfig, TaskSubmission,
@@ -40,7 +40,7 @@ use sizey_workflows::{
 };
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A section's name and the function that prints it.
 type Section = (&'static str, fn(&Context));
@@ -205,18 +205,47 @@ fn print_sizey_variants(ctx: &Context, first_header: &str, variants: Vec<(String
     print_totals(first_header, rows);
 }
 
+/// Times every observe of a successful record: the online-learning step
+/// of Fig. 9 as a caller waits for it (prequential scoring, journal insert
+/// and model update). A failed attempt's observe trains nothing.
+struct Timed<P> {
+    inner: P,
+    training_times: Vec<Duration>,
+}
+
+impl<P: MemoryPredictor> MemoryPredictor for Timed<P> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
+        self.inner.predict(task, ctx)
+    }
+
+    fn observe(&mut self, record: &TaskRecord) {
+        let start = Instant::now();
+        self.inner.observe(record);
+        if record.outcome == TaskOutcome::Succeeded {
+            self.training_times.push(start.elapsed());
+        }
+    }
+}
+
 /// Replays a fresh Sizey predictor over one workload and returns the report
 /// with the wall-clock duration of every training step. The sections that
 /// read the durations run it serially, so the timings are not contended.
 fn replay_sizey(config: SizeyConfig, workload: &Workload) -> (ReplayReport, Vec<Duration>) {
-    let mut sizey = SizeyPredictor::new(config);
+    let mut sizey = Timed {
+        inner: SizeyPredictor::new(config),
+        training_times: Vec::new(),
+    };
     let report = replay_workflow(
         &workload.spec.name,
         &workload.instances,
         &mut sizey,
         &SimulationConfig::default(),
     );
-    (report, sizey.training_times().to_vec())
+    (report, sizey.training_times)
 }
 
 fn median_ms(times: &[Duration]) -> f64 {
@@ -644,7 +673,7 @@ fn fig09_training_time_table(ctx: &Context) {
     let mut all_incr = Vec::new();
     for w in generate_workloads(&settings) {
         let (_, full) = replay_sizey(SizeyConfig::full_retraining(), &w);
-        let (_, incremental) = replay_sizey(SizeyConfig::incremental(), &w);
+        let (_, incremental) = replay_sizey(SizeyConfig::default(), &w);
         rows.push(vec![
             w.spec.name.clone(),
             fmt(median_ms(&full), 2),
@@ -929,7 +958,7 @@ fn ablation_online_mode(ctx: &Context) {
         ..SizeyConfig::default()
     };
     let variants = [
-        ("Incremental (paper default)", SizeyConfig::incremental()),
+        ("Incremental (paper default)", SizeyConfig::default()),
         ("Incremental, never retrain", never_retrain),
         ("Full retraining + HPO", SizeyConfig::full_retraining()),
     ];

@@ -134,8 +134,8 @@ impl MethodSpec {
     }
 
     /// Builds the concrete [`SizeyPredictor`] when this spec is the Sizey
-    /// method — for harnesses that need Sizey-specific telemetry (per-step
-    /// training times, offset-selection tallies) beyond the predictor
+    /// method — for harnesses that need Sizey-specific telemetry
+    /// (offset-selection tallies, full-retrain counts) beyond the predictor
     /// traits. Returns `None` for every other method.
     pub fn build_sizey(&self) -> Option<SizeyPredictor> {
         match self {
@@ -259,6 +259,22 @@ pub(crate) fn need_float(context: &str, key: &str, value: &TomlValue) -> Result<
     })
 }
 
+/// A `[[method]]` parameter: a number that is also finite. An infinite
+/// `beta` turns the gating weights into NaN, and an infinite offset or
+/// head-room sends every allocation to the largest node.
+fn need_finite(context: &str, key: &str, value: &TomlValue) -> Result<f64, SpecError> {
+    let number = need_float(context, key, value)?;
+    if number.is_finite() {
+        Ok(number)
+    } else {
+        Err(invalid(
+            context,
+            key,
+            format!("expected a finite number, found {number}"),
+        ))
+    }
+}
+
 pub(crate) fn need_usize(context: &str, key: &str, value: &TomlValue) -> Result<usize, SpecError> {
     value
         .as_int()
@@ -330,12 +346,12 @@ impl MethodSpec {
                             })?;
                             config.candidate_quantiles = items
                                 .iter()
-                                .map(|v| need_float(context, key, v))
+                                .map(|v| need_finite(context, key, v))
                                 .collect::<Result<_, _>>()?;
                         }
                         "min_history" => config.min_history = need_usize(context, key, value)?,
                         "failure_penalty" => {
-                            config.failure_penalty = need_float(context, key, value)?
+                            config.failure_penalty = need_finite(context, key, value)?
                         }
                         _ => {
                             return Err(SpecError::UnknownKey {
@@ -354,7 +370,7 @@ impl MethodSpec {
                     match key.as_str() {
                         "kind" => {}
                         "min_history" => config.min_history = need_usize(context, key, value)?,
-                        "offset_sigmas" => config.offset_sigmas = need_float(context, key, value)?,
+                        "offset_sigmas" => config.offset_sigmas = need_finite(context, key, value)?,
                         _ => {
                             return Err(SpecError::UnknownKey {
                                 context: context.to_string(),
@@ -372,10 +388,10 @@ impl MethodSpec {
                     match key.as_str() {
                         "kind" => {}
                         "node_memory_bytes" => {
-                            config.node_memory_bytes = need_float(context, key, value)?
+                            config.node_memory_bytes = need_finite(context, key, value)?
                         }
                         "min_history" => config.min_history = need_usize(context, key, value)?,
-                        "headroom" => config.headroom = need_float(context, key, value)?,
+                        "headroom" => config.headroom = need_finite(context, key, value)?,
                         _ => {
                             return Err(SpecError::UnknownKey {
                                 context: context.to_string(),
@@ -392,7 +408,7 @@ impl MethodSpec {
                 for (key, value) in &table.entries {
                     match key.as_str() {
                         "kind" => {}
-                        "percentile" => config.percentile = need_float(context, key, value)?,
+                        "percentile" => config.percentile = need_finite(context, key, value)?,
                         "min_history" => config.min_history = need_usize(context, key, value)?,
                         _ => {
                             return Err(SpecError::UnknownKey {
@@ -468,12 +484,6 @@ impl MethodSpec {
                     c.hyperparameter_optimization
                 ));
                 out.push_str(&format!("seed = {}\n", c.seed));
-                if let Some(capacity) = c.node_capacity_bytes {
-                    out.push_str(&format!(
-                        "node_capacity_bytes = {}\n",
-                        toml_write::float(capacity)
-                    ));
-                }
                 if let Some(window) = c.history_window {
                     out.push_str(&format!("history_window = {window}\n"));
                 }
@@ -548,9 +558,9 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
     for (key, value) in &table.entries {
         match key.as_str() {
             "kind" => {}
-            "alpha" => config.alpha = need_float(context, key, value)?,
+            "alpha" => config.alpha = need_finite(context, key, value)?,
             "gating" => gating = Some(need_str(context, key, value)?),
-            "beta" => beta = Some(need_float(context, key, value)?),
+            "beta" => beta = Some(need_finite(context, key, value)?),
             "offset" => {
                 config.offset = match need_str(context, key, value)? {
                     "dynamic" => OffsetMode::Dynamic,
@@ -619,9 +629,6 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
                     .map(|i| i as u64)
                     .ok_or_else(|| invalid(context, key, "expected a non-negative integer seed"))?
             }
-            "node_capacity_bytes" => {
-                config.node_capacity_bytes = Some(need_float(context, key, value)?)
-            }
             "history_window" => {
                 let window = value
                     .as_int()
@@ -630,7 +637,7 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
                 config.history_window = Some(window as usize);
             }
             "drift_window" => drift_window = Some(need_usize(context, key, value)?),
-            "drift_threshold" => drift_threshold = Some(need_float(context, key, value)?),
+            "drift_threshold" => drift_threshold = Some(need_finite(context, key, value)?),
             "drift_keep_recent" => drift_keep_recent = Some(need_usize(context, key, value)?),
             _ => {
                 return Err(SpecError::UnknownKey {
@@ -757,7 +764,6 @@ mod tests {
         ));
         variants.push(MethodSpec::Sizey(SizeyConfig {
             offset: OffsetMode::Fixed(sizey_core::OffsetStrategy::MedianError),
-            node_capacity_bytes: Some(64e9),
             ..SizeyConfig::default()
         }));
         variants.push(MethodSpec::Sizey(

@@ -150,20 +150,13 @@ pub struct SizeyConfig {
     pub hyperparameter_optimization: bool,
     /// Seed for the stochastic pool members (MLP, random forest).
     pub seed: u64,
-    /// Memory capacity of the largest cluster node, when known. Failure
-    /// handling saturates its max-then-double escalation at this ceiling
-    /// (via [`failure_allocation_clamped`](crate::failure_allocation_clamped))
-    /// instead of requesting unschedulable allocations; `None` leaves the
-    /// clamp to the replay engine.
-    pub node_capacity_bytes: Option<f64>,
     /// Opt-in bounded history for million-task streaming replays. When set,
     /// each pool keeps at most this many recent successful observations as
     /// training data (trimmed amortised, with a full retrain on the trimmed
     /// window so models never depend on dropped rows), the prequential and
     /// offset histories are trimmed to their fixed read windows, and the
-    /// predictor's provenance store and training-time telemetry are bounded
-    /// too — total predictor memory becomes `O(pools × window)` instead of
-    /// `O(observations)`.
+    /// predictor's provenance store is bounded too — total predictor memory
+    /// becomes `O(pools × window)` instead of `O(observations)`.
     ///
     /// `None` (the default) retains everything and reproduces the paper
     /// setup exactly. **Trade-off:** a bounded predictor's event-sourced
@@ -178,6 +171,9 @@ pub struct SizeyConfig {
     pub drift: DriftPolicy,
 }
 
+/// The paper's experimental configuration: α = 0, Interpolation gating,
+/// dynamic offset, all four model classes and incremental updates (Fig. 9's
+/// "Sizey-Incremental").
 impl Default for SizeyConfig {
     fn default() -> Self {
         SizeyConfig {
@@ -190,7 +186,6 @@ impl Default for SizeyConfig {
             cold_start_observations: 10,
             hyperparameter_optimization: false,
             seed: 42,
-            node_capacity_bytes: None,
             history_window: None,
             drift: DriftPolicy::Off,
         }
@@ -198,12 +193,6 @@ impl Default for SizeyConfig {
 }
 
 impl SizeyConfig {
-    /// The paper's experimental configuration: α = 0, Interpolation gating,
-    /// dynamic offset, all four model classes.
-    pub fn paper_defaults() -> Self {
-        SizeyConfig::default()
-    }
-
     /// Configuration for the full-retraining variant of Fig. 9 ("Sizey-Full"),
     /// including hyper-parameter optimisation.
     pub fn full_retraining() -> Self {
@@ -212,12 +201,6 @@ impl SizeyConfig {
             hyperparameter_optimization: true,
             ..SizeyConfig::default()
         }
-    }
-
-    /// Configuration for the incremental variant of Fig. 9
-    /// ("Sizey-Incremental").
-    pub fn incremental() -> Self {
-        SizeyConfig::default()
     }
 
     /// Returns a copy with a different α.
@@ -282,7 +265,7 @@ mod tests {
             OnlineMode::FullRetrain
         );
         assert!(matches!(
-            SizeyConfig::incremental().online,
+            SizeyConfig::default().online,
             OnlineMode::Incremental { .. }
         ));
         assert!(SizeyConfig::full_retraining().hyperparameter_optimization);

@@ -3,7 +3,7 @@
 //! When a task fails despite the offset, Sizey allocates the maximum amount
 //! of memory ever observed for this (task type, machine) combination; every
 //! further attempt doubles the allocation until the machine's resources are
-//! exhausted (the replay engine clamps to the node capacity).
+//! exhausted (both engines clamp every allocation to the largest node).
 
 /// Computes the allocation for retry `attempt` (≥ 1) of a failed task.
 ///
@@ -21,25 +21,6 @@ pub fn failure_allocation(
         .unwrap_or(failed_allocation_bytes)
         .max(failed_allocation_bytes);
     base * 2.0_f64.powi(attempt.saturating_sub(1) as i32)
-}
-
-/// Like [`failure_allocation`], but clamped to the capacity of the largest
-/// node in the cluster: no resource manager can grant more memory than its
-/// biggest machine has, so doubling saturates at `node_capacity_bytes`.
-///
-/// The result is monotone non-decreasing in `attempt` (doubling grows the
-/// unclamped value; the clamp is a constant ceiling) and never exceeds the
-/// node capacity — both properties are load-bearing for the replay engine:
-/// a retry that shrank or overshot the largest node would either loop
-/// forever or request an unschedulable allocation.
-pub fn failure_allocation_clamped(
-    max_observed_bytes: Option<f64>,
-    failed_allocation_bytes: f64,
-    attempt: u32,
-    node_capacity_bytes: f64,
-) -> f64 {
-    failure_allocation(max_observed_bytes, failed_allocation_bytes, attempt)
-        .min(node_capacity_bytes)
 }
 
 #[cfg(test)]
@@ -62,44 +43,6 @@ mod tests {
         assert_eq!(failure_allocation(Some(10e9), 4e9, 2), 20e9);
         assert_eq!(failure_allocation(Some(10e9), 4e9, 3), 40e9);
         assert_eq!(failure_allocation(None, 4e9, 4), 32e9);
-    }
-
-    // Regression: doubling at the node-capacity clamp boundary. An 80 GB base
-    // on a 128 GB node doubles to 160 GB, which must saturate at the node
-    // capacity rather than exceed it — and once saturated it must stay there
-    // (monotone in `attempt`), not oscillate or shrink.
-    #[test]
-    fn clamped_doubling_saturates_at_node_capacity() {
-        let cap = 128e9;
-        assert_eq!(failure_allocation_clamped(Some(80e9), 40e9, 1, cap), 80e9);
-        assert_eq!(failure_allocation_clamped(Some(80e9), 40e9, 2, cap), cap);
-        assert_eq!(failure_allocation_clamped(Some(80e9), 40e9, 3, cap), cap);
-    }
-
-    #[test]
-    fn clamped_retries_never_exceed_capacity_and_are_monotone() {
-        let cap = 128e9;
-        for &(max_obs, failed) in &[
-            (Some(10e9), 4e9),
-            (Some(127e9), 4e9),
-            (Some(128e9), 128e9),
-            (None, 64e9),
-            (None, 1e9),
-        ] {
-            let mut prev = 0.0;
-            for attempt in 1..=12u32 {
-                let alloc = failure_allocation_clamped(max_obs, failed, attempt, cap);
-                let expected =
-                    crate::reference::retry_allocation(max_obs, failed, attempt, Some(cap));
-                assert_eq!(alloc.to_bits(), expected.to_bits());
-                assert!(alloc <= cap, "attempt {attempt} exceeded the largest node");
-                assert!(
-                    alloc >= prev,
-                    "attempt {attempt} shrank: {alloc} < {prev} (base {max_obs:?}/{failed})"
-                );
-                prev = alloc;
-            }
-        }
     }
 
     /// Fault-injection regression: a preempted/crash-killed attempt is
@@ -144,17 +87,5 @@ mod tests {
         };
         assert!(oom_retry(1) >= original);
         assert_eq!(oom_retry(2), 2.0 * oom_retry(1));
-    }
-
-    #[test]
-    fn clamp_at_exact_boundary_is_stable() {
-        // Base exactly at capacity: every retry allocates the full node.
-        let cap = 128e9;
-        for attempt in 1..=6u32 {
-            assert_eq!(
-                failure_allocation_clamped(Some(cap), cap, attempt, cap),
-                cap
-            );
-        }
     }
 }

@@ -63,7 +63,7 @@ pub mod service;
 pub mod sizey;
 
 pub use config::{DriftPolicy, GatingStrategy, OffsetMode, OnlineMode, SizeyConfig};
-pub use failure::{failure_allocation, failure_allocation_clamped};
+pub use failure::failure_allocation;
 pub use gating::gate_with;
 pub use offset::{select_dynamic_offset_with, OffsetScratch, OffsetStrategy};
 pub use pool::{GatedOutcome, ModelPool, PoolScratch};

@@ -35,7 +35,6 @@ use sizey_ml::linear::LinearRegression;
 use sizey_ml::mlp::{MlpConfig, MlpRegression};
 use sizey_ml::model::{ModelClass, PredictScratch, Regressor};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// Number of most recent prequential accuracy contributions entering the
 /// Eq. 1 accuracy score: the score follows the model's *current* quality, so
@@ -72,8 +71,9 @@ impl Clone for PoolMember {
 
 /// Reusable buffers for one full prediction pipeline pass
 /// ([`ModelPool::gated_estimate_with`]) plus the offset computation that
-/// follows it — everything the read path needs, owned by the caller and
-/// recycled across predictions so the steady state allocates nothing.
+/// follows it — everything the read path needs — and for the datasets of
+/// the online model update. Owned by the caller and recycled across
+/// predictions and observations, so the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct PoolScratch {
     /// Per-model buffers shared by every member's
@@ -91,6 +91,10 @@ pub struct PoolScratch {
     pub(crate) weights: Vec<f64>,
     /// Offset-strategy working buffers.
     pub(crate) offset: OffsetScratch,
+    /// The single-observation dataset of the incremental update.
+    pub(crate) point: Dataset,
+    /// The recent-window dataset of the MLP's warm-start update.
+    pub(crate) tail: Dataset,
 }
 
 /// The allocation-free result of [`ModelPool::gated_estimate_with`]: the
@@ -105,6 +109,14 @@ pub struct GatedOutcome {
 }
 
 /// The model pool of one (task type, machine) combination.
+///
+/// Cloning a pool deep-copies its models (via [`Regressor::clone_box`]) and
+/// histories. This is the copy half of the predictor's copy-on-write pools
+/// (a write to a pool that a clone or published view still holds lands on a
+/// clone of it): the clone predicts *and keeps learning* bit-identically to
+/// the original because every input to both pipelines — models, training
+/// data, accuracy and offset histories, retrain counters — is carried over.
+#[derive(Clone)]
 pub struct ModelPool {
     members: Vec<PoolMember>,
     /// Successful observations: features → peak bytes.
@@ -127,40 +139,6 @@ pub struct ModelPool {
     /// Rolling under-prediction flags of the drift detector (empty and
     /// untouched while [`DriftPolicy::Off`] is configured).
     drift_flags: VecDeque<bool>,
-    /// Wall-clock time spent in the most recent model update.
-    last_training_time: Duration,
-    /// Reused buffer for the single-observation update dataset.
-    point_scratch: Dataset,
-    /// Reused buffer for the recent-window dataset of the MLP's warm-start
-    /// update.
-    tail_scratch: Dataset,
-}
-
-/// Cloning a pool deep-copies its models (via [`Regressor::clone_box`]) and
-/// histories. This is the copy half of the predictor's copy-on-write pools
-/// (a write to a pool that a clone or published view still holds lands on a
-/// clone of it): the clone predicts *and keeps learning* bit-identically to
-/// the original because every input to both pipelines — models, training
-/// data, accuracy and offset histories, retrain counters — is carried over.
-/// The transient scratch buffers are reset to empty; they are recycled
-/// capacity, not state.
-impl Clone for ModelPool {
-    fn clone(&self) -> Self {
-        ModelPool {
-            members: self.members.clone(),
-            data: self.data.clone(),
-            aggregate_history: self.aggregate_history.clone(),
-            since_full_retrain: self.since_full_retrain,
-            defer_retrains: self.defer_retrains,
-            pending_retrain: self.pending_retrain,
-            model_epoch: self.model_epoch,
-            max_observed: self.max_observed,
-            drift_flags: self.drift_flags.clone(),
-            last_training_time: self.last_training_time,
-            point_scratch: Dataset::new(),
-            tail_scratch: Dataset::new(),
-        }
-    }
 }
 
 impl std::fmt::Debug for ModelPool {
@@ -225,9 +203,6 @@ impl ModelPool {
             model_epoch: 0,
             max_observed: None,
             drift_flags: VecDeque::new(),
-            last_training_time: Duration::ZERO,
-            point_scratch: Dataset::new(),
-            tail_scratch: Dataset::new(),
         }
     }
 
@@ -239,11 +214,6 @@ impl ModelPool {
     /// The largest peak memory (or exhausted allocation) ever observed.
     pub fn max_observed(&self) -> Option<f64> {
         self.max_observed
-    }
-
-    /// Wall-clock duration of the most recent online-learning step.
-    pub fn last_training_time(&self) -> Duration {
-        self.last_training_time
     }
 
     /// The aggregate-estimate history used for offset selection.
@@ -437,15 +407,15 @@ impl ModelPool {
 
     /// Incorporates a successful execution: prequential score bookkeeping,
     /// dataset growth and the online model update. The pre-learning member
-    /// predictions and aggregate estimate run over the caller's recycled
-    /// `scratch`. Returns the time spent training.
+    /// predictions, the aggregate estimate and the update datasets run over
+    /// the caller's recycled `scratch`.
     pub fn observe_success(
         &mut self,
         features: &[f64],
         peak_bytes: f64,
         config: &SizeyConfig,
         scratch: &mut PoolScratch,
-    ) -> Duration {
+    ) {
         // 1. Prequential accuracy update: ask every fitted member what it
         //    would have predicted *before* learning from this task. The
         //    pair's Eq. 1 contribution is scored once, here, so predictions
@@ -504,14 +474,7 @@ impl ModelPool {
             }
         }
 
-        // 4. Online model update. The single-point and recent-window update
-        // datasets live in pool-owned scratch buffers, reused across
-        // observations instead of being reallocated on every completion.
-        // lint:allow(no-wallclock-in-sim): measures real training latency for
-        // the fig. 9 diagnostics only — the value never feeds back into
-        // predictions or the virtual clock, so determinism is unaffected.
-        let start = Instant::now();
-        self.data.tail_into(1, &mut self.point_scratch);
+        // 4. Online model update.
         if trimmed {
             // The window boundary is a de-facto full retrain, whatever the
             // online mode asked for.
@@ -524,7 +487,7 @@ impl ModelPool {
                     if retrain_interval > 0 && self.since_full_retrain >= retrain_interval {
                         self.full_retrain(config);
                     } else {
-                        self.incremental_update();
+                        self.incremental_update(scratch);
                     }
                 }
             }
@@ -537,19 +500,19 @@ impl ModelPool {
                 self.drift_retrain(config);
             }
         }
-        self.last_training_time = start.elapsed();
-        self.last_training_time
     }
 
     /// The light (non-retrain) update of incremental mode: exact or
     /// append-style `partial_fit`s for the cheap members and a warm-start
-    /// update for the MLP, on every completion.
-    fn incremental_update(&mut self) {
+    /// update for the MLP, on every completion. The update datasets are
+    /// copied into the caller's recycled `scratch`.
+    fn incremental_update(&mut self, scratch: &mut PoolScratch) {
+        self.data.tail_into(1, &mut scratch.point);
         // The MLP's warm-start update runs on a recent window of the data
         // rather than the single new observation; a gradient step on one
         // point would drag the network towards it and destabilise the pool
         // between full retrains.
-        self.data.tail_into(16, &mut self.tail_scratch);
+        self.data.tail_into(16, &mut scratch.tail);
         // Track whether this update degenerated into refitting *every* member
         // on the complete history (cold start, or every incremental update
         // failing): that is a de-facto full retrain and restarts the interval
@@ -559,9 +522,9 @@ impl ModelPool {
             let was_fitted = member.model.is_fitted();
             let result = if was_fitted {
                 let update = if member.class == ModelClass::Mlp {
-                    &self.tail_scratch
+                    &scratch.tail
                 } else {
-                    &self.point_scratch
+                    &scratch.point
                 };
                 member.model.partial_fit(update)
             } else {
@@ -765,7 +728,7 @@ mod tests {
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 5);
         assert!(pool.is_ready(cfg.min_history));
-        assert!(pool.last_training_time() > Duration::ZERO);
+        assert_eq!(pool.model_epoch(), 5);
     }
 
     #[test]

@@ -230,17 +230,14 @@ pub(crate) fn first_attempt_allocation(
 
 /// §II-E, failure handling — retry `attempt` (≥ 1) of a failed task
 /// allocates the maximum memory ever observed for its pool (never less than
-/// the failed allocation), and every further retry doubles it, saturating
-/// at the largest node's capacity when that is known.
+/// the failed allocation), and every further retry doubles it.
 pub(crate) fn retry_allocation(
     max_observed: Option<f64>,
     failed_allocation: f64,
     attempt: u32,
-    node_capacity: Option<f64>,
 ) -> f64 {
     let base = max_observed.map_or(failed_allocation, |m| m.max(failed_allocation));
-    let allocation = base * 2f64.powi(attempt as i32 - 1);
-    node_capacity.map_or(allocation, |capacity| allocation.min(capacity))
+    base * 2f64.powi(attempt as i32 - 1)
 }
 
 /// What the reference remembers of one (task type, machine) pool.
@@ -373,7 +370,6 @@ impl ReferenceSizey {
                     history.and_then(|h| h.max_observed),
                     failed,
                     ctx.attempt,
-                    self.config.node_capacity_bytes,
                 ),
                 ..preset
             };
@@ -448,12 +444,12 @@ mod tests {
             alpha in 0.0f64..1.0,
             gating in (0u8..2, 0.25f64..16.0),
             offset_mode in 0usize..6,
-            bounds in (0usize..3, 4usize..24, 0u8..2, 16.0e9f64..64.0e9),
+            bounds in (0usize..3, 4usize..24),
             drift in (0u8..2, 2usize..8, 0.3f64..1.0, 0usize..24),
             pool in (1usize..16, 1usize..5, 0usize..15, 0usize..30),
             stream in prop::collection::vec((0usize..6, 1.0e9f64..20.0e9, 0.6f64..1.6), 40..200),
         ) {
-            let (window_on, window, capacity_on, capacity) = bounds;
+            let (window_on, window) = bounds;
             let (drift_on, drift_window, threshold, keep_recent) = drift;
             let (class_mask, min_history, cold_start, retrain_interval) = pool;
             let config = SizeyConfig {
@@ -477,7 +473,6 @@ mod tests {
                     .collect(),
                 min_history,
                 cold_start_observations: cold_start,
-                node_capacity_bytes: (capacity_on == 1).then_some(capacity),
                 history_window: (window_on == 1).then_some(window),
                 drift: if drift_on == 1 {
                     DriftPolicy::Retrain { window: drift_window, threshold, keep_recent }

@@ -29,7 +29,7 @@
 #![doc = "lint:hot-path"]
 
 use crate::config::{OffsetMode, SizeyConfig};
-use crate::failure::{failure_allocation, failure_allocation_clamped};
+use crate::failure::failure_allocation;
 use crate::offset::{select_dynamic_offset_with, OffsetScratch, OffsetStrategy};
 use crate::pool::{ModelPool, PoolScratch};
 use sizey_provenance::{
@@ -43,7 +43,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 thread_local! {
     /// Scratch buffers for the read path. `predict` is `&self` and may run
@@ -52,7 +51,7 @@ thread_local! {
     /// thread the steady-state predict path performs zero heap allocations
     /// (asserted by the counting-allocator harness behind
     /// `cargo xtask lint --dynamic`). `observe` borrows the same buffers for
-    /// its pre-learning aggregate estimate.
+    /// its pre-learning aggregate estimate and its model-update datasets.
     static POOL_SCRATCH: RefCell<PoolScratch> = RefCell::new(PoolScratch::default());
 }
 
@@ -74,8 +73,6 @@ pub struct SizeyPredictor {
     /// retrain work per micro-batch.
     deferred_retrains: bool,
     store: ProvenanceStore,
-    /// Wall-clock time of every online-learning step (Fig. 9 telemetry).
-    training_times: Vec<Duration>,
     /// How often each offset strategy was selected (diagnostics), indexed by
     /// position in [`OffsetStrategy::ALL`]. Atomic because the selection
     /// happens on the lock-free read path; behind an `Arc` so the predicts a
@@ -100,7 +97,6 @@ impl Clone for SizeyPredictor {
         }
         SizeyPredictor {
             store: self.store.clone(),
-            training_times: self.training_times.clone(),
             offset_selections: Arc::new(offset_selections),
             ..self.published_view()
         }
@@ -118,11 +114,6 @@ impl std::fmt::Debug for SizeyPredictor {
 }
 
 impl SizeyPredictor {
-    /// Ceiling on the retained training-time telemetry when the predictor
-    /// runs with a bounded [`SizeyConfig::history_window`] (trimmed
-    /// amortised, like the training data).
-    const TRAINING_TIMES_WINDOW: usize = 256;
-
     /// Creates a Sizey predictor with the given configuration.
     pub fn new(config: SizeyConfig) -> Self {
         // A bounded-history predictor also bounds its provenance store, the
@@ -139,7 +130,6 @@ impl SizeyPredictor {
             pools: BTreeMap::new(),
             deferred_retrains: false,
             store,
-            training_times: Vec::new(),
             offset_selections: Arc::default(),
         }
     }
@@ -147,8 +137,8 @@ impl SizeyPredictor {
     /// The read-only view the serving layer publishes for lock-free
     /// predicts: everything [`predict`](MemoryPredictor::predict) reads —
     /// the configuration and the pools, **shared** with this predictor — and
-    /// nothing it does not: the view's provenance store and training-time
-    /// telemetry are empty (so it snapshots to an empty journal). Its cost
+    /// nothing it does not: the view's provenance store is empty (so it
+    /// snapshots to an empty journal). Its cost
     /// is one map of `Arc` bumps, whatever the pools hold.
     ///
     /// The view is immutable in effect: this predictor's later writes copy
@@ -161,7 +151,6 @@ impl SizeyPredictor {
             pools: self.pools.clone(),
             deferred_retrains: self.deferred_retrains,
             store: ProvenanceStore::new(),
-            training_times: Vec::new(),
             offset_selections: Arc::clone(&self.offset_selections),
         }
     }
@@ -209,11 +198,6 @@ impl SizeyPredictor {
     /// The internal provenance store (all observed records).
     pub fn provenance(&self) -> &ProvenanceStore {
         &self.store
-    }
-
-    /// Wall-clock durations of every online-learning step performed so far.
-    pub fn training_times(&self) -> &[Duration] {
-        &self.training_times
     }
 
     /// How often each offset strategy won the dynamic selection (strategies
@@ -346,9 +330,9 @@ impl MemoryPredictor for SizeyPredictor {
 
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
         if ctx.attempt > 0 {
-            // Failure handling: maximum ever observed, then doubling —
-            // saturating at the largest node when the capacity is known. The
-            // failed attempt's allocation is engine-owned state handed in
+            // Failure handling: maximum ever observed, then doubling (the
+            // engine clamps the grant to the largest node). The failed
+            // attempt's allocation is engine-owned state handed in
             // through the context; with no record of it, escalation starts
             // from the user preset.
             let last = ctx
@@ -357,14 +341,8 @@ impl MemoryPredictor for SizeyPredictor {
             let max_observed = self
                 .pool_for(task.task_type.as_str(), task.machine.as_str())
                 .and_then(ModelPool::max_observed);
-            let allocation = match self.config.node_capacity_bytes {
-                Some(capacity) => {
-                    failure_allocation_clamped(max_observed, last, ctx.attempt, capacity)
-                }
-                None => failure_allocation(max_observed, last, ctx.attempt),
-            };
             return Prediction {
-                allocation_bytes: allocation,
+                allocation_bytes: failure_allocation(max_observed, last, ctx.attempt),
                 raw_estimate_bytes: None,
                 selected_model: None,
             };
@@ -432,23 +410,14 @@ impl MemoryPredictor for SizeyPredictor {
         }));
 
         match record.outcome {
-            TaskOutcome::Succeeded => {
-                let duration = POOL_SCRATCH.with(|cell| {
-                    pool.observe_success(
-                        &record.features(),
-                        record.peak_memory_bytes,
-                        &self.config,
-                        &mut cell.borrow_mut(),
-                    )
-                });
-                self.training_times.push(duration);
-                if self.config.history_window.is_some()
-                    && self.training_times.len() >= 2 * Self::TRAINING_TIMES_WINDOW
-                {
-                    let excess = self.training_times.len() - Self::TRAINING_TIMES_WINDOW;
-                    self.training_times.drain(..excess);
-                }
-            }
+            TaskOutcome::Succeeded => POOL_SCRATCH.with(|cell| {
+                pool.observe_success(
+                    &record.features(),
+                    record.peak_memory_bytes,
+                    &self.config,
+                    &mut cell.borrow_mut(),
+                )
+            }),
             TaskOutcome::FailedOutOfMemory => {
                 // The exhausted allocation is a lower bound on the true peak.
                 pool.observe_failure(record.allocated_memory_bytes, &self.config);
@@ -470,17 +439,15 @@ const OFFSET_COUNTER_PREFIX: &str = "offset-selected.";
 const EVICTED_COUNTER: &str = "journal.evicted";
 
 /// Event-sourced snapshot/restore: Sizey's learned state — model pools,
-/// offset histories, provenance, queue-delay telemetry — is a deterministic
-/// function of the observation stream (the stochastic pool members are
-/// seeded from [`SizeyConfig::seed`]), so the snapshot is the provenance
-/// store's record journal plus the predict-path offset-selection counters.
-/// Restoring replays the journal through [`MemoryPredictor::observe`] on a
-/// freshly built predictor with the *same configuration*, which reconstructs
-/// every pool bit for bit; per-step wall-clock training times are
-/// re-measured during the replay rather than carried over. A bounded
-/// [`SizeyConfig::history_window`] store journals only its retained suffix,
-/// so such a snapshot says how much it lost and restore refuses it with
-/// [`StateError::TruncatedJournal`].
+/// offset histories, provenance — is a deterministic function of the
+/// observation stream (the stochastic pool members are seeded from
+/// [`SizeyConfig::seed`]), so the snapshot is the provenance store's record
+/// journal plus the predict-path offset-selection counters. Restoring
+/// replays the journal through [`MemoryPredictor::observe`] on a freshly
+/// built predictor with the *same configuration*, which reconstructs every
+/// pool bit for bit. A bounded [`SizeyConfig::history_window`] store
+/// journals only its retained suffix, so such a snapshot says how much it
+/// lost and restore refuses it with [`StateError::TruncatedJournal`].
 impl CheckpointPredictor for SizeyPredictor {
     fn snapshot(&self) -> PredictorState {
         // The journal *shares* the store's records (satellite fix for the
@@ -572,47 +539,6 @@ mod tests {
             let input = i as f64 * 1e9;
             p.observe(&success(i, input, 2.0 * input + 1e9));
         }
-    }
-
-    #[test]
-    fn retry_escalation_saturates_at_the_configured_node_capacity() {
-        let cfg = SizeyConfig {
-            node_capacity_bytes: Some(32e9),
-            ..SizeyConfig::default()
-        };
-        let p = SizeyPredictor::new(cfg);
-        // No history and no engine context: escalation starts from the 20 GB
-        // preset. Doubling would reach 40/80 GB on attempts 2/3; the clamp
-        // holds it at 32 GB. The engine feeds each granted allocation back
-        // through the context.
-        let task = submission(0, 1e9);
-        let a1 = p
-            .predict(&task, AttemptContext::retry(1, 20e9))
-            .allocation_bytes;
-        assert_eq!(a1, 20e9);
-        let a2 = p
-            .predict(&task, AttemptContext::retry(2, a1))
-            .allocation_bytes;
-        assert_eq!(a2, 32e9);
-        let a3 = p
-            .predict(&task, AttemptContext::retry(3, a2))
-            .allocation_bytes;
-        assert_eq!(a3, 32e9);
-        // A retry without a recorded previous allocation falls back to the
-        // preset as the escalation base.
-        let ctx = AttemptContext {
-            attempt: 1,
-            last_allocation_bytes: None,
-        };
-        assert_eq!(p.predict(&task, ctx).allocation_bytes, 20e9);
-        // Without a configured capacity the escalation is unbounded.
-        let unclamped = SizeyPredictor::with_defaults();
-        assert_eq!(
-            unclamped
-                .predict(&task, AttemptContext::retry(2, 20e9))
-                .allocation_bytes,
-            40e9
-        );
     }
 
     #[test]
@@ -742,10 +668,9 @@ mod tests {
     }
 
     #[test]
-    fn training_times_are_recorded_per_completion() {
+    fn every_completion_is_journaled() {
         let mut p = SizeyPredictor::with_defaults();
         train(&mut p, 8);
-        assert_eq!(p.training_times().len(), 8);
         assert_eq!(p.provenance().len(), 8);
         assert_eq!(p.n_pools(), 1);
     }
@@ -908,9 +833,8 @@ mod tests {
     }
 
     /// The bounded-history mode behind million-task streaming replays:
-    /// provenance, training telemetry and (via the pools) training data all
-    /// stay bounded while the predictor keeps learning from the recent
-    /// window. Its snapshot journals only that window, so it names the
+    /// provenance and (via the pools) training data both stay bounded while
+    /// the predictor keeps learning from the recent window. Its snapshot journals only that window, so it names the
     /// evicted count and a restore refuses it rather than rebuild a
     /// different predictor.
     #[test]
@@ -923,11 +847,6 @@ mod tests {
         }
         assert!(p.provenance().len() <= 32, "store {}", p.provenance().len());
         assert_eq!(p.provenance().total_inserted(), 700);
-        assert!(
-            p.training_times().len() < 2 * SizeyPredictor::TRAINING_TIMES_WINDOW,
-            "telemetry {}",
-            p.training_times().len()
-        );
         // Still predicting sensibly from the retained window.
         let pred = p.predict(&submission(1000, 5e9), AttemptContext::first());
         assert!(pred.raw_estimate_bytes.is_some());

@@ -149,6 +149,45 @@ fn checked_in_smoke_spec_parses() {
     assert_eq!(ExperimentSpec::from_toml(&spec.to_toml()).unwrap(), spec);
 }
 
+/// Every float parameter of a `[[method]]` table must be finite: an infinite
+/// `beta` turns Sizey's gating weights into NaN, and an infinite offset or
+/// head-room sends every allocation to the largest node. The same table
+/// with a finite value parses, so the key is refused for its value alone.
+#[test]
+fn method_parameters_reject_non_finite_values() {
+    let keys = [
+        ("sizey", "alpha"),
+        ("sizey", "beta"),
+        ("sizey", "drift_threshold"),
+        ("witt-wastage", "quantiles"),
+        ("witt-wastage", "failure_penalty"),
+        ("witt-lr", "offset_sigmas"),
+        ("tovar-ppm", "node_memory_bytes"),
+        ("tovar-ppm", "headroom"),
+        ("witt-percentile", "percentile"),
+    ];
+    let parse = |kind: &str, key: &str, value: &str| {
+        let value = if key == "quantiles" {
+            format!("[50.0, {value}]")
+        } else {
+            value.to_string()
+        };
+        let text = format!("[[method]]\nkind = \"{kind}\"\n{key} = {value}\n");
+        let doc = TomlDocument::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        (MethodSpec::from_table(doc.array_of("method")[0]), text)
+    };
+    for (kind, key) in keys {
+        let (finite, text) = parse(kind, key, "0.5");
+        assert!(finite.is_ok(), "{text} was refused: {finite:?}");
+        for value in ["inf", "-inf"] {
+            match parse(kind, key, value) {
+                (Err(SpecError::InvalidValue { key: named, .. }), _) => assert_eq!(named, key),
+                (other, text) => panic!("{text} parsed to {other:?}"),
+            }
+        }
+    }
+}
+
 /// The committed spec files, read once, in file-name order.
 fn committed_specs() -> &'static [String] {
     static SPECS: OnceLock<Vec<String>> = OnceLock::new();

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use sizey_suite::prelude::*;
+use std::collections::BTreeMap;
 
 fn small_workload(name: &str, seed: u64) -> Vec<TaskInstance> {
     let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
@@ -73,20 +74,58 @@ proptest! {
         prop_assert!(b > a);
     }
 
+    /// Sizey's retries through the engine: a task whose peak exceeds the
+    /// largest node fails every attempt, and the engine grants each retry
+    /// at most the largest node and never less than the attempt before. The
+    /// escalation ends at the largest node ("until the machine's resources
+    /// are exhausted", §II-E). Checked on the default cluster and on one
+    /// 32 GB node, after a few runs of the same task type.
     #[test]
-    fn clamped_failure_handling_respects_the_largest_node(
-        max_observed in 1.0e9f64..200.0e9,
-        failed_alloc in 1.0e9f64..200.0e9,
-        attempt in 1u32..8,
-        capacity in 64.0e9f64..256.0e9,
+    fn sizey_retries_through_the_engine_stay_within_the_largest_node(
+        warm in prop::collection::vec((1.0e9f64..20.0e9, 0.5f64..1.5), 0..12),
+        preset_gb in 1.0f64..64.0,
+        oversize in 1.01f64..4.0,
     ) {
-        let a = sizey_core::failure_allocation_clamped(
-            Some(max_observed), failed_alloc, attempt, capacity);
-        let b = sizey_core::failure_allocation_clamped(
-            Some(max_observed), failed_alloc, attempt + 1, capacity);
-        prop_assert!(a <= capacity);
-        prop_assert!(b <= capacity);
-        prop_assert!(b >= a, "clamped escalation must stay monotone");
+        let one_node = SimulationConfig::default().with_nodes(1, 32e9, 4);
+        for config in [SimulationConfig::default(), one_node] {
+            let largest = config.largest_node_memory_bytes();
+            let instance = |sequence: usize, input_bytes: f64, true_peak_bytes: f64| TaskInstance {
+                workflow: "wf".into(),
+                task_type: TaskTypeId::new("t"),
+                machine: MachineId::new("m"),
+                sequence: sequence as u64,
+                input_bytes,
+                true_peak_bytes,
+                base_runtime_seconds: 60.0,
+                preset_memory_bytes: preset_gb * 1e9,
+                cpu_utilization_pct: 100.0,
+                io_read_bytes: 1e9,
+                io_write_bytes: 1e9,
+            };
+            let mut instances: Vec<TaskInstance> = warm
+                .iter()
+                .enumerate()
+                .map(|(i, &(input, ratio))| instance(i, input, (input * ratio).min(largest / 2.0)))
+                .collect();
+            instances.push(instance(warm.len(), 10e9, largest * oversize));
+            let mut sizey = SizeyPredictor::with_defaults();
+            let report = replay_workflow("wf", &instances, &mut sizey, &config);
+
+            let mut chains: BTreeMap<u64, Vec<(u32, f64)>> = BTreeMap::new();
+            for e in &report.events {
+                chains.entry(e.sequence).or_default().push((e.attempt, e.allocated_bytes));
+            }
+            for chain in chains.values_mut() {
+                chain.sort_by_key(|&(attempt, _)| attempt);
+                let above = chain.iter().any(|&(_, a)| a > largest);
+                prop_assert!(!above, "above the largest node: {:?}", chain);
+                let shrank = chain.windows(2).any(|w| w[1].1 < w[0].1);
+                prop_assert!(!shrank, "retry shrank: {:?}", chain);
+            }
+            let oversized = &chains[&(warm.len() as u64)];
+            prop_assert_eq!(oversized.len(), config.max_attempts as usize);
+            prop_assert_eq!(oversized.last().map(|&(_, a)| a), Some(largest));
+        }
     }
 
     // Capacity changes nothing in the sequential replay (the name dates from

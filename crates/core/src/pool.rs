@@ -59,6 +59,19 @@ struct PoolMember {
     accuracy_scores: Vec<f64>,
 }
 
+impl PoolMember {
+    /// The member's estimate for `features`, clamped to be non-negative;
+    /// `None` when the model is unfitted, fails or returns a non-finite
+    /// value.
+    fn estimate(&self, features: &[f64], scratch: &mut PredictScratch) -> Option<f64> {
+        if !self.model.is_fitted() {
+            return None;
+        }
+        let p = self.model.predict_with(features, scratch).ok()?;
+        p.is_finite().then(|| p.max(0.0))
+    }
+}
+
 impl Clone for PoolMember {
     fn clone(&self) -> Self {
         PoolMember {
@@ -277,16 +290,8 @@ impl ModelPool {
     ) -> Option<()> {
         scratch.estimates.clear();
         for m in &self.members {
-            if !m.model.is_fitted() {
-                continue;
-            }
-            if let Some(p) = m
-                .model
-                .predict_with(features, &mut scratch.ml)
-                .ok()
-                .filter(|p| p.is_finite())
-            {
-                scratch.estimates.push((m.class, p.max(0.0)));
+            if let Some(p) = m.estimate(features, &mut scratch.ml) {
+                scratch.estimates.push((m.class, p));
             }
         }
         if scratch.estimates.is_empty() {
@@ -310,6 +315,20 @@ impl ModelPool {
             return None;
         }
         self.individual_estimates_into(features, scratch)?;
+        self.gate_estimates(config, scratch)
+    }
+
+    /// The gating tail of the prediction pipeline: RAQ scores and gating
+    /// over the member estimates already in `scratch.estimates`. Returns
+    /// `None` when there are none.
+    fn gate_estimates(
+        &self,
+        config: &SizeyConfig,
+        scratch: &mut PoolScratch,
+    ) -> Option<GatedOutcome> {
+        if scratch.estimates.is_empty() {
+            return None;
+        }
         // The accuracy score follows the model's *current* quality: only the
         // most recent prequential errors enter Eq. 1, so a model that drifts
         // (or recovers) is re-rated quickly. The per-pair contributions were
@@ -416,27 +435,30 @@ impl ModelPool {
         config: &SizeyConfig,
         scratch: &mut PoolScratch,
     ) {
-        // 1. Prequential accuracy update: ask every fitted member what it
-        //    would have predicted *before* learning from this task. The
-        //    pair's Eq. 1 contribution is scored once, here, so predictions
-        //    only ever sum cached values.
+        // 1. Prequential accuracy update: one sweep asks every fitted
+        //    member what it would have predicted *before* learning from
+        //    this task. The pair's Eq. 1 contribution is scored once, here,
+        //    so predictions only ever sum cached values.
+        scratch.estimates.clear();
         for member in &mut self.members {
-            if member.model.is_fitted() {
-                if let Ok(pred) = member.model.predict_with(features, &mut scratch.ml) {
-                    if pred.is_finite() {
-                        member
-                            .accuracy_scores
-                            .push(pair_accuracy(pred.max(0.0), peak_bytes));
-                    }
-                }
+            if let Some(p) = member.estimate(features, &mut scratch.ml) {
+                member.accuracy_scores.push(pair_accuracy(p, peak_bytes));
+                scratch.estimates.push((member.class, p));
             }
         }
-        // 2. Offset bookkeeping with the aggregate estimate. The same
-        // pre-learning estimate feeds the drift detector: the observation is
-        // under-predicted when the raw aggregate fell below the actual peak.
-        // No estimate (cold start) → no detector update.
+        // 2. Offset bookkeeping with the aggregate estimate, gated over the
+        // same sweep's estimates (and accuracy windows that now include this
+        // task's pairs). The pre-learning estimate also feeds the drift
+        // detector: the observation is under-predicted when the raw
+        // aggregate fell below the actual peak. No estimate (cold start) →
+        // no detector update.
         let mut drift_under = None;
-        if let Some(outcome) = self.gated_estimate_with(features, config, scratch) {
+        let gated = if self.is_ready(config.min_history) {
+            self.gate_estimates(config, scratch)
+        } else {
+            None
+        };
+        if let Some(outcome) = gated {
             self.aggregate_history.push((outcome.estimate, peak_bytes));
             drift_under = Some(outcome.estimate < peak_bytes);
         }
@@ -705,6 +727,58 @@ mod tests {
             assert!(member.accuracy_scores.len() < 6);
         }
         assert!(!pool.aggregate_history().is_empty());
+    }
+
+    #[test]
+    fn observe_scores_and_gates_the_pre_learning_predictions() {
+        // Thirty observes cover the cold start, the first fits, incremental
+        // updates and the full retrain at the default interval of 25.
+        let cfg = config();
+        let mut pool = ModelPool::new(&cfg);
+        for i in 1..=30 {
+            let input = i as f64 * 1e9;
+            let peak = 2.0 * input + 1e9 + (i % 7) as f64 * 3e8;
+            let features = [input];
+            // What every member predicts before the observe learns the task.
+            let before: Vec<Option<f64>> = pool
+                .members
+                .iter()
+                .map(|m| m.model.predict(&features).ok().filter(|p| p.is_finite()))
+                .collect();
+            let scores_before: Vec<usize> = pool
+                .members
+                .iter()
+                .map(|m| m.accuracy_scores.len())
+                .collect();
+            // The gate the observe must record: the pre-observe models, with
+            // this task's pairs already in their accuracy windows.
+            let mut scored = pool.clone();
+            for (member, p) in scored.members.iter_mut().zip(&before) {
+                if let Some(p) = p {
+                    member.accuracy_scores.push(pair_accuracy(p.max(0.0), peak));
+                }
+            }
+            let want = gated(&scored, &features, &cfg).map(|(o, _)| o.estimate.to_bits());
+            let history_before = pool.aggregate_history().len();
+
+            pool.observe_success(&features, peak, &cfg, &mut PoolScratch::default());
+
+            let members = pool.members.iter().zip(&before).zip(&scores_before);
+            for ((member, p), &len) in members {
+                let newest = member.accuracy_scores.get(len).map(|s| s.to_bits());
+                let expected = p.map(|p| pair_accuracy(p.max(0.0), peak).to_bits());
+                assert_eq!(newest, expected, "{:?} at observe {i}", member.class);
+                assert_eq!(member.accuracy_scores.len(), len + usize::from(p.is_some()));
+            }
+            let recorded = pool.aggregate_history()[history_before..].to_vec();
+            let expected: Vec<_> = want.iter().map(|&e| (e, peak.to_bits())).collect();
+            let recorded: Vec<_> = recorded
+                .iter()
+                .map(|(e, a)| (e.to_bits(), a.to_bits()))
+                .collect();
+            assert_eq!(recorded, expected, "aggregate pair at observe {i}");
+        }
+        assert!(pool.model_epoch() > 0, "the run must cross a full retrain");
     }
 
     #[test]

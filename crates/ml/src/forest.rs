@@ -24,11 +24,21 @@ use rand::{Rng, SeedableRng};
 
 /// Bootstrap size from which [`RandomForestRegression`] fits its trees on
 /// scoped threads. A smaller sample is fitted sequentially: spawning the
-/// workers costs more than fitting the trees. Measured on a 2-vCPU x86-64
-/// host with 24 depth-8 trees on one feature, the threaded fit takes about
-/// 3× as long at 16 rows (120–190 µs against 37–58 µs). The break-even
-/// point moved between 48–64 rows and about 128 rows across measurements,
-/// with the other load on the host; the constant takes the low end.
+/// workers costs more than fitting the trees. The forest is the same
+/// either way. Full fits of 24 depth-8 trees on one feature, on a 2-vCPU
+/// x86-64 host (medians of five alternating runs of each, µs):
+///
+/// | rows | threaded | serial | threaded faster |
+/// |---|---|---|---|
+/// | 32 | 165 | 86 | 0 of 5 |
+/// | 48 | 196 | 167 | 1 of 5 |
+/// | 64 | 335 | 329 | 3 of 5 |
+/// | 96 | 445 | 556 | 5 of 5 |
+/// | 128 | 631 | 817 | 4 of 5 |
+/// | 268 | 1,305 | 2,048 | 4 of 5 |
+/// | 800 | 3,244 | 5,390 | 5 of 5 |
+///
+/// The break-even is at 64 rows.
 pub const PARALLEL_FIT_MIN_ROWS: usize = 64;
 
 /// Hyper-parameters for [`RandomForestRegression`].
@@ -206,15 +216,18 @@ impl RandomForestRegression {
             self.trees =
                 vec![RegressionTree::new(self.tree_config(self.n_features)); self.config.n_trees];
         }
-        for ((i, _), tree) in seeds.iter().zip(trained) {
-            self.trees[*i] = tree;
-        }
-        // Copy the ensemble into fresh, exactly sized, back-to-back
-        // allocations. A predict walks every tree, and a tree's nodes
+        // Install a copy of each replaced tree in a fresh, exactly sized
+        // allocation, made back to back while every grown tree is still
+        // alive. A predict walks every tree, and a grown tree's nodes
         // otherwise stay wherever its growth left them, between freed growth
         // buffers and whatever else was allocated meanwhile. On `serve_read`
-        // the scattered layout cost about 10 % of predicts/s.
-        self.trees = self.trees.clone();
+        // the scattered layout cost about 10 % of predicts/s. A full fit
+        // replaces, and so compacts, the whole ensemble; a partial refresh
+        // copies only the few trees it replaced, and the untouched trees
+        // keep the compact copies an earlier fit made.
+        for ((i, _), tree) in seeds.iter().zip(&trained) {
+            self.trees[*i] = tree.clone();
+        }
         self.fit_generation += 1;
         Ok(())
     }

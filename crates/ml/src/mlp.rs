@@ -6,6 +6,14 @@
 //! small fully connected net trained with mini-batch Adam on standardised
 //! features and targets. `partial_fit` runs a few epochs over the new data
 //! (warm start), which is what keeps the incremental Sizey variant fast.
+//!
+//! Training is batch-major: each layer runs over the whole mini-batch at
+//! once, with activations and deltas stored unit by unit so the inner loops
+//! walk contiguous samples. Mini-batches of fewer than four samples
+//! (`BATCH_LOOP_MIN_SAMPLES`) run one sample at a time instead. Every float
+//! keeps the operation sequence of the plain per-sample loop (a test-only
+//! `reference` copy of it pins every weight bit for bit), so a fit is the
+//! same network either way.
 
 use crate::dataset::Dataset;
 use crate::model::{
@@ -141,22 +149,27 @@ impl Layer {
 }
 
 /// Flat buffers of the training loop, sized once per `train_epochs` call
-/// and threaded through every batch, so the per-sample and per-batch loops
-/// allocate nothing.
+/// for its largest mini-batch (`min(batch_size, rows)` samples) and
+/// threaded through every batch, so the batch loop allocates nothing.
+/// Activations and deltas are unit-major: a layer's unit `u` holds its
+/// value for sample `s` of the current batch at `u * batch + s`, so the
+/// inner loops of the batch passes run over contiguous samples. A sample
+/// trained on its own uses the same buffers as a batch of one.
 #[derive(Debug)]
 struct TrainScratch {
-    /// Every layer's activations back to back, the input first.
+    /// Every layer's activations for the batch back to back, the input
+    /// first.
     acts: Vec<f64>,
-    /// Delta of the layer being back-propagated, and the one below it.
-    delta: Vec<f64>,
-    next_delta: Vec<f64>,
+    /// Two halves: the deltas of the layer being back-propagated, and of
+    /// the one below it.
+    deltas: Vec<f64>,
     /// Gradient accumulators back to back: per layer, its weights (row-major
     /// like [`Layer::weights`]) then its biases.
     grads: Vec<f64>,
 }
 
 impl TrainScratch {
-    fn for_layers(layers: &[Layer]) -> Self {
+    fn for_layers(layers: &[Layer], batch: usize) -> Self {
         let inputs = layers.first().map_or(0, |l| l.inputs);
         let outputs: usize = layers.iter().map(|l| l.outputs).sum();
         let widest = layers
@@ -166,11 +179,96 @@ impl TrainScratch {
             .unwrap_or(0);
         let params = layers.iter().map(|l| l.weights.len() + l.biases.len());
         TrainScratch {
-            acts: vec![0.0; inputs + outputs],
-            delta: vec![0.0; widest],
-            next_delta: vec![0.0; widest],
+            acts: vec![0.0; (inputs + outputs) * batch],
+            deltas: vec![0.0; 2 * widest * batch],
             grads: vec![0.0; params.sum()],
         }
+    }
+}
+
+/// Mini-batches of fewer samples than this train one sample at a time
+/// ([`MlpRegression::forward_sample`], [`MlpRegression::backward_sample`]);
+/// larger ones run each layer over the whole batch. Both give the same
+/// bits. The batch loop pays a fixed cost per weight for each pass over the
+/// samples, which a batch this small does not recover. Time per
+/// mini-batch, Adam step included, over 1,000 epochs of one batch on a
+/// 2-vCPU x86-64 host (µs, fastest of seven alternating runs; `[16]` is
+/// Sizey's pool shape, `[16, 16]` the default configuration):
+///
+/// | samples | `[16]` one at a time | `[16]` batch | `[16, 16]` one at a time | `[16, 16]` batch |
+/// |---|---|---|---|---|
+/// | 1 | 0.41 | 0.65 | 1.87 | 2.87 |
+/// | 2 | 0.52 | 0.70 | 2.37 | 3.12 |
+/// | 3 | 0.69 | 0.74 | 2.74 | 3.44 |
+/// | 4 | 0.82 | 0.75 | 3.15 | 3.34 |
+/// | 6 | 1.08 | 0.86 | 3.85 | 3.79 |
+/// | 8 | 1.42 | 0.86 | 4.81 | 3.92 |
+/// | 16 | 2.44 | 1.19 | 8.07 | 5.85 |
+///
+/// The constant is the break-even of Sizey's shape.
+const BATCH_LOOP_MIN_SAMPLES: usize = 4;
+
+/// Adds `c_0 * r_0[s]`, then `c_1 * r_1[s]`, and so on to each `out[s]`,
+/// where coefficient `c_j` is `coeffs[j * stride]` and the `terms` rows
+/// `r_j` lie back to back in `rows`, `out.len()` values each. Four terms
+/// share one pass over `out`; each sum still adds them one at a time, in
+/// order.
+fn add_terms(out: &mut [f64], coeffs: &[f64], stride: usize, rows: &[f64], terms: usize) {
+    let width = out.len();
+    let mut j = 0;
+    while j + 4 <= terms {
+        let block = &rows[j * width..(j + 4) * width];
+        let (r0, rest) = block.split_at(width);
+        let (r1, rest) = rest.split_at(width);
+        let (r2, r3) = rest.split_at(width);
+        let c = [
+            coeffs[j * stride],
+            coeffs[(j + 1) * stride],
+            coeffs[(j + 2) * stride],
+            coeffs[(j + 3) * stride],
+        ];
+        for ((((z, &a), &b), &d), &e) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *z = *z + c[0] * a + c[1] * b + c[2] * d + c[3] * e;
+        }
+        j += 4;
+    }
+    while j < terms {
+        let c = coeffs[j * stride];
+        for (z, &x) in out.iter_mut().zip(&rows[j * width..(j + 1) * width]) {
+            *z += c * x;
+        }
+        j += 1;
+    }
+}
+
+/// Adds to each `out[k]` the products `d[s] * r_k[s]` over the samples `s`
+/// in order, where the rows `r_k` lie back to back in `rows`, `d.len()`
+/// values each. Four sums share one pass over the samples.
+fn add_dots(out: &mut [f64], d: &[f64], rows: &[f64]) {
+    let width = d.len();
+    let mut k = 0;
+    while k + 4 <= out.len() {
+        let block = &rows[k * width..(k + 4) * width];
+        let (r0, rest) = block.split_at(width);
+        let (r1, rest) = rest.split_at(width);
+        let (r2, r3) = rest.split_at(width);
+        let g = &mut out[k..k + 4];
+        let mut acc = [g[0], g[1], g[2], g[3]];
+        for ((((&d, &a), &b), &c), &e) in d.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            acc[0] += d * a;
+            acc[1] += d * b;
+            acc[2] += d * c;
+            acc[3] += d * e;
+        }
+        g.copy_from_slice(&acc);
+        k += 4;
+    }
+    while k < out.len() {
+        let g = &mut out[k];
+        for (&d, &x) in d.iter().zip(&rows[k * width..(k + 1) * width]) {
+            *g += d * x;
+        }
+        k += 1;
     }
 }
 
@@ -225,10 +323,11 @@ impl MlpRegression {
 
     /// Forward pass returning only the output value, ping-ponging two
     /// caller-owned activation buffers (cleared and refilled layer by
-    /// layer). The training pass keeps every layer's activations
-    /// ([`MlpRegression::forward_train`]); the predict hot path does not.
-    /// Arithmetic is identical, so the two agree bit for bit, and no
-    /// allocations happen once the buffers have grown to the widest layer.
+    /// layer). The training pass keeps every layer's activations for a
+    /// whole mini-batch ([`MlpRegression::forward_batch`]); the predict hot
+    /// path does not. Arithmetic is identical, so the two agree bit for bit,
+    /// and no allocations happen once the buffers have grown to the widest
+    /// layer.
     fn forward_scalar_into(
         &self,
         input: &[f64],
@@ -249,11 +348,99 @@ impl MlpRegression {
         current[0]
     }
 
-    /// Forward pass over `acts`, whose first `inputs` entries hold the
-    /// (scaled) sample: each layer's activations are written right behind
-    /// its input. Returns the output. Arithmetic matches
-    /// [`MlpRegression::forward_scalar_into`] bit for bit.
-    fn forward_train(&self, acts: &mut [f64]) -> f64 {
+    /// Forward pass over the `batch` samples whose inputs fill the start of
+    /// `acts` unit-major: each layer's activations are written right behind
+    /// its input. Returns where the output layer's activations start. Every
+    /// output is its bias plus `w * x` added in input order, as in
+    /// [`MlpRegression::forward_scalar_into`], so the two agree bit for bit.
+    fn forward_batch(&self, acts: &mut [f64], batch: usize) -> usize {
+        let last = self.layers.len() - 1;
+        let mut start = 0;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(start + layer.inputs * batch);
+            let input = &done[start..];
+            for (o, &bias) in layer.biases.iter().enumerate() {
+                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                let out = &mut rest[o * batch..(o + 1) * batch];
+                out.fill(bias);
+                add_terms(out, row, 1, input, layer.inputs);
+                if li != last {
+                    for z in out.iter_mut() {
+                        *z = self.config.activation.forward(*z);
+                    }
+                }
+            }
+            start += layer.inputs * batch;
+        }
+        start
+    }
+
+    /// Back-propagates the output errors of the `batch` samples, which the
+    /// caller left at the start of `scratch.deltas`, through the activations
+    /// [`MlpRegression::forward_batch`] left in `scratch.acts`, adding the
+    /// gradient into `scratch.grads`. Each gradient element sums its
+    /// samples in sample order, and each back-propagated delta is `0.0`
+    /// plus `w * d` over the output units in order, times the activation
+    /// derivative: the per-sample loop's operations, float for float.
+    fn backward_batch(&self, batch: usize, scratch: &mut TrainScratch) {
+        let TrainScratch {
+            acts,
+            deltas,
+            grads,
+        } = scratch;
+        let half = deltas.len() / 2;
+        let (mut delta, mut next_delta) = deltas.split_at_mut(half);
+        let units = self.layers.first().map_or(0, |l| l.inputs)
+            + self.layers.iter().map(|l| l.outputs).sum::<usize>();
+        // The output layer has one unit.
+        let mut act_end = (units - 1) * batch;
+        let mut grad_end = grads.len();
+        for (li, layer) in self.layers.iter().enumerate().rev() {
+            let input_act = &acts[act_end - layer.inputs * batch..act_end];
+            let grad_start = grad_end - layer.weights.len() - layer.biases.len();
+            let (d_w, d_b) = grads[grad_start..grad_end].split_at_mut(layer.weights.len());
+            let delta_out = &delta[..layer.outputs * batch];
+            for (o, g_b) in d_b.iter_mut().enumerate() {
+                let d_o = &delta_out[o * batch..(o + 1) * batch];
+                let row = &mut d_w[o * layer.inputs..(o + 1) * layer.inputs];
+                for &d in d_o {
+                    *g_b += d;
+                }
+                add_dots(row, d_o, input_act);
+            }
+            if li == 0 {
+                break;
+            }
+            // Propagate delta to the previous layer.
+            let below = &mut next_delta[..layer.inputs * batch];
+            below.fill(0.0);
+            for i in 0..layer.inputs {
+                let nd = &mut below[i * batch..(i + 1) * batch];
+                add_terms(
+                    nd,
+                    &layer.weights[i..],
+                    layer.inputs,
+                    delta_out,
+                    layer.outputs,
+                );
+            }
+            // Multiply by the activation derivative of the previous layer's
+            // (activated) outputs, which are this layer's input.
+            for (nd, a) in below.iter_mut().zip(input_act) {
+                *nd *= self.config.activation.derivative(*a);
+            }
+            std::mem::swap(&mut delta, &mut next_delta);
+            act_end -= layer.inputs * batch;
+            grad_end = grad_start;
+        }
+    }
+
+    /// Forward pass of one sample whose input fills the start of `acts`,
+    /// the per-sample twin of [`MlpRegression::forward_batch`] (a batch of
+    /// one has the same layout): each output is one dot product over the
+    /// layer's input, with the same arithmetic. Returns where the output
+    /// activation is.
+    fn forward_sample(&self, acts: &mut [f64]) -> usize {
         let last = self.layers.len() - 1;
         let mut start = 0;
         for (li, layer) in self.layers.iter().enumerate() {
@@ -273,23 +460,26 @@ impl MlpRegression {
             }
             start += layer.inputs;
         }
-        acts[start]
+        start
     }
 
-    /// Back-propagates one sample's output `error` through the activations
-    /// [`MlpRegression::forward_train`] left in `scratch.acts`, adding its
-    /// gradient into `scratch.grads`.
-    fn backward(&self, error: f64, scratch: &mut TrainScratch) {
+    /// Back-propagates the output error the caller left at the start of
+    /// `scratch.deltas` through the activations
+    /// [`MlpRegression::forward_sample`] left in `scratch.acts`, adding the
+    /// sample's gradient into `scratch.grads`: the per-sample twin of
+    /// [`MlpRegression::backward_batch`], with the same arithmetic.
+    fn backward_sample(&self, scratch: &mut TrainScratch) {
         let TrainScratch {
             acts,
-            delta,
-            next_delta,
+            deltas,
             grads,
         } = scratch;
-        // The output layer's delta is just the error (linear output +
-        // squared loss).
-        delta[0] = error;
-        let mut act_end = acts.len() - 1; // the output layer has one unit
+        let half = deltas.len() / 2;
+        let (mut delta, mut next_delta) = deltas.split_at_mut(half);
+        let units = self.layers.first().map_or(0, |l| l.inputs)
+            + self.layers.iter().map(|l| l.outputs).sum::<usize>();
+        // The output layer has one unit.
+        let mut act_end = units - 1;
         let mut grad_end = grads.len();
         for (li, layer) in self.layers.iter().enumerate().rev() {
             let input_act = &acts[act_end - layer.inputs..act_end];
@@ -306,7 +496,6 @@ impl MlpRegression {
             if li == 0 {
                 break;
             }
-            // Propagate delta to the previous layer.
             let below = &mut next_delta[..layer.inputs];
             below.fill(0.0);
             for (o, &d) in delta_out.iter().enumerate() {
@@ -315,37 +504,52 @@ impl MlpRegression {
                     *nd += w * d;
                 }
             }
-            // Multiply by the activation derivative of the previous layer's
-            // (activated) outputs, which are this layer's input.
             for (nd, a) in below.iter_mut().zip(input_act) {
                 *nd *= self.config.activation.derivative(*a);
             }
-            std::mem::swap(delta, next_delta);
+            std::mem::swap(&mut delta, &mut next_delta);
             act_end -= layer.inputs;
             grad_end = grad_start;
         }
     }
 
     /// Runs one Adam update over the mini-batch of sample positions `batch`
-    /// into the flat scaled rows `xs` and targets `ys`. Returns the batch
-    /// mean squared error (in scaled target space).
-    fn train_batch(
-        &mut self,
-        batch: &[u32],
-        xs: &[f64],
-        ys: &[f64],
-        scratch: &mut TrainScratch,
-    ) -> f64 {
+    /// into `samples`, the flat scaled rows each followed by its scaled
+    /// target. Returns the batch mean squared error (in scaled target
+    /// space).
+    fn train_batch(&mut self, batch: &[u32], samples: &[f64], scratch: &mut TrainScratch) -> f64 {
         scratch.grads.fill(0.0);
         let width = self.n_features;
+        let sample = |p: u32| &samples[p as usize * (width + 1)..(p as usize + 1) * (width + 1)];
+        let b = batch.len();
         let mut loss = 0.0;
-        for &p in batch {
-            let p = p as usize;
-            scratch.acts[..width].copy_from_slice(&xs[p * width..(p + 1) * width]);
-            let prediction = self.forward_train(&mut scratch.acts);
-            let error = prediction - ys[p];
-            loss += error * error;
-            self.backward(error, scratch);
+        if b < BATCH_LOOP_MIN_SAMPLES {
+            for &p in batch {
+                let (row, target) = sample(p).split_at(width);
+                scratch.acts[..width].copy_from_slice(row);
+                let output = self.forward_sample(&mut scratch.acts);
+                // The output layer's delta is just the error (linear output
+                // + squared loss).
+                let error = scratch.acts[output] - target[0];
+                loss += error * error;
+                scratch.deltas[0] = error;
+                self.backward_sample(scratch);
+            }
+        } else {
+            for (s, &p) in batch.iter().enumerate() {
+                for (f, &x) in sample(p)[..width].iter().enumerate() {
+                    scratch.acts[f * b + s] = x;
+                }
+            }
+            let output = self.forward_batch(&mut scratch.acts, b);
+            let predictions = &scratch.acts[output..output + b];
+            let errors = scratch.deltas.iter_mut().zip(predictions);
+            for ((e, &prediction), &p) in errors.zip(batch) {
+                let error = prediction - sample(p)[width];
+                loss += error * error;
+                *e = error;
+            }
+            self.backward_batch(b, scratch);
         }
 
         // Adam update. The bias-correction denominators depend only on the
@@ -385,22 +589,28 @@ impl MlpRegression {
 
     /// Trains for up to `epochs` passes over `data` (already raw-space).
     ///
-    /// The rows are scaled once into one flat row-major buffer, and each
-    /// epoch shuffles a permutation of sample positions rather than the
-    /// samples: the shuffle draws the same swaps for any slice of the same
-    /// length, so batch `k` of an epoch holds the same samples, in the same
-    /// order, as a shuffle of the rows themselves would. A call allocates
-    /// seven buffers (rows, targets, permutation and the four of
-    /// [`TrainScratch`]), however many rows and epochs it runs.
+    /// The samples are scaled once into one flat row-major buffer (each row
+    /// followed by its target), and each epoch shuffles a permutation of
+    /// sample positions rather than the samples: the shuffle draws the same
+    /// swaps for any slice of the same length, so batch `k` of an epoch
+    /// holds the same samples, in the same order, as a shuffle of the rows
+    /// themselves would. Each mini-batch then runs layer by layer over all
+    /// of its samples at once ([`MlpRegression::forward_batch`],
+    /// [`MlpRegression::backward_batch`]), or one sample at a time when it
+    /// has fewer than `BATCH_LOOP_MIN_SAMPLES`. A call allocates five buffers
+    /// (samples, permutation and the three of [`TrainScratch`]), however
+    /// many rows and epochs it runs; a warm start on 16 rows pays for them
+    /// once per update.
     fn train_epochs(&mut self, data: &Dataset, epochs: usize) {
-        let mut xs = Vec::with_capacity(data.len() * self.n_features);
-        for row in data.features() {
-            self.feature_scaler.transform_append(row, &mut xs);
+        let mut samples = Vec::with_capacity(data.len() * (self.n_features + 1));
+        for (row, &y) in data.features().iter().zip(data.targets()) {
+            self.feature_scaler.transform_append(row, &mut samples);
+            samples.push(self.target_scaler.transform(y));
         }
-        let ys = self.target_scaler.transform_batch(data.targets());
         let n = u32::try_from(data.len()).expect("an MLP trains on fewer than 2^32 rows");
         let mut perm: Vec<u32> = (0..n).collect();
-        let mut scratch = TrainScratch::for_layers(&self.layers);
+        let batch_size = self.config.batch_size.max(1);
+        let mut scratch = TrainScratch::for_layers(&self.layers, batch_size.min(data.len()));
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(self.adam_step));
         let mut best_loss = f64::INFINITY;
         let mut stall = 0usize;
@@ -408,8 +618,8 @@ impl MlpRegression {
             perm.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
-            for batch in perm.chunks(self.config.batch_size.max(1)) {
-                epoch_loss += self.train_batch(batch, &xs, &ys, &mut scratch);
+            for batch in perm.chunks(batch_size) {
+                epoch_loss += self.train_batch(batch, &samples, &mut scratch);
                 batches += 1;
             }
             let epoch_loss = epoch_loss / batches.max(1) as f64;
@@ -502,14 +712,21 @@ impl Regressor for MlpRegression {
 
 #[cfg(test)]
 mod reference {
-    //! The training loop [`MlpRegression::train_epochs`] replaced, kept as
-    //! plain code: the test oracle the flat kernel is held to bit for bit.
+    //! The per-sample training loop, kept as plain code: the test oracle
+    //! [`MlpRegression::train_epochs`] is held to bit for bit, both its
+    //! batch-major loop ([`MlpRegression::forward_batch`],
+    //! [`MlpRegression::backward_batch`]) and its one-sample-at-a-time loop
+    //! for small mini-batches.
     //!
     //! Samples are `(Vec<f64>, f64)` pairs built per call and shuffled in
-    //! place; activations and gradients are per-layer vectors. Nothing here
-    //! is tuned for speed. The flat kernel must match it exactly, so its
-    //! summation orders (`sum = bias; sum += w * x`, the back-propagated
-    //! delta's `0.0 + w * d`, the Adam update) are the ones to keep.
+    //! place; each sample runs forward and backward on its own, through
+    //! per-layer vectors. Nothing here is tuned for speed. The training
+    //! loops must match it exactly, so its operation orders are the ones to
+    //! keep: each output is `bias`, then `+= w * x` in input order; each
+    //! gradient element sums its samples in sample order; the
+    //! back-propagated delta is `0.0 + w * d` over the output units in
+    //! order, then times the activation derivative; the loss sums the
+    //! samples in order; the Adam update is unchanged.
 
     use super::*;
 
@@ -714,7 +931,7 @@ mod reference {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// A `fit` followed by several `partial_fit`s trains the same
-            /// network, bit for bit, on the flat kernel and on the reference
+            /// network, bit for bit, on the batch-major loop and on the reference
             /// loop: every weight, moment and Adam step, and every
             /// prediction on a probe grid. Covers one and two hidden
             /// layers, ReLU and tanh, 1–3 features, row counts that are not
@@ -766,6 +983,62 @@ mod reference {
                         let got = flat.predict(query).map(f64::to_bits).ok();
                         let want = reference.predict(query).map(f64::to_bits).ok();
                         prop_assert_eq!(got, want, "step {} query {:?}", step, query);
+                    }
+                }
+            }
+        }
+
+        /// The shape Sizey's model pool trains (`build_model` in
+        /// sizey-core's `pool.rs`): one hidden layer of 16, up to 120
+        /// epochs, batches of 16 and five-epoch warm starts on 16 rows. The
+        /// proptest above stays below 48 rows and 40 epochs; this pins full
+        /// fits at 16, 64, 268 and 801 rows, each followed by five 16-row
+        /// warm starts.
+        #[test]
+        fn production_shape_matches_the_reference() {
+            let config = MlpConfig {
+                hidden_layers: vec![16],
+                max_epochs: 120,
+                incremental_epochs: 5,
+                batch_size: 16,
+                seed: 42,
+                ..MlpConfig::default()
+            };
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut draw = |n: usize| {
+                let rows: Vec<_> = (0..n)
+                    .map(|_| {
+                        let input = rng.gen_range(2e9..14e9);
+                        let noise = 1.0 + rng.gen_range(-0.04..0.04);
+                        (input, 0.0, 0.0, (2.4 * input + 6e9) * noise)
+                    })
+                    .collect();
+                dataset(&rows, 1)
+            };
+            let probes = [0.0, 2e9, 5.5e9, 9e9, 14e9, 3e10];
+            for rows in [16, 64, 268, 801] {
+                let mut flat = MlpRegression::new(config.clone());
+                let mut reference = MlpRegression::new(config.clone());
+                let initial = draw(rows);
+                flat.fit(&initial).unwrap();
+                fit(&mut reference, &initial);
+                for step in 0..=5 {
+                    if step > 0 {
+                        let update = draw(16);
+                        flat.partial_fit(&update).unwrap();
+                        partial_fit(&mut reference, &update);
+                    }
+                    assert_eq!(
+                        state_bits(&flat),
+                        state_bits(&reference),
+                        "{rows} rows, step {step}"
+                    );
+                    for probe in probes {
+                        assert_eq!(
+                            flat.predict(&[probe]).unwrap().to_bits(),
+                            reference.predict(&[probe]).unwrap().to_bits(),
+                            "{rows} rows, step {step}, probe {probe}"
+                        );
                     }
                 }
             }

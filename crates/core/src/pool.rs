@@ -281,23 +281,13 @@ impl ModelPool {
 
     /// Fills `scratch.estimates` with each fitted member's estimate for the
     /// given features, clamped to be non-negative; non-finite estimates are
-    /// dropped. Returns `None` (leaving the buffer empty) when no member can
-    /// predict.
-    pub(crate) fn individual_estimates_into(
-        &self,
-        features: &[f64],
-        scratch: &mut PoolScratch,
-    ) -> Option<()> {
+    /// dropped, so the buffer is empty when no member can predict.
+    pub(crate) fn individual_estimates_into(&self, features: &[f64], scratch: &mut PoolScratch) {
         scratch.estimates.clear();
         for m in &self.members {
             if let Some(p) = m.estimate(features, &mut scratch.ml) {
                 scratch.estimates.push((m.class, p));
             }
-        }
-        if scratch.estimates.is_empty() {
-            None
-        } else {
-            Some(())
         }
     }
 
@@ -314,7 +304,7 @@ impl ModelPool {
         if !self.is_ready(config.min_history) {
             return None;
         }
-        self.individual_estimates_into(features, scratch)?;
+        self.individual_estimates_into(features, scratch);
         self.gate_estimates(config, scratch)
     }
 
@@ -634,8 +624,8 @@ mod tests {
 
     fn estimates(pool: &ModelPool, features: &[f64]) -> Option<Vec<(ModelClass, f64)>> {
         let mut scratch = PoolScratch::default();
-        pool.individual_estimates_into(features, &mut scratch)?;
-        Some(scratch.estimates)
+        pool.individual_estimates_into(features, &mut scratch);
+        (!scratch.estimates.is_empty()).then_some(scratch.estimates)
     }
 
     fn feed_linear(pool: &mut ModelPool, cfg: &SizeyConfig, n: usize) {

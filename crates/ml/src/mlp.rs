@@ -9,11 +9,9 @@
 //!
 //! Training is batch-major: each layer runs over the whole mini-batch at
 //! once, with activations and deltas stored unit by unit so the inner loops
-//! walk contiguous samples. Mini-batches of fewer than four samples
-//! (`BATCH_LOOP_MIN_SAMPLES`) run one sample at a time instead. Every float
-//! keeps the operation sequence of the plain per-sample loop (a test-only
-//! `reference` copy of it pins every weight bit for bit), so a fit is the
-//! same network either way.
+//! walk contiguous samples. Every float keeps the operation sequence of the
+//! plain per-sample loop (a test-only `reference` copy of it pins every
+//! weight bit for bit), so a fit is the same network either way.
 
 use crate::dataset::Dataset;
 use crate::model::{
@@ -153,8 +151,7 @@ impl Layer {
 /// threaded through every batch, so the batch loop allocates nothing.
 /// Activations and deltas are unit-major: a layer's unit `u` holds its
 /// value for sample `s` of the current batch at `u * batch + s`, so the
-/// inner loops of the batch passes run over contiguous samples. A sample
-/// trained on its own uses the same buffers as a batch of one.
+/// inner loops of the batch passes run over contiguous samples.
 #[derive(Debug)]
 struct TrainScratch {
     /// Every layer's activations for the batch back to back, the input
@@ -185,28 +182,6 @@ impl TrainScratch {
         }
     }
 }
-
-/// Mini-batches of fewer samples than this train one sample at a time
-/// ([`MlpRegression::forward_sample`], [`MlpRegression::backward_sample`]);
-/// larger ones run each layer over the whole batch. Both give the same
-/// bits. The batch loop pays a fixed cost per weight for each pass over the
-/// samples, which a batch this small does not recover. Time per
-/// mini-batch, Adam step included, over 1,000 epochs of one batch on a
-/// 2-vCPU x86-64 host (µs, fastest of seven alternating runs; `[16]` is
-/// Sizey's pool shape, `[16, 16]` the default configuration):
-///
-/// | samples | `[16]` one at a time | `[16]` batch | `[16, 16]` one at a time | `[16, 16]` batch |
-/// |---|---|---|---|---|
-/// | 1 | 0.41 | 0.65 | 1.87 | 2.87 |
-/// | 2 | 0.52 | 0.70 | 2.37 | 3.12 |
-/// | 3 | 0.69 | 0.74 | 2.74 | 3.44 |
-/// | 4 | 0.82 | 0.75 | 3.15 | 3.34 |
-/// | 6 | 1.08 | 0.86 | 3.85 | 3.79 |
-/// | 8 | 1.42 | 0.86 | 4.81 | 3.92 |
-/// | 16 | 2.44 | 1.19 | 8.07 | 5.85 |
-///
-/// The constant is the break-even of Sizey's shape.
-const BATCH_LOOP_MIN_SAMPLES: usize = 4;
 
 /// Adds `c_0 * r_0[s]`, then `c_1 * r_1[s]`, and so on to each `out[s]`,
 /// where coefficient `c_j` is `coeffs[j * stride]` and the `terms` rows
@@ -435,84 +410,6 @@ impl MlpRegression {
         }
     }
 
-    /// Forward pass of one sample whose input fills the start of `acts`,
-    /// the per-sample twin of [`MlpRegression::forward_batch`] (a batch of
-    /// one has the same layout): each output is one dot product over the
-    /// layer's input, with the same arithmetic. Returns where the output
-    /// activation is.
-    fn forward_sample(&self, acts: &mut [f64]) -> usize {
-        let last = self.layers.len() - 1;
-        let mut start = 0;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = acts.split_at_mut(start + layer.inputs);
-            let input = &done[start..];
-            for (o, out) in rest[..layer.outputs].iter_mut().enumerate() {
-                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
-                let mut sum = layer.biases[o];
-                for (w, x) in row.iter().zip(input) {
-                    sum += w * x;
-                }
-                *out = if li == last {
-                    sum
-                } else {
-                    self.config.activation.forward(sum)
-                };
-            }
-            start += layer.inputs;
-        }
-        start
-    }
-
-    /// Back-propagates the output error the caller left at the start of
-    /// `scratch.deltas` through the activations
-    /// [`MlpRegression::forward_sample`] left in `scratch.acts`, adding the
-    /// sample's gradient into `scratch.grads`: the per-sample twin of
-    /// [`MlpRegression::backward_batch`], with the same arithmetic.
-    fn backward_sample(&self, scratch: &mut TrainScratch) {
-        let TrainScratch {
-            acts,
-            deltas,
-            grads,
-        } = scratch;
-        let half = deltas.len() / 2;
-        let (mut delta, mut next_delta) = deltas.split_at_mut(half);
-        let units = self.layers.first().map_or(0, |l| l.inputs)
-            + self.layers.iter().map(|l| l.outputs).sum::<usize>();
-        // The output layer has one unit.
-        let mut act_end = units - 1;
-        let mut grad_end = grads.len();
-        for (li, layer) in self.layers.iter().enumerate().rev() {
-            let input_act = &acts[act_end - layer.inputs..act_end];
-            let grad_start = grad_end - layer.weights.len() - layer.biases.len();
-            let (d_w, d_b) = grads[grad_start..grad_end].split_at_mut(layer.weights.len());
-            let delta_out = &delta[..layer.outputs];
-            for (o, &d) in delta_out.iter().enumerate() {
-                d_b[o] += d;
-                let row = &mut d_w[o * layer.inputs..(o + 1) * layer.inputs];
-                for (g, x) in row.iter_mut().zip(input_act) {
-                    *g += d * x;
-                }
-            }
-            if li == 0 {
-                break;
-            }
-            let below = &mut next_delta[..layer.inputs];
-            below.fill(0.0);
-            for (o, &d) in delta_out.iter().enumerate() {
-                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
-                for (nd, w) in below.iter_mut().zip(row) {
-                    *nd += w * d;
-                }
-            }
-            for (nd, a) in below.iter_mut().zip(input_act) {
-                *nd *= self.config.activation.derivative(*a);
-            }
-            std::mem::swap(&mut delta, &mut next_delta);
-            act_end -= layer.inputs;
-            grad_end = grad_start;
-        }
-    }
-
     /// Runs one Adam update over the mini-batch of sample positions `batch`
     /// into `samples`, the flat scaled rows each followed by its scaled
     /// target. Returns the batch mean squared error (in scaled target
@@ -522,35 +419,23 @@ impl MlpRegression {
         let width = self.n_features;
         let sample = |p: u32| &samples[p as usize * (width + 1)..(p as usize + 1) * (width + 1)];
         let b = batch.len();
-        let mut loss = 0.0;
-        if b < BATCH_LOOP_MIN_SAMPLES {
-            for &p in batch {
-                let (row, target) = sample(p).split_at(width);
-                scratch.acts[..width].copy_from_slice(row);
-                let output = self.forward_sample(&mut scratch.acts);
-                // The output layer's delta is just the error (linear output
-                // + squared loss).
-                let error = scratch.acts[output] - target[0];
-                loss += error * error;
-                scratch.deltas[0] = error;
-                self.backward_sample(scratch);
+        for (s, &p) in batch.iter().enumerate() {
+            for (f, &x) in sample(p)[..width].iter().enumerate() {
+                scratch.acts[f * b + s] = x;
             }
-        } else {
-            for (s, &p) in batch.iter().enumerate() {
-                for (f, &x) in sample(p)[..width].iter().enumerate() {
-                    scratch.acts[f * b + s] = x;
-                }
-            }
-            let output = self.forward_batch(&mut scratch.acts, b);
-            let predictions = &scratch.acts[output..output + b];
-            let errors = scratch.deltas.iter_mut().zip(predictions);
-            for ((e, &prediction), &p) in errors.zip(batch) {
-                let error = prediction - sample(p)[width];
-                loss += error * error;
-                *e = error;
-            }
-            self.backward_batch(b, scratch);
         }
+        let output = self.forward_batch(&mut scratch.acts, b);
+        // The output layer's delta is just the error (linear output +
+        // squared loss).
+        let mut loss = 0.0;
+        let predictions = &scratch.acts[output..output + b];
+        let errors = scratch.deltas.iter_mut().zip(predictions);
+        for ((e, &prediction), &p) in errors.zip(batch) {
+            let error = prediction - sample(p)[width];
+            loss += error * error;
+            *e = error;
+        }
+        self.backward_batch(b, scratch);
 
         // Adam update. The bias-correction denominators depend only on the
         // step, not the parameter index — hoisted out of the weight loops
@@ -596,8 +481,7 @@ impl MlpRegression {
     /// holds the same samples, in the same order, as a shuffle of the rows
     /// themselves would. Each mini-batch then runs layer by layer over all
     /// of its samples at once ([`MlpRegression::forward_batch`],
-    /// [`MlpRegression::backward_batch`]), or one sample at a time when it
-    /// has fewer than `BATCH_LOOP_MIN_SAMPLES`. A call allocates five buffers
+    /// [`MlpRegression::backward_batch`]). A call allocates five buffers
     /// (samples, permutation and the three of [`TrainScratch`]), however
     /// many rows and epochs it runs; a warm start on 16 rows pays for them
     /// once per update.

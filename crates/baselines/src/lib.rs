@@ -115,7 +115,7 @@ mod tests {
         let mut tovar = TovarPpm::new();
         let report = replay_workflow("iwd", &instances, &mut tovar, &config);
         assert!(report.total_wastage_gbh().is_finite());
-        assert_eq!(report.unfinished_instances, 0);
+        assert_eq!(report.aggregates.unfinished_instances, 0);
         // The conservative node-maximum retry means no task needs a third
         // attempt.
         assert!(report.events.iter().all(|e| e.attempt <= 1));

@@ -583,7 +583,7 @@ fn fig08c_task_failures(ctx: &Context) {
             }
         }
         for report in reports {
-            for (task_type, count) in report.failures_by_task_type() {
+            for (task_type, count) in &report.aggregates.failures_by_task_type {
                 *per_type
                     .entry(format!("{}/{}", report.workflow, task_type))
                     .or_insert(0) += count;
@@ -720,7 +720,7 @@ fn fig10_alpha_sweep(ctx: &Context) {
         .iter()
         .zip(&results)
         .map(|(alpha, (_, reports))| {
-            let per_type = reports[0].wastage_by_task_type();
+            let per_type = &reports[0].aggregates.wastage_by_task_type;
             let task_gbh = |task: &str| {
                 let gbh = per_type.get(&TaskTypeId::new(task)).copied();
                 fmt(gbh.unwrap_or(0.0), 3)
@@ -756,21 +756,17 @@ fn fig11_model_selection_share(ctx: &Context) {
     let config = SizeyConfig::default().with_gating(GatingStrategy::Argmax);
     let (report, _) = replay_sizey(config, &workload("rnaseq", &settings));
     let rows: Vec<Vec<String>> = report
+        .aggregates
         .model_selection_share()
         .iter()
         .map(|(model, share)| vec![model.clone(), fmt(share * 100.0, 1)])
         .collect();
     print_table(&["Model class", "Share %"], &rows);
 
-    let with_model = report
-        .events
-        .iter()
-        .filter(|e| e.attempt == 0 && e.selected_model.is_some())
-        .count();
     println!(
-        "Model-based predictions: {with_model} of {} first attempts (the rest used the preset \
+        "Model-based predictions: {} of {} first attempts (the rest used the preset \
          because the task type was still unknown).",
-        report.instances
+        report.aggregates.model_selection_total, report.aggregates.instances
     );
     println!("Paper reference (Fig. 11): MLP 42.7%, KNN 29.1%, Random Forest 19.4%,");
     println!("Linear Regression 8.8%. Expected shape: the non-linear models dominate once");

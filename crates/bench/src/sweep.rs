@@ -152,15 +152,15 @@ fn run_cell(
         // Streaming replay: instances are generated lazily and attempt events
         // fold into the aggregates online, so a cell's memory is bounded by
         // the in-flight working set — the differential suite pins the
-        // aggregates bit-identical to the former materialised report.
-        let aggregates = replay_workflow_streaming(
+        // aggregates bit-identical to the materialised replay's.
+        let report = replay_workflow_streaming(
             workflow,
             stream_workflow(&wf_spec, &generator),
             predictor.as_mut(),
             &sim,
             sink,
         );
-        (aggregates, 0, 0, predictor)
+        (report.aggregates, 0, 0, predictor)
     };
     let cell = SweepCell {
         workflow: workflow.to_string(),

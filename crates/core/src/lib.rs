@@ -96,6 +96,6 @@ mod tests {
             sizey_report.total_wastage_gbh(),
             preset_report.total_wastage_gbh()
         );
-        assert_eq!(sizey_report.unfinished_instances, 0);
+        assert_eq!(sizey_report.aggregates.unfinished_instances, 0);
     }
 }

@@ -68,8 +68,8 @@ proptest! {
             prop_assert_eq!(a.wastage_gbh, b.wastage_gbh);
         }
         prop_assert_eq!(
-            serial_report.unfinished_instances,
-            shared_report.unfinished_instances
+            serial_report.aggregates.unfinished_instances,
+            shared_report.aggregates.unfinished_instances
         );
     }
 

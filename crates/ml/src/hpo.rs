@@ -235,15 +235,6 @@ pub fn grid_search(
     })
 }
 
-/// Grid-searches the default grid of a model class.
-pub fn grid_search_class(
-    class: ModelClass,
-    data: &Dataset,
-    k: usize,
-) -> Result<GridSearchResult, ModelError> {
-    grid_search(&ModelSpec::default_grid(class), data, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,11 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn grid_search_class_runs_for_each_class() {
+    fn grid_search_runs_each_default_grid() {
         let data = linear_data(24);
-        for class in [ModelClass::Linear, ModelClass::Knn] {
-            let r = grid_search_class(class, &data, 3).unwrap();
+        for class in ModelClass::ALL {
+            let r = grid_search(&ModelSpec::default_grid(class), &data, 3).unwrap();
             assert_eq!(r.spec.class(), class);
+            assert!(r.model.is_fitted());
         }
     }
 }

@@ -50,7 +50,7 @@ pub mod tree;
 
 pub use dataset::Dataset;
 pub use forest::{ForestConfig, RandomForestRegression};
-pub use hpo::{cross_validate, grid_search, grid_search_class, GridSearchResult, ModelSpec};
+pub use hpo::{cross_validate, grid_search, GridSearchResult, ModelSpec};
 pub use knn::{KnnConfig, KnnRegression, KnnWeighting};
 pub use linear::{LinearConfig, LinearRegression};
 pub use mlp::{Activation, MlpConfig, MlpRegression};
@@ -69,11 +69,6 @@ pub fn default_model(class: ModelClass) -> Box<dyn Regressor> {
     }
 }
 
-/// Builds the full default model pool (one model per class).
-pub fn default_pool() -> Vec<Box<dyn Regressor>> {
-    ModelClass::ALL.iter().map(|&c| default_model(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,19 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn default_pool_has_four_distinct_classes() {
-        let pool = default_pool();
-        assert_eq!(pool.len(), 4);
-        let classes: std::collections::HashSet<_> = pool.iter().map(|m| m.class()).collect();
-        assert_eq!(classes.len(), 4);
-    }
-
-    #[test]
-    fn pool_models_fit_and_predict_on_shared_data() {
+    fn default_models_fit_and_predict_on_shared_data() {
         let xs: Vec<f64> = (0..30).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 10.0 * x + 100.0).collect();
         let data = Dataset::from_univariate(&xs, &ys);
-        for mut model in default_pool() {
+        for mut model in ModelClass::ALL.map(default_model) {
             model.fit(&data).unwrap();
             let p = model.predict(&[15.0]).unwrap();
             assert!(p.is_finite());

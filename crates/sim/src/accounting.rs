@@ -4,8 +4,10 @@
 //! memory wastage over time in gigabyte-hours (Fig. 8a/8b, Table II), the
 //! distribution of task failures per task type (Fig. 8c), aggregated task
 //! runtimes (Fig. 8d), the share of selected model classes (Fig. 11) and the
-//! relative prediction error over time (Fig. 12). All of them are derived
-//! from the per-attempt events collected here.
+//! relative prediction error over time (Fig. 12). Every engine folds each
+//! attempt into one [`ReplayAggregates`] as it happens and returns that fold
+//! inside its [`ReplayReport`]; only Fig. 12's per-event series is read from
+//! the events a report retains.
 
 use sizey_provenance::TaskTypeId;
 use std::collections::BTreeMap;
@@ -56,7 +58,8 @@ impl AttemptEvent {
     }
 }
 
-/// Complete result of replaying one workflow with one sizing method.
+/// Complete result of replaying one workflow with one sizing method, from
+/// any replay entry point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
     /// Name of the sizing method.
@@ -65,92 +68,32 @@ pub struct ReplayReport {
     pub workflow: String,
     /// Time-to-failure value used.
     pub time_to_failure: f64,
-    /// Every attempt in replay order.
+    /// Every attempt in replay order. The streaming entry points leave this
+    /// empty and hand the events to their sink instead.
     pub events: Vec<AttemptEvent>,
-    /// Number of task instances replayed.
+    /// Number of task instances replayed: `aggregates.instances`, also kept
+    /// at the top level because the repo benchmark's tests read it here.
     pub instances: usize,
-    /// Number of instances that never succeeded within the attempt budget.
-    pub unfinished_instances: usize,
-    /// Simulated makespan in seconds (end of the last attempt).
-    pub makespan_seconds: f64,
+    /// The engine's online fold of every attempt and instance: every
+    /// headline number of the replay.
+    pub aggregates: ReplayAggregates,
 }
 
 impl ReplayReport {
     /// Total memory wastage over time in gigabyte-hours.
     pub fn total_wastage_gbh(&self) -> f64 {
-        self.events.iter().map(|e| e.wastage_gbh).sum()
-    }
-
-    /// Total task runtime (all attempts) in hours — the Fig. 8d metric.
-    pub fn total_runtime_hours(&self) -> f64 {
-        self.events.iter().map(|e| e.duration_seconds).sum::<f64>() / 3600.0
+        self.aggregates.total_wastage_gbh
     }
 
     /// Total number of failed attempts.
     pub fn total_failures(&self) -> usize {
-        self.events.iter().filter(|e| !e.success).count()
-    }
-
-    /// Total time attempts spent waiting for cluster resources, in seconds —
-    /// the contention cost the paper's evaluation leaves out of scope
-    /// (assumption A2).
-    pub fn total_queue_delay_seconds(&self) -> f64 {
-        self.events.iter().map(|e| e.queue_delay_seconds).sum()
-    }
-
-    /// Mean queue delay per attempt in seconds (zero for an empty replay).
-    pub fn mean_queue_delay_seconds(&self) -> f64 {
-        if self.events.is_empty() {
-            0.0
-        } else {
-            self.total_queue_delay_seconds() / self.events.len() as f64
-        }
-    }
-
-    /// Number of failed attempts per task type (Fig. 8c).
-    pub fn failures_by_task_type(&self) -> BTreeMap<TaskTypeId, usize> {
-        let mut map = BTreeMap::new();
-        for e in &self.events {
-            if !e.success {
-                *map.entry(e.task_type.clone()).or_insert(0) += 1;
-            }
-        }
-        map
-    }
-
-    /// Memory wastage per task type in gigabyte-hours.
-    pub fn wastage_by_task_type(&self) -> BTreeMap<TaskTypeId, f64> {
-        let mut map = BTreeMap::new();
-        for e in &self.events {
-            *map.entry(e.task_type.clone()).or_insert(0.0) += e.wastage_gbh;
-        }
-        map
-    }
-
-    /// Share of selected models among first attempts that reported one
-    /// (Fig. 11). Returns (model name, fraction) sorted by descending share.
-    pub fn model_selection_share(&self) -> Vec<(String, f64)> {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut total = 0usize;
-        for e in &self.events {
-            if e.attempt == 0 {
-                if let Some(model) = &e.selected_model {
-                    *counts.entry(model.clone()).or_insert(0) += 1;
-                    total += 1;
-                }
-            }
-        }
-        let mut shares: Vec<(String, f64)> = counts
-            .into_iter()
-            .map(|(m, c)| (m, c as f64 / total.max(1) as f64))
-            .collect();
-        shares.sort_by(|a, b| b.1.total_cmp(&a.1));
-        shares
+        self.aggregates.failures as usize
     }
 
     /// Relative prediction error of the raw estimates over the course of the
     /// replay, restricted to one task type (Fig. 12). Returns
-    /// `(execution index, relative error)` pairs for first attempts.
+    /// `(execution index, relative error)` pairs for first attempts; empty
+    /// when the report retained no events.
     pub fn prediction_error_over_time(&self, task_type: &str) -> Vec<(usize, f64)> {
         self.events
             .iter()
@@ -158,11 +101,6 @@ impl ReplayReport {
             .filter_map(|e| e.relative_prediction_error())
             .enumerate()
             .collect()
-    }
-
-    /// Number of successfully finished instances.
-    pub fn finished_instances(&self) -> usize {
-        self.instances - self.unfinished_instances
     }
 }
 
@@ -220,14 +158,13 @@ impl<F: FnMut(&sizey_provenance::TaskRecord)> RecordSink for F {
     }
 }
 
-/// Online replay aggregates: every headline metric of a [`ReplayReport`],
-/// computed incrementally from the event stream in `O(#task_types)` memory
-/// instead of `O(#attempts)`.
+/// Online replay aggregates: every headline metric of a replay, folded
+/// attempt by attempt in `O(#task_types)` memory instead of `O(#attempts)`.
 ///
-/// Folding the events **in replay order** produces bit-identical sums to the
-/// corresponding `ReplayReport` derivations (same `f64` additions in the
-/// same order); the differential harness pins
-/// `ReplayAggregates::from_report(&report) == streaming_aggregates`.
+/// Every engine runs this fold and hands it out as
+/// [`ReplayReport::aggregates`]; it is the crate's one accounting.
+/// [`ReplayAggregates::from_report`] re-runs it over a report's collected
+/// events, the reference the differential suites pin the engines against.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplayAggregates {
     /// Number of attempts observed.
@@ -264,8 +201,7 @@ impl ReplayAggregates {
         ReplayAggregates::default()
     }
 
-    /// Folds one attempt event into the aggregates. Must be called in
-    /// replay order for bit-identity with the materialised report.
+    /// Folds one attempt event into the aggregates, in replay order.
     pub fn observe_event(&mut self, e: &AttemptEvent) {
         self.attempts += 1;
         self.total_wastage_gbh += e.wastage_gbh;
@@ -303,17 +239,17 @@ impl ReplayAggregates {
         }
     }
 
-    /// Rebuilds the aggregates from a materialised report by folding its
-    /// events in order — the reference the streaming pipeline is pinned
-    /// against.
+    /// Rebuilds the aggregates by folding a report's collected events in
+    /// order; the instance counts, which no event carries, come from the
+    /// report's own aggregates. This is the reference the engines' online
+    /// fold is pinned against.
     pub fn from_report(report: &ReplayReport) -> Self {
         let mut agg = ReplayAggregates::new();
         for e in &report.events {
             agg.observe_event(e);
         }
-        agg.instances = report.instances;
-        agg.unfinished_instances = report.unfinished_instances;
-        agg.makespan_seconds = report.makespan_seconds;
+        agg.instances = report.aggregates.instances;
+        agg.unfinished_instances = report.aggregates.unfinished_instances;
         agg
     }
 
@@ -384,7 +320,10 @@ pub fn aggregate_method(reports: &[ReplayReport]) -> MethodAggregate {
     MethodAggregate {
         method,
         total_wastage_gbh: reports.iter().map(ReplayReport::total_wastage_gbh).sum(),
-        total_runtime_hours: reports.iter().map(ReplayReport::total_runtime_hours).sum(),
+        total_runtime_hours: reports
+            .iter()
+            .map(|r| r.aggregates.total_runtime_hours())
+            .sum(),
         total_failures: reports.iter().map(ReplayReport::total_failures).sum(),
         wastage_per_workflow,
     }
@@ -411,48 +350,66 @@ mod tests {
         }
     }
 
+    fn events() -> Vec<AttemptEvent> {
+        vec![
+            event("a", 0, false, 4.0),
+            event("a", 1, true, 2.0),
+            event("b", 0, true, 1.0),
+        ]
+    }
+
+    /// Folds [`events`] through the engines' online fold, then two finished
+    /// instances.
+    fn fold() -> ReplayAggregates {
+        let mut agg = ReplayAggregates::new();
+        for e in &events() {
+            agg.observe_event(e);
+        }
+        agg.observe_instance(true);
+        agg.observe_instance(true);
+        agg
+    }
+
     fn report() -> ReplayReport {
         ReplayReport {
             method: "test".into(),
             workflow: "wf".into(),
             time_to_failure: 1.0,
-            events: vec![
-                event("a", 0, false, 4.0),
-                event("a", 1, true, 2.0),
-                event("b", 0, true, 1.0),
-            ],
+            events: events(),
             instances: 2,
-            unfinished_instances: 0,
-            makespan_seconds: 7200.0,
+            aggregates: fold(),
         }
     }
 
     #[test]
     fn totals_sum_over_events() {
-        let r = report();
-        assert!((r.total_wastage_gbh() - 7.0).abs() < 1e-12);
-        assert!((r.total_runtime_hours() - 3.0).abs() < 1e-12);
-        assert_eq!(r.total_failures(), 1);
-        assert_eq!(r.finished_instances(), 2);
-        assert!((r.total_queue_delay_seconds() - 90.0).abs() < 1e-12);
-        assert!((r.mean_queue_delay_seconds() - 30.0).abs() < 1e-12);
+        let agg = fold();
+        assert_eq!(agg.attempts, 3);
+        assert!((agg.total_wastage_gbh - 7.0).abs() < 1e-12);
+        assert!((agg.total_runtime_hours() - 3.0).abs() < 1e-12);
+        assert_eq!(agg.failures, 1);
+        assert_eq!(agg.finished_instances(), 2);
+        assert!((agg.total_queue_delay_seconds - 90.0).abs() < 1e-12);
+        assert!((agg.mean_queue_delay_seconds() - 30.0).abs() < 1e-12);
+        assert_eq!(agg.max_queue_delay_seconds, 30.0);
+        assert_eq!(agg.makespan_seconds, 3600.0);
+        assert_eq!(ReplayAggregates::from_report(&report()), agg);
     }
 
     #[test]
     fn failures_and_wastage_group_by_task_type() {
-        let r = report();
-        let fails = r.failures_by_task_type();
+        let agg = fold();
+        let fails = &agg.failures_by_task_type;
         assert_eq!(fails.get(&TaskTypeId::new("a")), Some(&1));
         assert_eq!(fails.get(&TaskTypeId::new("b")), None);
-        let wastage = r.wastage_by_task_type();
+        let wastage = &agg.wastage_by_task_type;
         assert!((wastage[&TaskTypeId::new("a")] - 6.0).abs() < 1e-12);
         assert!((wastage[&TaskTypeId::new("b")] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn model_share_counts_first_attempts_only() {
-        let r = report();
-        let share = r.model_selection_share();
+        let share = fold().model_selection_share();
         assert_eq!(share.len(), 1);
         assert_eq!(share[0].0, "mlp");
         assert!((share[0].1 - 1.0).abs() < 1e-12);

@@ -25,11 +25,12 @@
 //! * [`scheduler`] — the event-driven scheduler: tasks wait when no node
 //!   fits (over-allocation costs makespan), [`SchedulePolicy`] picks how the
 //!   queue drains, and one engine replays several workflows *concurrently*
-//!   against one shared cluster. It has two entry points:
-//!   [`schedule_workflows`] takes materialised tenants and returns every
-//!   attempt event per tenant; [`schedule_workflows_streaming`] pulls
-//!   instances from iterators and hands events to a sink, so memory is
-//!   bounded by the in-flight working set,
+//!   against one shared cluster. It has two entry points with one result,
+//!   a [`MultiReplayReport`]: [`schedule_workflows`] takes materialised
+//!   tenants and keeps every attempt event per tenant;
+//!   [`schedule_workflows_streaming`] pulls instances from iterators and
+//!   hands events to a sink, so memory is bounded by the in-flight working
+//!   set,
 //! * [`lifecycle`] — the snapshot/restore lifecycle:
 //!   [`lifecycle::CheckpointPredictor`] captures a predictor's learned state
 //!   as an event-sourced [`lifecycle::PredictorState`] journal that restores
@@ -39,9 +40,11 @@
 //!   event-driven engine is the one timing model). Both engines cost every
 //!   attempt with one private attempt model, so the paper's accounting rule
 //!   exists once,
-//! * [`accounting`] — wastage (GBh), failure, runtime, queue-delay,
-//!   model-selection and prediction-error aggregation used by every figure
-//!   of the evaluation.
+//! * [`accounting`] — the one result type, [`ReplayReport`], which every
+//!   entry point of both engines returns, and the one accounting,
+//!   [`ReplayAggregates`]: the online fold of wastage (GBh), failure,
+//!   runtime, queue-delay and model-selection numbers that every engine
+//!   runs per attempt and every figure of the evaluation reads.
 //!
 //! ## Example
 //!
@@ -54,6 +57,7 @@
 //! let mut presets = PresetPredictor;
 //! let report = replay_workflow("iwd", &instances, &mut presets, &SimulationConfig::default());
 //! assert!(report.total_wastage_gbh() > 0.0);
+//! assert_eq!(report.aggregates.instances, instances.len());
 //! ```
 
 #![warn(missing_docs)]
@@ -87,5 +91,5 @@ pub use predictor::{AttemptContext, MemoryPredictor, Prediction, PresetPredictor
 pub use replay::{replay_workflow, replay_workflow_streaming};
 pub use scheduler::{
     schedule_workflows, schedule_workflows_streaming, MultiReplayReport, SchedulePolicy,
-    SchedulerStats, StreamingReplayReport, StreamingTenant, StreamingTenantReport, WorkflowTenant,
+    SchedulerStats, StreamingTenant, WorkflowTenant,
 };

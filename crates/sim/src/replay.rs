@@ -30,22 +30,64 @@ use crate::predictor::{AttemptContext, MemoryPredictor, TaskSubmission};
 use sizey_workflows::TaskInstance;
 use std::borrow::Borrow;
 
-/// The sequential replay core shared by the materialised
-/// ([`replay_workflow`]) and streaming ([`replay_workflow_streaming`])
-/// entry points: consumes instances from any iterator, delivers every
-/// attempt event to `sink` and folds it into `agg` in replay order.
-fn replay_core<I>(
+/// Replays one workflow against one sizing method and keeps every attempt
+/// event in the report.
+///
+/// All first attempts start at virtual time zero in instance order (the
+/// paper replays a finished trace, not a timed arrival process); a retry
+/// starts when its failed predecessor finishes. The report's makespan is
+/// therefore the longest retry chain.
+///
+/// This is [`replay_workflow_streaming`] with a collecting sink: both entry
+/// points return the same [`ReplayReport`], aggregates included.
+pub fn replay_workflow(
+    workflow: &str,
+    instances: &[TaskInstance],
+    predictor: &mut dyn MemoryPredictor,
+    config: &SimulationConfig,
+) -> ReplayReport {
+    let mut events: Vec<AttemptEvent> = Vec::with_capacity(instances.len());
+    let mut report = replay_workflow_streaming(workflow, instances, predictor, config, &mut events);
+    report.events = events;
+    report
+}
+
+/// Replays one workflow, consuming instances lazily from any iterator (e.g.
+/// a [`WorkflowStream`](sizey_workflows::WorkflowStream)), and folds every
+/// attempt into the report's [`ReplayAggregates`] online.
+///
+/// The report retains **no** per-attempt events (`events` is empty), so
+/// memory stays `O(#task_types)` however long the trace is. Each event is
+/// offered to `sink` instead, in replay order: pass
+/// [`NullSink`](crate::accounting::NullSink) to discard, a
+/// `Vec<AttemptEvent>` to collect, or a closure to forward events to e.g. an
+/// incremental trace writer.
+///
+/// ```
+/// use sizey_sim::{replay_workflow_streaming, NullSink, PresetPredictor, SimulationConfig};
+/// use sizey_workflows::{profiles, stream_workflow, GeneratorConfig};
+///
+/// let instances = stream_workflow(&profiles::iwd(), &GeneratorConfig::scaled(0.02, 1));
+/// let config = SimulationConfig::default();
+/// let report =
+///     replay_workflow_streaming("iwd", instances, &mut PresetPredictor, &config, &mut NullSink);
+/// assert!(report.events.is_empty());
+/// assert_eq!(report.aggregates.unfinished_instances, 0);
+/// assert!(report.total_wastage_gbh() > 0.0);
+/// ```
+pub fn replay_workflow_streaming<I>(
     workflow: &str,
     instances: I,
     predictor: &mut dyn MemoryPredictor,
     config: &SimulationConfig,
     sink: &mut dyn AttemptSink,
-    agg: &mut ReplayAggregates,
-) where
+) -> ReplayReport
+where
     I: IntoIterator,
     I::Item: Borrow<TaskInstance>,
 {
     let largest_node = config.largest_node_memory_bytes();
+    let mut aggregates = ReplayAggregates::new();
 
     for inst in instances {
         let inst = inst.borrow();
@@ -71,7 +113,7 @@ fn replay_core<I>(
             last_allocation = Some(run.allocation_bytes);
 
             let event = run.event(inst, attempt, submit_time, 0.0);
-            agg.observe_event(&event);
+            aggregates.observe_event(&event);
             sink.record(&event);
             predictor.observe(&run.record(inst, workflow, 0, 0.0));
 
@@ -82,71 +124,17 @@ fn replay_core<I>(
             submit_time += run.duration_seconds;
             attempt += 1;
         }
-        agg.observe_instance(finished);
+        aggregates.observe_instance(finished);
     }
-}
-
-/// Replays one workflow against one sizing method.
-///
-/// All first attempts start at virtual time zero in instance order (the
-/// paper replays a finished trace, not a timed arrival process); a retry
-/// starts when its failed predecessor finishes. The report's makespan is
-/// therefore the longest retry chain.
-pub fn replay_workflow(
-    workflow: &str,
-    instances: &[TaskInstance],
-    predictor: &mut dyn MemoryPredictor,
-    config: &SimulationConfig,
-) -> ReplayReport {
-    let mut events: Vec<AttemptEvent> = Vec::with_capacity(instances.len());
-    let mut agg = ReplayAggregates::new();
-    replay_core(
-        workflow,
-        instances,
-        predictor,
-        config,
-        &mut events,
-        &mut agg,
-    );
 
     ReplayReport {
         method: predictor.name(),
         workflow: workflow.to_string(),
         time_to_failure: config.time_to_failure,
-        events,
-        instances: agg.instances,
-        unfinished_instances: agg.unfinished_instances,
-        makespan_seconds: agg.makespan_seconds,
+        events: Vec::new(),
+        instances: aggregates.instances,
+        aggregates,
     }
-}
-
-/// Streaming counterpart of [`replay_workflow`]: consumes instances lazily
-/// from any iterator (e.g. a
-/// [`WorkflowStream`](sizey_workflows::WorkflowStream)), aggregates online
-/// and retains **no** per-attempt events of its own — memory stays
-/// `O(#task_types)` however long the trace is. Full trace retention is
-/// opt-in through the `sink` (pass
-/// [`NullSink`](crate::accounting::NullSink) to discard, a
-/// `Vec<AttemptEvent>` to collect, or a closure to forward events to e.g. an
-/// incremental trace writer).
-///
-/// Over the same instances the aggregates are bit-identical to folding the
-/// materialised report's events (`ReplayAggregates::from_report`); the
-/// differential harness pins this.
-pub fn replay_workflow_streaming<I>(
-    workflow: &str,
-    instances: I,
-    predictor: &mut dyn MemoryPredictor,
-    config: &SimulationConfig,
-    sink: &mut dyn AttemptSink,
-) -> ReplayAggregates
-where
-    I: IntoIterator,
-    I::Item: Borrow<TaskInstance>,
-{
-    let mut agg = ReplayAggregates::new();
-    replay_core(workflow, instances, predictor, config, sink, &mut agg);
-    agg
 }
 
 #[cfg(test)]
@@ -197,8 +185,8 @@ mod tests {
         let report = replay_workflow("wf", &instances, &mut p, &SimulationConfig::default());
         assert_eq!(report.total_failures(), 0);
         assert!(report.total_wastage_gbh() < 1e-9);
-        assert!((report.total_runtime_hours() - 1.0).abs() < 1e-9);
-        assert_eq!(report.finished_instances(), 1);
+        assert!((report.aggregates.total_runtime_hours() - 1.0).abs() < 1e-9);
+        assert_eq!(report.aggregates.finished_instances(), 1);
     }
 
     #[test]
@@ -219,15 +207,15 @@ mod tests {
         // Attempts: 2 GB (fail), 4 GB (fail), 8 GB (success).
         assert_eq!(report.events.len(), 3);
         assert_eq!(report.total_failures(), 2);
-        assert_eq!(report.unfinished_instances, 0);
+        assert_eq!(report.aggregates.unfinished_instances, 0);
         // Failed attempts waste the whole allocation for the full runtime
         // (ttf = 1.0): 2 + 4 GBh, success wastes 1 GBh.
         assert!((report.total_wastage_gbh() - 7.0).abs() < 1e-6);
         // Runtime: 1h + 1h + 1h.
-        assert!((report.total_runtime_hours() - 3.0).abs() < 1e-9);
+        assert!((report.aggregates.total_runtime_hours() - 3.0).abs() < 1e-9);
         // The retry chain serializes on the virtual clock: 3 back-to-back
         // attempts of one hour each.
-        assert!((report.makespan_seconds - 3.0 * 3600.0).abs() < 1e-6);
+        assert!((report.aggregates.makespan_seconds - 3.0 * 3600.0).abs() < 1e-6);
     }
 
     #[test]
@@ -238,7 +226,7 @@ mod tests {
         let report = replay_workflow("wf", &instances, &mut p, &config);
         // Failed attempts now cost half an hour each: 1 + 2 GBh, success 1 GBh.
         assert!((report.total_wastage_gbh() - 4.0).abs() < 1e-6);
-        assert!((report.total_runtime_hours() - 2.0).abs() < 1e-9);
+        assert!((report.aggregates.total_runtime_hours() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -274,9 +262,9 @@ mod tests {
             ..SimulationConfig::default()
         };
         let report = replay_workflow("wf", &instances, &mut p, &config);
-        assert_eq!(report.unfinished_instances, 1);
+        assert_eq!(report.aggregates.unfinished_instances, 1);
         assert_eq!(report.events.len(), 3);
-        assert_eq!(report.finished_instances(), 0);
+        assert_eq!(report.aggregates.finished_instances(), 0);
     }
 
     #[test]
@@ -315,9 +303,9 @@ mod tests {
         let report = replay_workflow("wf", &instances, &mut p, &SimulationConfig::default());
         // Plenty of capacity: all 20 tasks fit concurrently, makespan is one
         // task runtime, while total runtime is 20 task-hours.
-        assert!((report.makespan_seconds - 3600.0).abs() < 1e-6);
-        assert!((report.total_runtime_hours() - 20.0).abs() < 1e-9);
-        assert!(report.total_queue_delay_seconds() < 1e-9);
+        assert!((report.aggregates.makespan_seconds - 3600.0).abs() < 1e-6);
+        assert!((report.aggregates.total_runtime_hours() - 20.0).abs() < 1e-9);
+        assert!(report.aggregates.total_queue_delay_seconds < 1e-9);
     }
 
     #[test]
@@ -329,7 +317,7 @@ mod tests {
         let config = SimulationConfig::default().with_nodes(1, 10e9, 32);
         let mut p = PresetPredictor;
         let report = replay_workflow("wf", &instances, &mut p, &config);
-        assert!((report.makespan_seconds - 3600.0).abs() < 1e-6);
+        assert!((report.aggregates.makespan_seconds - 3600.0).abs() < 1e-6);
         assert!(report
             .events
             .iter()
@@ -351,14 +339,31 @@ mod tests {
         let mut sink = NullSink;
         let streamed =
             replay_workflow_streaming("wf", instances.iter(), &mut b, &config, &mut sink);
-        assert_eq!(streamed, ReplayAggregates::from_report(&report));
-        assert_eq!(streamed.makespan_seconds, report.makespan_seconds);
+        assert!(streamed.events.is_empty());
+        assert_eq!(streamed.aggregates, report.aggregates);
+        assert_eq!(report.aggregates, ReplayAggregates::from_report(&report));
+        assert_eq!(streamed.instances, report.aggregates.instances);
 
         // A collecting sink reproduces the full event trace.
         let mut c = Fixed { bytes: 2e9 };
         let mut events: Vec<AttemptEvent> = Vec::new();
         let _ = replay_workflow_streaming("wf", instances.iter(), &mut c, &config, &mut events);
         assert_eq!(events, report.events);
+    }
+
+    /// An empty replay reports +0.0 wastage, the fold's starting value, not
+    /// the −0.0 an empty `f64` sum starts at.
+    #[test]
+    fn empty_replay_reports_positive_zero_wastage() {
+        let report = replay_workflow(
+            "wf",
+            &[],
+            &mut PresetPredictor,
+            &SimulationConfig::default(),
+        );
+        assert_eq!(report.total_wastage_gbh().to_bits(), 0);
+        assert_eq!(report.total_failures(), 0);
+        assert_eq!(report.aggregates.instances, 0);
     }
 
     /// The clamp of the attempt model is total: a NaN prediction is sized to
@@ -380,7 +385,7 @@ mod tests {
             .events
             .iter()
             .all(|e| e.allocated_bytes == MIN_ALLOCATION_BYTES));
-        assert_eq!(report.unfinished_instances, 1);
+        assert_eq!(report.aggregates.unfinished_instances, 1);
         assert!(report.total_wastage_gbh().is_finite());
 
         let tiny = SimulationConfig::default().with_nodes(1, 32e6, 4);

@@ -28,11 +28,12 @@
 //!
 //! There is one event-driven engine, a private struct that owns the cluster,
 //! the event heap, the pending queue and every other piece of loop state,
-//! with two entry points. [`schedule_workflows_streaming`] pulls instances
-//! from iterators and offers each attempt event to a sink, so memory is
-//! bounded by the in-flight working set; [`schedule_workflows`] takes
-//! materialised tenants, streams them through the same loop and collects the
-//! events into one [`ReplayReport`] per tenant.
+//! with two entry points and one result, a [`MultiReplayReport`] with one
+//! [`ReplayReport`] per tenant. [`schedule_workflows_streaming`] pulls
+//! instances from iterators and offers each attempt event to a sink, so
+//! memory is bounded by the in-flight working set; [`schedule_workflows`]
+//! takes materialised tenants, streams them through the same loop and also
+//! keeps each tenant's events in its report.
 
 use crate::accounting::{
     AttemptEvent, AttemptSink, NullRecordSink, RecordSink, ReplayAggregates, ReplayReport,
@@ -192,11 +193,12 @@ impl WorkflowTenant {
     }
 }
 
-/// Result of a multi-tenant replay: one [`ReplayReport`] per tenant plus
-/// cluster-wide telemetry.
+/// Result of a multi-tenant replay, from either entry point: one
+/// [`ReplayReport`] per tenant plus cluster-wide telemetry.
 #[derive(Debug)]
 pub struct MultiReplayReport {
-    /// Per-tenant reports, in the order the tenants were passed in.
+    /// Per-tenant reports, in the order the tenants were passed in. Their
+    /// `events` are empty from [`schedule_workflows_streaming`].
     pub reports: Vec<ReplayReport>,
     /// End of the last attempt across all tenants, in seconds.
     pub makespan_seconds: f64,
@@ -205,6 +207,12 @@ pub struct MultiReplayReport {
     /// Final node states, including per-node allocation/slot high-water
     /// marks (the property suite asserts `peak ≤ capacity` per node).
     pub nodes: Vec<Node>,
+    /// High-water mark of simultaneously in-flight task instances — the
+    /// engine's working set (arrived but not yet terminal).
+    pub peak_inflight_instances: usize,
+    /// In-flight instances still resident when the replay drained. Always
+    /// zero: instances are evicted on success and on terminal failure alike.
+    pub leaked_inflight_instances: usize,
 }
 
 /// Payload of a queued attempt in the event-driven engine: whose attempt it
@@ -351,39 +359,6 @@ impl From<WorkflowTenant> for StreamingTenant {
     }
 }
 
-/// Per-tenant result of a streaming multi-tenant replay: the online
-/// aggregates stand in for the event list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingTenantReport {
-    /// Workflow (tenant) name.
-    pub workflow: String,
-    /// Name of the sizing method.
-    pub method: String,
-    /// Online aggregates, bit-identical to
-    /// [`ReplayAggregates::from_report`] over the tenant's report from
-    /// [`schedule_workflows`] for the same workload.
-    pub aggregates: ReplayAggregates,
-}
-
-/// Result of a streaming multi-tenant replay ([`schedule_workflows_streaming`]).
-#[derive(Debug)]
-pub struct StreamingReplayReport {
-    /// Per-tenant reports, in the order the tenants were passed in.
-    pub reports: Vec<StreamingTenantReport>,
-    /// End of the last attempt across all tenants, in seconds.
-    pub makespan_seconds: f64,
-    /// Cluster-wide scheduler telemetry.
-    pub stats: SchedulerStats,
-    /// Final node states, including per-node high-water marks.
-    pub nodes: Vec<Node>,
-    /// High-water mark of simultaneously in-flight task instances — the
-    /// engine's working set (arrived but not yet terminal).
-    pub peak_inflight_instances: usize,
-    /// In-flight instances still resident when the replay drained. Always
-    /// zero: instances are evicted on success and on terminal failure alike.
-    pub leaked_inflight_instances: usize,
-}
-
 /// The event-driven engine behind [`schedule_workflows`] and
 /// [`schedule_workflows_streaming`], and the one owner of its state.
 ///
@@ -490,7 +465,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
 
     /// Runs the virtual clock until every instance of every tenant has
     /// reached a terminal state.
-    fn run(mut self) -> StreamingReplayReport {
+    fn run(mut self) -> MultiReplayReport {
         loop {
             // Arrivals win time-ties against heap events: a first submission
             // is ordered before any fault, completion or retry of the same
@@ -562,14 +537,17 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             .tenants
             .iter()
             .zip(self.aggs)
-            .map(|(tenant, aggregates)| StreamingTenantReport {
-                workflow: tenant.workflow.clone(),
+            .map(|(tenant, aggregates)| ReplayReport {
                 method: tenant.predictor.name(),
+                workflow: tenant.workflow.clone(),
+                time_to_failure: self.config.time_to_failure,
+                events: Vec::new(),
+                instances: aggregates.instances,
                 aggregates,
             })
             .collect();
 
-        StreamingReplayReport {
+        MultiReplayReport {
             reports,
             makespan_seconds: self.makespan,
             stats,
@@ -781,7 +759,8 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
 /// This is the entry point for contention studies: memory over-allocation by
 /// one tenant delays every tenant's start times and stretches the shared
 /// makespan. It runs the same engine as [`schedule_workflows_streaming`]
-/// and keeps every tenant's attempt events; use the streaming entry point
+/// and returns the same report, but also keeps every tenant's attempt
+/// events in its [`ReplayReport::events`]; use the streaming entry point
 /// when the workload or its event trace should not be held in memory.
 ///
 /// ```
@@ -798,55 +777,41 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
 /// assert_eq!(result.reports.len(), 2);
 /// assert!(result.makespan_seconds > 1800.0);
 /// assert_eq!(result.stats.forced_placements, 0);
+/// let attempts = result.reports[0].events.len() as u64;
+/// assert_eq!(result.reports[0].aggregates.attempts, attempts);
 /// ```
 pub fn schedule_workflows(
     tenants: Vec<WorkflowTenant>,
     config: &SimulationConfig,
 ) -> MultiReplayReport {
     let mut events: Vec<Vec<AttemptEvent>> = tenants.iter().map(|_| Vec::new()).collect();
-    let run = Engine::new(
+    let mut result = Engine::new(
         tenants.into_iter().map(StreamingTenant::from).collect(),
         config,
         &mut NullRecordSink,
         |ti, event| events[ti].push(event),
     )
     .run();
-    let reports = run
-        .reports
-        .into_iter()
-        .zip(events)
-        .map(|(tenant, events)| ReplayReport {
-            method: tenant.method,
-            workflow: tenant.workflow,
-            time_to_failure: config.time_to_failure,
-            events,
-            instances: tenant.aggregates.instances,
-            unfinished_instances: tenant.aggregates.unfinished_instances,
-            makespan_seconds: tenant.aggregates.makespan_seconds,
-        })
-        .collect();
-    MultiReplayReport {
-        reports,
-        makespan_seconds: run.makespan_seconds,
-        stats: run.stats,
-        nodes: run.nodes,
+    for (report, events) in result.reports.iter_mut().zip(events) {
+        report.events = events;
     }
+    result
 }
 
 /// Replays several workflows concurrently against one shared cluster,
 /// **streaming**: task instances are pulled from each tenant's iterator as
 /// virtual time reaches their arrival, held only while in flight, and
-/// dropped at their terminal state. Attempt events fold into per-tenant
-/// [`ReplayAggregates`] online and are offered to `sink`; finished
-/// provenance records (the exact records fed to `observe`) are offered to
-/// `records`. With [`NullSink`](crate::NullSink) /
-/// [`NullRecordSink`] the engine's memory is bounded
-/// by the in-flight working set, independent of total workload size.
+/// dropped at their terminal state. Attempt events fold into each tenant's
+/// [`ReplayAggregates`] online and are offered to `sink`, not kept in the
+/// reports (their `events` are empty); finished provenance records (the
+/// exact records fed to `observe`) are offered to `records`. With
+/// [`NullSink`](crate::NullSink) / [`NullRecordSink`] the engine's memory is
+/// bounded by the in-flight working set, independent of total workload size.
 ///
-/// This is the same engine as [`schedule_workflows`], which collects the
-/// events per tenant instead: for the same workload both entry points make
-/// the same scheduling decisions, and `sink` sees, in dispatch order, exactly
-/// the events that the per-tenant reports hold.
+/// This is the same engine as [`schedule_workflows`], which also keeps the
+/// events per tenant: for the same workload both entry points make the same
+/// scheduling decisions and return equal aggregates, and `sink` sees, in
+/// dispatch order, exactly the events that the materialised reports hold.
 ///
 /// ```
 /// use sizey_sim::{
@@ -868,6 +833,8 @@ pub fn schedule_workflows(
 ///     &mut NullRecordSink,
 /// );
 /// assert_eq!(result.reports.len(), 2);
+/// assert!(result.reports[0].events.is_empty());
+/// assert_eq!(result.reports[0].aggregates.unfinished_instances, 0);
 /// assert_eq!(result.leaked_inflight_instances, 0);
 /// assert_eq!(result.stats.forced_placements, 0);
 /// ```
@@ -876,7 +843,7 @@ pub fn schedule_workflows_streaming(
     config: &SimulationConfig,
     sink: &mut dyn AttemptSink,
     records: &mut dyn RecordSink,
-) -> StreamingReplayReport {
+) -> MultiReplayReport {
     Engine::new(tenants, config, records, |_, event| sink.record(&event)).run()
 }
 
@@ -921,8 +888,9 @@ mod tests {
             &tiny_cluster(SchedulePolicy::FirstFit),
         );
         let report = &result.reports[0];
+        assert_eq!(report.aggregates.instances, 10);
         assert_eq!(report.instances, 10);
-        assert_eq!(report.unfinished_instances, 0);
+        assert_eq!(report.aggregates.unfinished_instances, 0);
         assert_eq!(report.total_failures(), 0);
         // 2 GB each on a 10 GB node with 2 slots: 2 at a time, 5 waves.
         assert_eq!(result.makespan_seconds, 300.0);
@@ -944,7 +912,7 @@ mod tests {
         let report = &result.reports[0];
         assert_eq!(report.events.len(), 3);
         assert_eq!(report.total_failures(), 2);
-        assert_eq!(report.unfinished_instances, 0);
+        assert_eq!(report.aggregates.unfinished_instances, 0);
         // Attempts run back to back on the virtual clock.
         assert_eq!(result.makespan_seconds, 300.0);
     }
@@ -964,7 +932,7 @@ mod tests {
             )],
             &config,
         );
-        assert_eq!(result.reports[0].unfinished_instances, 1);
+        assert_eq!(result.reports[0].aggregates.unfinished_instances, 1);
         assert_eq!(result.reports[0].events.len(), 2);
         assert_eq!(result.stats.forced_placements, 0);
     }
@@ -1007,16 +975,8 @@ mod tests {
             vec![WorkflowTenant::new("lean", lean, Box::new(PresetPredictor))],
             &tiny_cluster(SchedulePolicy::FirstFit),
         );
-        let lean_delay_with_hog = both.reports[1]
-            .events
-            .iter()
-            .map(|e| e.queue_delay_seconds)
-            .sum::<f64>();
-        let lean_delay_alone = alone.reports[0]
-            .events
-            .iter()
-            .map(|e| e.queue_delay_seconds)
-            .sum::<f64>();
+        let lean_delay_with_hog = both.reports[1].aggregates.total_queue_delay_seconds;
+        let lean_delay_alone = alone.reports[0].aggregates.total_queue_delay_seconds;
         assert!(
             lean_delay_with_hog > lean_delay_alone,
             "over-allocation must cost the co-tenant queue delay \
@@ -1091,11 +1051,7 @@ mod tests {
         assert_eq!(total_millis.load(Ordering::Relaxed), 100_000);
         assert_eq!(result.stats.total_queue_delay_seconds, 100.0);
         assert_eq!(
-            result.reports[0]
-                .events
-                .iter()
-                .map(|e| e.queue_delay_seconds)
-                .sum::<f64>(),
+            result.reports[0].aggregates.total_queue_delay_seconds,
             100.0
         );
     }
@@ -1151,7 +1107,7 @@ mod tests {
             &config,
         );
         let report = &result.reports[0];
-        assert_eq!(report.unfinished_instances, 0);
+        assert_eq!(report.aggregates.unfinished_instances, 0);
         assert_eq!(result.stats.requeued_attempts, 2);
         assert_eq!(result.stats.crash_lost_attempts, 2);
         assert_eq!(result.stats.preempted_attempts, 0);
@@ -1192,7 +1148,7 @@ mod tests {
             )],
             &config,
         );
-        assert_eq!(result.reports[0].unfinished_instances, 0);
+        assert_eq!(result.reports[0].aggregates.unfinished_instances, 0);
         assert_eq!(result.stats.preempted_attempts, 2);
         assert_eq!(result.stats.crash_lost_attempts, 0);
         assert_eq!(result.stats.requeued_attempts, 2);
@@ -1219,7 +1175,7 @@ mod tests {
             )],
             &config,
         );
-        assert_eq!(result.reports[0].unfinished_instances, 0);
+        assert_eq!(result.reports[0].aggregates.unfinished_instances, 0);
         assert_eq!(result.stats.requeued_attempts, 1);
         assert_eq!(result.stats.crash_lost_attempts, 0);
         assert_eq!(result.stats.preempted_attempts, 0);
@@ -1250,7 +1206,7 @@ mod tests {
             )],
             &config,
         );
-        assert_eq!(result.reports[0].unfinished_instances, 0);
+        assert_eq!(result.reports[0].aggregates.unfinished_instances, 0);
         assert_eq!(result.stats.requeued_attempts, 4);
         assert_eq!(result.stats.crash_lost_attempts, 4);
         assert_eq!(result.stats.forced_placements, 6);

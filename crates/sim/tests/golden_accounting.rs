@@ -53,17 +53,17 @@ fn golden_three_task_replay_matches_hand_computation() {
 
     assert_eq!(report.events.len(), 4);
     assert_eq!(report.total_failures(), 1);
-    assert_eq!(report.unfinished_instances, 0);
-    assert_eq!(report.finished_instances(), 3);
+    assert_eq!(report.aggregates.unfinished_instances, 0);
+    assert_eq!(report.aggregates.finished_instances(), 3);
 
     assert!(
         (report.total_wastage_gbh() - 8.0).abs() < 1e-12,
         "total wastage drifted: {}",
         report.total_wastage_gbh()
     );
-    assert!((report.total_runtime_hours() - 3.5).abs() < 1e-12);
-    assert!((report.makespan_seconds - 7200.0).abs() < 1e-9);
-    assert!(report.total_queue_delay_seconds().abs() < 1e-9);
+    assert!((report.aggregates.total_runtime_hours() - 3.5).abs() < 1e-12);
+    assert!((report.aggregates.makespan_seconds - 7200.0).abs() < 1e-9);
+    assert!(report.aggregates.total_queue_delay_seconds.abs() < 1e-9);
 
     // Per-attempt wastage, in decision order.
     let wastage: Vec<f64> = report.events.iter().map(|e| e.wastage_gbh).collect();
@@ -73,13 +73,13 @@ fn golden_three_task_replay_matches_hand_computation() {
     assert!((wastage[3] - 0.0).abs() < 1e-12, "C exact: {wastage:?}");
 
     // Failure distribution per task type (Fig. 8c shape).
-    let failures = report.failures_by_task_type();
+    let failures = report.aggregates.failures_by_task_type;
     assert_eq!(failures.get(&TaskTypeId::new("b")), Some(&1));
     assert_eq!(failures.get(&TaskTypeId::new("a")), None);
     assert_eq!(failures.get(&TaskTypeId::new("c")), None);
 
     // Wastage per task type.
-    let by_type = report.wastage_by_task_type();
+    let by_type = report.aggregates.wastage_by_task_type;
     assert!((by_type[&TaskTypeId::new("a")] - 2.0).abs() < 1e-12);
     assert!((by_type[&TaskTypeId::new("b")] - 6.0).abs() < 1e-12);
     assert!((by_type[&TaskTypeId::new("c")] - 0.0).abs() < 1e-12);
@@ -109,9 +109,9 @@ fn golden_replay_with_half_time_to_failure() {
 
     assert_eq!(report.total_failures(), 1);
     assert!((report.total_wastage_gbh() - 6.0).abs() < 1e-12);
-    assert!((report.total_runtime_hours() - 3.0).abs() < 1e-12);
+    assert!((report.aggregates.total_runtime_hours() - 3.0).abs() < 1e-12);
     // A runs 0→3600; B fails 0→1800, retries 1800→5400; C runs 0→1800.
     // Makespan: 5400 s, no queueing.
-    assert!((report.makespan_seconds - 5400.0).abs() < 1e-9);
-    assert!(report.total_queue_delay_seconds().abs() < 1e-9);
+    assert!((report.aggregates.makespan_seconds - 5400.0).abs() < 1e-9);
+    assert!(report.aggregates.total_queue_delay_seconds.abs() < 1e-9);
 }

@@ -50,7 +50,7 @@ fn never_satisfiable_tasks_leave_the_retry_ledger_empty() {
         &config,
     );
     let report = &result.reports[0];
-    assert_eq!(report.unfinished_instances, n as usize);
+    assert_eq!(report.aggregates.unfinished_instances, n as usize);
     assert_eq!(report.events.len(), 4 * n as usize);
     // The ledger was actually exercised by the retry chains...
     assert!(
@@ -94,7 +94,11 @@ fn mixed_success_retry_and_terminal_failure_all_evict() {
         ],
         &config,
     );
-    let unfinished: usize = result.reports.iter().map(|r| r.unfinished_instances).sum();
+    let unfinished: usize = result
+        .reports
+        .iter()
+        .map(|r| r.aggregates.unfinished_instances)
+        .sum();
     assert_eq!(unfinished, 20, "10 impossible tasks per tenant");
     assert!(result.stats.peak_inflight_retries >= 1);
     assert_eq!(result.stats.leaked_inflight_retries, 0);
@@ -129,7 +133,7 @@ fn fault_killed_attempts_requeue_without_consuming_budget_or_doubling() {
     );
     let report = &result.reports[0];
     assert_eq!(result.stats.requeued_attempts, 5);
-    assert_eq!(report.unfinished_instances, 0);
+    assert_eq!(report.aggregates.unfinished_instances, 0);
     // The engine records one event per *dispatch*, so each killed attempt
     // shows up twice: once for the interrupted run and once for the requeue.
     // Crucially every event — including the five re-dispatches — is attempt

@@ -182,7 +182,7 @@ proptest! {
             "the adapter's tenant events must be the sink's sequence");
         prop_assert_eq!(
             streaming.reports[0].aggregates.unfinished_instances,
-            first.reports[0].unfinished_instances
+            first.reports[0].aggregates.unfinished_instances
         );
         prop_assert_eq!(streaming.makespan_seconds, first.makespan_seconds);
     }
@@ -203,8 +203,9 @@ proptest! {
             &config,
         );
         let report = &result.reports[0];
-        prop_assert_eq!(report.instances, n);
-        prop_assert_eq!(report.finished_instances() + report.unfinished_instances, n);
+        let agg = &report.aggregates;
+        prop_assert_eq!(agg.instances, n);
+        prop_assert_eq!(agg.finished_instances() + agg.unfinished_instances, n);
         prop_assert_eq!(result.stats.leaked_inflight_retries, 0);
         // A fault requeue never consumes attempt budget: attempts stay below
         // the cap no matter how often an attempt was killed and re-dispatched.

@@ -105,15 +105,13 @@ proptest! {
             &config,
         );
         let report = &result.reports[0];
-        prop_assert_eq!(report.instances, n);
-        prop_assert_eq!(
-            report.finished_instances() + report.unfinished_instances,
-            n
-        );
+        let agg = &report.aggregates;
+        prop_assert_eq!(agg.instances, n);
+        prop_assert_eq!(agg.finished_instances() + agg.unfinished_instances, n);
         // One success per finished instance, max_attempts failures per
         // unfinished one, nothing else.
         let successes = report.events.iter().filter(|e| e.success).count();
-        prop_assert_eq!(successes, report.finished_instances());
+        prop_assert_eq!(successes, agg.finished_instances());
         prop_assert!(report.events.len() <= n * config.max_attempts as usize);
         for e in &report.events {
             prop_assert!(e.attempt < config.max_attempts);
@@ -121,7 +119,7 @@ proptest! {
         }
         // An unfinished instance burned its whole budget.
         let failures = report.total_failures();
-        prop_assert!(failures >= report.unfinished_instances * config.max_attempts as usize);
+        prop_assert!(failures >= agg.unfinished_instances * config.max_attempts as usize);
     }
 
     // Invariant 2b, sequential replay: it conserves instances, queues
@@ -138,7 +136,7 @@ proptest! {
         let instances = build(&tasks);
         let mut p = PresetPredictor;
         let report = replay_workflow("wf", &instances, &mut p, &config);
-        prop_assert_eq!(report.instances, instances.len());
+        prop_assert_eq!(report.aggregates.instances, instances.len());
         let first_attempts = report.events.iter().filter(|e| e.attempt == 0).count();
         prop_assert_eq!(first_attempts, instances.len());
         let mut chain_end = vec![0.0_f64; instances.len()];
@@ -148,7 +146,7 @@ proptest! {
             chain_end[e.sequence as usize] += e.duration_seconds;
         }
         let longest_chain = chain_end.iter().copied().fold(0.0, f64::max);
-        prop_assert_eq!(report.makespan_seconds, longest_chain);
+        prop_assert_eq!(report.aggregates.makespan_seconds, longest_chain);
     }
 
     // Invariant 3: capacity changes nothing in the sequential replay. A

@@ -6,8 +6,9 @@
 //! * an [`InputModel`] for the size of its input data,
 //! * a [`MemoryModel`] mapping input size to peak memory consumption — this
 //!   is where the paper's observed task behaviours live (linear like
-//!   MarkDuplicates, non-linear like BaseRecalibrator, near-constant,
-//!   threshold/bimodal, heavy-tailed),
+//!   MarkDuplicates, power-law like BaseRecalibrator, near-constant,
+//!   two-regime threshold and saturating), each with multiplicative
+//!   log-normal noise,
 //! * a [`RuntimeModel`] mapping input size to wall-clock runtime.
 //!
 //! All models are deterministic functions of the input plus a caller-provided

@@ -77,8 +77,8 @@ fn print_run(label: &str, result: &MultiReplayReport) {
             report.method,
             report.total_wastage_gbh(),
             report.total_failures(),
-            report.total_queue_delay_seconds(),
-            report.makespan_seconds / 3600.0,
+            report.aggregates.total_queue_delay_seconds,
+            report.aggregates.makespan_seconds / 3600.0,
         );
     }
     println!(
@@ -118,8 +118,9 @@ fn main() {
     let alone_iwd = &alone.reports[0];
     println!(
         "co-tenant over-allocation costs iwd {:.0} s of extra queue delay and {:.2} h of makespan",
-        shared_iwd.total_queue_delay_seconds() - alone_iwd.total_queue_delay_seconds(),
-        (shared_iwd.makespan_seconds - alone_iwd.makespan_seconds) / 3600.0,
+        shared_iwd.aggregates.total_queue_delay_seconds
+            - alone_iwd.aggregates.total_queue_delay_seconds,
+        (shared_iwd.aggregates.makespan_seconds - alone_iwd.aggregates.makespan_seconds) / 3600.0,
     );
     println!("— contention the paper's queue-free capacity model cannot express.\n");
 

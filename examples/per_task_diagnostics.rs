@@ -46,10 +46,10 @@ fn main() {
         "task type", "n", "Sizey GBh", "fails", "Witt GBh", "fails"
     );
 
-    let sizey_wastage = sizey_report.wastage_by_task_type();
-    let sizey_fails = sizey_report.failures_by_task_type();
-    let witt_wastage = witt_report.wastage_by_task_type();
-    let witt_fails = witt_report.failures_by_task_type();
+    let sizey_wastage = sizey_report.aggregates.wastage_by_task_type;
+    let sizey_fails = sizey_report.aggregates.failures_by_task_type;
+    let witt_wastage = witt_report.aggregates.wastage_by_task_type;
+    let witt_fails = witt_report.aggregates.failures_by_task_type;
 
     let mut rows: Vec<(String, f64)> = sizey_wastage
         .iter()

@@ -46,11 +46,11 @@ fn main() {
         println!("  task failures     : {:>10}", report.total_failures());
         println!(
             "  total task runtime: {:>10.2} h",
-            report.total_runtime_hours()
+            report.aggregates.total_runtime_hours()
         );
         println!(
             "  simulated makespan: {:>10.2} h",
-            report.makespan_seconds / 3600.0
+            report.aggregates.makespan_seconds / 3600.0
         );
         println!();
     }
@@ -61,7 +61,8 @@ fn main() {
 
     // Show where the remaining wastage sits.
     let mut by_type: Vec<(String, f64)> = sizey_report
-        .wastage_by_task_type()
+        .aggregates
+        .wastage_by_task_type
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect();

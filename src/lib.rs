@@ -12,6 +12,7 @@
 //! let mut sizey = SizeyPredictor::with_defaults();
 //! let report = replay_workflow("iwd", &instances, &mut sizey, &SimulationConfig::default());
 //! assert_eq!(report.method, "Sizey");
+//! assert_eq!(report.aggregates.unfinished_instances, 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -38,8 +39,7 @@ pub mod prelude {
         FaultPlan, MemoryPredictor, MultiReplayReport, NodeCrash, NodePoolSpec, NullRecordSink,
         NullSink, PoolPreemption, Prediction, PredictorState, RecordSink, ReplayAggregates,
         ReplayReport, SchedulePolicy, SchedulerStats, SimulationConfig, StateError,
-        StreamingReplayReport, StreamingTenant, StreamingTenantReport, TaskKillBurst,
-        TaskSubmission, WorkflowTenant,
+        StreamingTenant, TaskKillBurst, TaskSubmission, WorkflowTenant,
     };
     pub use sizey_workflows::{
         all_workflows, generate_workflow, profiles, stream_workflow, DriftSpec, GeneratorConfig,
@@ -58,6 +58,6 @@ mod tests {
         let instances = generate_workflow(&profiles::iwd(), &GeneratorConfig::scaled(0.02, 5));
         let mut sizey = SizeyPredictor::with_defaults();
         let report = replay_workflow("iwd", &instances, &mut sizey, &SimulationConfig::default());
-        assert_eq!(report.instances, instances.len());
+        assert_eq!(report.aggregates.instances, instances.len());
     }
 }

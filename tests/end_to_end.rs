@@ -27,10 +27,10 @@ fn sizey_beats_presets_on_every_workflow() {
             preset.total_wastage_gbh()
         );
         assert_eq!(
-            learned.unfinished_instances, 0,
+            learned.aggregates.unfinished_instances, 0,
             "{name}: tasks left unfinished"
         );
-        assert_eq!(learned.instances, instances.len());
+        assert_eq!(learned.aggregates.instances, instances.len());
     }
 }
 
@@ -49,12 +49,12 @@ fn every_method_completes_the_replay_without_unfinished_tasks() {
     for method in methods.iter_mut() {
         let report = replay_workflow(&spec.name, &instances, method.as_mut(), &sim);
         assert_eq!(
-            report.unfinished_instances, 0,
+            report.aggregates.unfinished_instances, 0,
             "{} left tasks unfinished",
             report.method
         );
         assert!(report.total_wastage_gbh() >= 0.0);
-        assert!(report.total_runtime_hours() > 0.0);
+        assert!(report.aggregates.total_runtime_hours() > 0.0);
         // Every successful first attempt plus retries must at least cover all
         // instances.
         assert!(report.events.len() >= instances.len());
@@ -116,12 +116,17 @@ fn model_telemetry_is_populated_once_history_exists() {
         .filter(|e| e.attempt == 0 && e.selected_model.is_some())
         .count();
     assert!(
-        with_model * 2 > report.instances,
+        with_model * 2 > report.aggregates.instances,
         "most first attempts should be model-based ({with_model}/{})",
-        report.instances
+        report.aggregates.instances
     );
     // The model-selection share sums to ~1.
-    let share_sum: f64 = report.model_selection_share().iter().map(|(_, s)| s).sum();
+    let share_sum: f64 = report
+        .aggregates
+        .model_selection_share()
+        .iter()
+        .map(|(_, s)| s)
+        .sum();
     assert!((share_sum - 1.0).abs() < 1e-9);
 }
 

@@ -42,7 +42,7 @@ fn sizey_retry_state_stays_bounded_when_tasks_terminally_fail() {
     // Sequential engine: the retry baseline is a stack local per instance.
     let mut sizey = SizeyPredictor::with_defaults();
     let report = replay_workflow("wf", &instances, &mut sizey, &config);
-    assert_eq!(report.unfinished_instances, n as usize);
+    assert_eq!(report.aggregates.unfinished_instances, n as usize);
     assert_eq!(report.events.len(), 5 * n as usize);
     // The predictor accumulated learned artifacts only: one pool for the
     // single (task type, machine) key and one provenance record per attempt
@@ -60,7 +60,10 @@ fn sizey_retry_state_stays_bounded_when_tasks_terminally_fail() {
         )],
         &config,
     );
-    assert_eq!(result.reports[0].unfinished_instances, n as usize);
+    assert_eq!(
+        result.reports[0].aggregates.unfinished_instances,
+        n as usize
+    );
     assert!(result.stats.peak_inflight_retries >= 1);
     assert_eq!(
         result.stats.leaked_inflight_retries, 0,

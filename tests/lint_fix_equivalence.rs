@@ -63,10 +63,10 @@ impl Digest {
 fn digest_report(d: &mut Digest, report: &ReplayReport, timed: bool) {
     d.bytes(report.method.as_bytes());
     d.bytes(report.workflow.as_bytes());
-    d.u64(report.instances as u64);
-    d.u64(report.unfinished_instances as u64);
+    d.u64(report.aggregates.instances as u64);
+    d.u64(report.aggregates.unfinished_instances as u64);
     if timed {
-        d.f64(report.makespan_seconds);
+        d.f64(report.aggregates.makespan_seconds);
     }
     d.u64(report.events.len() as u64);
     for e in &report.events {
@@ -135,7 +135,7 @@ fn serial_replay_output_is_pinned() {
             digest_report(d, &report, timed);
             // The model-selection shares run through the descending share
             // sort (one of the partial_cmp → total_cmp conversions).
-            for (model, share) in report.model_selection_share() {
+            for (model, share) in report.aggregates.model_selection_share() {
                 d.bytes(model.as_bytes());
                 d.f64(share);
             }
@@ -251,14 +251,9 @@ fn faulted_scenario(policy: SchedulePolicy) -> (Vec<WorkflowTenant>, SimulationC
     (tenants, config)
 }
 
-fn digest_faulted_run(
-    d: &mut Digest,
-    makespan_seconds: f64,
-    stats: &SchedulerStats,
-    nodes: &[sizey_sim::Node],
-    reports: &[ReplayReport],
-) {
-    d.f64(makespan_seconds);
+fn digest_faulted_run(d: &mut Digest, run: &MultiReplayReport) {
+    let stats = &run.stats;
+    d.f64(run.makespan_seconds);
     d.u64(stats.dispatched_attempts as u64);
     d.f64(stats.total_queue_delay_seconds);
     d.f64(stats.max_queue_delay_seconds);
@@ -271,11 +266,11 @@ fn digest_faulted_run(
     d.u64(stats.requeued_attempts as u64);
     d.u64(stats.crash_lost_attempts as u64);
     d.u64(stats.preempted_attempts as u64);
-    for node in nodes {
+    for node in &run.nodes {
         d.f64(node.peak_allocated_bytes);
         d.u64(node.peak_used_slots as u64);
     }
-    for report in reports {
+    for report in &run.reports {
         digest_report(d, report, true);
     }
 }
@@ -299,35 +294,16 @@ fn faulted_multi_tenant_output_is_pinned() {
                 > multi.stats.crash_lost_attempts + multi.stats.preempted_attempts,
             "{policy:?}: the task-kill burst must hit running attempts"
         );
-        digest_faulted_run(
-            &mut adapter,
-            multi.makespan_seconds,
-            &multi.stats,
-            &multi.nodes,
-            &multi.reports,
-        );
+        digest_faulted_run(&mut adapter, &multi);
 
         let (tenants, config) = faulted_scenario(policy);
         let mut flat: Vec<sizey_sim::AttemptEvent> = Vec::new();
-        let streamed = schedule_workflows_streaming(
+        let mut streamed = schedule_workflows_streaming(
             tenants.into_iter().map(StreamingTenant::from).collect(),
             &config,
             &mut flat,
             &mut NullRecordSink,
         );
-        let mut reports: Vec<ReplayReport> = streamed
-            .reports
-            .iter()
-            .map(|r| ReplayReport {
-                method: r.method.clone(),
-                workflow: r.workflow.clone(),
-                time_to_failure: config.time_to_failure,
-                events: Vec::new(),
-                instances: r.aggregates.instances,
-                unfinished_instances: r.aggregates.unfinished_instances,
-                makespan_seconds: r.aggregates.makespan_seconds,
-            })
-            .collect();
         for event in flat {
             let (tenant, _) = event
                 .task_type
@@ -335,15 +311,9 @@ fn faulted_multi_tenant_output_is_pinned() {
                 .split_once(':')
                 .expect("tenant-prefixed task type");
             let tenant: usize = tenant.parse().expect("tenant index");
-            reports[tenant].events.push(event);
+            streamed.reports[tenant].events.push(event);
         }
-        digest_faulted_run(
-            &mut streaming,
-            streamed.makespan_seconds,
-            &streamed.stats,
-            &streamed.nodes,
-            &reports,
-        );
+        digest_faulted_run(&mut streaming, &streamed);
     }
     check(
         "faulted_multi_tenant (schedule_workflows)",

@@ -52,11 +52,11 @@ fn every_profile_replays_clean_under_every_predictor() {
                 &SimulationConfig::default(),
             );
             assert_eq!(
-                report.unfinished_instances, 0,
+                report.aggregates.unfinished_instances, 0,
                 "{} / {}: unfinished instances",
                 spec.name, report.method
             );
-            assert_eq!(report.instances, instances.len());
+            assert_eq!(report.aggregates.instances, instances.len());
             assert!(
                 report.total_wastage_gbh().is_finite() && report.total_wastage_gbh() >= 0.0,
                 "{} / {}: wastage {} not finite and nonnegative",
@@ -65,11 +65,12 @@ fn every_profile_replays_clean_under_every_predictor() {
                 report.total_wastage_gbh()
             );
             assert!(
-                report.total_runtime_hours().is_finite() && report.total_runtime_hours() > 0.0,
+                report.aggregates.total_runtime_hours().is_finite()
+                    && report.aggregates.total_runtime_hours() > 0.0,
                 "{} / {}: runtime {} not finite and positive",
                 spec.name,
                 report.method,
-                report.total_runtime_hours()
+                report.aggregates.total_runtime_hours()
             );
         }
     }
@@ -89,7 +90,11 @@ fn preset_predictor_also_survives_every_profile() {
             &mut presets,
             &SimulationConfig::default(),
         );
-        assert_eq!(report.unfinished_instances, 0, "{}: unfinished", spec.name);
+        assert_eq!(
+            report.aggregates.unfinished_instances, 0,
+            "{}: unfinished",
+            spec.name
+        );
         assert!(report.total_wastage_gbh().is_finite());
     }
 }

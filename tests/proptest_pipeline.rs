@@ -31,9 +31,9 @@ proptest! {
         let mut presets = PresetPredictor;
         let report = replay_workflow(name, &instances, &mut presets, &SimulationConfig::default());
 
-        prop_assert_eq!(report.instances, instances.len());
+        prop_assert_eq!(report.aggregates.instances, instances.len());
         prop_assert!(report.total_wastage_gbh() >= 0.0);
-        prop_assert!(report.total_runtime_hours() >= 0.0);
+        prop_assert!(report.aggregates.total_runtime_hours() >= 0.0);
         // Number of first attempts equals the number of instances.
         let first_attempts = report.events.iter().filter(|e| e.attempt == 0).count();
         prop_assert_eq!(first_attempts, instances.len());

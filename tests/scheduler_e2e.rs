@@ -79,21 +79,21 @@ fn overallocation_strictly_increases_makespan_under_queueing() {
         60.0,
     );
 
-    assert_eq!(preset.unfinished_instances, 0);
-    assert_eq!(sizey.unfinished_instances, 0);
+    assert_eq!(preset.aggregates.unfinished_instances, 0);
+    assert_eq!(sizey.aggregates.unfinished_instances, 0);
     assert!(
         sizey.events.iter().any(|e| e.selected_model.is_some()),
         "Sizey must learn from completions before later arrivals"
     );
     assert!(
-        preset.makespan_seconds > sizey.makespan_seconds,
+        preset.aggregates.makespan_seconds > sizey.aggregates.makespan_seconds,
         "presets makespan {} s should exceed Sizey makespan {} s on a \
          memory-constrained cluster",
-        preset.makespan_seconds,
-        sizey.makespan_seconds
+        preset.aggregates.makespan_seconds,
+        sizey.aggregates.makespan_seconds
     );
     assert!(
-        preset.total_queue_delay_seconds() > sizey.total_queue_delay_seconds(),
+        preset.aggregates.total_queue_delay_seconds > sizey.aggregates.total_queue_delay_seconds,
         "over-allocation should also show up as queue delay"
     );
 }
@@ -119,12 +119,12 @@ fn finite_capacity_strictly_increases_makespan_vs_unbounded() {
         1.0,
     );
     assert!(
-        finite.makespan_seconds > unbounded.makespan_seconds,
+        finite.aggregates.makespan_seconds > unbounded.aggregates.makespan_seconds,
         "finite {} s vs unbounded {} s",
-        finite.makespan_seconds,
-        unbounded.makespan_seconds
+        finite.aggregates.makespan_seconds,
+        unbounded.aggregates.makespan_seconds
     );
-    assert_eq!(unbounded.total_queue_delay_seconds(), 0.0);
+    assert_eq!(unbounded.aggregates.total_queue_delay_seconds, 0.0);
     // Decisions are identical either way — only timing changes.
     assert_eq!(decisions(&finite), decisions(&unbounded));
 }
@@ -147,7 +147,7 @@ fn multi_tenant_replay_completes_and_contention_is_visible() {
     assert_eq!(shared.reports.len(), 2);
     for report in &shared.reports {
         assert_eq!(
-            report.unfinished_instances, 0,
+            report.aggregates.unfinished_instances, 0,
             "{} unfinished",
             report.workflow
         );
@@ -160,8 +160,8 @@ fn multi_tenant_replay_completes_and_contention_is_visible() {
         &sim,
     );
     assert!(
-        shared.reports[0].total_queue_delay_seconds()
-            >= alone.reports[0].total_queue_delay_seconds(),
+        shared.reports[0].aggregates.total_queue_delay_seconds
+            >= alone.reports[0].aggregates.total_queue_delay_seconds,
         "sharing the cluster cannot reduce a tenant's queue delay"
     );
     assert!(shared.makespan_seconds >= alone.makespan_seconds);
@@ -191,7 +191,8 @@ fn policies_change_timing_but_not_decisions() {
     assert!(
         reports
             .iter()
-            .any(|r| r.total_queue_delay_seconds() != reports[0].total_queue_delay_seconds()),
+            .any(|r| r.aggregates.total_queue_delay_seconds
+                != reports[0].aggregates.total_queue_delay_seconds),
         "some policy must change the timing"
     );
 }
@@ -209,7 +210,7 @@ fn heterogeneous_pool_raises_the_allocation_ceiling() {
     assert_eq!(hetero.largest_node_memory_bytes(), 512e9);
     let mut p = PresetPredictor;
     let report = replay_workflow("iwd", &instances, &mut p, &hetero);
-    assert_eq!(report.unfinished_instances, 0);
+    assert_eq!(report.aggregates.unfinished_instances, 0);
     for e in &report.events {
         assert!(e.allocated_bytes <= 512e9);
     }
@@ -266,6 +267,9 @@ fn async_and_shared_tenants_make_identical_decisions() {
             l.workflow
         );
         assert_eq!(l.events, a.events, "{}", l.workflow);
-        assert_eq!(l.unfinished_instances, a.unfinished_instances);
+        assert_eq!(
+            l.aggregates.unfinished_instances,
+            a.aggregates.unfinished_instances
+        );
     }
 }

@@ -11,8 +11,13 @@
 //!   through the loop behind `schedule_workflows_streaming` and routes each
 //!   attempt event to its tenant, so this checks the adapter: a tenant built
 //!   from a `Vec` and one built from a generator iterator see the same
-//!   scheduling decisions, the per-tenant event lists fold to the engine's
-//!   online aggregates, and together they hold every event the flat sink saw.
+//!   scheduling decisions and return equal aggregates, and together the
+//!   per-tenant event lists hold every event the flat sink saw.
+//!
+//! Both entry points of both engines return `ReplayReport`s that carry the
+//! engine's online `ReplayAggregates`. In each property, every report with
+//! retained events must carry exactly `ReplayAggregates::from_report` of
+//! those events: the engine's fold and the reference fold agree.
 //!   Cross-commit drift of the engine itself is pinned by the golden digests
 //!   in `lint_fix_equivalence`.
 
@@ -73,7 +78,7 @@ proptest! {
 
         let mut streaming_predictor = SizeyPredictor::with_defaults();
         let mut events: Vec<AttemptEvent> = Vec::new();
-        let aggregates = replay_workflow_streaming(
+        let streamed = replay_workflow_streaming(
             &spec.name,
             stream_workflow(&spec, &config),
             &mut streaming_predictor,
@@ -81,7 +86,9 @@ proptest! {
             &mut events,
         );
 
-        prop_assert_eq!(&aggregates, &ReplayAggregates::from_report(&report));
+        prop_assert_eq!(&report.aggregates, &ReplayAggregates::from_report(&report));
+        prop_assert!(streamed.events.is_empty());
+        prop_assert_eq!(&streamed.aggregates, &report.aggregates);
         prop_assert_eq!(events, report.events);
         prop_assert_eq!(
             streaming_predictor.snapshot(),
@@ -148,11 +155,18 @@ proptest! {
         prop_assert_eq!(streaming.makespan_seconds, materialised.makespan_seconds);
         prop_assert_eq!(&streaming.stats, &materialised.stats);
         prop_assert_eq!(&streaming.nodes, &materialised.nodes);
+        prop_assert_eq!(
+            streaming.peak_inflight_instances,
+            materialised.peak_inflight_instances
+        );
         prop_assert_eq!(streaming.leaked_inflight_instances, 0);
+        prop_assert_eq!(materialised.leaked_inflight_instances, 0);
         for (s, m) in streaming.reports.iter().zip(&materialised.reports) {
             prop_assert_eq!(&s.workflow, &m.workflow);
             prop_assert_eq!(&s.method, &m.method);
-            prop_assert_eq!(&s.aggregates, &ReplayAggregates::from_report(m));
+            prop_assert_eq!(&m.aggregates, &ReplayAggregates::from_report(m));
+            prop_assert!(s.events.is_empty());
+            prop_assert_eq!(&s.aggregates, &m.aggregates);
         }
         for (ps, pm) in predictors_s.iter().zip(&predictors_m) {
             prop_assert_eq!(

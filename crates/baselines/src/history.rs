@@ -100,15 +100,15 @@ impl<S: Default> History<S> {
 /// Implements [`sizey_sim::lifecycle::CheckpointPredictor`] for a baseline
 /// whose entire learned state lives in a `history: History` field: the
 /// snapshot is the history's journal, and restore replays it through
-/// `observe` on a fresh instance. Baselines keep no predict-path counters,
-/// so any counter in the state is rejected as foreign.
+/// `observe` on a fresh instance. Baselines never evict, so a state that
+/// lost records to a bounded history is refused like everywhere else.
 macro_rules! impl_history_checkpoint {
     ($ty:ty) => {
         impl sizey_sim::lifecycle::CheckpointPredictor for $ty {
             fn snapshot(&self) -> sizey_sim::lifecycle::PredictorState {
                 sizey_sim::lifecycle::PredictorState {
                     journal: self.history.journal().to_vec(),
-                    counters: Vec::new(),
+                    evicted: 0,
                 }
             }
 
@@ -121,12 +121,7 @@ macro_rules! impl_history_checkpoint {
                         observed: self.history.journal().len(),
                     });
                 }
-                if let Some((name, _)) = state.counters.first() {
-                    return Err(sizey_sim::lifecycle::StateError::UnknownCounter {
-                        name: name.clone(),
-                    });
-                }
-                for record in &state.journal {
+                for record in state.replayable_journal()? {
                     sizey_sim::MemoryPredictor::observe(self, record);
                 }
                 Ok(())

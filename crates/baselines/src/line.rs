@@ -1,6 +1,6 @@
 //! The per-key regression line Witt-LR and Witt-Wastage learn
-//! incrementally: one success folded into the normal equations per observe,
-//! and an eager solve once the key has enough history.
+//! incrementally: one success folded into the normal equations, and solved,
+//! per observe.
 
 use crate::history::Observation;
 use sizey_ml::dataset::Dataset;
@@ -36,7 +36,7 @@ impl Default for IncrementalLine {
 impl IncrementalLine {
     /// Folds the newest observation (the last of `observations`) into the
     /// normal equations and clears the answer. Returns true when the key has
-    /// `min_history` observations and the eager solve succeeded, i.e. when
+    /// `min_history` observations and the update's solve succeeded, i.e. when
     /// the caller should derive a new shift from the fresh coefficients.
     pub(crate) fn absorb(&mut self, observations: &[Observation], min_history: usize) -> bool {
         self.shift = None;
@@ -49,7 +49,7 @@ impl IncrementalLine {
             self.poisoned = true;
             return false;
         }
-        observations.len() >= min_history && self.model.solve().is_ok()
+        observations.len() >= min_history && self.model.is_solved()
     }
 
     /// The line at `input` plus the shift, or `None` without an answer (or

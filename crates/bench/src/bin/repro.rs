@@ -18,21 +18,21 @@
 //! settings to generate with.
 
 use sizey_bench::{
-    banner, evaluate_all_methods, evaluate_methods, fmt, generate_workloads, render_table,
-    HarnessSettings, MethodSpec, Workload,
+    banner, evaluate_all_methods, evaluate_methods, fmt, generate_workloads, headline,
+    render_table, wastage_on, HarnessSettings, MethodSpec, Workload,
 };
 use sizey_core::{
     GatingStrategy, OffsetMode, OffsetStrategy, OnlineMode, SizeyConfig, SizeyPredictor,
 };
 use sizey_ml::dataset::Dataset;
 use sizey_ml::linear::LinearRegression;
-use sizey_ml::metrics::{mape, median};
+use sizey_ml::metrics::mape;
 use sizey_ml::model::{ModelClass, Regressor};
 use sizey_ml::parallel::{default_parallelism, parallel_map};
 use sizey_provenance::{TaskOutcome, TaskRecord, TaskTypeId};
 use sizey_sim::{
-    aggregate_method, replay_workflow, AttemptContext, MemoryPredictor, MethodAggregate,
-    Prediction, ReplayReport, SimulationConfig, TaskSubmission,
+    replay_workflow, AttemptContext, MemoryPredictor, Prediction, ReplayReport, SimulationConfig,
+    TaskSubmission,
 };
 use sizey_workflows::{
     all_workflows, generate_workflow, inventory, peak_memory_by_task_type, stats, workflow_by_name,
@@ -153,14 +153,6 @@ fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     println!("{}", render_table(headers, rows));
 }
 
-/// A method's wastage on one workflow, or `missing` if it has none.
-fn wastage_in(agg: &MethodAggregate, workflow: &str, missing: f64) -> f64 {
-    agg.wastage_per_workflow
-        .get(workflow)
-        .copied()
-        .unwrap_or(missing)
-}
-
 /// A distribution's minimum, quartiles and maximum in units of `unit`,
 /// rounded to whole numbers.
 fn five_numbers(d: &Distribution, unit: f64) -> [String; 5] {
@@ -170,12 +162,21 @@ fn five_numbers(d: &Distribution, unit: f64) -> [String; 5] {
 /// One row of the table the ablations and Fig. 8a/8b share: a label, and
 /// the wastage and failures summed over the label's reports.
 fn totals_row(label: &str, reports: &[ReplayReport]) -> Vec<String> {
-    let agg = aggregate_method(reports);
     vec![
         label.to_string(),
-        fmt(agg.total_wastage_gbh, 2),
-        agg.total_failures.to_string(),
+        fmt(total_wastage(reports), 2),
+        failures(reports).to_string(),
     ]
+}
+
+/// Wastage in GBh summed over reports.
+fn total_wastage(reports: &[ReplayReport]) -> f64 {
+    reports.iter().map(|r| r.aggregates.total_wastage_gbh).sum()
+}
+
+/// Failed attempts summed over reports.
+fn failures(reports: &[ReplayReport]) -> u64 {
+    reports.iter().map(|r| r.aggregates.failures).sum()
 }
 
 /// Prints the "label / Total Wastage GBh / Failures" table.
@@ -260,49 +261,30 @@ fn median_ms(times: &[Duration]) -> f64 {
 /// The abstract's headline claim, per workflow and in aggregate.
 fn headline_summary(ctx: &Context) {
     ctx.banner("Headline: Sizey's wastage reduction vs the best baseline");
-    let results = ctx.suite();
-    let sizey = aggregate_method(&results[0].1);
-    let baselines: Vec<_> = results[1..]
+    let headline = headline(ctx.suite());
+    let rows: Vec<Vec<String>> = headline
+        .per_workflow
         .iter()
-        .filter(|(m, _)| !matches!(m, MethodSpec::Preset))
-        .map(|(m, r)| (m.name(), aggregate_method(r)))
+        .map(|w| {
+            vec![
+                w.workflow.to_string(),
+                fmt(w.sizey_gbh, 2),
+                format!("{} ({})", w.best_baseline, fmt(w.best_baseline_gbh, 2)),
+                fmt(w.reduction_pct, 2),
+            ]
+        })
         .collect();
-
-    // Per-workflow reduction vs the *best* baseline for that workflow.
-    let mut reductions = Vec::new();
-    let mut rows = Vec::new();
-    for wf in WORKFLOW_NAMES {
-        let sizey_w = wastage_in(&sizey, wf, 0.0);
-        let (best_name, best_w) = baselines
-            .iter()
-            .map(|(name, agg)| (*name, wastage_in(agg, wf, f64::INFINITY)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one baseline");
-        let reduction = (1.0 - sizey_w / best_w) * 100.0;
-        reductions.push(reduction);
-        rows.push(vec![
-            wf.to_string(),
-            fmt(sizey_w, 2),
-            format!("{best_name} ({})", fmt(best_w, 2)),
-            fmt(reduction, 2),
-        ]);
-    }
     print_table(
         &["Workflow", "Sizey GBh", "Best baseline GBh", "Reduction %"],
         &rows,
     );
-
-    let best_total = baselines
-        .iter()
-        .map(|(_, agg)| agg.total_wastage_gbh)
-        .fold(f64::INFINITY, f64::min);
     println!(
         "Median per-workflow reduction vs best baseline: {}% (paper: >= 24.68%).",
-        fmt(median(&reductions), 2)
+        fmt(headline.median_reduction_pct, 2)
     );
     println!(
         "Aggregate reduction vs best baseline: {}% (paper: ~60-65%).",
-        fmt((1.0 - sizey.total_wastage_gbh / best_total) * 100.0, 2)
+        fmt(headline.aggregate_reduction_pct, 2)
     );
 }
 
@@ -334,17 +316,14 @@ fn table01_workflow_inventory(ctx: &Context) {
 /// Table II: memory wastage (GBh) for every workflow and method.
 fn table02_wastage_per_workflow(ctx: &Context) {
     ctx.banner("Table II: memory wastage (GBh) per workflow and method");
-    let aggregates: Vec<_> = ctx
-        .suite()
-        .iter()
-        .map(|(_, r)| aggregate_method(r))
-        .collect();
+    let results = ctx.suite();
     let headers: Vec<&str> = std::iter::once("Method").chain(WORKFLOW_NAMES).collect();
-    let rows: Vec<Vec<String>> = aggregates
+    let rows: Vec<Vec<String>> = results
         .iter()
-        .map(|agg| {
-            std::iter::once(agg.method.clone())
-                .chain(WORKFLOW_NAMES.map(|wf| fmt(wastage_in(agg, wf, 0.0), 2)))
+        .map(|(_, reports)| {
+            let method = reports.first().map_or("unknown", |r| r.method.as_str());
+            std::iter::once(method.to_string())
+                .chain(WORKFLOW_NAMES.map(|wf| fmt(wastage_on(reports, wf).unwrap_or(0.0), 2)))
                 .collect()
         })
         .collect();
@@ -354,11 +333,11 @@ fn table02_wastage_per_workflow(ctx: &Context) {
     let wins = WORKFLOW_NAMES
         .into_iter()
         .filter(|wf| {
-            let best_other = aggregates[1..]
+            let best_other = results[1..]
                 .iter()
-                .map(|agg| wastage_in(agg, wf, f64::INFINITY))
+                .map(|(_, reports)| wastage_on(reports, wf).unwrap_or(f64::INFINITY))
                 .fold(f64::INFINITY, f64::min);
-            wastage_in(&aggregates[0], wf, 0.0) < best_other
+            wastage_on(&results[0].1, wf).unwrap_or(0.0) < best_other
         })
         .count();
     println!("Sizey has the lowest wastage in {wins} of 6 workflows (paper: 5 of 6).");
@@ -541,17 +520,11 @@ fn fig08ab_wastage(ctx: &Context) {
             results.iter().map(|(m, r)| (m.name(), r.as_slice())),
         );
 
-        let sizey = aggregate_method(&results[0].1).total_wastage_gbh;
-        let best_baseline = results[1..]
-            .iter()
-            .filter(|(m, _)| !matches!(m, MethodSpec::Preset))
-            .map(|(_, r)| aggregate_method(r).total_wastage_gbh)
-            .fold(f64::INFINITY, f64::min);
-        let presets =
-            aggregate_method(&results.last().expect("presets present").1).total_wastage_gbh;
+        let sizey = total_wastage(&results[0].1);
+        let presets = total_wastage(&results.last().expect("presets present").1);
         println!(
             "Sizey vs best baseline: {}% lower wastage (paper: {}% lower than Witt-Wastage).",
-            fmt((1.0 - sizey / best_baseline) * 100.0, 2),
+            fmt(headline(results).aggregate_reduction_pct, 2),
             panel.paper_reduction_pct
         );
         println!(
@@ -630,12 +603,15 @@ fn fig08d_runtimes(ctx: &Context) {
         .suite()
         .iter()
         .map(|(method, reports)| {
-            let agg = aggregate_method(reports);
+            let runtime_hours: f64 = reports
+                .iter()
+                .map(|r| r.aggregates.total_runtime_hours())
+                .sum();
             vec![
                 method.name().to_string(),
-                fmt(agg.total_runtime_hours, 2),
-                fmt(agg.total_runtime_hours - failure_free_hours, 2),
-                agg.total_failures.to_string(),
+                fmt(runtime_hours, 2),
+                fmt(runtime_hours - failure_free_hours, 2),
+                failures(reports).to_string(),
             ]
         })
         .collect();

@@ -4,8 +4,8 @@
 //! evaluation. The `repro` binary runs them; each is a section named after
 //! the figure, table or ablation it regenerates (README §"Reproducing
 //! figures and tables"). This library holds the shared machinery: method
-//! construction, full-evaluation sweeps across the six workflows, and
-//! plain-text table rendering.
+//! construction, full-evaluation sweeps across the six workflows, the
+//! paper's headline reduction, and plain-text table rendering.
 //!
 //! All harness binaries honour two environment variables so the same code
 //! serves quick smoke runs and full-fidelity reproductions:
@@ -25,10 +25,11 @@ pub mod registry;
 pub mod sweep;
 pub mod toml_lite;
 
+use sizey_ml::metrics::median;
 use sizey_ml::parallel::{default_parallelism, parallel_map};
 use sizey_sim::{replay_workflow, ReplayReport, SimulationConfig};
 use sizey_workflows::{
-    all_workflows, generate_workflow, GeneratorConfig, TaskInstance, WorkflowSpec,
+    all_workflows, generate_workflow, GeneratorConfig, TaskInstance, WorkflowSpec, WORKFLOW_NAMES,
 };
 
 pub use experiment::ExperimentSpec;
@@ -152,6 +153,93 @@ pub fn evaluate_methods(
         .collect()
 }
 
+/// A method's wastage in GBh on one workflow, summed over its reports of
+/// that workflow; `None` when it has none.
+pub fn wastage_on(reports: &[ReplayReport], workflow: &str) -> Option<f64> {
+    reports
+        .iter()
+        .filter(|r| r.workflow == workflow)
+        .map(|r| r.aggregates.total_wastage_gbh)
+        .reduce(|a, b| a + b)
+}
+
+/// Sizey's wastage on one workflow against the best state-of-the-art
+/// baseline's there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkflowReduction {
+    /// The workflow.
+    pub workflow: &'static str,
+    /// Sizey's wastage in GBh.
+    pub sizey_gbh: f64,
+    /// Name of the baseline with the least wastage on this workflow.
+    pub best_baseline: &'static str,
+    /// That baseline's wastage in GBh.
+    pub best_baseline_gbh: f64,
+    /// `(1 - sizey / best) * 100`.
+    pub reduction_pct: f64,
+}
+
+/// The paper's headline claim over one evaluation of the method suite.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Headline {
+    /// One row per workflow, in [`WORKFLOW_NAMES`] order.
+    pub per_workflow: Vec<WorkflowReduction>,
+    /// Median of the per-workflow reductions, in %.
+    pub median_reduction_pct: f64,
+    /// Sizey's total wastage against the lowest baseline total, in %.
+    pub aggregate_reduction_pct: f64,
+}
+
+/// Computes the headline from [`evaluate_all_methods`]-shaped results:
+/// the first method is Sizey, and the presets are no baseline. Per workflow
+/// the best baseline is the one with the least wastage there (a baseline
+/// without that workflow never wins); in aggregate it is the one with the
+/// least total.
+pub fn headline(results: &[(MethodSpec, Vec<ReplayReport>)]) -> Headline {
+    let (sizey, rest) = results.split_first().expect("Sizey is the first method");
+    let baselines: Vec<(&'static str, &[ReplayReport])> = rest
+        .iter()
+        .filter(|(m, _)| !matches!(m, MethodSpec::Preset))
+        .map(|(m, reports)| (m.name(), reports.as_slice()))
+        .collect();
+    let per_workflow: Vec<WorkflowReduction> = WORKFLOW_NAMES
+        .into_iter()
+        .map(|workflow| {
+            let sizey_gbh = wastage_on(&sizey.1, workflow).unwrap_or(0.0);
+            let (best_baseline, best_baseline_gbh) = baselines
+                .iter()
+                .map(|(name, reports)| {
+                    (
+                        *name,
+                        wastage_on(reports, workflow).unwrap_or(f64::INFINITY),
+                    )
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("at least one baseline");
+            WorkflowReduction {
+                workflow,
+                sizey_gbh,
+                best_baseline,
+                best_baseline_gbh,
+                reduction_pct: (1.0 - sizey_gbh / best_baseline_gbh) * 100.0,
+            }
+        })
+        .collect();
+    let total = |reports: &[ReplayReport]| -> f64 {
+        reports.iter().map(|r| r.aggregates.total_wastage_gbh).sum()
+    };
+    let best_total = baselines
+        .iter()
+        .map(|(_, reports)| total(reports))
+        .fold(f64::INFINITY, f64::min);
+    let reductions: Vec<f64> = per_workflow.iter().map(|w| w.reduction_pct).collect();
+    Headline {
+        median_reduction_pct: median(&reductions),
+        aggregate_reduction_pct: (1.0 - total(&sizey.1) / best_total) * 100.0,
+        per_workflow,
+    }
+}
+
 /// Renders a plain-text table with right-aligned numeric columns.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -203,6 +291,55 @@ pub fn banner(experiment: &str, settings: &HarnessSettings) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sizey_sim::ReplayAggregates;
+
+    /// Reports with the given wastage on the first two workflows.
+    fn reports(gbh: [f64; 2]) -> Vec<ReplayReport> {
+        WORKFLOW_NAMES[..2]
+            .iter()
+            .zip(gbh)
+            .map(|(workflow, total_wastage_gbh)| ReplayReport {
+                method: String::new(),
+                workflow: workflow.to_string(),
+                time_to_failure: 1.0,
+                events: Vec::new(),
+                instances: 0,
+                aggregates: ReplayAggregates {
+                    total_wastage_gbh,
+                    ..ReplayAggregates::default()
+                },
+            })
+            .collect()
+    }
+
+    /// The best baseline is picked per workflow, and by total in aggregate;
+    /// the presets never count, however low their wastage.
+    #[test]
+    fn headline_compares_sizey_with_the_best_baseline() {
+        let [sizey, lr, ppm, preset] = [
+            MethodSpec::default_suite()[0].clone(),
+            MethodSpec::WittLr(Default::default()),
+            MethodSpec::TovarPpm(Default::default()),
+            MethodSpec::Preset,
+        ];
+        let h = headline(&[
+            (sizey, reports([5.0, 30.0])),
+            (lr, reports([10.0, 40.0])),
+            (ppm, reports([20.0, 20.0])),
+            (preset, reports([1.0, 1.0])),
+        ]);
+        let first = &h.per_workflow[0];
+        assert_eq!(
+            (first.best_baseline, first.best_baseline_gbh),
+            ("Witt-LR", 10.0)
+        );
+        assert_eq!(first.reduction_pct, 50.0);
+        assert_eq!(h.per_workflow[1].best_baseline, "Tovar-PPM");
+        assert_eq!(h.per_workflow[1].reduction_pct, -50.0);
+        // 35 GBh against Tovar-PPM's 40 (Witt-LR's total is 50).
+        assert_eq!(h.aggregate_reduction_pct, 12.5);
+        assert_eq!(h.per_workflow.len(), WORKFLOW_NAMES.len());
+    }
 
     #[test]
     fn methods_have_unique_names_and_builders() {

@@ -135,8 +135,8 @@ impl MethodSpec {
 
     /// Builds the concrete [`SizeyPredictor`] when this spec is the Sizey
     /// method — for harnesses that need Sizey-specific telemetry
-    /// (offset-selection tallies, full-retrain counts) beyond the predictor
-    /// traits. Returns `None` for every other method.
+    /// (full-retrain counts, pool counts) beyond the predictor traits.
+    /// Returns `None` for every other method.
     pub fn build_sizey(&self) -> Option<SizeyPredictor> {
         match self {
             MethodSpec::Sizey(config) => Some(SizeyPredictor::new(config.clone())),
@@ -849,23 +849,24 @@ mod tests {
         }
     }
 
+    fn record(task_type: &str, seq: u64, input: f64, peak: f64) -> TaskRecord {
+        TaskRecord {
+            workflow: "wf".into(),
+            task_type: TaskTypeId::new(task_type),
+            machine: MachineId::new("m"),
+            sequence: seq,
+            input_bytes: input,
+            peak_memory_bytes: peak,
+            allocated_memory_bytes: peak * 1.4,
+            runtime_seconds: 30.0,
+            concurrent_tasks: 1,
+            queue_delay_seconds: 0.0,
+            outcome: TaskOutcome::Succeeded,
+        }
+    }
+
     #[test]
     fn build_then_restore_is_bit_identical_for_every_method() {
-        fn record(task_type: &str, seq: u64, input: f64, peak: f64) -> TaskRecord {
-            TaskRecord {
-                workflow: "wf".into(),
-                task_type: TaskTypeId::new(task_type),
-                machine: MachineId::new("m"),
-                sequence: seq,
-                input_bytes: input,
-                peak_memory_bytes: peak,
-                allocated_memory_bytes: peak * 1.4,
-                runtime_seconds: 30.0,
-                concurrent_tasks: 1,
-                queue_delay_seconds: 0.0,
-                outcome: TaskOutcome::Succeeded,
-            }
-        }
         let task = TaskSubmission {
             workflow: "wf".into(),
             task_type: TaskTypeId::new("t"),
@@ -883,8 +884,6 @@ mod tests {
             let restored = spec
                 .restore(&state)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.id()));
-            // State equality first: the comparison predicts below advance
-            // Sizey's offset-selection counters on both sides.
             assert_eq!(restored.snapshot(), state, "{} state drifted", spec.id());
             assert_eq!(
                 original.predict(&task, AttemptContext::first()),
@@ -892,6 +891,29 @@ mod tests {
                 "{} diverged after restore",
                 spec.id()
             );
+        }
+    }
+
+    /// A bounded Sizey history's snapshot is a journal suffix: every method
+    /// refuses it through the one eviction check, Sizey, the baselines and
+    /// the stateless presets alike.
+    #[test]
+    fn every_method_refuses_a_truncated_journal() {
+        let bounded = MethodSpec::Sizey(SizeyConfig::default().with_history_window(4));
+        let mut sizey = bounded.build();
+        for i in 1..=12u64 {
+            sizey.observe(&record("t", i, i as f64 * 1e9, 3e9));
+        }
+        let state = sizey.snapshot();
+        assert!(state.evicted > 0);
+        for spec in std::iter::once(bounded).chain(MethodSpec::default_suite()) {
+            match spec.restore(&state) {
+                Err(StateError::TruncatedJournal { evicted }) => {
+                    assert_eq!(evicted, state.evicted, "{}", spec.id())
+                }
+                Err(e) => panic!("{}: {e}", spec.id()),
+                Ok(_) => panic!("{} restored a truncated journal", spec.id()),
+            }
         }
     }
 }

@@ -6,7 +6,9 @@
 //! PR 8 refactor establishes: once a serving thread is warm, a
 //! `SizeyPredictor::predict` call performs **zero heap allocations** —
 //! first-attempt predictions (model pool, RAQ scores, gating, offset
-//! selection), retry escalations and unknown-task preset fallbacks alike.
+//! selection), retry escalations and unknown-task preset fallbacks alike,
+//! and the first predict after an observe too: learning happens in
+//! `observe`, so a predict only reads.
 //!
 //! The measurement instrument is a counting `#[global_allocator]`
 //! (allocation *count*, not bytes: a single stray `Vec` or `String` of any
@@ -103,16 +105,33 @@ fn steady_state_predict_performs_zero_heap_allocations() {
     let mut predictor = SizeyPredictor::with_defaults();
     // Train one (task type, machine) pool far enough that every model class
     // is fitted, the offset histories are populated and the cold-start
-    // guard has disengaged.
+    // guard has disengaged. A second pool holds more rows than the first
+    // ever will here, so predicting it sizes the thread's k-NN distance
+    // table for the first pool's growth below.
     for i in 1..=30u64 {
         let input = (i % 10 + 1) as f64 * 1e9;
         predictor.observe(&success(i, input, 2.0 * input + 1e9));
     }
+    let wide = TaskTypeId::new("wide");
+    for i in 1..=40u64 {
+        let input = (i % 10 + 1) as f64 * 1e9;
+        predictor.observe(&TaskRecord {
+            task_type: wide.clone(),
+            ..success(i, input, 3.0 * input)
+        });
+    }
 
     // Warm-up: the first predictions on this thread initialise the
-    // thread-local scratch, grow its buffers to the workload's widest shape
-    // and run the linear model's one lazy normal-equation solve (observe
-    // marks the coefficients stale; the next predict re-solves, once).
+    // thread-local scratch and grow its buffers to the workload's widest
+    // shape.
+    let wide_task = TaskSubmission {
+        task_type: wide,
+        ..submission(500, 4e9)
+    };
+    assert!(predictor
+        .predict(&wide_task, AttemptContext::first())
+        .raw_estimate_bytes
+        .is_some());
     let mut tasks: Vec<TaskSubmission> = (0..8u64)
         .map(|i| submission(100 + i, (i % 10 + 1) as f64 * 1e9 + 0.5e9))
         .collect();
@@ -149,6 +168,17 @@ fn steady_state_predict_performs_zero_heap_allocations() {
         "steady-state predict must not touch the heap ({allocs} allocations in 400 calls)"
     );
 
+    // The first predict after an observe reads the models the observe left
+    // behind; it solves, retrains and grows nothing.
+    predictor.observe(&success(31, 4e9, 9e9));
+    let (allocs, first) =
+        allocations_during(|| predictor.predict(&tasks[0], AttemptContext::first()));
+    assert!(first.raw_estimate_bytes.is_some());
+    assert_eq!(
+        allocs, 0,
+        "the first predict after an observe must not touch the heap ({allocs} allocations)"
+    );
+
     // Retry escalation and the unknown-task preset fallback are hot-path
     // branches too.
     let (allocs, _) = allocations_during(|| {
@@ -175,7 +205,7 @@ fn steady_state_predict_performs_zero_heap_allocations() {
         assert!(service.observe(&success(i, input, 2.0 * input + 1e9)));
     }
     service.flush();
-    // Warm-up: scratch growth and the published snapshot's lazy re-solve.
+    // The snapshot must serve model estimates before the gate.
     for task in &tasks {
         let p = service.predict(task, AttemptContext::first());
         assert!(p.raw_estimate_bytes.is_some(), "snapshot must be warm");

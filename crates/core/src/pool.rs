@@ -577,7 +577,7 @@ impl ModelPool {
     fn refit_members(&mut self, config: &SizeyConfig) {
         for member in &mut self.members {
             if config.hyperparameter_optimization && self.data.len() >= 6 {
-                let specs = ModelSpec::default_grid(member.class);
+                let specs = ModelSpec::default_grid(member.class, config.seed);
                 if let Ok(result) = grid_search(&specs, &self.data, 3) {
                     member.model = result.model;
                     continue;
@@ -638,6 +638,28 @@ mod tests {
                 &mut PoolScratch::default(),
             );
         }
+    }
+
+    /// The grid search of a full retrain builds its MLPs and forests from
+    /// the pool's seed, so two seeds still train two different networks
+    /// once hyper-parameter optimisation has replaced the members.
+    #[test]
+    fn hpo_retrains_honour_the_configured_seed() {
+        let mlp_estimate = |seed| {
+            let cfg = SizeyConfig {
+                seed,
+                ..SizeyConfig::full_retraining()
+            };
+            let mut pool = ModelPool::new(&cfg);
+            feed_linear(&mut pool, &cfg, 12);
+            let estimates = estimates(&pool, &[5e9]).unwrap();
+            let (_, mlp) = estimates
+                .into_iter()
+                .find(|(class, _)| *class == ModelClass::Mlp)
+                .unwrap();
+            mlp
+        };
+        assert_ne!(mlp_estimate(7).to_bits(), mlp_estimate(8).to_bits());
     }
 
     #[test]

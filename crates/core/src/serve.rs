@@ -232,42 +232,33 @@ impl<P: MemoryPredictor + Sync> MemoryPredictor for ConcurrentPredictor<P> {
 /// service re-snapshots to the same state; restored into any other shard
 /// count, or into one serial predictor, it makes bit-identical predictions.
 impl<P: CheckpointPredictor + Sync> CheckpointPredictor for ConcurrentPredictor<P> {
-    /// Shard journals concatenated in shard order, counters summed by name
-    /// and name-sorted. Writers are not blocked globally: each shard is
-    /// read-locked briefly and independently, so the snapshot is per-shard
-    /// consistent (the unit of all learned state).
+    /// Shard journals concatenated in shard order, eviction counts summed.
+    /// Writers are not blocked globally: each shard is read-locked briefly
+    /// and independently, so the snapshot is per-shard consistent (the unit
+    /// of all learned state).
     fn snapshot(&self) -> PredictorState {
         let mut merged = PredictorState::empty();
         for shard in self.shards.iter() {
             let state = shard.read().snapshot();
             merged.journal.extend(state.journal);
-            for (name, value) in state.counters {
-                match merged.counters.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, total)) => *total += value,
-                    None => merged.counters.push((name, value)),
-                }
-            }
+            merged.evicted += state.evicted;
         }
-        merged.counters.sort();
         merged
     }
 
-    /// Routes every journal record to the shard its key hashes to (in
-    /// journal order, so each key keeps its history), gives the counters —
-    /// telemetry totals with no per-key meaning — to shard 0, and restores
-    /// every shard through its own `restore`, which is where
-    /// [`StateError::NotFresh`], [`StateError::UnknownCounter`] and (from
-    /// shard 0, for a bounded-history service's summed eviction count)
-    /// [`StateError::TruncatedJournal`] come from.
+    /// Refuses a truncated journal ([`StateError::TruncatedJournal`]) before
+    /// any shard replays a record, then routes every journal record to the
+    /// shard its key hashes to (in journal order, so each key keeps its
+    /// history) and restores every shard through its own `restore`, which
+    /// is where [`StateError::NotFresh`] comes from.
     /// After an error the service is partly restored; build a new one.
     fn restore(&mut self, state: &PredictorState) -> Result<(), StateError> {
         let mut per_shard = vec![PredictorState::empty(); self.shards.len()];
-        for record in &state.journal {
+        for record in state.replayable_journal()? {
             per_shard[self.shard_of_record(record)]
                 .journal
                 .push(Arc::clone(record));
         }
-        per_shard[0].counters = state.counters.clone();
         for (shard, shard_state) in self.shards.iter().zip(&per_shard) {
             shard.write().restore(shard_state)?;
         }
@@ -497,20 +488,11 @@ mod tests {
         for task_type in ["align", "sort", "call"] {
             train(&mut |r| original.observe(r), task_type, 14);
         }
-        // Warm the predict path so the offset-selection counters are
-        // non-trivial.
-        for task_type in ["align", "sort"] {
-            let _ = original.predict(&submission(task_type, 90, 5e9), AttemptContext::first());
-        }
         let checkpoint = original.snapshot();
         assert_eq!(checkpoint.journal.len(), 3 * 14);
-        assert!(!checkpoint.counters.is_empty());
 
         let mut restored = ConcurrentSizey::sizey(SizeyConfig::default(), 4);
         restored.restore(&checkpoint).unwrap();
-        // Snapshotting the freshly restored service reproduces the
-        // checkpoint exactly (before any further predicts advance the
-        // offset-selection counters).
         assert_eq!(restored.snapshot(), checkpoint);
         assert_same_decisions(&original, &restored, &["align", "sort", "call"]);
         assert!(matches!(
@@ -520,8 +502,8 @@ mod tests {
     }
 
     /// A bounded-history service's snapshot sums its shards' eviction
-    /// counts, and restoring it is refused through shard 0, which receives
-    /// every counter, before any shard replays a record.
+    /// counts, and restoring it is refused before any shard replays a
+    /// record.
     #[test]
     fn bounded_service_checkpoint_is_refused() {
         let bounded = SizeyConfig::default().with_history_window(8);
@@ -567,46 +549,7 @@ mod tests {
         let mut serial = SizeyPredictor::with_defaults();
         serial.restore(&parsed).unwrap();
         assert_same_decisions(&service, &serial, &["x", "y", "z"]);
-    }
-
-    /// Snapshot counters are name-sorted (the `PredictorState` contract), so
-    /// restoring a service's merged snapshot — which also name-sorts — and
-    /// re-snapshotting reproduces it even when several offset strategies
-    /// have non-zero tallies.
-    #[test]
-    fn merged_checkpoint_with_multiple_counters_round_trips() {
-        use sizey_sim::MemoryPredictor;
-        let mut predictor = SizeyPredictor::with_defaults();
-        // Alternate between two histories so the dynamic offset selection
-        // picks different strategies over time.
-        for i in 1..=60u64 {
-            let input = (i % 13 + 1) as f64 * 1e9;
-            let noise = if i % 3 == 0 { 2.5e9 } else { -0.4e9 };
-            predictor.observe(&record("mix", i, input, 1.7 * input + 1e9 + noise));
-            let _ = predictor.predict(
-                &submission("mix", 1000 + i, input * 1.1),
-                AttemptContext::first(),
-            );
-        }
-        let state = predictor.snapshot();
-        let names: Vec<&str> = state.counters.iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "snapshot counters must be name-sorted");
-
-        let service = ConcurrentSizey::sizey(SizeyConfig::default(), 3);
-        for i in 1..=40u64 {
-            let input = (i % 11 + 1) as f64 * 1e9;
-            service.observe(&record("a", i, input, 2.0 * input + 5e8));
-            let _ = service.predict(&submission("a", 2000 + i, input), AttemptContext::first());
-        }
-        let merged = service.snapshot();
-        let mut restored = SizeyPredictor::with_defaults();
-        restored.restore(&merged).unwrap();
-        assert_eq!(
-            restored.snapshot(),
-            merged,
-            "restored merged state must re-snapshot identically"
-        );
+        // The serial store journals in restore order: the merged state.
+        assert_eq!(serial.snapshot(), parsed);
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::config::{OffsetMode, SizeyConfig};
 use crate::failure::failure_allocation;
-use crate::offset::{select_dynamic_offset_with, OffsetScratch, OffsetStrategy};
+use crate::offset::{select_dynamic_offset_with, OffsetScratch};
 use crate::pool::{ModelPool, PoolScratch};
 use sizey_provenance::{
     KeyQuery, KeyRef, ProvenanceStore, TaskMachineKey, TaskOutcome, TaskRecord,
@@ -41,7 +41,6 @@ use sizey_sim::{
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 thread_local! {
@@ -56,6 +55,15 @@ thread_local! {
 }
 
 /// The Sizey online memory predictor.
+///
+/// Cloning produces an independent predictor whose `predict` results are
+/// bit-identical to the original's at the moment of the clone, and which
+/// neither side can change for the other afterwards. The pools are shared
+/// copy-on-write (the first `observe` of a key on either side copies that
+/// key's pool, nothing else) and the provenance store is copied. What the
+/// serving layer publishes for lock-free reads is the cheaper
+/// [`published_view`](SizeyPredictor::published_view), not a clone.
+#[derive(Clone)]
 pub struct SizeyPredictor {
     config: SizeyConfig,
     // A BTreeMap, not HashMap: the snapshot and staged-retrain paths iterate
@@ -73,34 +81,6 @@ pub struct SizeyPredictor {
     /// retrain work per micro-batch.
     deferred_retrains: bool,
     store: ProvenanceStore,
-    /// How often each offset strategy was selected (diagnostics), indexed by
-    /// position in [`OffsetStrategy::ALL`]. Atomic because the selection
-    /// happens on the lock-free read path; behind an `Arc` so the predicts a
-    /// [`published_view`](SizeyPredictor::published_view) serves are tallied
-    /// on the predictor it was taken from.
-    offset_selections: Arc<[AtomicUsize; OffsetStrategy::ALL.len()]>,
-}
-
-/// Cloning produces an independent predictor whose `predict` results are
-/// bit-identical to the original's at the moment of the clone, and which
-/// neither side can change for the other afterwards. The pools are shared
-/// copy-on-write (the first `observe` of a key on either side copies that
-/// key's pool, nothing else), the provenance store is copied, and the
-/// offset-selection diagnostics are carried over by value. What the serving
-/// layer publishes for lock-free reads is the cheaper
-/// [`published_view`](SizeyPredictor::published_view), not this.
-impl Clone for SizeyPredictor {
-    fn clone(&self) -> Self {
-        let offset_selections: [AtomicUsize; OffsetStrategy::ALL.len()] = Default::default();
-        for (ours, theirs) in offset_selections.iter().zip(self.offset_selections.iter()) {
-            ours.store(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        SizeyPredictor {
-            store: self.store.clone(),
-            offset_selections: Arc::new(offset_selections),
-            ..self.published_view()
-        }
-    }
 }
 
 impl std::fmt::Debug for SizeyPredictor {
@@ -130,7 +110,6 @@ impl SizeyPredictor {
             pools: BTreeMap::new(),
             deferred_retrains: false,
             store,
-            offset_selections: Arc::default(),
         }
     }
 
@@ -142,16 +121,13 @@ impl SizeyPredictor {
     /// is one map of `Arc` bumps, whatever the pools hold.
     ///
     /// The view is immutable in effect: this predictor's later writes copy
-    /// the pools they touch instead of changing the view's. The
-    /// offset-selection counters are the one thing deliberately shared both
-    /// ways, so selections made through a view are tallied here.
+    /// the pools they touch instead of changing the view's.
     pub fn published_view(&self) -> SizeyPredictor {
         SizeyPredictor {
             config: self.config.clone(),
             pools: self.pools.clone(),
             deferred_retrains: self.deferred_retrains,
             store: ProvenanceStore::new(),
-            offset_selections: Arc::clone(&self.offset_selections),
         }
     }
 
@@ -198,19 +174,6 @@ impl SizeyPredictor {
     /// The internal provenance store (all observed records).
     pub fn provenance(&self) -> &ProvenanceStore {
         &self.store
-    }
-
-    /// How often each offset strategy won the dynamic selection (strategies
-    /// that never won are omitted).
-    pub fn offset_selections(&self) -> BTreeMap<OffsetStrategy, usize> {
-        OffsetStrategy::ALL
-            .iter()
-            .zip(self.offset_selections.iter())
-            .filter_map(|(&strategy, count)| {
-                let n = count.load(Ordering::Relaxed);
-                (n > 0).then_some((strategy, n))
-            })
-            .collect()
     }
 
     /// Number of (task type, machine) pools instantiated so far.
@@ -288,11 +251,9 @@ impl SizeyPredictor {
         self.pools.get(&probe as &dyn KeyQuery).map(Arc::as_ref)
     }
 
-    /// Computes the offset for the given pool's current state. Read-path
-    /// method: the selection diagnostics are the only thing written, through
-    /// an atomic. The offset window
-    /// ([`crate::pool::OFFSET_HISTORY_WINDOW`]) is borrowed straight from
-    /// the pool's aggregate history — no per-predict copy of the window.
+    /// Computes the offset for the given pool's current state. The offset
+    /// window ([`crate::pool::OFFSET_HISTORY_WINDOW`]) is borrowed straight
+    /// from the pool's aggregate history — no per-predict copy of the window.
     fn offset_for(&self, pool: &ModelPool, scratch: &mut OffsetScratch) -> f64 {
         let h = pool.aggregate_history();
         // lint:allow(no-panic-hot-path): the range start is
@@ -305,20 +266,7 @@ impl SizeyPredictor {
         match self.config.offset {
             OffsetMode::None => 0.0,
             OffsetMode::Fixed(strategy) => strategy.offset_with(history, scratch),
-            OffsetMode::Dynamic => {
-                let (strategy, offset) = select_dynamic_offset_with(history, scratch);
-                // `select_dynamic_offset_with` only returns candidates drawn
-                // from `OffsetStrategy::ALL`, so the lookup always succeeds;
-                // the telemetry is best-effort either way, so a (impossible)
-                // miss skips the tally instead of panicking the hot path.
-                if let Some(idx) = OffsetStrategy::ALL.iter().position(|s| *s == strategy) {
-                    // lint:allow(no-panic-hot-path): idx comes from
-                    // position() over ALL, and the counter array is sized
-                    // ALL.len() — always in bounds.
-                    self.offset_selections[idx].fetch_add(1, Ordering::Relaxed);
-                }
-                offset
-            }
+            OffsetMode::Dynamic => select_dynamic_offset_with(history, scratch).1,
         }
     }
 }
@@ -426,53 +374,25 @@ impl MemoryPredictor for SizeyPredictor {
     }
 }
 
-/// Counter-name prefix under which the offset-selection diagnostics are
-/// carried in a [`PredictorState`] (one counter per
-/// [`OffsetStrategy`], suffixed with the strategy's
-/// [`name`](OffsetStrategy::name)).
-const OFFSET_COUNTER_PREFIX: &str = "offset-selected.";
-
-/// Counter under which a snapshot records how many journal records the
-/// bounded store had evicted. Written only when non-zero, so unbounded
-/// snapshots carry no trace of it; its presence makes
-/// [`restore`](CheckpointPredictor::restore) refuse the state.
-const EVICTED_COUNTER: &str = "journal.evicted";
-
 /// Event-sourced snapshot/restore: Sizey's learned state — model pools,
 /// offset histories, provenance — is a deterministic function of the
 /// observation stream (the stochastic pool members are seeded from
 /// [`SizeyConfig::seed`]), so the snapshot is the provenance store's record
-/// journal plus the predict-path offset-selection counters. Restoring
-/// replays the journal through [`MemoryPredictor::observe`] on a freshly
-/// built predictor with the *same configuration*, which reconstructs every
-/// pool bit for bit. A bounded [`SizeyConfig::history_window`] store
-/// journals only its retained suffix, so such a snapshot says how much it
-/// lost and restore refuses it with [`StateError::TruncatedJournal`].
+/// journal. Restoring replays the journal through
+/// [`MemoryPredictor::observe`] on a freshly built predictor with the *same
+/// configuration*, which reconstructs every pool bit for bit. A bounded
+/// [`SizeyConfig::history_window`] store journals only its retained suffix,
+/// so such a snapshot says how much it lost and restore refuses it with
+/// [`StateError::TruncatedJournal`].
 impl CheckpointPredictor for SizeyPredictor {
     fn snapshot(&self) -> PredictorState {
-        // The journal *shares* the store's records (satellite fix for the
-        // observe/snapshot double clone): `observe` deep-clones each record
-        // exactly once into the store's `Arc`, and a snapshot only bumps
-        // reference counts.
-        let journal = self.store.all_records();
-        let mut counters: Vec<(String, u64)> = OffsetStrategy::ALL
-            .iter()
-            .zip(self.offset_selections.iter())
-            .filter_map(|(strategy, count)| {
-                let n = count.load(Ordering::Relaxed) as u64;
-                (n > 0).then(|| (format!("{OFFSET_COUNTER_PREFIX}{}", strategy.name()), n))
-            })
-            .collect();
-        let evicted = self.store.evicted();
-        if evicted > 0 {
-            counters.push((EVICTED_COUNTER.to_string(), evicted));
+        // The journal *shares* the store's records: `observe` deep-clones
+        // each record exactly once into the store's `Arc`, and a snapshot
+        // only bumps reference counts.
+        PredictorState {
+            journal: self.store.all_records(),
+            evicted: self.store.evicted(),
         }
-        // Name-sorted, matching the `PredictorState` contract — and the
-        // order a `ConcurrentPredictor` snapshot merges its shards' counters
-        // into, so a snapshot of a restored service state compares equal to
-        // that state.
-        counters.sort();
-        PredictorState { journal, counters }
     }
 
     fn restore(&mut self, state: &PredictorState) -> Result<(), StateError> {
@@ -481,20 +401,8 @@ impl CheckpointPredictor for SizeyPredictor {
                 observed: self.store.len(),
             });
         }
-        if let Some(&(_, evicted)) = state.counters.iter().find(|(n, _)| n == EVICTED_COUNTER) {
-            return Err(StateError::TruncatedJournal { evicted });
-        }
-        for record in &state.journal {
+        for record in state.replayable_journal()? {
             self.observe(record);
-        }
-        for (name, value) in &state.counters {
-            let idx = name
-                .strip_prefix(OFFSET_COUNTER_PREFIX)
-                .and_then(|n| OffsetStrategy::ALL.iter().position(|s| s.name() == n))
-                .ok_or_else(|| StateError::UnknownCounter { name: name.clone() })?;
-            // lint:allow(no-panic-hot-path): idx comes from position() over
-            // ALL, and the counter array is sized ALL.len() — in bounds.
-            self.offset_selections[idx].store(*value as usize, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -676,15 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_offset_selection_is_tracked() {
-        let mut p = SizeyPredictor::with_defaults();
-        train(&mut p, 15);
-        let _ = p.predict(&submission(99, 3e9), AttemptContext::first());
-        let total: usize = p.offset_selections().values().sum();
-        assert!(total >= 1);
-    }
-
-    #[test]
     fn no_offset_mode_returns_raw_estimate() {
         let cfg = SizeyConfig {
             offset: OffsetMode::None,
@@ -763,9 +662,9 @@ mod tests {
     }
 
     /// Snapshot → restore reconstructs the learned state bit for bit: the
-    /// restored predictor's decisions, provenance and diagnostics equal the
-    /// uninterrupted original's, and its own snapshot equals the state it
-    /// was restored from.
+    /// restored predictor's decisions and provenance equal the uninterrupted
+    /// original's, and its own snapshot equals the state it was restored
+    /// from.
     #[test]
     fn snapshot_restore_round_trip_is_bit_identical() {
         let mut original = SizeyPredictor::with_defaults();
@@ -774,14 +673,9 @@ mod tests {
         failed.outcome = TaskOutcome::FailedOutOfMemory;
         failed.allocated_memory_bytes = 30e9;
         original.observe(&failed);
-        // Exercise the predict path so the offset-selection counters are
-        // non-trivial (they cannot be reproduced by replaying the journal).
-        for seq in 100..110 {
-            let _ = original.predict(&submission(seq, 4e9), AttemptContext::first());
-        }
         let state = original.snapshot();
         assert_eq!(state.journal.len(), 19);
-        assert!(!state.counters.is_empty());
+        assert_eq!(state.evicted, 0);
 
         let mut restored = SizeyPredictor::with_defaults();
         restored.restore(&state).unwrap();
@@ -799,28 +693,17 @@ mod tests {
         }
         assert_eq!(restored.provenance().len(), original.provenance().len());
         assert_eq!(restored.n_pools(), original.n_pools());
-        // Counters were not inflated by the restore's own replay, and the
-        // comparison predicts above advanced both sides in lockstep.
-        assert_eq!(restored.snapshot().counters, original.snapshot().counters);
+        assert_eq!(restored.snapshot(), state);
     }
 
     #[test]
-    fn restore_rejects_non_fresh_targets_and_foreign_counters() {
+    fn restore_rejects_non_fresh_targets() {
         let mut original = SizeyPredictor::with_defaults();
         train(&mut original, 5);
         let state = original.snapshot();
         assert!(matches!(
             original.restore(&state),
             Err(StateError::NotFresh { observed: 5 })
-        ));
-        let mut fresh = SizeyPredictor::with_defaults();
-        let foreign = PredictorState {
-            journal: Vec::new(),
-            counters: vec![("not-a-sizey-counter".to_string(), 1)],
-        };
-        assert!(matches!(
-            fresh.restore(&foreign),
-            Err(StateError::UnknownCounter { .. })
         ));
     }
 
@@ -857,7 +740,7 @@ mod tests {
         );
         let state = p.snapshot();
         assert_eq!(state.journal.len(), 32);
-        assert!(state.counters.contains(&(EVICTED_COUNTER.to_string(), 668)));
+        assert_eq!(state.evicted, 668);
         let mut fresh = SizeyPredictor::new(SizeyConfig::default().with_history_window(32));
         assert!(matches!(
             fresh.restore(&state),
@@ -870,7 +753,7 @@ mod tests {
         let mut small = SizeyPredictor::new(SizeyConfig::default().with_history_window(32));
         train(&mut small, 10);
         let state = small.snapshot();
-        assert!(state.counters.iter().all(|(n, _)| n != EVICTED_COUNTER));
+        assert_eq!(state.evicted, 0);
         fresh.restore(&state).unwrap();
     }
 

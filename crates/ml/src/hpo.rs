@@ -50,10 +50,11 @@ impl ModelSpec {
         }
     }
 
-    /// The default hyper-parameter grid searched for a model class. The grids
+    /// The default hyper-parameter grid searched for a model class, with
+    /// the stochastic classes (MLP, forest) seeded from `seed`. The grids
     /// are intentionally small — Sizey retrains on every task completion, so
     /// the search must stay in the millisecond-to-second range (Fig. 9).
-    pub fn default_grid(class: ModelClass) -> Vec<ModelSpec> {
+    pub fn default_grid(class: ModelClass, seed: u64) -> Vec<ModelSpec> {
         match class {
             ModelClass::Linear => vec![
                 ModelSpec::Linear(LinearConfig {
@@ -95,11 +96,13 @@ impl ModelSpec {
                 ModelSpec::Mlp(MlpConfig {
                     hidden_layers: vec![16],
                     max_epochs: 150,
+                    seed,
                     ..MlpConfig::default()
                 }),
                 ModelSpec::Mlp(MlpConfig {
                     hidden_layers: vec![32, 16],
                     max_epochs: 150,
+                    seed,
                     ..MlpConfig::default()
                 }),
             ],
@@ -107,11 +110,13 @@ impl ModelSpec {
                 ModelSpec::RandomForest(ForestConfig {
                     n_trees: 16,
                     max_depth: 8,
+                    seed,
                     ..ForestConfig::default()
                 }),
                 ModelSpec::RandomForest(ForestConfig {
                     n_trees: 32,
                     max_depth: 12,
+                    seed,
                     ..ForestConfig::default()
                 }),
             ],
@@ -279,8 +284,8 @@ mod tests {
     #[test]
     fn grid_search_prefers_linear_on_linear_data() {
         let data = linear_data(60);
-        let mut specs = ModelSpec::default_grid(ModelClass::Linear);
-        specs.extend(ModelSpec::default_grid(ModelClass::Knn));
+        let mut specs = ModelSpec::default_grid(ModelClass::Linear, 42);
+        specs.extend(ModelSpec::default_grid(ModelClass::Knn, 42));
         let result = grid_search(&specs, &data, 4).unwrap();
         assert_eq!(result.spec.class(), ModelClass::Linear);
         assert!(result.model.is_fitted());
@@ -292,7 +297,7 @@ mod tests {
     #[test]
     fn grid_search_small_dataset_falls_back_to_first_spec() {
         let data = linear_data(2);
-        let specs = ModelSpec::default_grid(ModelClass::Knn);
+        let specs = ModelSpec::default_grid(ModelClass::Knn, 42);
         let result = grid_search(&specs, &data, 3).unwrap();
         assert_eq!(result.spec, specs[0]);
         assert!(result.model.is_fitted());
@@ -307,7 +312,7 @@ mod tests {
     #[test]
     fn default_grids_cover_all_classes() {
         for class in ModelClass::ALL {
-            let grid = ModelSpec::default_grid(class);
+            let grid = ModelSpec::default_grid(class, 42);
             assert!(!grid.is_empty());
             assert!(grid.iter().all(|s| s.class() == class));
         }
@@ -317,7 +322,7 @@ mod tests {
     fn grid_search_runs_each_default_grid() {
         let data = linear_data(24);
         for class in ModelClass::ALL {
-            let r = grid_search(&ModelSpec::default_grid(class), &data, 3).unwrap();
+            let r = grid_search(&ModelSpec::default_grid(class, 42), &data, 3).unwrap();
             assert_eq!(r.spec.class(), class);
             assert!(r.model.is_fitted());
         }

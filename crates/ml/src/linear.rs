@@ -5,15 +5,14 @@
 //! MarkDuplicates). The model is fitted by solving the (optionally ridge
 //! regularised) normal equations; incremental updates maintain the Gram
 //! matrix `X^T X` and moment vector `X^T y`, so a `partial_fit` only costs a
-//! rank-one update plus one small solve.
+//! rank-one update plus one small solve. Both run on the write path; a
+//! predict only reads the solved coefficients.
 
 use crate::dataset::Dataset;
 use crate::matrix::Matrix;
 use crate::model::{
     validate_query, validate_training_data, ModelClass, ModelError, PredictScratch, Regressor,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
 
 /// Hyper-parameters for [`LinearRegression`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,23 +37,21 @@ impl Default for LinearConfig {
 /// Linear regression model (OLS / ridge) with incremental normal-equation
 /// updates.
 ///
-/// The solve is **lazy**: `partial_fit` only folds the observation into the
-/// exact sufficient statistics (Gram matrix and moment vector) and marks the
-/// coefficients stale; the normal equations are solved on the first
-/// `predict` after an update, not on every observe. The sufficient
-/// statistics are exact, so the lazily solved coefficients are bit-identical
-/// to solving eagerly after every observation. `fit` is **transactional**: a
-/// failed refit leaves the previous fitted state (statistics and
-/// coefficients) fully intact.
+/// `partial_fit` folds the observation into the exact sufficient statistics
+/// (Gram matrix and moment vector) and solves the normal equations right
+/// away, so the coefficients after any chain of updates are bit-identical to
+/// a batch fit over the same rows in the same order. A solve that fails
+/// keeps the previous coefficients serving and leaves
+/// [`is_solved`](LinearRegression::is_solved) false until a later update
+/// solves again. `fit` is **transactional**: a failed refit leaves the
+/// previous fitted state (statistics and coefficients) fully intact.
+#[derive(Clone)]
 pub struct LinearRegression {
     config: LinearConfig,
     /// Fitted coefficients, intercept first when `fit_intercept` is set.
-    /// Interior-mutable so the lazy solve can run under `&self` on the
-    /// predict path; a lock (not a `RefCell`) keeps the model `Sync`.
-    coefficients: RwLock<Vec<f64>>,
-    /// Set by updates to the sufficient statistics; cleared by the lazy
-    /// solve.
-    coefficients_stale: AtomicBool,
+    coefficients: Vec<f64>,
+    /// Whether `coefficients` solve the current sufficient statistics.
+    solved: bool,
     /// Accumulated Gram matrix `X^T X` (in augmented feature space).
     gram: Option<Matrix>,
     /// Accumulated moment vector `X^T y` (in augmented feature space).
@@ -76,28 +73,13 @@ impl std::fmt::Debug for LinearRegression {
     }
 }
 
-impl Clone for LinearRegression {
-    fn clone(&self) -> Self {
-        LinearRegression {
-            config: self.config,
-            coefficients: RwLock::new(self.coefficients.read().expect("lock").clone()),
-            coefficients_stale: AtomicBool::new(self.coefficients_stale.load(Ordering::Acquire)),
-            gram: self.gram.clone(),
-            moments: self.moments.clone(),
-            n_observations: self.n_observations,
-            n_features: self.n_features,
-            fitted: self.fitted,
-        }
-    }
-}
-
 impl LinearRegression {
     /// Creates an unfitted model with the given configuration.
     pub fn new(config: LinearConfig) -> Self {
         LinearRegression {
             config,
-            coefficients: RwLock::new(Vec::new()),
-            coefficients_stale: AtomicBool::new(false),
+            coefficients: Vec::new(),
+            solved: false,
             gram: None,
             moments: Vec::new(),
             n_observations: 0,
@@ -111,12 +93,16 @@ impl LinearRegression {
         LinearRegression::new(LinearConfig::default())
     }
 
-    /// The fitted coefficients (intercept first when enabled), solving the
-    /// normal equations first if updates left them stale. Empty before
-    /// fitting.
-    pub fn coefficients(&self) -> Vec<f64> {
-        self.ensure_solved();
-        self.coefficients.read().expect("lock").clone()
+    /// The fitted coefficients (intercept first when enabled): those of the
+    /// last successful solve. Empty before any solve succeeded.
+    pub fn coefficients(&self) -> &[f64] {
+        &self.coefficients
+    }
+
+    /// Whether the last update's solve succeeded, i.e. whether the
+    /// coefficients cover every observation folded in so far.
+    pub fn is_solved(&self) -> bool {
+        self.solved
     }
 
     /// The configuration used by this model.
@@ -193,37 +179,14 @@ impl LinearRegression {
         Ok(coeffs)
     }
 
-    /// Solves the normal equations for the current sufficient statistics now
-    /// instead of on the next predict, and reports the solve's outcome. Like
-    /// `fit` it is transactional: a failed solve leaves the previous
-    /// coefficients, and their staleness, as they were. Errors with
-    /// [`ModelError::NotFitted`] before any update.
-    pub fn solve(&mut self) -> Result<(), ModelError> {
+    /// Solves the normal equations for the accumulated statistics. A failed
+    /// solve keeps the previous coefficients and clears `solved`.
+    fn solve(&mut self) -> Result<(), ModelError> {
         let gram = self.gram.as_ref().ok_or(ModelError::NotFitted)?;
-        let coeffs = LinearRegression::solve_stats(gram, &self.moments, self.config)?;
-        *self.coefficients.get_mut().expect("lock") = coeffs;
-        *self.coefficients_stale.get_mut() = false;
+        let result = LinearRegression::solve_stats(gram, &self.moments, self.config);
+        self.solved = result.is_ok();
+        self.coefficients = result?;
         Ok(())
-    }
-
-    /// Runs the lazy solve if updates left the coefficients stale. If the
-    /// solve fails the previous coefficients keep serving (the staleness flag
-    /// is still cleared so the hot path does not retry on every predict).
-    fn ensure_solved(&self) {
-        if !self.coefficients_stale.load(Ordering::Acquire) {
-            return;
-        }
-        let mut coeffs = self.coefficients.write().expect("lock");
-        // Double-checked: another thread may have solved while we waited.
-        if !self.coefficients_stale.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(gram) = self.gram.as_ref() {
-            if let Ok(solved) = LinearRegression::solve_stats(gram, &self.moments, self.config) {
-                *coeffs = solved;
-            }
-        }
-        self.coefficients_stale.store(false, Ordering::Release);
     }
 }
 
@@ -250,10 +213,9 @@ impl Regressor for LinearRegression {
             });
         }
         self.accumulate(data);
-        // Lazy solve: the exact statistics are up to date, so deferring the
-        // O(d^3) solve to the first predict yields bit-identical coefficients
-        // while keeping the observe path O(d^2).
-        self.coefficients_stale.store(true, Ordering::Release);
+        // A failed solve is not an update failure: the statistics took the
+        // rows, and the previous coefficients keep serving.
+        let _ = self.solve();
         self.fitted = true;
         Ok(())
     }
@@ -272,9 +234,7 @@ impl Regressor for LinearRegression {
             return Err(ModelError::NotFitted);
         }
         validate_query(features, self.n_features)?;
-        self.ensure_solved();
-        let coefficients = self.coefficients.read().expect("lock");
-        if coefficients.is_empty() {
+        if self.coefficients.is_empty() {
             // The model has only ever seen failed solves (e.g. its very first
             // update was degenerate) — there is no usable state to serve.
             return Err(ModelError::NotFitted);
@@ -287,11 +247,7 @@ impl Regressor for LinearRegression {
             row.push(1.0);
         }
         row.extend_from_slice(features);
-        Ok(row
-            .iter()
-            .zip(coefficients.iter())
-            .map(|(x, c)| x * c)
-            .sum())
+        Ok(row.iter().zip(&self.coefficients).map(|(x, c)| x * c).sum())
     }
 
     fn is_fitted(&self) -> bool {
@@ -455,56 +411,54 @@ mod tests {
     }
 
     #[test]
-    fn eager_solve_commits_only_on_success() {
-        let mut m = LinearRegression::with_defaults();
-        assert!(matches!(m.solve(), Err(ModelError::NotFitted)));
+    fn failed_partial_fit_solve_keeps_the_previous_coefficients_serving() {
         let data = linear_dataset(2.0, 1.0, 10);
+        let mut m = LinearRegression::with_defaults();
+        assert!(!m.is_solved());
         m.partial_fit(&data).unwrap();
-        m.solve().unwrap();
+        assert!(m.is_solved());
         let mut fitted = LinearRegression::with_defaults();
         fitted.fit(&data).unwrap();
-        let before = m.coefficients.read().expect("lock").clone();
-        assert_eq!(before, fitted.coefficients());
+        assert_eq!(m.coefficients(), fitted.coefficients());
+        let before = m.coefficients().to_vec();
+        let served = m.predict(&[4.0]).unwrap();
 
-        // An overflowing row poisons the Gram sums: the solve fails and
-        // commits nothing.
+        // An overflowing row poisons the Gram sums: the update is taken, its
+        // solve fails, and the previous coefficients keep serving.
         m.partial_fit(&Dataset::from_univariate(&[1e300], &[1.0]))
             .unwrap();
-        assert!(matches!(m.solve(), Err(ModelError::Numerical(_))));
-        assert_eq!(*m.coefficients.read().expect("lock"), before);
+        assert!(!m.is_solved());
+        assert_eq!(m.coefficients(), before);
+        assert_eq!(m.predict(&[4.0]).unwrap().to_bits(), served.to_bits());
+        assert_eq!(m.n_observations(), 11);
     }
 
     #[test]
-    fn lazy_partial_fit_chain_matches_eager_full_fit_bitwise() {
+    fn partial_fit_chain_matches_batch_fit_bitwise() {
         let data = linear_dataset(2.5, -4.0, 32);
-        let mut lazy = LinearRegression::with_defaults();
-        // Interleave updates and predicts: each predict solves lazily at the
-        // same Gram state an eager solve would have used.
+        let mut incremental = LinearRegression::with_defaults();
         for i in 0..data.len() {
             let (row, _) = data.split_at(i + 1);
             let (_, single) = row.split_at(i);
-            lazy.partial_fit(&single).unwrap();
-            if i % 5 == 0 {
-                lazy.predict(&[i as f64]).unwrap();
-            }
+            incremental.partial_fit(&single).unwrap();
         }
 
-        let mut eager = LinearRegression::with_defaults();
-        eager.fit(&data).unwrap();
+        let mut batch = LinearRegression::with_defaults();
+        batch.fit(&data).unwrap();
 
         for x in [0.0, 3.0, 17.0, 100.0] {
-            let a = lazy.predict(&[x]).unwrap();
-            let b = eager.predict(&[x]).unwrap();
+            let a = incremental.predict(&[x]).unwrap();
+            let b = batch.predict(&[x]).unwrap();
             assert!(
                 (a - b).abs() < 1e-6,
-                "lazy chain diverged from batch fit: {a} vs {b}"
+                "incremental chain diverged from batch fit: {a} vs {b}"
             );
         }
         // The coefficient vectors from the same sufficient statistics must be
         // bit-identical: accumulate over the same rows in the same order.
         let mut replay = LinearRegression::with_defaults();
         replay.partial_fit(&data).unwrap();
-        assert_eq!(lazy.coefficients(), replay.coefficients());
+        assert_eq!(incremental.coefficients(), replay.coefficients());
     }
 
     #[test]

@@ -290,45 +290,6 @@ impl ReplayAggregates {
     }
 }
 
-/// Aggregates reports of the same method across workflows (Fig. 8a/8b/8d).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MethodAggregate {
-    /// Method name.
-    pub method: String,
-    /// Total wastage over all workflows in GBh.
-    pub total_wastage_gbh: f64,
-    /// Total runtime over all workflows in hours.
-    pub total_runtime_hours: f64,
-    /// Total number of failed attempts over all workflows.
-    pub total_failures: usize,
-    /// Wastage per workflow in GBh (Table II row).
-    pub wastage_per_workflow: BTreeMap<String, f64>,
-}
-
-/// Builds the per-method aggregate from per-workflow reports.
-pub fn aggregate_method(reports: &[ReplayReport]) -> MethodAggregate {
-    let method = reports
-        .first()
-        .map(|r| r.method.clone())
-        .unwrap_or_else(|| "unknown".to_string());
-    let mut wastage_per_workflow = BTreeMap::new();
-    for r in reports {
-        *wastage_per_workflow
-            .entry(r.workflow.clone())
-            .or_insert(0.0) += r.total_wastage_gbh();
-    }
-    MethodAggregate {
-        method,
-        total_wastage_gbh: reports.iter().map(ReplayReport::total_wastage_gbh).sum(),
-        total_runtime_hours: reports
-            .iter()
-            .map(|r| r.aggregates.total_runtime_hours())
-            .sum(),
-        total_failures: reports.iter().map(ReplayReport::total_failures).sum(),
-        wastage_per_workflow,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,26 +393,5 @@ mod tests {
         assert_eq!(e.relative_prediction_error(), Some(0.0));
         e.raw_estimate_bytes = None;
         assert_eq!(e.relative_prediction_error(), None);
-    }
-
-    #[test]
-    fn aggregate_sums_across_workflows() {
-        let mut r1 = report();
-        r1.workflow = "wf1".into();
-        let mut r2 = report();
-        r2.workflow = "wf2".into();
-        let agg = aggregate_method(&[r1, r2]);
-        assert_eq!(agg.method, "test");
-        assert!((agg.total_wastage_gbh - 14.0).abs() < 1e-12);
-        assert!((agg.total_runtime_hours - 6.0).abs() < 1e-12);
-        assert_eq!(agg.total_failures, 2);
-        assert_eq!(agg.wastage_per_workflow.len(), 2);
-    }
-
-    #[test]
-    fn aggregate_of_empty_is_unknown() {
-        let agg = aggregate_method(&[]);
-        assert_eq!(agg.method, "unknown");
-        assert_eq!(agg.total_wastage_gbh, 0.0);
     }
 }

@@ -75,8 +75,7 @@ pub mod replay;
 pub mod scheduler;
 
 pub use accounting::{
-    aggregate_method, AttemptEvent, AttemptSink, MethodAggregate, NullRecordSink, NullSink,
-    RecordSink, ReplayAggregates, ReplayReport,
+    AttemptEvent, AttemptSink, NullRecordSink, NullSink, RecordSink, ReplayAggregates, ReplayReport,
 };
 pub use attempt::MIN_ALLOCATION_BYTES;
 pub use cluster::{Cluster, Node, Placement, FIT_TOLERANCE};

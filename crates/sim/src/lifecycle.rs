@@ -6,12 +6,12 @@
 //! configuration plus that ordered stream (stochastic pool members are seeded
 //! from the configuration). A snapshot therefore does not serialise model
 //! weights; it is an **event-sourced checkpoint**: the ordered observation
-//! journal, plus the handful of predict-path diagnostic counters that
-//! replaying the journal cannot reproduce. Restoring replays the journal
-//! through a freshly built predictor, which provably reconstructs the exact
-//! learned state — restored predictors are *bit-identical* to uninterrupted
-//! ones (the workspace's property tests assert this across workloads, seeds
-//! and mid-workflow cut points).
+//! journal, plus how many records a bounded history evicted before it.
+//! Predictions write nothing, so the journal is all there is to carry.
+//! Restoring replays the journal through a freshly built predictor, which
+//! provably reconstructs the exact learned state — restored predictors are
+//! *bit-identical* to uninterrupted ones (the workspace's property tests
+//! assert this across workloads, seeds and mid-workflow cut points).
 //!
 //! The trade-offs of this design are deliberate:
 //!
@@ -30,7 +30,9 @@
 //!   `history_window`) can only journal the retained suffix, and replaying a
 //!   suffix rebuilds a different predictor. Such a snapshot records how many
 //!   records it lost, and restore refuses it with
-//!   [`StateError::TruncatedJournal`] instead of returning an impostor.
+//!   [`StateError::TruncatedJournal`] instead of returning an impostor
+//!   ([`PredictorState::replayable_journal`] is the one check every method
+//!   restores through).
 //!
 //! [`PredictorState`] round-trips through a plain-text format (the journal
 //! reuses the provenance TSV trace codec) so checkpoints can be written to a
@@ -48,7 +50,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Magic first line of the serialised [`PredictorState`] format.
-const STATE_HEADER: &str = "sizey-predictor-state v1";
+const STATE_HEADER: &str = "sizey-predictor-state v2";
+
+/// Line of the `journal` marker: after the header and the eviction count.
+const JOURNAL_MARKER_LINE: usize = 3;
 
 /// A serialisable snapshot of one predictor's learned state.
 ///
@@ -62,10 +67,9 @@ pub struct PredictorState {
     /// snapshotting bumps `Arc` counts instead of deep-cloning the journal
     /// a second time.
     pub journal: Vec<Arc<TaskRecord>>,
-    /// Predict-path diagnostic counters that replaying the journal cannot
-    /// reproduce (e.g. Sizey's offset-strategy selection tallies), keyed by a
-    /// method-defined name. Sorted by name for deterministic serialisation.
-    pub counters: Vec<(String, u64)>,
+    /// How many of the oldest records a bounded history had evicted when
+    /// the snapshot was taken (0 for a complete journal).
+    pub evicted: u64,
 }
 
 impl PredictorState {
@@ -80,10 +84,7 @@ impl PredictorState {
         let mut out = String::new();
         out.push_str(STATE_HEADER);
         out.push('\n');
-        out.push_str(&format!("counters {}\n", self.counters.len()));
-        for (name, value) in &self.counters {
-            out.push_str(&format!("{name}\t{value}\n"));
-        }
+        out.push_str(&format!("evicted {}\n", self.evicted));
         out.push_str("journal\n");
         out.push_str(&to_trace_string(&self.journal));
         out
@@ -101,48 +102,20 @@ impl PredictorState {
                 })
             }
         }
-        let n_counters: usize = match lines.next() {
-            Some(decl) => {
-                let rest = decl.strip_prefix("counters ").ok_or(StateError::Parse {
-                    line: 2,
-                    message: format!("expected \"counters <n>\", found {decl:?}"),
-                })?;
-                rest.trim().parse().map_err(|e| StateError::Parse {
-                    line: 2,
-                    message: format!("invalid counter count {rest:?}: {e}"),
-                })?
-            }
-            None => {
-                return Err(StateError::Parse {
-                    line: 2,
-                    message: "missing \"counters <n>\" line".to_string(),
-                })
-            }
-        };
-        // Not pre-sized: `n_counters` is whatever the file claims.
-        let mut counters = Vec::new();
-        for i in 0..n_counters {
-            let line_no = 3 + i;
-            let line = lines.next().ok_or(StateError::Parse {
-                line: line_no,
-                message: "unexpected end of input inside counters".to_string(),
-            })?;
-            let (name, value) = line.split_once('\t').ok_or(StateError::Parse {
-                line: line_no,
-                message: format!("expected \"name\\tvalue\", found {line:?}"),
-            })?;
-            let value: u64 = value.trim().parse().map_err(|e| StateError::Parse {
-                line: line_no,
-                message: format!("invalid counter value {value:?}: {e}"),
-            })?;
-            counters.push((name.to_string(), value));
-        }
-        let journal_line_no = 3 + n_counters;
+        let decl = lines.next().unwrap_or_default();
+        let rest = decl.strip_prefix("evicted ").ok_or(StateError::Parse {
+            line: 2,
+            message: format!("expected \"evicted <n>\", found {decl:?}"),
+        })?;
+        let evicted = rest.trim().parse().map_err(|e| StateError::Parse {
+            line: 2,
+            message: format!("invalid eviction count {rest:?}: {e}"),
+        })?;
         match lines.next() {
             Some(marker) if marker.trim() == "journal" => {}
             other => {
                 return Err(StateError::Parse {
-                    line: journal_line_no,
+                    line: JOURNAL_MARKER_LINE,
                     message: format!("expected \"journal\" marker, found {other:?}"),
                 })
             }
@@ -153,7 +126,7 @@ impl PredictorState {
         let journal = from_trace_string(&remainder.join("\n"))
             .map_err(|e| match e {
                 TraceError::Parse { line, message } => TraceError::Parse {
-                    line: line + journal_line_no,
+                    line: line + JOURNAL_MARKER_LINE,
                     message,
                 },
                 other => other,
@@ -161,7 +134,17 @@ impl PredictorState {
             .into_iter()
             .map(Arc::new)
             .collect();
-        Ok(PredictorState { journal, counters })
+        Ok(PredictorState { journal, evicted })
+    }
+
+    /// The journal to replay on restore, or [`StateError::TruncatedJournal`]
+    /// when a bounded history had evicted records before the snapshot: a
+    /// suffix of the journal would rebuild a different predictor.
+    pub fn replayable_journal(&self) -> Result<&[Arc<TaskRecord>], StateError> {
+        match self.evicted {
+            0 => Ok(&self.journal),
+            evicted => Err(StateError::TruncatedJournal { evicted }),
+        }
     }
 
     /// Writes the state to a checkpoint file.
@@ -199,12 +182,6 @@ pub enum StateError {
         /// Number of records the target predictor had already observed.
         observed: usize,
     },
-    /// A counter in the state is not recognised by the predictor being
-    /// restored (usually a state snapshot from a different method).
-    UnknownCounter {
-        /// The offending counter name.
-        name: String,
-    },
     /// The state's journal had lost its oldest records to a bounded history
     /// when it was taken, so replaying it cannot rebuild the predictor.
     TruncatedJournal {
@@ -226,12 +203,6 @@ impl std::fmt::Display for StateError {
                 "restore requires a freshly built predictor (target has already \
                  observed {observed} records)"
             ),
-            StateError::UnknownCounter { name } => {
-                write!(
-                    f,
-                    "state contains a counter unknown to this method: {name:?}"
-                )
-            }
             StateError::TruncatedJournal { evicted } => write!(
                 f,
                 "checkpoint journal is truncated: a bounded history evicted {evicted} \
@@ -271,11 +242,8 @@ impl CheckpointPredictor for PresetPredictor {
     }
 
     fn restore(&mut self, state: &PredictorState) -> Result<(), StateError> {
-        if let Some((name, _)) = state.counters.first() {
-            return Err(StateError::UnknownCounter { name: name.clone() });
-        }
         // The journal (if any) replays as no-ops; presets learn nothing.
-        Ok(())
+        state.replayable_journal().map(|_| ())
     }
 }
 
@@ -307,7 +275,7 @@ mod tests {
                 Arc::new(record(0, TaskOutcome::Succeeded)),
                 Arc::new(record(1, TaskOutcome::FailedOutOfMemory)),
             ],
-            counters: vec![("a.counter".to_string(), 7), ("b".to_string(), 0)],
+            evicted: 7,
         };
         let text = state.to_state_string();
         let parsed = PredictorState::from_state_string(&text).unwrap();
@@ -320,7 +288,7 @@ mod tests {
         let parsed = PredictorState::from_state_string(&state.to_state_string()).unwrap();
         assert_eq!(parsed, state);
         assert!(parsed.journal.is_empty());
-        assert!(parsed.counters.is_empty());
+        assert_eq!(parsed.evicted, 0);
     }
 
     #[test]
@@ -330,33 +298,34 @@ mod tests {
             missing_header,
             Err(StateError::Parse { line: 1, .. })
         ));
-        let bad_count = PredictorState::from_state_string("sizey-predictor-state v1\ncounters x\n");
+        // A checkpoint in the retired counters format is refused at its
+        // header.
+        let v1 =
+            PredictorState::from_state_string("sizey-predictor-state v1\ncounters 0\njournal\n");
+        assert!(matches!(v1, Err(StateError::Parse { line: 1, .. })));
+        let bad_count = PredictorState::from_state_string("sizey-predictor-state v2\nevicted x\n");
         assert!(matches!(bad_count, Err(StateError::Parse { line: 2, .. })));
-        let truncated =
-            PredictorState::from_state_string("sizey-predictor-state v1\ncounters 2\na\t1\n");
-        assert!(matches!(truncated, Err(StateError::Parse { line: 4, .. })));
-        let no_journal =
-            PredictorState::from_state_string("sizey-predictor-state v1\ncounters 0\n");
-        assert!(matches!(no_journal, Err(StateError::Parse { line: 3, .. })));
-        // A hostile count is an error at the first missing counter line, not
-        // an allocation of that size.
-        let hostile = format!("sizey-predictor-state v1\ncounters {}\n", usize::MAX);
+        let no_count = PredictorState::from_state_string("sizey-predictor-state v2\n");
+        assert!(matches!(no_count, Err(StateError::Parse { line: 2, .. })));
+        let too_big = format!("sizey-predictor-state v2\nevicted {}0\n", u64::MAX);
         assert!(matches!(
-            PredictorState::from_state_string(&hostile),
-            Err(StateError::Parse { line: 3, .. })
+            PredictorState::from_state_string(&too_big),
+            Err(StateError::Parse { line: 2, .. })
         ));
-        // Journal errors are file-absolute too: header, count, one counter,
-        // marker and trace header put the first record on line 6.
+        let no_journal = PredictorState::from_state_string("sizey-predictor-state v2\nevicted 0\n");
+        assert!(matches!(no_journal, Err(StateError::Parse { line: 3, .. })));
+        // Journal errors are file-absolute too: header, eviction count,
+        // marker and trace header put the first record on line 5.
         let state = PredictorState {
             journal: vec![Arc::new(record(0, TaskOutcome::Succeeded))],
-            counters: vec![("a".to_string(), 1)],
+            evicted: 1,
         };
         let bad_outcome = state.to_state_string().replace("\tok\n", "\texploded\n");
         let parsed = PredictorState::from_state_string(&bad_outcome);
         assert!(
             matches!(
                 parsed,
-                Err(StateError::Trace(TraceError::Parse { line: 6, .. }))
+                Err(StateError::Trace(TraceError::Parse { line: 5, .. }))
             ),
             "{parsed:?}"
         );
@@ -368,13 +337,13 @@ mod tests {
         assert_eq!(preset.snapshot(), PredictorState::empty());
         let mut fresh = PresetPredictor;
         fresh.restore(&preset.snapshot()).unwrap();
-        let foreign = PredictorState {
+        let truncated = PredictorState {
             journal: Vec::new(),
-            counters: vec![("offset-selected.std-dev".to_string(), 3)],
+            evicted: 3,
         };
         assert!(matches!(
-            fresh.restore(&foreign),
-            Err(StateError::UnknownCounter { .. })
+            fresh.restore(&truncated),
+            Err(StateError::TruncatedJournal { evicted: 3 })
         ));
     }
 
@@ -391,7 +360,7 @@ mod tests {
                 Arc::new(record(3, TaskOutcome::Succeeded)),
                 Arc::new(hostile),
             ],
-            counters: vec![("c".to_string(), 1)],
+            evicted: 2,
         };
         let dir = std::env::temp_dir().join("sizey-lifecycle-test");
         fs::create_dir_all(&dir).unwrap();

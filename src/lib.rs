@@ -34,7 +34,7 @@ pub mod prelude {
         MachineId, ProvenanceStore, TaskMachineKey, TaskOutcome, TaskRecord, TaskTypeId,
     };
     pub use sizey_sim::{
-        aggregate_method, replay_workflow, replay_workflow_streaming, schedule_workflows,
+        replay_workflow, replay_workflow_streaming, schedule_workflows,
         schedule_workflows_streaming, AttemptContext, AttemptSink, CheckpointPredictor, CrashStorm,
         FaultPlan, MemoryPredictor, MultiReplayReport, NodeCrash, NodePoolSpec, NullRecordSink,
         NullSink, PoolPreemption, Prediction, PredictorState, RecordSink, ReplayAggregates,

@@ -207,11 +207,11 @@ proptest! {
     #[test]
     fn state_codec_round_trips_arbitrary_records(
         peaks in proptest::collection::vec(1e6f64..1e12, 1..20),
-        counter in 0u64..1000,
+        evicted in prop_oneof![Just(0u64), 1u64..1000, Just(u64::MAX)],
     ) {
         let state = PredictorState {
             journal: journal(&peaks, "t"),
-            counters: vec![("offset-selected.std-dev".to_string(), counter)],
+            evicted,
         };
         let parsed = PredictorState::from_state_string(&state.to_state_string()).unwrap();
         prop_assert_eq!(parsed, state);
@@ -288,10 +288,7 @@ proptest! {
     ) {
         let state = PredictorState {
             journal: journal(&peaks, "align\tv2\\"),
-            counters: vec![
-                ("offset-selected.max".to_string(), 3),
-                ("offset-selected.std-dev".to_string(), 11),
-            ],
+            evicted: 311,
         };
         let mut bytes = state.to_state_string().into_bytes();
         for &edit in &edits {

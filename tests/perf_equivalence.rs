@@ -539,12 +539,12 @@ proptest! {
         }
     }
 
-    /// The lazy linear solve (deferred to the first predict after updates)
-    /// vs. eagerly fitting once on the concatenated data. The Gram/moment
-    /// accumulation visits rows in the same order either way, so the solved
-    /// coefficients — and every prediction — must be bit-identical.
+    /// A fit followed by a `partial_fit` of the remaining rows vs. one batch
+    /// fit on the concatenated data. The Gram/moment accumulation visits rows
+    /// in the same order either way, so the solved coefficients — and every
+    /// prediction — must be bit-identical.
     #[test]
-    fn lazy_linear_solve_is_bit_identical_to_the_eager_fit(
+    fn incremental_linear_fit_is_bit_identical_to_the_batch_fit(
         pairs in proptest::collection::vec((0.0f64..1e9, 1e6f64..1e10), 3..40),
         split in 1usize..39,
         queries in proptest::collection::vec(0.0f64..1e9, 1..5),
@@ -555,16 +555,16 @@ proptest! {
             let ys: Vec<f64> = pairs.iter().map(|(_, y)| *y).collect();
             Dataset::from_univariate(&xs, &ys)
         };
-        let mut eager = LinearRegression::new(LinearConfig::default());
-        eager.fit(&to_ds(&pairs)).unwrap();
-        let mut lazy = LinearRegression::new(LinearConfig::default());
-        lazy.fit(&to_ds(&pairs[..split])).unwrap();
-        lazy.partial_fit(&to_ds(&pairs[split..])).unwrap();
-        prop_assert_eq!(lazy.coefficients(), eager.coefficients());
+        let mut batch = LinearRegression::new(LinearConfig::default());
+        batch.fit(&to_ds(&pairs)).unwrap();
+        let mut incremental = LinearRegression::new(LinearConfig::default());
+        incremental.fit(&to_ds(&pairs[..split])).unwrap();
+        incremental.partial_fit(&to_ds(&pairs[split..])).unwrap();
+        prop_assert_eq!(incremental.coefficients(), batch.coefficients());
         for q in &queries {
-            let l = lazy.predict(std::slice::from_ref(q)).unwrap();
-            let e = eager.predict(std::slice::from_ref(q)).unwrap();
-            prop_assert_eq!(l.to_bits(), e.to_bits());
+            let i = incremental.predict(std::slice::from_ref(q)).unwrap();
+            let b = batch.predict(std::slice::from_ref(q)).unwrap();
+            prop_assert_eq!(i.to_bits(), b.to_bits());
         }
     }
 

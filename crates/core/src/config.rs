@@ -11,7 +11,8 @@ pub enum GatingStrategy {
     Argmax,
     /// Softmax-weight all models by `exp(beta * RAQ)` (Eq. 4).
     Interpolation {
-        /// Sharpness of the softmax; larger values approach Argmax.
+        /// Sharpness of the softmax; larger values approach Argmax. §II-D's
+        /// Eq. 4 names it; the default 8.0 is this repo's choice.
         beta: f64,
     },
 }
@@ -49,10 +50,9 @@ pub enum OnlineMode {
     /// full retrain every `retrain_interval` completions (0 = never).
     Incremental {
         /// Completions between two full retrains (0 = never retrain fully).
-        /// With deferred retrains enabled (see
-        /// [`SizeyPredictor::set_deferred_retrains`](crate::SizeyPredictor::set_deferred_retrains))
-        /// the interval still governs *when* a retrain is staged; the
-        /// training runs at the caller's next `run_pending_retrains`.
+        /// A due retrain runs inside the `observe` that made it due. The
+        /// default interval of 25 ([`OnlineMode::default`]) is this repo's
+        /// choice.
         retrain_interval: usize,
     },
 }
@@ -122,9 +122,9 @@ impl DriftPolicy {
 /// Complete configuration of the Sizey predictor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizeyConfig {
-    /// The RAQ weighting hyper-parameter α ∈ [0, 1] (Eq. 3): 0 favours
-    /// accurate models, 1 punishes large outlying estimates. The paper's
-    /// experiments use 0.0.
+    /// The RAQ weighting hyper-parameter α ∈ [0, 1] (§II-C, Eq. 3): 0
+    /// favours accurate models, 1 punishes large outlying estimates. The
+    /// default 0.0 is the value the paper's experiments use.
     pub alpha: f64,
     /// Gating strategy combining the pool outputs.
     pub gating: GatingStrategy,
@@ -136,7 +136,8 @@ pub struct SizeyConfig {
     pub model_classes: Vec<ModelClass>,
     /// Minimum number of successful observations of a task type before the
     /// models are used; below this the user preset is allocated (the paper's
-    /// behaviour for unknown task types).
+    /// behaviour for unknown task types). The default 3 is this repo's
+    /// choice.
     pub min_history: usize,
     /// While a task type has fewer successful observations than this, the
     /// allocation keeps at least 15 % head-room over the raw model estimate
@@ -144,7 +145,9 @@ pub struct SizeyConfig {
     /// raw estimate untouched). This guards the cold-start phase, where the
     /// offset histories are still too short to protect against
     /// under-prediction; once enough data exists the models and offsets take
-    /// over completely.
+    /// over completely. The guard, its 15 % (the `1.15` factor in
+    /// `SizeyPredictor::predict`) and the default of 10 observations are
+    /// this repo's choice.
     pub cold_start_observations: usize,
     /// Whether a full retrain runs grid-search hyper-parameter optimisation.
     pub hyperparameter_optimization: bool,

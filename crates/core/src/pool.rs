@@ -38,12 +38,18 @@ use std::collections::VecDeque;
 
 /// Number of most recent prequential accuracy contributions entering the
 /// Eq. 1 accuracy score: the score follows the model's *current* quality, so
-/// only a sliding window of cached pair scores is ever summed.
+/// only a sliding window of cached pair scores is ever summed. §II-C, as the
+/// [`raq`](crate::raq) module docs paraphrase it, scores a model over the
+/// historical task instances of its (task type, machine) combination; the
+/// window and its length 50 are this repo's choice.
 pub(crate) const ACCURACY_WINDOW: usize = 50;
 
 /// Number of most recent `(aggregate estimate, actual)` pairs the offset
 /// selection considers: a sliding window keeps the offsets tracking the
 /// pool's current prediction quality instead of long-gone early errors.
+/// §II-E, as the [`offset`](crate::offset) module docs paraphrase it,
+/// selects the strategy that would have wasted least on the already
+/// executed tasks; the window and its length 40 are this repo's choice.
 pub(crate) const OFFSET_HISTORY_WINDOW: usize = 40;
 
 /// One pool member: a model plus its prequential accuracy history.
@@ -139,13 +145,7 @@ pub struct ModelPool {
     aggregate_history: Vec<(f64, f64)>,
     /// Completions since the last full retrain (drives incremental mode).
     since_full_retrain: usize,
-    /// Whether a due full retrain is staged (`pending_retrain`) instead of
-    /// run inside the observe that found it due.
-    defer_retrains: bool,
-    /// A staged full retrain that [`ModelPool::run_pending_retrain`] has not
-    /// run yet.
-    pending_retrain: bool,
-    /// Number of full retrains that have landed.
+    /// Number of full retrains run.
     model_epoch: u64,
     /// Largest peak ever observed (successful or exhausted allocation).
     max_observed: Option<f64>,
@@ -211,8 +211,6 @@ impl ModelPool {
             data: Dataset::new(),
             aggregate_history: Vec::new(),
             since_full_retrain: 0,
-            defer_retrains: false,
-            pending_retrain: false,
             model_epoch: 0,
             max_observed: None,
             drift_flags: VecDeque::new(),
@@ -239,39 +237,9 @@ impl ModelPool {
         self.since_full_retrain
     }
 
-    /// The current model epoch (bumped on every full retrain that lands).
+    /// The current model epoch (bumped on every full retrain).
     pub fn model_epoch(&self) -> u64 {
         self.model_epoch
-    }
-
-    /// Sets whether a due full retrain is staged for
-    /// [`run_pending_retrain`](ModelPool::run_pending_retrain) (`true`) or
-    /// run inside the observe that found it due (`false`, the default —
-    /// serial engines keep it so replays stay bit-identical).
-    pub fn set_deferred_retrains(&mut self, deferred: bool) {
-        self.defer_retrains = deferred;
-    }
-
-    /// Whether due full retrains are staged rather than run inline.
-    pub fn defers_retrains(&self) -> bool {
-        self.defer_retrains
-    }
-
-    /// True when a full retrain has been staged but not yet run.
-    pub fn has_pending_retrain(&self) -> bool {
-        self.pending_retrain
-    }
-
-    /// Runs the staged full retrain, if any, on the pool's current models
-    /// and training data; predictions serve the previous models until then.
-    /// Returns whether one ran. The interval counter restarted when the
-    /// retrain was staged, so running it late does not shift the schedule.
-    pub fn run_pending_retrain(&mut self, config: &SizeyConfig) -> bool {
-        let pending = std::mem::take(&mut self.pending_retrain);
-        if pending {
-            self.refit_members(config);
-        }
-        pending
     }
 
     /// True once the pool has enough data and fitted models to predict.
@@ -403,8 +371,7 @@ impl ModelPool {
     }
 
     /// The drift response: optionally drop the stale pre-drift history so
-    /// the refit tracks the new regime, then force a full retrain (a staged
-    /// one later trains on the already-trimmed data).
+    /// the refit tracks the new regime, then force a full retrain.
     fn drift_retrain(&mut self, config: &SizeyConfig) {
         if let DriftPolicy::Retrain { keep_recent, .. } = config.drift {
             if keep_recent > 0 && self.data.len() > keep_recent {
@@ -560,21 +527,13 @@ impl ModelPool {
         }
     }
 
-    /// A full retrain is due, whatever made it so (window trim, FullRetrain
-    /// mode, interval, drift): restart the interval counter, then refit now
-    /// or stage the refit for [`ModelPool::run_pending_retrain`].
+    /// A full retrain, whatever made it due (window trim, FullRetrain mode,
+    /// interval, drift), runs inside the observe that found it due: restart
+    /// the interval counter and refit every member on the complete training
+    /// data — a grid search when HPO is configured and there is enough data
+    /// for its folds.
     fn full_retrain(&mut self, config: &SizeyConfig) {
         self.since_full_retrain = 0;
-        if self.defer_retrains {
-            self.pending_retrain = true;
-        } else {
-            self.refit_members(config);
-        }
-    }
-
-    /// Refits every member on the complete training data — a grid search
-    /// when HPO is configured and there is enough data for its folds.
-    fn refit_members(&mut self, config: &SizeyConfig) {
         for member in &mut self.members {
             if config.hyperparameter_optimization && self.data.len() >= 6 {
                 let specs = ModelSpec::default_grid(member.class, config.seed);
@@ -899,32 +858,6 @@ mod tests {
         assert_eq!(pool.n_observations(), 120);
     }
 
-    #[test]
-    fn deferred_drain_after_each_observe_matches_inline_retraining() {
-        let cfg = SizeyConfig {
-            online: OnlineMode::incremental(3),
-            ..SizeyConfig::default()
-        };
-        let mut inline = ModelPool::new(&cfg);
-        let mut deferred = ModelPool::new(&cfg);
-        deferred.set_deferred_retrains(true);
-        for i in 1..=9 {
-            let input = i as f64 * 1e9;
-            let peak = 2.0 * input + 1e9;
-            inline.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
-            deferred.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
-            deferred.run_pending_retrain(&cfg);
-            let query = [input + 5e8];
-            let a = gated(&inline, &query, &cfg).map(|(d, _)| d.estimate);
-            let b = gated(&deferred, &query, &cfg).map(|(d, _)| d.estimate);
-            assert_eq!(
-                a.map(f64::to_bits),
-                b.map(f64::to_bits),
-                "running the staged retrain right after each observe must be bit-identical to inline retrains (observe {i})"
-            );
-        }
-    }
-
     /// Online mode with no scheduled full retrains: the model epoch can only
     /// move when the drift detector fires, which makes triggers observable.
     fn no_scheduled_retrains() -> OnlineMode {
@@ -1067,37 +1000,5 @@ mod tests {
             ready.observe_failure(64e9, &cfg);
         }
         assert!(ready.model_epoch() > epoch_before);
-    }
-
-    #[test]
-    fn drift_trigger_respects_the_deferred_retrain_policy() {
-        let cfg = SizeyConfig {
-            online: no_scheduled_retrains(),
-            ..SizeyConfig::default()
-        }
-        .with_drift_policy(DriftPolicy::Retrain {
-            window: 3,
-            threshold: 1.0,
-            keep_recent: 0,
-        });
-        let mut pool = ModelPool::new(&cfg);
-        pool.set_deferred_retrains(true);
-        feed_linear(&mut pool, &cfg, 6);
-        // The warm-up itself may under-predict enough to fire; run any
-        // staged retrain so the next trigger is unambiguously the failure
-        // burst.
-        pool.run_pending_retrain(&cfg);
-        let epoch_before = pool.model_epoch();
-        assert!(!pool.has_pending_retrain());
-        for _ in 0..3 {
-            pool.observe_failure(64e9, &cfg);
-        }
-        assert!(
-            pool.has_pending_retrain(),
-            "a deferred pool stages the drift retrain instead of training inline"
-        );
-        assert_eq!(pool.model_epoch(), epoch_before);
-        assert!(pool.run_pending_retrain(&cfg));
-        assert_eq!(pool.model_epoch(), epoch_before + 1);
     }
 }

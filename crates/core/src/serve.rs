@@ -201,9 +201,9 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
         self.shards.iter().map(|shard| f(&shard.read())).collect()
     }
 
-    /// Runs `f` on one shard's predictor under its write lock — the
-    /// maintenance hook of the async serving layer (capped staged-retrain
-    /// runs after each micro-batch). Panics when `shard >= shard_count()`.
+    /// Runs `f` on one shard's predictor under its write lock — the async
+    /// serving layer packs each shard's pools through it before publishing
+    /// the first snapshot. Panics when `shard >= shard_count()`.
     pub fn with_shard_mut<R>(&self, shard: usize, f: impl FnOnce(&mut P) -> R) -> R {
         f(&mut self.shards[shard].write())
     }

@@ -12,9 +12,9 @@
 //! ```text
 //!            submit                       micro-batch (≤ batch_max,
 //! tenants ──observe──▶ per-shard bounded ──≤ batch_window)──▶ shard worker
-//!    │                 queues (admission:                        │ observe +
-//!    │                 Block | Shed)                             │ ≤ cap staged
-//!    │                                                           │ retrains
+//!    │                 queues (admission:                        │ observe
+//!    │                 Block | Shed)                             │ (inline
+//!    │                                                           │ retrains)
 //!    └──predict──▶ SnapshotCell per shard ◀────publish view──────┘
 //!                  (wait-free epoch-swapped reads)
 //! ```

@@ -7,7 +7,6 @@
 //! ```text
 //! observe(record) ──route──▶ [shard queue] ──▶ micro-batcher (worker thread)
 //!                                                │  observe_shard(batch)
-//!                                                │  run_pending_retrains(≤ cap)
 //!                                                ▼
 //! predict(task)  ◀──wait-free load── [SnapshotCell] ◀── publish view
 //! ```
@@ -22,8 +21,8 @@
 //! * **Observes are asynchronous.** `observe` enqueues onto the owning
 //!   shard's bounded queue and returns; the shard's worker drains the queue
 //!   in micro-batches (size cap + time window), applies them under the shard
-//!   write lock, optionally runs a capped number of staged full retrains in
-//!   place, and publishes a fresh snapshot — the predictor's
+//!   write lock (a due full retrain runs inside the observe that found it
+//!   due), and publishes a fresh snapshot — the predictor's
 //!   [`published_view`](SizeyPredictor::published_view), taken by
 //!   [`clone_shard`](ConcurrentPredictor::clone_shard). The view shares
 //!   its model pools with the live predictor and leaves out what `predict`
@@ -93,18 +92,16 @@ pub struct ServiceConfig {
     pub batch_window: Duration,
     /// Full-queue behaviour: block the submitter or shed the record.
     pub admission: AdmissionPolicy,
-    /// Stage periodic full retrains instead of running them inside observe,
-    /// and drain them between micro-batches (capped per batch). Off by
-    /// default: inline retrains keep the service bit-identical to the
-    /// serial predictor for any batching.
+    /// Has no effect, and nothing reads it: every full retrain runs inside
+    /// the observe that found it due, which keeps the service bit-identical
+    /// to a serial predictor for any batching. ROADMAP item 7 deletes it
+    /// together with the benchmark's use of it.
+    #[deprecated(note = "has no effect: full retrains always run inside observe")]
     pub deferred_retrains: bool,
-    /// With deferred retrains, at most this many staged retrains execute
-    /// after one micro-batch; the backlog is visible in
-    /// [`ServiceStats::retrain_backlog`].
-    pub retrain_cap_per_batch: usize,
 }
 
 impl Default for ServiceConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         ServiceConfig {
             queue_capacity: 1024,
@@ -112,7 +109,6 @@ impl Default for ServiceConfig {
             batch_window: Duration::from_micros(200),
             admission: AdmissionPolicy::Block,
             deferred_retrains: false,
-            retrain_cap_per_batch: 1,
         }
     }
 }
@@ -135,11 +131,15 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Snapshots published (one per micro-batch that contained records).
     pub snapshots_published: u64,
-    /// Deferred retrains executed and installed by the workers.
+    /// Always reads 0: no retrain is left for the workers to run, because
+    /// every full retrain runs inside the observe that found it due. ROADMAP
+    /// item 7 deletes it together with the benchmark's use of it.
+    #[deprecated(note = "always 0: full retrains always run inside observe")]
     pub retrains_installed: u64,
-    /// Staged retrains not yet run (the stall backlog a capped run leaves
-    /// behind; a gauge, not a monotonic counter), as of each shard worker's
-    /// last micro-batch — exact after a [`flush`](AsyncService::flush).
+    /// Always reads 0: no retrain is ever left waiting, because every full
+    /// retrain runs inside the observe that found it due. ROADMAP item 7
+    /// deletes it together with the benchmark's use of it.
+    #[deprecated(note = "always 0: full retrains always run inside observe")]
     pub retrain_backlog: u64,
 }
 
@@ -152,7 +152,6 @@ struct Counters {
     observed: AtomicU64,
     batches: AtomicU64,
     snapshots_published: AtomicU64,
-    retrains_installed: AtomicU64,
 }
 
 /// A countdown barrier: `flush` enqueues one marker per shard and waits
@@ -187,39 +186,6 @@ impl FlushGate {
     }
 }
 
-/// A per-shard pause switch for chaos testing: the worker checks its gate
-/// between micro-batches and parks while paused. Pausing never drops work —
-/// the queue keeps accepting (or shedding, per admission policy) and the
-/// worker drains everything once resumed.
-struct PauseGate {
-    paused: Mutex<bool>,
-    resumed: Condvar,
-}
-
-impl PauseGate {
-    fn new() -> Self {
-        PauseGate {
-            paused: Mutex::new(false),
-            resumed: Condvar::new(),
-        }
-    }
-
-    fn set(&self, paused: bool) {
-        let mut flag = self.paused.lock();
-        *flag = paused;
-        if !paused {
-            self.resumed.notify_all();
-        }
-    }
-
-    fn wait_while_paused(&self) {
-        let mut flag = self.paused.lock();
-        while *flag {
-            flag = self.resumed.wait(flag);
-        }
-    }
-}
-
 /// One message on a shard's submission queue.
 enum ShardMsg {
     /// A monitoring record to learn from.
@@ -233,10 +199,6 @@ struct ServiceInner {
     service: ConcurrentPredictor<SizeyPredictor>,
     queues: Vec<BoundedQueue<ShardMsg>>,
     snapshots: Vec<SnapshotCell<SizeyPredictor>>,
-    pauses: Vec<PauseGate>,
-    /// Per-shard [`ServiceStats::retrain_backlog`] gauges, written by the
-    /// shard's worker while it holds the shard lock anyway.
-    retrain_backlogs: Vec<AtomicU64>,
     config: ServiceConfig,
     counters: Counters,
 }
@@ -259,12 +221,7 @@ impl AsyncService {
     pub fn new(service: ConcurrentPredictor<SizeyPredictor>, config: ServiceConfig) -> Self {
         let shards = service.shard_count();
         for shard in 0..shards {
-            service.with_shard_mut(shard, |p| {
-                if config.deferred_retrains {
-                    p.set_deferred_retrains(true);
-                }
-                p.pack_pools();
-            });
+            service.with_shard_mut(shard, SizeyPredictor::pack_pools);
         }
         let snapshots = (0..shards)
             .map(|shard| SnapshotCell::new(Arc::new(service.clone_shard(shard))))
@@ -272,14 +229,10 @@ impl AsyncService {
         let queues = (0..shards)
             .map(|_| BoundedQueue::new(config.queue_capacity))
             .collect();
-        let pauses = (0..shards).map(|_| PauseGate::new()).collect();
-        let retrain_backlogs = service.map_shards(|p| AtomicU64::new(p.pending_retrains() as u64));
         let inner = Arc::new(ServiceInner {
             service,
             queues,
             snapshots,
-            pauses,
-            retrain_backlogs,
             config,
             counters: Counters::default(),
         });
@@ -376,30 +329,9 @@ impl AsyncService {
         self.inner.queues.iter().map(BoundedQueue::len).collect()
     }
 
-    /// Chaos/fault-injection hook: parks `shard`'s worker before its next
-    /// micro-batch. The shard's queue keeps admitting (or shedding, per the
-    /// admission policy) while paused — nothing accepted is lost, the
-    /// backlog just waits. A [`flush`](AsyncService::flush) issued while a
-    /// worker is paused blocks until that worker is resumed; call
-    /// [`resume_shard`](AsyncService::resume_shard) first. Shutdown resumes
-    /// every shard itself, so a paused service still drains on drop.
-    /// Out-of-range shards are ignored.
-    pub fn pause_shard(&self, shard: usize) {
-        if let Some(gate) = self.inner.pauses.get(shard) {
-            gate.set(true);
-        }
-    }
-
-    /// Releases a [`pause_shard`](AsyncService::pause_shard): the worker
-    /// wakes and drains whatever queued up behind the pause.
-    pub fn resume_shard(&self, shard: usize) {
-        if let Some(gate) = self.inner.pauses.get(shard) {
-            gate.set(false);
-        }
-    }
-
     /// A point-in-time reading of the service counters. Reads atomics only,
     /// so a monitor polling it never waits behind a worker's retrain.
+    #[allow(deprecated)]
     pub fn stats(&self) -> ServiceStats {
         let c = &self.inner.counters;
         ServiceStats {
@@ -410,13 +342,8 @@ impl AsyncService {
             observed: c.observed.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             snapshots_published: c.snapshots_published.load(Ordering::Relaxed),
-            retrains_installed: c.retrains_installed.load(Ordering::Relaxed),
-            retrain_backlog: self
-                .inner
-                .retrain_backlogs
-                .iter()
-                .map(|gauge| gauge.load(Ordering::Relaxed))
-                .sum(),
+            retrains_installed: 0,
+            retrain_backlog: 0,
         }
     }
 
@@ -436,11 +363,6 @@ impl AsyncService {
     }
 
     fn close_and_join(&mut self) {
-        // Wake any paused workers first: the drain guarantee holds even if a
-        // chaos hook left a shard parked.
-        for gate in &self.inner.pauses {
-            gate.set(false);
-        }
         for queue in &self.inner.queues {
             queue.close();
         }
@@ -467,20 +389,13 @@ impl Drop for AsyncService {
 
 fn worker_loop(inner: &ServiceInner, shard: usize) {
     let config = &inner.config;
-    let (Some(queue), Some(cell), Some(pause), Some(retrain_backlog)) = (
-        inner.queues.get(shard),
-        inner.snapshots.get(shard),
-        inner.pauses.get(shard),
-        inner.retrain_backlogs.get(shard),
-    ) else {
+    let (Some(queue), Some(cell)) = (inner.queues.get(shard), inner.snapshots.get(shard)) else {
         return;
     };
     let mut messages: Vec<ShardMsg> = Vec::with_capacity(config.batch_max);
     let mut records: Vec<TaskRecord> = Vec::with_capacity(config.batch_max);
     let mut gates: Vec<Arc<FlushGate>> = Vec::new();
     loop {
-        // Chaos hook: park between micro-batches while the shard is paused.
-        pause.wait_while_paused();
         messages.clear();
         // Blocks for the first message, then drains the micro-batch window.
         // 0 means closed-and-drained: every accepted message was processed.
@@ -498,20 +413,9 @@ fn worker_loop(inner: &ServiceInner, shard: usize) {
             // One write-lock hold per batch, records in submission order —
             // per-key order is exactly the serial predictor's.
             inner.service.observe_shard(shard, &records);
-            let c = &inner.counters;
-            if config.deferred_retrains {
-                let (ran, backlog) = inner.service.with_shard_mut(shard, |p| {
-                    (
-                        p.run_pending_retrains(config.retrain_cap_per_batch),
-                        p.pending_retrains(),
-                    )
-                });
-                c.retrains_installed
-                    .fetch_add(ran as u64, Ordering::Relaxed);
-                retrain_backlog.store(backlog as u64, Ordering::Relaxed);
-            }
             // Publish the new state; predicts switch over wait-free.
             cell.store(Arc::new(inner.service.clone_shard(shard)));
+            let c = &inner.counters;
             c.observed
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
             c.batches.fetch_add(1, Ordering::Relaxed);
@@ -639,18 +543,22 @@ mod tests {
         assert_eq!(stats.observed, 50, "accepted observes were lost");
     }
 
-    /// Staged retrains the cap leaves behind show up in `retrain_backlog`,
-    /// and `stats()` reads atomics only: it returns while another thread
-    /// holds the shard's write lock, as a worker does for a whole retrain.
+    /// Runs `f` while this thread holds shard 0's write lock, as a worker
+    /// does for a whole micro-batch (retrains included): shard 0's worker
+    /// stalls at its next batch until `f` returns.
+    fn with_shard_0_write_locked<R>(service: &AsyncSizey, f: impl FnOnce() -> R) -> R {
+        service.service().with_shard_mut(0, |_| f())
+    }
+
+    /// `stats()` reads atomics only: it returns from another thread while
+    /// the shard's write lock is held.
     #[test]
-    fn retrain_backlog_is_visible_without_the_shard_lock() {
-        let config = ServiceConfig {
-            deferred_retrains: true,
-            // Nothing staged ever runs, so the backlog is one per key.
-            retrain_cap_per_batch: 0,
-            ..ServiceConfig::default()
-        };
-        let service = Arc::new(AsyncSizey::sizey(SizeyConfig::default(), 1, config));
+    fn stats_returns_while_a_shard_is_write_locked() {
+        let service = Arc::new(AsyncSizey::sizey(
+            SizeyConfig::default(),
+            1,
+            ServiceConfig::default(),
+        ));
         for task_type in ["a", "b"] {
             for i in 1..=30u64 {
                 let input = i as f64 * 1e9;
@@ -658,18 +566,16 @@ mod tests {
             }
         }
         service.flush();
-        let before = service.stats();
-        assert_eq!((before.retrain_backlog, before.retrains_installed), (2, 0));
         let pred = service.predict(&submission("a", 900, 6e9), AttemptContext::first());
         assert!(pred.raw_estimate_bytes.is_some());
         let (tx, rx) = std::sync::mpsc::channel();
-        let (during, stats_thread) = service.service().with_shard_mut(0, |_| {
+        let (during, stats_thread) = with_shard_0_write_locked(&service, || {
             let service = Arc::clone(&service);
             let stats_thread = std::thread::spawn(move || tx.send(service.stats()));
             (rx.recv_timeout(Duration::from_secs(30)), stats_thread)
         });
         let during = during.expect("stats() must return while the shard is write-locked");
-        assert_eq!(during.retrain_backlog, 2);
+        assert_eq!(during.observed, 60);
         stats_thread
             .join()
             .expect("stats thread")
@@ -680,47 +586,35 @@ mod tests {
     fn paused_shard_backs_up_then_drains_with_exact_accounting() {
         let config = ServiceConfig {
             queue_capacity: 8,
+            batch_max: 4,
             admission: AdmissionPolicy::Shed,
             ..ServiceConfig::default()
         };
-        // Single shard: the pause stalls the whole service.
+        // Single shard: holding its write lock stalls the whole service.
         let service = AsyncSizey::sizey(SizeyConfig::default(), 1, config);
-        service.pause_shard(0);
-        // Give the worker a moment to park so the queue genuinely backs up.
-        std::thread::sleep(Duration::from_millis(20));
-        let mut accepted = 0u64;
-        for i in 1..=100u64 {
-            if service.observe(&record("chaos", i, 1e9, 2e9)) {
-                accepted += 1;
+        let (accepted, stalled) = with_shard_0_write_locked(&service, || {
+            let mut accepted = 0u64;
+            for i in 1..=100u64 {
+                if service.observe(&record("chaos", i, 1e9, 2e9)) {
+                    accepted += 1;
+                }
             }
-        }
-        let stalled = service.stats();
+            (accepted, service.stats())
+        });
         assert_eq!(stalled.submitted, 100);
         assert_eq!(stalled.accepted, accepted);
         assert_eq!(stalled.accepted + stalled.shed, stalled.submitted);
-        assert!(stalled.shed > 0, "a paused worker must back the queue up");
-        // Resume: flush must drain the backlog, nothing accepted is lost.
-        service.resume_shard(0);
+        // The stalled worker holds at most one batch (4) and the queue at
+        // most its capacity (8), so at most 12 of the 100 were accepted.
+        assert!(accepted <= 12, "accepted {accepted} while stalled");
+        assert!(stalled.shed > 0, "a stalled worker must back the queue up");
+        // Released: flush must apply every accepted record.
         service.flush();
         let drained = service.stats();
-        assert_eq!(drained.observed, drained.accepted);
+        assert_eq!(drained.observed, accepted);
         assert!(service.queue_depths().iter().all(|&d| d == 0));
         let final_stats = service.shutdown();
         assert_eq!(final_stats.observed, accepted);
-    }
-
-    #[test]
-    fn shutdown_resumes_paused_workers_and_still_drains() {
-        let service = AsyncSizey::sizey(SizeyConfig::default(), 2, ServiceConfig::default());
-        for i in 1..=30u64 {
-            service.observe(&record("park", i, 1e9, 2e9));
-        }
-        service.pause_shard(0);
-        service.pause_shard(1);
-        // No resume: shutdown itself must wake the workers and drain.
-        let stats = service.shutdown();
-        assert_eq!(stats.observed, stats.accepted);
-        assert_eq!(stats.accepted + stats.shed, stats.submitted);
     }
 
     /// Predicts on the lock-free path only read: the checkpoint taken after

@@ -66,7 +66,7 @@ thread_local! {
 #[derive(Clone)]
 pub struct SizeyPredictor {
     config: SizeyConfig,
-    // A BTreeMap, not HashMap: the snapshot and staged-retrain paths iterate
+    // A BTreeMap, not HashMap: the snapshot and diagnostics paths iterate
     // the pools, and the deterministic-replay contract needs a stable,
     // platform-independent order (enforced by the no-hash-iter lint).
     //
@@ -75,11 +75,6 @@ pub struct SizeyPredictor {
     // this predictor, and a pool is copied only when one side writes to it
     // while the other still holds it.
     pools: BTreeMap<TaskMachineKey, Arc<ModelPool>>,
-    /// Whether every pool (existing and future) stages its due full retrains
-    /// instead of running them inside `observe`. Serial engines keep the
-    /// default `false`; the async serving layer turns it on to cap the
-    /// retrain work per micro-batch.
-    deferred_retrains: bool,
     store: ProvenanceStore,
 }
 
@@ -108,7 +103,6 @@ impl SizeyPredictor {
         SizeyPredictor {
             config,
             pools: BTreeMap::new(),
-            deferred_retrains: false,
             store,
         }
     }
@@ -126,7 +120,6 @@ impl SizeyPredictor {
         SizeyPredictor {
             config: self.config.clone(),
             pools: self.pools.clone(),
-            deferred_retrains: self.deferred_retrains,
             store: ProvenanceStore::new(),
         }
     }
@@ -181,54 +174,8 @@ impl SizeyPredictor {
         self.pools.len()
     }
 
-    /// Switches every pool (existing and future) between inline full
-    /// retrains and deferred ones. With deferred retrains, `observe` only
-    /// *stages* a due full retrain; the caller runs the staged work with
-    /// [`run_pending_retrains`](SizeyPredictor::run_pending_retrains).
-    /// Predictions keep serving the previous models until then.
-    pub fn set_deferred_retrains(&mut self, deferred: bool) {
-        self.deferred_retrains = deferred;
-        // Only pools whose flag changes are written (and so un-shared).
-        for pool in self.pools.values_mut() {
-            if pool.defers_retrains() != deferred {
-                Arc::make_mut(pool).set_deferred_retrains(deferred);
-            }
-        }
-    }
-
-    /// Runs at most `cap` staged full retrains, in key order, and returns
-    /// how many ran. Pools beyond the cap keep their retrain staged for a
-    /// later call — this is how the serving layer bounds the retrain work
-    /// attributed to a single observe batch instead of letting one unlucky
-    /// batch absorb every pool's periodic retrain at once (the observe p99
-    /// tail).
-    pub fn run_pending_retrains(&mut self, cap: usize) -> usize {
-        // Pools with nothing staged are not written, so they stay shared
-        // with the published views.
-        let staged = self
-            .pools
-            .values_mut()
-            .filter(|pool| pool.has_pending_retrain())
-            .take(cap);
-        let mut ran = 0;
-        for pool in staged {
-            Arc::make_mut(pool).run_pending_retrain(&self.config);
-            ran += 1;
-        }
-        ran
-    }
-
-    /// Number of pools with a staged-but-not-yet-run retrain — the backlog
-    /// a capped run left behind (retrain-stall telemetry).
-    pub fn pending_retrains(&self) -> usize {
-        self.pools
-            .values()
-            .filter(|pool| pool.has_pending_retrain())
-            .count()
-    }
-
-    /// Total full retrains that have landed across all pools (the sum of
-    /// the pools' model epochs).
+    /// Total full retrains run across all pools (the sum of the pools'
+    /// model epochs).
     pub fn total_full_retrains(&self) -> u64 {
         self.pools.values().map(|pool| pool.model_epoch()).sum()
     }
@@ -351,11 +298,11 @@ impl MemoryPredictor for SizeyPredictor {
         self.store.insert(record.clone());
         let key = record.key();
         // Copies the pool first if a clone or published view still holds it.
-        let pool = Arc::make_mut(self.pools.entry(key).or_insert_with(|| {
-            let mut pool = ModelPool::new(&self.config);
-            pool.set_deferred_retrains(self.deferred_retrains);
-            Arc::new(pool)
-        }));
+        let pool = Arc::make_mut(
+            self.pools
+                .entry(key)
+                .or_insert_with(|| Arc::new(ModelPool::new(&self.config))),
+        );
 
         match record.outcome {
             TaskOutcome::Succeeded => POOL_SCRATCH.with(|cell| {
@@ -755,82 +702,6 @@ mod tests {
         let state = small.snapshot();
         assert_eq!(state.evicted, 0);
         fresh.restore(&state).unwrap();
-    }
-
-    /// A deferred-retrain predictor with pools "a", "b" and "c" (observed out
-    /// of key order), each pushed past the default retrain interval (25).
-    fn three_staged_retrains() -> SizeyPredictor {
-        let mut p = SizeyPredictor::with_defaults();
-        p.set_deferred_retrains(true);
-        for task_type in ["c", "a", "b"] {
-            for i in 1..=30u64 {
-                let mut record = success(i, i as f64 * 1e9, 2e9 * i as f64 + 1e9);
-                record.task_type = TaskTypeId::new(task_type);
-                p.observe(&record);
-            }
-        }
-        p
-    }
-
-    /// `run_pending_retrains(cap)` runs at most `cap` staged retrains in key
-    /// order, the backlog falls by exactly the returned count, and
-    /// predictions are served from the previous models meanwhile.
-    #[test]
-    fn capped_pending_retrain_runs_follow_key_order_and_leave_the_backlog_visible() {
-        let mut p = three_staged_retrains();
-        let pending = |p: &SizeyPredictor| -> Vec<bool> {
-            p.pools
-                .values()
-                .map(|pool| pool.has_pending_retrain())
-                .collect()
-        };
-        assert_eq!(pending(&p), [true, true, true]);
-        assert_eq!(p.total_full_retrains(), 0, "staging trains nothing");
-        assert_eq!(p.run_pending_retrains(0), 0);
-        assert_eq!(p.pending_retrains(), 3);
-        assert_eq!(p.run_pending_retrains(1), 1);
-        assert_eq!(pending(&p), [false, true, true], "key order: a first");
-        let mut still_staged = submission(900, 6e9);
-        still_staged.task_type = TaskTypeId::new("b");
-        let served = p.predict(&still_staged, AttemptContext::first());
-        assert!(served.raw_estimate_bytes.is_some());
-        assert_eq!(p.run_pending_retrains(1), 1);
-        assert_eq!(pending(&p), [false, false, true]);
-        assert_eq!(p.run_pending_retrains(usize::MAX), 1);
-        assert_eq!(p.pending_retrains(), 0);
-        assert_eq!(p.run_pending_retrains(usize::MAX), 0);
-        assert_eq!(p.total_full_retrains(), 3);
-    }
-
-    /// Writers that change nothing must not un-share: with a published view
-    /// held, a capped run of 1 of 3 staged retrains copies that one pool and
-    /// leaves the other two the view's own allocations; re-asserting the
-    /// deferred flag writes to none.
-    #[test]
-    fn capped_retrain_run_unshares_only_the_pool_it_retrains() {
-        let mut p = three_staged_retrains();
-        let view = p.published_view();
-        let shared = |p: &SizeyPredictor| -> Vec<bool> {
-            p.pools
-                .values()
-                .zip(view.pools.values())
-                .map(|(ours, theirs)| Arc::ptr_eq(ours, theirs))
-                .collect()
-        };
-        assert_eq!(p.run_pending_retrains(0), 0);
-        p.set_deferred_retrains(true);
-        assert_eq!(shared(&p), [true, true, true]);
-        assert_eq!(p.run_pending_retrains(1), 1);
-        assert_eq!(shared(&p), [false, true, true]);
-        // The view still serves the models from before the retrain.
-        assert_eq!(view.pending_retrains(), 3);
-        assert_eq!(
-            (view.total_full_retrains(), p.total_full_retrains()),
-            (0, 1)
-        );
-        // Flipping the flag does write to every pool, and only then.
-        p.set_deferred_retrains(false);
-        assert_eq!(shared(&p), [false, false, false]);
     }
 
     /// Packing moves the pools and nothing else: decisions before and after

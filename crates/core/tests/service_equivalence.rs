@@ -88,7 +88,8 @@ proptest! {
     /// of the stream exactly what it predicted at step *i*, and the live
     /// predictor it was taken from ends bit-identical to a serial predictor
     /// that was fed the same stream and never published anything — over
-    /// successes, OOM failures, `history_window` trims and staged retrains.
+    /// successes, OOM failures, `history_window` trims and the full retrains
+    /// they and the retrain interval trigger.
     #[test]
     fn published_views_are_isolated_from_later_writes(
         stream in proptest::collection::vec(
@@ -96,8 +97,6 @@ proptest! {
             10..90,
         ),
         window in prop_oneof![Just(None), Just(Some(6usize)), Just(Some(16usize))],
-        deferred in 0u8..2,
-        retrain_cap in 0usize..3,
         view_every in 1usize..9,
     ) {
         let config = SizeyConfig {
@@ -107,8 +106,6 @@ proptest! {
         };
         let mut live = SizeyPredictor::new(config.clone());
         let mut serial = SizeyPredictor::new(config);
-        live.set_deferred_retrains(deferred == 1);
-        serial.set_deferred_retrains(deferred == 1);
 
         let mut views = Vec::new();
         for (step, &(t, m, input, factor, oom)) in stream.iter().enumerate() {
@@ -117,10 +114,8 @@ proptest! {
                 rec.outcome = TaskOutcome::FailedOutOfMemory;
                 rec.allocated_memory_bytes = rec.peak_memory_bytes * 0.8;
             }
-            for predictor in [&mut live, &mut serial] {
-                predictor.observe(&rec);
-                predictor.run_pending_retrains(retrain_cap);
-            }
+            live.observe(&rec);
+            serial.observe(&rec);
             if step % view_every == 0 {
                 let view = live.published_view();
                 let then = probe(&view, 2, 2);
@@ -132,7 +127,6 @@ proptest! {
             prop_assert_eq!(&probe(view, 2, 2), then, "view of step {} moved", step);
         }
         prop_assert_eq!(probe(&live, 2, 2), probe(&serial, 2, 2));
-        prop_assert_eq!(live.pending_retrains(), serial.pending_retrains());
         prop_assert_eq!(live.total_full_retrains(), serial.total_full_retrains());
     }
 }

@@ -83,10 +83,10 @@ fn main() -> ExitCode {
                 c.method.name().to_string(),
                 c.seed.to_string(),
                 c.policy.name().to_string(),
-                fmt(c.wastage_gbh, 2),
-                c.failures.to_string(),
-                fmt(c.makespan_hours, 2),
-                fmt(c.mean_queue_delay_seconds, 1),
+                fmt(c.aggregates.total_wastage_gbh, 2),
+                c.aggregates.failures.to_string(),
+                fmt(c.aggregates.makespan_hours(), 2),
+                fmt(c.aggregates.mean_queue_delay_seconds(), 1),
             ]
         })
         .collect();
@@ -170,9 +170,9 @@ fn main() -> ExitCode {
                 c.policy.name(),
                 c.requeued_attempts,
                 c.leaked_inflight_retries,
-                c.unfinished
+                c.aggregates.unfinished_instances
             );
-            stranded += c.leaked_inflight_retries + c.unfinished;
+            stranded += c.leaked_inflight_retries + c.aggregates.unfinished_instances;
         }
         println!();
         if stranded > 0 {

@@ -25,7 +25,7 @@ use sizey_provenance::TaskRecord;
 use sizey_sim::{
     replay_workflow_streaming, schedule_workflows_streaming, AttemptContext, AttemptSink,
     CheckpointPredictor, MemoryPredictor, NullRecordSink, NullSink, Prediction, PredictorState,
-    SchedulePolicy, StreamingTenant, TaskSubmission,
+    ReplayAggregates, SchedulePolicy, StreamingTenant, TaskSubmission,
 };
 use sizey_workflows::{stream_workflow, workflow_by_name, GeneratorConfig};
 use std::sync::{Arc, Mutex};
@@ -42,18 +42,9 @@ pub struct SweepCell {
     pub seed: u64,
     /// Scheduling policy.
     pub policy: SchedulePolicy,
-    /// Total memory wastage in GBh.
-    pub wastage_gbh: f64,
-    /// Number of failed attempts.
-    pub failures: usize,
-    /// Instances that never finished.
-    pub unfinished: usize,
-    /// Simulated makespan in hours.
-    pub makespan_hours: f64,
-    /// Mean queue delay per attempt in seconds.
-    pub mean_queue_delay_seconds: f64,
-    /// Total task runtime in hours.
-    pub runtime_hours: f64,
+    /// The engine's accounting of the replay: wastage, failures, unfinished
+    /// instances, makespan and queue delay.
+    pub aggregates: ReplayAggregates,
     /// Seconds from the drift changepoint until the method's rolling wastage
     /// re-entered its pre-drift band ([`f64::INFINITY`] = never recovered).
     /// `None` when the experiment has no [`ExperimentSpec::drift`] axis.
@@ -167,12 +158,7 @@ fn run_cell(
         method: method.clone(),
         seed,
         policy,
-        wastage_gbh: aggregates.total_wastage_gbh,
-        failures: aggregates.failures as usize,
-        unfinished: aggregates.unfinished_instances,
-        makespan_hours: aggregates.makespan_seconds / 3600.0,
-        mean_queue_delay_seconds: aggregates.mean_queue_delay_seconds(),
-        runtime_hours: aggregates.total_runtime_hours(),
+        aggregates,
         time_to_recover_seconds: tracker.map(|t| t.time_to_recover_seconds()),
         requeued_attempts: requeued,
         leaked_inflight_retries: leaked,
@@ -281,12 +267,24 @@ pub fn aggregate_sweep(cells: &[SweepCell]) -> Vec<SweepRow> {
             SweepRow {
                 method,
                 policy,
-                wastage_gbh: group.iter().map(|c| c.wastage_gbh).sum::<f64>() / n_seeds,
-                failures: group.iter().map(|c| c.failures as f64).sum::<f64>() / n_seeds,
-                makespan_hours: group.iter().map(|c| c.makespan_hours).sum::<f64>() / n_seeds,
+                wastage_gbh: group
+                    .iter()
+                    .map(|c| c.aggregates.total_wastage_gbh)
+                    .sum::<f64>()
+                    / n_seeds,
+                failures: group
+                    .iter()
+                    .map(|c| c.aggregates.failures as f64)
+                    .sum::<f64>()
+                    / n_seeds,
+                makespan_hours: group
+                    .iter()
+                    .map(|c| c.aggregates.makespan_hours())
+                    .sum::<f64>()
+                    / n_seeds,
                 mean_queue_delay_seconds: group
                     .iter()
-                    .map(|c| c.mean_queue_delay_seconds)
+                    .map(|c| c.aggregates.mean_queue_delay_seconds())
                     .sum::<f64>()
                     / n_cells,
             }
@@ -316,8 +314,8 @@ mod tests {
         let cells = run_sweep(&spec);
         assert_eq!(cells.len(), spec.len());
         assert_eq!(cells.len(), 4);
-        assert!(cells.iter().all(|c| c.wastage_gbh >= 0.0));
-        assert!(cells.iter().all(|c| c.unfinished == 0));
+        assert!(cells.iter().all(|c| c.aggregates.total_wastage_gbh >= 0.0));
+        assert!(cells.iter().all(|c| c.aggregates.unfinished_instances == 0));
     }
 
     #[test]
@@ -342,7 +340,7 @@ mod tests {
         let plain = run_sweep(&spec);
         for ((cell, _), reference) in with_states.iter().zip(&plain) {
             assert_eq!(cell.method, reference.method);
-            assert_eq!(cell.wastage_gbh, reference.wastage_gbh);
+            assert_eq!(cell.aggregates, reference.aggregates);
         }
         // The preset predictor is stateless; the Sizey cell journals every
         // attempt of the replay and restores bit-identically.
@@ -374,10 +372,10 @@ mod tests {
         .count();
         let cells = run_sweep(&spec);
         let last_arrival = (instances - 1) as f64 * 600.0;
+        let makespan = cells[0].aggregates.makespan_seconds;
         assert!(
-            cells[0].makespan_hours * 3600.0 >= last_arrival,
-            "makespan {} h ends before the last arrival at {last_arrival} s",
-            cells[0].makespan_hours
+            makespan >= last_arrival,
+            "makespan {makespan} s ends before the last arrival at {last_arrival} s"
         );
     }
 
@@ -406,12 +404,7 @@ mod tests {
                 method,
                 seed: 1,
                 policy,
-                wastage_gbh: 1.0,
-                failures: 0,
-                unfinished: 0,
-                makespan_hours: 1.0,
-                mean_queue_delay_seconds: 0.0,
-                runtime_hours: 1.0,
+                aggregates: ReplayAggregates::new(),
                 time_to_recover_seconds: None,
                 requeued_attempts: 0,
                 leaked_inflight_retries: 0,

@@ -28,11 +28,11 @@ use crate::gating::gate_with;
 use crate::offset::OffsetScratch;
 use crate::raq::{accuracy_score_cached, pair_accuracy, pool_raq_scores_into};
 use sizey_ml::dataset::Dataset;
-use sizey_ml::forest::{ForestConfig, RandomForestRegression};
+use sizey_ml::forest::ForestConfig;
 use sizey_ml::hpo::{grid_search, ModelSpec};
-use sizey_ml::knn::KnnRegression;
-use sizey_ml::linear::LinearRegression;
-use sizey_ml::mlp::{MlpConfig, MlpRegression};
+use sizey_ml::knn::KnnConfig;
+use sizey_ml::linear::LinearConfig;
+use sizey_ml::mlp::MlpConfig;
 use sizey_ml::model::{ModelClass, PredictScratch, Regressor};
 use std::collections::VecDeque;
 
@@ -164,11 +164,12 @@ impl std::fmt::Debug for ModelPool {
     }
 }
 
-fn build_model(class: ModelClass, seed: u64) -> Box<dyn Regressor> {
+/// The configuration of the pool's member of `class`.
+fn member_spec(class: ModelClass, seed: u64) -> ModelSpec {
     match class {
-        ModelClass::Linear => Box::new(LinearRegression::with_defaults()),
-        ModelClass::Knn => Box::new(KnnRegression::with_defaults()),
-        ModelClass::Mlp => Box::new(MlpRegression::new(MlpConfig {
+        ModelClass::Linear => ModelSpec::Linear(LinearConfig::default()),
+        ModelClass::Knn => ModelSpec::Knn(KnnConfig::default()),
+        ModelClass::Mlp => ModelSpec::Mlp(MlpConfig {
             hidden_layers: vec![16],
             max_epochs: 120,
             // The warm start runs on every completion (the network goes
@@ -179,8 +180,8 @@ fn build_model(class: ModelClass, seed: u64) -> Box<dyn Regressor> {
             incremental_epochs: 5,
             seed,
             ..MlpConfig::default()
-        })),
-        ModelClass::RandomForest => Box::new(RandomForestRegression::new(ForestConfig {
+        }),
+        ModelClass::RandomForest => ModelSpec::RandomForest(ForestConfig {
             n_trees: 24,
             max_depth: 8,
             // Bank a quarter tree of refresh credit per observation (one tree
@@ -191,7 +192,7 @@ fn build_model(class: ModelClass, seed: u64) -> Box<dyn Regressor> {
             incremental_window: 256,
             seed,
             ..ForestConfig::default()
-        })),
+        }),
     }
 }
 
@@ -204,7 +205,7 @@ impl ModelPool {
                 .iter()
                 .map(|&class| PoolMember {
                     class,
-                    model: build_model(class, config.seed),
+                    model: member_spec(class, config.seed).build(),
                     accuracy_scores: Vec::new(),
                 })
                 .collect(),
@@ -421,7 +422,7 @@ impl ModelPool {
         }
 
         // 3. Grow the training data.
-        self.data.push(features.to_vec(), peak_bytes);
+        self.data.push(features, peak_bytes);
         self.max_observed = max_finite(self.max_observed, peak_bytes);
 
         // 3b. Opt-in bounded history: once the training set doubles the
@@ -536,7 +537,13 @@ impl ModelPool {
         self.since_full_retrain = 0;
         for member in &mut self.members {
             if config.hyperparameter_optimization && self.data.len() >= 6 {
-                let specs = ModelSpec::default_grid(member.class, config.seed);
+                // The winner replaces the member between incremental
+                // updates too, so it keeps the member's update settings.
+                let own = member_spec(member.class, config.seed);
+                let specs: Vec<ModelSpec> = ModelSpec::default_grid(member.class, config.seed)
+                    .into_iter()
+                    .map(|spec| spec.with_incremental_settings_of(&own))
+                    .collect();
                 if let Ok(result) = grid_search(&specs, &self.data, 3) {
                     member.model = result.model;
                     continue;
@@ -619,6 +626,34 @@ mod tests {
             mlp
         };
         assert_ne!(mlp_estimate(7).to_bits(), mlp_estimate(8).to_bits());
+    }
+
+    /// Regression: the grid of an HPO retrain used to be built from the
+    /// model defaults, so under incremental mode the winner dropped the
+    /// pool's update settings. The pool's forest refits one tree every four
+    /// observes; a default-built 16- or 32-tree winner refit 4 or 8 trees on
+    /// every observe (and an MLP winner ran 30 warm-start epochs, not 5).
+    /// With the member's settings inherited, the observe right after the
+    /// retrain banks too little credit to refit any tree, so the forest's
+    /// estimate does not move.
+    #[test]
+    fn hpo_winners_keep_the_members_incremental_settings() {
+        let cfg = SizeyConfig {
+            online: OnlineMode::incremental(8),
+            hyperparameter_optimization: true,
+            ..config()
+        }
+        .with_model_classes(vec![ModelClass::RandomForest]);
+        let mut pool = ModelPool::new(&cfg);
+        // The first observe fits the cold forest; the ninth is the eighth
+        // since then, so it runs the grid search.
+        feed_linear(&mut pool, &cfg, 9);
+        assert_eq!(pool.model_epoch(), 1);
+        let forest = |pool: &ModelPool| estimates(pool, &[4.5e9]).unwrap()[0].1;
+        let retrained = forest(&pool);
+        pool.observe_success(&[10e9], 21e9, &cfg, &mut PoolScratch::default());
+        assert_eq!(pool.model_epoch(), 1, "the tenth observe is incremental");
+        assert_eq!(forest(&pool).to_bits(), retrained.to_bits());
     }
 
     #[test]

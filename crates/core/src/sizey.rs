@@ -244,8 +244,7 @@ impl MemoryPredictor for SizeyPredictor {
         }
 
         // One pool lookup serves the whole first-attempt path; the feature
-        // vector lives on the stack (same single value
-        // `TaskSubmission::features` would box).
+        // row (the input size, the paper's one feature) lives on the stack.
         let Some(pool) = self.pool_for(task.task_type.as_str(), task.machine.as_str()) else {
             // Unknown task type: submit with the user-provided, usually
             // conservative estimate.
@@ -307,7 +306,7 @@ impl MemoryPredictor for SizeyPredictor {
         match record.outcome {
             TaskOutcome::Succeeded => POOL_SCRATCH.with(|cell| {
                 pool.observe_success(
-                    &record.features(),
+                    &[record.input_bytes],
                     record.peak_memory_bytes,
                     &self.config,
                     &mut cell.borrow_mut(),

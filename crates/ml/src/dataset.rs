@@ -1,28 +1,23 @@
-//! Training data containers shared by all regressors.
+//! Training data container shared by all regressors.
+//!
+//! A [`Dataset`] is the one layout every model reads its training rows
+//! from: one row-major `f64` buffer plus the row width, next to the target
+//! vector. Row `i` is the slice `features()[i * w..(i + 1) * w]` with
+//! `w = n_features()`; [`Dataset::row`], [`Dataset::get`] and
+//! [`Dataset::iter`] hand rows out as borrowed slices. Appending a row
+//! copies its values into the buffer, so growing a history of
+//! single-feature observations allocates nothing per row beyond the
+//! buffer's amortised growth.
 
 /// A supervised regression dataset: a design matrix of feature rows and a
 /// response vector of targets (peak memory in bytes for the Sizey use case).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    features: Vec<Vec<f64>>,
+    /// Row-major feature values, `targets.len() * width` of them.
+    values: Vec<f64>,
     targets: Vec<f64>,
-}
-
-impl Clone for Dataset {
-    fn clone(&self) -> Self {
-        Dataset {
-            features: self.features.clone(),
-            targets: self.targets.clone(),
-        }
-    }
-
-    /// Reuses the destination's row buffers (outer and inner vectors) —
-    /// models that retrain on a growing history call this on every update,
-    /// so the copy must not reallocate the whole training set each time.
-    fn clone_from(&mut self, source: &Self) {
-        self.features.clone_from(&source.features);
-        self.targets.clone_from(&source.targets);
-    }
+    /// Row width; only meaningful while the dataset holds a row.
+    width: usize,
 }
 
 impl Dataset {
@@ -42,14 +37,16 @@ impl Dataset {
             targets.len(),
             "features and targets must have the same number of rows"
         );
-        if let Some(first) = features.first() {
-            let w = first.len();
-            assert!(
-                features.iter().all(|f| f.len() == w),
-                "all feature rows must have the same width"
-            );
+        let width = features.first().map_or(0, Vec::len);
+        assert!(
+            features.iter().all(|f| f.len() == width),
+            "all feature rows must have the same width"
+        );
+        Dataset {
+            values: features.concat(),
+            targets,
+            width,
         }
-        Dataset { features, targets }
     }
 
     /// Convenience constructor for single-feature data (the common Sizey case:
@@ -57,21 +54,24 @@ impl Dataset {
     pub fn from_univariate(xs: &[f64], ys: &[f64]) -> Self {
         assert_eq!(xs.len(), ys.len());
         Dataset {
-            features: xs.iter().map(|&x| vec![x]).collect(),
+            values: xs.to_vec(),
             targets: ys.to_vec(),
+            width: 1,
         }
     }
 
-    /// Appends one observation.
-    pub fn push(&mut self, features: Vec<f64>, target: f64) {
-        if let Some(first) = self.features.first() {
-            assert_eq!(
-                first.len(),
-                features.len(),
-                "feature width must be consistent"
-            );
+    /// Appends one observation. The first row of an empty dataset sets the
+    /// width.
+    ///
+    /// # Panics
+    /// Panics if the dataset holds rows of a different width.
+    pub fn push(&mut self, row: &[f64], target: f64) {
+        if self.is_empty() {
+            self.width = row.len();
+        } else {
+            assert_eq!(self.width, row.len(), "feature width must be consistent");
         }
-        self.features.push(features);
+        self.values.extend_from_slice(row);
         self.targets.push(target);
     }
 
@@ -87,12 +87,17 @@ impl Dataset {
 
     /// Number of feature columns (0 for an empty dataset).
     pub fn n_features(&self) -> usize {
-        self.features.first().map_or(0, Vec::len)
+        if self.is_empty() {
+            0
+        } else {
+            self.width
+        }
     }
 
-    /// Borrow the feature rows.
-    pub fn features(&self) -> &[Vec<f64>] {
-        &self.features
+    /// Borrow the feature values, row-major: `len()` rows of `n_features()`
+    /// values each.
+    pub fn features(&self) -> &[f64] {
+        &self.values
     }
 
     /// Borrow the targets.
@@ -100,17 +105,24 @@ impl Dataset {
         &self.targets
     }
 
-    /// Returns the i-th observation.
-    pub fn get(&self, i: usize) -> (&[f64], f64) {
-        (&self.features[i], self.targets[i])
+    /// Borrow the feature row of the i-th observation.
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.values[i * self.width..(i + 1) * self.width]
     }
 
-    /// Returns a new dataset containing only the observations at `indices`.
+    /// Returns the i-th observation.
+    pub fn get(&self, i: usize) -> (&[f64], f64) {
+        (self.row(i), self.targets[i])
+    }
+
+    /// Returns a new dataset containing only the observations at `indices`,
+    /// in that order.
     pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            features: indices.iter().map(|&i| self.features[i].clone()).collect(),
-            targets: indices.iter().map(|&i| self.targets[i]).collect(),
+        let mut out = Dataset::new();
+        for &i in indices {
+            out.push(self.row(i), self.targets[i]);
         }
+        out
     }
 
     /// Removes the first `n` observations (all of them when `n >= len`),
@@ -120,66 +132,38 @@ impl Dataset {
     /// amortised `O(1)` per observation.
     pub fn drain_front(&mut self, n: usize) {
         let n = n.min(self.len());
-        self.features.drain(..n);
+        self.values.drain(..n * self.width);
         self.targets.drain(..n);
     }
 
-    /// Returns the last `n` observations (or all of them when fewer exist).
-    pub fn tail(&self, n: usize) -> Dataset {
-        let start = self.len().saturating_sub(n);
-        Dataset {
-            features: self.features[start..].to_vec(),
-            targets: self.targets[start..].to_vec(),
-        }
-    }
-
-    /// Copies the last `n` observations into `out`, reusing its buffers —
-    /// the allocation-free variant of [`Dataset::tail`] for callers that
-    /// extract a recent window on every online-learning step.
+    /// Copies the last `n` observations (or all of them when fewer exist)
+    /// into `out`, reusing its buffers, for callers that extract a recent
+    /// window on every online-learning step.
     pub fn tail_into(&self, n: usize, out: &mut Dataset) {
         let start = self.len().saturating_sub(n);
-        let rows = &self.features[start..];
-        out.features.truncate(rows.len());
-        let reused = out.features.len();
-        for (dst, src) in out.features.iter_mut().zip(rows) {
-            dst.clone_from(src);
-        }
-        for src in &rows[reused..] {
-            out.features.push(src.clone());
-        }
+        out.width = self.width;
+        out.values.clear();
+        out.values
+            .extend_from_slice(&self.values[start * self.width..]);
         out.targets.clear();
         out.targets.extend_from_slice(&self.targets[start..]);
     }
 
-    /// Splits into `(train, test)` where the first `train_len` observations go
-    /// into the training part. Order is preserved (important for online
-    /// replay-style evaluation).
-    pub fn split_at(&self, train_len: usize) -> (Dataset, Dataset) {
-        let train_len = train_len.min(self.len());
-        (
-            Dataset {
-                features: self.features[..train_len].to_vec(),
-                targets: self.targets[..train_len].to_vec(),
-            },
-            Dataset {
-                features: self.features[train_len..].to_vec(),
-                targets: self.targets[train_len..].to_vec(),
-            },
-        )
-    }
-
     /// Iterates over `(features, target)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> {
-        self.features
-            .iter()
-            .map(Vec::as_slice)
-            .zip(self.targets.iter().copied())
+        (0..self.len()).map(|i| self.get(i))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{validate_training_data, ModelError};
+
+    /// Row `i` of width `w`: column `c` holds `10 * i + c`.
+    fn row(i: usize, w: usize) -> Vec<f64> {
+        (0..w).map(|c| (10 * i + c) as f64).collect()
+    }
 
     #[test]
     fn from_parts_and_accessors() {
@@ -187,6 +171,7 @@ mod tests {
         assert_eq!(ds.len(), 2);
         assert_eq!(ds.n_features(), 2);
         assert_eq!(ds.get(1), (&[3.0, 4.0][..], 20.0));
+        assert_eq!(ds.features(), &[1.0, 2.0, 3.0, 4.0]);
         assert!(!ds.is_empty());
     }
 
@@ -200,58 +185,88 @@ mod tests {
     fn from_univariate_wraps_each_value() {
         let ds = Dataset::from_univariate(&[1.0, 2.0], &[3.0, 4.0]);
         assert_eq!(ds.n_features(), 1);
-        assert_eq!(ds.features()[1], vec![2.0]);
-    }
-
-    #[test]
-    fn push_appends_and_checks_width() {
-        let mut ds = Dataset::new();
-        ds.push(vec![1.0, 2.0], 5.0);
-        ds.push(vec![3.0, 4.0], 6.0);
-        assert_eq!(ds.len(), 2);
+        assert_eq!(ds.row(1), &[2.0]);
     }
 
     #[test]
     #[should_panic(expected = "feature width")]
     fn push_rejects_inconsistent_width() {
         let mut ds = Dataset::new();
-        ds.push(vec![1.0, 2.0], 5.0);
-        ds.push(vec![3.0], 6.0);
-    }
-
-    #[test]
-    fn subset_selects_indices() {
-        let ds = Dataset::from_univariate(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]);
-        let sub = ds.subset(&[2, 0]);
-        assert_eq!(sub.targets(), &[30.0, 10.0]);
-    }
-
-    #[test]
-    fn tail_returns_last_n() {
-        let ds = Dataset::from_univariate(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]);
-        let t = ds.tail(2);
-        assert_eq!(t.targets(), &[20.0, 30.0]);
-        let all = ds.tail(10);
-        assert_eq!(all.len(), 3);
+        ds.push(&[1.0, 2.0, 3.0], 5.0);
+        ds.push(&[3.0, 4.0], 6.0);
     }
 
     #[test]
     fn drain_front_drops_oldest_and_preserves_order() {
         let mut ds = Dataset::from_univariate(&[1.0, 2.0, 3.0, 4.0], &[10.0, 20.0, 30.0, 40.0]);
         ds.drain_front(2);
-        assert_eq!(ds.len(), 2);
         assert_eq!(ds.targets(), &[30.0, 40.0]);
-        assert_eq!(ds.features()[0], vec![3.0]);
+        assert_eq!(ds.row(0), &[3.0]);
         ds.drain_front(10);
         assert!(ds.is_empty());
+        assert_eq!(ds.n_features(), 0);
+        // An emptied dataset takes rows of any width again.
+        ds.push(&[1.0, 2.0], 1.0);
+        assert_eq!(ds.n_features(), 2);
+    }
+
+    /// Every row operation on widths 2 and 3, where a wrong stride would
+    /// read a neighbouring row's values.
+    #[test]
+    fn multi_column_rows_keep_their_stride() {
+        for w in [2, 3] {
+            let mut ds = Dataset::new();
+            for i in 0..6 {
+                ds.push(&row(i, w), i as f64);
+            }
+            assert_eq!((ds.n_features(), ds.features().len()), (w, 6 * w));
+            let rows: Vec<(Vec<f64>, f64)> = ds.iter().map(|(r, t)| (r.to_vec(), t)).collect();
+            assert_eq!(
+                rows,
+                (0..6).map(|i| (row(i, w), i as f64)).collect::<Vec<_>>()
+            );
+
+            let sub = ds.subset(&[4, 1, 4]);
+            assert_eq!(sub.n_features(), w);
+            assert_eq!(sub.get(0), (&row(4, w)[..], 4.0));
+            assert_eq!(sub.get(1), (&row(1, w)[..], 1.0));
+            assert_eq!(sub.row(2), &row(4, w)[..]);
+
+            let mut tail = Dataset::from_univariate(&[7.0], &[7.0]);
+            ds.tail_into(2, &mut tail);
+            assert_eq!(tail.n_features(), w);
+            assert_eq!(tail.get(0), (&row(4, w)[..], 4.0));
+            assert_eq!(tail.get(1), (&row(5, w)[..], 5.0));
+            ds.tail_into(10, &mut tail);
+            assert_eq!(tail.features(), ds.features());
+
+            let mut copy = Dataset::from_univariate(&[7.0; 9], &[7.0; 9]);
+            copy.clone_from(&ds);
+            assert_eq!(copy.n_features(), w);
+            assert_eq!(
+                (copy.features(), copy.targets()),
+                (ds.features(), ds.targets())
+            );
+
+            ds.drain_front(4);
+            assert_eq!(ds.get(0), (&row(4, w)[..], 4.0));
+            assert_eq!(ds.get(1), (&row(5, w)[..], 5.0));
+            ds.push(&row(6, w), 6.0);
+            assert_eq!(ds.get(2), (&row(6, w)[..], 6.0));
+            assert_eq!(ds.features().len(), 3 * w);
+        }
     }
 
     #[test]
-    fn split_at_preserves_order() {
-        let ds = Dataset::from_univariate(&[1.0, 2.0, 3.0, 4.0], &[1.0, 2.0, 3.0, 4.0]);
-        let (train, test) = ds.split_at(3);
-        assert_eq!(train.len(), 3);
-        assert_eq!(test.len(), 1);
-        assert_eq!(test.targets()[0], 4.0);
+    fn zero_width_rows_are_rejected_as_training_data() {
+        let ds = Dataset::from_parts(vec![Vec::new(), Vec::new()], vec![1.0, 2.0]);
+        assert_eq!((ds.len(), ds.n_features()), (2, 0));
+        assert_eq!(ds.get(1), (&[][..], 2.0));
+        assert_eq!(
+            validate_training_data(&ds),
+            Err(ModelError::InvalidTrainingData(
+                "dataset has no feature columns".to_string()
+            ))
+        );
     }
 }

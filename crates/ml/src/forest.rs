@@ -242,7 +242,7 @@ impl Regressor for RandomForestRegression {
         // generation so a successful refit is bit-identical to the former
         // in-place path.
         let mut staged = RandomForestRegression::new(self.config);
-        staged.history.clone_from(data);
+        staged.history = data.clone();
         staged.n_features = data.n_features();
         staged.fit_generation = self.fit_generation;
         let all: Vec<usize> = (0..self.config.n_trees).collect();
@@ -269,7 +269,7 @@ impl Regressor for RandomForestRegression {
             });
         }
         for (f, t) in data.iter() {
-            self.history.push(f.to_vec(), t);
+            self.history.push(f, t);
         }
         // Bank the per-observation refresh budget and spend whole trees; a
         // fraction below `1 / n_trees` therefore refreshes nothing on most

@@ -50,6 +50,27 @@ impl ModelSpec {
         }
     }
 
+    /// This spec with `member`'s incremental-only settings, the fields only
+    /// [`Regressor::partial_fit`] reads, when both specs name the same
+    /// class; every field a full fit reads stays this spec's. A grid search
+    /// that replaces an online member builds its grid this way, so the
+    /// winner keeps the member's per-update cost.
+    pub fn with_incremental_settings_of(mut self, member: &ModelSpec) -> ModelSpec {
+        match (&mut self, member) {
+            (ModelSpec::Knn(c), ModelSpec::Knn(m)) => {
+                c.rescale_drift_threshold = m.rescale_drift_threshold;
+                c.rescale_interval = m.rescale_interval;
+            }
+            (ModelSpec::Mlp(c), ModelSpec::Mlp(m)) => c.incremental_epochs = m.incremental_epochs,
+            (ModelSpec::RandomForest(c), ModelSpec::RandomForest(m)) => {
+                c.incremental_refresh_fraction = m.incremental_refresh_fraction;
+                c.incremental_window = m.incremental_window;
+            }
+            _ => {}
+        }
+        self
+    }
+
     /// The default hyper-parameter grid searched for a model class, with
     /// the stochastic classes (MLP, forest) seeded from `seed`. The grids
     /// are intentionally small — Sizey retrains on every task completion, so
@@ -183,7 +204,10 @@ pub fn cross_validate(spec: &ModelSpec, data: &Dataset, k: usize) -> Result<f64,
         let test = data.subset(test_idx);
         let mut model = spec.build();
         model.fit(&train)?;
-        let preds = model.predict_batch(test.features())?;
+        let preds = test
+            .iter()
+            .map(|(row, _)| model.predict(row))
+            .collect::<Result<Vec<_>, _>>()?;
         total += mse(test.targets(), &preds);
     }
     Ok(total / folds.len() as f64)

@@ -7,8 +7,9 @@
 //! vs. running-task counts). `partial_fit` simply appends the new
 //! observations, which makes the incremental update O(new points).
 //!
-//! The prediction hot path works on a **flattened, pre-scaled** feature
-//! buffer: observations are scaled once when the scaler refreshes (on
+//! The model keeps its observations as a [`Dataset`] (one row-major
+//! buffer) and, beside it, the same rows **pre-scaled** in the same layout:
+//! observations are scaled once when the scaler refreshes (on
 //! `fit`/`partial_fit`), not once per stored row on every `predict`, and the
 //! distance ranking uses `select_nth_unstable` partial selection instead of
 //! sorting all n distances to extract k of them. Ties are broken by
@@ -66,16 +67,15 @@ impl Default for KnnConfig {
 #[derive(Debug, Clone)]
 pub struct KnnRegression {
     config: KnnConfig,
-    /// Flattened row-major raw feature buffer (`targets.len()` rows of
-    /// `n_features` columns).
-    features: Vec<f64>,
-    /// The same rows in scaled space, refreshed together with the scaler so
+    /// Every observation, raw.
+    data: Dataset,
+    /// `data`'s feature rows in scaled space, in the same row-major layout,
+    /// refreshed together with the scaler so
     /// `predict` never re-scales stored observations. Scaled with the
     /// **epoch** scaler's parameters (frozen at the last full rescale), not
     /// necessarily the live ones — queries scale with the same epoch
     /// parameters, so rankings stay internally consistent.
     scaled: Vec<f64>,
-    targets: Vec<f64>,
     /// The epoch scaler: the parameters the `scaled` buffer was produced
     /// with.
     scaler: Scaler,
@@ -87,7 +87,6 @@ pub struct KnnRegression {
     live_scaler: Scaler,
     /// Observations appended since the last full rescale.
     rows_since_rescale: usize,
-    n_features: usize,
     fitted: bool,
 }
 
@@ -96,13 +95,11 @@ impl KnnRegression {
     pub fn new(config: KnnConfig) -> Self {
         KnnRegression {
             config,
-            features: Vec::new(),
+            data: Dataset::new(),
             scaled: Vec::new(),
-            targets: Vec::new(),
             scaler: Scaler::new(ScalerKind::MinMax),
             live_scaler: Scaler::new(ScalerKind::MinMax),
             rows_since_rescale: 0,
-            n_features: 0,
             fitted: false,
         }
     }
@@ -120,18 +117,18 @@ impl KnnRegression {
 
     /// Number of stored observations.
     pub fn n_observations(&self) -> usize {
-        self.targets.len()
+        self.data.len()
     }
 
-    /// Batch-refits the scaler on the full raw buffer and rescales every
-    /// stored row — the O(n·d) epoch reset, run on `fit` and whenever the
-    /// amortisation policy triggers, never per observation.
+    /// Batch-refits the scaler on every stored row and rescales them — the
+    /// O(n·d) epoch reset of `fit`, never run per observation.
     fn refresh_scaler(&mut self) {
+        let (features, width) = (self.data.features(), self.data.n_features());
         self.scaler = Scaler::new(ScalerKind::MinMax);
-        self.scaler.fit_flat(&self.features, self.n_features);
+        self.scaler.fit(features, width);
         self.live_scaler = self.scaler.clone();
         self.scaler
-            .transform_flat_into(&self.features, self.n_features, &mut self.scaled);
+            .transform_flat_into(features, width, &mut self.scaled);
         self.rows_since_rescale = 0;
     }
 
@@ -153,7 +150,7 @@ impl KnnRegression {
     /// ties break by insertion index, matching the stable full sort this
     /// replaces bit for bit.
     fn nearest_with(&self, query: &[f64], scratch: &mut PredictScratch) {
-        let width = self.n_features.max(1);
+        let width = self.data.n_features().max(1);
         self.scaler.transform_into(query, &mut scratch.scaled_query);
         let scaled_query = &scratch.scaled_query;
         let dists = &mut scratch.dists;
@@ -179,9 +176,10 @@ impl KnnRegression {
     /// the same order the old index-collecting version did, so results stay
     /// bit-identical.
     fn aggregate(&self, neighbours: &[(usize, f64)]) -> f64 {
+        let targets = self.data.targets();
         match self.config.weighting {
             KnnWeighting::Uniform => {
-                let sum: f64 = neighbours.iter().map(|&(i, _)| self.targets[i]).sum();
+                let sum: f64 = neighbours.iter().map(|&(i, _)| targets[i]).sum();
                 sum / neighbours.len() as f64
             }
             KnnWeighting::InverseDistance => {
@@ -192,7 +190,7 @@ impl KnnRegression {
                 let mut exact_n = 0usize;
                 for &(i, d2) in neighbours {
                     if d2 == 0.0 {
-                        exact_sum += self.targets[i];
+                        exact_sum += targets[i];
                         exact_n += 1;
                     }
                 }
@@ -204,7 +202,7 @@ impl KnnRegression {
                 for &(i, d2) in neighbours {
                     let w = 1.0 / d2.sqrt();
                     weight_sum += w;
-                    value_sum += w * self.targets[i];
+                    value_sum += w * targets[i];
                 }
                 value_sum / weight_sum
             }
@@ -215,14 +213,7 @@ impl KnnRegression {
 impl Regressor for KnnRegression {
     fn fit(&mut self, data: &Dataset) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        self.n_features = data.n_features();
-        self.features.clear();
-        self.features.reserve(data.len() * self.n_features);
-        for (f, _) in data.iter() {
-            self.features.extend_from_slice(f);
-        }
-        self.targets.clear();
-        self.targets.extend_from_slice(data.targets());
+        self.data.clone_from(data);
         self.refresh_scaler();
         self.fitted = true;
         Ok(())
@@ -233,15 +224,15 @@ impl Regressor for KnnRegression {
         if !self.fitted {
             return self.fit(data);
         }
-        if data.n_features() != self.n_features {
+        let width = self.data.n_features();
+        if data.n_features() != width {
             return Err(ModelError::FeatureMismatch {
-                expected: self.n_features,
+                expected: width,
                 got: data.n_features(),
             });
         }
         for (f, t) in data.iter() {
-            self.features.extend_from_slice(f);
-            self.targets.push(t);
+            self.data.push(f, t);
             // O(d): fold the row into the live scaler's running min/max
             // (bit-identical to a batch refit for min-max parameters).
             self.live_scaler.observe_row(f);
@@ -257,7 +248,7 @@ impl Regressor for KnnRegression {
             // exactly zero the epoch parameters already equal the live ones,
             // so skipping this is bit-identical to running it.
             self.live_scaler
-                .transform_flat_into(&self.features, self.n_features, &mut self.scaled);
+                .transform_flat_into(self.data.features(), width, &mut self.scaled);
             self.scaler = self.live_scaler.clone();
             self.rows_since_rescale = 0;
         } else {
@@ -266,14 +257,8 @@ impl Regressor for KnnRegression {
             // consistent (bounded-divergent from an eager rescale until the
             // next epoch reset). Allocation-free: rows scale straight into
             // the retained buffer.
-            let width = self.n_features.max(1);
-            let start = self.features.len() - data.len() * width;
-            let (shift, scale) = (self.scaler.shift(), self.scaler.scale());
-            self.scaled.reserve(data.len() * width);
-            for i in start..self.features.len() {
-                let c = (i - start) % width;
-                let v = self.features[i];
-                self.scaled.push((v - shift[c]) / scale[c]);
+            for (f, _) in data.iter() {
+                self.scaler.transform_append(f, &mut self.scaled);
             }
         }
         Ok(())
@@ -289,10 +274,10 @@ impl Regressor for KnnRegression {
         features: &[f64],
         scratch: &mut PredictScratch,
     ) -> Result<f64, ModelError> {
-        if !self.fitted || self.targets.is_empty() {
+        if !self.fitted || self.data.is_empty() {
             return Err(ModelError::NotFitted);
         }
-        validate_query(features, self.n_features)?;
+        validate_query(features, self.data.n_features())?;
         self.nearest_with(features, scratch);
         Ok(self.aggregate(&scratch.dists))
     }

@@ -319,7 +319,8 @@ mod tests {
     #[test]
     fn partial_fit_matches_full_fit() {
         let data = linear_dataset(2.0, 1.0, 40);
-        let (first, second) = data.split_at(20);
+        let first = data.subset(&(0..20).collect::<Vec<_>>());
+        let second = data.subset(&(20..40).collect::<Vec<_>>());
 
         let mut incremental = LinearRegression::with_defaults();
         incremental.fit(&first).unwrap();
@@ -438,9 +439,7 @@ mod tests {
         let data = linear_dataset(2.5, -4.0, 32);
         let mut incremental = LinearRegression::with_defaults();
         for i in 0..data.len() {
-            let (row, _) = data.split_at(i + 1);
-            let (_, single) = row.split_at(i);
-            incremental.partial_fit(&single).unwrap();
+            incremental.partial_fit(&data.subset(&[i])).unwrap();
         }
 
         let mut batch = LinearRegression::with_defaults();

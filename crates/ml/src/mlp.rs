@@ -487,7 +487,7 @@ impl MlpRegression {
     /// once per update.
     fn train_epochs(&mut self, data: &Dataset, epochs: usize) {
         let mut samples = Vec::with_capacity(data.len() * (self.n_features + 1));
-        for (row, &y) in data.features().iter().zip(data.targets()) {
+        for (row, y) in data.iter() {
             self.feature_scaler.transform_append(row, &mut samples);
             samples.push(self.target_scaler.transform(y));
         }
@@ -525,7 +525,7 @@ impl Regressor for MlpRegression {
         validate_training_data(data)?;
         self.n_features = data.n_features();
         self.feature_scaler = Scaler::new(ScalerKind::Standard);
-        self.feature_scaler.fit(data.features());
+        self.feature_scaler.fit(data.features(), self.n_features);
         self.target_scaler = TargetScaler::new();
         self.target_scaler.fit(data.targets());
         self.init_layers(self.n_features);
@@ -735,10 +735,14 @@ mod reference {
 
     /// Up to `epochs` shuffled passes over `data` (raw space).
     fn train_epochs(model: &mut MlpRegression, data: &Dataset, epochs: usize) {
-        let scaled_features = model.feature_scaler.transform_batch(data.features());
-        let scaled_targets = model.target_scaler.transform_batch(data.targets());
-        let mut samples: Vec<(Vec<f64>, f64)> =
-            scaled_features.into_iter().zip(scaled_targets).collect();
+        let mut samples: Vec<(Vec<f64>, f64)> = data
+            .iter()
+            .map(|(row, y)| {
+                let mut scaled = Vec::new();
+                model.feature_scaler.transform_into(row, &mut scaled);
+                (scaled, model.target_scaler.transform(y))
+            })
+            .collect();
         let mut scratch = TrainScratch::default();
         let mut rng = StdRng::seed_from_u64(model.config.seed.wrapping_add(model.adam_step));
         let mut best_loss = f64::INFINITY;
@@ -768,7 +772,7 @@ mod reference {
     fn fit(model: &mut MlpRegression, data: &Dataset) {
         model.n_features = data.n_features();
         model.feature_scaler = Scaler::new(ScalerKind::Standard);
-        model.feature_scaler.fit(data.features());
+        model.feature_scaler.fit(data.features(), model.n_features);
         model.target_scaler = TargetScaler::new();
         model.target_scaler.fit(data.targets());
         model.init_layers(model.n_features);

@@ -1,4 +1,10 @@
 //! The [`Regressor`] trait implemented by every model class in the Sizey pool.
+//!
+//! Models train on a [`Dataset`] (feature rows in one row-major buffer) and
+//! predict one query row at a time: [`Regressor::predict`], or
+//! [`Regressor::predict_with`] over caller-owned scratch on the
+//! allocation-free path. Callers with several queries, such as
+//! cross-validation, loop over their rows.
 
 use crate::dataset::Dataset;
 use std::fmt;
@@ -138,11 +144,6 @@ pub trait Regressor: Send + Sync {
     ) -> Result<f64, ModelError> {
         let _ = scratch;
         self.predict(features)
-    }
-
-    /// Predicts the targets for a batch of feature vectors.
-    fn predict_batch(&self, features: &[Vec<f64>]) -> Result<Vec<f64>, ModelError> {
-        features.iter().map(|f| self.predict(f)).collect()
     }
 
     /// True once the model has been fitted and can predict.

@@ -3,6 +3,13 @@
 //! The MLP and k-NN models are sensitive to the absolute magnitude of the
 //! inputs (peak memory in bytes spans nine orders of magnitude), so both are
 //! trained on scaled features and targets.
+//!
+//! [`Scaler`] reads training rows in the one layout the crate stores them
+//! in, a row-major buffer plus its row width (a
+//! [`Dataset`](crate::dataset::Dataset)'s `features()`): [`Scaler::fit`]
+//! fits on such a buffer and [`Scaler::transform_flat_into`] scales one.
+//! Single rows go through [`Scaler::transform_into`] (a query) or
+//! [`Scaler::transform_append`] (packing rows into a training buffer).
 
 /// Scaling strategy applied to each feature column (and optionally the target).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +23,7 @@ pub enum ScalerKind {
 /// Per-column affine transform `x -> (x - shift) / scale` fitted on training
 /// data and applied to training and query points alike.
 ///
-/// Besides the batch [`fit`](Scaler::fit) entry points, the scaler carries
+/// Besides the batch [`fit`](Scaler::fit), the scaler carries
 /// per-column **running statistics** (count, Welford mean/M2, min/max) so a
 /// single new observation can update the parameters in O(columns) via
 /// [`observe_row`](Scaler::observe_row) — no pass over the history. For
@@ -83,92 +90,46 @@ impl Scaler {
         self.fitted
     }
 
-    /// Fits the per-column parameters on a set of feature rows.
-    pub fn fit(&mut self, rows: &[Vec<f64>]) {
-        let n_cols = rows.first().map_or(0, Vec::len);
-        self.fit_columns(n_cols, rows.len(), || rows.iter().map(Vec::as_slice));
-    }
-
-    /// Fits the per-column parameters on a flattened row-major buffer of
-    /// `n_cols`-wide rows — the allocation-free path used by models that
-    /// keep flat feature buffers. Bit-identical to [`Scaler::fit`] on the
-    /// same rows: both feed the shared per-column kernel in row order.
+    /// Fits the per-column parameters on a row-major buffer of `n_cols`-wide
+    /// rows (a [`Dataset`](crate::dataset::Dataset)'s feature layout).
     /// The buffer length must be a whole number of rows: a trailing partial
     /// row would otherwise be silently dropped by the integer division,
     /// fitting on fewer rows than the caller passed (debug-asserted).
-    pub fn fit_flat(&mut self, data: &[f64], n_cols: usize) {
+    ///
+    /// The rows are folded into the running statistics first, so later
+    /// [`observe_row`](Scaler::observe_row) calls continue from exactly
+    /// this data. Min-max parameters come straight from those statistics
+    /// (the min/max fold is the batch fold); standard parameters keep the
+    /// batch two-pass mean and variance.
+    pub fn fit(&mut self, data: &[f64], n_cols: usize) {
         debug_assert!(
             n_cols == 0 || data.len().is_multiple_of(n_cols),
-            "fit_flat buffer of {} values is not a whole number of {}-wide rows",
+            "fit buffer of {} values is not a whole number of {}-wide rows",
             data.len(),
             n_cols
         );
-        let n_rows = data.len().checked_div(n_cols).unwrap_or(0);
-        self.fit_columns(n_cols, n_rows, || data.chunks_exact(n_cols));
-    }
-
-    /// The single implementation of the column statistics, shared by the
-    /// row-based and flat fit entry points. `make_rows` yields the feature
-    /// rows in order and is re-invoked per pass, so neither caller has to
-    /// materialise an intermediate copy of the data.
-    fn fit_columns<'a, I: Iterator<Item = &'a [f64]>>(
-        &mut self,
-        n_cols: usize,
-        n_rows: usize,
-        make_rows: impl Fn() -> I,
-    ) {
-        self.shift = vec![0.0; n_cols];
-        self.scale = vec![1.0; n_cols];
-        // Rebuild the running statistics alongside the batch parameters so
-        // later `observe_row` calls continue from exactly this data. One
-        // extra pass — batch fits are off the hot path by design.
-        self.count = n_rows;
-        self.mean = vec![0.0; n_cols];
-        self.m2 = vec![0.0; n_cols];
-        self.lo = vec![f64::INFINITY; n_cols];
-        self.hi = vec![f64::NEG_INFINITY; n_cols];
-        for (r, row) in make_rows().enumerate() {
-            for (c, &x) in row.iter().enumerate().take(n_cols) {
-                let delta = x - self.mean[c];
-                self.mean[c] += delta / (r + 1) as f64;
-                self.m2[c] += delta * (x - self.mean[c]);
-                self.lo[c] = self.lo[c].min(x);
-                self.hi[c] = self.hi[c].max(x);
-            }
-        }
-        if n_rows == 0 || n_cols == 0 {
+        self.reset_stats(n_cols);
+        if n_cols == 0 || data.len() < n_cols {
+            self.shift = vec![0.0; n_cols];
+            self.scale = vec![1.0; n_cols];
             self.fitted = true;
             return;
         }
-        match self.kind {
-            ScalerKind::Standard => {
-                let n = n_rows as f64;
-                for c in 0..n_cols {
-                    let mean = make_rows().map(|r| r[c]).sum::<f64>() / n;
-                    let var = make_rows()
-                        .map(|r| (r[c] - mean) * (r[c] - mean))
-                        .sum::<f64>()
-                        / n;
-                    let std = var.sqrt();
-                    self.shift[c] = mean;
-                    self.scale[c] = if std > 1e-12 { std } else { 1.0 };
-                }
-            }
-            ScalerKind::MinMax => {
-                for c in 0..n_cols {
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for r in make_rows() {
-                        lo = lo.min(r[c]);
-                        hi = hi.max(r[c]);
-                    }
-                    let range = hi - lo;
-                    self.shift[c] = lo;
-                    self.scale[c] = if range > 1e-12 { range } else { 1.0 };
-                }
+        for row in data.chunks_exact(n_cols) {
+            self.fold_row(row);
+        }
+        self.refresh_params_from_stats();
+        if self.kind == ScalerKind::Standard {
+            let n = self.count as f64;
+            for c in 0..n_cols {
+                let column = || data[c..].iter().step_by(n_cols);
+                let mean = column().sum::<f64>() / n;
+                let var = column().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+                let std = var.sqrt();
+                self.shift[c] = mean;
+                self.scale[c] = if std > 1e-12 { std } else { 1.0 };
             }
         }
-        self.fitted = true;
     }
 
     /// Folds one feature row into the running statistics and refreshes the
@@ -183,13 +144,23 @@ impl Scaler {
     /// the first row of a fresh fit).
     pub fn observe_row(&mut self, row: &[f64]) {
         if self.mean.len() != row.len() {
-            let n_cols = row.len();
-            self.count = 0;
-            self.mean = vec![0.0; n_cols];
-            self.m2 = vec![0.0; n_cols];
-            self.lo = vec![f64::INFINITY; n_cols];
-            self.hi = vec![f64::NEG_INFINITY; n_cols];
+            self.reset_stats(row.len());
         }
+        self.fold_row(row);
+        self.refresh_params_from_stats();
+    }
+
+    /// Empties the running statistics for `n_cols` columns.
+    fn reset_stats(&mut self, n_cols: usize) {
+        self.count = 0;
+        self.mean = vec![0.0; n_cols];
+        self.m2 = vec![0.0; n_cols];
+        self.lo = vec![f64::INFINITY; n_cols];
+        self.hi = vec![f64::NEG_INFINITY; n_cols];
+    }
+
+    /// Folds one row into the running statistics (Welford mean/M2, min/max).
+    fn fold_row(&mut self, row: &[f64]) {
         self.count += 1;
         for (c, &x) in row.iter().enumerate() {
             let delta = x - self.mean[c];
@@ -198,30 +169,22 @@ impl Scaler {
             self.lo[c] = self.lo[c].min(x);
             self.hi[c] = self.hi[c].max(x);
         }
-        self.refresh_params_from_stats();
     }
 
-    /// Recomputes `shift`/`scale` from the running statistics.
+    /// Recomputes `shift`/`scale` from the running statistics, in place.
     fn refresh_params_from_stats(&mut self) {
         let n_cols = self.mean.len();
-        self.shift = vec![0.0; n_cols];
-        self.scale = vec![1.0; n_cols];
-        match self.kind {
-            ScalerKind::Standard => {
-                for c in 0..n_cols {
-                    let var = self.m2[c] / self.count.max(1) as f64;
-                    let std = var.sqrt();
-                    self.shift[c] = self.mean[c];
-                    self.scale[c] = if std > 1e-12 { std } else { 1.0 };
+        self.shift.resize(n_cols, 0.0);
+        self.scale.resize(n_cols, 1.0);
+        for c in 0..n_cols {
+            let (shift, spread) = match self.kind {
+                ScalerKind::Standard => {
+                    (self.mean[c], (self.m2[c] / self.count.max(1) as f64).sqrt())
                 }
-            }
-            ScalerKind::MinMax => {
-                for c in 0..n_cols {
-                    let range = self.hi[c] - self.lo[c];
-                    self.shift[c] = self.lo[c];
-                    self.scale[c] = if range > 1e-12 { range } else { 1.0 };
-                }
-            }
+                ScalerKind::MinMax => (self.lo[c], self.hi[c] - self.lo[c]),
+            };
+            self.shift[c] = shift;
+            self.scale[c] = if spread > 1e-12 { spread } else { 1.0 };
         }
         self.fitted = true;
     }
@@ -244,37 +207,23 @@ impl Scaler {
         drift
     }
 
-    /// Transforms a flattened row-major buffer into scaled space, writing
-    /// into `out` (cleared and reused across refreshes). Values match
-    /// [`Scaler::transform`] applied row by row.
+    /// Transforms a row-major buffer of `n_cols`-wide rows into scaled
+    /// space, writing into `out` (cleared and reused across refreshes).
+    /// Values match [`Scaler::transform_into`] applied row by row.
     pub fn transform_flat_into(&self, data: &[f64], n_cols: usize, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(data.len());
-        if !self.fitted || n_cols == 0 {
+        if n_cols == 0 {
             out.extend_from_slice(data);
             return;
         }
+        out.reserve(data.len());
         for row in data.chunks_exact(n_cols) {
-            for (c, &v) in row.iter().enumerate() {
-                if c < self.shift.len() {
-                    out.push((v - self.shift[c]) / self.scale[c]);
-                } else {
-                    out.push(v);
-                }
-            }
+            self.transform_append(row, out);
         }
     }
 
-    /// Transforms one feature row into scaled space.
-    pub fn transform(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(row.len());
-        self.transform_into(row, &mut out);
-        out
-    }
-
     /// Transforms one feature row into a caller-owned buffer (cleared
-    /// first) — the allocation-free twin of [`Scaler::transform`], with
-    /// identical arithmetic.
+    /// first).
     pub fn transform_into(&self, row: &[f64], out: &mut Vec<f64>) {
         out.clear();
         self.transform_append(row, out);
@@ -294,11 +243,6 @@ impl Scaler {
                 v
             }
         }));
-    }
-
-    /// Transforms a batch of rows.
-    pub fn transform_batch(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rows.iter().map(|r| self.transform(r)).collect()
     }
 }
 
@@ -357,126 +301,112 @@ impl TargetScaler {
     pub fn inverse(&self, y_scaled: f64) -> f64 {
         y_scaled * self.scale + self.shift
     }
-
-    /// Transforms a batch of targets.
-    pub fn transform_batch(&self, ys: &[f64]) -> Vec<f64> {
-        ys.iter().map(|&y| self.transform(y)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fit_transform(scaler: &mut Scaler, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        scaler.fit(rows);
-        scaler.transform_batch(rows)
+    /// Fits on `rows` (row-major, `n_cols` wide) and returns them scaled.
+    fn fit_transform(scaler: &mut Scaler, rows: &[f64], n_cols: usize) -> Vec<f64> {
+        scaler.fit(rows, n_cols);
+        let mut out = Vec::new();
+        scaler.transform_flat_into(rows, n_cols, &mut out);
+        out
     }
 
     #[test]
     fn standard_scaler_centres_and_scales() {
-        let rows = vec![vec![1.0, 100.0], vec![3.0, 300.0], vec![5.0, 500.0]];
+        let rows = [1.0, 100.0, 3.0, 300.0, 5.0, 500.0];
         let mut s = Scaler::new(ScalerKind::Standard);
-        let t = fit_transform(&mut s, &rows);
+        let t = fit_transform(&mut s, &rows, 2);
         // Column means of the transformed data must be ~0.
         for c in 0..2 {
-            let mean: f64 = t.iter().map(|r| r[c]).sum::<f64>() / 3.0;
+            let mean: f64 = t.chunks_exact(2).map(|r| r[c]).sum::<f64>() / 3.0;
             assert!(mean.abs() < 1e-12);
         }
         // And variance ~1.
         for c in 0..2 {
-            let var: f64 = t.iter().map(|r| r[c] * r[c]).sum::<f64>() / 3.0;
+            let var: f64 = t.chunks_exact(2).map(|r| r[c] * r[c]).sum::<f64>() / 3.0;
             assert!((var - 1.0).abs() < 1e-9);
         }
     }
 
     #[test]
     fn minmax_scaler_maps_to_unit_interval() {
-        let rows = vec![vec![2.0], vec![4.0], vec![6.0]];
         let mut s = Scaler::new(ScalerKind::MinMax);
-        let t = fit_transform(&mut s, &rows);
-        assert_eq!(t[0][0], 0.0);
-        assert_eq!(t[2][0], 1.0);
-        assert!((t[1][0] - 0.5).abs() < 1e-12);
+        let t = fit_transform(&mut s, &[2.0, 4.0, 6.0], 1);
+        assert_eq!(t[0], 0.0);
+        assert_eq!(t[2], 1.0);
+        assert!((t[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn constant_column_does_not_divide_by_zero() {
-        let rows = vec![vec![7.0], vec![7.0]];
+        let rows = [7.0, 7.0];
         let mut s = Scaler::new(ScalerKind::Standard);
-        let t = fit_transform(&mut s, &rows);
-        assert!(t.iter().all(|r| r[0].is_finite()));
+        let t = fit_transform(&mut s, &rows, 1);
+        assert!(t.iter().all(|v| v.is_finite()));
         let mut m = Scaler::new(ScalerKind::MinMax);
-        let t2 = fit_transform(&mut m, &rows);
-        assert!(t2.iter().all(|r| r[0].is_finite()));
+        let t2 = fit_transform(&mut m, &rows, 1);
+        assert!(t2.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn unfitted_scaler_passes_through() {
         let s = Scaler::new(ScalerKind::Standard);
-        assert_eq!(s.transform(&[5.0]), vec![5.0]);
+        let mut out = Vec::new();
+        s.transform_into(&[5.0], &mut out);
+        assert_eq!(out, vec![5.0]);
         assert!(!s.is_fitted());
     }
 
+    /// The single-row transforms scale exactly like the buffer transform.
     #[test]
-    fn flat_fit_and_transform_match_the_row_based_path() {
-        let rows = vec![
-            vec![1.0, 100.0],
-            vec![3.0, 250.0],
-            vec![5.0, 500.0],
-            vec![2.0, 50.0],
-        ];
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+    fn row_transforms_match_the_buffer_transform() {
+        let rows = [1.0, 100.0, 3.0, 250.0, 5.0, 500.0, 2.0, 50.0];
         for kind in [ScalerKind::Standard, ScalerKind::MinMax] {
-            let mut by_rows = Scaler::new(kind);
-            by_rows.fit(&rows);
-            let mut by_flat = Scaler::new(kind);
-            by_flat.fit_flat(&flat, 2);
-            assert_eq!(by_rows, by_flat, "{kind:?} params diverged");
-            let mut scaled_flat = Vec::new();
-            by_flat.transform_flat_into(&flat, 2, &mut scaled_flat);
-            let scaled_rows: Vec<f64> = by_rows
-                .transform_batch(&rows)
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(scaled_flat, scaled_rows, "{kind:?} transform diverged");
+            let mut s = Scaler::new(kind);
+            let scaled = fit_transform(&mut s, &rows, 2);
+            let mut appended = Vec::new();
+            let mut one = Vec::new();
+            for (row, expected) in rows.chunks_exact(2).zip(scaled.chunks_exact(2)) {
+                s.transform_append(row, &mut appended);
+                s.transform_into(row, &mut one);
+                assert_eq!(one, expected, "{kind:?} transform_into diverged");
+            }
+            assert_eq!(appended, scaled, "{kind:?} transform_append diverged");
         }
     }
 
-    /// Satellite regression: `fit_flat` used to floor away a trailing
+    /// Satellite regression: the flat fit used to floor away a trailing
     /// partial row (`data.len().checked_div(n_cols)`), silently fitting on
     /// fewer rows than the caller passed. Non-multiple buffer lengths are a
     /// caller bug and are debug-asserted.
     #[test]
     #[should_panic(expected = "whole number of")]
     #[cfg(debug_assertions)]
-    fn fit_flat_rejects_partial_trailing_rows() {
+    fn fit_rejects_partial_trailing_rows() {
         let mut s = Scaler::new(ScalerKind::MinMax);
         // Five values cannot be rows of width two.
-        s.fit_flat(&[1.0, 2.0, 3.0, 4.0, 5.0], 2);
+        s.fit(&[1.0, 2.0, 3.0, 4.0, 5.0], 2);
     }
 
     #[test]
     fn incremental_minmax_params_are_bit_identical_to_batch() {
-        let rows = vec![
-            vec![3.0, -7.5e9],
-            vec![1.0, 2.0e9],
-            vec![4.0, 0.0],
-            vec![1.5, 9.1e9],
-        ];
+        let rows = [3.0, -7.5e9, 1.0, 2.0e9, 4.0, 0.0, 1.5, 9.1e9];
         let mut batch = Scaler::new(ScalerKind::MinMax);
-        batch.fit(&rows);
+        batch.fit(&rows, 2);
         let mut incremental = Scaler::new(ScalerKind::MinMax);
-        for row in &rows {
+        for row in rows.chunks_exact(2) {
             incremental.observe_row(row);
         }
         assert_eq!(batch.shift(), incremental.shift());
         assert_eq!(batch.scale(), incremental.scale());
         // Continuing incrementally from a batch prefix is also exact.
         let mut resumed = Scaler::new(ScalerKind::MinMax);
-        resumed.fit(&rows[..2]);
-        for row in &rows[2..] {
+        resumed.fit(&rows[..4], 2);
+        for row in rows[4..].chunks_exact(2) {
             resumed.observe_row(row);
         }
         assert_eq!(batch.shift(), resumed.shift());
@@ -485,13 +415,13 @@ mod tests {
 
     #[test]
     fn incremental_standard_params_track_batch_closely() {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![(i as f64 * 0.73).sin() * 1e9, i as f64])
+        let rows: Vec<f64> = (0..40)
+            .flat_map(|i| [(i as f64 * 0.73).sin() * 1e9, i as f64])
             .collect();
         let mut batch = Scaler::new(ScalerKind::Standard);
-        batch.fit(&rows);
+        batch.fit(&rows, 2);
         let mut incremental = Scaler::new(ScalerKind::Standard);
-        for row in &rows {
+        for row in rows.chunks_exact(2) {
             incremental.observe_row(row);
         }
         for c in 0..2 {
@@ -503,9 +433,8 @@ mod tests {
 
     #[test]
     fn param_drift_is_zero_for_identical_and_grows_with_range() {
-        let rows = vec![vec![0.0], vec![10.0]];
         let mut a = Scaler::new(ScalerKind::MinMax);
-        a.fit(&rows);
+        a.fit(&[0.0, 10.0], 1);
         let frozen = a.clone();
         assert_eq!(a.param_drift(&frozen), 0.0);
         // A new out-of-range row moves both min and the range.

@@ -116,11 +116,10 @@ impl<'a> Growth<'a> {
         nodes: Vec<Node>,
     ) -> Self {
         let m = indices.len();
-        let rows = data.features();
         let y: Vec<f64> = indices.iter().map(|&i| data.targets()[i]).collect();
         let mut x = Vec::with_capacity(features.len() * m);
         for &f in &features {
-            x.extend(indices.iter().map(|&i| rows[i][f]));
+            x.extend(indices.iter().map(|&i| data.row(i)[f]));
         }
         let positions = 0..u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
         let mut sorted = Vec::with_capacity(features.len() * m);

@@ -67,13 +67,13 @@ proptest! {
 
     #[test]
     fn minmax_scaler_output_is_in_unit_interval(rows in prop::collection::vec(finite_vec(3..4), 2..30)) {
+        let flat = rows.concat();
         let mut s = Scaler::new(ScalerKind::MinMax);
-        s.fit(&rows);
-        let t = s.transform_batch(&rows);
-        for row in &t {
-            for &v in row {
-                prop_assert!((-1e-9..=1.0 + 1e-9).contains(&v));
-            }
+        s.fit(&flat, 3);
+        let mut t = Vec::new();
+        s.transform_flat_into(&flat, 3, &mut t);
+        for &v in &t {
+            prop_assert!((-1e-9..=1.0 + 1e-9).contains(&v));
         }
     }
 

@@ -206,12 +206,6 @@ impl TaskRecord {
         }
     }
 
-    /// Feature vector used by the prediction models: the input size, the
-    /// paper's one feature.
-    pub fn features(&self) -> Vec<f64> {
-        vec![self.input_bytes]
-    }
-
     /// The regression target: peak memory in bytes.
     pub fn target(&self) -> f64 {
         self.peak_memory_bytes
@@ -287,9 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn features_and_target() {
+    fn target_is_the_peak() {
         let r = record(TaskOutcome::Succeeded);
-        assert_eq!(r.features(), vec![2e9]);
         assert_eq!(r.target(), 1e9);
     }
 

@@ -253,6 +253,11 @@ impl ReplayAggregates {
         agg
     }
 
+    /// End of the latest attempt seen, in simulated hours.
+    pub fn makespan_hours(&self) -> f64 {
+        self.makespan_seconds / 3600.0
+    }
+
     /// Total task runtime (all attempts) in hours — the Fig. 8d metric.
     pub fn total_runtime_hours(&self) -> f64 {
         self.total_duration_seconds / 3600.0

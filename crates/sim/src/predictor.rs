@@ -37,13 +37,6 @@ pub struct TaskSubmission {
     pub preset_memory_bytes: f64,
 }
 
-impl TaskSubmission {
-    /// Feature vector exposed to learning-based predictors.
-    pub fn features(&self) -> Vec<f64> {
-        vec![self.input_bytes]
-    }
-}
-
 /// A sizing decision for one attempt of one task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
@@ -167,11 +160,6 @@ mod tests {
             input_bytes: 2e9,
             preset_memory_bytes: 8e9,
         }
-    }
-
-    #[test]
-    fn submission_features_are_input_size() {
-        assert_eq!(submission().features(), vec![2e9]);
     }
 
     #[test]

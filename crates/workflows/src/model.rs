@@ -126,13 +126,6 @@ pub struct TaskInstance {
     pub io_write_bytes: f64,
 }
 
-impl TaskInstance {
-    /// Feature vector exposed to prediction methods at submission time.
-    pub fn features(&self) -> Vec<f64> {
-        vec![self.input_bytes]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,23 +175,5 @@ mod tests {
     #[test]
     fn task_type_id_round_trips_name() {
         assert_eq!(spec("lcextrap", 1).id(), TaskTypeId::new("lcextrap"));
-    }
-
-    #[test]
-    fn instance_features_expose_input_size() {
-        let inst = TaskInstance {
-            workflow: "demo".into(),
-            task_type: TaskTypeId::new("a"),
-            machine: MachineId::new("m"),
-            sequence: 0,
-            input_bytes: 3e9,
-            true_peak_bytes: 7e9,
-            base_runtime_seconds: 100.0,
-            preset_memory_bytes: 8e9,
-            cpu_utilization_pct: 120.0,
-            io_read_bytes: 3e9,
-            io_write_bytes: 1e9,
-        };
-        assert_eq!(inst.features(), vec![3e9]);
     }
 }

@@ -86,7 +86,7 @@ impl MemoryPredictor for MedianRatioSizer {
         let raw = self
             .models
             .get(&key)
-            .and_then(|m| m.predict(&task.features()).ok());
+            .and_then(|m| m.predict(&[task.input_bytes]).ok());
         let base = raw.map(|r| r * 1.2).unwrap_or(task.preset_memory_bytes);
         Prediction {
             allocation_bytes: base * 2.0_f64.powi(ctx.attempt as i32),
@@ -100,7 +100,8 @@ impl MemoryPredictor for MedianRatioSizer {
             return;
         }
         let model = self.models.entry(record.key()).or_default();
-        let point = Dataset::from_parts(vec![record.features()], vec![record.peak_memory_bytes]);
+        // The one feature is the input size; a model sees it as a row of one.
+        let point = Dataset::from_univariate(&[record.input_bytes], &[record.peak_memory_bytes]);
         let _ = model.partial_fit(&point);
     }
 }

@@ -251,9 +251,7 @@ impl NaiveTree {
         let mut best: Option<(usize, f64, f64)> = None;
         for &feature in &self.candidate_features(data.n_features()) {
             let mut order: Vec<usize> = indices.to_vec();
-            order.sort_by(|&a, &b| {
-                data.features()[a][feature].total_cmp(&data.features()[b][feature])
-            });
+            order.sort_by(|&a, &b| data.row(a)[feature].total_cmp(&data.row(b)[feature]));
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for split_pos in 1..n {
@@ -262,8 +260,8 @@ impl NaiveTree {
                 left_sum += y_prev;
                 left_sq += y_prev * y_prev;
 
-                let x_prev = data.features()[prev][feature];
-                let x_next = data.features()[order[split_pos]][feature];
+                let x_prev = data.row(prev)[feature];
+                let x_next = data.row(order[split_pos])[feature];
                 if x_prev == x_next {
                     continue;
                 }
@@ -303,7 +301,7 @@ impl NaiveTree {
             Some((feature, threshold, _)) => {
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
                     .into_iter()
-                    .partition(|&i| data.features()[i][feature] <= threshold);
+                    .partition(|&i| data.row(i)[feature] <= threshold);
                 let node_pos = self.nodes.len();
                 self.nodes.push(TreeNode::Leaf { value: mean });
                 let left = self.build(data, left_idx, depth + 1);
@@ -504,10 +502,11 @@ proptest! {
         split in 0usize..60,
     ) {
         let rows: Vec<Vec<f64>> = raw.iter().map(|&(a, b)| vec![a, b]).collect();
+        let flat: Vec<f64> = rows.concat();
         let split = split.min(rows.len());
 
         let mut batch = Scaler::new(ScalerKind::MinMax);
-        batch.fit(&rows);
+        batch.fit(&flat, 2);
         // Pure incremental and batch-prefix-then-incremental must both land
         // on exactly the batch parameters.
         let mut incremental = Scaler::new(ScalerKind::MinMax);
@@ -515,7 +514,7 @@ proptest! {
             incremental.observe_row(row);
         }
         let mut resumed = Scaler::new(ScalerKind::MinMax);
-        resumed.fit(&rows[..split]);
+        resumed.fit(&flat[..split * 2], 2);
         for row in &rows[split..] {
             resumed.observe_row(row);
         }
@@ -527,7 +526,7 @@ proptest! {
         }
 
         let mut std_batch = Scaler::new(ScalerKind::Standard);
-        std_batch.fit(&rows);
+        std_batch.fit(&flat, 2);
         let mut std_grown = Scaler::new(ScalerKind::Standard);
         for row in &rows {
             std_grown.observe_row(row);

@@ -1,8 +1,8 @@
 //! Shared per-(task type, machine) history bookkeeping used by all baseline
 //! methods.
 
-use sizey_provenance::{TaskMachineKey, TaskOutcome, TaskRecord};
-use std::collections::HashMap;
+use sizey_provenance::{KeyQuery, KeyRef, TaskMachineKey, TaskOutcome, TaskRecord};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Observation history of successful executions, grouped per
@@ -32,7 +32,8 @@ use std::sync::Arc;
 /// swap the predictor for a fresh one restored from a truncated journal.
 #[derive(Debug, Default, Clone)]
 pub struct History<S> {
-    keys: HashMap<TaskMachineKey, KeyHistory<S>>,
+    /// Probed through [`KeyRef`] on predict, so a lookup clones no key.
+    keys: BTreeMap<TaskMachineKey, KeyHistory<S>>,
     /// Reference-counted so snapshots share the records instead of
     /// deep-cloning the journal a second time.
     journal: Vec<Arc<TaskRecord>>,
@@ -80,9 +81,13 @@ impl<S: Default> History<S> {
         Some((&entry.observations, &mut entry.state))
     }
 
-    /// The state of a key with at least one successful observation.
-    pub fn state(&self, key: &TaskMachineKey) -> Option<&S> {
-        self.keys.get(key).map(|entry| &entry.state)
+    /// The state of the (task type, machine) key, once it has at least one
+    /// successful observation.
+    pub fn state(&self, task_type: &str, machine: &str) -> Option<&S> {
+        let probe = KeyRef { task_type, machine };
+        self.keys
+            .get(&probe as &dyn KeyQuery)
+            .map(|entry| &entry.state)
     }
 
     /// Every record ever observed, in observation order — the event source
@@ -163,17 +168,20 @@ mod tests {
     #[test]
     fn only_successful_records_reach_the_key() {
         let mut h = History::new();
-        let key = TaskMachineKey::new("t", "m");
-        assert!(h.state(&key).is_none());
+        assert!(h.state("t", "m").is_none());
         assert!(peaks_seen(&mut h, &record(9e9, TaskOutcome::FailedOutOfMemory)).is_none());
-        assert!(h.state(&key).is_none(), "a failure creates no key");
+        assert!(h.state("t", "m").is_none(), "a failure creates no key");
         assert_eq!(
             peaks_seen(&mut h, &record(1e9, TaskOutcome::Succeeded)),
             Some(vec![1e9])
         );
         assert!(peaks_seen(&mut h, &record(8e9, TaskOutcome::FailedOutOfMemory)).is_none());
-        assert_eq!(h.state(&key), Some(&1), "failures leave the state alone");
-        assert!(h.state(&TaskMachineKey::new("unknown", "m")).is_none());
+        assert_eq!(
+            h.state("t", "m"),
+            Some(&1),
+            "failures leave the state alone"
+        );
+        assert!(h.state("unknown", "m").is_none());
     }
 
     #[test]
@@ -184,7 +192,7 @@ mod tests {
             last = peaks_seen(&mut h, &record(i as f64 * 1e9, TaskOutcome::Succeeded));
         }
         assert_eq!(last, Some(vec![3e9, 1e9, 5e9, 2e9, 4e9]));
-        assert_eq!(h.state(&TaskMachineKey::new("t", "m")), Some(&5));
+        assert_eq!(h.state("t", "m"), Some(&5));
     }
 
     #[test]
@@ -205,8 +213,7 @@ mod tests {
             last = peaks_seen(&mut replayed, &r).or(last);
         }
         assert_eq!(last, Some(vec![1e9, 2e9]));
-        let key = TaskMachineKey::new("t", "m");
-        assert_eq!(replayed.state(&key), h.state(&key));
+        assert_eq!(replayed.state("t", "m"), h.state("t", "m"));
         assert_eq!(replayed.journal().len(), 3);
     }
 }

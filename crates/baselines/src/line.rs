@@ -35,17 +35,24 @@ impl Default for IncrementalLine {
 
 impl IncrementalLine {
     /// Folds the newest observation (the last of `observations`) into the
-    /// normal equations and clears the answer. Returns true when the key has
-    /// `min_history` observations and the update's solve succeeded, i.e. when
-    /// the caller should derive a new shift from the fresh coefficients.
-    pub(crate) fn absorb(&mut self, observations: &[Observation], min_history: usize) -> bool {
+    /// normal equations, through `scratch`'s one-row dataset, and clears the
+    /// answer. Returns true when the key has `min_history` observations and
+    /// the update's solve succeeded, i.e. when the caller should derive a new
+    /// shift from the fresh coefficients.
+    pub(crate) fn absorb(
+        &mut self,
+        observations: &[Observation],
+        min_history: usize,
+        scratch: &mut LineScratch,
+    ) -> bool {
         self.shift = None;
         if self.poisoned {
             return false;
         }
         let newest = observations.last().expect("observe hands over the new row");
-        let row = Dataset::from_univariate(&[newest.input_bytes], &[newest.peak_bytes]);
-        if self.model.partial_fit(&row).is_err() {
+        scratch.point.drain_front(usize::MAX);
+        scratch.point.push(&[newest.input_bytes], newest.peak_bytes);
+        if self.model.partial_fit(&scratch.point).is_err() {
             self.poisoned = true;
             return false;
         }
@@ -64,9 +71,11 @@ impl IncrementalLine {
     }
 }
 
-/// Buffers one observe's residual pass reuses.
+/// Buffers every observe reuses: the one-row dataset of the update and the
+/// residual pass's vectors.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct LineScratch {
+    pub(crate) point: Dataset,
     pub(crate) predict: PredictScratch,
     pub(crate) fitted: Vec<f64>,
     pub(crate) residuals: Vec<f64>,

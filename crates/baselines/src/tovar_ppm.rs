@@ -19,7 +19,7 @@
 //! from the whole sample.
 
 use crate::history::{History, Observation};
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Default node memory used for the conservative retry (the evaluation
@@ -79,13 +79,6 @@ impl TovarPpm {
         TovarPpm {
             config,
             history: History::new(),
-        }
-    }
-
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
         }
     }
 }
@@ -158,7 +151,7 @@ impl MemoryPredictor for TovarPpm {
         }
         let raw = self
             .history
-            .state(&Self::key(task))
+            .state(task.task_type.as_str(), task.machine.as_str())
             .and_then(|candidates| candidates.best);
         Prediction {
             allocation_bytes: raw.unwrap_or(task.preset_memory_bytes),
@@ -269,8 +262,7 @@ mod tests {
         let mut p = TovarPpm::with_config(config);
         p.observe(&success(1.0));
         p.observe(&success(3.0));
-        let key = TaskMachineKey::new("t", "m");
-        let state = p.history.state(&key).unwrap();
+        let state = p.history.state("t", "m").unwrap();
         let node = NODE_MEMORY_BYTES;
         assert_eq!(state.cost_sums, vec![0.0 + (1.0 + node - 3.0), 2.0 + 0.0]);
         assert_eq!(state.best, Some(3.0));

@@ -17,7 +17,7 @@
 use crate::history::History;
 use crate::line::{IncrementalLine, LineScratch};
 use sizey_ml::metrics::std_dev;
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Configuration of [`WittLr`].
@@ -45,7 +45,7 @@ impl Default for WittLrConfig {
 pub struct WittLr {
     config: WittLrConfig,
     history: History<IncrementalLine>,
-    /// Reused by every observe's residual pass.
+    /// Reused by every observe.
     scratch: LineScratch,
 }
 
@@ -62,13 +62,6 @@ impl WittLr {
             ..WittLr::default()
         }
     }
-
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
-        }
-    }
 }
 
 impl MemoryPredictor for WittLr {
@@ -79,7 +72,7 @@ impl MemoryPredictor for WittLr {
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
         let raw = self
             .history
-            .state(&Self::key(task))
+            .state(task.task_type.as_str(), task.machine.as_str())
             .and_then(|line| line.evaluate(task.input_bytes));
         let base = raw.unwrap_or(task.preset_memory_bytes);
         Prediction {
@@ -96,7 +89,7 @@ impl MemoryPredictor for WittLr {
         let Some((observations, line)) = self.history.observe(record) else {
             return;
         };
-        if !line.absorb(observations, self.config.min_history) {
+        if !line.absorb(observations, self.config.min_history, &mut self.scratch) {
             return;
         }
         self.scratch.residual_pass(&line.model, observations);

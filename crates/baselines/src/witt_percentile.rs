@@ -15,7 +15,7 @@
 
 use crate::history::History;
 use sizey_ml::metrics::percentile_of_sorted;
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Configuration of [`WittPercentile`].
@@ -59,19 +59,12 @@ impl WittPercentile {
         }
     }
 
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
-        }
-    }
-
     /// The configured percentile of the key's peaks, or `None` below
     /// `min_history`.
     fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
         let sorted = self
             .history
-            .state(&Self::key(task))
+            .state(task.task_type.as_str(), task.machine.as_str())
             .map_or(&[][..], Vec::as_slice);
         (sorted.len() >= self.config.min_history)
             .then(|| percentile_of_sorted(sorted, self.config.percentile))

@@ -21,7 +21,7 @@
 use crate::history::History;
 use crate::line::{IncrementalLine, LineScratch};
 use sizey_ml::metrics::percentile_of_sorted;
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Configuration of [`WittWastage`].
@@ -55,7 +55,7 @@ impl Default for WittWastageConfig {
 pub struct WittWastage {
     config: WittWastageConfig,
     history: History<IncrementalLine>,
-    /// Reused by every observe's residual pass.
+    /// Reused by every observe.
     scratch: LineScratch,
 }
 
@@ -70,13 +70,6 @@ impl WittWastage {
         WittWastage {
             config,
             ..WittWastage::default()
-        }
-    }
-
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
         }
     }
 
@@ -100,7 +93,7 @@ impl MemoryPredictor for WittWastage {
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
         let raw = self
             .history
-            .state(&Self::key(task))
+            .state(task.task_type.as_str(), task.machine.as_str())
             .and_then(|line| line.evaluate(task.input_bytes));
         let base = raw.unwrap_or(task.preset_memory_bytes);
         Prediction {
@@ -117,7 +110,7 @@ impl MemoryPredictor for WittWastage {
         let Some((observations, line)) = self.history.observe(record) else {
             return;
         };
-        if !line.absorb(observations, self.config.min_history) {
+        if !line.absorb(observations, self.config.min_history, &mut self.scratch) {
             return;
         }
         let scratch = &mut self.scratch;
@@ -241,8 +234,8 @@ mod tests {
         for i in 1..=5 {
             p.observe(&success(i as f64 * 1e9, 2.0 * i as f64 * 1e9));
         }
-        let key = TaskMachineKey::new("t", "m");
-        assert_eq!(p.history.state(&key).unwrap().model.n_observations(), 5);
+        let line = p.history.state("t", "m").unwrap();
+        assert_eq!(line.model.n_observations(), 5);
         let base = p
             .predict(&submission(3e9), AttemptContext::first())
             .allocation_bytes;

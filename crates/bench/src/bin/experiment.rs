@@ -157,7 +157,7 @@ fn main() -> ExitCode {
         println!();
     }
 
-    // Fault scenarios: per-cell accounting of requeues and the retry-ledger
+    // Fault scenarios: per-cell accounting of requeues and the retry-baseline
     // leak invariant (must be zero even when faults strand attempts).
     if spec.sim.faults.as_ref().is_some_and(|f| !f.is_empty()) {
         let mut stranded = 0usize;

@@ -51,7 +51,7 @@ pub struct SweepCell {
     pub time_to_recover_seconds: Option<f64>,
     /// Attempts requeued by injected faults without consuming retry budget.
     pub requeued_attempts: usize,
-    /// Retry-ledger entries still marked in flight at the end of the replay;
+    /// In-flight tasks still carrying a retry baseline when the replay ended;
     /// must stay 0 even when faults strand attempts mid-run.
     pub leaked_inflight_retries: usize,
 }

@@ -40,58 +40,31 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let results_ptr = SendPtr(results.as_mut_ptr());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Bind the wrapper itself so edition-2021 disjoint capture
-                // moves the `Send` wrapper into the closure, not its raw
-                // pointer field.
-                #[allow(clippy::redundant_locals)]
-                let results_ptr = results_ptr;
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                // SAFETY: each index i is claimed by exactly one worker via
-                // the atomic counter, so no two threads write the same slot,
-                // and the vector outlives the scope.
-                unsafe {
-                    *results_ptr.0.add(i) = Some(r);
-                }
-            });
-        }
+    let mut claimed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        done.push((i, f(&items[i])));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every index was processed"))
-        .collect()
+    // Each index was claimed by exactly one worker: sorting by index puts
+    // the results back in input order.
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, r)| r).collect()
 }
-
-/// Wrapper making a raw pointer `Send`/`Copy` for the disjoint-write pattern
-/// used by [`parallel_map`].
-struct SendPtr<T>(*mut T);
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-// SAFETY: SendPtr is only constructed inside `parallel_map`, pointing at a
-// results vector that outlives every worker (enforced by `thread::scope`),
-// and workers write strictly disjoint slots claimed through an atomic
-// counter — so sharing the pointer across threads cannot race.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above — `&SendPtr` only exposes a raw pointer whose disjoint,
-// scope-bounded use is guaranteed by `parallel_map`'s index claiming.
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

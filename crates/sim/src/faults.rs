@@ -22,7 +22,7 @@
 //!
 //! A fault kills the *attempt*, not the task: every running attempt on a
 //! failed node re-enters the pending queue at the same virtual time with an
-//! **unchanged attempt number** and an untouched retry ledger. A
+//! **unchanged attempt number** and an untouched retry baseline. A
 //! fault-requeued attempt is therefore *not* an OOM failure — it does not
 //! consume [`SimulationConfig::max_attempts`] budget and does not trigger
 //! the predictors' max-then-double escalation.

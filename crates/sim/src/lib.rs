@@ -11,8 +11,6 @@
 //!   (Sizey and all baselines) implements, split into a `&self` read path
 //!   (`predict`) and a `&mut self` write path (`observe`); per-attempt retry
 //!   state is engine-owned and passed in via [`predictor::AttemptContext`],
-//! * [`inflight::RetryLedger`] — the engine's in-flight retry state, with
-//!   eviction on success *and* terminal failure,
 //! * [`config::SimulationConfig`] — time-to-failure, attempt budget, the
 //!   8-node / 128 GB cluster dimensions, heterogeneous extra node pools and
 //!   the scheduling policy,
@@ -25,9 +23,12 @@
 //! * [`scheduler`] — the event-driven scheduler: tasks wait when no node
 //!   fits (over-allocation costs makespan), [`SchedulePolicy`] picks how the
 //!   queue drains, and one engine replays several workflows *concurrently*
-//!   against one shared cluster. It has two entry points with one result,
-//!   a [`MultiReplayReport`]: [`schedule_workflows`] takes materialised
-//!   tenants and keeps every attempt event per tenant;
+//!   against one shared cluster. Each in-flight task is one entry holding
+//!   its instance and its retry baseline (the allocation its last attempt
+//!   failed with), evicted on success *and* terminal failure. The engine has
+//!   two entry points with one result, a [`MultiReplayReport`]:
+//!   [`schedule_workflows`] takes materialised tenants and keeps every
+//!   attempt event per tenant;
 //!   [`schedule_workflows_streaming`] pulls instances from iterators and
 //!   hands events to a sink, so memory is bounded by the in-flight working
 //!   set,
@@ -67,7 +68,6 @@ mod attempt;
 pub mod cluster;
 pub mod config;
 pub mod faults;
-pub mod inflight;
 pub mod lifecycle;
 pub mod predictor;
 pub mod queue;
@@ -84,7 +84,6 @@ pub use faults::{
     CrashStorm, FaultAction, FaultCause, FaultEvent, FaultPlan, NodeCrash, PoolPreemption,
     TaskKillBurst,
 };
-pub use inflight::RetryLedger;
 pub use lifecycle::{CheckpointPredictor, PredictorState, StateError};
 pub use predictor::{AttemptContext, MemoryPredictor, Prediction, PresetPredictor, TaskSubmission};
 pub use replay::{replay_workflow, replay_workflow_streaming};

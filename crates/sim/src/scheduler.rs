@@ -42,7 +42,6 @@ use crate::attempt::Attempt;
 use crate::cluster::{Cluster, Node};
 use crate::config::SimulationConfig;
 use crate::faults::{FaultAction, FaultCause};
-use crate::inflight::RetryLedger;
 use crate::predictor::{AttemptContext, MemoryPredictor, TaskSubmission};
 use crate::queue::{EventHeap, PendingQueue, PendingTask};
 use sizey_workflows::TaskInstance;
@@ -116,17 +115,18 @@ pub struct SchedulerStats {
     /// Placements forced past a full cluster (only possible when a caller
     /// bypasses the largest-node clamp; the property suite asserts zero).
     pub forced_placements: usize,
-    /// High-water mark of the engine's [`RetryLedger`]: how many tasks were
-    /// simultaneously awaiting a retry.
+    /// High-water mark of in-flight tasks carrying a retry baseline: how
+    /// many tasks were simultaneously awaiting a retry.
     pub peak_inflight_retries: usize,
-    /// Retry-ledger entries still present when the replay drained — leaked
-    /// per-task state. Always zero: entries are evicted on success and on
-    /// terminal failure alike (the regression suite asserts this for
-    /// workloads where *every* task exhausts its attempt budget).
+    /// In-flight tasks still carrying a retry baseline when the replay
+    /// drained — leaked per-task state. Always zero: the baseline is part of
+    /// the in-flight entry, which leaves on success and on terminal failure
+    /// alike (the regression suite asserts this for workloads where *every*
+    /// task exhausts its attempt budget).
     pub leaked_inflight_retries: usize,
     /// Attempts killed mid-run by fault injection and requeued. A requeued
     /// attempt re-enters the pending queue with an **unchanged** attempt
-    /// number and an untouched retry ledger: a fault is not an OOM failure,
+    /// number and an untouched retry baseline: a fault is not an OOM failure,
     /// so it neither consumes [`SimulationConfig::max_attempts`] budget nor
     /// triggers the predictors' max-then-double escalation.
     pub requeued_attempts: usize,
@@ -225,7 +225,8 @@ struct QueuedAttempt {
     run: Attempt,
 }
 
-/// Payload of a completion event in the event-driven engine.
+/// A dispatched attempt, from its start until it completes or a fault
+/// kills it.
 #[derive(Debug, Clone)]
 struct RunningAttempt {
     task: QueuedAttempt,
@@ -233,9 +234,6 @@ struct RunningAttempt {
     submit_time: f64,
     start_time: f64,
     concurrent_at_start: usize,
-    /// Ticket into the running registry; a Finish whose ticket is gone
-    /// belongs to an attempt a fault already killed (stale completion).
-    dispatch_id: u64,
 }
 
 /// An event on the multi-tenant engine's heap. First submissions are not
@@ -249,63 +247,62 @@ enum Event {
         instance: usize,
         attempt: u32,
     },
-    /// A running attempt completes and releases its resources.
-    Finish(RunningAttempt),
+    /// A running attempt completes and releases its resources. The dispatch
+    /// ticket keys the [`RunningRegistry`]; a ticket that is gone belongs to
+    /// an attempt a fault already killed (stale completion).
+    Finish(u64),
     /// A fault-injection action fires (node down/up, task kills).
     Fault(FaultAction),
 }
 
-/// What the running registry remembers about a dispatched attempt — enough
-/// to release its resources and requeue it if a fault kills it.
-#[derive(Debug, Clone, Copy)]
-struct RunningRef {
-    tenant: usize,
-    instance: usize,
-    attempt: u32,
-    node: usize,
-    allocation_bytes: f64,
-}
-
-/// Registry of currently running attempts keyed by a monotonically
-/// increasing dispatch id. Fault events drain victims in dispatch order
-/// (deterministic); a completion whose id is absent is stale — its attempt
-/// was fault-killed, released and requeued when the fault fired.
+/// The one owner of every running attempt, keyed by a monotonically
+/// increasing dispatch ticket. Fault events drain victims in dispatch order
+/// (deterministic); a completion whose ticket is absent is stale — its
+/// attempt was fault-killed, released and requeued when the fault fired.
 #[derive(Debug, Default)]
 struct RunningRegistry {
-    map: BTreeMap<u64, RunningRef>,
-    next_id: u64,
+    map: BTreeMap<u64, RunningAttempt>,
+    next_ticket: u64,
 }
 
 impl RunningRegistry {
-    fn insert(&mut self, entry: RunningRef) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.map.insert(id, entry);
-        id
+    fn insert(&mut self, run: RunningAttempt) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.map.insert(ticket, run);
+        ticket
     }
 
-    /// Removes an entry on completion; `None` flags a stale completion of a
-    /// fault-killed attempt.
-    fn finish(&mut self, id: u64) -> Option<RunningRef> {
-        self.map.remove(&id)
+    /// Removes an attempt on completion; `None` flags a stale completion of
+    /// a fault-killed attempt.
+    fn finish(&mut self, ticket: u64) -> Option<RunningAttempt> {
+        self.map.remove(&ticket)
     }
 
     /// Drains every attempt running on `node`, oldest dispatch first.
-    fn drain_node(&mut self, node: usize) -> Vec<RunningRef> {
-        let ids: Vec<u64> = self
-            .map
-            .iter()
-            .filter(|(_, r)| r.node == node)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.iter().filter_map(|id| self.map.remove(id)).collect()
+    fn drain_node(&mut self, node: usize) -> Vec<RunningAttempt> {
+        self.map
+            .extract_if(.., |_, run| run.node == node)
+            .map(|(_, run)| run)
+            .collect()
     }
 
     /// Drains the `count` oldest running attempts.
-    fn drain_oldest(&mut self, count: usize) -> Vec<RunningRef> {
-        let ids: Vec<u64> = self.map.keys().take(count).copied().collect();
-        ids.iter().filter_map(|id| self.map.remove(id)).collect()
+    fn drain_oldest(&mut self, count: usize) -> Vec<RunningAttempt> {
+        (0..count)
+            .map_while(|_| self.map.pop_first().map(|(_, run)| run))
+            .collect()
     }
+}
+
+/// A task instance between its arrival and its terminal state.
+#[derive(Debug)]
+struct InFlight {
+    instance: TaskInstance,
+    /// The allocation the instance's previous attempt failed with: set when
+    /// a failed attempt will retry, read when the retry is sized, left alone
+    /// by a fault kill, and gone with the entry at the terminal state.
+    retry_from: Option<f64>,
 }
 
 /// One workflow sharing the cluster in a **streaming** multi-tenant replay:
@@ -379,15 +376,14 @@ struct Engine<'a, F> {
     pending: PendingQueue<QueuedAttempt>,
     stats: SchedulerStats,
     running: RunningRegistry,
-    /// Retry state keyed by (tenant, instance): the allocation the previous
-    /// failed attempt ran with. Evicted with the in-flight instance, on
-    /// success and on terminal failure alike.
-    retries: RetryLedger<(usize, usize)>,
-    /// Instances between arrival and terminal state, keyed like `retries`.
-    /// An ordered map, so the heap the engine needs is a function of its
-    /// input and not of the process's hash seed.
-    inflight: BTreeMap<(usize, usize), TaskInstance>,
+    /// Instances between arrival and terminal state, keyed by (tenant,
+    /// instance), each with its retry baseline. An ordered map, so the heap
+    /// the engine needs is a function of its input and not of the process's
+    /// hash seed.
+    inflight: BTreeMap<(usize, usize), InFlight>,
     peak_inflight: usize,
+    /// In-flight entries currently carrying a retry baseline.
+    retrying: usize,
     /// Arrival frontier: index and value of each tenant's next
     /// not-yet-arrived instance, pulled eagerly so "does this tenant have
     /// more work?" is answerable without consuming. At most one instance per
@@ -429,9 +425,9 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             pending: PendingQueue::new(),
             stats: SchedulerStats::default(),
             running: RunningRegistry::default(),
-            retries: RetryLedger::new(),
             inflight: BTreeMap::new(),
             peak_inflight: 0,
+            retrying: 0,
             next_idx: vec![0; tenants.len()],
             peeked: tenants.iter_mut().map(|t| t.instances.next()).collect(),
             aggs: vec![ReplayAggregates::new(); tenants.len()],
@@ -480,7 +476,13 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
                 let inst = self.peeked[ti].take().expect("arrival has an instance");
                 self.peeked[ti] = self.tenants[ti].instances.next();
                 self.next_idx[ti] += 1;
-                self.inflight.insert((ti, idx), inst);
+                self.inflight.insert(
+                    (ti, idx),
+                    InFlight {
+                        instance: inst,
+                        retry_from: None,
+                    },
+                );
                 self.peak_inflight = self.peak_inflight.max(self.inflight.len());
                 self.submit(now, ti, idx, 0);
                 self.try_dispatch(now);
@@ -491,13 +493,14 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
                         instance,
                         attempt,
                     } => self.submit(now, tenant, instance, attempt),
-                    Event::Finish(run) if self.running.finish(run.dispatch_id).is_some() => {
-                        self.complete(now, run)
+                    Event::Finish(ticket) => {
+                        // A ticket that is gone is the stale completion of a
+                        // fault-killed attempt: its resources were released
+                        // and it was requeued when the fault fired.
+                        if let Some(run) = self.running.finish(ticket) {
+                            self.complete(now, run);
+                        }
                     }
-                    // A Finish whose dispatch ticket is gone is the stale
-                    // completion of a fault-killed attempt: its resources
-                    // were released and it was requeued when the fault fired.
-                    Event::Finish(_) => {}
                     Event::Fault(action) => self.apply_fault(action, now),
                 }
                 self.try_dispatch(now);
@@ -521,13 +524,12 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
 
         let mut stats = self.stats;
         stats.peak_pending_tasks = self.pending.peak_len();
-        stats.peak_inflight_retries = self.retries.peak_entries();
-        stats.leaked_inflight_retries = self.retries.len();
-        debug_assert_eq!(
-            stats.leaked_inflight_retries, 0,
-            "every task reaches a terminal state, so the retry ledger must drain"
-        );
         let leaked_inflight_instances = self.inflight.len();
+        stats.leaked_inflight_retries = self
+            .inflight
+            .values()
+            .filter(|entry| entry.retry_from.is_some())
+            .count();
         debug_assert_eq!(
             leaked_inflight_instances, 0,
             "every task reaches a terminal state, so the in-flight set must drain"
@@ -559,10 +561,11 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
 
     /// Sizes one attempt with its tenant's predictor and enqueues it.
     fn submit(&mut self, now: f64, ti: usize, instance: usize, attempt: u32) {
-        let inst = &self.inflight[&(ti, instance)];
+        let entry = &self.inflight[&(ti, instance)];
+        let inst = &entry.instance;
         let ctx = AttemptContext {
             attempt,
-            last_allocation_bytes: self.retries.last_allocation((ti, instance)),
+            last_allocation_bytes: entry.retry_from,
         };
         let prediction = self.tenants[ti]
             .predictor
@@ -633,28 +636,19 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
         self.cluster.place_on(node, task.run.allocation_bytes);
         let queue_delay = (now - queued.submit_time).max(0.0);
         self.stats.record_dispatch(queue_delay, &self.cluster);
-        let inst = &self.inflight[&(task.tenant, task.instance)];
+        let inst = &self.inflight[&(task.tenant, task.instance)].instance;
         let event = task.run.event(inst, task.attempt, now, queue_delay);
         self.aggs[task.tenant].observe_event(&event);
         (self.on_attempt)(task.tenant, event);
-        let dispatch_id = self.running.insert(RunningRef {
-            tenant: task.tenant,
-            instance: task.instance,
-            attempt: task.attempt,
+        let finish_time = now + task.run.duration_seconds;
+        let ticket = self.running.insert(RunningAttempt {
             node,
-            allocation_bytes: task.run.allocation_bytes,
+            submit_time: queued.submit_time,
+            start_time: now,
+            concurrent_at_start: self.cluster.running_tasks(),
+            task,
         });
-        self.events.push(
-            now + task.run.duration_seconds,
-            Event::Finish(RunningAttempt {
-                node,
-                submit_time: queued.submit_time,
-                start_time: now,
-                concurrent_at_start: self.cluster.running_tasks(),
-                task,
-                dispatch_id,
-            }),
-        );
+        self.events.push(finish_time, Event::Finish(ticket));
     }
 
     /// Completes a running attempt at virtual time `now`: releases its
@@ -671,7 +665,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
         let ti = run.task.tenant;
         let key = (ti, run.task.instance);
         let record = sized.record(
-            &self.inflight[&key],
+            &self.inflight[&key].instance,
             &self.tenants[ti].workflow,
             run.concurrent_at_start as u32,
             run.start_time - run.submit_time,
@@ -680,7 +674,15 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
         self.tenants[ti].predictor.observe(&record);
         let next_attempt = run.task.attempt + 1;
         if !sized.success && next_attempt < self.config.max_attempts {
-            self.retries.record_failure(key, sized.allocation_bytes);
+            let entry = self
+                .inflight
+                .get_mut(&key)
+                .expect("completed task is in flight");
+            if entry.retry_from.replace(sized.allocation_bytes).is_none() {
+                self.retrying += 1;
+                self.stats.peak_inflight_retries =
+                    self.stats.peak_inflight_retries.max(self.retrying);
+            }
             self.events.push(
                 now,
                 Event::Submit {
@@ -691,20 +693,22 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             );
         } else {
             // Terminal, by success or by an exhausted attempt budget: the
-            // retry baseline and the in-flight instance leave the working
-            // set together, now — a stranded entry is a leak that grows with
+            // in-flight entry leaves the working set now, and its retry
+            // baseline with it — a stranded entry is a leak that grows with
             // the workload.
-            self.retries.finish(key);
-            self.inflight.remove(&key);
+            let entry = self.inflight.remove(&key);
+            if entry.is_some_and(|entry| entry.retry_from.is_some()) {
+                self.retrying -= 1;
+            }
             self.aggs[ti].observe_instance(sized.success);
         }
     }
 
     /// Applies one fault action at virtual time `now`. Killed attempts have
     /// their resources released and are requeued as Submit events at `now`
-    /// with an **unchanged** attempt number; the retry ledger is deliberately
-    /// left untouched, so a fault kill neither consumes attempt budget nor
-    /// looks like an OOM to the predictors.
+    /// with an **unchanged** attempt number; the in-flight entry's retry
+    /// baseline is deliberately left untouched, so a fault kill neither
+    /// consumes attempt budget nor looks like an OOM to the predictors.
     fn apply_fault(&mut self, action: FaultAction, now: f64) {
         let (killed, cause) = match action {
             FaultAction::NodeDown { node, cause } => {
@@ -717,17 +721,17 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             }
             FaultAction::KillTasks { tasks } => (self.running.drain_oldest(tasks), None),
         };
-        for r in killed {
+        for run in killed {
             self.cluster.release(
-                crate::cluster::Placement { node: r.node },
-                r.allocation_bytes,
+                crate::cluster::Placement { node: run.node },
+                run.task.run.allocation_bytes,
             );
             self.events.push(
                 now,
                 Event::Submit {
-                    tenant: r.tenant,
-                    instance: r.instance,
-                    attempt: r.attempt,
+                    tenant: run.task.tenant,
+                    instance: run.task.instance,
+                    attempt: run.task.attempt,
                 },
             );
             self.stats.requeued_attempts += 1;
@@ -1123,6 +1127,69 @@ mod tests {
     }
 
     #[test]
+    fn fault_killed_retry_keeps_its_baseline() {
+        use crate::faults::{FaultPlan, NodeCrash, TaskKillBurst};
+        use std::sync::{Arc, Mutex};
+
+        /// Doubles the preset per attempt and records every context it sees.
+        struct Recorder {
+            seen: Arc<Mutex<Vec<AttemptContext>>>,
+        }
+        impl MemoryPredictor for Recorder {
+            fn name(&self) -> String {
+                "recorder".into()
+            }
+            fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
+                self.seen.lock().unwrap().push(ctx);
+                Prediction::simple(task.preset_memory_bytes * 2f64.powi(ctx.attempt as i32))
+            }
+            fn observe(&mut self, _record: &TaskRecord) {}
+        }
+
+        // Peak 3 GB, preset 2 GB: attempt 0 (2 GB) fails at t = 100, and its
+        // retry (4 GB) runs from t = 100 until a fault kills it at t = 150.
+        let plans = [
+            FaultPlan::default().with_task_kills(TaskKillBurst {
+                time_seconds: 150.0,
+                tasks: 1,
+            }),
+            FaultPlan::default().with_node_crash(NodeCrash {
+                time_seconds: 150.0,
+                node: 0,
+                down_seconds: 10.0,
+            }),
+        ];
+        for plan in plans {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let result = schedule_workflows(
+                vec![WorkflowTenant::new(
+                    "wf",
+                    vec![instance(0, 3e9, 100.0, 2e9)],
+                    Box::new(Recorder {
+                        seen: Arc::clone(&seen),
+                    }),
+                )],
+                &tiny_cluster(SchedulePolicy::FirstFit).with_faults(plan),
+            );
+            assert_eq!(result.stats.requeued_attempts, 1);
+            let attempts: Vec<u32> = result.reports[0].events.iter().map(|e| e.attempt).collect();
+            assert_eq!(attempts, [0, 1, 1], "the requeue keeps its attempt number");
+            let retry = AttemptContext {
+                attempt: 1,
+                last_allocation_bytes: Some(2e9),
+            };
+            assert_eq!(
+                *seen.lock().unwrap(),
+                [AttemptContext::default(), retry, retry],
+                "the requeued retry escalates from the failed attempt's allocation"
+            );
+            assert_eq!(result.reports[0].aggregates.unfinished_instances, 0);
+            assert_eq!(result.stats.peak_inflight_retries, 1);
+            assert_eq!(result.stats.leaked_inflight_retries, 0);
+        }
+    }
+
+    #[test]
     fn pool_preemption_requeues_onto_surviving_capacity() {
         use crate::faults::{FaultPlan, PoolPreemption};
 
@@ -1188,7 +1255,7 @@ mod tests {
 
         // Every node goes down forever mid-run. Capacity-liveness: the
         // forced-placement guard still drives every task to a terminal
-        // state, and no retry-ledger entry leaks.
+        // state, and no retry baseline leaks.
         let instances: Vec<TaskInstance> = (0..6).map(|i| instance(i, 1e9, 100.0, 4e9)).collect();
         let config = SimulationConfig::default()
             .with_nodes(2, 10e9, 2)

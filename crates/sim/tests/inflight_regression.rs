@@ -2,11 +2,12 @@
 //!
 //! Predictors used to own the per-task retry baseline and evicted it only
 //! on success, so every task that exhausted `max_attempts` leaked one map
-//! entry — unbounded memory for a long-running service. The state now lives
-//! in the engine's [`RetryLedger`](sizey_sim::RetryLedger) with eviction on
-//! success *and* terminal failure; these tests replay workloads where tasks
-//! terminally fail and assert the ledger drains to empty (while having
-//! genuinely been used, per its high-water mark).
+//! entry — unbounded memory for a long-running service. The baseline is now
+//! part of the event-driven engine's in-flight entry for the task, which
+//! leaves on success *and* terminal failure; these tests replay workloads
+//! where tasks terminally fail and assert that no in-flight entry is left
+//! carrying a baseline (while baselines were genuinely set, per
+//! [`SchedulerStats::peak_inflight_retries`](sizey_sim::SchedulerStats)).
 
 use sizey_sim::{
     schedule_workflows, FaultPlan, PresetPredictor, SchedulePolicy, SimulationConfig,
@@ -52,10 +53,10 @@ fn never_satisfiable_tasks_leave_the_retry_ledger_empty() {
     let report = &result.reports[0];
     assert_eq!(report.aggregates.unfinished_instances, n as usize);
     assert_eq!(report.events.len(), 4 * n as usize);
-    // The ledger was actually exercised by the retry chains...
+    // Retry baselines were actually set by the retry chains...
     assert!(
         result.stats.peak_inflight_retries >= 1,
-        "retry chains must flow through the ledger"
+        "retry chains must carry a baseline"
     );
     // ...and terminal failures evicted every entry: nothing leaked. Before
     // the fix the equivalent map held one entry per task here (50), growing
@@ -65,7 +66,7 @@ fn never_satisfiable_tasks_leave_the_retry_ledger_empty() {
 
 /// Mixed outcome workload across two tenants: some tasks succeed first try,
 /// some succeed after retries, some exhaust the budget. All three paths must
-/// retire their ledger entries.
+/// retire their retry baselines.
 #[test]
 fn mixed_success_retry_and_terminal_failure_all_evict() {
     let mk = |offset: u64| -> Vec<TaskInstance> {
@@ -107,7 +108,7 @@ fn mixed_success_retry_and_terminal_failure_all_evict() {
 /// Fault-injection regression: a fault-killed attempt is requeued with an
 /// unchanged attempt number and must NOT look like an OOM — no retry budget
 /// consumed, no max-observed-then-double escalation, no failure recorded.
-/// Before the fault layer's requeue path bypassed the retry ledger, the
+/// Before the fault layer's requeue path left the retry baseline alone, the
 /// killed attempts would have re-entered as doubled attempt-1 retries here.
 #[test]
 fn fault_killed_attempts_requeue_without_consuming_budget_or_doubling() {

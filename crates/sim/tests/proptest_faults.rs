@@ -11,7 +11,7 @@
 //!    scenario the tenant's event list is exactly the sequence the sink saw,
 //!    with identical stats.
 //! 3. **Conservation** — faults never strand work: every instance finishes
-//!    or exhausts its retry budget, the retry ledger drains to empty, and
+//!    or exhausts its retry budget, no retry baseline is left in flight, and
 //!    every requeue is accounted to exactly one fault counter.
 
 use proptest::prelude::*;

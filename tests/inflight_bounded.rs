@@ -5,10 +5,10 @@
 //!
 //! The retry baseline is engine-owned now; replaying a workload of
 //! never-satisfiable tasks with the real Sizey predictor must (a) terminate
-//! with every instance reported unfinished, (b) leave the event-driven
-//! engine's retry ledger empty, and (c) leave the predictor itself free of
-//! any per-task retry state — its retry decisions depend only on learned
-//! pools plus the context the engine hands in.
+//! with every instance reported unfinished, (b) leave no retry baseline in
+//! the event-driven engine's in-flight set, and (c) leave the predictor
+//! itself free of any per-task retry state — its retry decisions depend only
+//! on learned pools plus the context the engine hands in.
 
 use sizey_suite::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -50,7 +50,8 @@ fn sizey_retry_state_stays_bounded_when_tasks_terminally_fail() {
     assert_eq!(sizey.n_pools(), 1);
     assert_eq!(sizey.provenance().len(), report.events.len());
 
-    // Event-driven engine: the ledger must drain despite zero successes.
+    // Event-driven engine: no baseline may stay in flight despite zero
+    // successes.
     let instances: Vec<TaskInstance> = (0..n).map(impossible).collect();
     let result = schedule_workflows(
         vec![WorkflowTenant::new(
@@ -90,16 +91,16 @@ fn sizey_retry_state_stays_bounded_when_tasks_terminally_fail() {
 }
 
 /// Fault-injection satellite: tasks lost to node crashes (including ones
-/// whose node never comes back) must not strand retry-ledger entries in
-/// either event-driven engine. The crash-requeue path deliberately bypasses
-/// the ledger — a killed attempt is resubmitted with its original attempt
-/// number — so the ledger must drain exactly as in a fault-free run even
-/// when a crash interleaves with genuine OOM retry chains.
+/// whose node never comes back) must not strand retry baselines in either
+/// event-driven entry point. The crash-requeue path deliberately leaves the
+/// baseline alone — a killed attempt is resubmitted with its original
+/// attempt number — so baselines must drain exactly as in a fault-free run
+/// even when a crash interleaves with genuine OOM retry chains.
 #[test]
 fn crash_lost_tasks_leak_no_inflight_retries_in_either_engine() {
     let n = 30u64;
     // A mix of first-try successes and never-satisfiable tasks so the retry
-    // ledger is genuinely exercised while the crashes fire.
+    // baselines are genuinely set while the crashes fire.
     let mk = || -> Vec<TaskInstance> {
         (0..n)
             .map(|seq| {
@@ -127,7 +128,7 @@ fn crash_lost_tasks_leak_no_inflight_retries_in_either_engine() {
                 seed: 9,
             })
             // This node never comes back: its victims must still finish (or
-            // terminally fail) elsewhere without leaking ledger entries.
+            // terminally fail) elsewhere without leaking retry baselines.
             .with_node_crash(NodeCrash {
                 time_seconds: 100.0,
                 node: 1,
@@ -193,7 +194,7 @@ impl MemoryPredictor for Shared {
 }
 
 /// Streaming-engine regression: instances that exhaust `max_attempts` are
-/// evicted from the in-flight working set *and* the retry ledger at their
+/// evicted from the in-flight working set, retry baseline and all, at their
 /// terminal failure — before any record could be compacted away — so a long
 /// stream of hopeless tasks leaves no stranded entries. With arrivals spaced
 /// wider than a full retry cascade, the working set never holds more than

@@ -144,8 +144,8 @@ fn serial_replay_output_is_pinned() {
 
 /// Multi-tenant event-driven scheduling under BestFit and Backfill:
 /// exercises the event-heap ordering (`total_cmp` in `queue.rs`), the
-/// scheduler's retry ledger, and the BTreeMap pool-index migration under
-/// interleaved multi-pool traffic.
+/// scheduler's in-flight retry baselines, and the BTreeMap pool-index
+/// migration under interleaved multi-pool traffic.
 #[test]
 fn scheduled_multi_tenant_output_is_pinned() {
     let mut d = Digest::new();

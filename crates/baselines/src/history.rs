@@ -32,7 +32,8 @@ use std::sync::Arc;
 /// swap the predictor for a fresh one restored from a truncated journal.
 #[derive(Debug, Default, Clone)]
 pub struct History<S> {
-    /// Probed through [`KeyRef`] on predict, so a lookup clones no key.
+    /// Probed through [`KeyRef`] on observe and predict, so a lookup clones
+    /// no key.
     keys: BTreeMap<TaskMachineKey, KeyHistory<S>>,
     /// Reference-counted so snapshots share the records instead of
     /// deep-cloning the journal a second time.
@@ -73,7 +74,14 @@ impl<S: Default> History<S> {
         if record.outcome != TaskOutcome::Succeeded {
             return None;
         }
-        let entry = self.keys.entry(record.key()).or_default();
+        // A borrowed probe finds an existing key without cloning it; only a
+        // key's first success builds the owned one. (Two probes, because a
+        // borrow returned from a `get_mut` arm cannot fall back to `entry`.)
+        let probe = record.key_ref();
+        if !self.keys.contains_key(&probe as &dyn KeyQuery) {
+            self.keys.insert(record.key(), KeyHistory::default());
+        }
+        let entry = self.keys.get_mut(&probe as &dyn KeyQuery)?;
         entry.observations.push(Observation {
             input_bytes: record.input_bytes,
             peak_bytes: record.peak_memory_bytes,

@@ -248,6 +248,16 @@ impl ModelPool {
         self.data.len() >= min_history.max(1) && self.members.iter().any(|m| m.model.is_fitted())
     }
 
+    /// Each fitted member's estimate for `features` as gating sees it,
+    /// clamped to be non-negative, in member order; a member that cannot
+    /// predict is left out. A diagnostic: the predict path fills a recycled
+    /// buffer through `individual_estimates_into` instead.
+    pub fn member_estimates(&self, features: &[f64]) -> Vec<(ModelClass, f64)> {
+        let mut scratch = PoolScratch::default();
+        self.individual_estimates_into(features, &mut scratch);
+        scratch.estimates
+    }
+
     /// Fills `scratch.estimates` with each fitted member's estimate for the
     /// given features, clamped to be non-negative; non-finite estimates are
     /// dropped, so the buffer is empty when no member can predict.
@@ -535,25 +545,67 @@ impl ModelPool {
     /// for its folds.
     fn full_retrain(&mut self, config: &SizeyConfig) {
         self.since_full_retrain = 0;
-        for member in &mut self.members {
-            if config.hyperparameter_optimization && self.data.len() >= 6 {
-                // The winner replaces the member between incremental
-                // updates too, so it keeps the member's update settings.
-                let own = member_spec(member.class, config.seed);
-                let specs: Vec<ModelSpec> = ModelSpec::default_grid(member.class, config.seed)
-                    .into_iter()
-                    .map(|spec| spec.with_incremental_settings_of(&own))
-                    .collect();
-                if let Ok(result) = grid_search(&specs, &self.data, 3) {
-                    member.model = result.model;
-                    continue;
-                }
-            }
-            // `fit` is transactional: a failed refit keeps the previous
-            // fitted state, which is still the best information we have.
-            let _ = member.model.fit(&self.data);
+        if config.hyperparameter_optimization && self.data.len() >= 6 {
+            self.grid_search_retrain(config);
+        } else {
+            self.refit_members();
         }
         self.model_epoch += 1;
+    }
+
+    /// Refits every member on the complete training data. The MLP's fit
+    /// and the forest's trees, by far the two most expensive fits, share
+    /// one worker queue: the forest fits with the MLP's fit at the head of
+    /// its tree queue. Members never read each other, and the MLP and every
+    /// tree draw from their own seeded RNGs, so each member ends up
+    /// bit-identical to fitting it alone. `fit` is transactional: a failed
+    /// refit keeps the member's previous fitted state, which is still the
+    /// best information we have.
+    fn refit_members(&mut self) {
+        let data = &self.data;
+        let mut mlp = None;
+        let mut forest = None;
+        for member in &mut self.members {
+            match member.class {
+                ModelClass::Mlp if mlp.is_none() => mlp = Some(&mut member.model),
+                ModelClass::RandomForest if forest.is_none() => forest = Some(&mut member.model),
+                _ => {
+                    let _ = member.model.fit(data);
+                }
+            }
+        }
+        match (forest, mlp) {
+            (Some(forest), Some(mlp)) => {
+                let _ = forest.fit_beside(data, &mut || {
+                    let _ = mlp.fit(data);
+                });
+            }
+            (forest, mlp) => {
+                for model in forest.into_iter().chain(mlp) {
+                    let _ = model.fit(data);
+                }
+            }
+        }
+    }
+
+    /// Replaces every member by the winner of a grid search over its class,
+    /// or refits it when the search fails.
+    fn grid_search_retrain(&mut self, config: &SizeyConfig) {
+        for member in &mut self.members {
+            // The winner replaces the member between incremental updates
+            // too, so it keeps the member's update settings.
+            let own = member_spec(member.class, config.seed);
+            let specs: Vec<ModelSpec> = ModelSpec::default_grid(member.class, config.seed)
+                .into_iter()
+                .map(|spec| spec.with_incremental_settings_of(&own))
+                .collect();
+            match grid_search(&specs, &self.data, 3) {
+                Ok(result) => member.model = result.model,
+                Err(_) => {
+                    let _ = member.model.fit(&self.data);
+                }
+            }
+        }
     }
 }
 
@@ -589,9 +641,8 @@ mod tests {
     }
 
     fn estimates(pool: &ModelPool, features: &[f64]) -> Option<Vec<(ModelClass, f64)>> {
-        let mut scratch = PoolScratch::default();
-        pool.individual_estimates_into(features, &mut scratch);
-        (!scratch.estimates.is_empty()).then_some(scratch.estimates)
+        let estimates = pool.member_estimates(features);
+        (!estimates.is_empty()).then_some(estimates)
     }
 
     fn feed_linear(pool: &mut ModelPool, cfg: &SizeyConfig, n: usize) {

@@ -295,13 +295,18 @@ impl MemoryPredictor for SizeyPredictor {
 
     fn observe(&mut self, record: &TaskRecord) {
         self.store.insert(record.clone());
-        let key = record.key();
-        // Copies the pool first if a clone or published view still holds it.
-        let pool = Arc::make_mut(
-            self.pools
-                .entry(key)
+        // A borrowed probe finds an existing pool without cloning the key;
+        // only a key's first record builds the owned one.
+        let probe = record.key_ref();
+        let shared = match self.pools.get_mut(&probe as &dyn KeyQuery) {
+            Some(pool) => pool,
+            None => self
+                .pools
+                .entry(record.key())
                 .or_insert_with(|| Arc::new(ModelPool::new(&self.config))),
-        );
+        };
+        // Copies the pool first if a clone or published view still holds it.
+        let pool = Arc::make_mut(shared);
 
         match record.outcome {
             TaskOutcome::Succeeded => POOL_SCRATCH.with(|cell| {

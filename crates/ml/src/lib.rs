@@ -13,7 +13,7 @@
 //! * regression metrics and summary statistics ([`metrics`]),
 //! * k-fold cross validation and grid-search hyper-parameter optimisation
 //!   ([`hpo`]),
-//! * scoped-thread parallel helpers ([`parallel`]).
+//! * one scoped-thread claim queue for parallel fits ([`parallel`]).
 //!
 //! ## Example
 //!

@@ -117,6 +117,15 @@ pub trait Regressor: Send + Sync {
     /// Fully (re)trains the model on `data`.
     fn fit(&mut self, data: &Dataset) -> Result<(), ModelError>;
 
+    /// [`Regressor::fit`] with an independent job beside it: `side` runs
+    /// exactly once, on the calling thread, whether the fit succeeds or
+    /// not. A model whose fit is threaded overrides this to run `side`
+    /// while its workers start; the default runs `side` and then `fit`.
+    fn fit_beside(&mut self, data: &Dataset, side: &mut dyn FnMut()) -> Result<(), ModelError> {
+        side();
+        self.fit(data)
+    }
+
     /// Incrementally updates the model with additional observations.
     ///
     /// The default implementation is a full refit on the new data only, which

@@ -206,6 +206,15 @@ impl TaskRecord {
         }
     }
 
+    /// The (task type, machine) key of this record, borrowed: probes a
+    /// `BTreeMap<TaskMachineKey, _>` as `&dyn KeyQuery` without cloning.
+    pub fn key_ref(&self) -> KeyRef<'_> {
+        KeyRef {
+            task_type: self.task_type.as_str(),
+            machine: self.machine.as_str(),
+        }
+    }
+
     /// The regression target: peak memory in bytes.
     pub fn target(&self) -> f64 {
         self.peak_memory_bytes

@@ -19,6 +19,7 @@
 
 use proptest::prelude::*;
 use sizey_baselines::{TovarPpmConfig, WittLrConfig, WittPercentileConfig, WittWastageConfig};
+use sizey_core::{ModelPool, PoolScratch};
 use sizey_ml::forest::{ForestConfig, RandomForestRegression};
 use sizey_ml::knn::{KnnConfig, KnnRegression, KnnWeighting};
 use sizey_ml::linear::{LinearConfig, LinearRegression};
@@ -1087,6 +1088,81 @@ proptest! {
                         probe
                     );
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sizey's full retrain: one worker queue for the MLP and the forest's trees
+// vs. every member fitted alone.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A pool of all four classes runs its full retrain with the MLP's fit
+    /// at the head of the forest's tree queue; a pool of one class fits its
+    /// member alone, on the calling thread. Fed the same rows (incremental
+    /// updates, then one full retrain on all of them), every member must
+    /// predict bit for bit what its class's single-member pool predicts.
+    #[test]
+    fn concurrent_retrain_matches_sequential_fits(
+        rows in proptest::collection::vec(
+            (proptest::collection::vec(0.0f64..1e10, 3..4), 1e8f64..1e11),
+            1..601,
+        ),
+        width in 1usize..4,
+        seed in 0u64..u64::MAX,
+        queries in proptest::collection::vec(proptest::collection::vec(0.0f64..2e10, 3..4), 1..6),
+    ) {
+        let config = |model_classes: Vec<ModelClass>| SizeyConfig {
+            model_classes,
+            seed,
+            hyperparameter_optimization: false,
+            history_window: None,
+            online: OnlineMode::incremental(0),
+            ..SizeyConfig::default()
+        };
+        let feed = |config: SizeyConfig| {
+            let retrain = SizeyConfig {
+                online: OnlineMode::FullRetrain,
+                ..config.clone()
+            };
+            let mut pool = ModelPool::new(&config);
+            let mut scratch = PoolScratch::default();
+            let (last, head) = rows.split_last().unwrap();
+            for (features, peak) in head {
+                pool.observe_success(&features[..width], *peak, &config, &mut scratch);
+            }
+            pool.observe_success(&last.0[..width], last.1, &retrain, &mut scratch);
+            assert_eq!(pool.model_epoch(), 1);
+            pool
+        };
+        let together = feed(config(ModelClass::ALL.to_vec()));
+        let alone: Vec<ModelPool> = ModelClass::ALL
+            .iter()
+            .map(|&class| feed(config(vec![class])))
+            .collect();
+        for query in &queries {
+            let query = &query[..width];
+            let concurrent = together.member_estimates(query);
+            for (&class, single) in ModelClass::ALL.iter().zip(&alone) {
+                let bits = |estimates: &[(ModelClass, f64)]| {
+                    estimates
+                        .iter()
+                        .find(|&&(c, _)| c == class)
+                        .map(|&(_, e)| e.to_bits())
+                };
+                prop_assert_eq!(
+                    bits(&single.member_estimates(query)),
+                    bits(&concurrent),
+                    "{} on {} rows of width {}, seed {}",
+                    class,
+                    rows.len(),
+                    width,
+                    seed
+                );
             }
         }
     }

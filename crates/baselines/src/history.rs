@@ -1,7 +1,7 @@
 //! Shared per-(task type, machine) history bookkeeping used by all baseline
 //! methods.
 
-use sizey_provenance::{KeyQuery, KeyRef, TaskMachineKey, TaskOutcome, TaskRecord};
+use sizey_provenance::{TaskMachineKey, TaskOutcome, TaskRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -32,8 +32,8 @@ use std::sync::Arc;
 /// swap the predictor for a fresh one restored from a truncated journal.
 #[derive(Debug, Default, Clone)]
 pub struct History<S> {
-    /// Probed through [`KeyRef`] on observe and predict, so a lookup clones
-    /// no key.
+    /// Probed with an owned key on observe and predict: the ids are shared
+    /// handles, so building one copies no string.
     keys: BTreeMap<TaskMachineKey, KeyHistory<S>>,
     /// Reference-counted so snapshots share the records instead of
     /// deep-cloning the journal a second time.
@@ -74,14 +74,7 @@ impl<S: Default> History<S> {
         if record.outcome != TaskOutcome::Succeeded {
             return None;
         }
-        // A borrowed probe finds an existing key without cloning it; only a
-        // key's first success builds the owned one. (Two probes, because a
-        // borrow returned from a `get_mut` arm cannot fall back to `entry`.)
-        let probe = record.key_ref();
-        if !self.keys.contains_key(&probe as &dyn KeyQuery) {
-            self.keys.insert(record.key(), KeyHistory::default());
-        }
-        let entry = self.keys.get_mut(&probe as &dyn KeyQuery)?;
+        let entry = self.keys.entry(record.key()).or_default();
         entry.observations.push(Observation {
             input_bytes: record.input_bytes,
             peak_bytes: record.peak_memory_bytes,
@@ -91,11 +84,8 @@ impl<S: Default> History<S> {
 
     /// The state of the (task type, machine) key, once it has at least one
     /// successful observation.
-    pub fn state(&self, task_type: &str, machine: &str) -> Option<&S> {
-        let probe = KeyRef { task_type, machine };
-        self.keys
-            .get(&probe as &dyn KeyQuery)
-            .map(|entry| &entry.state)
+    pub fn state(&self, key: &TaskMachineKey) -> Option<&S> {
+        self.keys.get(key).map(|entry| &entry.state)
     }
 
     /// Every record ever observed, in observation order — the event source
@@ -150,6 +140,10 @@ mod tests {
     use super::*;
     use sizey_provenance::{MachineId, TaskTypeId};
 
+    fn state(h: &History<usize>, task_type: &str) -> Option<usize> {
+        h.state(&TaskMachineKey::new(task_type, "m")).copied()
+    }
+
     fn record(peak: f64, outcome: TaskOutcome) -> TaskRecord {
         TaskRecord {
             workflow: "wf".into(),
@@ -176,20 +170,16 @@ mod tests {
     #[test]
     fn only_successful_records_reach_the_key() {
         let mut h = History::new();
-        assert!(h.state("t", "m").is_none());
+        assert!(state(&h, "t").is_none());
         assert!(peaks_seen(&mut h, &record(9e9, TaskOutcome::FailedOutOfMemory)).is_none());
-        assert!(h.state("t", "m").is_none(), "a failure creates no key");
+        assert!(state(&h, "t").is_none(), "a failure creates no key");
         assert_eq!(
             peaks_seen(&mut h, &record(1e9, TaskOutcome::Succeeded)),
             Some(vec![1e9])
         );
         assert!(peaks_seen(&mut h, &record(8e9, TaskOutcome::FailedOutOfMemory)).is_none());
-        assert_eq!(
-            h.state("t", "m"),
-            Some(&1),
-            "failures leave the state alone"
-        );
-        assert!(h.state("unknown", "m").is_none());
+        assert_eq!(state(&h, "t"), Some(1), "failures leave the state alone");
+        assert!(state(&h, "unknown").is_none());
     }
 
     #[test]
@@ -200,7 +190,7 @@ mod tests {
             last = peaks_seen(&mut h, &record(i as f64 * 1e9, TaskOutcome::Succeeded));
         }
         assert_eq!(last, Some(vec![3e9, 1e9, 5e9, 2e9, 4e9]));
-        assert_eq!(h.state("t", "m"), Some(&5));
+        assert_eq!(state(&h, "t"), Some(5));
     }
 
     #[test]
@@ -221,7 +211,7 @@ mod tests {
             last = peaks_seen(&mut replayed, &r).or(last);
         }
         assert_eq!(last, Some(vec![1e9, 2e9]));
-        assert_eq!(replayed.state("t", "m"), h.state("t", "m"));
+        assert_eq!(state(&replayed, "t"), state(&h, "t"));
         assert_eq!(replayed.journal().len(), 3);
     }
 }

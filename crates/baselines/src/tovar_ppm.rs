@@ -151,7 +151,7 @@ impl MemoryPredictor for TovarPpm {
         }
         let raw = self
             .history
-            .state(task.task_type.as_str(), task.machine.as_str())
+            .state(&task.key())
             .and_then(|candidates| candidates.best);
         Prediction {
             allocation_bytes: raw.unwrap_or(task.preset_memory_bytes),
@@ -172,7 +172,7 @@ crate::history::impl_history_checkpoint!(TovarPpm);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sizey_provenance::{MachineId, TaskOutcome, TaskTypeId};
+    use sizey_provenance::{MachineId, TaskMachineKey, TaskOutcome, TaskTypeId};
 
     fn submission() -> TaskSubmission {
         TaskSubmission {
@@ -262,7 +262,7 @@ mod tests {
         let mut p = TovarPpm::with_config(config);
         p.observe(&success(1.0));
         p.observe(&success(3.0));
-        let state = p.history.state("t", "m").unwrap();
+        let state = p.history.state(&TaskMachineKey::new("t", "m")).unwrap();
         let node = NODE_MEMORY_BYTES;
         assert_eq!(state.cost_sums, vec![0.0 + (1.0 + node - 3.0), 2.0 + 0.0]);
         assert_eq!(state.best, Some(3.0));

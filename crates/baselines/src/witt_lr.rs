@@ -72,7 +72,7 @@ impl MemoryPredictor for WittLr {
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
         let raw = self
             .history
-            .state(task.task_type.as_str(), task.machine.as_str())
+            .state(&task.key())
             .and_then(|line| line.evaluate(task.input_bytes));
         let base = raw.unwrap_or(task.preset_memory_bytes);
         Prediction {

@@ -64,7 +64,7 @@ impl WittPercentile {
     fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
         let sorted = self
             .history
-            .state(task.task_type.as_str(), task.machine.as_str())
+            .state(&task.key())
             .map_or(&[][..], Vec::as_slice);
         (sorted.len() >= self.config.min_history)
             .then(|| percentile_of_sorted(sorted, self.config.percentile))

@@ -93,7 +93,7 @@ impl MemoryPredictor for WittWastage {
     fn predict(&self, task: &TaskSubmission, ctx: AttemptContext) -> Prediction {
         let raw = self
             .history
-            .state(task.task_type.as_str(), task.machine.as_str())
+            .state(&task.key())
             .and_then(|line| line.evaluate(task.input_bytes));
         let base = raw.unwrap_or(task.preset_memory_bytes);
         Prediction {
@@ -141,7 +141,7 @@ crate::history::impl_history_checkpoint!(WittWastage);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sizey_provenance::{MachineId, TaskOutcome, TaskTypeId};
+    use sizey_provenance::{MachineId, TaskMachineKey, TaskOutcome, TaskTypeId};
 
     fn submission(input: f64) -> TaskSubmission {
         TaskSubmission {
@@ -234,7 +234,7 @@ mod tests {
         for i in 1..=5 {
             p.observe(&success(i as f64 * 1e9, 2.0 * i as f64 * 1e9));
         }
-        let line = p.history.state("t", "m").unwrap();
+        let line = p.history.state(&TaskMachineKey::new("t", "m")).unwrap();
         assert_eq!(line.model.n_observations(), 5);
         let base = p
             .predict(&submission(3e9), AttemptContext::first())

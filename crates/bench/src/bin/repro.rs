@@ -453,7 +453,7 @@ fn fig07_workflow_resource_profiles(ctx: &Context) {
             &profile.io_write_mb,
         ];
         for (rows, d) in tables.iter_mut().zip(distributions) {
-            let mut row = vec![w.spec.name.clone()];
+            let mut row = vec![w.spec.name.to_string()];
             row.extend(five_numbers(d, 1.0));
             rows.push(row);
         }
@@ -651,7 +651,7 @@ fn fig09_training_time_table(ctx: &Context) {
         let (_, full) = replay_sizey(SizeyConfig::full_retraining(), &w);
         let (_, incremental) = replay_sizey(SizeyConfig::default(), &w);
         rows.push(vec![
-            w.spec.name.clone(),
+            w.spec.name.to_string(),
             fmt(median_ms(&full), 2),
             fmt(median_ms(&incremental), 2),
         ]);
@@ -735,7 +735,7 @@ fn fig11_model_selection_share(ctx: &Context) {
         .aggregates
         .model_selection_share()
         .iter()
-        .map(|(model, share)| vec![model.clone(), fmt(share * 100.0, 1)])
+        .map(|(model, share)| vec![model.to_string(), fmt(share * 100.0, 1)])
         .collect();
     print_table(&["Model class", "Share %"], &rows);
 

@@ -8,7 +8,10 @@
 //! first-attempt predictions (model pool, RAQ scores, gating, offset
 //! selection), retry escalations and unknown-task preset fallbacks alike,
 //! and the first predict after an observe too: learning happens in
-//! `observe`, so a predict only reads.
+//! `observe`, so a predict only reads. The engine's per-attempt copies of a
+//! task's identity are held to the same bar: a generated instance's
+//! submission and a record's clone share the workflow, task type and
+//! machine handles instead of copying their strings.
 //!
 //! The measurement instrument is a counting `#[global_allocator]`
 //! (allocation *count*, not bytes: a single stray `Vec` or `String` of any
@@ -20,6 +23,7 @@
 use sizey_core::{AsyncSizey, ServiceConfig, SizeyConfig, SizeyPredictor};
 use sizey_provenance::{MachineId, TaskOutcome, TaskRecord, TaskTypeId};
 use sizey_sim::{AttemptContext, MemoryPredictor, TaskSubmission};
+use sizey_workflows::{profiles, stream_workflow, GeneratorConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -224,6 +228,25 @@ fn steady_state_predict_performs_zero_heap_allocations() {
         "steady-state snapshot predicts must not touch the heap ({allocs} allocations in 900 calls)"
     );
     drop(service);
+
+    // The engine builds a submission from every instance it sizes and a
+    // record for every attempt it finishes; neither copies a string.
+    let inst = stream_workflow(&profiles::rnaseq(), &GeneratorConfig::scaled(0.05, 42))
+        .next()
+        .expect("the workflow has instances");
+    let (allocs, submission) = allocations_during(|| TaskSubmission::from(&inst));
+    assert_eq!(
+        allocs, 0,
+        "a submission must share its instance's identity ({allocs} allocations)"
+    );
+    assert_eq!(submission.task_type, inst.task_type);
+    let record = success(32, 4e9, 9e9);
+    let (allocs, copy) = allocations_during(|| record.clone());
+    assert_eq!(
+        allocs, 0,
+        "a record clone must share its identity ({allocs} allocations)"
+    );
+    assert_eq!(copy, record);
 
     // Sanity check on the instrument itself: the counter must actually see
     // heap traffic, or the assertions above prove nothing.

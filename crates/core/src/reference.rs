@@ -26,7 +26,7 @@ use crate::pool::{PoolScratch, ACCURACY_WINDOW, OFFSET_HISTORY_WINDOW};
 use crate::sizey::SizeyPredictor;
 use sizey_ml::metrics::{median, std_dev};
 use sizey_ml::model::ModelClass;
-use sizey_provenance::{TaskOutcome, TaskRecord};
+use sizey_provenance::{TaskMachineKey, TaskOutcome, TaskRecord};
 use sizey_sim::{AttemptContext, Prediction, TaskSubmission};
 use std::collections::BTreeMap;
 
@@ -282,7 +282,7 @@ fn gated(
 /// predictor's answer must be.
 pub(crate) struct ReferenceSizey {
     config: SizeyConfig,
-    pools: BTreeMap<(String, String), PoolHistory>,
+    pools: BTreeMap<TaskMachineKey, PoolHistory>,
 }
 
 impl ReferenceSizey {
@@ -297,11 +297,10 @@ impl ReferenceSizey {
     /// non-negative, finite estimates for `input` (`None` without a pool).
     fn live_pool(
         live: &SizeyPredictor,
-        task_type: &str,
-        machine: &str,
+        key: &TaskMachineKey,
         input: f64,
     ) -> Option<(usize, Vec<(ModelClass, f64)>)> {
-        let pool = live.pool_for(task_type, machine)?;
+        let pool = live.pool_for(key)?;
         let mut scratch = PoolScratch::default();
         pool.individual_estimates_into(&[input], &mut scratch);
         Some((pool.n_observations(), scratch.estimates))
@@ -310,12 +309,9 @@ impl ReferenceSizey {
     /// Records one completed attempt, reading the live pool as it was
     /// before learning from it.
     pub(crate) fn observe(&mut self, live: &SizeyPredictor, record: &TaskRecord) {
-        let (task_type, machine) = (record.task_type.as_str(), record.machine.as_str());
-        let live_pool = Self::live_pool(live, task_type, machine, record.input_bytes);
-        let history = self
-            .pools
-            .entry((task_type.to_string(), machine.to_string()))
-            .or_default();
+        let key = record.key();
+        let live_pool = Self::live_pool(live, &key, record.input_bytes);
+        let history = self.pools.entry(key).or_default();
         let observed = match record.outcome {
             TaskOutcome::Succeeded => {
                 let peak = record.peak_memory_bytes;
@@ -352,10 +348,8 @@ impl ReferenceSizey {
         task: &TaskSubmission,
         ctx: AttemptContext,
     ) -> Prediction {
-        let (task_type, machine) = (task.task_type.as_str(), task.machine.as_str());
-        let history = self
-            .pools
-            .get(&(task_type.to_string(), machine.to_string()));
+        let key = task.key();
+        let history = self.pools.get(&key);
         let preset = Prediction {
             allocation_bytes: task.preset_memory_bytes,
             raw_estimate_bytes: None,
@@ -378,9 +372,8 @@ impl ReferenceSizey {
         let Some(history) = history else {
             return preset;
         };
-        let (n_observations, estimates) =
-            Self::live_pool(live, task_type, machine, task.input_bytes)
-                .expect("the live predictor has a pool for every observed key");
+        let (n_observations, estimates) = Self::live_pool(live, &key, task.input_bytes)
+            .expect("the live predictor has a pool for every observed key");
         let Some((estimate, dominant)) = gated(&self.config, history, n_observations, &estimates)
         else {
             return preset;

@@ -124,11 +124,8 @@ impl<P: MemoryPredictor + Sync> ConcurrentPredictor<P> {
     /// the service. The underlying FNV-1a key hash is pinned by this
     /// crate, so the assignment is also stable across binaries and rustc
     /// releases, and external routers (the async serving layer's per-shard
-    /// queues) can compute it independently.
-    ///
-    /// Hashing the two components directly avoids cloning two `String`s into
-    /// a [`TaskMachineKey`](sizey_provenance::TaskMachineKey) per request on
-    /// the hot path.
+    /// queues) can compute it independently. It hashes the two ids'
+    /// contents, not their shared handles' addresses.
     pub fn shard_of_parts(&self, task_type: &TaskTypeId, machine: &MachineId) -> usize {
         (fnv1a_key(task_type, machine) % self.shards.len() as u64) as usize
     }

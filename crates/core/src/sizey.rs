@@ -32,9 +32,7 @@ use crate::config::{OffsetMode, SizeyConfig};
 use crate::failure::failure_allocation;
 use crate::offset::{select_dynamic_offset_with, OffsetScratch};
 use crate::pool::{ModelPool, PoolScratch};
-use sizey_provenance::{
-    KeyQuery, KeyRef, ProvenanceStore, TaskMachineKey, TaskOutcome, TaskRecord,
-};
+use sizey_provenance::{ProvenanceStore, TaskMachineKey, TaskOutcome, TaskRecord};
 use sizey_sim::{
     AttemptContext, CheckpointPredictor, MemoryPredictor, Prediction, PredictorState, StateError,
     TaskSubmission,
@@ -190,12 +188,10 @@ impl SizeyPredictor {
             .collect()
     }
 
-    /// Looks a (task type, machine) pool up without cloning the two key
-    /// `String`s: the `BTreeMap` is probed through the [`KeyQuery`]
-    /// borrowed-key view.
-    pub(crate) fn pool_for(&self, task_type: &str, machine: &str) -> Option<&ModelPool> {
-        let probe = KeyRef { task_type, machine };
-        self.pools.get(&probe as &dyn KeyQuery).map(Arc::as_ref)
+    /// The pool of a (task type, machine) key, once it has one. The key is
+    /// two shared handles, so a caller builds it without copying a string.
+    pub(crate) fn pool_for(&self, key: &TaskMachineKey) -> Option<&ModelPool> {
+        self.pools.get(key).map(Arc::as_ref)
     }
 
     /// Computes the offset for the given pool's current state. The offset
@@ -233,9 +229,7 @@ impl MemoryPredictor for SizeyPredictor {
             let last = ctx
                 .last_allocation_bytes
                 .unwrap_or(task.preset_memory_bytes);
-            let max_observed = self
-                .pool_for(task.task_type.as_str(), task.machine.as_str())
-                .and_then(ModelPool::max_observed);
+            let max_observed = self.pool_for(&task.key()).and_then(ModelPool::max_observed);
             return Prediction {
                 allocation_bytes: failure_allocation(max_observed, last, ctx.attempt),
                 raw_estimate_bytes: None,
@@ -245,7 +239,7 @@ impl MemoryPredictor for SizeyPredictor {
 
         // One pool lookup serves the whole first-attempt path; the feature
         // row (the input size, the paper's one feature) lives on the stack.
-        let Some(pool) = self.pool_for(task.task_type.as_str(), task.machine.as_str()) else {
+        let Some(pool) = self.pool_for(&task.key()) else {
             // Unknown task type: submit with the user-provided, usually
             // conservative estimate.
             return Prediction {
@@ -295,16 +289,13 @@ impl MemoryPredictor for SizeyPredictor {
 
     fn observe(&mut self, record: &TaskRecord) {
         self.store.insert(record.clone());
-        // A borrowed probe finds an existing pool without cloning the key;
-        // only a key's first record builds the owned one.
-        let probe = record.key_ref();
-        let shared = match self.pools.get_mut(&probe as &dyn KeyQuery) {
-            Some(pool) => pool,
-            None => self
-                .pools
-                .entry(record.key())
-                .or_insert_with(|| Arc::new(ModelPool::new(&self.config))),
-        };
+        // The record's key is two shared handles, so one `entry` both finds
+        // an existing pool and creates a key's first one without copying a
+        // string.
+        let shared = self
+            .pools
+            .entry(record.key())
+            .or_insert_with(|| Arc::new(ModelPool::new(&self.config)));
         // Copies the pool first if a clone or published view still holds it.
         let pool = Arc::make_mut(shared);
 

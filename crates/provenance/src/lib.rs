@@ -48,8 +48,8 @@ pub mod store;
 pub mod trace_io;
 
 pub use record::{
-    bytes_to_gb, bytes_to_mb, gb_to_bytes, mb_to_bytes, KeyQuery, KeyRef, MachineId,
-    TaskMachineKey, TaskOutcome, TaskRecord, TaskTypeId,
+    bytes_to_gb, bytes_to_mb, gb_to_bytes, mb_to_bytes, MachineId, TaskMachineKey, TaskOutcome,
+    TaskRecord, TaskTypeId,
 };
 pub use store::ProvenanceStore;
 pub use trace_io::{from_trace_string, read_trace, to_trace_string, write_trace, TraceError};

@@ -5,18 +5,27 @@
 //! configuration it ran on, its input size, the memory it was allocated, the
 //! peak memory it actually used, and its runtime. The Sizey predictor, the
 //! baselines and the simulator all exchange these records.
+//!
+//! A task's identity (its workflow, [`TaskTypeId`] and [`MachineId`]) is a
+//! shared `Arc<str>` handle: the generator mints one per workflow, task type
+//! and machine, and every instance, submission, record and attempt event
+//! drawn from it clones the pointer, not the string. A
+//! [`TaskMachineKey`] is two such handles, so a map keyed by it is probed
+//! with an owned key that costs two reference-count increments to build.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an abstract task type (the paper's black-box task template
 /// `b ∈ B`), e.g. `MarkDuplicates` or `FastQC`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct TaskTypeId(pub String);
+pub struct TaskTypeId(pub Arc<str>);
 
 impl TaskTypeId {
-    /// Creates a task type id from anything string-like.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Creates a task type id from anything string-like; an `Arc<str>` is
+    /// shared, not copied.
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         TaskTypeId(name.into())
     }
 
@@ -43,11 +52,12 @@ impl From<&str> for TaskTypeId {
 /// Sizey's model granularity is per (task type, machine type) — Fig. 4 of the
 /// paper — so the machine id is part of every provenance key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct MachineId(pub String);
+pub struct MachineId(pub Arc<str>);
 
 impl MachineId {
-    /// Creates a machine id from anything string-like.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Creates a machine id from anything string-like; an `Arc<str>` is
+    /// shared, not copied.
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         MachineId(name.into())
     }
 
@@ -81,7 +91,7 @@ pub struct TaskMachineKey {
 
 impl TaskMachineKey {
     /// Creates a key.
-    pub fn new(task_type: impl Into<String>, machine: impl Into<String>) -> Self {
+    pub fn new(task_type: impl Into<Arc<str>>, machine: impl Into<Arc<str>>) -> Self {
         TaskMachineKey {
             task_type: TaskTypeId::new(task_type),
             machine: MachineId::new(machine),
@@ -92,65 +102,6 @@ impl TaskMachineKey {
 impl fmt::Display for TaskMachineKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@{}", self.task_type, self.machine)
-    }
-}
-
-/// Unifies owned [`TaskMachineKey`]s and borrowed [`KeyRef`] views for
-/// ordered-map lookups: `BTreeMap<TaskMachineKey, _>` can be probed with
-/// `&KeyRef { .. } as &dyn KeyQuery`, so the predict hot path never clones
-/// the two key `String`s just to look a pool up.
-pub trait KeyQuery {
-    /// The `(task type, machine)` pair this key denotes.
-    fn key_parts(&self) -> (&str, &str);
-}
-
-impl KeyQuery for TaskMachineKey {
-    fn key_parts(&self) -> (&str, &str) {
-        (self.task_type.as_str(), self.machine.as_str())
-    }
-}
-
-/// A borrowed `(task type, machine)` key for clone-free map lookups.
-#[derive(Debug, Clone, Copy)]
-pub struct KeyRef<'a> {
-    /// The abstract task type.
-    pub task_type: &'a str,
-    /// The machine configuration.
-    pub machine: &'a str,
-}
-
-impl KeyQuery for KeyRef<'_> {
-    fn key_parts(&self) -> (&str, &str) {
-        (self.task_type, self.machine)
-    }
-}
-
-impl PartialEq for dyn KeyQuery + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key_parts() == other.key_parts()
-    }
-}
-
-impl Eq for dyn KeyQuery + '_ {}
-
-impl PartialOrd for dyn KeyQuery + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-// This order must agree with `TaskMachineKey`'s derived `Ord` — it does,
-// because the derive is lexicographic over the two `String` newtypes, which
-// compare exactly like their `&str` views.
-impl Ord for dyn KeyQuery + '_ {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key_parts().cmp(&other.key_parts())
-    }
-}
-
-impl<'a> std::borrow::Borrow<dyn KeyQuery + 'a> for TaskMachineKey {
-    fn borrow(&self) -> &(dyn KeyQuery + 'a) {
-        self
     }
 }
 
@@ -168,7 +119,7 @@ pub enum TaskOutcome {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskRecord {
     /// Workflow the task belongs to (e.g. `rnaseq`).
-    pub workflow: String,
+    pub workflow: Arc<str>,
     /// Abstract task type.
     pub task_type: TaskTypeId,
     /// Machine configuration the instance ran on.
@@ -203,15 +154,6 @@ impl TaskRecord {
         TaskMachineKey {
             task_type: self.task_type.clone(),
             machine: self.machine.clone(),
-        }
-    }
-
-    /// The (task type, machine) key of this record, borrowed: probes a
-    /// `BTreeMap<TaskMachineKey, _>` as `&dyn KeyQuery` without cloning.
-    pub fn key_ref(&self) -> KeyRef<'_> {
-        KeyRef {
-            task_type: self.task_type.as_str(),
-            machine: self.machine.as_str(),
         }
     }
 
@@ -266,7 +208,7 @@ mod tests {
 
     fn record(outcome: TaskOutcome) -> TaskRecord {
         TaskRecord {
-            workflow: "rnaseq".to_string(),
+            workflow: "rnaseq".into(),
             task_type: TaskTypeId::new("FastQC"),
             machine: MachineId::new("node-a"),
             sequence: 3,

@@ -110,7 +110,7 @@ mod tests {
 
     fn record(task: &str, seq: u64, peak: f64) -> TaskRecord {
         TaskRecord {
-            workflow: "wf".to_string(),
+            workflow: "wf".into(),
             task_type: TaskTypeId::new(task),
             machine: MachineId::new("m1"),
             sequence: seq,

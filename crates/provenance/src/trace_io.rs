@@ -120,7 +120,7 @@ fn parse_record_line(line: &str, line_no: usize) -> Result<TaskRecord, TraceErro
         other => return Err(err(format!("unknown outcome {other:?}"))),
     };
     Ok(TaskRecord {
-        workflow: parse_name_column(wf, line_no)?,
+        workflow: parse_name_column(wf, line_no)?.into(),
         task_type: TaskTypeId::new(parse_name_column(task_type, line_no)?),
         machine: MachineId::new(parse_name_column(machine, line_no)?),
         sequence: seq
@@ -213,7 +213,7 @@ mod tests {
     fn sample_records() -> Vec<TaskRecord> {
         (0..5)
             .map(|i| TaskRecord {
-                workflow: "mag".to_string(),
+                workflow: "mag".into(),
                 task_type: TaskTypeId::new(format!("task-{}", i % 2)),
                 machine: MachineId::new("node-1"),
                 sequence: i,
@@ -245,11 +245,11 @@ mod tests {
     #[test]
     fn names_with_separators_round_trip() {
         let mut records = sample_records();
-        records[0].workflow = "wf\twith\ttabs".to_string();
+        records[0].workflow = "wf\twith\ttabs".into();
         records[1].task_type = TaskTypeId::new("align\tv2");
         records[2].machine = MachineId::new("node\n1\r");
         records[3].task_type = TaskTypeId::new("C:\\tools\\new\\\\");
-        records[4].workflow = "\\t is not a tab".to_string();
+        records[4].workflow = "\\t is not a tab".into();
         let text = to_trace_string(&records);
         assert_eq!(text.lines().count(), 1 + records.len());
         assert_eq!(from_trace_string(&text).unwrap(), records);

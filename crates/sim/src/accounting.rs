@@ -35,7 +35,7 @@ pub struct AttemptEvent {
     /// The raw model estimate before offsets, when the method reports one.
     pub raw_estimate_bytes: Option<f64>,
     /// The model (class) selected for this prediction, when reported.
-    pub selected_model: Option<String>,
+    pub selected_model: Option<&'static str>,
     /// Simulated start time of the attempt (when resources were granted), in
     /// seconds since replay start.
     pub submit_time_seconds: f64,
@@ -184,7 +184,7 @@ pub struct ReplayAggregates {
     /// Wastage per task type in GBh.
     pub wastage_by_task_type: BTreeMap<TaskTypeId, f64>,
     /// Selected-model counts over first attempts that reported one (Fig. 11).
-    pub model_selections: BTreeMap<String, usize>,
+    pub model_selections: BTreeMap<&'static str, usize>,
     /// Number of first attempts that reported a selected model.
     pub model_selection_total: usize,
     /// Number of task instances replayed (maintained by the engine).
@@ -220,8 +220,8 @@ impl ReplayAggregates {
                 .or_insert(0) += 1;
         }
         if e.attempt == 0 {
-            if let Some(model) = &e.selected_model {
-                *self.model_selections.entry(model.clone()).or_insert(0) += 1;
+            if let Some(model) = e.selected_model {
+                *self.model_selections.entry(model).or_insert(0) += 1;
                 self.model_selection_total += 1;
             }
         }
@@ -274,16 +274,11 @@ impl ReplayAggregates {
 
     /// Share of selected models among first attempts that reported one,
     /// sorted by descending share (Fig. 11).
-    pub fn model_selection_share(&self) -> Vec<(String, f64)> {
-        let mut shares: Vec<(String, f64)> = self
+    pub fn model_selection_share(&self) -> Vec<(&'static str, f64)> {
+        let mut shares: Vec<(&'static str, f64)> = self
             .model_selections
             .iter()
-            .map(|(m, c)| {
-                (
-                    m.clone(),
-                    *c as f64 / self.model_selection_total.max(1) as f64,
-                )
-            })
+            .map(|(&m, &c)| (m, c as f64 / self.model_selection_total.max(1) as f64))
             .collect();
         shares.sort_by(|a, b| b.1.total_cmp(&a.1));
         shares
@@ -310,7 +305,7 @@ mod tests {
             success,
             wastage_gbh: wastage,
             raw_estimate_bytes: Some(3e9),
-            selected_model: Some(if attempt == 0 { "mlp" } else { "linear" }.to_string()),
+            selected_model: Some(if attempt == 0 { "mlp" } else { "linear" }),
             submit_time_seconds: 0.0,
             queue_delay_seconds: 30.0,
         }

@@ -11,6 +11,7 @@ use crate::accounting::AttemptEvent;
 use crate::predictor::{Prediction, TaskSubmission};
 use sizey_provenance::{TaskOutcome, TaskRecord};
 use sizey_workflows::TaskInstance;
+use std::sync::Arc;
 
 /// Minimum allocation the resource manager accepts (64 MB), so degenerate
 /// predictions cannot request zero memory.
@@ -97,7 +98,7 @@ impl Attempt {
             success: self.success,
             wastage_gbh: wasted_bytes / 1e9 * self.duration_seconds / 3600.0,
             raw_estimate_bytes: self.raw_estimate_bytes,
-            selected_model: self.selected_model.map(String::from),
+            selected_model: self.selected_model,
             submit_time_seconds: start_seconds,
             queue_delay_seconds,
         }
@@ -109,12 +110,12 @@ impl Attempt {
     pub(crate) fn record(
         &self,
         inst: &TaskInstance,
-        workflow: &str,
+        workflow: &Arc<str>,
         concurrent_tasks: u32,
         queue_delay_seconds: f64,
     ) -> TaskRecord {
         TaskRecord {
-            workflow: workflow.to_string(),
+            workflow: workflow.clone(),
             task_type: inst.task_type.clone(),
             machine: inst.machine.clone(),
             sequence: inst.sequence,

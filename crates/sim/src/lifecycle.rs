@@ -254,7 +254,7 @@ mod tests {
 
     fn record(seq: u64, outcome: TaskOutcome) -> TaskRecord {
         TaskRecord {
-            workflow: "wf".to_string(),
+            workflow: "wf".into(),
             task_type: TaskTypeId::new("t"),
             machine: MachineId::new("m"),
             sequence: seq,
@@ -352,7 +352,7 @@ mod tests {
         // Names are tenant-supplied: separators in them must not break the
         // file apart.
         let mut hostile = record(4, TaskOutcome::FailedOutOfMemory);
-        hostile.workflow = "wf\r\n".to_string();
+        hostile.workflow = "wf\r\n".into();
         hostile.task_type = TaskTypeId::new("align\tv2");
         hostile.machine = MachineId::new("rack\\node");
         let state = PredictorState {

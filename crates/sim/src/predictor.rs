@@ -16,15 +16,17 @@
 //! shareable behind read-write locks (see `sizey_core`'s concurrent serving
 //! layer) and structurally unable to leak per-task bookkeeping.
 
-use sizey_provenance::{MachineId, TaskRecord, TaskTypeId};
+use sizey_provenance::{MachineId, TaskMachineKey, TaskRecord, TaskTypeId};
+use std::sync::Arc;
 
 /// The information a sizing method sees when a task is submitted — exactly
 /// what a resource manager knows before execution: identity, input size and
-/// the workflow developer's requested memory.
+/// the workflow developer's requested memory. Its identity fields are shared
+/// handles, so building one from an instance copies no string.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSubmission {
     /// Workflow the task belongs to.
-    pub workflow: String,
+    pub workflow: Arc<str>,
     /// Abstract task type.
     pub task_type: TaskTypeId,
     /// Machine configuration the task will run on.
@@ -35,6 +37,17 @@ pub struct TaskSubmission {
     pub input_bytes: f64,
     /// The user-provided memory request for this task type, in bytes.
     pub preset_memory_bytes: f64,
+}
+
+impl TaskSubmission {
+    /// The (task type, machine) key of this task, as
+    /// [`TaskRecord::key`] builds it for the record the task will produce.
+    pub fn key(&self) -> TaskMachineKey {
+        TaskMachineKey {
+            task_type: self.task_type.clone(),
+            machine: self.machine.clone(),
+        }
+    }
 }
 
 /// A sizing decision for one attempt of one task.

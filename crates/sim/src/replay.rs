@@ -29,6 +29,7 @@ use crate::config::SimulationConfig;
 use crate::predictor::{AttemptContext, MemoryPredictor, TaskSubmission};
 use sizey_workflows::TaskInstance;
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// Replays one workflow against one sizing method and keeps every attempt
 /// event in the report.
@@ -88,6 +89,7 @@ where
 {
     let largest_node = config.largest_node_memory_bytes();
     let mut aggregates = ReplayAggregates::new();
+    let name: Arc<str> = workflow.into();
 
     for inst in instances {
         let inst = inst.borrow();
@@ -115,7 +117,7 @@ where
             let event = run.event(inst, attempt, submit_time, 0.0);
             aggregates.observe_event(&event);
             sink.record(&event);
-            predictor.observe(&run.record(inst, workflow, 0, 0.0));
+            predictor.observe(&run.record(inst, &name, 0, 0.0));
 
             if run.success {
                 finished = true;

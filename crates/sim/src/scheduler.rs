@@ -46,6 +46,7 @@ use crate::predictor::{AttemptContext, MemoryPredictor, TaskSubmission};
 use crate::queue::{EventHeap, PendingQueue, PendingTask};
 use sizey_workflows::TaskInstance;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Scheduling policy for picking when and where a pending task starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -368,6 +369,8 @@ impl From<WorkflowTenant> for StreamingTenant {
 struct Engine<'a, F> {
     config: &'a SimulationConfig,
     tenants: Vec<StreamingTenant>,
+    /// Each tenant's workflow name, shared by every record it produces.
+    workflows: Vec<Arc<str>>,
     on_attempt: F,
     records: &'a mut dyn RecordSink,
     cluster: Cluster,
@@ -432,6 +435,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             peeked: tenants.iter_mut().map(|t| t.instances.next()).collect(),
             aggs: vec![ReplayAggregates::new(); tenants.len()],
             makespan: 0.0,
+            workflows: tenants.iter().map(|t| t.workflow.as_str().into()).collect(),
             tenants,
         }
     }
@@ -666,7 +670,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
         let key = (ti, run.task.instance);
         let record = sized.record(
             &self.inflight[&key].instance,
-            &self.tenants[ti].workflow,
+            &self.workflows[ti],
             run.concurrent_at_start as u32,
             run.start_time - run.submit_time,
         );

@@ -16,6 +16,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sizey_provenance::MachineId;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Configuration of the workload generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,10 +241,15 @@ impl Draw {
     }
 
     /// The instance these draws describe, with sequence 0.
-    fn build(self, workflow: &str, task_type: &TaskTypeSpec, machine: &MachineId) -> TaskInstance {
+    fn build(
+        self,
+        workflow: &Arc<str>,
+        task_type: &TaskTypeSpec,
+        machine: &MachineId,
+    ) -> TaskInstance {
         let fp = task_type.footprint;
         TaskInstance {
-            workflow: workflow.to_string(),
+            workflow: workflow.clone(),
             task_type: task_type.id(),
             machine: machine.clone(),
             sequence: 0,
@@ -313,6 +319,22 @@ mod tests {
             assert!(count >= 4, "{} has only {count} instances", t.name);
         }
         assert!(instances.len() < spec.total_instances());
+    }
+
+    #[test]
+    fn instances_share_their_spec_names() {
+        let spec = profiles::chipseq();
+        let instances: Vec<_> = stream_workflow(&spec, &GeneratorConfig::scaled(0.05, 3)).collect();
+        for t in &spec.task_types {
+            let of_type: Vec<_> = instances.iter().filter(|i| i.task_type == t.id()).collect();
+            assert!(!of_type.is_empty(), "{} drew no instances", t.name);
+            for inst in of_type {
+                assert!(Arc::ptr_eq(&inst.task_type.0, &t.name), "{}", t.name);
+                assert!(Arc::ptr_eq(&inst.workflow, &spec.name));
+            }
+        }
+        let machine = &instances[0].machine.0;
+        assert!(instances.iter().all(|i| Arc::ptr_eq(&i.machine.0, machine)));
     }
 
     #[test]

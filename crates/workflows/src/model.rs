@@ -9,6 +9,7 @@
 use crate::memfn::{InputModel, MemoryModel, RuntimeModel};
 use serde::{Deserialize, Serialize};
 use sizey_provenance::{MachineId, TaskTypeId};
+use std::sync::Arc;
 
 /// Qualitative resource footprint of a task type, used to reproduce the
 /// CPU / I/O distributions of the paper's Fig. 7.
@@ -39,8 +40,9 @@ impl Default for ResourceFootprint {
 /// Specification of one abstract task type within a workflow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskTypeSpec {
-    /// Task type name (unique within the workflow).
-    pub name: String,
+    /// Task type name (unique within the workflow), shared with every
+    /// [`TaskTypeId`] minted from this spec.
+    pub name: Arc<str>,
     /// Number of physical instances generated per workflow execution.
     pub instances: usize,
     /// Input-size distribution.
@@ -57,7 +59,8 @@ pub struct TaskTypeSpec {
 }
 
 impl TaskTypeSpec {
-    /// The task type id used in provenance records.
+    /// The task type id used in provenance records: a handle on `name`,
+    /// not a copy of it.
     pub fn id(&self) -> TaskTypeId {
         TaskTypeId::new(self.name.clone())
     }
@@ -66,8 +69,9 @@ impl TaskTypeSpec {
 /// Specification of a complete workflow: its name and task types.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkflowSpec {
-    /// Workflow name, e.g. `rnaseq`.
-    pub name: String,
+    /// Workflow name, e.g. `rnaseq`, shared with every instance generated
+    /// from this spec.
+    pub name: Arc<str>,
     /// All task types of the workflow.
     pub task_types: Vec<TaskTypeSpec>,
 }
@@ -93,7 +97,7 @@ impl WorkflowSpec {
 
     /// Looks up a task type spec by name.
     pub fn task_type(&self, name: &str) -> Option<&TaskTypeSpec> {
-        self.task_types.iter().find(|t| t.name == name)
+        self.task_types.iter().find(|t| &*t.name == name)
     }
 }
 
@@ -103,7 +107,7 @@ impl WorkflowSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskInstance {
     /// Workflow this instance belongs to.
-    pub workflow: String,
+    pub workflow: Arc<str>,
     /// Abstract task type.
     pub task_type: TaskTypeId,
     /// Machine configuration the instance is placed on.
@@ -132,7 +136,7 @@ mod tests {
 
     fn spec(name: &str, instances: usize) -> TaskTypeSpec {
         TaskTypeSpec {
-            name: name.to_string(),
+            name: name.into(),
             instances,
             input_model: InputModel::Uniform { lo: 1e9, hi: 2e9 },
             memory_model: MemoryModel::Linear {
@@ -153,7 +157,7 @@ mod tests {
     #[test]
     fn workflow_inventory_matches_spec() {
         let wf = WorkflowSpec {
-            name: "demo".to_string(),
+            name: "demo".into(),
             task_types: vec![spec("a", 10), spec("b", 30)],
         };
         assert_eq!(wf.n_task_types(), 2);
@@ -166,7 +170,7 @@ mod tests {
     #[test]
     fn empty_workflow_has_zero_average() {
         let wf = WorkflowSpec {
-            name: "empty".to_string(),
+            name: "empty".into(),
             task_types: vec![],
         };
         assert_eq!(wf.avg_instances_per_type(), 0.0);

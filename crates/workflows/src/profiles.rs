@@ -66,7 +66,7 @@ fn named_task(
     preset_gb: f64,
 ) -> TaskTypeSpec {
     TaskTypeSpec {
-        name: name.to_string(),
+        name: name.into(),
         instances,
         input_model,
         memory_model,
@@ -139,7 +139,7 @@ fn filler_task(workflow: &str, idx: usize, instances: usize, size_class: f64) ->
     // overprovisioning the paper sets out to eliminate).
     let preset_gb = ((preset * 3.0 / GB).ceil() + 2.0).min(NODE_MEMORY_BYTES / GB);
     TaskTypeSpec {
-        name,
+        name: name.into(),
         instances,
         input_model,
         memory_model,
@@ -272,7 +272,7 @@ pub fn eager() -> WorkflowSpec {
         task_types.push(filler_task("eager", i, count, 2.5));
     }
     WorkflowSpec {
-        name: "eager".to_string(),
+        name: "eager".into(),
         task_types,
     }
 }
@@ -341,7 +341,7 @@ pub fn methylseq() -> WorkflowSpec {
         task_types.push(filler_task("methylseq", i, count, 3.5));
     }
     WorkflowSpec {
-        name: "methylseq".to_string(),
+        name: "methylseq".into(),
         task_types,
     }
 }
@@ -426,7 +426,7 @@ pub fn chipseq() -> WorkflowSpec {
         task_types.push(filler_task("chipseq", i, count, 1.8));
     }
     WorkflowSpec {
-        name: "chipseq".to_string(),
+        name: "chipseq".into(),
         task_types,
     }
 }
@@ -528,7 +528,7 @@ pub fn rnaseq() -> WorkflowSpec {
         task_types.push(filler_task("rnaseq", i, count, 1.2));
     }
     WorkflowSpec {
-        name: "rnaseq".to_string(),
+        name: "rnaseq".into(),
         task_types,
     }
 }
@@ -594,7 +594,7 @@ pub fn mag() -> WorkflowSpec {
         task_types.push(filler_task("mag", i, count, 2.0));
     }
     WorkflowSpec {
-        name: "mag".to_string(),
+        name: "mag".into(),
         task_types,
     }
 }
@@ -664,7 +664,7 @@ pub fn iwd() -> WorkflowSpec {
         task_types.push(filler_task("iwd", i, count, 0.5));
     }
     WorkflowSpec {
-        name: "iwd".to_string(),
+        name: "iwd".into(),
         task_types,
     }
 }
@@ -721,7 +721,7 @@ mod tests {
     fn all_workflows_returns_six_in_order() {
         let wfs = all_workflows();
         assert_eq!(wfs.len(), 6);
-        let names: Vec<&str> = wfs.iter().map(|w| w.name.as_str()).collect();
+        let names: Vec<&str> = wfs.iter().map(|w| &*w.name).collect();
         assert_eq!(names, WORKFLOW_NAMES.to_vec());
     }
 
@@ -733,7 +733,7 @@ mod tests {
     #[test]
     fn task_type_names_are_unique_within_each_workflow() {
         for wf in all_workflows() {
-            let mut names: Vec<&str> = wf.task_types.iter().map(|t| t.name.as_str()).collect();
+            let mut names: Vec<&str> = wf.task_types.iter().map(|t| &*t.name).collect();
             let before = names.len();
             names.sort_unstable();
             names.dedup();

@@ -141,7 +141,7 @@ pub fn inventory(specs: &[WorkflowSpec]) -> Vec<InventoryRow> {
     specs
         .iter()
         .map(|s| InventoryRow {
-            workflow: s.name.clone(),
+            workflow: s.name.to_string(),
             task_types: s.n_task_types(),
             avg_instances_per_type: s.avg_instances_per_type(),
         })

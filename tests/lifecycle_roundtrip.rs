@@ -225,7 +225,7 @@ fn journal(peaks: &[f64], task_type: &str) -> Vec<Arc<TaskRecord>> {
         .enumerate()
         .map(|(i, peak)| {
             Arc::new(TaskRecord {
-                workflow: "wf".to_string(),
+                workflow: "wf".into(),
                 task_type: TaskTypeId::new(task_type),
                 machine: MachineId::new("m"),
                 sequence: i as u64,

@@ -161,7 +161,7 @@ fn scheduled_multi_tenant_output_is_pinned() {
                 let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
                 let instances = generate_workflow(&spec, &GeneratorConfig::scaled(scale, seed));
                 WorkflowTenant::new(
-                    spec.name.clone(),
+                    spec.name.to_string(),
                     instances,
                     Box::new(SizeyPredictor::with_defaults()),
                 )
@@ -230,7 +230,7 @@ fn faulted_scenario(policy: SchedulePolicy) -> (Vec<WorkflowTenant>, SimulationC
                 inst.task_type = TaskTypeId::new(format!("{ti}:{}", inst.task_type.as_str()));
             }
             WorkflowTenant::new(
-                spec.name.clone(),
+                spec.name.to_string(),
                 instances,
                 Box::new(SizeyPredictor::with_defaults()),
             )

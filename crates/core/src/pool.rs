@@ -28,11 +28,7 @@ use crate::gating::gate_with;
 use crate::offset::OffsetScratch;
 use crate::raq::{accuracy_score_cached, pair_accuracy, pool_raq_scores_into};
 use sizey_ml::dataset::Dataset;
-use sizey_ml::forest::ForestConfig;
 use sizey_ml::hpo::{grid_search, ModelSpec};
-use sizey_ml::knn::KnnConfig;
-use sizey_ml::linear::LinearConfig;
-use sizey_ml::mlp::MlpConfig;
 use sizey_ml::model::{ModelClass, PredictScratch, Regressor};
 use std::collections::VecDeque;
 
@@ -164,38 +160,6 @@ impl std::fmt::Debug for ModelPool {
     }
 }
 
-/// The configuration of the pool's member of `class`.
-fn member_spec(class: ModelClass, seed: u64) -> ModelSpec {
-    match class {
-        ModelClass::Linear => ModelSpec::Linear(LinearConfig::default()),
-        ModelClass::Knn => ModelSpec::Knn(KnnConfig::default()),
-        ModelClass::Mlp => ModelSpec::Mlp(MlpConfig {
-            hidden_layers: vec![16],
-            max_epochs: 120,
-            // The warm start runs on every completion (the network goes
-            // stale fast enough that thinning the cadence measurably hurts
-            // sizing quality on small workloads), so it must be shallow: a
-            // few Adam epochs over the recent tail keep the per-observe cost
-            // bounded in the tens of microseconds.
-            incremental_epochs: 5,
-            seed,
-            ..MlpConfig::default()
-        }),
-        ModelClass::RandomForest => ModelSpec::RandomForest(ForestConfig {
-            n_trees: 24,
-            max_depth: 8,
-            // Bank a quarter tree of refresh credit per observation (one tree
-            // refit every four completions) and train refreshed trees on a
-            // bounded recent window: per-observe work stays O(window), not
-            // O(history).
-            incremental_refresh_fraction: 0.25 / 24.0,
-            incremental_window: 256,
-            seed,
-            ..ForestConfig::default()
-        }),
-    }
-}
-
 impl ModelPool {
     /// Creates an empty pool with one model per configured class.
     pub fn new(config: &SizeyConfig) -> Self {
@@ -205,7 +169,7 @@ impl ModelPool {
                 .iter()
                 .map(|&class| PoolMember {
                     class,
-                    model: member_spec(class, config.seed).build(),
+                    model: ModelSpec::default_for(class, config.seed).build(),
                     accuracy_scores: Vec::new(),
                 })
                 .collect(),
@@ -228,7 +192,9 @@ impl ModelPool {
         self.max_observed
     }
 
-    /// The aggregate-estimate history used for offset selection.
+    /// The recent `(aggregate estimate, actual)` pairs: at least the last
+    /// `OFFSET_HISTORY_WINDOW` (40) of them, the window the offset selection
+    /// reads, or all of them while there are fewer; never twice as many.
     pub fn aggregate_history(&self) -> &[(f64, f64)] {
         &self.aggregate_history
     }
@@ -435,32 +401,25 @@ impl ModelPool {
         self.data.push(features, peak_bytes);
         self.max_observed = max_finite(self.max_observed, peak_bytes);
 
-        // 3b. Opt-in bounded history: once the training set doubles the
-        // configured window it is drained back to the window (amortised
-        // O(1) per observation), and the models are fully retrained on the
-        // trimmed window so they never depend on dropped rows. The
-        // prequential and offset histories are trimmed to their fixed read
-        // windows — the scores only ever read the most recent
+        // 3b. The prequential and offset histories are trimmed to their
+        // fixed read windows once they double them (amortised O(1) per
+        // observation): the scores only ever read the most recent
         // `ACCURACY_WINDOW` / `OFFSET_HISTORY_WINDOW` entries, so this is
-        // invisible to predictions. Everything is deterministic in the
+        // invisible to predictions. Opt-in bounded history does the same to
+        // the training set, which it drains back to the configured window,
+        // and then fully retrains the models on the trimmed window so they
+        // never depend on dropped rows. Everything is deterministic in the
         // observation count, preserving replay reproducibility.
+        for member in &mut self.members {
+            trim_to_window(&mut member.accuracy_scores, ACCURACY_WINDOW);
+        }
+        trim_to_window(&mut self.aggregate_history, OFFSET_HISTORY_WINDOW);
         let mut trimmed = false;
         if let Some(window) = config.history_window {
             let window = window.max(1);
             if self.data.len() >= 2 * window {
                 self.data.drain_front(self.data.len() - window);
                 trimmed = true;
-            }
-            for member in &mut self.members {
-                let scores = &mut member.accuracy_scores;
-                if scores.len() >= 2 * ACCURACY_WINDOW {
-                    let excess = scores.len() - ACCURACY_WINDOW;
-                    scores.drain(..excess);
-                }
-            }
-            if self.aggregate_history.len() >= 2 * OFFSET_HISTORY_WINDOW {
-                let excess = self.aggregate_history.len() - OFFSET_HISTORY_WINDOW;
-                self.aggregate_history.drain(..excess);
             }
         }
 
@@ -592,13 +551,7 @@ impl ModelPool {
     /// or refits it when the search fails.
     fn grid_search_retrain(&mut self, config: &SizeyConfig) {
         for member in &mut self.members {
-            // The winner replaces the member between incremental updates
-            // too, so it keeps the member's update settings.
-            let own = member_spec(member.class, config.seed);
-            let specs: Vec<ModelSpec> = ModelSpec::default_grid(member.class, config.seed)
-                .into_iter()
-                .map(|spec| spec.with_incremental_settings_of(&own))
-                .collect();
+            let specs = ModelSpec::default_grid(member.class, config.seed);
             match grid_search(&specs, &self.data, 3) {
                 Ok(result) => member.model = result.model,
                 Err(_) => {
@@ -606,6 +559,14 @@ impl ModelPool {
                 }
             }
         }
+    }
+}
+
+/// Drops the oldest entries of `history` down to its last `window` once it
+/// holds twice that many.
+fn trim_to_window<T>(history: &mut Vec<T>, window: usize) {
+    if history.len() >= 2 * window {
+        history.drain(..history.len() - window);
     }
 }
 
@@ -705,6 +666,42 @@ mod tests {
         pool.observe_success(&[10e9], 21e9, &cfg, &mut PoolScratch::default());
         assert_eq!(pool.model_epoch(), 1, "the tenth observe is incremental");
         assert_eq!(forest(&pool).to_bits(), retrained.to_bits());
+    }
+
+    /// The pool trains each class's one configuration: under
+    /// `FullRetrain` without grid search, every observe refits every member
+    /// on all rows so far, and each member predicts bit for bit what
+    /// `default_model` does after the same sequence of fits.
+    #[test]
+    fn members_are_the_default_models() {
+        let cfg = SizeyConfig {
+            online: OnlineMode::FullRetrain,
+            hyperparameter_optimization: false,
+            seed: 42,
+            ..config()
+        };
+        let mut pool = ModelPool::new(&cfg);
+        let mut defaults = ModelClass::ALL.map(sizey_ml::default_model);
+        let mut data = Dataset::new();
+        for i in 1..=30 {
+            let input = i as f64 * 1e9;
+            let peak = 2.0 * input + 1e9 + (i % 7) as f64 * 3e8;
+            pool.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
+            data.push(&[input], peak);
+            for model in &mut defaults {
+                model.fit(&data).unwrap();
+            }
+        }
+        assert_eq!(pool.model_epoch(), 30);
+        for query in [0.5e9, 7.5e9, 21e9, 40e9] {
+            let estimates = pool.member_estimates(&[query]);
+            assert_eq!(estimates.len(), ModelClass::ALL.len());
+            for ((class, estimate), model) in estimates.into_iter().zip(&defaults) {
+                assert_eq!(class, model.class());
+                let want = model.predict(&[query]).unwrap().max(0.0);
+                assert_eq!(estimate.to_bits(), want.to_bits(), "{class} at {query}");
+            }
+        }
     }
 
     #[test]
@@ -937,11 +934,19 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_default_retains_everything() {
+    fn unbounded_default_retains_every_row_but_only_the_score_windows() {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 120);
         assert_eq!(pool.n_observations(), 120);
+        // The score histories are trimmed to their read windows all the
+        // same.
+        for member in &pool.members {
+            assert!(member.accuracy_scores.len() >= ACCURACY_WINDOW);
+            assert!(member.accuracy_scores.len() < 2 * ACCURACY_WINDOW);
+        }
+        assert!(pool.aggregate_history().len() >= OFFSET_HISTORY_WINDOW);
+        assert!(pool.aggregate_history().len() < 2 * OFFSET_HISTORY_WINDOW);
     }
 
     /// Online mode with no scheduled full retrains: the model epoch can only

@@ -2,10 +2,10 @@
 //!
 //! The paper includes a random forest in the model pool because ensembles of
 //! decorrelated trees are robust to overfitting when only a few historical
-//! task executions exist. Trees are trained on bootstrap resamples with
-//! per-tree feature subsampling. Several trees on at least
-//! [`PARALLEL_FIT_MIN_ROWS`] rows are fitted on scoped threads; smaller fits
-//! run on the calling thread. A fit with a side job
+//! task executions exist. Trees are trained on bootstrap resamples, each
+//! searching the features in its own shuffled order. Several trees on at
+//! least [`PARALLEL_FIT_MIN_ROWS`] rows are fitted on scoped threads; smaller
+//! fits run on the calling thread. A fit with a side job
 //! ([`Regressor::fit_beside`]) puts the job at the head of its tree queue,
 //! and is threaded from [`PARALLEL_BESIDE_MIN_ROWS`] rows instead. Each tree
 //! has its own seed and is installed in index order, so the forest is the
@@ -13,9 +13,9 @@
 //!
 //! The incremental update ([`Regressor::partial_fit`]) appends the new
 //! observations to the retained training set and refits only a rotating
-//! subset of trees, which is the classic cheap approximation of online random
-//! forests and is what gives the "Sizey-Incremental" variant its speed
-//! advantage in Fig. 9.
+//! subset of trees on the most recent observations, which is the classic
+//! cheap approximation of online random forests and is what gives the
+//! "Sizey-Incremental" variant its speed advantage in Fig. 9.
 
 use crate::dataset::Dataset;
 use crate::model::{validate_query, validate_training_data, ModelClass, ModelError, Regressor};
@@ -72,42 +72,36 @@ pub const PARALLEL_FIT_MIN_ROWS: usize = 64;
 /// Below 20 rows the MLP's fit often stops early and the spawn dominates.
 pub const PARALLEL_BESIDE_MIN_ROWS: usize = 20;
 
-/// Hyper-parameters for [`RandomForestRegression`].
+/// Share of the forest's trees a `partial_fit` refreshes per observation
+/// (`n_trees * REFRESH_SHARE_PER_ROW` trees of credit per row). The credit
+/// is banked across calls, so the pool's 24 trees earn a quarter tree per
+/// observation and refit one tree every four completions, which caps
+/// per-observe work on the hot path. A 16- or 32-tree grid-search winner
+/// earns proportionally less or more.
+const REFRESH_SHARE_PER_ROW: f64 = 0.25 / 24.0;
+
+/// Trees refreshed by `partial_fit` bootstrap-resample only from this many
+/// most recent observations, so per-observe work stays O(window), not
+/// O(history). A full `fit` always trains on the complete dataset.
+const REFRESH_WINDOW: usize = 256;
+
+/// Hyper-parameters for [`RandomForestRegression`]. The default is the
+/// forest Sizey's model pool trains.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees in the ensemble.
     pub n_trees: usize,
     /// Maximum depth of each tree.
     pub max_depth: usize,
-    /// Minimum samples required to split a node.
-    pub min_samples_split: usize,
-    /// Minimum samples per leaf.
-    pub min_samples_leaf: usize,
-    /// Fraction of features considered per split (1.0 = all features).
-    pub max_features_fraction: f64,
-    /// Fraction of trees refitted per observation fed to `partial_fit`.
-    /// Fractional budgets are banked as credit across calls, so values below
-    /// `1 / n_trees` refresh a tree only every few observations — this is
-    /// what caps per-observe work on the hot path.
-    pub incremental_refresh_fraction: f64,
-    /// Trees refreshed by `partial_fit` bootstrap-resample only from the most
-    /// recent `incremental_window` observations (`0` = full history). A full
-    /// `fit` always trains on the complete dataset.
-    pub incremental_window: usize,
-    /// Seed for bootstrap resampling and feature subsampling.
+    /// Seed for bootstrap resampling and the per-tree feature order.
     pub seed: u64,
 }
 
 impl Default for ForestConfig {
     fn default() -> Self {
         ForestConfig {
-            n_trees: 32,
-            max_depth: 10,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-            max_features_fraction: 1.0,
-            incremental_refresh_fraction: 0.25,
-            incremental_window: 512,
+            n_trees: 24,
+            max_depth: 8,
             seed: 42,
         }
     }
@@ -178,18 +172,9 @@ impl RandomForestRegression {
         self.history.len()
     }
 
-    fn tree_config(&self, n_features: usize) -> TreeConfig {
-        let max_features = if self.config.max_features_fraction >= 1.0 {
-            None
-        } else {
-            let k = ((n_features as f64) * self.config.max_features_fraction).ceil() as usize;
-            Some(k.max(1))
-        };
+    fn tree_config(&self) -> TreeConfig {
         TreeConfig {
             max_depth: self.config.max_depth,
-            min_samples_split: self.config.min_samples_split,
-            min_samples_leaf: self.config.min_samples_leaf,
-            max_features,
         }
     }
 
@@ -208,7 +193,7 @@ impl RandomForestRegression {
         let indices: Vec<usize> = (0..n - window_start)
             .map(|_| rng.gen_range(window_start..n))
             .collect();
-        let mut tree = RegressionTree::new(self.tree_config(self.history.n_features()));
+        let mut tree = RegressionTree::new(self.tree_config());
         let mut order: Vec<usize> = (0..self.history.n_features()).collect();
         order.shuffle(&mut rng);
         tree.set_feature_order(order);
@@ -259,8 +244,7 @@ impl RandomForestRegression {
             trained.push(r?);
         }
         if self.trees.len() != self.config.n_trees {
-            self.trees =
-                vec![RegressionTree::new(self.tree_config(self.n_features)); self.config.n_trees];
+            self.trees = vec![RegressionTree::new(self.tree_config()); self.config.n_trees];
         }
         // Install a copy of each replaced tree in a fresh, exactly sized
         // allocation, made back to back while every grown tree is still
@@ -340,11 +324,9 @@ impl Regressor for RandomForestRegression {
             self.history.push(f, t);
         }
         // Bank the per-observation refresh budget and spend whole trees; a
-        // fraction below `1 / n_trees` therefore refreshes nothing on most
-        // observes, keeping the hot path cheap.
-        let earned = self.config.n_trees as f64
-            * self.config.incremental_refresh_fraction
-            * data.len() as f64;
+        // budget below one tree per observation therefore refreshes nothing
+        // on most observes, keeping the hot path cheap.
+        let earned = self.config.n_trees as f64 * REFRESH_SHARE_PER_ROW * data.len() as f64;
         self.refresh_credit = (self.refresh_credit + earned).min(self.config.n_trees as f64);
         let refresh = (self.refresh_credit.floor() as usize).min(self.config.n_trees);
         if refresh == 0 {
@@ -355,13 +337,7 @@ impl Regressor for RandomForestRegression {
             .map(|i| (self.refresh_cursor + i) % self.config.n_trees)
             .collect();
         self.refresh_cursor = (self.refresh_cursor + refresh) % self.config.n_trees;
-        let window_start = if self.config.incremental_window == 0 {
-            0
-        } else {
-            self.history
-                .len()
-                .saturating_sub(self.config.incremental_window)
-        };
+        let window_start = self.history.len().saturating_sub(REFRESH_WINDOW);
         self.fit_trees(&indices, window_start, None)
     }
 
@@ -479,16 +455,15 @@ mod tests {
     #[test]
     fn partial_fit_incorporates_new_observations() {
         let data = step_dataset(30);
-        let mut f = RandomForestRegression::new(ForestConfig {
-            n_trees: 8,
-            incremental_refresh_fraction: 1.0,
-            ..ForestConfig::default()
-        });
+        let mut f = RandomForestRegression::with_defaults();
         f.fit(&data).unwrap();
-        // Teach it a new, much larger regime.
-        let new = Dataset::from_univariate(&[100.0, 101.0, 102.0, 103.0], &[5_000.0; 4]);
-        f.partial_fit(&new).unwrap();
-        assert_eq!(f.n_observations(), 34);
+        // Teach it a new, much larger regime: 48 observations refresh 12 of
+        // the 24 trees.
+        for i in 0..48 {
+            let new = Dataset::from_univariate(&[100.0 + (i % 4) as f64], &[5_000.0]);
+            f.partial_fit(&new).unwrap();
+        }
+        assert_eq!(f.n_observations(), 78);
         let p = f.predict(&[102.0]).unwrap();
         assert!(p > 500.0, "new regime should raise the prediction, got {p}");
     }
@@ -498,7 +473,6 @@ mod tests {
         let data = step_dataset(30);
         let mut f = RandomForestRegression::new(ForestConfig {
             n_trees: 8,
-            incremental_refresh_fraction: 0.25,
             ..ForestConfig::default()
         });
         f.fit(&data).unwrap();
@@ -536,44 +510,36 @@ mod tests {
     #[test]
     fn fractional_refresh_credit_is_banked_across_observes() {
         let data = step_dataset(30);
-        let cfg = ForestConfig {
-            n_trees: 4,
-            // 4 * 0.1 = 0.4 trees of credit per observation: the first two
-            // observes refresh nothing, the third spends one tree.
-            incremental_refresh_fraction: 0.1,
-            ..ForestConfig::default()
-        };
-        let mut f = RandomForestRegression::new(cfg);
+        // 24 trees earn a quarter tree of credit per observation: the first
+        // three observes refresh nothing, the fourth spends one tree.
+        let mut f = RandomForestRegression::with_defaults();
         f.fit(&data).unwrap();
-        let baseline = f.predict(&[15.0]).unwrap();
+        let baseline = f.predict(&[52.0]).unwrap();
         let row = |x: f64| Dataset::from_univariate(&[x], &[9_000.0]);
-        f.partial_fit(&row(50.0)).unwrap();
-        f.partial_fit(&row(51.0)).unwrap();
+        for x in [50.0, 51.0, 52.0] {
+            f.partial_fit(&row(x)).unwrap();
+        }
         assert_eq!(
-            f.predict(&[15.0]).unwrap().to_bits(),
+            f.predict(&[52.0]).unwrap().to_bits(),
             baseline.to_bits(),
             "no tree should refresh before a whole credit accrues"
         );
-        f.partial_fit(&row(52.0)).unwrap();
+        f.partial_fit(&row(53.0)).unwrap();
         assert!(
-            f.predict(&[52.0]).unwrap() > 500.0,
-            "the banked credit should eventually refresh a tree"
+            f.predict(&[52.0]).unwrap() > baseline,
+            "the banked credit should refresh a tree on the fourth observe"
         );
     }
 
     #[test]
     fn windowed_refresh_trains_on_recent_history_only() {
         let data = step_dataset(20);
-        let mut f = RandomForestRegression::new(ForestConfig {
-            n_trees: 4,
-            incremental_refresh_fraction: 1.0,
-            incremental_window: 4,
-            ..ForestConfig::default()
-        });
+        let mut f = RandomForestRegression::with_defaults();
         f.fit(&data).unwrap();
-        // Saturate the window with a constant new regime: every refreshed
-        // tree bootstraps only from rows whose target is exactly 7000.
-        for i in 0..6 {
+        // Saturate the window with a constant new regime, then give every
+        // tree time to refresh: each refreshed tree bootstraps only from
+        // rows whose target is exactly 7000.
+        for i in 0..REFRESH_WINDOW + 5 * 24 {
             let new = Dataset::from_univariate(&[100.0 + i as f64], &[7_000.0]);
             f.partial_fit(&new).unwrap();
         }
@@ -654,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn feature_fraction_below_one_still_learns() {
+    fn learns_the_informative_one_of_several_features() {
         let mut features = Vec::new();
         let mut targets = Vec::new();
         for i in 0..60 {
@@ -663,11 +629,7 @@ mod tests {
             targets.push(if x < 30.0 { 10.0 } else { 90.0 });
         }
         let data = Dataset::from_parts(features, targets);
-        let mut f = RandomForestRegression::new(ForestConfig {
-            n_trees: 24,
-            max_features_fraction: 0.4,
-            ..ForestConfig::default()
-        });
+        let mut f = RandomForestRegression::with_defaults();
         f.fit(&data).unwrap();
         let low = f.predict(&[5.0, 1.0, 1.0]).unwrap();
         let high = f.predict(&[55.0, 1.0, 1.0]).unwrap();

@@ -16,7 +16,10 @@ use crate::mlp::{MlpConfig, MlpRegression};
 use crate::model::{ModelClass, ModelError, Regressor};
 use crate::parallel::{default_parallelism, parallel_map};
 
-/// A concrete hyper-parameter assignment for one model class.
+/// A concrete hyper-parameter assignment for one model class: the class's
+/// one configuration ([`ModelSpec::default_for`], the pool member) or a
+/// grid-search candidate ([`ModelSpec::default_grid`]). Settings no
+/// candidate varies are constants of their model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelSpec {
     /// Linear regression configuration.
@@ -50,97 +53,59 @@ impl ModelSpec {
         }
     }
 
-    /// This spec with `member`'s incremental-only settings, the fields only
-    /// [`Regressor::partial_fit`] reads, when both specs name the same
-    /// class; every field a full fit reads stays this spec's. A grid search
-    /// that replaces an online member builds its grid this way, so the
-    /// winner keeps the member's per-update cost.
-    pub fn with_incremental_settings_of(mut self, member: &ModelSpec) -> ModelSpec {
-        match (&mut self, member) {
-            (ModelSpec::Knn(c), ModelSpec::Knn(m)) => {
-                c.rescale_drift_threshold = m.rescale_drift_threshold;
-                c.rescale_interval = m.rescale_interval;
-            }
-            (ModelSpec::Mlp(c), ModelSpec::Mlp(m)) => c.incremental_epochs = m.incremental_epochs,
-            (ModelSpec::RandomForest(c), ModelSpec::RandomForest(m)) => {
-                c.incremental_refresh_fraction = m.incremental_refresh_fraction;
-                c.incremental_window = m.incremental_window;
-            }
-            _ => {}
+    /// The one configuration of a model class, the member Sizey's model pool
+    /// trains, with the stochastic classes (MLP, forest) seeded from `seed`.
+    /// [`default_model`](crate::default_model) is this spec at seed 42.
+    pub fn default_for(class: ModelClass, seed: u64) -> ModelSpec {
+        match class {
+            ModelClass::Linear => ModelSpec::Linear(LinearConfig::default()),
+            ModelClass::Knn => ModelSpec::Knn(KnnConfig::default()),
+            ModelClass::Mlp => ModelSpec::Mlp(MlpConfig {
+                seed,
+                ..MlpConfig::default()
+            }),
+            ModelClass::RandomForest => ModelSpec::RandomForest(ForestConfig {
+                seed,
+                ..ForestConfig::default()
+            }),
         }
-        self
     }
 
     /// The default hyper-parameter grid searched for a model class, with
-    /// the stochastic classes (MLP, forest) seeded from `seed`. The grids
-    /// are intentionally small — Sizey retrains on every task completion, so
-    /// the search must stay in the millisecond-to-second range (Fig. 9).
+    /// the stochastic classes (MLP, forest) seeded from `seed`. The
+    /// incremental update of a class is not a hyper-parameter, so a winner
+    /// that replaces a pool member between incremental updates updates as
+    /// the member did. The grids are intentionally small — Sizey retrains
+    /// on every task completion, so the search must stay in the
+    /// millisecond-to-second range (Fig. 9).
     pub fn default_grid(class: ModelClass, seed: u64) -> Vec<ModelSpec> {
+        let knn = |k, weighting| ModelSpec::Knn(KnnConfig { k, weighting });
+        let mlp = |hidden_layers| {
+            ModelSpec::Mlp(MlpConfig {
+                hidden_layers,
+                max_epochs: 150,
+                seed,
+            })
+        };
+        let forest = |n_trees, max_depth| {
+            ModelSpec::RandomForest(ForestConfig {
+                n_trees,
+                max_depth,
+                seed,
+            })
+        };
         match class {
-            ModelClass::Linear => vec![
-                ModelSpec::Linear(LinearConfig {
-                    l2: 1e-8,
-                    fit_intercept: true,
-                }),
-                ModelSpec::Linear(LinearConfig {
-                    l2: 1e-2,
-                    fit_intercept: true,
-                }),
-                ModelSpec::Linear(LinearConfig {
-                    l2: 1.0,
-                    fit_intercept: true,
-                }),
-            ],
+            ModelClass::Linear => [1e-8, 1e-2, 1.0]
+                .map(|l2| ModelSpec::Linear(LinearConfig { l2 }))
+                .to_vec(),
             ModelClass::Knn => vec![
-                ModelSpec::Knn(KnnConfig {
-                    k: 3,
-                    weighting: KnnWeighting::InverseDistance,
-                    ..KnnConfig::default()
-                }),
-                ModelSpec::Knn(KnnConfig {
-                    k: 5,
-                    weighting: KnnWeighting::InverseDistance,
-                    ..KnnConfig::default()
-                }),
-                ModelSpec::Knn(KnnConfig {
-                    k: 5,
-                    weighting: KnnWeighting::Uniform,
-                    ..KnnConfig::default()
-                }),
-                ModelSpec::Knn(KnnConfig {
-                    k: 9,
-                    weighting: KnnWeighting::Uniform,
-                    ..KnnConfig::default()
-                }),
+                knn(3, KnnWeighting::InverseDistance),
+                knn(5, KnnWeighting::InverseDistance),
+                knn(5, KnnWeighting::Uniform),
+                knn(9, KnnWeighting::Uniform),
             ],
-            ModelClass::Mlp => vec![
-                ModelSpec::Mlp(MlpConfig {
-                    hidden_layers: vec![16],
-                    max_epochs: 150,
-                    seed,
-                    ..MlpConfig::default()
-                }),
-                ModelSpec::Mlp(MlpConfig {
-                    hidden_layers: vec![32, 16],
-                    max_epochs: 150,
-                    seed,
-                    ..MlpConfig::default()
-                }),
-            ],
-            ModelClass::RandomForest => vec![
-                ModelSpec::RandomForest(ForestConfig {
-                    n_trees: 16,
-                    max_depth: 8,
-                    seed,
-                    ..ForestConfig::default()
-                }),
-                ModelSpec::RandomForest(ForestConfig {
-                    n_trees: 32,
-                    max_depth: 12,
-                    seed,
-                    ..ForestConfig::default()
-                }),
-            ],
+            ModelClass::Mlp => vec![mlp(vec![16]), mlp(vec![32, 16])],
+            ModelClass::RandomForest => vec![forest(16, 8), forest(32, 12)],
         }
     }
 }

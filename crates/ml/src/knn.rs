@@ -34,6 +34,15 @@ pub enum KnnWeighting {
     InverseDistance,
 }
 
+/// Relative scaler-parameter drift above which a `partial_fit` rescales the
+/// whole stored buffer against the live min-max parameters (see
+/// [`Scaler::param_drift`]).
+const RESCALE_AT_DRIFT: f64 = 0.02;
+
+/// Upper bound on observations between two full rescales, whatever the
+/// drift.
+const RESCALE_EVERY_ROWS: usize = 64;
+
 /// Hyper-parameters for [`KnnRegression`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnnConfig {
@@ -42,14 +51,6 @@ pub struct KnnConfig {
     pub k: usize,
     /// Neighbour weighting scheme.
     pub weighting: KnnWeighting,
-    /// Relative scaler-parameter drift above which a `partial_fit` rescales
-    /// the whole stored buffer against the live min-max parameters (see
-    /// [`Scaler::param_drift`]). `0.0` rescales on any parameter change,
-    /// reproducing the eager pre-amortisation behaviour bit for bit.
-    pub rescale_drift_threshold: f64,
-    /// Upper bound on observations between two full rescales regardless of
-    /// drift (`0` disables the periodic bound).
-    pub rescale_interval: usize,
 }
 
 impl Default for KnnConfig {
@@ -57,8 +58,6 @@ impl Default for KnnConfig {
         KnnConfig {
             k: 5,
             weighting: KnnWeighting::InverseDistance,
-            rescale_drift_threshold: 0.02,
-            rescale_interval: 64,
         }
     }
 }
@@ -81,8 +80,8 @@ pub struct KnnRegression {
     scaler: Scaler,
     /// The live scaler, updated exactly per observation
     /// ([`Scaler::observe_row`]). When its parameters drift too far from the
-    /// epoch's — or after `rescale_interval` appends — it becomes the new
-    /// epoch and the buffer is rescaled once, amortising the former
+    /// epoch's — or after [`RESCALE_EVERY_ROWS`] appends — it becomes the
+    /// new epoch and the buffer is rescaled once, amortising the former
     /// O(history) per-observe rescale.
     live_scaler: Scaler,
     /// Observations appended since the last full rescale.
@@ -238,11 +237,8 @@ impl Regressor for KnnRegression {
             self.live_scaler.observe_row(f);
         }
         self.rows_since_rescale += data.len();
-        let interval = self.config.rescale_interval;
         let drift = self.live_scaler.param_drift(&self.scaler);
-        if drift > self.config.rescale_drift_threshold
-            || (interval > 0 && self.rows_since_rescale >= interval)
-        {
+        if drift > RESCALE_AT_DRIFT || self.rows_since_rescale >= RESCALE_EVERY_ROWS {
             // Epoch reset: adopt the live parameters and rescale the whole
             // buffer once. Amortised O(d) per observe. When the drift is
             // exactly zero the epoch parameters already equal the live ones,
@@ -313,7 +309,6 @@ mod tests {
         let mut m = KnnRegression::new(KnnConfig {
             k: 2,
             weighting: KnnWeighting::Uniform,
-            ..KnnConfig::default()
         });
         m.fit(&data).unwrap();
         // Nearest two to 0.4 are x=0 and x=1.
@@ -326,7 +321,6 @@ mod tests {
         let mut m = KnnRegression::new(KnnConfig {
             k: 2,
             weighting: KnnWeighting::InverseDistance,
-            ..KnnConfig::default()
         });
         m.fit(&data).unwrap();
         let near_zero = m.predict(&[1.0]).unwrap();
@@ -355,7 +349,6 @@ mod tests {
         let mut m = KnnRegression::new(KnnConfig {
             k: 50,
             weighting: KnnWeighting::Uniform,
-            ..KnnConfig::default()
         });
         m.fit(&data).unwrap();
         assert!((m.predict(&[1.5]).unwrap() - 15.0).abs() < 1e-9);
@@ -396,7 +389,6 @@ mod tests {
         let mut m = KnnRegression::new(KnnConfig {
             k: 3,
             weighting: KnnWeighting::Uniform,
-            ..KnnConfig::default()
         });
         m.fit(&data).unwrap();
         // Without scaling the second feature would be irrelevant; with
@@ -418,7 +410,6 @@ mod tests {
         let mut m = KnnRegression::new(KnnConfig {
             k: 2,
             weighting: KnnWeighting::Uniform,
-            ..KnnConfig::default()
         });
         // All inputs finite (validation passes); the 1e308 row's scaled
         // value is NaN because the column range overflows to infinity.
@@ -459,22 +450,21 @@ mod tests {
         assert_eq!(m.rows_since_rescale(), 0);
         assert_eq!(m.live_scaler.param_drift(&m.scaler), 0.0);
 
-        // The periodic bound rescales even when the drift never trips.
-        let mut p = KnnRegression::new(KnnConfig {
-            rescale_drift_threshold: f64::INFINITY,
-            rescale_interval: 2,
-            ..KnnConfig::default()
-        });
-        p.fit(&Dataset::from_univariate(&[0.0, 1.0], &[1.0, 2.0]))
+        // The periodic bound rescales even when the drift never trips: rows
+        // inside the range leave the parameters where they are.
+        let mut p = KnnRegression::with_defaults();
+        p.fit(&Dataset::from_univariate(&[0.0, 100.0], &[1.0, 2.0]))
             .unwrap();
-        p.partial_fit(&Dataset::from_univariate(&[50.0], &[3.0]))
-            .unwrap();
-        assert_eq!(p.rows_since_rescale(), 1);
-        p.partial_fit(&Dataset::from_univariate(&[60.0], &[4.0]))
+        for i in 1..RESCALE_EVERY_ROWS {
+            p.partial_fit(&Dataset::from_univariate(&[i as f64], &[3.0]))
+                .unwrap();
+            assert_eq!(p.rows_since_rescale(), i);
+        }
+        p.partial_fit(&Dataset::from_univariate(&[50.5], &[4.0]))
             .unwrap();
         assert_eq!(p.rows_since_rescale(), 0);
         // Predictions stay exact for stored points after the reset.
-        assert_eq!(p.predict(&[60.0]).unwrap(), 4.0);
+        assert_eq!(p.predict(&[50.5]).unwrap(), 4.0);
     }
 
     #[test]

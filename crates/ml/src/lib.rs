@@ -53,20 +53,17 @@ pub use forest::{ForestConfig, RandomForestRegression};
 pub use hpo::{cross_validate, grid_search, GridSearchResult, ModelSpec};
 pub use knn::{KnnConfig, KnnRegression, KnnWeighting};
 pub use linear::{LinearConfig, LinearRegression};
-pub use mlp::{Activation, MlpConfig, MlpRegression};
+pub use mlp::{MlpConfig, MlpRegression};
 pub use model::{ModelClass, ModelError, PredictScratch, Regressor};
 pub use scaler::{Scaler, ScalerKind, TargetScaler};
 pub use tree::{RegressionTree, TreeConfig};
 
-/// Builds an unfitted regressor of the given class with default
-/// hyper-parameters — the four-member pool of the paper's Fig. 5.
+/// Builds an unfitted regressor of the given class in its one
+/// configuration, [`ModelSpec::default_for`] at seed 42: exactly the member
+/// of that class that Sizey's four-member pool (the paper's Fig. 5) trains
+/// at its default seed.
 pub fn default_model(class: ModelClass) -> Box<dyn Regressor> {
-    match class {
-        ModelClass::Linear => Box::new(LinearRegression::with_defaults()),
-        ModelClass::Knn => Box::new(KnnRegression::with_defaults()),
-        ModelClass::Mlp => Box::new(MlpRegression::with_defaults()),
-        ModelClass::RandomForest => Box::new(RandomForestRegression::with_defaults()),
-    }
+    ModelSpec::default_for(class, 42).build()
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //!
 //! The paper motivates the linear model class with the frequently observed
 //! linear relationship between input data size and peak memory (Fig. 2,
-//! MarkDuplicates). The model is fitted by solving the (optionally ridge
-//! regularised) normal equations; incremental updates maintain the Gram
-//! matrix `X^T X` and moment vector `X^T y`, so a `partial_fit` only costs a
-//! rank-one update plus one small solve. Both run on the write path; a
-//! predict only reads the solved coefficients.
+//! MarkDuplicates). The model is fitted, intercept included, by solving the
+//! (optionally ridge regularised) normal equations; incremental updates
+//! maintain the Gram matrix `X^T X` and moment vector `X^T y`, so a
+//! `partial_fit` only costs a rank-one update plus one small solve. Both run
+//! on the write path; a predict only reads the solved coefficients.
 
 use crate::dataset::Dataset;
 use crate::matrix::Matrix;
@@ -21,16 +21,11 @@ pub struct LinearConfig {
     /// matrix. `0.0` gives plain OLS; a small positive value keeps the solve
     /// well-conditioned when all observed input sizes are identical.
     pub l2: f64,
-    /// Whether to fit an intercept term.
-    pub fit_intercept: bool,
 }
 
 impl Default for LinearConfig {
     fn default() -> Self {
-        LinearConfig {
-            l2: 1e-8,
-            fit_intercept: true,
-        }
+        LinearConfig { l2: 1e-8 }
     }
 }
 
@@ -48,7 +43,7 @@ impl Default for LinearConfig {
 #[derive(Clone)]
 pub struct LinearRegression {
     config: LinearConfig,
-    /// Fitted coefficients, intercept first when `fit_intercept` is set.
+    /// Fitted coefficients, intercept first.
     coefficients: Vec<f64>,
     /// Whether `coefficients` solve the current sufficient statistics.
     solved: bool,
@@ -93,7 +88,7 @@ impl LinearRegression {
         LinearRegression::new(LinearConfig::default())
     }
 
-    /// The fitted coefficients (intercept first when enabled): those of the
+    /// The fitted coefficients (intercept first): those of the
     /// last successful solve. Empty before any solve succeeded.
     pub fn coefficients(&self) -> &[f64] {
         &self.coefficients
@@ -116,7 +111,7 @@ impl LinearRegression {
     }
 
     fn accumulate(&mut self, data: &Dataset) {
-        let width = data.n_features() + usize::from(self.config.fit_intercept);
+        let width = data.n_features() + 1;
         if self.gram.is_none() {
             self.gram = Some(Matrix::zeros(width, width));
             self.moments = vec![0.0; width];
@@ -125,14 +120,9 @@ impl LinearRegression {
         }
         let gram = self.gram.as_mut().expect("gram initialised above");
         for (features, target) in data.iter() {
-            let row = if self.config.fit_intercept {
-                let mut r = Vec::with_capacity(features.len() + 1);
-                r.push(1.0);
-                r.extend_from_slice(features);
-                r
-            } else {
-                features.to_vec()
-            };
+            let mut row = Vec::with_capacity(features.len() + 1);
+            row.push(1.0);
+            row.extend_from_slice(features);
             for (i, &xi) in row.iter().enumerate() {
                 self.moments[i] += xi * target;
                 for (j, &xj) in row.iter().enumerate() {
@@ -239,13 +229,11 @@ impl Regressor for LinearRegression {
             // update was degenerate) — there is no usable state to serve.
             return Err(ModelError::NotFitted);
         }
-        // The augmented row ([1, features…] with an intercept) lives in the
-        // caller's scratch buffer; same values as the old `augment`.
+        // The augmented row [1, features…] lives in the caller's scratch
+        // buffer.
         let row = &mut scratch.row;
         row.clear();
-        if self.config.fit_intercept {
-            row.push(1.0);
-        }
+        row.push(1.0);
         row.extend_from_slice(features);
         Ok(row.iter().zip(&self.coefficients).map(|(x, c)| x * c).sum())
     }
@@ -280,20 +268,6 @@ mod tests {
         m.fit(&data).unwrap();
         let pred = m.predict(&[100.0]).unwrap();
         assert!((pred - 310.0).abs() < 1e-3, "pred = {pred}");
-    }
-
-    #[test]
-    fn without_intercept_goes_through_origin() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.0, 4.0, 6.0];
-        let data = Dataset::from_univariate(&xs, &ys);
-        let mut m = LinearRegression::new(LinearConfig {
-            l2: 0.0,
-            fit_intercept: false,
-        });
-        m.fit(&data).unwrap();
-        assert_eq!(m.coefficients().len(), 1);
-        assert!((m.predict(&[10.0]).unwrap() - 20.0).abs() < 1e-6);
     }
 
     #[test]

@@ -23,29 +23,22 @@ pub enum ScalerKind {
 /// Per-column affine transform `x -> (x - shift) / scale` fitted on training
 /// data and applied to training and query points alike.
 ///
-/// Besides the batch [`fit`](Scaler::fit), the scaler carries
-/// per-column **running statistics** (count, Welford mean/M2, min/max) so a
-/// single new observation can update the parameters in O(columns) via
-/// [`observe_row`](Scaler::observe_row) — no pass over the history. For
-/// [`ScalerKind::MinMax`] the incremental parameters are **bit-identical**
-/// to a batch fit on the same rows (the min/max fold is order-exact); for
-/// [`ScalerKind::Standard`] the Welford variance is bounded-divergent from
-/// the batch two-pass variance (the workspace proptests pin both claims).
+/// A [`ScalerKind::MinMax`] scaler also keeps each column's running minimum
+/// and maximum, so a single new observation updates its parameters in
+/// O(columns) via [`observe_row`](Scaler::observe_row), with no pass over the
+/// history. The min/max fold is order-exact, so the incremental parameters
+/// are **bit-identical** to a batch fit on the same rows (the workspace
+/// proptests pin this). A [`ScalerKind::Standard`] scaler is fitted in one
+/// batch only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scaler {
     kind: ScalerKind,
     shift: Vec<f64>,
     scale: Vec<f64>,
     fitted: bool,
-    /// Rows folded into the running statistics below.
-    count: usize,
-    /// Welford running mean per column.
-    mean: Vec<f64>,
-    /// Welford running sum of squared deviations per column.
-    m2: Vec<f64>,
-    /// Running minimum per column.
+    /// Running minimum per column (min-max only).
     lo: Vec<f64>,
-    /// Running maximum per column.
+    /// Running maximum per column (min-max only).
     hi: Vec<f64>,
 }
 
@@ -57,9 +50,6 @@ impl Scaler {
             shift: Vec::new(),
             scale: Vec::new(),
             fitted: false,
-            count: 0,
-            mean: Vec::new(),
-            m2: Vec::new(),
             lo: Vec::new(),
             hi: Vec::new(),
         }
@@ -73,11 +63,6 @@ impl Scaler {
     /// The per-column scales of the fitted transform (empty before fitting).
     pub fn scale(&self) -> &[f64] {
         &self.scale
-    }
-
-    /// Number of rows folded into the running statistics.
-    pub fn n_rows(&self) -> usize {
-        self.count
     }
 
     /// The scaler kind.
@@ -96,11 +81,9 @@ impl Scaler {
     /// row would otherwise be silently dropped by the integer division,
     /// fitting on fewer rows than the caller passed (debug-asserted).
     ///
-    /// The rows are folded into the running statistics first, so later
-    /// [`observe_row`](Scaler::observe_row) calls continue from exactly
-    /// this data. Min-max parameters come straight from those statistics
-    /// (the min/max fold is the batch fold); standard parameters keep the
-    /// batch two-pass mean and variance.
+    /// Min-max parameters come from the running minimum and maximum, so
+    /// later [`observe_row`](Scaler::observe_row) calls continue from exactly
+    /// this data; standard parameters are the two-pass mean and variance.
     pub fn fit(&mut self, data: &[f64], n_cols: usize) {
         debug_assert!(
             n_cols == 0 || data.len().is_multiple_of(n_cols),
@@ -108,82 +91,78 @@ impl Scaler {
             data.len(),
             n_cols
         );
-        self.reset_stats(n_cols);
-        if n_cols == 0 || data.len() < n_cols {
-            self.shift = vec![0.0; n_cols];
-            self.scale = vec![1.0; n_cols];
-            self.fitted = true;
-            return;
-        }
-        for row in data.chunks_exact(n_cols) {
-            self.fold_row(row);
-        }
-        self.refresh_params_from_stats();
-        if self.kind == ScalerKind::Standard {
-            let n = self.count as f64;
-            for c in 0..n_cols {
-                let column = || data[c..].iter().step_by(n_cols);
-                let mean = column().sum::<f64>() / n;
-                let var = column().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-                let std = var.sqrt();
-                self.shift[c] = mean;
-                self.scale[c] = if std > 1e-12 { std } else { 1.0 };
+        self.shift = vec![0.0; n_cols];
+        self.scale = vec![1.0; n_cols];
+        self.fitted = true;
+        let n_rows = data.len().checked_div(n_cols).unwrap_or(0);
+        match self.kind {
+            ScalerKind::MinMax => {
+                self.lo = vec![f64::INFINITY; n_cols];
+                self.hi = vec![f64::NEG_INFINITY; n_cols];
+                if n_rows > 0 {
+                    for row in data.chunks_exact(n_cols) {
+                        self.fold_row(row);
+                    }
+                    self.refresh_params();
+                }
             }
+            ScalerKind::Standard if n_rows > 0 => {
+                let n = n_rows as f64;
+                for c in 0..n_cols {
+                    let column = || data[c..].iter().step_by(n_cols);
+                    let mean = column().sum::<f64>() / n;
+                    let var = column().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+                    let std = var.sqrt();
+                    self.shift[c] = mean;
+                    self.scale[c] = if std > 1e-12 { std } else { 1.0 };
+                }
+            }
+            ScalerKind::Standard => {}
         }
     }
 
-    /// Folds one feature row into the running statistics and refreshes the
-    /// affine parameters from them — the O(columns) incremental update used
-    /// by the online-learning hot path.
+    /// Folds one feature row into a min-max scaler's running minimum and
+    /// maximum and refreshes its parameters from them: the O(columns)
+    /// incremental update of the online-learning hot path. The parameters
+    /// are bit-identical to a batch [`fit`](Scaler::fit) on the same rows in
+    /// the same order. A row of a different width than the current
+    /// statistics resets them (treated as the first row of a fresh fit).
     ///
-    /// For [`ScalerKind::MinMax`] the resulting parameters are bit-identical
-    /// to a batch [`fit`](Scaler::fit) on the same rows in the same order;
-    /// for [`ScalerKind::Standard`] the Welford mean/variance is
-    /// bounded-divergent from the batch two-pass statistics. A row of a
-    /// different width than the current statistics resets them (treated as
-    /// the first row of a fresh fit).
+    /// # Panics
+    ///
+    /// On a [`ScalerKind::Standard`] scaler, which has no incremental
+    /// update.
     pub fn observe_row(&mut self, row: &[f64]) {
-        if self.mean.len() != row.len() {
-            self.reset_stats(row.len());
+        assert_eq!(
+            self.kind,
+            ScalerKind::MinMax,
+            "only a min-max scaler updates row by row"
+        );
+        if self.lo.len() != row.len() {
+            self.lo = vec![f64::INFINITY; row.len()];
+            self.hi = vec![f64::NEG_INFINITY; row.len()];
         }
         self.fold_row(row);
-        self.refresh_params_from_stats();
+        self.refresh_params();
     }
 
-    /// Empties the running statistics for `n_cols` columns.
-    fn reset_stats(&mut self, n_cols: usize) {
-        self.count = 0;
-        self.mean = vec![0.0; n_cols];
-        self.m2 = vec![0.0; n_cols];
-        self.lo = vec![f64::INFINITY; n_cols];
-        self.hi = vec![f64::NEG_INFINITY; n_cols];
-    }
-
-    /// Folds one row into the running statistics (Welford mean/M2, min/max).
+    /// Folds one row into the running minimum and maximum.
     fn fold_row(&mut self, row: &[f64]) {
-        self.count += 1;
         for (c, &x) in row.iter().enumerate() {
-            let delta = x - self.mean[c];
-            self.mean[c] += delta / self.count as f64;
-            self.m2[c] += delta * (x - self.mean[c]);
             self.lo[c] = self.lo[c].min(x);
             self.hi[c] = self.hi[c].max(x);
         }
     }
 
-    /// Recomputes `shift`/`scale` from the running statistics, in place.
-    fn refresh_params_from_stats(&mut self) {
-        let n_cols = self.mean.len();
+    /// Recomputes the min-max `shift`/`scale` from the running minimum and
+    /// maximum, in place.
+    fn refresh_params(&mut self) {
+        let n_cols = self.lo.len();
         self.shift.resize(n_cols, 0.0);
         self.scale.resize(n_cols, 1.0);
         for c in 0..n_cols {
-            let (shift, spread) = match self.kind {
-                ScalerKind::Standard => {
-                    (self.mean[c], (self.m2[c] / self.count.max(1) as f64).sqrt())
-                }
-                ScalerKind::MinMax => (self.lo[c], self.hi[c] - self.lo[c]),
-            };
-            self.shift[c] = shift;
+            let spread = self.hi[c] - self.lo[c];
+            self.shift[c] = self.lo[c];
             self.scale[c] = if spread > 1e-12 { spread } else { 1.0 };
         }
         self.fitted = true;
@@ -414,21 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_standard_params_track_batch_closely() {
-        let rows: Vec<f64> = (0..40)
-            .flat_map(|i| [(i as f64 * 0.73).sin() * 1e9, i as f64])
-            .collect();
-        let mut batch = Scaler::new(ScalerKind::Standard);
-        batch.fit(&rows, 2);
-        let mut incremental = Scaler::new(ScalerKind::Standard);
-        for row in rows.chunks_exact(2) {
-            incremental.observe_row(row);
-        }
-        for c in 0..2 {
-            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
-            assert!(rel(incremental.shift()[c], batch.shift()[c]) < 1e-9);
-            assert!(rel(incremental.scale()[c], batch.scale()[c]) < 1e-9);
-        }
+    #[should_panic(expected = "only a min-max scaler")]
+    fn standard_scaling_has_no_incremental_update() {
+        let mut s = Scaler::new(ScalerKind::Standard);
+        s.fit(&[1.0, 2.0], 1);
+        s.observe_row(&[3.0]);
     }
 
     #[test]

@@ -18,28 +18,18 @@
 use crate::dataset::Dataset;
 use crate::model::{validate_query, validate_training_data, ModelClass, ModelError, Regressor};
 
-/// Hyper-parameters for [`RegressionTree`].
+/// Hyper-parameters for [`RegressionTree`]. A node of two or more samples
+/// may split, every leaf keeps at least one, and every feature is a split
+/// candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum depth of the tree (root has depth 0).
     pub max_depth: usize,
-    /// Minimum number of samples required to attempt a split.
-    pub min_samples_split: usize,
-    /// Minimum number of samples required in each leaf.
-    pub min_samples_leaf: usize,
-    /// Number of feature columns considered at each split. `None` means all
-    /// features (plain CART); random forests pass a subset size.
-    pub max_features: Option<usize>,
 }
 
 impl Default for TreeConfig {
     fn default() -> Self {
-        TreeConfig {
-            max_depth: 12,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-            max_features: None,
-        }
+        TreeConfig { max_depth: 12 }
     }
 }
 
@@ -64,8 +54,9 @@ pub struct RegressionTree {
     nodes: Vec<Node>,
     n_features: usize,
     fitted: bool,
-    /// Feature-subsampling order used when `max_features` is set; supplied by
-    /// the forest so a single tree stays deterministic given its seed.
+    /// The order features are searched in, which breaks split ties between
+    /// features; supplied by the forest so a single tree stays
+    /// deterministic given its seed. Empty means column order.
     feature_order: Vec<usize>,
 }
 
@@ -189,11 +180,9 @@ impl<'a> Growth<'a> {
                 if x_prev == x_next {
                     continue; // cannot split between identical values
                 }
+                // `prev` goes left and `next` right: neither side is empty.
                 let n_left = prev_pos + 1;
                 let n_right = n - n_left;
-                if n_left < self.config.min_samples_leaf || n_right < self.config.min_samples_leaf {
-                    continue;
-                }
                 let right_sum = parent_sum - left_sum;
                 let right_sq = parent_sq - left_sq;
                 let left_sse = left_sq - left_sum * left_sum / n_left as f64;
@@ -231,7 +220,7 @@ impl<'a> Growth<'a> {
 
     /// Grows the subtree over `[lo, hi)` in pre-order and returns its root.
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        let split = if depth >= self.config.max_depth || hi - lo < self.config.min_samples_split {
+        let split = if depth >= self.config.max_depth || hi - lo < 2 {
             None
         } else {
             self.best_split(lo, hi)
@@ -299,9 +288,9 @@ impl RegressionTree {
         self.config
     }
 
-    /// Sets an explicit feature evaluation order (used by the random forest
-    /// for per-split feature subsampling). The first `max_features` entries
-    /// are evaluated at each split.
+    /// Sets an explicit feature evaluation order (the random forest shuffles
+    /// one per tree): among equally good splits, the feature searched first
+    /// wins.
     pub fn set_feature_order(&mut self, order: Vec<usize>) {
         self.feature_order = order;
     }
@@ -359,7 +348,7 @@ impl RegressionTree {
     }
 
     fn candidate_features(&self, n_features: usize) -> Vec<usize> {
-        let all: Vec<usize> = if self.feature_order.is_empty() {
+        if self.feature_order.is_empty() {
             (0..n_features).collect()
         } else {
             self.feature_order
@@ -367,10 +356,6 @@ impl RegressionTree {
                 .copied()
                 .filter(|&f| f < n_features)
                 .collect()
-        };
-        match self.config.max_features {
-            Some(k) if k < all.len() => all[..k].to_vec(),
-            _ => all,
         }
     }
 }
@@ -448,10 +433,7 @@ mod tests {
     #[test]
     fn depth_zero_returns_global_mean() {
         let data = Dataset::from_univariate(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]);
-        let mut t = RegressionTree::new(TreeConfig {
-            max_depth: 0,
-            ..TreeConfig::default()
-        });
+        let mut t = RegressionTree::new(TreeConfig { max_depth: 0 });
         t.fit(&data).unwrap();
         assert!((t.predict(&[1.0]).unwrap() - 20.0).abs() < 1e-12);
         assert_eq!(t.n_nodes(), 1);
@@ -464,20 +446,6 @@ mod tests {
         t.fit(&data).unwrap();
         assert_eq!(t.n_nodes(), 1);
         assert_eq!(t.predict(&[100.0]).unwrap(), 5.0);
-    }
-
-    #[test]
-    fn min_samples_leaf_limits_splits() {
-        let xs: Vec<f64> = (0..6).map(|i| i as f64).collect();
-        let ys: Vec<f64> = vec![0.0, 0.0, 0.0, 100.0, 100.0, 100.0];
-        let data = Dataset::from_univariate(&xs, &ys);
-        let mut t = RegressionTree::new(TreeConfig {
-            min_samples_leaf: 3,
-            ..TreeConfig::default()
-        });
-        t.fit(&data).unwrap();
-        // Only one split is possible (3 | 3).
-        assert_eq!(t.depth(), 1);
     }
 
     #[test]
@@ -522,23 +490,22 @@ mod tests {
     }
 
     #[test]
-    fn max_features_restricts_split_candidates() {
-        // Feature 0 is informative, feature 1 is noise; restrict to feature 1
-        // only via feature order + max_features and verify the tree cannot
-        // separate the data (stays shallow / constant).
+    fn feature_order_breaks_ties_between_equal_features() {
+        // Features 0 and 1 are copies: both split the data equally well, so
+        // the one searched first wins.
         let mut features = Vec::new();
         let mut targets = Vec::new();
         for i in 0..20 {
-            features.push(vec![if i < 10 { 0.0 } else { 1.0 }, 0.5]);
-            targets.push(if i < 10 { 1.0 } else { 2.0 });
+            let x = if i < 10 { 0.0 } else { 1.0 };
+            features.push(vec![x, x]);
+            targets.push(1.0 + x);
         }
         let data = Dataset::from_parts(features, targets);
-        let mut t = RegressionTree::new(TreeConfig {
-            max_features: Some(1),
-            ..TreeConfig::default()
-        });
-        t.set_feature_order(vec![1, 0]);
-        t.fit(&data).unwrap();
-        assert_eq!(t.n_nodes(), 1, "noise-only feature cannot split");
+        for (order, feature) in [(vec![0, 1], 0), (vec![1, 0], 1)] {
+            let mut t = RegressionTree::with_defaults();
+            t.set_feature_order(order);
+            t.fit(&data).unwrap();
+            assert!(matches!(t.nodes[0], Node::Split { feature: f, .. } if f == feature));
+        }
     }
 }

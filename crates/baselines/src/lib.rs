@@ -18,6 +18,13 @@
 //! All methods implement [`sizey_sim::MemoryPredictor`] and are replayed
 //! through the same online simulator as Sizey itself.
 //!
+//! Each method has one configuration, the one the comparison runs: its
+//! parameters (`MIN_HISTORY`, [`witt_lr::OFFSET_SIGMAS`],
+//! [`witt_wastage::CANDIDATE_QUANTILES`], [`witt_wastage::FAILURE_PENALTY`],
+//! [`witt_percentile::PERCENTILE`], [`tovar_ppm::NODE_MEMORY_BYTES`],
+//! [`tovar_ppm::HEADROOM`]) are constants of its module, and `new()` is the
+//! only constructor.
+//!
 //! ## Example
 //!
 //! ```
@@ -43,10 +50,10 @@ pub mod witt_wastage;
 
 pub use history::{History, Observation};
 pub use sizey_sim::PresetPredictor;
-pub use tovar_ppm::{TovarPpm, TovarPpmConfig};
-pub use witt_lr::{WittLr, WittLrConfig};
-pub use witt_percentile::{WittPercentile, WittPercentileConfig};
-pub use witt_wastage::{WittWastage, WittWastageConfig};
+pub use tovar_ppm::TovarPpm;
+pub use witt_lr::WittLr;
+pub use witt_percentile::WittPercentile;
+pub use witt_wastage::WittWastage;
 
 use sizey_sim::MemoryPredictor;
 

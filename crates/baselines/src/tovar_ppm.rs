@@ -22,38 +22,23 @@ use crate::history::{History, Observation};
 use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
-/// Default node memory used for the conservative retry (the evaluation
-/// cluster's 128 GB nodes); override via [`TovarPpmConfig`] when simulating a
-/// different cluster.
+/// Memory allocated after a failed first attempt: the node maximum of
+/// Tovar et al.'s conservative failure handling, here the evaluation
+/// cluster's 128 GB nodes.
 pub const NODE_MEMORY_BYTES: f64 = 128e9;
 
-/// Configuration of [`TovarPpm`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TovarPpmConfig {
-    /// Memory allocated after a failed first attempt (the node maximum).
-    pub node_memory_bytes: f64,
-    /// Minimum number of historical observations before the probabilistic
-    /// sizing is used; below this the preset is used.
-    pub min_history: usize,
-    /// Relative head-room added on top of the selected candidate peak so that
-    /// a recurrence of exactly the largest observed value still fits.
-    pub headroom: f64,
-}
+/// Observations of a key before the probabilistic sizing is used; below
+/// this the preset is used. The value 2 is this repo's choice.
+pub const MIN_HISTORY: usize = 2;
 
-impl Default for TovarPpmConfig {
-    fn default() -> Self {
-        TovarPpmConfig {
-            node_memory_bytes: NODE_MEMORY_BYTES,
-            min_history: 2,
-            headroom: 0.02,
-        }
-    }
-}
+/// Relative head-room added on top of the selected candidate peak so that a
+/// recurrence of exactly the largest observed value still fits. The value
+/// 0.02 is this repo's choice.
+pub const HEADROOM: f64 = 0.02;
 
 /// Peak-probability based first-allocation strategy with conservative retry.
 #[derive(Debug, Default, Clone)]
 pub struct TovarPpm {
-    config: TovarPpmConfig,
     history: History<Candidates>,
 }
 
@@ -63,63 +48,55 @@ struct Candidates {
     /// `cost_sums[c]`: the cost terms of candidate `c` (the key's `c`-th
     /// peak plus head-room) summed over every peak so far, in arrival order.
     cost_sums: Vec<f64>,
-    /// The least-expected-cost allocation, once the key has `min_history`
+    /// The least-expected-cost allocation, once the key has [`MIN_HISTORY`]
     /// peaks and some candidate has a cost below infinity.
     best: Option<f64>,
 }
 
 impl TovarPpm {
-    /// Creates the predictor with default configuration.
+    /// Creates the predictor.
     pub fn new() -> Self {
         TovarPpm::default()
-    }
-
-    /// Creates the predictor with a custom configuration.
-    pub fn with_config(config: TovarPpmConfig) -> Self {
-        TovarPpm {
-            config,
-            history: History::new(),
-        }
     }
 }
 
 /// The allocation a candidate peak stands for.
-fn allocation(config: &TovarPpmConfig, candidate: f64) -> f64 {
-    candidate * (1.0 + config.headroom)
+fn allocation(candidate: f64) -> f64 {
+    candidate * (1.0 + HEADROOM)
 }
 
 /// Cost of allocating `alloc` to a task that peaks at `peak`.
-fn cost_term(config: &TovarPpmConfig, alloc: f64, peak: f64) -> f64 {
+fn cost_term(alloc: f64, peak: f64) -> f64 {
     if alloc >= peak {
         alloc - peak
     } else {
         // Failed attempt wastes the allocation, and the retry at the
         // machine maximum wastes the surplus there.
-        alloc + (config.node_memory_bytes - peak)
+        alloc + (NODE_MEMORY_BYTES - peak)
     }
 }
 
 impl Candidates {
     /// Folds the key's newest peak (the last of `observations`) into the
     /// cost sums and re-picks the candidate with the least expected cost,
-    /// the first one on ties. `best` stays `None` below `min_history`.
-    fn learn(&mut self, config: &TovarPpmConfig, observations: &[Observation]) {
+    /// the first one on ties. `best` stays `None` below [`MIN_HISTORY`].
+    fn learn(&mut self, observations: &[Observation]) {
         let peak = observations
             .last()
             .expect("observe hands over the new peak")
             .peak_bytes;
         for (sum, candidate) in self.cost_sums.iter_mut().zip(observations) {
-            *sum += cost_term(config, allocation(config, candidate.peak_bytes), peak);
+            *sum += cost_term(allocation(candidate.peak_bytes), peak);
         }
-        let alloc = allocation(config, peak);
+        let alloc = allocation(peak);
         self.cost_sums.push(
             observations
                 .iter()
-                .map(|o| cost_term(config, alloc, o.peak_bytes))
+                .map(|o| cost_term(alloc, o.peak_bytes))
                 .sum::<f64>(),
         );
         self.best = None;
-        if observations.len() < config.min_history {
+        if observations.len() < MIN_HISTORY {
             return;
         }
         let n = observations.len() as f64;
@@ -128,7 +105,7 @@ impl Candidates {
             let cost = sum / n;
             if cost < best_cost {
                 best_cost = cost;
-                self.best = Some(allocation(config, candidate.peak_bytes));
+                self.best = Some(allocation(candidate.peak_bytes));
             }
         }
     }
@@ -144,7 +121,7 @@ impl MemoryPredictor for TovarPpm {
             // Conservative failure handling: jump straight to the node
             // maximum.
             return Prediction {
-                allocation_bytes: self.config.node_memory_bytes,
+                allocation_bytes: NODE_MEMORY_BYTES,
                 raw_estimate_bytes: None,
                 selected_model: None,
             };
@@ -162,7 +139,7 @@ impl MemoryPredictor for TovarPpm {
 
     fn observe(&mut self, record: &TaskRecord) {
         if let Some((observations, candidates)) = self.history.observe(record) {
-            candidates.learn(&self.config, observations);
+            candidates.learn(observations);
         }
     }
 }
@@ -233,13 +210,10 @@ mod tests {
 
     #[test]
     fn rare_huge_outlier_may_be_left_uncovered() {
-        let cfg = TovarPpmConfig {
-            node_memory_bytes: 16e9,
-            ..TovarPpmConfig::default()
-        };
-        let mut p = TovarPpm::with_config(cfg);
+        let mut p = TovarPpm::new();
         // 99 small peaks at ~1 GB and one at 15 GB: covering the outlier
-        // would waste ~14 GB on every task, which costs more than one retry.
+        // would waste ~14 GB on every task, which costs more than one retry
+        // at the node maximum in a hundred.
         for _ in 0..99 {
             p.observe(&success(1e9));
         }
@@ -252,20 +226,21 @@ mod tests {
 
     #[test]
     fn expected_cost_matches_manual_computation() {
-        // Peaks 1 and 3 without head-room: candidate 1 covers the first
-        // (cost 0) and misses the second (cost 1 + node - 3); candidate 3
-        // covers both (cost 2 + 0). The sums are kept per candidate.
-        let config = TovarPpmConfig {
-            headroom: 0.0,
-            ..TovarPpmConfig::default()
-        };
-        let mut p = TovarPpm::with_config(config);
+        // Peaks 1 and 3: candidate 1 (plus head-room) covers the first
+        // (cost: its head-room) and misses the second (cost: its allocation
+        // plus node - 3); candidate 3 covers both (cost: its surplus over
+        // each). The sums are kept per candidate.
+        let mut p = TovarPpm::new();
         p.observe(&success(1.0));
         p.observe(&success(3.0));
         let state = p.history.state(&TaskMachineKey::new("t", "m")).unwrap();
+        let (a1, a3) = (allocation(1.0), allocation(3.0));
         let node = NODE_MEMORY_BYTES;
-        assert_eq!(state.cost_sums, vec![0.0 + (1.0 + node - 3.0), 2.0 + 0.0]);
-        assert_eq!(state.best, Some(3.0));
+        assert_eq!(
+            state.cost_sums,
+            vec![(a1 - 1.0) + (a1 + (node - 3.0)), (a3 - 1.0) + (a3 - 3.0)]
+        );
+        assert_eq!(state.best, Some(a3));
     }
 
     #[test]
@@ -275,7 +250,7 @@ mod tests {
         failed.outcome = TaskOutcome::FailedOutOfMemory;
         p.observe(&failed);
         p.observe(&success(2e9));
-        // Only one successful observation < min_history → preset.
+        // Only one successful observation < MIN_HISTORY → preset.
         assert_eq!(
             p.predict(&submission(), AttemptContext::first())
                 .allocation_bytes,

@@ -7,7 +7,7 @@
 //! attempt doubles the previous allocation.
 //!
 //! **Cost.** A key keeps one regression whose normal equations absorb each
-//! success as it is observed: O(1) to fold the row in. From `min_history`
+//! success as it is observed: O(1) to fold the row in. From [`MIN_HISTORY`]
 //! successes on, the observe also solves eagerly and re-derives the
 //! residual offset in one pass over the key's n observations: O(n). Predict
 //! evaluates the stored line plus the stored offset: O(1). The Gram sums
@@ -20,47 +20,26 @@ use sizey_ml::metrics::std_dev;
 use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
-/// Configuration of [`WittLr`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WittLrConfig {
-    /// Minimum number of historical observations before the regression is
-    /// trusted; below this the preset is used.
-    pub min_history: usize,
-    /// Multiplier on the residual standard deviation added as the safety
-    /// offset.
-    pub offset_sigmas: f64,
-}
+/// Observations of a key before the regression is trusted; below this the
+/// preset is used. The value 3 is this repo's choice.
+pub const MIN_HISTORY: usize = 3;
 
-impl Default for WittLrConfig {
-    fn default() -> Self {
-        WittLrConfig {
-            min_history: 3,
-            offset_sigmas: 1.0,
-        }
-    }
-}
+/// Multiplier on the residual standard deviation added as the safety
+/// offset. The value 1 is this repo's choice.
+pub const OFFSET_SIGMAS: f64 = 1.0;
 
 /// Linear-regression-with-offset peak memory predictor.
 #[derive(Debug, Default, Clone)]
 pub struct WittLr {
-    config: WittLrConfig,
     history: History<IncrementalLine>,
     /// Reused by every observe.
     scratch: LineScratch,
 }
 
 impl WittLr {
-    /// Creates the predictor with default configuration.
+    /// Creates the predictor.
     pub fn new() -> Self {
         WittLr::default()
-    }
-
-    /// Creates the predictor with a custom configuration.
-    pub fn with_config(config: WittLrConfig) -> Self {
-        WittLr {
-            config,
-            ..WittLr::default()
-        }
     }
 }
 
@@ -89,11 +68,11 @@ impl MemoryPredictor for WittLr {
         let Some((observations, line)) = self.history.observe(record) else {
             return;
         };
-        if !line.absorb(observations, self.config.min_history, &mut self.scratch) {
+        if !line.absorb(observations, MIN_HISTORY, &mut self.scratch) {
             return;
         }
         self.scratch.residual_pass(&line.model, observations);
-        line.shift = Some(std_dev(&self.scratch.residuals) * self.config.offset_sigmas);
+        line.shift = Some(std_dev(&self.scratch.residuals) * OFFSET_SIGMAS);
     }
 }
 

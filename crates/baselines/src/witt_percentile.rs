@@ -18,56 +18,35 @@ use sizey_ml::metrics::percentile_of_sorted;
 use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
-/// Configuration of [`WittPercentile`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WittPercentileConfig {
-    /// Which percentile of the historical peaks to allocate (0-100).
-    pub percentile: f64,
-    /// Minimum number of historical observations before the percentile is
-    /// trusted; below this the preset is used.
-    pub min_history: usize,
-}
+/// Which percentile of the historical peaks is allocated (0-100): the
+/// conservative 95th percentile of Witt et al.'s evaluation.
+pub const PERCENTILE: f64 = 95.0;
 
-impl Default for WittPercentileConfig {
-    fn default() -> Self {
-        WittPercentileConfig {
-            percentile: 95.0,
-            min_history: 2,
-        }
-    }
-}
+/// Observations of a key before the percentile is trusted; below this the
+/// preset is used. The value 2 is this repo's choice.
+pub const MIN_HISTORY: usize = 2;
 
 /// Percentile-based peak memory predictor.
 #[derive(Debug, Default, Clone)]
 pub struct WittPercentile {
-    config: WittPercentileConfig,
     /// Each key's peaks, sorted ascending under `total_cmp`.
     history: History<Vec<f64>>,
 }
 
 impl WittPercentile {
-    /// Creates the predictor with the paper's default (95th percentile).
+    /// Creates the predictor (95th percentile).
     pub fn new() -> Self {
         WittPercentile::default()
     }
 
-    /// Creates the predictor with a custom configuration.
-    pub fn with_config(config: WittPercentileConfig) -> Self {
-        WittPercentile {
-            config,
-            history: History::new(),
-        }
-    }
-
-    /// The configured percentile of the key's peaks, or `None` below
-    /// `min_history`.
+    /// The [`PERCENTILE`] of the key's peaks, or `None` below
+    /// [`MIN_HISTORY`].
     fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
         let sorted = self
             .history
             .state(&task.key())
             .map_or(&[][..], Vec::as_slice);
-        (sorted.len() >= self.config.min_history)
-            .then(|| percentile_of_sorted(sorted, self.config.percentile))
+        (sorted.len() >= MIN_HISTORY).then(|| percentile_of_sorted(sorted, PERCENTILE))
     }
 }
 
@@ -210,20 +189,5 @@ mod tests {
             restored.restore(&state),
             Err(StateError::NotFresh { observed: 20 })
         ));
-    }
-
-    #[test]
-    fn custom_percentile_is_respected() {
-        let mut p = WittPercentile::with_config(WittPercentileConfig {
-            percentile: 50.0,
-            min_history: 2,
-        });
-        for peak in [1e9, 2e9, 3e9] {
-            p.observe(&success(peak));
-        }
-        let alloc = p
-            .predict(&submission(), AttemptContext::first())
-            .allocation_bytes;
-        assert!((alloc - 2e9).abs() < 1e-6);
     }
 }

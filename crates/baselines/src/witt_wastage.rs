@@ -10,7 +10,7 @@
 //! cost is used. A failed attempt doubles the allocation.
 //!
 //! **Cost.** A key keeps one regression whose normal equations absorb each
-//! success as it is observed: O(1) to fold the row in. From `min_history`
+//! success as it is observed: O(1) to fold the row in. From [`MIN_HISTORY`]
 //! successes on, the observe also solves eagerly, makes one residual pass
 //! over the key's n observations, sorts the residuals once, reads every
 //! candidate quantile from that sorted buffer and prices each candidate on
@@ -24,63 +24,44 @@ use sizey_ml::metrics::percentile_of_sorted;
 use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
-/// Configuration of [`WittWastage`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WittWastageConfig {
-    /// Residual quantiles tried as intercept shifts for the candidate lines.
-    pub candidate_quantiles: Vec<f64>,
-    /// Minimum number of historical observations before the model is used.
-    pub min_history: usize,
-    /// Penalty factor applied to an under-allocation: the wasted work of the
-    /// failed attempt is approximated as `penalty × actual peak`.
-    pub failure_penalty: f64,
-}
+/// Residual quantiles tried as intercept shifts for the candidate lines.
+/// The six values are this repo's choice.
+pub const CANDIDATE_QUANTILES: [f64; 6] = [50.0, 75.0, 90.0, 95.0, 99.0, 100.0];
 
-impl Default for WittWastageConfig {
-    fn default() -> Self {
-        WittWastageConfig {
-            candidate_quantiles: vec![50.0, 75.0, 90.0, 95.0, 99.0, 100.0],
-            min_history: 3,
-            // The original method optimises the memory-time wasted by the
-            // attempt itself (a failed attempt wastes its allocation); the
-            // retry cost is not part of its objective, which is why it trades
-            // more task failures for tighter allocations (Fig. 8c).
-            failure_penalty: 0.0,
-        }
-    }
-}
+/// Observations of a key before the model is used; below this the preset
+/// is used. The value 3 is this repo's choice.
+pub const MIN_HISTORY: usize = 3;
+
+/// Penalty factor applied to an under-allocation: the wasted work of the
+/// failed attempt is approximated as `penalty × actual peak`. The original
+/// method optimises the memory-time wasted by the attempt itself (a failed
+/// attempt wastes its allocation); the retry cost is not part of its
+/// objective, which is why it trades more task failures for tighter
+/// allocations (Fig. 8c). Hence 0.
+pub const FAILURE_PENALTY: f64 = 0.0;
 
 /// Low-wastage linear allocation model.
 #[derive(Debug, Default, Clone)]
 pub struct WittWastage {
-    config: WittWastageConfig,
     history: History<IncrementalLine>,
     /// Reused by every observe.
     scratch: LineScratch,
 }
 
 impl WittWastage {
-    /// Creates the predictor with default configuration.
+    /// Creates the predictor.
     pub fn new() -> Self {
         WittWastage::default()
-    }
-
-    /// Creates the predictor with a custom configuration.
-    pub fn with_config(config: WittWastageConfig) -> Self {
-        WittWastage {
-            config,
-            ..WittWastage::default()
-        }
     }
 
     /// Wastage cost of allocating `alloc` for a task that actually peaks at
     /// `peak`: surplus when sufficient, failed work plus a full re-run at the
     /// actual peak when insufficient.
-    fn wastage_cost(config: &WittWastageConfig, alloc: f64, peak: f64) -> f64 {
+    fn wastage_cost(alloc: f64, peak: f64) -> f64 {
         if alloc >= peak {
             alloc - peak
         } else {
-            alloc + config.failure_penalty * peak
+            alloc + FAILURE_PENALTY * peak
         }
     }
 }
@@ -110,7 +91,7 @@ impl MemoryPredictor for WittWastage {
         let Some((observations, line)) = self.history.observe(record) else {
             return;
         };
-        if !line.absorb(observations, self.config.min_history, &mut self.scratch) {
+        if !line.absorb(observations, MIN_HISTORY, &mut self.scratch) {
             return;
         }
         let scratch = &mut self.scratch;
@@ -120,12 +101,12 @@ impl MemoryPredictor for WittWastage {
         // Evaluate every candidate shift on the historical data.
         let mut best_shift = 0.0;
         let mut best_cost = f64::INFINITY;
-        for &q in &self.config.candidate_quantiles {
+        for q in CANDIDATE_QUANTILES {
             let shift = percentile_of_sorted(&scratch.residuals, q).max(0.0);
             let cost: f64 = observations
                 .iter()
                 .zip(scratch.fitted.iter())
-                .map(|(o, p)| Self::wastage_cost(&self.config, p + shift, o.peak_bytes))
+                .map(|(o, p)| Self::wastage_cost(p + shift, o.peak_bytes))
                 .sum();
             if cost < best_cost {
                 best_cost = cost;
@@ -181,17 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn wastage_cost_penalises_underallocation() {
-        let config = WittWastageConfig::default();
-        assert_eq!(WittWastage::wastage_cost(&config, 5.0, 3.0), 2.0);
-        // With the default penalty of 0 a failed attempt costs its own
-        // allocation.
-        assert_eq!(WittWastage::wastage_cost(&config, 2.0, 3.0), 2.0);
-        let strict = WittWastageConfig {
-            failure_penalty: 1.0,
-            ..config
-        };
-        assert_eq!(WittWastage::wastage_cost(&strict, 2.0, 3.0), 5.0);
+    fn wastage_cost_charges_the_surplus_or_the_failed_allocation() {
+        assert_eq!(WittWastage::wastage_cost(5.0, 3.0), 2.0);
+        // With a penalty of 0 a failed attempt costs its own allocation.
+        assert_eq!(WittWastage::wastage_cost(2.0, 3.0), 2.0);
     }
 
     #[test]

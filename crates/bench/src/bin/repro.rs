@@ -21,9 +21,7 @@ use sizey_bench::{
     banner, evaluate_all_methods, evaluate_methods, fmt, generate_workloads, headline,
     render_table, wastage_on, HarnessSettings, MethodSpec, Workload,
 };
-use sizey_core::{
-    GatingStrategy, OffsetMode, OffsetStrategy, OnlineMode, SizeyConfig, SizeyPredictor,
-};
+use sizey_core::{GatingStrategy, OffsetMode, OffsetStrategy, SizeyConfig, SizeyPredictor};
 use sizey_ml::dataset::Dataset;
 use sizey_ml::linear::LinearRegression;
 use sizey_ml::metrics::mape;
@@ -926,7 +924,7 @@ fn ablation_online_mode(ctx: &Context) {
     );
     let workloads = generate_workloads(&settings);
     let never_retrain = SizeyConfig {
-        online: OnlineMode::incremental(0),
+        retrain_interval: 0,
         ..SizeyConfig::default()
     };
     let variants = [

@@ -63,8 +63,7 @@
 //! alpha = 0.0
 //!
 //! [[method]]
-//! kind = "witt-percentile"
-//! percentile = 95.0
+//! kind = "witt-percentile"  # the baselines take no parameters
 //! ```
 //!
 //! Omitting `methods` entirely runs the paper's six-method suite; omitting

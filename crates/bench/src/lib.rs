@@ -318,8 +318,8 @@ mod tests {
     fn headline_compares_sizey_with_the_best_baseline() {
         let [sizey, lr, ppm, preset] = [
             MethodSpec::default_suite()[0].clone(),
-            MethodSpec::WittLr(Default::default()),
-            MethodSpec::TovarPpm(Default::default()),
+            MethodSpec::WittLr,
+            MethodSpec::TovarPpm,
             MethodSpec::Preset,
         ];
         let h = headline(&[

@@ -26,13 +26,8 @@
 //! structurally — there is no string name to go stale.
 
 use crate::toml_lite::{write as toml_write, TomlTable, TomlValue};
-use sizey_baselines::{
-    TovarPpm, TovarPpmConfig, WittLr, WittLrConfig, WittPercentile, WittPercentileConfig,
-    WittWastage, WittWastageConfig,
-};
-use sizey_core::{
-    DriftPolicy, GatingStrategy, OffsetMode, OnlineMode, SizeyConfig, SizeyPredictor,
-};
+use sizey_baselines::{TovarPpm, WittLr, WittPercentile, WittWastage};
+use sizey_core::{DriftPolicy, GatingStrategy, OffsetMode, SizeyConfig, SizeyPredictor};
 use sizey_ml::model::ModelClass;
 use sizey_sim::lifecycle::{CheckpointPredictor, PredictorState, StateError};
 use sizey_sim::PresetPredictor;
@@ -44,13 +39,13 @@ pub enum MethodSpec {
     /// The Sizey method with an explicit configuration.
     Sizey(SizeyConfig),
     /// Witt et al. low-wastage regression.
-    WittWastage(WittWastageConfig),
+    WittWastage,
     /// Witt et al. linear regression with offset.
-    WittLr(WittLrConfig),
+    WittLr,
     /// Tovar et al. peak-probability sizing.
-    TovarPpm(TovarPpmConfig),
+    TovarPpm,
     /// Witt et al. percentile predictor.
-    WittPercentile(WittPercentileConfig),
+    WittPercentile,
     /// The workflow developers' memory requests.
     Preset,
 }
@@ -66,10 +61,10 @@ impl MethodSpec {
     pub fn default_suite() -> Vec<MethodSpec> {
         vec![
             MethodSpec::Sizey(SizeyConfig::default()),
-            MethodSpec::WittWastage(WittWastageConfig::default()),
-            MethodSpec::WittLr(WittLrConfig::default()),
-            MethodSpec::TovarPpm(TovarPpmConfig::default()),
-            MethodSpec::WittPercentile(WittPercentileConfig::default()),
+            MethodSpec::WittWastage,
+            MethodSpec::WittLr,
+            MethodSpec::TovarPpm,
+            MethodSpec::WittPercentile,
             MethodSpec::Preset,
         ]
     }
@@ -78,10 +73,10 @@ impl MethodSpec {
     pub fn name(&self) -> &'static str {
         match self {
             MethodSpec::Sizey(_) => "Sizey",
-            MethodSpec::WittWastage(_) => "Witt-Wastage",
-            MethodSpec::WittLr(_) => "Witt-LR",
-            MethodSpec::TovarPpm(_) => "Tovar-PPM",
-            MethodSpec::WittPercentile(_) => "Witt-Percentile",
+            MethodSpec::WittWastage => "Witt-Wastage",
+            MethodSpec::WittLr => "Witt-LR",
+            MethodSpec::TovarPpm => "Tovar-PPM",
+            MethodSpec::WittPercentile => "Witt-Percentile",
             MethodSpec::Preset => "Workflow-Presets",
         }
     }
@@ -91,10 +86,10 @@ impl MethodSpec {
     pub fn id(&self) -> &'static str {
         match self {
             MethodSpec::Sizey(_) => "sizey",
-            MethodSpec::WittWastage(_) => "witt-wastage",
-            MethodSpec::WittLr(_) => "witt-lr",
-            MethodSpec::TovarPpm(_) => "tovar-ppm",
-            MethodSpec::WittPercentile(_) => "witt-percentile",
+            MethodSpec::WittWastage => "witt-wastage",
+            MethodSpec::WittLr => "witt-lr",
+            MethodSpec::TovarPpm => "tovar-ppm",
+            MethodSpec::WittPercentile => "witt-percentile",
             MethodSpec::Preset => "preset",
         }
     }
@@ -104,10 +99,10 @@ impl MethodSpec {
     pub fn figure_order(&self) -> usize {
         match self {
             MethodSpec::Sizey(_) => 0,
-            MethodSpec::WittWastage(_) => 1,
-            MethodSpec::WittLr(_) => 2,
-            MethodSpec::TovarPpm(_) => 3,
-            MethodSpec::WittPercentile(_) => 4,
+            MethodSpec::WittWastage => 1,
+            MethodSpec::WittLr => 2,
+            MethodSpec::TovarPpm => 3,
+            MethodSpec::WittPercentile => 4,
             MethodSpec::Preset => 5,
         }
     }
@@ -125,10 +120,10 @@ impl MethodSpec {
     pub fn build(&self) -> Box<dyn CheckpointPredictor> {
         match self {
             MethodSpec::Sizey(config) => Box::new(SizeyPredictor::new(config.clone())),
-            MethodSpec::WittWastage(config) => Box::new(WittWastage::with_config(config.clone())),
-            MethodSpec::WittLr(config) => Box::new(WittLr::with_config(*config)),
-            MethodSpec::TovarPpm(config) => Box::new(TovarPpm::with_config(*config)),
-            MethodSpec::WittPercentile(config) => Box::new(WittPercentile::with_config(*config)),
+            MethodSpec::WittWastage => Box::new(WittWastage::new()),
+            MethodSpec::WittLr => Box::new(WittLr::new()),
+            MethodSpec::TovarPpm => Box::new(TovarPpm::new()),
+            MethodSpec::WittPercentile => Box::new(WittPercentile::new()),
             MethodSpec::Preset => Box::new(PresetPredictor),
         }
     }
@@ -260,8 +255,7 @@ pub(crate) fn need_float(context: &str, key: &str, value: &TomlValue) -> Result<
 }
 
 /// A `[[method]]` parameter: a number that is also finite. An infinite
-/// `beta` turns the gating weights into NaN, and an infinite offset or
-/// head-room sends every allocation to the largest node.
+/// `beta` turns the gating weights into NaN.
 fn need_finite(context: &str, key: &str, value: &TomlValue) -> Result<f64, SpecError> {
     let number = need_float(context, key, value)?;
     if number.is_finite() {
@@ -318,8 +312,9 @@ pub(crate) fn need_bool(context: &str, key: &str, value: &TomlValue) -> Result<b
 
 impl MethodSpec {
     /// Parses one `[[method]]` table. The `kind` key selects the variant;
-    /// every other key overrides one field of that variant's default
-    /// configuration. Unknown kinds and keys are errors, not silently
+    /// for Sizey every other key overrides one field of the default
+    /// configuration, and the fixed methods (the baselines and the presets)
+    /// accept no other key. Unknown kinds and keys are errors, not silently
     /// ignored defaults.
     pub fn from_table(table: &TomlTable) -> Result<Self, SpecError> {
         let kind = match table.get("kind") {
@@ -334,101 +329,11 @@ impl MethodSpec {
         };
         match kind {
             "sizey" => Ok(MethodSpec::Sizey(sizey_config_from_table(table)?)),
-            "witt-wastage" => {
-                let context = "[[method]] kind = \"witt-wastage\"";
-                let mut config = WittWastageConfig::default();
-                for (key, value) in &table.entries {
-                    match key.as_str() {
-                        "kind" => {}
-                        "quantiles" => {
-                            let items = value.as_array().ok_or_else(|| {
-                                invalid(context, key, "expected an array of percentiles")
-                            })?;
-                            config.candidate_quantiles = items
-                                .iter()
-                                .map(|v| need_finite(context, key, v))
-                                .collect::<Result<_, _>>()?;
-                        }
-                        "min_history" => config.min_history = need_usize(context, key, value)?,
-                        "failure_penalty" => {
-                            config.failure_penalty = need_finite(context, key, value)?
-                        }
-                        _ => {
-                            return Err(SpecError::UnknownKey {
-                                context: context.to_string(),
-                                key: key.clone(),
-                            })
-                        }
-                    }
-                }
-                Ok(MethodSpec::WittWastage(config))
-            }
-            "witt-lr" => {
-                let context = "[[method]] kind = \"witt-lr\"";
-                let mut config = WittLrConfig::default();
-                for (key, value) in &table.entries {
-                    match key.as_str() {
-                        "kind" => {}
-                        "min_history" => config.min_history = need_usize(context, key, value)?,
-                        "offset_sigmas" => config.offset_sigmas = need_finite(context, key, value)?,
-                        _ => {
-                            return Err(SpecError::UnknownKey {
-                                context: context.to_string(),
-                                key: key.clone(),
-                            })
-                        }
-                    }
-                }
-                Ok(MethodSpec::WittLr(config))
-            }
-            "tovar-ppm" => {
-                let context = "[[method]] kind = \"tovar-ppm\"";
-                let mut config = TovarPpmConfig::default();
-                for (key, value) in &table.entries {
-                    match key.as_str() {
-                        "kind" => {}
-                        "node_memory_bytes" => {
-                            config.node_memory_bytes = need_finite(context, key, value)?
-                        }
-                        "min_history" => config.min_history = need_usize(context, key, value)?,
-                        "headroom" => config.headroom = need_finite(context, key, value)?,
-                        _ => {
-                            return Err(SpecError::UnknownKey {
-                                context: context.to_string(),
-                                key: key.clone(),
-                            })
-                        }
-                    }
-                }
-                Ok(MethodSpec::TovarPpm(config))
-            }
-            "witt-percentile" => {
-                let context = "[[method]] kind = \"witt-percentile\"";
-                let mut config = WittPercentileConfig::default();
-                for (key, value) in &table.entries {
-                    match key.as_str() {
-                        "kind" => {}
-                        "percentile" => config.percentile = need_finite(context, key, value)?,
-                        "min_history" => config.min_history = need_usize(context, key, value)?,
-                        _ => {
-                            return Err(SpecError::UnknownKey {
-                                context: context.to_string(),
-                                key: key.clone(),
-                            })
-                        }
-                    }
-                }
-                Ok(MethodSpec::WittPercentile(config))
-            }
-            "preset" => {
-                if let Some(key) = table.keys().find(|k| *k != "kind") {
-                    return Err(SpecError::UnknownKey {
-                        context: "[[method]] kind = \"preset\"".to_string(),
-                        key: key.to_string(),
-                    });
-                }
-                Ok(MethodSpec::Preset)
-            }
+            "witt-wastage" => fixed(table, MethodSpec::WittWastage),
+            "witt-lr" => fixed(table, MethodSpec::WittLr),
+            "tovar-ppm" => fixed(table, MethodSpec::TovarPpm),
+            "witt-percentile" => fixed(table, MethodSpec::WittPercentile),
+            "preset" => fixed(table, MethodSpec::Preset),
             other => Err(SpecError::UnknownMethod {
                 kind: other.to_string(),
                 line: table.line,
@@ -461,24 +366,13 @@ impl MethodSpec {
                         ));
                     }
                 }
-                match c.online {
-                    OnlineMode::FullRetrain => out.push_str("online = \"full-retrain\"\n"),
-                    OnlineMode::Incremental { retrain_interval } => {
-                        out.push_str("online = \"incremental\"\n");
-                        out.push_str(&format!("retrain_interval = {retrain_interval}\n"));
-                    }
-                }
+                out.push_str(&format!("retrain_interval = {}\n", c.retrain_interval));
                 let classes: Vec<String> = c
                     .model_classes
                     .iter()
                     .map(|class| toml_write::string(class.name()))
                     .collect();
                 out.push_str(&format!("model_classes = [{}]\n", classes.join(", ")));
-                out.push_str(&format!("min_history = {}\n", c.min_history));
-                out.push_str(&format!(
-                    "cold_start_observations = {}\n",
-                    c.cold_start_observations
-                ));
                 out.push_str(&format!(
                     "hyperparameter_optimization = {}\n",
                     c.hyperparameter_optimization
@@ -487,78 +381,56 @@ impl MethodSpec {
                 if let Some(window) = c.history_window {
                     out.push_str(&format!("history_window = {window}\n"));
                 }
-                if let DriftPolicy::Retrain {
-                    window,
-                    threshold,
-                    keep_recent,
-                } = c.drift
-                {
-                    out.push_str(&format!("drift_window = {window}\n"));
-                    out.push_str(&format!(
-                        "drift_threshold = {}\n",
-                        toml_write::float(threshold)
-                    ));
-                    out.push_str(&format!("drift_keep_recent = {keep_recent}\n"));
+                match c.drift {
+                    DriftPolicy::Off => out.push_str("drift = \"off\"\n"),
+                    DriftPolicy::Retrain => out.push_str("drift = \"retrain\"\n"),
                 }
             }
-            MethodSpec::WittWastage(c) => {
-                let quantiles: Vec<String> = c
-                    .candidate_quantiles
-                    .iter()
-                    .map(|q| toml_write::float(*q))
-                    .collect();
-                out.push_str(&format!("quantiles = [{}]\n", quantiles.join(", ")));
-                out.push_str(&format!("min_history = {}\n", c.min_history));
-                out.push_str(&format!(
-                    "failure_penalty = {}\n",
-                    toml_write::float(c.failure_penalty)
-                ));
-            }
-            MethodSpec::WittLr(c) => {
-                out.push_str(&format!("min_history = {}\n", c.min_history));
-                out.push_str(&format!(
-                    "offset_sigmas = {}\n",
-                    toml_write::float(c.offset_sigmas)
-                ));
-            }
-            MethodSpec::TovarPpm(c) => {
-                out.push_str(&format!(
-                    "node_memory_bytes = {}\n",
-                    toml_write::float(c.node_memory_bytes)
-                ));
-                out.push_str(&format!("min_history = {}\n", c.min_history));
-                out.push_str(&format!("headroom = {}\n", toml_write::float(c.headroom)));
-            }
-            MethodSpec::WittPercentile(c) => {
-                out.push_str(&format!(
-                    "percentile = {}\n",
-                    toml_write::float(c.percentile)
-                ));
-                out.push_str(&format!("min_history = {}\n", c.min_history));
-            }
-            MethodSpec::Preset => {}
+            MethodSpec::WittWastage
+            | MethodSpec::WittLr
+            | MethodSpec::TovarPpm
+            | MethodSpec::WittPercentile
+            | MethodSpec::Preset => {}
         }
         out
+    }
+}
+
+/// A method with one fixed configuration: its table names only the `kind`.
+fn fixed(table: &TomlTable, method: MethodSpec) -> Result<MethodSpec, SpecError> {
+    match table.keys().find(|k| *k != "kind") {
+        Some(key) => Err(SpecError::UnknownKey {
+            context: format!("[[method]] kind = {}", toml_write::string(method.id())),
+            key: key.to_string(),
+        }),
+        None => Ok(method),
     }
 }
 
 fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> {
     let context = "[[method]] kind = \"sizey\"";
     let mut config = SizeyConfig::default();
-    // `gating`/`beta` and `online`/`retrain_interval` are sibling keys that
-    // configure one field together; collect them first so file order between
-    // the siblings does not matter.
+    // `gating` and `beta` are sibling keys that configure one field
+    // together; collect them first so file order between them does not
+    // matter.
     let mut gating: Option<&str> = None;
     let mut beta: Option<f64> = None;
-    let mut online: Option<&str> = None;
-    let mut retrain_interval: Option<usize> = None;
-    let mut drift_window: Option<usize> = None;
-    let mut drift_threshold: Option<f64> = None;
-    let mut drift_keep_recent: Option<usize> = None;
     for (key, value) in &table.entries {
         match key.as_str() {
             "kind" => {}
-            "alpha" => config.alpha = need_finite(context, key, value)?,
+            "alpha" => {
+                // §II-C defines α on [0, 1]; the RAQ score would clamp any
+                // other value silently.
+                let alpha = need_finite(context, key, value)?;
+                if !(0.0..=1.0).contains(&alpha) {
+                    return Err(invalid(
+                        context,
+                        key,
+                        format!("expected a value in [0, 1], found {alpha}"),
+                    ));
+                }
+                config.alpha = alpha;
+            }
             "gating" => gating = Some(need_str(context, key, value)?),
             "beta" => beta = Some(need_finite(context, key, value)?),
             "offset" => {
@@ -581,8 +453,7 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
                     ),
                 }
             }
-            "online" => online = Some(need_str(context, key, value)?),
-            "retrain_interval" => retrain_interval = Some(need_usize(context, key, value)?),
+            "retrain_interval" => config.retrain_interval = need_usize(context, key, value)?,
             // The MLP warm-start cadence used to be a knob whose only value
             // in use was 1, and checkpoint directories stamped back then
             // carry that line in their `spec.toml`. 1 is what runs now.
@@ -608,16 +479,22 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
                         .ok_or_else(|| {
                             invalid(context, key, format!("unknown model class {name:?}"))
                         })?;
+                    // Two members of one class would both be scored by the
+                    // first one's accuracy, and gating would weight the
+                    // class twice.
+                    if classes.contains(&class) {
+                        return Err(invalid(
+                            context,
+                            key,
+                            format!("model class {name:?} is listed twice"),
+                        ));
+                    }
                     classes.push(class);
                 }
                 if classes.is_empty() {
                     return Err(invalid(context, key, "the model pool cannot be empty"));
                 }
                 config.model_classes = classes;
-            }
-            "min_history" => config.min_history = need_usize(context, key, value)?,
-            "cold_start_observations" => {
-                config.cold_start_observations = need_usize(context, key, value)?
             }
             "hyperparameter_optimization" => {
                 config.hyperparameter_optimization = need_bool(context, key, value)?
@@ -636,9 +513,19 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
                     .ok_or_else(|| invalid(context, key, "expected a positive integer window"))?;
                 config.history_window = Some(window as usize);
             }
-            "drift_window" => drift_window = Some(need_usize(context, key, value)?),
-            "drift_threshold" => drift_threshold = Some(need_finite(context, key, value)?),
-            "drift_keep_recent" => drift_keep_recent = Some(need_usize(context, key, value)?),
+            "drift" => {
+                config.drift = match need_str(context, key, value)? {
+                    "off" => DriftPolicy::Off,
+                    "retrain" => DriftPolicy::Retrain,
+                    other => {
+                        return Err(invalid(
+                            context,
+                            key,
+                            format!("unknown drift response {other:?} (retrain or off)"),
+                        ))
+                    }
+                }
+            }
             _ => {
                 return Err(SpecError::UnknownKey {
                     context: context.to_string(),
@@ -676,48 +563,6 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
             config.gating = GatingStrategy::Interpolation { beta: b };
         }
         (None, None) => {}
-    }
-    let default_interval = match OnlineMode::default() {
-        OnlineMode::Incremental { retrain_interval } => retrain_interval,
-        OnlineMode::FullRetrain => 25,
-    };
-    match (online, retrain_interval) {
-        (Some("full-retrain"), None) => config.online = OnlineMode::FullRetrain,
-        (Some("full-retrain"), Some(_)) => {
-            return Err(invalid(
-                context,
-                "retrain_interval",
-                "retrain_interval only applies to incremental mode",
-            ))
-        }
-        (Some("incremental"), interval) | (None, interval @ Some(_)) => {
-            config.online = OnlineMode::incremental(interval.unwrap_or(default_interval));
-        }
-        (Some(other), _) => {
-            return Err(invalid(
-                context,
-                "online",
-                format!("unknown online mode {other:?} (full-retrain or incremental)"),
-            ))
-        }
-        (None, None) => {}
-    }
-    // The three drift_* keys configure one DriftPolicy together; any one of
-    // them arms the detector, the others fall back to the policy defaults.
-    if drift_window.is_some() || drift_threshold.is_some() || drift_keep_recent.is_some() {
-        let (dw, dt, dk) = match DriftPolicy::retrain_defaults() {
-            DriftPolicy::Retrain {
-                window,
-                threshold,
-                keep_recent,
-            } => (window, threshold, keep_recent),
-            DriftPolicy::Off => (20, 0.6, 30),
-        };
-        config.drift = DriftPolicy::Retrain {
-            window: drift_window.unwrap_or(dw),
-            threshold: drift_threshold.unwrap_or(dt),
-            keep_recent: drift_keep_recent.unwrap_or(dk),
-        };
     }
     Ok(config)
 }
@@ -769,16 +614,12 @@ mod tests {
         variants.push(MethodSpec::Sizey(
             SizeyConfig::default().with_history_window(128),
         ));
-        variants.push(MethodSpec::Sizey(SizeyConfig::default().with_drift_policy(
-            sizey_core::DriftPolicy::Retrain {
-                window: 16,
-                threshold: 0.5,
-                keep_recent: 24,
-            },
-        )));
-        variants.push(MethodSpec::WittPercentile(WittPercentileConfig {
-            percentile: 99.5,
-            min_history: 4,
+        variants.push(MethodSpec::Sizey(
+            SizeyConfig::default().with_drift_policy(DriftPolicy::Retrain),
+        ));
+        variants.push(MethodSpec::Sizey(SizeyConfig {
+            retrain_interval: 0,
+            ..SizeyConfig::default()
         }));
         for spec in variants {
             let text = spec.to_toml();
@@ -810,11 +651,28 @@ mod tests {
             MethodSpec::from_table(doc.array_of("method")[0]),
             Err(SpecError::InvalidValue { .. })
         ));
-        let doc = TomlDocument::parse("[[method]]\nkind = \"preset\"\npercentile = 9\n").unwrap();
-        assert!(matches!(
-            MethodSpec::from_table(doc.array_of("method")[0]),
-            Err(SpecError::UnknownKey { .. })
-        ));
+        // The fixed methods take no parameters, and the Sizey parameters
+        // that became constants are unknown keys like any other.
+        for (kind, key) in [
+            ("preset", "percentile"),
+            ("witt-percentile", "percentile"),
+            ("witt-lr", "min_history"),
+            ("witt-wastage", "quantiles"),
+            ("tovar-ppm", "headroom"),
+            ("sizey", "min_history"),
+            ("sizey", "cold_start_observations"),
+            ("sizey", "online"),
+            ("sizey", "drift_window"),
+            ("sizey", "drift_threshold"),
+            ("sizey", "drift_keep_recent"),
+        ] {
+            let text = format!("[[method]]\nkind = \"{kind}\"\n{key} = 3\n");
+            let doc = TomlDocument::parse(&text).unwrap();
+            match MethodSpec::from_table(doc.array_of("method")[0]) {
+                Err(SpecError::UnknownKey { key: named, .. }) => assert_eq!(named, key),
+                other => panic!("{text}: {other:?}"),
+            }
+        }
         // The retired MLP cadence knob: the one value old checkpoint stamps
         // carry still parses (and changes nothing), any other is refused.
         for value in [1, 4] {
@@ -833,14 +691,14 @@ mod tests {
     #[test]
     fn partial_sizey_tables_override_only_named_fields() {
         let doc = TomlDocument::parse(
-            "[[method]]\nkind = \"sizey\"\nalpha = 0.25\nonline = \"incremental\"\nretrain_interval = 7\n",
+            "[[method]]\nkind = \"sizey\"\nalpha = 0.25\nretrain_interval = 7\n",
         )
         .unwrap();
         let spec = MethodSpec::from_table(doc.array_of("method")[0]).unwrap();
         match spec {
             MethodSpec::Sizey(c) => {
                 assert_eq!(c.alpha, 0.25);
-                assert_eq!(c.online, OnlineMode::incremental(7));
+                assert_eq!(c.retrain_interval, 7);
                 // Untouched fields keep their defaults.
                 assert_eq!(c.gating, GatingStrategy::default());
                 assert_eq!(c.model_classes.len(), 4);

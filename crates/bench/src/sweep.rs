@@ -418,10 +418,7 @@ mod tests {
             cell(alpha_sizey.clone(), SchedulePolicy::FirstFit),
             cell(MethodSpec::Preset, SchedulePolicy::FirstFit),
             cell(MethodSpec::sizey_defaults(), SchedulePolicy::FirstFit),
-            cell(
-                MethodSpec::WittPercentile(Default::default()),
-                SchedulePolicy::FirstFit,
-            ),
+            cell(MethodSpec::WittPercentile, SchedulePolicy::FirstFit),
         ];
         let rows = aggregate_sweep(&cells);
         let order: Vec<(String, &str)> = rows

@@ -38,85 +38,60 @@ pub enum OffsetMode {
     None,
 }
 
-/// How models are updated when new task measurements arrive (Section II-B /
-/// Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OnlineMode {
-    /// Fully retrain every model (optionally with hyper-parameter
-    /// optimisation) after every completed task.
-    FullRetrain,
-    /// Perform lightweight incremental updates of every pool member —
-    /// including a warm-start MLP step — after every completed task, with a
-    /// full retrain every `retrain_interval` completions (0 = never).
-    Incremental {
-        /// Completions between two full retrains (0 = never retrain fully).
-        /// A due retrain runs inside the `observe` that made it due. The
-        /// default interval of 25 ([`OnlineMode::default`]) is this repo's
-        /// choice.
-        retrain_interval: usize,
-    },
-}
+/// Minimum number of successful observations of a task type before the
+/// models are used; below this the user preset is allocated (the paper's
+/// behaviour for unknown task types). The value 3 is this repo's choice.
+pub const MIN_HISTORY: usize = 3;
 
-impl OnlineMode {
-    /// Incremental mode with the given full-retrain interval.
-    pub fn incremental(retrain_interval: usize) -> Self {
-        OnlineMode::Incremental { retrain_interval }
-    }
-}
+/// While a task type has fewer successful observations than this, the
+/// allocation keeps at least 15 % head-room over the raw model estimate
+/// (unless the offset mode is [`OffsetMode::None`], which promises the raw
+/// estimate untouched). This guards the cold-start phase, where the offset
+/// histories are still too short to protect against under-prediction; once
+/// enough data exists the models and offsets take over completely. The
+/// guard, its 15 % (the `1.15` factor in `SizeyPredictor::predict`) and the
+/// 10 observations are this repo's choice.
+pub const COLD_START_OBSERVATIONS: usize = 10;
 
-impl Default for OnlineMode {
-    fn default() -> Self {
-        OnlineMode::incremental(25)
-    }
-}
+/// Completions between two scheduled full retrains in the default
+/// configuration (Fig. 9's "Sizey-Incremental"). The value 25 is this
+/// repo's choice.
+pub const DEFAULT_RETRAIN_INTERVAL: usize = 25;
+
+/// Number of recent observations the drift detector's under-prediction
+/// rate is measured over. The detector only fires on a full window, so it
+/// cannot trip during the first few observations after a reset. The value
+/// 12 is this repo's choice.
+pub const DRIFT_WINDOW: usize = 12;
+
+/// Under-prediction rate at or above which the drift detector fires. The
+/// value 0.6 is this repo's choice.
+pub const DRIFT_THRESHOLD: f64 = 0.6;
+
+/// On a drift trigger, the pool keeps only this many most recent successful
+/// observations as training data before retraining. Trimming is what lets
+/// the retrained models track the *new* regime instead of averaging it with
+/// the stale one. The value 40 is this repo's choice.
+pub const DRIFT_KEEP_RECENT: usize = 40;
 
 /// How the predictor responds to concept drift in a task type's memory
 /// behaviour (a workload update shifting peaks mid-run).
 ///
-/// The detector watches, per model pool, a rolling window of recent
-/// observations and flags each as *under-predicted* (the pool's raw
-/// aggregate estimate fell below the actual peak, or the attempt ran out of
-/// memory). When the under-prediction rate over a full window reaches the
-/// threshold, the pool discards its stale pre-drift history (optionally) and
-/// forces a full retrain, then the window restarts. Detection state is a
-/// deterministic function of the observation stream, so snapshot/restore by
-/// journal replay reconstructs it exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// The detector watches, per model pool, a rolling window of the last
+/// [`DRIFT_WINDOW`] observations and flags each as *under-predicted* (the
+/// pool's raw aggregate estimate fell below the actual peak, or the attempt
+/// ran out of memory). When the under-prediction rate over a full window
+/// reaches [`DRIFT_THRESHOLD`], the pool keeps only its [`DRIFT_KEEP_RECENT`]
+/// most recent observations and forces a full retrain, then the window
+/// restarts. Detection state is a deterministic function of the observation
+/// stream, so snapshot/restore by journal replay reconstructs it exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DriftPolicy {
-    /// No drift detection (the paper's setup). Bit-identical to a detector
-    /// that never fires.
+    /// No drift detection (the paper's setup).
     #[default]
     Off,
     /// Rolling under-prediction-rate detector with a triggered full retrain.
-    Retrain {
-        /// Number of recent observations the under-prediction rate is
-        /// measured over (clamped to at least 1). The detector only fires on
-        /// a full window, so it cannot trip during the first few
-        /// observations after a reset.
-        window: usize,
-        /// Under-prediction rate in `[0, 1]` at or above which the detector
-        /// fires. Values above 1 make the detector unreachable (useful for
-        /// pinning the off-equivalence).
-        threshold: f64,
-        /// On trigger, keep only this many most recent successful
-        /// observations as training data before retraining (0 keeps
-        /// everything). Trimming is what lets the retrained models track the
-        /// *new* regime instead of averaging it with the stale one.
-        keep_recent: usize,
-    },
-}
-
-impl DriftPolicy {
-    /// A reasonable default detector: fires when 60 % of the last 20
-    /// observations were under-predicted, retraining on the 30 most recent
-    /// observations.
-    pub fn retrain_defaults() -> Self {
-        DriftPolicy::Retrain {
-            window: 20,
-            threshold: 0.6,
-            keep_recent: 30,
-        }
-    }
+    Retrain,
 }
 
 /// Complete configuration of the Sizey predictor.
@@ -130,25 +105,16 @@ pub struct SizeyConfig {
     pub gating: GatingStrategy,
     /// Offset strategy protecting against under-prediction.
     pub offset: OffsetMode,
-    /// Online learning mode.
-    pub online: OnlineMode,
+    /// How models learn from each completed task (Section II-B / Fig. 9):
+    /// every completion updates every pool member incrementally (including
+    /// a warm-start MLP step), and every `retrain_interval`-th completion
+    /// fully retrains the pool instead. A due retrain runs inside the
+    /// `observe` that made it due. 1 retrains on every completion
+    /// ("Sizey-Full"), 0 never retrains fully, and the default is
+    /// [`DEFAULT_RETRAIN_INTERVAL`].
+    pub retrain_interval: usize,
     /// Model classes in the pool (defaults to all four of Fig. 5).
     pub model_classes: Vec<ModelClass>,
-    /// Minimum number of successful observations of a task type before the
-    /// models are used; below this the user preset is allocated (the paper's
-    /// behaviour for unknown task types). The default 3 is this repo's
-    /// choice.
-    pub min_history: usize,
-    /// While a task type has fewer successful observations than this, the
-    /// allocation keeps at least 15 % head-room over the raw model estimate
-    /// (unless the offset mode is [`OffsetMode::None`], which promises the
-    /// raw estimate untouched). This guards the cold-start phase, where the
-    /// offset histories are still too short to protect against
-    /// under-prediction; once enough data exists the models and offsets take
-    /// over completely. The guard, its 15 % (the `1.15` factor in
-    /// `SizeyPredictor::predict`) and the default of 10 observations are
-    /// this repo's choice.
-    pub cold_start_observations: usize,
     /// Whether a full retrain runs grid-search hyper-parameter optimisation.
     pub hyperparameter_optimization: bool,
     /// Seed for the stochastic pool members (MLP, random forest).
@@ -175,7 +141,8 @@ pub struct SizeyConfig {
 }
 
 /// The paper's experimental configuration: α = 0, Interpolation gating,
-/// dynamic offset, all four model classes and incremental updates (Fig. 9's
+/// dynamic offset, all four model classes and incremental updates with a
+/// full retrain every [`DEFAULT_RETRAIN_INTERVAL`] completions (Fig. 9's
 /// "Sizey-Incremental").
 impl Default for SizeyConfig {
     fn default() -> Self {
@@ -183,10 +150,8 @@ impl Default for SizeyConfig {
             alpha: 0.0,
             gating: GatingStrategy::default(),
             offset: OffsetMode::default(),
-            online: OnlineMode::default(),
+            retrain_interval: DEFAULT_RETRAIN_INTERVAL,
             model_classes: ModelClass::ALL.to_vec(),
-            min_history: 3,
-            cold_start_observations: 10,
             hyperparameter_optimization: false,
             seed: 42,
             history_window: None,
@@ -196,11 +161,11 @@ impl Default for SizeyConfig {
 }
 
 impl SizeyConfig {
-    /// Configuration for the full-retraining variant of Fig. 9 ("Sizey-Full"),
-    /// including hyper-parameter optimisation.
+    /// Configuration for the full-retraining variant of Fig. 9 ("Sizey-Full"):
+    /// a retrain on every completion, with hyper-parameter optimisation.
     pub fn full_retraining() -> Self {
         SizeyConfig {
-            online: OnlineMode::FullRetrain,
+            retrain_interval: 1,
             hyperparameter_optimization: true,
             ..SizeyConfig::default()
         }
@@ -251,7 +216,6 @@ mod tests {
         assert!(matches!(c.gating, GatingStrategy::Interpolation { .. }));
         assert_eq!(c.offset, OffsetMode::Dynamic);
         assert_eq!(c.model_classes.len(), 4);
-        assert_eq!(c.min_history, 3);
     }
 
     #[test]
@@ -262,15 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn named_configurations_differ_in_online_mode() {
+    fn named_configurations_differ_in_retrain_interval() {
+        assert_eq!(SizeyConfig::full_retraining().retrain_interval, 1);
         assert_eq!(
-            SizeyConfig::full_retraining().online,
-            OnlineMode::FullRetrain
+            SizeyConfig::default().retrain_interval,
+            DEFAULT_RETRAIN_INTERVAL
         );
-        assert!(matches!(
-            SizeyConfig::default().online,
-            OnlineMode::Incremental { .. }
-        ));
         assert!(SizeyConfig::full_retraining().hyperparameter_optimization);
     }
 
@@ -283,14 +244,7 @@ mod tests {
     #[test]
     fn drift_response_is_off_by_default() {
         assert_eq!(SizeyConfig::default().drift, DriftPolicy::Off);
-        let c = SizeyConfig::default().with_drift_policy(DriftPolicy::retrain_defaults());
-        assert!(matches!(
-            c.drift,
-            DriftPolicy::Retrain {
-                window: 20,
-                keep_recent: 30,
-                ..
-            }
-        ));
+        let c = SizeyConfig::default().with_drift_policy(DriftPolicy::Retrain);
+        assert_eq!(c.drift, DriftPolicy::Retrain);
     }
 }

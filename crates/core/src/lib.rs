@@ -14,7 +14,8 @@
 //! escalate to the maximum memory ever observed and then double, and models
 //! are updated online after every task completion.
 //!
-//! * [`config`] — all hyper-parameters (α, gating, offset, online mode),
+//! * [`config`] — the settable parameters (α, gating, offset, retrain
+//!   interval, ...) and the constants no caller varies,
 //! * [`raq`] — accuracy score, efficiency score and RAQ (Eqs. 1–3),
 //! * [`gating`] — Argmax and Interpolation gating (Eq. 4),
 //! * [`offset`] — the four offset strategies and their dynamic selection,
@@ -62,7 +63,7 @@ pub mod serve;
 pub mod service;
 pub mod sizey;
 
-pub use config::{DriftPolicy, GatingStrategy, OffsetMode, OnlineMode, SizeyConfig};
+pub use config::{DriftPolicy, GatingStrategy, OffsetMode, SizeyConfig};
 pub use failure::failure_allocation;
 pub use gating::gate_with;
 pub use offset::{select_dynamic_offset_with, OffsetScratch, OffsetStrategy};

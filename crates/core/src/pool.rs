@@ -23,7 +23,9 @@
 // marker opts it into the no-panic-hot-path lint rule.
 #![doc = "lint:hot-path"]
 
-use crate::config::{DriftPolicy, OnlineMode, SizeyConfig};
+use crate::config::{
+    DriftPolicy, SizeyConfig, DRIFT_KEEP_RECENT, DRIFT_THRESHOLD, DRIFT_WINDOW, MIN_HISTORY,
+};
 use crate::gating::gate_with;
 use crate::offset::OffsetScratch;
 use crate::raq::{accuracy_score_cached, pair_accuracy, pool_raq_scores_into};
@@ -209,9 +211,17 @@ impl ModelPool {
         self.model_epoch
     }
 
-    /// True once the pool has enough data and fitted models to predict.
-    pub fn is_ready(&self, min_history: usize) -> bool {
-        self.data.len() >= min_history.max(1) && self.members.iter().any(|m| m.model.is_fitted())
+    /// Number of flags in the drift detector's rolling window; a fire
+    /// empties it.
+    #[cfg(test)]
+    pub(crate) fn drift_flags_len(&self) -> usize {
+        self.drift_flags.len()
+    }
+
+    /// True once the pool has [`MIN_HISTORY`] observations and fitted models
+    /// to predict.
+    pub fn is_ready(&self) -> bool {
+        self.data.len() >= MIN_HISTORY && self.members.iter().any(|m| m.model.is_fitted())
     }
 
     /// Each fitted member's estimate for `features` as gating sees it,
@@ -246,7 +256,7 @@ impl ModelPool {
         config: &SizeyConfig,
         scratch: &mut PoolScratch,
     ) -> Option<GatedOutcome> {
-        if !self.is_ready(config.min_history) {
+        if !self.is_ready() {
             return None;
         }
         self.individual_estimates_into(features, scratch);
@@ -314,7 +324,7 @@ impl ModelPool {
     /// says nothing about the models).
     pub fn observe_failure(&mut self, exhausted_allocation: f64, config: &SizeyConfig) {
         self.max_observed = max_finite(self.max_observed, exhausted_allocation);
-        if self.is_ready(config.min_history) && self.note_drift_observation(true, config) {
+        if self.is_ready() && self.note_drift_observation(true, config) {
             self.drift_retrain(config);
         }
     }
@@ -325,35 +335,29 @@ impl ModelPool {
     /// bit-identical. Firing clears the window, so consecutive triggers are
     /// at least one full window apart.
     fn note_drift_observation(&mut self, under_predicted: bool, config: &SizeyConfig) -> bool {
-        let DriftPolicy::Retrain {
-            window, threshold, ..
-        } = config.drift
-        else {
+        if config.drift == DriftPolicy::Off {
             return false;
-        };
-        let window = window.max(1);
+        }
         self.drift_flags.push_back(under_predicted);
-        while self.drift_flags.len() > window {
+        while self.drift_flags.len() > DRIFT_WINDOW {
             self.drift_flags.pop_front();
         }
-        if self.drift_flags.len() < window {
+        if self.drift_flags.len() < DRIFT_WINDOW {
             return false;
         }
         let under = self.drift_flags.iter().filter(|&&f| f).count();
-        if (under as f64) < threshold * window as f64 {
+        if (under as f64) < DRIFT_THRESHOLD * DRIFT_WINDOW as f64 {
             return false;
         }
         self.drift_flags.clear();
         true
     }
 
-    /// The drift response: optionally drop the stale pre-drift history so
-    /// the refit tracks the new regime, then force a full retrain.
+    /// The drift response: drop the stale pre-drift history so the refit
+    /// tracks the new regime, then force a full retrain.
     fn drift_retrain(&mut self, config: &SizeyConfig) {
-        if let DriftPolicy::Retrain { keep_recent, .. } = config.drift {
-            if keep_recent > 0 && self.data.len() > keep_recent {
-                self.data.drain_front(self.data.len() - keep_recent);
-            }
+        if self.data.len() > DRIFT_KEEP_RECENT {
+            self.data.drain_front(self.data.len() - DRIFT_KEEP_RECENT);
         }
         self.full_retrain(config);
     }
@@ -387,7 +391,7 @@ impl ModelPool {
         // aggregate fell below the actual peak. No estimate (cold start) →
         // no detector update.
         let mut drift_under = None;
-        let gated = if self.is_ready(config.min_history) {
+        let gated = if self.is_ready() {
             self.gate_estimates(config, scratch)
         } else {
             None
@@ -426,19 +430,15 @@ impl ModelPool {
         // 4. Online model update.
         if trimmed {
             // The window boundary is a de-facto full retrain, whatever the
-            // online mode asked for.
+            // retrain interval asked for.
             self.full_retrain(config);
         } else {
-            match config.online {
-                OnlineMode::FullRetrain => self.full_retrain(config),
-                OnlineMode::Incremental { retrain_interval } => {
-                    self.since_full_retrain += 1;
-                    if retrain_interval > 0 && self.since_full_retrain >= retrain_interval {
-                        self.full_retrain(config);
-                    } else {
-                        self.incremental_update(scratch);
-                    }
-                }
+            self.since_full_retrain += 1;
+            let interval = config.retrain_interval;
+            if interval > 0 && self.since_full_retrain >= interval {
+                self.full_retrain(config);
+            } else {
+                self.incremental_update(scratch);
             }
         }
         // 5. Drift response: runs after the regular online update so the
@@ -497,8 +497,8 @@ impl ModelPool {
         }
     }
 
-    /// A full retrain, whatever made it due (window trim, FullRetrain mode,
-    /// interval, drift), runs inside the observe that found it due: restart
+    /// A full retrain, whatever made it due (window trim, retrain interval,
+    /// drift), runs inside the observe that found it due: restart
     /// the interval counter and refit every member on the complete training
     /// data — a grid search when HPO is configured and there is enough data
     /// for its folds.
@@ -651,7 +651,7 @@ mod tests {
     #[test]
     fn hpo_winners_keep_the_members_incremental_settings() {
         let cfg = SizeyConfig {
-            online: OnlineMode::incremental(8),
+            retrain_interval: 8,
             hyperparameter_optimization: true,
             ..config()
         }
@@ -668,14 +668,14 @@ mod tests {
         assert_eq!(forest(&pool).to_bits(), retrained.to_bits());
     }
 
-    /// The pool trains each class's one configuration: under
-    /// `FullRetrain` without grid search, every observe refits every member
+    /// The pool trains each class's one configuration: with a retrain
+    /// interval of 1 and no grid search, every observe refits every member
     /// on all rows so far, and each member predicts bit for bit what
     /// `default_model` does after the same sequence of fits.
     #[test]
     fn members_are_the_default_models() {
         let cfg = SizeyConfig {
-            online: OnlineMode::FullRetrain,
+            retrain_interval: 1,
             hyperparameter_optimization: false,
             seed: 42,
             ..config()
@@ -708,7 +708,7 @@ mod tests {
     fn empty_pool_is_not_ready() {
         let cfg = config();
         let pool = ModelPool::new(&cfg);
-        assert!(!pool.is_ready(cfg.min_history));
+        assert!(!pool.is_ready());
         assert!(estimates(&pool, &[1e9]).is_none());
         assert!(gated(&pool, &[1e9], &cfg).is_none());
         assert_eq!(pool.max_observed(), None);
@@ -718,9 +718,11 @@ mod tests {
     fn pool_becomes_ready_after_min_history() {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
-        feed_linear(&mut pool, &cfg, 3);
-        assert!(pool.is_ready(cfg.min_history));
-        assert_eq!(pool.n_observations(), 3);
+        feed_linear(&mut pool, &cfg, MIN_HISTORY - 1);
+        assert!(!pool.is_ready());
+        feed_linear(&mut pool, &cfg, 1);
+        assert!(pool.is_ready());
+        assert_eq!(pool.n_observations(), MIN_HISTORY);
     }
 
     #[test]
@@ -847,16 +849,21 @@ mod tests {
         assert_eq!(pool.max_observed(), Some(8e9));
     }
 
+    /// A retrain interval of 1 (Fig. 9's "Sizey-Full") retrains on every
+    /// observe, so the interval counter is back at 0 after each one.
     #[test]
-    fn full_retrain_mode_trains_every_time() {
+    fn interval_of_one_retrains_every_time() {
         let cfg = SizeyConfig {
-            online: OnlineMode::FullRetrain,
+            retrain_interval: 1,
             ..SizeyConfig::default()
         };
         let mut pool = ModelPool::new(&cfg);
-        feed_linear(&mut pool, &cfg, 5);
-        assert!(pool.is_ready(cfg.min_history));
-        assert_eq!(pool.model_epoch(), 5);
+        for n in 1..=5 {
+            feed_linear(&mut pool, &cfg, 1);
+            assert_eq!(pool.model_epoch(), n);
+            assert_eq!(pool.since_full_retrain(), 0);
+        }
+        assert!(pool.is_ready());
     }
 
     #[test]
@@ -874,32 +881,13 @@ mod tests {
     #[test]
     fn incremental_mode_periodically_retrains() {
         let cfg = SizeyConfig {
-            online: OnlineMode::incremental(3),
+            retrain_interval: 3,
             ..SizeyConfig::default()
         };
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 10);
         // After 10 observations with interval 3 the counter must have cycled.
         assert!(pool.since_full_retrain < 3);
-    }
-
-    #[test]
-    fn full_retrain_mode_resets_the_interval_counter() {
-        // Switching a pool that ran in FullRetrain mode over to incremental
-        // mode must not fire an immediate spurious full retrain: every
-        // FullRetrain-mode observe really did retrain, so the counter is 0.
-        let full = SizeyConfig {
-            online: OnlineMode::FullRetrain,
-            ..SizeyConfig::default()
-        };
-        let mut pool = ModelPool::new(&full);
-        feed_linear(&mut pool, &full, 5);
-        assert_eq!(pool.since_full_retrain(), 0);
-        let epoch_before = pool.model_epoch();
-        assert!(
-            epoch_before > 0,
-            "every FullRetrain observe bumps the epoch"
-        );
     }
 
     #[test]
@@ -922,7 +910,7 @@ mod tests {
         }
         assert!(pool.aggregate_history().len() < 2 * OFFSET_HISTORY_WINDOW);
         // The pool still predicts from the retained window.
-        assert!(pool.is_ready(cfg.min_history));
+        assert!(pool.is_ready());
         let (outcome, _) = gated(&pool, &[10e9], &cfg).unwrap();
         let truth = 2.0 * 10e9 + 1e9;
         assert!(
@@ -949,25 +937,25 @@ mod tests {
         assert!(pool.aggregate_history().len() < 2 * OFFSET_HISTORY_WINDOW);
     }
 
-    /// Online mode with no scheduled full retrains: the model epoch can only
-    /// move when the drift detector fires, which makes triggers observable.
-    fn no_scheduled_retrains() -> OnlineMode {
-        OnlineMode::incremental(0)
+    /// A drift-armed configuration with no scheduled full retrains: the
+    /// model epoch can only move when the drift detector fires, which makes
+    /// triggers observable.
+    fn drift_only() -> SizeyConfig {
+        SizeyConfig {
+            retrain_interval: 0,
+            drift: DriftPolicy::Retrain,
+            ..SizeyConfig::default()
+        }
     }
 
     #[test]
-    fn unreachable_drift_detector_is_bit_identical_to_off() {
-        let off = config();
-        // threshold > 1 can never be reached (at most window of window flags
-        // are under-predictions), so only the detector bookkeeping runs.
-        let armed = config().with_drift_policy(DriftPolicy::Retrain {
-            window: 5,
-            threshold: 1.1,
-            keep_recent: 1,
-        });
+    fn unfired_drift_detector_is_bit_identical_to_off() {
+        let armed = drift_only();
+        let off = armed.clone().with_drift_policy(DriftPolicy::Off);
         let mut a = ModelPool::new(&off);
         let mut b = ModelPool::new(&armed);
-        for i in 1..=20 {
+        let mut fired_at = None;
+        for i in 1..=40 {
             let input = i as f64 * 1e9;
             // A drifting regime: plenty of genuine under-predictions.
             let peak = if i <= 10 {
@@ -977,6 +965,11 @@ mod tests {
             };
             a.observe_success(&[input], peak, &off, &mut PoolScratch::default());
             b.observe_success(&[input], peak, &armed, &mut PoolScratch::default());
+            if b.model_epoch() != a.model_epoch() {
+                fired_at = Some(i);
+                break;
+            }
+            // Until the detector fires only its bookkeeping runs.
             let query = [input + 5e8];
             let ea = gated(&a, &query, &off).map(|(d, _)| d.estimate);
             let eb = gated(&b, &query, &armed).map(|(d, _)| d.estimate);
@@ -985,26 +978,18 @@ mod tests {
                 eb.map(f64::to_bits),
                 "an unfired detector must not perturb predictions (observe {i})"
             );
+            assert_eq!(a.n_observations(), b.n_observations());
         }
-        assert_eq!(a.model_epoch(), b.model_epoch());
-        assert_eq!(a.n_observations(), b.n_observations());
+        assert!(
+            fired_at.is_some_and(|i| i > 10),
+            "the regime change must fire the detector, and only after it ({fired_at:?})"
+        );
     }
 
     #[test]
     fn underprediction_burst_triggers_a_full_retrain() {
-        let cfg = SizeyConfig {
-            online: no_scheduled_retrains(),
-            ..SizeyConfig::default()
-        }
-        .with_drift_policy(DriftPolicy::Retrain {
-            window: 4,
-            threshold: 0.75,
-            keep_recent: 0,
-        });
-        let off = SizeyConfig {
-            online: no_scheduled_retrains(),
-            ..SizeyConfig::default()
-        };
+        let cfg = drift_only();
+        let off = cfg.clone().with_drift_policy(DriftPolicy::Off);
         let mut drifting = ModelPool::new(&cfg);
         let mut control = ModelPool::new(&off);
         feed_linear(&mut drifting, &cfg, 10);
@@ -1012,7 +997,7 @@ mod tests {
         let epoch_before = drifting.model_epoch();
         // Regime change: peaks jump far above anything the regime-A models
         // predict, so every observation is an under-prediction.
-        for i in 11..=18 {
+        for i in 11..=10 + DRIFT_WINDOW {
             let input = i as f64 * 1e9;
             let peak = 6.0 * input + 8e9;
             drifting.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
@@ -1025,26 +1010,19 @@ mod tests {
         assert_eq!(
             control.model_epoch(),
             0,
-            "without a drift policy nothing retrains in this online mode"
+            "without a drift policy nothing retrains at interval 0"
         );
     }
 
     #[test]
     fn drift_trigger_trims_history_to_keep_recent() {
-        let cfg = SizeyConfig {
-            online: no_scheduled_retrains(),
-            ..SizeyConfig::default()
-        }
-        .with_drift_policy(DriftPolicy::Retrain {
-            window: 3,
-            threshold: 0.5,
-            keep_recent: 5,
-        });
+        let cfg = drift_only();
         let mut pool = ModelPool::new(&cfg);
-        feed_linear(&mut pool, &cfg, 10);
+        let before = DRIFT_KEEP_RECENT + 10;
+        feed_linear(&mut pool, &cfg, before);
         let epoch_before = pool.model_epoch();
         let mut fired = false;
-        for i in 11..=20 {
+        for i in before + 1..=before + DRIFT_WINDOW {
             let input = i as f64 * 1e9;
             pool.observe_success(
                 &[input],
@@ -1056,8 +1034,8 @@ mod tests {
                 fired = true;
                 assert_eq!(
                     pool.n_observations(),
-                    5,
-                    "the trigger must trim the training data to keep_recent"
+                    DRIFT_KEEP_RECENT,
+                    "the trigger must trim the training data to DRIFT_KEEP_RECENT"
                 );
                 break;
             }
@@ -1067,27 +1045,19 @@ mod tests {
 
     #[test]
     fn oom_failures_feed_the_detector_once_the_pool_is_ready() {
-        let cfg = SizeyConfig {
-            online: no_scheduled_retrains(),
-            ..SizeyConfig::default()
-        }
-        .with_drift_policy(DriftPolicy::Retrain {
-            window: 3,
-            threshold: 1.0,
-            keep_recent: 0,
-        });
+        let cfg = drift_only();
         // Cold pool: failures say nothing about the models and must not
         // accumulate detector state.
         let mut cold = ModelPool::new(&cfg);
-        for _ in 0..5 {
+        for _ in 0..2 * DRIFT_WINDOW {
             cold.observe_failure(64e9, &cfg);
         }
         assert_eq!(cold.model_epoch(), 0);
-        // Ready pool: three consecutive OOMs fill the window at rate 1.0.
+        // Ready pool: a window of consecutive OOMs fills it at rate 1.0.
         let mut ready = ModelPool::new(&cfg);
         feed_linear(&mut ready, &cfg, 6);
         let epoch_before = ready.model_epoch();
-        for _ in 0..3 {
+        for _ in 0..DRIFT_WINDOW {
             ready.observe_failure(64e9, &cfg);
         }
         assert!(ready.model_epoch() > epoch_before);

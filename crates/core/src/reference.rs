@@ -20,7 +20,9 @@
 //! A change to a Sizey decision edits this file first, citing the sentence
 //! of the paper that justifies it.
 
-use crate::config::{GatingStrategy, OffsetMode, SizeyConfig};
+use crate::config::{
+    GatingStrategy, OffsetMode, SizeyConfig, COLD_START_OBSERVATIONS, MIN_HISTORY,
+};
 use crate::offset::OffsetStrategy;
 use crate::pool::{PoolScratch, ACCURACY_WINDOW, OFFSET_HISTORY_WINDOW};
 use crate::sizey::SizeyPredictor;
@@ -211,7 +213,7 @@ pub(crate) fn offset(mode: OffsetMode, aggregate: &[(f64, f64)]) -> f64 {
 }
 
 /// First-attempt allocation: estimate plus offset, never negative. Cold
-/// start: while the pool has seen fewer than `cold_start_observations`
+/// start: while the pool has seen fewer than [`COLD_START_OBSERVATIONS`]
 /// tasks and an offset policy is active, keep 15 % head-room over the raw
 /// estimate.
 pub(crate) fn first_attempt_allocation(
@@ -221,7 +223,7 @@ pub(crate) fn first_attempt_allocation(
     n_observations: usize,
 ) -> f64 {
     let allocation = (estimate + offset).max(0.0);
-    if config.offset != OffsetMode::None && n_observations < config.cold_start_observations {
+    if config.offset != OffsetMode::None && n_observations < COLD_START_OBSERVATIONS {
         allocation.max(estimate * 1.15)
     } else {
         allocation
@@ -253,14 +255,14 @@ struct PoolHistory {
 
 /// §II-C–D for one query: the RAQ-gated aggregate of the pool's estimates
 /// and the dominant model, or `None` while the pool has fewer than
-/// `min_history` observations or no member can estimate.
+/// [`MIN_HISTORY`] observations or no member can estimate.
 fn gated(
     config: &SizeyConfig,
     history: &PoolHistory,
     n_observations: usize,
     estimates: &[(ModelClass, f64)],
 ) -> Option<(f64, ModelClass)> {
-    if n_observations < config.min_history.max(1) || estimates.is_empty() {
+    if n_observations < MIN_HISTORY || estimates.is_empty() {
         return None;
     }
     let accuracies: Vec<f64> = estimates
@@ -397,6 +399,7 @@ mod tests {
     use crate::config::DriftPolicy;
     use crate::gating::gate_with;
     use crate::offset::{select_dynamic_offset_with, OffsetScratch};
+    use crate::pool::ModelPool;
     use crate::raq::{accuracy_score_cached, pair_accuracy, pool_raq_scores_into};
     use proptest::prelude::*;
     use sizey_provenance::{MachineId, TaskTypeId};
@@ -426,6 +429,12 @@ mod tests {
         }
     }
 
+    /// The flags in `key`'s drift window. An observe that empties a
+    /// non-empty window fired the detector: nothing else clears it.
+    fn drift_flags(live: &SizeyPredictor, key: &TaskMachineKey) -> usize {
+        live.pool_for(key).map_or(0, ModelPool::drift_flags_len)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -438,13 +447,12 @@ mod tests {
             gating in (0u8..2, 0.25f64..16.0),
             offset_mode in 0usize..6,
             bounds in (0usize..3, 4usize..24),
-            drift in (0u8..2, 2usize..8, 0.3f64..1.0, 0usize..24),
-            pool in (1usize..16, 1usize..5, 0usize..15, 0usize..30),
+            drift_on in 0u8..2,
+            pool in (1usize..16, 0usize..30),
             stream in prop::collection::vec((0usize..6, 1.0e9f64..20.0e9, 0.6f64..1.6), 40..200),
         ) {
             let (window_on, window) = bounds;
-            let (drift_on, drift_window, threshold, keep_recent) = drift;
-            let (class_mask, min_history, cold_start, retrain_interval) = pool;
+            let (class_mask, retrain_interval) = pool;
             let config = SizeyConfig {
                 alpha,
                 gating: if gating.0 == 0 {
@@ -457,18 +465,16 @@ mod tests {
                     1 => OffsetMode::Dynamic,
                     i => OffsetMode::Fixed(OffsetStrategy::ALL[i - 2]),
                 },
-                online: crate::config::OnlineMode::incremental(retrain_interval),
+                retrain_interval,
                 model_classes: ModelClass::ALL
                     .into_iter()
                     .enumerate()
                     .filter(|(i, _)| class_mask & (1 << i) != 0)
                     .map(|(_, class)| class)
                     .collect(),
-                min_history,
-                cold_start_observations: cold_start,
                 history_window: (window_on == 1).then_some(window),
                 drift: if drift_on == 1 {
-                    DriftPolicy::Retrain { window: drift_window, threshold, keep_recent }
+                    DriftPolicy::Retrain
                 } else {
                     DriftPolicy::Off
                 },
@@ -476,6 +482,7 @@ mod tests {
             };
             let mut live = SizeyPredictor::new(config.clone());
             let mut reference = ReferenceSizey::new(config);
+            let mut fires = 0;
             for (i, &(key, input, noise)) in stream.iter().enumerate() {
                 let (task_type, machine) = KEYS[key.saturating_sub(3)];
                 // A regime change half-way makes the detector fire.
@@ -513,7 +520,12 @@ mod tests {
                         },
                     };
                     reference.observe(&live, &record);
+                    let key = record.key();
+                    let before = drift_flags(&live, &key);
                     live.observe(&record);
+                    if before > 0 && drift_flags(&live, &key) == 0 {
+                        fires += 1;
+                    }
                     if succeeded || ctx.attempt == 4 {
                         break;
                     }
@@ -527,6 +539,9 @@ mod tests {
                 let orphan = AttemptContext { attempt: 2, last_allocation_bytes: None };
                 prop_assert_eq!(bits(&live.predict(&task, orphan)), bits(&reference.predict(&live, &task, orphan)));
             }
+            // The regime change must exercise the drift response, not just
+            // the detector's bookkeeping.
+            prop_assert_eq!(fires > 0, drift_on == 1, "{} drift fires", fires);
         }
 
         /// The kernels against the reference at numerical edges: estimates

@@ -94,7 +94,7 @@ pub struct ServiceConfig {
     pub admission: AdmissionPolicy,
     /// Has no effect, and nothing reads it: every full retrain runs inside
     /// the observe that found it due, which keeps the service bit-identical
-    /// to a serial predictor for any batching. ROADMAP item 7 deletes it
+    /// to a serial predictor for any batching. ROADMAP item 8 deletes it
     /// together with the benchmark's use of it.
     #[deprecated(note = "has no effect: full retrains always run inside observe")]
     pub deferred_retrains: bool,
@@ -133,11 +133,11 @@ pub struct ServiceStats {
     pub snapshots_published: u64,
     /// Always reads 0: no retrain is left for the workers to run, because
     /// every full retrain runs inside the observe that found it due. ROADMAP
-    /// item 7 deletes it together with the benchmark's use of it.
+    /// item 8 deletes it together with the benchmark's use of it.
     #[deprecated(note = "always 0: full retrains always run inside observe")]
     pub retrains_installed: u64,
     /// Always reads 0: no retrain is ever left waiting, because every full
-    /// retrain runs inside the observe that found it due. ROADMAP item 7
+    /// retrain runs inside the observe that found it due. ROADMAP item 8
     /// deletes it together with the benchmark's use of it.
     #[deprecated(note = "always 0: full retrains always run inside observe")]
     pub retrain_backlog: u64,

@@ -28,7 +28,7 @@
 // the marker opts it into the no-panic-hot-path lint rule.
 #![doc = "lint:hot-path"]
 
-use crate::config::{OffsetMode, SizeyConfig};
+use crate::config::{OffsetMode, SizeyConfig, COLD_START_OBSERVATIONS};
 use crate::failure::failure_allocation;
 use crate::offset::{select_dynamic_offset_with, OffsetScratch};
 use crate::pool::{ModelPool, PoolScratch};
@@ -273,7 +273,7 @@ impl MemoryPredictor for SizeyPredictor {
                     // untouched, so the guard only applies when an offset
                     // policy is active.
                     if self.config.offset != OffsetMode::None
-                        && pool.n_observations() < self.config.cold_start_observations
+                        && pool.n_observations() < COLD_START_OBSERVATIONS
                     {
                         allocation = allocation.max(gating.estimate * 1.15);
                     }
@@ -424,19 +424,15 @@ mod tests {
     #[test]
     fn drift_policy_adapts_faster_after_a_regime_change() {
         use crate::config::DriftPolicy;
-        let mut adaptive = SizeyPredictor::new(SizeyConfig::default().with_drift_policy(
-            DriftPolicy::Retrain {
-                window: 8,
-                threshold: 0.6,
-                keep_recent: 20,
-            },
-        ));
+        let mut adaptive =
+            SizeyPredictor::new(SizeyConfig::default().with_drift_policy(DriftPolicy::Retrain));
         let mut frozen = SizeyPredictor::with_defaults();
-        // Regime A: peak = 2·input + 1 GB over inputs 1..=15 GB.
-        train(&mut adaptive, 15);
-        train(&mut frozen, 15);
-        // Regime B: the same input range suddenly needs 6·input + 9 GB.
-        let mut seq = 16;
+        // Regime A: peak = 2·input + 1 GB over inputs 1..=40 GB, as many
+        // rows as a drift trigger keeps.
+        train(&mut adaptive, 40);
+        train(&mut frozen, 40);
+        // Regime B: inputs of 1..=15 GB suddenly need 6·input + 9 GB.
+        let mut seq = 41;
         for round in 0..2 {
             for i in 1..=15u64 {
                 let input = i as f64 * 1e9;
@@ -539,7 +535,7 @@ mod tests {
 
     /// Satellite regression: the 1.15× cold-start head-room used to be
     /// applied even under `OffsetMode::None`, so a pool with fewer than
-    /// `cold_start_observations` (default 10) observations violated the
+    /// `COLD_START_OBSERVATIONS` (10) observations violated the
     /// "raw estimate" contract. The old `no_offset_mode_returns_raw_estimate`
     /// test only passed because it trained exactly 10 tasks.
     #[test]
@@ -548,7 +544,6 @@ mod tests {
             offset: OffsetMode::None,
             ..SizeyConfig::default()
         };
-        assert_eq!(cfg.cold_start_observations, 10);
         let mut p = SizeyPredictor::new(cfg);
         // Fewer observations than the cold-start threshold, but enough for
         // the pool to produce a gated estimate.
@@ -558,7 +553,7 @@ mod tests {
         assert_eq!(
             pred.allocation_bytes, raw,
             "OffsetMode::None must return the raw estimate even before \
-             cold_start_observations tasks have been observed"
+             COLD_START_OBSERVATIONS tasks have been observed"
         );
         // The guard still protects cold starts whenever offsets are active.
         let mut dynamic = SizeyPredictor::with_defaults();

@@ -25,8 +25,7 @@
 
 use proptest::prelude::*;
 use sizey_core::{
-    AdmissionPolicy, AsyncSizey, ConcurrentSizey, OnlineMode, ServiceConfig, SizeyConfig,
-    SizeyPredictor,
+    AdmissionPolicy, AsyncSizey, ConcurrentSizey, ServiceConfig, SizeyConfig, SizeyPredictor,
 };
 use sizey_provenance::{MachineId, TaskOutcome, TaskRecord, TaskTypeId};
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
@@ -100,7 +99,7 @@ proptest! {
         view_every in 1usize..9,
     ) {
         let config = SizeyConfig {
-            online: OnlineMode::incremental(4),
+            retrain_interval: 4,
             history_window: window,
             ..SizeyConfig::default()
         };

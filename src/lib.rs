@@ -26,8 +26,8 @@ pub mod prelude {
     };
     pub use sizey_core::{
         AdmissionPolicy, AsyncService, AsyncSizey, ConcurrentPredictor, ConcurrentSizey,
-        GatingStrategy, OffsetMode, OffsetStrategy, OnlineMode, ServiceConfig, ServiceStats,
-        SizeyConfig, SizeyPredictor,
+        GatingStrategy, OffsetMode, OffsetStrategy, ServiceConfig, ServiceStats, SizeyConfig,
+        SizeyPredictor,
     };
     pub use sizey_ml::{Dataset, ModelClass, Regressor};
     pub use sizey_provenance::{

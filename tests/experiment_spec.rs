@@ -102,6 +102,13 @@ fn checked_in_scenario_specs_parse() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/specs");
     let drift = ExperimentSpec::from_toml_file(format!("{dir}/drift.toml")).unwrap();
     assert!(drift.drift.is_some(), "drift.toml carries a [drift] table");
+    assert!(
+        drift.methods.iter().any(|m| matches!(
+            m,
+            MethodSpec::Sizey(c) if c.drift == sizey_core::DriftPolicy::Retrain
+        )),
+        "drift.toml arms Sizey's drift response"
+    );
     assert_eq!(
         ExperimentSpec::from_toml(&drift.to_toml()).unwrap(),
         drift,
@@ -150,41 +157,56 @@ fn checked_in_smoke_spec_parses() {
 }
 
 /// Every float parameter of a `[[method]]` table must be finite: an infinite
-/// `beta` turns Sizey's gating weights into NaN, and an infinite offset or
-/// head-room sends every allocation to the largest node. The same table
-/// with a finite value parses, so the key is refused for its value alone.
+/// `beta` turns Sizey's gating weights into NaN. The same table with a
+/// finite value parses, so the key is refused for its value alone.
 #[test]
 fn method_parameters_reject_non_finite_values() {
-    let keys = [
-        ("sizey", "alpha"),
-        ("sizey", "beta"),
-        ("sizey", "drift_threshold"),
-        ("witt-wastage", "quantiles"),
-        ("witt-wastage", "failure_penalty"),
-        ("witt-lr", "offset_sigmas"),
-        ("tovar-ppm", "node_memory_bytes"),
-        ("tovar-ppm", "headroom"),
-        ("witt-percentile", "percentile"),
-    ];
-    let parse = |kind: &str, key: &str, value: &str| {
-        let value = if key == "quantiles" {
-            format!("[50.0, {value}]")
-        } else {
-            value.to_string()
-        };
-        let text = format!("[[method]]\nkind = \"{kind}\"\n{key} = {value}\n");
-        let doc = TomlDocument::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-        (MethodSpec::from_table(doc.array_of("method")[0]), text)
-    };
-    for (kind, key) in keys {
-        let (finite, text) = parse(kind, key, "0.5");
+    for key in ["alpha", "beta"] {
+        let (finite, text) = parse_sizey(key, "0.5");
         assert!(finite.is_ok(), "{text} was refused: {finite:?}");
         for value in ["inf", "-inf"] {
-            match parse(kind, key, value) {
-                (Err(SpecError::InvalidValue { key: named, .. }), _) => assert_eq!(named, key),
-                (other, text) => panic!("{text} parsed to {other:?}"),
-            }
+            assert_invalid(key, parse_sizey(key, value));
         }
+    }
+}
+
+/// Finite values outside a parameter's domain are refused too, naming the
+/// key: α outside §II-C's [0, 1] (the RAQ score would clamp it silently),
+/// and a model class listed twice (both members would be scored by the
+/// first one's accuracy, and gating would weight the class twice).
+#[test]
+fn method_parameters_reject_values_outside_their_domain() {
+    for alpha in ["0.0", "1.0"] {
+        let (parsed, text) = parse_sizey("alpha", alpha);
+        assert!(parsed.is_ok(), "{text} was refused: {parsed:?}");
+    }
+    for (key, value) in [
+        ("alpha", "2.0"),
+        ("alpha", "-0.1"),
+        (
+            "model_classes",
+            r#"["linear-regression", "linear-regression"]"#,
+        ),
+        (
+            "model_classes",
+            r#"["knn-regression", "mlp-regression", "knn-regression"]"#,
+        ),
+    ] {
+        assert_invalid(key, parse_sizey(key, value));
+    }
+}
+
+/// Parses a one-key `kind = "sizey"` method table, returning the text too.
+fn parse_sizey(key: &str, value: &str) -> (Result<MethodSpec, SpecError>, String) {
+    let text = format!("[[method]]\nkind = \"sizey\"\n{key} = {value}\n");
+    let doc = TomlDocument::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+    (MethodSpec::from_table(doc.array_of("method")[0]), text)
+}
+
+fn assert_invalid(key: &str, (parsed, text): (Result<MethodSpec, SpecError>, String)) {
+    match parsed {
+        Err(SpecError::InvalidValue { key: named, .. }) => assert_eq!(named, key, "{text}"),
+        other => panic!("{text} parsed to {other:?}"),
     }
 }
 

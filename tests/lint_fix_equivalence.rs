@@ -380,6 +380,48 @@ fn baseline_replay_output_is_pinned() {
     check("baseline_replay", d, GOLDEN_BASELINES);
 }
 
+/// The Sizey configurations beside the default one, replayed serially with
+/// decisions only: full retraining with HPO (Fig. 9's "Sizey-Full"), a
+/// predictor that never retrains fully, and the drift-armed predictor of
+/// `specs/drift.toml` (a window of 12, a threshold of 0.6, 40 rows kept) on
+/// its drifted workload. Pins each cadence and the drift response across
+/// commits.
+#[test]
+fn sizey_variant_replay_output_is_pinned() {
+    let mut d = Digest::new();
+    let sim = SimulationConfig::default();
+    let iwd = sizey_workflows::workflow_by_name("iwd").expect("known workflow");
+    let small = generate_workflow(&iwd, &GeneratorConfig::scaled(0.04, 17));
+    let never = SizeyConfig {
+        retrain_interval: 0,
+        ..SizeyConfig::default()
+    };
+    for config in [SizeyConfig::full_retraining(), never] {
+        let mut sizey = SizeyPredictor::new(config);
+        digest_report(
+            &mut d,
+            &replay_workflow("iwd", &small, &mut sizey, &sim),
+            false,
+        );
+    }
+    let drifted = generate_workflow(
+        &iwd,
+        &GeneratorConfig::scaled(0.2, 42).with_drift(DriftSpec {
+            changepoint: 150,
+            memory_scale: 2.0,
+            slope_delta_bytes_per_input_byte: 1.0,
+        }),
+    );
+    let armed = SizeyConfig::default().with_drift_policy(sizey_core::DriftPolicy::Retrain);
+    let mut sizey = SizeyPredictor::new(armed);
+    digest_report(
+        &mut d,
+        &replay_workflow("iwd", &drifted, &mut sizey, &sim),
+        false,
+    );
+    check("sizey_variants", d, GOLDEN_SIZEY_VARIANTS);
+}
+
 /// Every field of every generated instance, bit for bit: the six workflows
 /// at seeds 42 and 7 and scales 0.05 and 1.0, plus one drifted workload.
 /// The generator is the repo's ground truth, so this pins the RNG draw order,
@@ -440,3 +482,6 @@ const GOLDEN_BASELINES: u64 = 0x499b5d8198b383be;
 // Captured on the last commit with the two-phase materialised generator
 // beside the lazy stream (eb87959).
 const GOLDEN_GENERATED: u64 = 0x758694b58a7983d1;
+// Captured on the last commit with `OnlineMode` and the drift policy's
+// settable fields (21b2455).
+const GOLDEN_SIZEY_VARIANTS: u64 = 0xd6048d0aa8367b0f;

@@ -18,7 +18,6 @@
 //! (`mlp::reference`).
 
 use proptest::prelude::*;
-use sizey_baselines::{TovarPpmConfig, WittLrConfig, WittPercentileConfig, WittWastageConfig};
 use sizey_core::{ModelPool, PoolScratch};
 use sizey_ml::forest::{ForestConfig, RandomForestRegression};
 use sizey_ml::knn::{KnnConfig, KnnRegression, KnnWeighting};
@@ -669,19 +668,18 @@ proptest! {
 
 /// The four baselines' estimators as they were before they learned
 /// incrementally, verbatim over a plain observation list: every call refits
-/// the key's whole history. Two changes to Witt-Percentile: it returns
-/// `None` rather than the preset below `min_history`, and it skips
-/// non-finite peaks.
+/// the key's whole history, with each method's parameters the constants
+/// of its module. Two changes to Witt-Percentile: it returns `None` rather
+/// than the preset below its minimum history, and it skips non-finite
+/// peaks.
 mod from_scratch {
-    use sizey_baselines::{
-        Observation, TovarPpmConfig, WittLrConfig, WittPercentileConfig, WittWastageConfig,
-    };
+    use sizey_baselines::{tovar_ppm, witt_lr, witt_percentile, witt_wastage, Observation};
     use sizey_ml::linear::LinearRegression;
     use sizey_ml::metrics::{percentile, std_dev};
     use sizey_ml::model::Regressor;
     use sizey_ml::Dataset;
 
-    fn expected_cost(config: &TovarPpmConfig, alloc: f64, peaks: &[f64]) -> f64 {
+    fn expected_cost(alloc: f64, peaks: &[f64]) -> f64 {
         let n = peaks.len() as f64;
         peaks
             .iter()
@@ -689,23 +687,23 @@ mod from_scratch {
                 if alloc >= peak {
                     alloc - peak
                 } else {
-                    alloc + (config.node_memory_bytes - peak)
+                    alloc + (tovar_ppm::NODE_MEMORY_BYTES - peak)
                 }
             })
             .sum::<f64>()
             / n
     }
 
-    pub fn tovar_ppm(config: &TovarPpmConfig, observations: &[Observation]) -> Option<f64> {
+    pub fn tovar_ppm(observations: &[Observation]) -> Option<f64> {
         let peaks: Vec<f64> = observations.iter().map(|o| o.peak_bytes).collect();
-        if peaks.len() < config.min_history {
+        if peaks.len() < tovar_ppm::MIN_HISTORY {
             return None;
         }
         let mut best = None;
         let mut best_cost = f64::INFINITY;
         for &candidate in &peaks {
-            let alloc = candidate * (1.0 + config.headroom);
-            let cost = expected_cost(config, alloc, &peaks);
+            let alloc = candidate * (1.0 + tovar_ppm::HEADROOM);
+            let cost = expected_cost(alloc, &peaks);
             if cost < best_cost {
                 best_cost = cost;
                 best = Some(alloc);
@@ -714,8 +712,8 @@ mod from_scratch {
         best
     }
 
-    pub fn witt_lr(config: &WittLrConfig, observations: &[Observation], input: f64) -> Option<f64> {
-        if observations.len() < config.min_history {
+    pub fn witt_lr(observations: &[Observation], input: f64) -> Option<f64> {
+        if observations.len() < witt_lr::MIN_HISTORY {
             return None;
         }
         let xs: Vec<f64> = observations.iter().map(|o| o.input_bytes).collect();
@@ -733,24 +731,20 @@ mod from_scratch {
                     .map(|p| o.peak_bytes - p)
             })
             .collect();
-        let offset = std_dev(&residuals) * config.offset_sigmas;
+        let offset = std_dev(&residuals) * witt_lr::OFFSET_SIGMAS;
         Some((prediction + offset).max(128e6))
     }
 
-    fn wastage_cost(config: &WittWastageConfig, alloc: f64, peak: f64) -> f64 {
+    fn wastage_cost(alloc: f64, peak: f64) -> f64 {
         if alloc >= peak {
             alloc - peak
         } else {
-            alloc + config.failure_penalty * peak
+            alloc + witt_wastage::FAILURE_PENALTY * peak
         }
     }
 
-    pub fn witt_wastage(
-        config: &WittWastageConfig,
-        observations: &[Observation],
-        input: f64,
-    ) -> Option<f64> {
-        if observations.len() < config.min_history {
+    pub fn witt_wastage(observations: &[Observation], input: f64) -> Option<f64> {
+        if observations.len() < witt_wastage::MIN_HISTORY {
             return None;
         }
         let xs: Vec<f64> = observations.iter().map(|o| o.input_bytes).collect();
@@ -769,12 +763,12 @@ mod from_scratch {
             .collect();
         let mut best_shift = 0.0;
         let mut best_cost = f64::INFINITY;
-        for &q in &config.candidate_quantiles {
+        for q in witt_wastage::CANDIDATE_QUANTILES {
             let shift = percentile(&residuals, q).max(0.0);
             let cost: f64 = observations
                 .iter()
                 .zip(base_predictions.iter())
-                .map(|(o, p)| wastage_cost(config, p + shift, o.peak_bytes))
+                .map(|(o, p)| wastage_cost(p + shift, o.peak_bytes))
                 .sum();
             if cost < best_cost {
                 best_cost = cost;
@@ -785,10 +779,7 @@ mod from_scratch {
         Some(prediction.max(128e6))
     }
 
-    pub fn witt_percentile(
-        config: &WittPercentileConfig,
-        observations: &[Observation],
-    ) -> Option<f64> {
+    pub fn witt_percentile(observations: &[Observation]) -> Option<f64> {
         // Non-finite peaks are not learned from (they used to poison every
         // later predict); the rest is the former estimator.
         let peaks: Vec<f64> = observations
@@ -796,10 +787,10 @@ mod from_scratch {
             .map(|o| o.peak_bytes)
             .filter(|p| p.is_finite())
             .collect();
-        if peaks.len() < config.min_history {
+        if peaks.len() < witt_percentile::MIN_HISTORY {
             return None;
         }
-        Some(percentile(&peaks, config.percentile))
+        Some(percentile(&peaks, witt_percentile::PERCENTILE))
     }
 }
 
@@ -871,8 +862,7 @@ proptest! {
     /// once per successful observe, vs. their former estimators, which
     /// refit the key's whole history on every predict. One random stream
     /// over 1–3 keys of successes, out-of-memory failures and predicts at
-    /// attempts 0–3, with random `min_history` (0–4) and knobs; the live
-    /// predictors are snapshotted and restored into fresh instances at a
+    /// attempts 0–3; the live predictors are snapshotted and restored into fresh instances at a
     /// random point and carry on. Every allocation and raw estimate must be
     /// bit-identical.
     #[test]
@@ -882,34 +872,13 @@ proptest! {
             1..160,
         ),
         n_keys in 1usize..4,
-        min_history in (0usize..5, 0usize..5, 0usize..5, 0usize..5),
-        knobs in (0u8..2, 0u8..2, 0u8..2, 0u8..5),
         restore_at in 0usize..200,
     ) {
-        let (tovar_knob, lr_knob, wastage_knob, percentile_knob) = knobs;
-        let tovar_config = TovarPpmConfig {
-            min_history: min_history.0,
-            node_memory_bytes: [128e9, 16e9][usize::from(tovar_knob)],
-            headroom: [0.02, 0.0][usize::from(tovar_knob)],
-        };
-        let lr_config = WittLrConfig {
-            min_history: min_history.1,
-            offset_sigmas: [1.0, 2.5][usize::from(lr_knob)],
-        };
-        let wastage_config = WittWastageConfig {
-            min_history: min_history.2,
-            failure_penalty: [0.0, 1.0][usize::from(wastage_knob)],
-            ..WittWastageConfig::default()
-        };
-        let percentile_config = WittPercentileConfig {
-            min_history: min_history.3,
-            percentile: [95.0, 50.0, 0.0, 100.0, 37.5][usize::from(percentile_knob)],
-        };
         let fresh = || LiveBaselines {
-            tovar: TovarPpm::with_config(tovar_config),
-            lr: WittLr::with_config(lr_config),
-            wastage: WittWastage::with_config(wastage_config.clone()),
-            percentile: WittPercentile::with_config(percentile_config),
+            tovar: TovarPpm::new(),
+            lr: WittLr::new(),
+            wastage: WittWastage::new(),
+            percentile: WittPercentile::new(),
         };
         let mut live = fresh();
         let mut history: Vec<Vec<sizey_baselines::Observation>> = vec![Vec::new(); n_keys];
@@ -976,23 +945,23 @@ proptest! {
                 raw.unwrap_or(task.preset_memory_bytes) * 2.0_f64.powi(attempt as i32)
             };
 
-            let raw = from_scratch::tovar_ppm(&tovar_config, observations);
+            let raw = from_scratch::tovar_ppm(observations);
             let (raw, allocation) = if attempt > 0 {
-                (None, tovar_config.node_memory_bytes)
+                (None, sizey_baselines::tovar_ppm::NODE_MEMORY_BYTES)
             } else {
                 (raw, raw.unwrap_or(task.preset_memory_bytes))
             };
             assert_same_prediction("Tovar-PPM", live.tovar.predict(&task, ctx), raw, allocation)?;
-            let raw = from_scratch::witt_lr(&lr_config, observations, input);
+            let raw = from_scratch::witt_lr(observations, input);
             assert_same_prediction("Witt-LR", live.lr.predict(&task, ctx), raw, doubled(raw))?;
-            let raw = from_scratch::witt_wastage(&wastage_config, observations, input);
+            let raw = from_scratch::witt_wastage(observations, input);
             assert_same_prediction(
                 "Witt-Wastage",
                 live.wastage.predict(&task, ctx),
                 raw,
                 doubled(raw),
             )?;
-            let raw = from_scratch::witt_percentile(&percentile_config, observations);
+            let raw = from_scratch::witt_percentile(observations);
             assert_same_prediction(
                 "Witt-Percentile",
                 live.percentile.predict(&task, ctx),
@@ -1134,12 +1103,12 @@ proptest! {
             seed,
             hyperparameter_optimization: false,
             history_window: None,
-            online: OnlineMode::incremental(0),
+            retrain_interval: 0,
             ..SizeyConfig::default()
         };
         let feed = |config: SizeyConfig| {
             let retrain = SizeyConfig {
-                online: OnlineMode::FullRetrain,
+                retrain_interval: 1,
                 ..config.clone()
             };
             let mut pool = ModelPool::new(&config);

@@ -5,7 +5,7 @@
 use crate::history::Observation;
 use sizey_ml::dataset::Dataset;
 use sizey_ml::linear::LinearRegression;
-use sizey_ml::model::{PredictScratch, Regressor};
+use sizey_ml::model::Regressor;
 
 /// A key's regression of peak memory on input size, and the intercept shift
 /// its method derived from the residuals.
@@ -51,7 +51,7 @@ impl IncrementalLine {
         }
         let newest = observations.last().expect("observe hands over the new row");
         scratch.point.drain_front(usize::MAX);
-        scratch.point.push(&[newest.input_bytes], newest.peak_bytes);
+        scratch.point.push(newest.input_bytes, newest.peak_bytes);
         if self.model.partial_fit(&scratch.point).is_err() {
             self.poisoned = true;
             return false;
@@ -76,7 +76,6 @@ impl IncrementalLine {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct LineScratch {
     pub(crate) point: Dataset,
-    pub(crate) predict: PredictScratch,
     pub(crate) fitted: Vec<f64>,
     pub(crate) residuals: Vec<f64>,
 }
@@ -88,9 +87,7 @@ impl LineScratch {
         self.fitted.clear();
         self.residuals.clear();
         for o in observations {
-            let p = model
-                .predict_with(&[o.input_bytes], &mut self.predict)
-                .unwrap_or(o.peak_bytes);
+            let p = model.predict(&[o.input_bytes]).unwrap_or(o.peak_bytes);
             self.fitted.push(p);
             self.residuals.push(o.peak_bytes - p);
         }

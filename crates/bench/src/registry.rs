@@ -454,18 +454,6 @@ fn sizey_config_from_table(table: &TomlTable) -> Result<SizeyConfig, SpecError> 
                 }
             }
             "retrain_interval" => config.retrain_interval = need_usize(context, key, value)?,
-            // The MLP warm-start cadence used to be a knob whose only value
-            // in use was 1, and checkpoint directories stamped back then
-            // carry that line in their `spec.toml`. 1 is what runs now.
-            "mlp_update_interval" => {
-                if need_usize(context, key, value)? != 1 {
-                    return Err(invalid(
-                        context,
-                        key,
-                        "obsolete key: the MLP warm start runs on every completion, so only 1 is accepted",
-                    ));
-                }
-            }
             "model_classes" => {
                 let items = value
                     .as_array()
@@ -665,25 +653,13 @@ mod tests {
             ("sizey", "drift_window"),
             ("sizey", "drift_threshold"),
             ("sizey", "drift_keep_recent"),
+            ("sizey", "mlp_update_interval"),
         ] {
             let text = format!("[[method]]\nkind = \"{kind}\"\n{key} = 3\n");
             let doc = TomlDocument::parse(&text).unwrap();
             match MethodSpec::from_table(doc.array_of("method")[0]) {
                 Err(SpecError::UnknownKey { key: named, .. }) => assert_eq!(named, key),
                 other => panic!("{text}: {other:?}"),
-            }
-        }
-        // The retired MLP cadence knob: the one value old checkpoint stamps
-        // carry still parses (and changes nothing), any other is refused.
-        for value in [1, 4] {
-            let text = format!("[[method]]\nkind = \"sizey\"\nmlp_update_interval = {value}\n");
-            let doc = TomlDocument::parse(&text).unwrap();
-            match MethodSpec::from_table(doc.array_of("method")[0]) {
-                Ok(spec) if value == 1 => assert_eq!(spec, MethodSpec::sizey_defaults()),
-                Err(SpecError::InvalidValue { key, .. }) if value != 1 => {
-                    assert_eq!(key, "mlp_update_interval")
-                }
-                other => panic!("mlp_update_interval = {value}: {other:?}"),
             }
         }
     }

@@ -113,7 +113,9 @@ pub struct SizeyConfig {
     /// ("Sizey-Full"), 0 never retrains fully, and the default is
     /// [`DEFAULT_RETRAIN_INTERVAL`].
     pub retrain_interval: usize,
-    /// Model classes in the pool (defaults to all four of Fig. 5).
+    /// Model classes in the pool (defaults to all four of Fig. 5). Each
+    /// pool builds one member per distinct class, in the order each class
+    /// first occurs: a class listed twice still gets one member.
     pub model_classes: Vec<ModelClass>,
     /// Whether a full retrain runs grid-search hyper-parameter optimisation.
     pub hyperparameter_optimization: bool,

@@ -64,14 +64,14 @@ struct PoolMember {
 }
 
 impl PoolMember {
-    /// The member's estimate for `features`, clamped to be non-negative;
-    /// `None` when the model is unfitted, fails or returns a non-finite
-    /// value.
-    fn estimate(&self, features: &[f64], scratch: &mut PredictScratch) -> Option<f64> {
+    /// The member's estimate for a task of `input` bytes, clamped to be
+    /// non-negative; `None` when the model is unfitted, fails or returns a
+    /// non-finite value.
+    fn estimate(&self, input: f64, scratch: &mut PredictScratch) -> Option<f64> {
         if !self.model.is_fitted() {
             return None;
         }
-        let p = self.model.predict_with(features, scratch).ok()?;
+        let p = self.model.predict_with(&[input], scratch).ok()?;
         p.is_finite().then(|| p.max(0.0))
     }
 }
@@ -136,7 +136,7 @@ pub struct GatedOutcome {
 #[derive(Clone)]
 pub struct ModelPool {
     members: Vec<PoolMember>,
-    /// Successful observations: features → peak bytes.
+    /// Successful observations: input bytes → peak bytes.
     data: Dataset,
     /// History of `(aggregate raw estimate, actual)` pairs for the offset
     /// selection.
@@ -163,18 +163,21 @@ impl std::fmt::Debug for ModelPool {
 }
 
 impl ModelPool {
-    /// Creates an empty pool with one model per configured class.
+    /// Creates an empty pool with one model per distinct configured class,
+    /// in the order each class first occurs.
     pub fn new(config: &SizeyConfig) -> Self {
-        ModelPool {
-            members: config
-                .model_classes
-                .iter()
-                .map(|&class| PoolMember {
+        let mut members: Vec<PoolMember> = Vec::new();
+        for &class in &config.model_classes {
+            if members.iter().all(|m| m.class != class) {
+                members.push(PoolMember {
                     class,
                     model: ModelSpec::default_for(class, config.seed).build(),
                     accuracy_scores: Vec::new(),
-                })
-                .collect(),
+                });
+            }
+        }
+        ModelPool {
+            members,
             data: Dataset::new(),
             aggregate_history: Vec::new(),
             since_full_retrain: 0,
@@ -224,42 +227,44 @@ impl ModelPool {
         self.data.len() >= MIN_HISTORY && self.members.iter().any(|m| m.model.is_fitted())
     }
 
-    /// Each fitted member's estimate for `features` as gating sees it,
-    /// clamped to be non-negative, in member order; a member that cannot
-    /// predict is left out. A diagnostic: the predict path fills a recycled
-    /// buffer through `individual_estimates_into` instead.
-    pub fn member_estimates(&self, features: &[f64]) -> Vec<(ModelClass, f64)> {
+    /// Each fitted member's estimate for a task of `input` bytes as gating
+    /// sees it, clamped to be non-negative, in member order; a member that
+    /// cannot predict is left out. A diagnostic: the predict path fills a
+    /// recycled buffer through `individual_estimates_into` instead.
+    pub fn member_estimates(&self, input: f64) -> Vec<(ModelClass, f64)> {
         let mut scratch = PoolScratch::default();
-        self.individual_estimates_into(features, &mut scratch);
+        self.individual_estimates_into(input, &mut scratch);
         scratch.estimates
     }
 
-    /// Fills `scratch.estimates` with each fitted member's estimate for the
-    /// given features, clamped to be non-negative; non-finite estimates are
-    /// dropped, so the buffer is empty when no member can predict.
-    pub(crate) fn individual_estimates_into(&self, features: &[f64], scratch: &mut PoolScratch) {
+    /// Fills `scratch.estimates` with each fitted member's estimate for a
+    /// task of `input` bytes, clamped to be non-negative; non-finite
+    /// estimates are dropped, so the buffer is empty when no member can
+    /// predict.
+    pub(crate) fn individual_estimates_into(&self, input: f64, scratch: &mut PoolScratch) {
         scratch.estimates.clear();
         for m in &self.members {
-            if let Some(p) = m.estimate(features, &mut scratch.ml) {
+            if let Some(p) = m.estimate(input, &mut scratch.ml) {
                 scratch.estimates.push((m.class, p));
             }
         }
     }
 
-    /// Runs the full prediction pipeline for one query: individual estimates,
-    /// RAQ scores, gating. Returns `None` when the pool is not ready. The
-    /// per-member details (estimates, weights) stay in the caller's
-    /// recycled `scratch`, so the predict hot path allocates nothing.
+    /// Runs the full prediction pipeline for a task of `input` bytes:
+    /// individual estimates, RAQ scores, gating. Returns `None` when the
+    /// pool is not ready. The per-member details (estimates, weights) stay
+    /// in the caller's recycled `scratch`, so the predict hot path allocates
+    /// nothing.
     pub fn gated_estimate_with(
         &self,
-        features: &[f64],
+        input: f64,
         config: &SizeyConfig,
         scratch: &mut PoolScratch,
     ) -> Option<GatedOutcome> {
         if !self.is_ready() {
             return None;
         }
-        self.individual_estimates_into(features, scratch);
+        self.individual_estimates_into(input, scratch);
         self.gate_estimates(config, scratch)
     }
 
@@ -362,13 +367,13 @@ impl ModelPool {
         self.full_retrain(config);
     }
 
-    /// Incorporates a successful execution: prequential score bookkeeping,
-    /// dataset growth and the online model update. The pre-learning member
-    /// predictions, the aggregate estimate and the update datasets run over
-    /// the caller's recycled `scratch`.
+    /// Incorporates a successful execution of a task of `input` bytes:
+    /// prequential score bookkeeping, dataset growth and the online model
+    /// update. The pre-learning member predictions, the aggregate estimate
+    /// and the update datasets run over the caller's recycled `scratch`.
     pub fn observe_success(
         &mut self,
-        features: &[f64],
+        input: f64,
         peak_bytes: f64,
         config: &SizeyConfig,
         scratch: &mut PoolScratch,
@@ -379,7 +384,7 @@ impl ModelPool {
         //    so predictions only ever sum cached values.
         scratch.estimates.clear();
         for member in &mut self.members {
-            if let Some(p) = member.estimate(features, &mut scratch.ml) {
+            if let Some(p) = member.estimate(input, &mut scratch.ml) {
                 member.accuracy_scores.push(pair_accuracy(p, peak_bytes));
                 scratch.estimates.push((member.class, p));
             }
@@ -402,7 +407,7 @@ impl ModelPool {
         }
 
         // 3. Grow the training data.
-        self.data.push(features, peak_bytes);
+        self.data.push(input, peak_bytes);
         self.max_observed = max_finite(self.max_observed, peak_bytes);
 
         // 3b. The prequential and offset histories are trimmed to their
@@ -593,28 +598,23 @@ mod tests {
     /// weights it left in its scratch.
     fn gated(
         pool: &ModelPool,
-        features: &[f64],
+        input: f64,
         cfg: &SizeyConfig,
     ) -> Option<(GatedOutcome, PoolScratch)> {
         let mut scratch = PoolScratch::default();
-        let outcome = pool.gated_estimate_with(features, cfg, &mut scratch)?;
+        let outcome = pool.gated_estimate_with(input, cfg, &mut scratch)?;
         Some((outcome, scratch))
     }
 
-    fn estimates(pool: &ModelPool, features: &[f64]) -> Option<Vec<(ModelClass, f64)>> {
-        let estimates = pool.member_estimates(features);
+    fn estimates(pool: &ModelPool, input: f64) -> Option<Vec<(ModelClass, f64)>> {
+        let estimates = pool.member_estimates(input);
         (!estimates.is_empty()).then_some(estimates)
     }
 
     fn feed_linear(pool: &mut ModelPool, cfg: &SizeyConfig, n: usize) {
         for i in 1..=n {
             let input = i as f64 * 1e9;
-            pool.observe_success(
-                &[input],
-                2.0 * input + 1e9,
-                cfg,
-                &mut PoolScratch::default(),
-            );
+            pool.observe_success(input, 2.0 * input + 1e9, cfg, &mut PoolScratch::default());
         }
     }
 
@@ -630,7 +630,7 @@ mod tests {
             };
             let mut pool = ModelPool::new(&cfg);
             feed_linear(&mut pool, &cfg, 12);
-            let estimates = estimates(&pool, &[5e9]).unwrap();
+            let estimates = estimates(&pool, 5e9).unwrap();
             let (_, mlp) = estimates
                 .into_iter()
                 .find(|(class, _)| *class == ModelClass::Mlp)
@@ -661,11 +661,37 @@ mod tests {
         // since then, so it runs the grid search.
         feed_linear(&mut pool, &cfg, 9);
         assert_eq!(pool.model_epoch(), 1);
-        let forest = |pool: &ModelPool| estimates(pool, &[4.5e9]).unwrap()[0].1;
+        let forest = |pool: &ModelPool| estimates(pool, 4.5e9).unwrap()[0].1;
         let retrained = forest(&pool);
-        pool.observe_success(&[10e9], 21e9, &cfg, &mut PoolScratch::default());
+        pool.observe_success(10e9, 21e9, &cfg, &mut PoolScratch::default());
         assert_eq!(pool.model_epoch(), 1, "the tenth observe is incremental");
         assert_eq!(forest(&pool).to_bits(), retrained.to_bits());
+    }
+
+    /// A class listed twice still gets one member: a second linear model
+    /// would predict what the first does and double its weight in gating.
+    #[test]
+    fn a_repeated_class_builds_one_member() {
+        let repeated = config().with_model_classes(vec![
+            ModelClass::Linear,
+            ModelClass::Linear,
+            ModelClass::Knn,
+        ]);
+        let distinct = config().with_model_classes(vec![ModelClass::Linear, ModelClass::Knn]);
+        let mut a = ModelPool::new(&repeated);
+        let mut b = ModelPool::new(&distinct);
+        assert_eq!(a.members.len(), 2);
+        for i in 1..=30 {
+            let input = i as f64 * 1e9;
+            let peak = 2.0 * input + 1e9 + (i % 7) as f64 * 3e8;
+            let query = input + 5e8;
+            let ea = gated(&a, query, &repeated).map(|(o, _)| (o.estimate.to_bits(), o.dominant));
+            let eb = gated(&b, query, &distinct).map(|(o, _)| (o.estimate.to_bits(), o.dominant));
+            assert_eq!(ea, eb, "observe {i}");
+            a.observe_success(input, peak, &repeated, &mut PoolScratch::default());
+            b.observe_success(input, peak, &distinct, &mut PoolScratch::default());
+        }
+        assert!(gated(&a, 7.5e9, &repeated).is_some());
     }
 
     /// The pool trains each class's one configuration: with a retrain
@@ -686,15 +712,15 @@ mod tests {
         for i in 1..=30 {
             let input = i as f64 * 1e9;
             let peak = 2.0 * input + 1e9 + (i % 7) as f64 * 3e8;
-            pool.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
-            data.push(&[input], peak);
+            pool.observe_success(input, peak, &cfg, &mut PoolScratch::default());
+            data.push(input, peak);
             for model in &mut defaults {
                 model.fit(&data).unwrap();
             }
         }
         assert_eq!(pool.model_epoch(), 30);
         for query in [0.5e9, 7.5e9, 21e9, 40e9] {
-            let estimates = pool.member_estimates(&[query]);
+            let estimates = pool.member_estimates(query);
             assert_eq!(estimates.len(), ModelClass::ALL.len());
             for ((class, estimate), model) in estimates.into_iter().zip(&defaults) {
                 assert_eq!(class, model.class());
@@ -709,8 +735,8 @@ mod tests {
         let cfg = config();
         let pool = ModelPool::new(&cfg);
         assert!(!pool.is_ready());
-        assert!(estimates(&pool, &[1e9]).is_none());
-        assert!(gated(&pool, &[1e9], &cfg).is_none());
+        assert!(estimates(&pool, 1e9).is_none());
+        assert!(gated(&pool, 1e9, &cfg).is_none());
         assert_eq!(pool.max_observed(), None);
     }
 
@@ -730,7 +756,7 @@ mod tests {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 8);
-        let estimates = estimates(&pool, &[4e9]).unwrap();
+        let estimates = estimates(&pool, 4e9).unwrap();
         assert_eq!(estimates.len(), 4);
         for (_, value) in &estimates {
             assert!(*value > 0.0);
@@ -742,7 +768,7 @@ mod tests {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 15);
-        let (outcome, scratch) = gated(&pool, &[8e9], &cfg).unwrap();
+        let (outcome, scratch) = gated(&pool, 8e9, &cfg).unwrap();
         let truth = 2.0 * 8e9 + 1e9;
         assert!(
             (outcome.estimate - truth).abs() / truth < 0.5,
@@ -759,7 +785,7 @@ mod tests {
         let cfg = config().with_gating(GatingStrategy::Argmax);
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 12);
-        let (outcome, scratch) = gated(&pool, &[5e9], &cfg).unwrap();
+        let (outcome, scratch) = gated(&pool, 5e9, &cfg).unwrap();
         assert!(scratch
             .estimates
             .iter()
@@ -794,12 +820,11 @@ mod tests {
         for i in 1..=30 {
             let input = i as f64 * 1e9;
             let peak = 2.0 * input + 1e9 + (i % 7) as f64 * 3e8;
-            let features = [input];
             // What every member predicts before the observe learns the task.
             let before: Vec<Option<f64>> = pool
                 .members
                 .iter()
-                .map(|m| m.model.predict(&features).ok().filter(|p| p.is_finite()))
+                .map(|m| m.model.predict(&[input]).ok().filter(|p| p.is_finite()))
                 .collect();
             let scores_before: Vec<usize> = pool
                 .members
@@ -814,10 +839,10 @@ mod tests {
                     member.accuracy_scores.push(pair_accuracy(p.max(0.0), peak));
                 }
             }
-            let want = gated(&scored, &features, &cfg).map(|(o, _)| o.estimate.to_bits());
+            let want = gated(&scored, input, &cfg).map(|(o, _)| o.estimate.to_bits());
             let history_before = pool.aggregate_history().len();
 
-            pool.observe_success(&features, peak, &cfg, &mut PoolScratch::default());
+            pool.observe_success(input, peak, &cfg, &mut PoolScratch::default());
 
             let members = pool.members.iter().zip(&before).zip(&scores_before);
             for ((member, p), &len) in members {
@@ -841,11 +866,11 @@ mod tests {
     fn max_observed_tracks_successes_and_failures() {
         let cfg = config();
         let mut pool = ModelPool::new(&cfg);
-        pool.observe_success(&[1e9], 3e9, &cfg, &mut PoolScratch::default());
+        pool.observe_success(1e9, 3e9, &cfg, &mut PoolScratch::default());
         assert_eq!(pool.max_observed(), Some(3e9));
         pool.observe_failure(8e9, &cfg);
         assert_eq!(pool.max_observed(), Some(8e9));
-        pool.observe_success(&[1e9], 5e9, &cfg, &mut PoolScratch::default());
+        pool.observe_success(1e9, 5e9, &cfg, &mut PoolScratch::default());
         assert_eq!(pool.max_observed(), Some(8e9));
     }
 
@@ -871,7 +896,7 @@ mod tests {
         let cfg = config().with_model_classes(vec![ModelClass::Linear, ModelClass::Knn]);
         let mut pool = ModelPool::new(&cfg);
         feed_linear(&mut pool, &cfg, 6);
-        let estimates = estimates(&pool, &[3e9]).unwrap();
+        let estimates = estimates(&pool, 3e9).unwrap();
         assert_eq!(estimates.len(), 2);
         let classes: Vec<ModelClass> = estimates.iter().map(|(c, _)| *c).collect();
         assert!(classes.contains(&ModelClass::Linear));
@@ -896,12 +921,7 @@ mod tests {
         let mut pool = ModelPool::new(&cfg);
         for i in 1..=300 {
             let input = (i % 20 + 1) as f64 * 1e9;
-            pool.observe_success(
-                &[input],
-                2.0 * input + 1e9,
-                &cfg,
-                &mut PoolScratch::default(),
-            );
+            pool.observe_success(input, 2.0 * input + 1e9, &cfg, &mut PoolScratch::default());
         }
         // Amortised trim: the dataset never doubles the window.
         assert!(pool.n_observations() < 32, "kept {}", pool.n_observations());
@@ -911,7 +931,7 @@ mod tests {
         assert!(pool.aggregate_history().len() < 2 * OFFSET_HISTORY_WINDOW);
         // The pool still predicts from the retained window.
         assert!(pool.is_ready());
-        let (outcome, _) = gated(&pool, &[10e9], &cfg).unwrap();
+        let (outcome, _) = gated(&pool, 10e9, &cfg).unwrap();
         let truth = 2.0 * 10e9 + 1e9;
         assert!(
             (outcome.estimate - truth).abs() / truth < 0.5,
@@ -963,16 +983,16 @@ mod tests {
             } else {
                 6.0 * input + 8e9
             };
-            a.observe_success(&[input], peak, &off, &mut PoolScratch::default());
-            b.observe_success(&[input], peak, &armed, &mut PoolScratch::default());
+            a.observe_success(input, peak, &off, &mut PoolScratch::default());
+            b.observe_success(input, peak, &armed, &mut PoolScratch::default());
             if b.model_epoch() != a.model_epoch() {
                 fired_at = Some(i);
                 break;
             }
             // Until the detector fires only its bookkeeping runs.
-            let query = [input + 5e8];
-            let ea = gated(&a, &query, &off).map(|(d, _)| d.estimate);
-            let eb = gated(&b, &query, &armed).map(|(d, _)| d.estimate);
+            let query = input + 5e8;
+            let ea = gated(&a, query, &off).map(|(d, _)| d.estimate);
+            let eb = gated(&b, query, &armed).map(|(d, _)| d.estimate);
             assert_eq!(
                 ea.map(f64::to_bits),
                 eb.map(f64::to_bits),
@@ -1000,8 +1020,8 @@ mod tests {
         for i in 11..=10 + DRIFT_WINDOW {
             let input = i as f64 * 1e9;
             let peak = 6.0 * input + 8e9;
-            drifting.observe_success(&[input], peak, &cfg, &mut PoolScratch::default());
-            control.observe_success(&[input], peak, &off, &mut PoolScratch::default());
+            drifting.observe_success(input, peak, &cfg, &mut PoolScratch::default());
+            control.observe_success(input, peak, &off, &mut PoolScratch::default());
         }
         assert!(
             drifting.model_epoch() > epoch_before,
@@ -1024,12 +1044,7 @@ mod tests {
         let mut fired = false;
         for i in before + 1..=before + DRIFT_WINDOW {
             let input = i as f64 * 1e9;
-            pool.observe_success(
-                &[input],
-                6.0 * input + 8e9,
-                &cfg,
-                &mut PoolScratch::default(),
-            );
+            pool.observe_success(input, 6.0 * input + 8e9, &cfg, &mut PoolScratch::default());
             if pool.model_epoch() > epoch_before {
                 fired = true;
                 assert_eq!(

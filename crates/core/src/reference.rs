@@ -304,7 +304,7 @@ impl ReferenceSizey {
     ) -> Option<(usize, Vec<(ModelClass, f64)>)> {
         let pool = live.pool_for(key)?;
         let mut scratch = PoolScratch::default();
-        pool.individual_estimates_into(&[input], &mut scratch);
+        pool.individual_estimates_into(input, &mut scratch);
         Some((pool.n_observations(), scratch.estimates))
     }
 

@@ -237,8 +237,8 @@ impl MemoryPredictor for SizeyPredictor {
             };
         }
 
-        // One pool lookup serves the whole first-attempt path; the feature
-        // row (the input size, the paper's one feature) lives on the stack.
+        // One pool lookup serves the whole first-attempt path, which learns
+        // from the input size alone, the paper's one feature.
         let Some(pool) = self.pool_for(&task.key()) else {
             // Unknown task type: submit with the user-provided, usually
             // conservative estimate.
@@ -248,10 +248,9 @@ impl MemoryPredictor for SizeyPredictor {
                 selected_model: None,
             };
         };
-        let features = [task.input_bytes];
         POOL_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            match pool.gated_estimate_with(&features, &self.config, scratch) {
+            match pool.gated_estimate_with(task.input_bytes, &self.config, scratch) {
                 None => {
                     // Not enough history yet: fall back to the preset.
                     Prediction {
@@ -302,7 +301,7 @@ impl MemoryPredictor for SizeyPredictor {
         match record.outcome {
             TaskOutcome::Succeeded => POOL_SCRATCH.with(|cell| {
                 pool.observe_success(
-                    &[record.input_bytes],
+                    record.input_bytes,
                     record.peak_memory_bytes,
                     &self.config,
                     &mut cell.borrow_mut(),

@@ -2,10 +2,9 @@
 //!
 //! The paper includes a random forest in the model pool because ensembles of
 //! decorrelated trees are robust to overfitting when only a few historical
-//! task executions exist. Trees are trained on bootstrap resamples, each
-//! searching the features in its own shuffled order. Several trees on at
-//! least [`PARALLEL_FIT_MIN_ROWS`] rows are fitted on scoped threads; smaller
-//! fits run on the calling thread. A fit with a side job
+//! task executions exist. Trees are trained on bootstrap resamples. Several
+//! trees on at least [`PARALLEL_FIT_MIN_ROWS`] rows are fitted on scoped
+//! threads; smaller fits run on the calling thread. A fit with a side job
 //! ([`Regressor::fit_beside`]) puts the job at the head of its tree queue,
 //! and is threaded from [`PARALLEL_BESIDE_MIN_ROWS`] rows instead. Each tree
 //! has its own seed and is installed in index order, so the forest is the
@@ -22,7 +21,6 @@ use crate::model::{validate_query, validate_training_data, ModelClass, ModelErro
 use crate::parallel::{default_parallelism, parallel_map, parallel_map_beside};
 use crate::tree::{RegressionTree, TreeConfig};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Bootstrap size from which [`RandomForestRegression`] fits its trees on
@@ -93,7 +91,7 @@ pub struct ForestConfig {
     pub n_trees: usize,
     /// Maximum depth of each tree.
     pub max_depth: usize,
-    /// Seed for bootstrap resampling and the per-tree feature order.
+    /// Seed for bootstrap resampling.
     pub seed: u64,
 }
 
@@ -115,7 +113,6 @@ pub struct RandomForestRegression {
     /// Retained training data so incremental updates and tree refreshes can
     /// resample from the full history.
     history: Dataset,
-    n_features: usize,
     fitted: bool,
     /// Index of the next tree to refresh on an incremental update.
     refresh_cursor: usize,
@@ -144,7 +141,6 @@ impl RandomForestRegression {
             config,
             trees: Vec::new(),
             history: Dataset::new(),
-            n_features: 0,
             fitted: false,
             refresh_cursor: 0,
             refresh_credit: 0.0,
@@ -181,7 +177,7 @@ impl RandomForestRegression {
     /// Trains a single tree on a bootstrap resample drawn with `seed`. The
     /// resample stays an index buffer into the retained history — the tree
     /// trains through [`RegressionTree::fit_with_indices`], which gathers
-    /// only its candidate feature columns, so no per-tree copy of the rows
+    /// only the sample's inputs and targets, so no per-tree copy of the rows
     /// is materialised (the rng consumption and the resulting tree are
     /// bit-identical to fitting on the cloned subset).
     fn train_tree(&self, seed: u64, window_start: usize) -> Result<RegressionTree, ModelError> {
@@ -194,9 +190,6 @@ impl RandomForestRegression {
             .map(|_| rng.gen_range(window_start..n))
             .collect();
         let mut tree = RegressionTree::new(self.tree_config());
-        let mut order: Vec<usize> = (0..self.history.n_features()).collect();
-        order.shuffle(&mut rng);
-        tree.set_feature_order(order);
         tree.fit_with_indices(&self.history, indices)?;
         Ok(tree)
     }
@@ -282,12 +275,10 @@ impl RandomForestRegression {
         // in-place path.
         let mut staged = RandomForestRegression::new(self.config);
         staged.history = data.clone();
-        staged.n_features = data.n_features();
         staged.fit_generation = self.fit_generation;
         let all: Vec<usize> = (0..self.config.n_trees).collect();
         staged.fit_trees(&all, 0, side)?;
         self.history = staged.history;
-        self.n_features = staged.n_features;
         self.trees = staged.trees;
         self.fit_generation = staged.fit_generation;
         self.fitted = true;
@@ -314,14 +305,8 @@ impl Regressor for RandomForestRegression {
         if !self.fitted {
             return self.fit(data);
         }
-        if data.n_features() != self.n_features {
-            return Err(ModelError::FeatureMismatch {
-                expected: self.n_features,
-                got: data.n_features(),
-            });
-        }
-        for (f, t) in data.iter() {
-            self.history.push(f, t);
+        for (x, y) in data.iter() {
+            self.history.push(x, y);
         }
         // Bank the per-observation refresh budget and spend whole trees; a
         // budget below one tree per observation therefore refreshes nothing
@@ -345,7 +330,7 @@ impl Regressor for RandomForestRegression {
         if !self.fitted || self.trees.is_empty() {
             return Err(ModelError::NotFitted);
         }
-        validate_query(features, self.n_features)?;
+        validate_query(features)?;
         let mut sum = 0.0;
         let mut count = 0usize;
         for tree in &self.trees {
@@ -617,22 +602,5 @@ mod tests {
             ..ForestConfig::default()
         });
         let _ = f.fit_beside(&step_dataset(100), &mut || panic!("side job failed"));
-    }
-
-    #[test]
-    fn learns_the_informative_one_of_several_features() {
-        let mut features = Vec::new();
-        let mut targets = Vec::new();
-        for i in 0..60 {
-            let x = i as f64;
-            features.push(vec![x, (i % 5) as f64, (i % 3) as f64]);
-            targets.push(if x < 30.0 { 10.0 } else { 90.0 });
-        }
-        let data = Dataset::from_parts(features, targets);
-        let mut f = RandomForestRegression::with_defaults();
-        f.fit(&data).unwrap();
-        let low = f.predict(&[5.0, 1.0, 1.0]).unwrap();
-        let high = f.predict(&[55.0, 1.0, 1.0]).unwrap();
-        assert!(high > low + 30.0);
     }
 }

@@ -171,7 +171,7 @@ pub fn cross_validate(spec: &ModelSpec, data: &Dataset, k: usize) -> Result<f64,
         model.fit(&train)?;
         let preds = test
             .iter()
-            .map(|(row, _)| model.predict(row))
+            .map(|(x, _)| model.predict(&[x]))
             .collect::<Result<Vec<_>, _>>()?;
         total += mse(test.targets(), &preds);
     }

@@ -2,27 +2,24 @@
 //!
 //! The paper motivates k-NN as the model class that lets historical task
 //! executions similar to the one being sized influence the estimate directly.
-//! Features are min-max scaled internally so that neighbourhoods are
-//! meaningful when feature columns live on very different scales (input bytes
-//! vs. running-task counts). `partial_fit` simply appends the new
-//! observations, which makes the incremental update O(new points).
+//! Inputs are min-max scaled internally, and `partial_fit` simply appends
+//! the new observations, which makes the incremental update O(new points).
 //!
-//! The model keeps its observations as a [`Dataset`] (one row-major
-//! buffer) and, beside it, the same rows **pre-scaled** in the same layout:
-//! observations are scaled once when the scaler refreshes (on
-//! `fit`/`partial_fit`), not once per stored row on every `predict`, and the
-//! distance ranking uses `select_nth_unstable` partial selection instead of
-//! sorting all n distances to extract k of them. Ties are broken by
+//! The model keeps its observations as a [`Dataset`] and, beside it, the
+//! same inputs **pre-scaled**: observations are scaled once when the scaler
+//! refreshes (on `fit`/`partial_fit`), not once per stored row on every
+//! `predict`. The distance between two scaled inputs is their squared
+//! difference, and the ranking uses `select_nth_unstable` partial selection
+//! instead of sorting all n distances to extract k of them. Ties are broken by
 //! insertion index, which reproduces the ranking of the former stable full
 //! sort exactly — predictions are bit-identical to the straightforward
 //! implementation (the workspace equivalence proptests assert this).
 
 use crate::dataset::Dataset;
-use crate::matrix::squared_distance;
 use crate::model::{
     validate_query, validate_training_data, ModelClass, ModelError, PredictScratch, Regressor,
 };
-use crate::scaler::{Scaler, ScalerKind};
+use crate::scaler::MinMaxScaler;
 
 /// How neighbour targets are combined into a prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +33,7 @@ pub enum KnnWeighting {
 
 /// Relative scaler-parameter drift above which a `partial_fit` rescales the
 /// whole stored buffer against the live min-max parameters (see
-/// [`Scaler::param_drift`]).
+/// [`MinMaxScaler::param_drift`]).
 const RESCALE_AT_DRIFT: f64 = 0.02;
 
 /// Upper bound on observations between two full rescales, whatever the
@@ -68,8 +65,8 @@ pub struct KnnRegression {
     config: KnnConfig,
     /// Every observation, raw.
     data: Dataset,
-    /// `data`'s feature rows in scaled space, in the same row-major layout,
-    /// refreshed together with the scaler so
+    /// `data`'s inputs in scaled space, in the same order, refreshed
+    /// together with the scaler so
     /// `predict` never re-scales stored observations. Scaled with the
     /// **epoch** scaler's parameters (frozen at the last full rescale), not
     /// necessarily the live ones — queries scale with the same epoch
@@ -77,13 +74,13 @@ pub struct KnnRegression {
     scaled: Vec<f64>,
     /// The epoch scaler: the parameters the `scaled` buffer was produced
     /// with.
-    scaler: Scaler,
+    scaler: MinMaxScaler,
     /// The live scaler, updated exactly per observation
-    /// ([`Scaler::observe_row`]). When its parameters drift too far from the
+    /// ([`MinMaxScaler::observe`]). When its parameters drift too far from the
     /// epoch's — or after [`RESCALE_EVERY_ROWS`] appends — it becomes the
     /// new epoch and the buffer is rescaled once, amortising the former
     /// O(history) per-observe rescale.
-    live_scaler: Scaler,
+    live_scaler: MinMaxScaler,
     /// Observations appended since the last full rescale.
     rows_since_rescale: usize,
     fitted: bool,
@@ -96,8 +93,8 @@ impl KnnRegression {
             config,
             data: Dataset::new(),
             scaled: Vec::new(),
-            scaler: Scaler::new(ScalerKind::MinMax),
-            live_scaler: Scaler::new(ScalerKind::MinMax),
+            scaler: MinMaxScaler::default(),
+            live_scaler: MinMaxScaler::default(),
             rows_since_rescale: 0,
             fitted: false,
         }
@@ -119,15 +116,13 @@ impl KnnRegression {
         self.data.len()
     }
 
-    /// Batch-refits the scaler on every stored row and rescales them — the
-    /// O(n·d) epoch reset of `fit`, never run per observation.
+    /// Batch-refits the scaler on every stored input and rescales them —
+    /// the O(n) epoch reset of `fit`, never run per observation.
     fn refresh_scaler(&mut self) {
-        let (features, width) = (self.data.features(), self.data.n_features());
-        self.scaler = Scaler::new(ScalerKind::MinMax);
-        self.scaler.fit(features, width);
-        self.live_scaler = self.scaler.clone();
-        self.scaler
-            .transform_flat_into(features, width, &mut self.scaled);
+        let inputs = self.data.inputs();
+        self.scaler.fit(inputs);
+        self.live_scaler = self.scaler;
+        self.scaler.transform_into(inputs, &mut self.scaled);
         self.rows_since_rescale = 0;
     }
 
@@ -137,10 +132,9 @@ impl KnnRegression {
         self.rows_since_rescale
     }
 
-    /// Writes the indices and distances of the `k` nearest stored
+    /// Writes the indices and squared distances of the `k` nearest stored
     /// observations to `query` (in scaled space), closest first, into
-    /// `scratch.dists`; the scaled query lives in `scratch` too, so the
-    /// steady-state path performs no allocations.
+    /// `scratch.dists`, so the steady-state path performs no allocations.
     ///
     /// Partial selection: only the k nearest are moved to the front and
     /// ordered, instead of sorting all n distances. The comparator is total
@@ -148,18 +142,14 @@ impl KnnRegression {
     /// upstream — ranks last instead of panicking the predict hot path, and
     /// ties break by insertion index, matching the stable full sort this
     /// replaces bit for bit.
-    fn nearest_with(&self, query: &[f64], scratch: &mut PredictScratch) {
-        let width = self.data.n_features().max(1);
-        self.scaler.transform_into(query, &mut scratch.scaled_query);
-        let scaled_query = &scratch.scaled_query;
+    fn nearest_with(&self, query: f64, scratch: &mut PredictScratch) {
+        let scaled_query = self.scaler.transform(query);
         let dists = &mut scratch.dists;
         dists.clear();
-        dists.extend(
-            self.scaled
-                .chunks_exact(width)
-                .enumerate()
-                .map(|(i, row)| (i, squared_distance(row, scaled_query))),
-        );
+        dists.extend(self.scaled.iter().enumerate().map(|(i, &x)| {
+            let d = x - scaled_query;
+            (i, d * d)
+        }));
         let k = self.config.k.max(1).min(dists.len());
         let by_distance_then_index =
             |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
@@ -223,39 +213,32 @@ impl Regressor for KnnRegression {
         if !self.fitted {
             return self.fit(data);
         }
-        let width = self.data.n_features();
-        if data.n_features() != width {
-            return Err(ModelError::FeatureMismatch {
-                expected: width,
-                got: data.n_features(),
-            });
-        }
-        for (f, t) in data.iter() {
-            self.data.push(f, t);
-            // O(d): fold the row into the live scaler's running min/max
+        for (x, y) in data.iter() {
+            self.data.push(x, y);
+            // O(1): fold the input into the live scaler's running min/max
             // (bit-identical to a batch refit for min-max parameters).
-            self.live_scaler.observe_row(f);
+            self.live_scaler.observe(x);
         }
         self.rows_since_rescale += data.len();
         let drift = self.live_scaler.param_drift(&self.scaler);
         if drift > RESCALE_AT_DRIFT || self.rows_since_rescale >= RESCALE_EVERY_ROWS {
             // Epoch reset: adopt the live parameters and rescale the whole
-            // buffer once. Amortised O(d) per observe. When the drift is
+            // buffer once. Amortised O(1) per observe. When the drift is
             // exactly zero the epoch parameters already equal the live ones,
             // so skipping this is bit-identical to running it.
             self.live_scaler
-                .transform_flat_into(self.data.features(), width, &mut self.scaled);
-            self.scaler = self.live_scaler.clone();
+                .transform_into(self.data.inputs(), &mut self.scaled);
+            self.scaler = self.live_scaler;
             self.rows_since_rescale = 0;
         } else {
-            // Append the new rows scaled with the frozen epoch parameters;
+            // Append the new inputs scaled with the frozen epoch parameters;
             // queries scale with the same parameters, so the ranking stays
             // consistent (bounded-divergent from an eager rescale until the
-            // next epoch reset). Allocation-free: rows scale straight into
+            // next epoch reset). Allocation-free: inputs scale straight into
             // the retained buffer.
-            for (f, _) in data.iter() {
-                self.scaler.transform_append(f, &mut self.scaled);
-            }
+            let scaler = &self.scaler;
+            self.scaled
+                .extend(data.inputs().iter().map(|&x| scaler.transform(x)));
         }
         Ok(())
     }
@@ -273,8 +256,8 @@ impl Regressor for KnnRegression {
         if !self.fitted || self.data.is_empty() {
             return Err(ModelError::NotFitted);
         }
-        validate_query(features, self.data.n_features())?;
-        self.nearest_with(features, scratch);
+        let query = validate_query(features)?;
+        self.nearest_with(query, scratch);
         Ok(self.aggregate(&scratch.dists))
     }
 
@@ -372,29 +355,6 @@ mod tests {
         m.partial_fit(&data).unwrap();
         assert!(m.is_fitted());
         assert_eq!(m.predict(&[1.0]).unwrap(), 11.0);
-    }
-
-    #[test]
-    fn scaling_makes_large_magnitude_columns_comparable() {
-        // Feature 0 in bytes (huge), feature 1 small but decisive.
-        let mut features = Vec::new();
-        let mut targets = Vec::new();
-        for i in 0..10 {
-            features.push(vec![1e9 + i as f64, 0.0]);
-            targets.push(100.0);
-            features.push(vec![1e9 + i as f64, 1.0]);
-            targets.push(200.0);
-        }
-        let data = Dataset::from_parts(features, targets);
-        let mut m = KnnRegression::new(KnnConfig {
-            k: 3,
-            weighting: KnnWeighting::Uniform,
-        });
-        m.fit(&data).unwrap();
-        // Without scaling the second feature would be irrelevant; with
-        // min-max scaling the neighbourhood follows it.
-        let p = m.predict(&[1e9 + 5.0, 1.0]).unwrap();
-        assert!((p - 200.0).abs() < 1e-9, "p = {p}");
     }
 
     /// Satellite regression: the distance ranking used

@@ -5,11 +5,12 @@
 //! The crate provides everything the Sizey model pool needs without external
 //! ML dependencies:
 //!
-//! * dense matrix/vector kernels ([`matrix`]),
+//! * one-feature training data ([`dataset`]): Sizey learns a task's peak
+//!   memory from its input size alone,
 //! * the [`model::Regressor`] trait and the four model classes of the paper's
 //!   Fig. 5 — [`linear::LinearRegression`], [`knn::KnnRegression`],
 //!   [`mlp::MlpRegression`] and [`forest::RandomForestRegression`],
-//! * feature/target scaling ([`scaler`]),
+//! * input/target scaling ([`scaler`]),
 //! * regression metrics and summary statistics ([`metrics`]),
 //! * k-fold cross validation and grid-search hyper-parameter optimisation
 //!   ([`hpo`]),
@@ -40,7 +41,6 @@ pub mod forest;
 pub mod hpo;
 pub mod knn;
 pub mod linear;
-pub mod matrix;
 pub mod metrics;
 pub mod mlp;
 pub mod model;
@@ -55,7 +55,7 @@ pub use knn::{KnnConfig, KnnRegression, KnnWeighting};
 pub use linear::{LinearConfig, LinearRegression};
 pub use mlp::{MlpConfig, MlpRegression};
 pub use model::{ModelClass, ModelError, PredictScratch, Regressor};
-pub use scaler::{Scaler, ScalerKind, TargetScaler};
+pub use scaler::{MinMaxScaler, StandardScaler};
 pub use tree::{RegressionTree, TreeConfig};
 
 /// Builds an unfitted regressor of the given class in its one

@@ -2,17 +2,15 @@
 //!
 //! The paper motivates the linear model class with the frequently observed
 //! linear relationship between input data size and peak memory (Fig. 2,
-//! MarkDuplicates). The model is fitted, intercept included, by solving the
-//! (optionally ridge regularised) normal equations; incremental updates
-//! maintain the Gram matrix `X^T X` and moment vector `X^T y`, so a
-//! `partial_fit` only costs a rank-one update plus one small solve. Both run
-//! on the write path; a predict only reads the solved coefficients.
+//! MarkDuplicates). The model fits a line, intercept included, by solving
+//! the (optionally ridge regularised) normal equations. Its sufficient
+//! statistics are five scalar sums (n, Σx, Σx², Σy, Σxy), so a
+//! `partial_fit` adds to them and solves one 2×2 system
+//! ([`solve_normal_equations`]). Both run on the write path; a predict only
+//! reads the solved intercept and slope.
 
 use crate::dataset::Dataset;
-use crate::matrix::Matrix;
-use crate::model::{
-    validate_query, validate_training_data, ModelClass, ModelError, PredictScratch, Regressor,
-};
+use crate::model::{validate_query, validate_training_data, ModelClass, ModelError, Regressor};
 
 /// Hyper-parameters for [`LinearRegression`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,43 +27,39 @@ impl Default for LinearConfig {
     }
 }
 
+/// The sufficient statistics of a line fit: the entries of the Gram matrix
+/// `[[n, Σx], [Σx, Σx²]]` and of the moment vector `[Σy, Σxy]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sums {
+    n: f64,
+    x: f64,
+    xx: f64,
+    y: f64,
+    xy: f64,
+}
+
 /// Linear regression model (OLS / ridge) with incremental normal-equation
 /// updates.
 ///
 /// `partial_fit` folds the observation into the exact sufficient statistics
-/// (Gram matrix and moment vector) and solves the normal equations right
-/// away, so the coefficients after any chain of updates are bit-identical to
-/// a batch fit over the same rows in the same order. A solve that fails
-/// keeps the previous coefficients serving and leaves
-/// [`is_solved`](LinearRegression::is_solved) false until a later update
-/// solves again. `fit` is **transactional**: a failed refit leaves the
-/// previous fitted state (statistics and coefficients) fully intact.
-#[derive(Clone)]
+/// and solves the normal equations right away, so the coefficients after
+/// any chain of updates are bit-identical to a batch fit over the same rows
+/// in the same order. A solve that fails keeps the previous coefficients
+/// serving and leaves [`is_solved`](LinearRegression::is_solved) false until
+/// a later update solves again. `fit` is **transactional**: a failed refit
+/// leaves the previous fitted state (statistics and coefficients) fully
+/// intact.
+#[derive(Debug, Clone)]
 pub struct LinearRegression {
     config: LinearConfig,
-    /// Fitted coefficients, intercept first.
-    coefficients: Vec<f64>,
+    /// Intercept and slope of the last successful solve.
+    coefficients: Option<[f64; 2]>,
     /// Whether `coefficients` solve the current sufficient statistics.
     solved: bool,
-    /// Accumulated Gram matrix `X^T X` (in augmented feature space).
-    gram: Option<Matrix>,
-    /// Accumulated moment vector `X^T y` (in augmented feature space).
-    moments: Vec<f64>,
+    sums: Sums,
     /// Number of observations the sufficient statistics cover.
     n_observations: usize,
-    n_features: usize,
     fitted: bool,
-}
-
-impl std::fmt::Debug for LinearRegression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LinearRegression")
-            .field("config", &self.config)
-            .field("n_observations", &self.n_observations)
-            .field("n_features", &self.n_features)
-            .field("fitted", &self.fitted)
-            .finish()
-    }
 }
 
 impl LinearRegression {
@@ -73,12 +67,10 @@ impl LinearRegression {
     pub fn new(config: LinearConfig) -> Self {
         LinearRegression {
             config,
-            coefficients: Vec::new(),
+            coefficients: None,
             solved: false,
-            gram: None,
-            moments: Vec::new(),
+            sums: Sums::default(),
             n_observations: 0,
-            n_features: 0,
             fitted: false,
         }
     }
@@ -88,10 +80,10 @@ impl LinearRegression {
         LinearRegression::new(LinearConfig::default())
     }
 
-    /// The fitted coefficients (intercept first): those of the
-    /// last successful solve. Empty before any solve succeeded.
+    /// The fitted coefficients, intercept then slope: those of the last
+    /// successful solve. Empty before any solve succeeded.
     pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
+        self.coefficients.as_ref().map_or(&[], |c| c.as_slice())
     }
 
     /// Whether the last update's solve succeeded, i.e. whether the
@@ -111,73 +103,79 @@ impl LinearRegression {
     }
 
     fn accumulate(&mut self, data: &Dataset) {
-        let width = data.n_features() + 1;
-        if self.gram.is_none() {
-            self.gram = Some(Matrix::zeros(width, width));
-            self.moments = vec![0.0; width];
-            self.n_features = data.n_features();
-            self.n_observations = 0;
-        }
-        let gram = self.gram.as_mut().expect("gram initialised above");
-        for (features, target) in data.iter() {
-            let mut row = Vec::with_capacity(features.len() + 1);
-            row.push(1.0);
-            row.extend_from_slice(features);
-            for (i, &xi) in row.iter().enumerate() {
-                self.moments[i] += xi * target;
-                for (j, &xj) in row.iter().enumerate() {
-                    gram[(i, j)] += xi * xj;
-                }
-            }
+        let s = &mut self.sums;
+        for (x, y) in data.iter() {
+            s.n += 1.0;
+            s.x += x;
+            s.xx += x * x;
+            s.y += y;
+            s.xy += x * y;
         }
         self.n_observations += data.len();
-    }
-
-    /// Solves the regularised normal equations for the given sufficient
-    /// statistics. Does not touch `self` — callers commit the returned
-    /// coefficients only on success, which is what makes `fit` transactional.
-    fn solve_stats(
-        gram: &Matrix,
-        moments: &[f64],
-        config: LinearConfig,
-    ) -> Result<Vec<f64>, ModelError> {
-        let mut regularised = gram.clone();
-        // Always add at least a tiny ridge term: a task type whose observed
-        // input sizes are all identical produces a rank-deficient Gram matrix.
-        let lambda = config.l2.max(1e-10);
-        regularised.add_diagonal(lambda);
-        let coeffs = match regularised.solve(moments) {
-            Ok(coeffs) => coeffs,
-            Err(_) => {
-                // Escalate the regularisation once before giving up; this
-                // keeps early-workflow fits (1-2 data points) usable.
-                let mut heavier = gram.clone();
-                heavier.add_diagonal(lambda.max(1e-3) * 1e3);
-                heavier
-                    .solve(moments)
-                    .map_err(|e| ModelError::Numerical(e.to_string()))?
-            }
-        };
-        // Overflowed Gram entries (inf) sail through elimination without a
-        // small pivot and come out as NaN/inf coefficients; treat that as a
-        // solve failure rather than serving a poisoned model.
-        if coeffs.iter().any(|c| !c.is_finite()) {
-            return Err(ModelError::Numerical(
-                "normal-equation solve produced non-finite coefficients".to_string(),
-            ));
-        }
-        Ok(coeffs)
     }
 
     /// Solves the normal equations for the accumulated statistics. A failed
     /// solve keeps the previous coefficients and clears `solved`.
     fn solve(&mut self) -> Result<(), ModelError> {
-        let gram = self.gram.as_ref().ok_or(ModelError::NotFitted)?;
-        let result = LinearRegression::solve_stats(gram, &self.moments, self.config);
+        let s = self.sums;
+        let result = solve_normal_equations([[s.n, s.x], [s.x, s.xx]], [s.y, s.xy], self.config.l2);
         self.solved = result.is_ok();
-        self.coefficients = result?;
+        self.coefficients = Some(result?);
         Ok(())
     }
+}
+
+/// Solves the ridge-regularised normal equations `(G + λI) c = m` of a line
+/// fit for its coefficients, intercept first, with `λ = max(l2, 1e-10)`.
+///
+/// A task type whose observed input sizes are all identical produces a
+/// rank-deficient Gram matrix `G`, hence the tiny ridge term that is always
+/// added. If a pivot still falls below `1e-12`, the solve is retried once
+/// with `λ = max(λ, 1e-3) · 1e3` before giving up. An overflowed Gram entry
+/// (inf) sails through elimination without a small pivot and comes out as a
+/// non-finite coefficient; that is refused too, rather than serving a
+/// poisoned model.
+pub fn solve_normal_equations(
+    gram: [[f64; 2]; 2],
+    moments: [f64; 2],
+    l2: f64,
+) -> Result<[f64; 2], ModelError> {
+    let [[g00, g01], [g10, g11]] = gram;
+    let ridged = |lambda: f64| solve_2x2([[g00 + lambda, g01], [g10, g11 + lambda]], moments);
+    let lambda = l2.max(1e-10);
+    let coefficients = ridged(lambda)
+        .or_else(|| ridged(lambda.max(1e-3) * 1e3))
+        .ok_or_else(|| ModelError::Numerical("matrix is singular".to_string()))?;
+    if coefficients.iter().any(|c| !c.is_finite()) {
+        return Err(ModelError::Numerical(
+            "normal-equation solve produced non-finite coefficients".to_string(),
+        ));
+    }
+    Ok(coefficients)
+}
+
+/// Solves `a · x = b` by Gaussian elimination with partial pivoting; `None`
+/// when a pivot's magnitude is below `1e-12`.
+fn solve_2x2(a: [[f64; 2]; 2], b: [f64; 2]) -> Option<[f64; 2]> {
+    // Each row is augmented with its right-hand side.
+    let mut top = [a[0][0], a[0][1], b[0]];
+    let mut bottom = [a[1][0], a[1][1], b[1]];
+    if bottom[0].abs() > top[0].abs() {
+        std::mem::swap(&mut top, &mut bottom);
+    }
+    if top[0].abs() < 1e-12 {
+        return None;
+    }
+    let factor = bottom[0] / top[0];
+    if factor != 0.0 {
+        bottom[1] -= factor * top[1];
+        bottom[2] -= factor * top[2];
+    }
+    if bottom[1].abs() < 1e-12 {
+        return None;
+    }
+    let slope = bottom[2] / bottom[1];
+    Some([(top[2] - top[1] * slope) / top[0], slope])
 }
 
 impl Regressor for LinearRegression {
@@ -196,12 +194,6 @@ impl Regressor for LinearRegression {
 
     fn partial_fit(&mut self, data: &Dataset) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        if self.gram.is_some() && data.n_features() != self.n_features {
-            return Err(ModelError::FeatureMismatch {
-                expected: self.n_features,
-                got: data.n_features(),
-            });
-        }
         self.accumulate(data);
         // A failed solve is not an update failure: the statistics took the
         // rows, and the previous coefficients keep serving.
@@ -211,31 +203,14 @@ impl Regressor for LinearRegression {
     }
 
     fn predict(&self, features: &[f64]) -> Result<f64, ModelError> {
-        let mut scratch = PredictScratch::default();
-        self.predict_with(features, &mut scratch)
-    }
-
-    fn predict_with(
-        &self,
-        features: &[f64],
-        scratch: &mut PredictScratch,
-    ) -> Result<f64, ModelError> {
         if !self.fitted {
             return Err(ModelError::NotFitted);
         }
-        validate_query(features, self.n_features)?;
-        if self.coefficients.is_empty() {
-            // The model has only ever seen failed solves (e.g. its very first
-            // update was degenerate) — there is no usable state to serve.
-            return Err(ModelError::NotFitted);
-        }
-        // The augmented row [1, features…] lives in the caller's scratch
-        // buffer.
-        let row = &mut scratch.row;
-        row.clear();
-        row.push(1.0);
-        row.extend_from_slice(features);
-        Ok(row.iter().zip(&self.coefficients).map(|(x, c)| x * c).sum())
+        let x = validate_query(features)?;
+        // `None`: the model has only ever seen failed solves (e.g. its very
+        // first update was degenerate), so there is no usable state to serve.
+        let [intercept, slope] = self.coefficients.ok_or(ModelError::NotFitted)?;
+        Ok(intercept + x * slope)
     }
 
     fn is_fitted(&self) -> bool {
@@ -268,26 +243,6 @@ mod tests {
         m.fit(&data).unwrap();
         let pred = m.predict(&[100.0]).unwrap();
         assert!((pred - 310.0).abs() < 1e-3, "pred = {pred}");
-    }
-
-    #[test]
-    fn multivariate_fit_recovers_coefficients() {
-        // y = 2*x0 - 3*x1 + 5
-        let mut features = Vec::new();
-        let mut targets = Vec::new();
-        for i in 0..20 {
-            for j in 0..20 {
-                let x0 = i as f64;
-                let x1 = j as f64;
-                features.push(vec![x0, x1]);
-                targets.push(2.0 * x0 - 3.0 * x1 + 5.0);
-            }
-        }
-        let data = Dataset::from_parts(features, targets);
-        let mut m = LinearRegression::with_defaults();
-        m.fit(&data).unwrap();
-        let pred = m.predict(&[7.0, 11.0]).unwrap();
-        assert!((pred - (14.0 - 33.0 + 5.0)).abs() < 1e-3);
     }
 
     #[test]
@@ -346,18 +301,6 @@ mod tests {
         m.fit(&data).unwrap();
         assert!(matches!(
             m.predict(&[1.0, 2.0]),
-            Err(ModelError::FeatureMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn partial_fit_rejects_changed_width() {
-        let data = linear_dataset(1.0, 0.0, 10);
-        let mut m = LinearRegression::with_defaults();
-        m.fit(&data).unwrap();
-        let wide = Dataset::from_parts(vec![vec![1.0, 2.0]], vec![3.0]);
-        assert!(matches!(
-            m.partial_fit(&wide),
             Err(ModelError::FeatureMismatch { .. })
         ));
     }

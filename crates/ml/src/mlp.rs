@@ -3,9 +3,10 @@
 //! The MLP is the pool member that captures complex non-linear relationships
 //! (e.g. memory that grows with the square of the input size, the
 //! BaseRecalibrator example from the paper's introduction). The network is a
-//! small fully connected net trained with mini-batch Adam on standardised
-//! features and targets. `partial_fit` runs a few epochs over the new data
-//! (warm start), which is what keeps the incremental Sizey variant fast.
+//! small fully connected net, one input wide, trained with mini-batch Adam
+//! on standardised inputs and targets. `partial_fit` runs a few epochs over
+//! the new data (warm start), which is what keeps the incremental Sizey
+//! variant fast.
 //!
 //! Training is batch-major: each layer runs over the whole mini-batch at
 //! once, with activations and deltas stored unit by unit so the inner loops
@@ -17,7 +18,7 @@ use crate::dataset::Dataset;
 use crate::model::{
     validate_query, validate_training_data, ModelClass, ModelError, PredictScratch, Regressor,
 };
-use crate::scaler::{Scaler, ScalerKind, TargetScaler};
+use crate::scaler::StandardScaler;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -232,9 +233,8 @@ fn add_dots(out: &mut [f64], d: &[f64], rows: &[f64]) {
 pub struct MlpRegression {
     config: MlpConfig,
     layers: Vec<Layer>,
-    feature_scaler: Scaler,
-    target_scaler: TargetScaler,
-    n_features: usize,
+    input_scaler: StandardScaler,
+    target_scaler: StandardScaler,
     fitted: bool,
     adam_step: u64,
 }
@@ -245,9 +245,8 @@ impl MlpRegression {
         MlpRegression {
             config,
             layers: Vec::new(),
-            feature_scaler: Scaler::new(ScalerKind::Standard),
-            target_scaler: TargetScaler::new(),
-            n_features: 0,
+            input_scaler: StandardScaler::default(),
+            target_scaler: StandardScaler::default(),
             fitted: false,
             adam_step: 0,
         }
@@ -263,10 +262,10 @@ impl MlpRegression {
         &self.config
     }
 
-    fn init_layers(&mut self, n_features: usize) {
+    fn init_layers(&mut self) {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut sizes = Vec::with_capacity(self.config.hidden_layers.len() + 2);
-        sizes.push(n_features);
+        sizes.push(1);
         sizes.extend_from_slice(&self.config.hidden_layers);
         sizes.push(1);
         self.layers = sizes
@@ -391,18 +390,18 @@ impl MlpRegression {
     }
 
     /// Runs one Adam update over the mini-batch of sample positions `batch`
-    /// into `samples`, the flat scaled rows each followed by its scaled
-    /// target. Returns the batch mean squared error (in scaled target
-    /// space).
-    fn train_batch(&mut self, batch: &[u32], samples: &[f64], scratch: &mut TrainScratch) -> f64 {
+    /// into `samples`, the scaled `(input, target)` pairs. Returns the batch
+    /// mean squared error (in scaled target space).
+    fn train_batch(
+        &mut self,
+        batch: &[u32],
+        samples: &[(f64, f64)],
+        scratch: &mut TrainScratch,
+    ) -> f64 {
         scratch.grads.fill(0.0);
-        let width = self.n_features;
-        let sample = |p: u32| &samples[p as usize * (width + 1)..(p as usize + 1) * (width + 1)];
         let b = batch.len();
-        for (s, &p) in batch.iter().enumerate() {
-            for (f, &x) in sample(p)[..width].iter().enumerate() {
-                scratch.acts[f * b + s] = x;
-            }
+        for (act, &p) in scratch.acts.iter_mut().zip(batch) {
+            *act = samples[p as usize].0;
         }
         let output = self.forward_batch(&mut scratch.acts, b);
         // The output layer's delta is just the error (linear output +
@@ -411,7 +410,7 @@ impl MlpRegression {
         let predictions = &scratch.acts[output..output + b];
         let errors = scratch.deltas.iter_mut().zip(predictions);
         for ((e, &prediction), &p) in errors.zip(batch) {
-            let error = prediction - sample(p)[width];
+            let error = prediction - samples[p as usize].1;
             loss += error * error;
             *e = error;
         }
@@ -453,23 +452,27 @@ impl MlpRegression {
 
     /// Trains for up to `epochs` passes over `data` (already raw-space).
     ///
-    /// The samples are scaled once into one flat row-major buffer (each row
-    /// followed by its target), and each epoch shuffles a permutation of
-    /// sample positions rather than the samples: the shuffle draws the same
-    /// swaps for any slice of the same length, so batch `k` of an epoch
-    /// holds the same samples, in the same order, as a shuffle of the rows
-    /// themselves would. Each mini-batch then runs layer by layer over all
+    /// The samples are scaled once into one buffer of `(input, target)`
+    /// pairs, and each epoch shuffles a permutation of sample positions
+    /// rather than the samples: the shuffle draws the same swaps for any
+    /// slice of the same length, so batch `k` of an epoch holds the same
+    /// samples, in the same order, as a shuffle of the rows themselves
+    /// would. Each mini-batch then runs layer by layer over all
     /// of its samples at once ([`MlpRegression::forward_batch`],
     /// [`MlpRegression::backward_batch`]). A call allocates five buffers
     /// (samples, permutation and the three of [`TrainScratch`]), however
     /// many rows and epochs it runs; a warm start on 16 rows pays for them
     /// once per update.
     fn train_epochs(&mut self, data: &Dataset, epochs: usize) {
-        let mut samples = Vec::with_capacity(data.len() * (self.n_features + 1));
-        for (row, y) in data.iter() {
-            self.feature_scaler.transform_append(row, &mut samples);
-            samples.push(self.target_scaler.transform(y));
-        }
+        let samples: Vec<(f64, f64)> = data
+            .iter()
+            .map(|(x, y)| {
+                (
+                    self.input_scaler.transform(x),
+                    self.target_scaler.transform(y),
+                )
+            })
+            .collect();
         let n = u32::try_from(data.len()).expect("an MLP trains on fewer than 2^32 rows");
         let mut perm: Vec<u32> = (0..n).collect();
         let mut scratch = TrainScratch::for_layers(&self.layers, BATCH_SIZE.min(data.len()));
@@ -501,12 +504,9 @@ impl MlpRegression {
 impl Regressor for MlpRegression {
     fn fit(&mut self, data: &Dataset) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        self.n_features = data.n_features();
-        self.feature_scaler = Scaler::new(ScalerKind::Standard);
-        self.feature_scaler.fit(data.features(), self.n_features);
-        self.target_scaler = TargetScaler::new();
+        self.input_scaler.fit(data.inputs());
         self.target_scaler.fit(data.targets());
-        self.init_layers(self.n_features);
+        self.init_layers();
         self.train_epochs(data, self.config.max_epochs);
         self.fitted = true;
         Ok(())
@@ -516,12 +516,6 @@ impl Regressor for MlpRegression {
         validate_training_data(data)?;
         if !self.fitted {
             return self.fit(data);
-        }
-        if data.n_features() != self.n_features {
-            return Err(ModelError::FeatureMismatch {
-                expected: self.n_features,
-                got: data.n_features(),
-            });
         }
         // Warm start: keep the existing weights and scalers, run a few epochs
         // on the new observations only.
@@ -542,15 +536,9 @@ impl Regressor for MlpRegression {
         if !self.fitted || self.layers.is_empty() {
             return Err(ModelError::NotFitted);
         }
-        validate_query(features, self.n_features)?;
-        let PredictScratch {
-            scaled_query,
-            act_a,
-            act_b,
-            ..
-        } = scratch;
-        self.feature_scaler.transform_into(features, scaled_query);
-        let out = self.forward_scalar_into(scaled_query, act_a, act_b);
+        let x = validate_query(features)?;
+        let PredictScratch { act_a, act_b, .. } = scratch;
+        let out = self.forward_scalar_into(&[self.input_scaler.transform(x)], act_a, act_b);
         if !out.is_finite() {
             return Err(ModelError::Numerical(
                 "MLP produced a non-finite prediction".to_string(),
@@ -714,10 +702,11 @@ mod reference {
     fn train_epochs(model: &mut MlpRegression, data: &Dataset, epochs: usize) {
         let mut samples: Vec<(Vec<f64>, f64)> = data
             .iter()
-            .map(|(row, y)| {
-                let mut scaled = Vec::new();
-                model.feature_scaler.transform_into(row, &mut scaled);
-                (scaled, model.target_scaler.transform(y))
+            .map(|(x, y)| {
+                (
+                    vec![model.input_scaler.transform(x)],
+                    model.target_scaler.transform(y),
+                )
             })
             .collect();
         let mut scratch = TrainScratch::default();
@@ -747,12 +736,9 @@ mod reference {
 
     /// [`Regressor::fit`] on the reference loop.
     fn fit(model: &mut MlpRegression, data: &Dataset) {
-        model.n_features = data.n_features();
-        model.feature_scaler = Scaler::new(ScalerKind::Standard);
-        model.feature_scaler.fit(data.features(), model.n_features);
-        model.target_scaler = TargetScaler::new();
+        model.input_scaler.fit(data.inputs());
         model.target_scaler.fit(data.targets());
-        model.init_layers(model.n_features);
+        model.init_layers();
         train_epochs(model, data, model.config.max_epochs);
         model.fitted = true;
     }
@@ -766,12 +752,12 @@ mod reference {
         use super::*;
         use proptest::prelude::*;
 
-        fn dataset(rows: &[(f64, f64, f64, f64)], n_features: usize) -> Dataset {
-            let features = rows
-                .iter()
-                .map(|&(a, b, c, _)| [a, b, c][..n_features].to_vec())
-                .collect();
-            Dataset::from_parts(features, rows.iter().map(|r| r.3).collect())
+        fn dataset(rows: &[(f64, f64)]) -> Dataset {
+            let mut data = Dataset::new();
+            for &(x, y) in rows {
+                data.push(x, y);
+            }
+            data
         }
 
         /// Every parameter, Adam moment and step of the two models, as bits.
@@ -799,20 +785,16 @@ mod reference {
             /// network, bit for bit, on the batch-major loop and on the reference
             /// loop: every weight, moment and Adam step, and every
             /// prediction on a probe grid. Covers one and two hidden
-            /// layers, 1–3 features and row counts that are not a multiple
-            /// of the batch size.
+            /// layers and row counts that are not a multiple of the batch
+            /// size.
             #[test]
             fn flat_training_matches_the_reference(
-                shape in (0usize..2, 1usize..4),
+                depth in 0usize..2,
                 epochs in (1usize..40, 0u64..1_000),
-                rows in prop::collection::vec(
-                    (0.0f64..1e10, -5.0f64..5.0, 0.0f64..3.0, 1e8f64..1e11),
-                    1..48,
-                ),
+                rows in prop::collection::vec((0.0f64..1e10, 1e8f64..1e11), 1..48),
                 updates in prop::collection::vec(1usize..20, 0..5),
-                probes in prop::collection::vec((0.0f64..1e10, -5.0f64..5.0, 0.0f64..3.0), 1..12),
+                probes in prop::collection::vec(0.0f64..1e10, 1..12),
             ) {
-                let (depth, n_features) = shape;
                 let (max_epochs, seed) = epochs;
                 let config = MlpConfig {
                     hidden_layers: vec![16; depth + 1],
@@ -821,14 +803,14 @@ mod reference {
                 };
                 let mut flat = MlpRegression::new(config.clone());
                 let mut reference = MlpRegression::new(config);
-                let initial = dataset(&rows, n_features);
+                let initial = dataset(&rows);
                 flat.fit(&initial).unwrap();
                 fit(&mut reference, &initial);
                 let mut steps = vec![initial];
                 for &len in &updates {
                     // Warm starts on rows that cycle through the sample.
                     let chunk: Vec<_> = rows.iter().cycle().skip(steps.len()).take(len).copied().collect();
-                    steps.push(dataset(&chunk, n_features));
+                    steps.push(dataset(&chunk));
                 }
                 for (step, data) in steps.iter().enumerate() {
                     if step > 0 {
@@ -836,11 +818,10 @@ mod reference {
                         partial_fit(&mut reference, data);
                     }
                     prop_assert_eq!(state_bits(&flat), state_bits(&reference), "step {}", step);
-                    for &(a, b, c) in &probes {
-                        let query = &[a, b, c][..n_features];
-                        let got = flat.predict(query).map(f64::to_bits).ok();
-                        let want = reference.predict(query).map(f64::to_bits).ok();
-                        prop_assert_eq!(got, want, "step {} query {:?}", step, query);
+                    for &probe in &probes {
+                        let got = flat.predict(&[probe]).map(f64::to_bits).ok();
+                        let want = reference.predict(&[probe]).map(f64::to_bits).ok();
+                        prop_assert_eq!(got, want, "step {} probe {}", step, probe);
                     }
                 }
             }
@@ -860,10 +841,10 @@ mod reference {
                     .map(|_| {
                         let input = rng.gen_range(2e9..14e9);
                         let noise = 1.0 + rng.gen_range(-0.04..0.04);
-                        (input, 0.0, 0.0, (2.4 * input + 6e9) * noise)
+                        (input, (2.4 * input + 6e9) * noise)
                     })
                     .collect();
-                dataset(&rows, 1)
+                dataset(&rows)
             };
             let probes = [0.0, 2e9, 5.5e9, 9e9, 14e9, 3e10];
             for rows in [16, 64, 268, 801] {
@@ -900,11 +881,11 @@ mod reference {
         /// one Adam step per epoch.
         #[test]
         fn a_stalled_loss_stops_after_patience_epochs() {
-            let rows = vec![(3.0, 0.0, 0.0, 7.0); 10];
+            let rows = vec![(3.0, 7.0); 10];
             let mut flat = MlpRegression::with_defaults();
             let mut reference = MlpRegression::with_defaults();
-            flat.fit(&dataset(&rows, 1)).unwrap();
-            fit(&mut reference, &dataset(&rows, 1));
+            flat.fit(&dataset(&rows)).unwrap();
+            fit(&mut reference, &dataset(&rows));
             assert_eq!(flat.adam_step, 1 + PATIENCE as u64);
             assert_eq!(state_bits(&flat), state_bits(&reference));
         }

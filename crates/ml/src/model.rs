@@ -1,10 +1,11 @@
 //! The [`Regressor`] trait implemented by every model class in the Sizey pool.
 //!
-//! Models train on a [`Dataset`] (feature rows in one row-major buffer) and
-//! predict one query row at a time: [`Regressor::predict`], or
+//! Models train on a [`Dataset`] of `(input, target)` pairs and predict
+//! one query at a time: [`Regressor::predict`], or
 //! [`Regressor::predict_with`] over caller-owned scratch on the
-//! allocation-free path. Callers with several queries, such as
-//! cross-validation, loop over their rows.
+//! allocation-free path. A query is a one-element slice, the input size
+//! (Sizey's one feature). Callers with several queries, such as
+//! cross-validation, loop over them.
 
 use crate::dataset::Dataset;
 use std::fmt;
@@ -16,9 +17,9 @@ pub enum ModelError {
     NotFitted,
     /// The training data is empty or otherwise unusable.
     InvalidTrainingData(String),
-    /// The query point has the wrong number of features.
+    /// The query is not one value wide.
     FeatureMismatch {
-        /// Number of features the model was trained with.
+        /// Number of features the model takes (always 1).
         expected: usize,
         /// Number of features in the query.
         got: usize,
@@ -86,24 +87,19 @@ impl fmt::Display for ModelClass {
 /// calls so the steady-state predict path performs zero heap allocations.
 ///
 /// The fields are per-model working sets, not a shared pool — a single
-/// prediction may use several of them at once (e.g. the MLP borrows
-/// `scaled_query` and both activation buffers simultaneously), so they must
-/// stay distinct.
+/// prediction may use several of them at once (the MLP borrows both
+/// activation buffers simultaneously), so they must stay distinct.
 #[derive(Debug, Default, Clone)]
 pub struct PredictScratch {
-    /// Scaled copy of the query row (KNN and MLP feature scalers).
-    pub scaled_query: Vec<f64>,
     /// `(row index, squared distance)` table for KNN neighbour selection.
     pub dists: Vec<(usize, f64)>,
     /// MLP forward-pass activation ping buffer.
     pub act_a: Vec<f64>,
     /// MLP forward-pass activation pong buffer.
     pub act_b: Vec<f64>,
-    /// Augmented regression row (`[1, features…]`) for the linear model.
-    pub row: Vec<f64>,
 }
 
-/// A trainable regression model mapping a feature vector to a scalar target.
+/// A trainable regression model mapping an input size to a scalar target.
 ///
 /// All Sizey pool members implement this trait. The contract mirrors the
 /// paper's online-learning loop:
@@ -134,14 +130,15 @@ pub trait Regressor: Send + Sync {
         self.fit(data)
     }
 
-    /// Predicts the target for a single feature vector.
+    /// Predicts the target for one query, a one-element slice holding the
+    /// input.
     fn predict(&self, features: &[f64]) -> Result<f64, ModelError>;
 
-    /// Predicts the target for a single feature vector using caller-owned
-    /// scratch buffers — the allocation-free twin of [`Regressor::predict`].
+    /// Predicts the target for one query using caller-owned scratch
+    /// buffers — the allocation-free twin of [`Regressor::predict`].
     ///
-    /// Implementations that need intermediate vectors (scaled queries,
-    /// distance tables, layer activations) borrow them from `scratch`
+    /// Implementations that need intermediate vectors (distance tables,
+    /// layer activations) borrow them from `scratch`
     /// instead of allocating, and must return bit-identical results to
     /// `predict` (asserted by per-model equivalence tests and the dynamic
     /// `cargo xtask lint --dynamic` harness). The default delegates to
@@ -177,26 +174,21 @@ impl Clone for Box<dyn Regressor> {
     }
 }
 
-/// Validates a dataset before fitting: it must be non-empty, contain at least
-/// one feature column and only finite values.
+/// Validates a dataset before fitting: it must be non-empty and hold only
+/// finite values.
 pub fn validate_training_data(data: &Dataset) -> Result<(), ModelError> {
     if data.is_empty() {
         return Err(ModelError::InvalidTrainingData(
             "dataset is empty".to_string(),
         ));
     }
-    if data.n_features() == 0 {
-        return Err(ModelError::InvalidTrainingData(
-            "dataset has no feature columns".to_string(),
-        ));
-    }
-    for (features, target) in data.iter() {
+    for (input, target) in data.iter() {
         if !target.is_finite() {
             return Err(ModelError::InvalidTrainingData(format!(
                 "non-finite target value {target}"
             )));
         }
-        if features.iter().any(|f| !f.is_finite()) {
+        if !input.is_finite() {
             return Err(ModelError::InvalidTrainingData(
                 "non-finite feature value".to_string(),
             ));
@@ -205,20 +197,20 @@ pub fn validate_training_data(data: &Dataset) -> Result<(), ModelError> {
     Ok(())
 }
 
-/// Validates a query point against the expected feature width.
-pub fn validate_query(features: &[f64], expected: usize) -> Result<(), ModelError> {
-    if features.len() != expected {
+/// Validates a query: it must be one finite value, which it returns.
+pub fn validate_query(features: &[f64]) -> Result<f64, ModelError> {
+    let &[input] = features else {
         return Err(ModelError::FeatureMismatch {
-            expected,
+            expected: 1,
             got: features.len(),
         });
-    }
-    if features.iter().any(|f| !f.is_finite()) {
+    };
+    if !input.is_finite() {
         return Err(ModelError::Numerical(
             "non-finite query feature".to_string(),
         ));
     }
-    Ok(())
+    Ok(input)
 }
 
 #[cfg(test)]
@@ -261,15 +253,20 @@ mod tests {
 
     #[test]
     fn validate_query_checks_width_and_finiteness() {
-        assert!(validate_query(&[1.0, 2.0], 2).is_ok());
+        assert_eq!(validate_query(&[2.5]), Ok(2.5));
+        for query in [&[][..], &[1.0, 2.0][..]] {
+            assert_eq!(
+                validate_query(query),
+                Err(ModelError::FeatureMismatch {
+                    expected: 1,
+                    got: query.len()
+                })
+            );
+        }
         assert!(matches!(
-            validate_query(&[1.0], 2),
-            Err(ModelError::FeatureMismatch {
-                expected: 2,
-                got: 1
-            })
+            validate_query(&[f64::NAN]),
+            Err(ModelError::Numerical(_))
         ));
-        assert!(validate_query(&[f64::NAN, 1.0], 2).is_err());
     }
 
     #[test]

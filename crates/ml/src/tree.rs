@@ -3,24 +3,23 @@
 //! The tree is the building block of the random-forest model class. Splits
 //! greedily minimise the within-node variance (equivalently maximise variance
 //! reduction) and are searched over candidate thresholds at the midpoints
-//! between consecutive distinct feature values.
+//! between consecutive distinct input values.
 //!
 //! The split search sorts once per tree, not once per node. Growth gathers
-//! each candidate feature into a contiguous column and stable-sorts the
-//! training sample by it at the root. Every node then owns a `[lo, hi)`
-//! range of those sorted lists and of the sample in its original order. A
-//! split stable-partitions every list in place, so each child's ranges are
-//! already sorted and the search at a node is one linear scan per feature.
-//! Stable-partitioning a stable-sorted list gives the same list as
-//! stable-sorting the partitioned one (ties keep their sample order), so the
-//! tree is, bit for bit, the one a per-node sort grows.
+//! the sample's inputs into a contiguous column and stable-sorts the sample
+//! by it at the root. Every node then owns a `[lo, hi)` range of that sorted
+//! list and of the sample in its original order. A split stable-partitions
+//! both lists in place, so each child's ranges are already sorted and the
+//! search at a node is one linear scan. Stable-partitioning a stable-sorted
+//! list gives the same list as stable-sorting the partitioned one (ties keep
+//! their sample order), so the tree is, bit for bit, the one a per-node sort
+//! grows.
 
 use crate::dataset::Dataset;
 use crate::model::{validate_query, validate_training_data, ModelClass, ModelError, Regressor};
 
 /// Hyper-parameters for [`RegressionTree`]. A node of two or more samples
-/// may split, every leaf keeps at least one, and every feature is a split
-/// candidate.
+/// may split, and every leaf keeps at least one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum depth of the tree (root has depth 0).
@@ -33,14 +32,14 @@ impl Default for TreeConfig {
     }
 }
 
-/// A single node of the fitted tree, stored in a flat arena.
+/// A single node of the fitted tree, stored in a flat arena. A split sends
+/// inputs `<= threshold` left.
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
         value: f64,
     },
     Split {
-        feature: usize,
         threshold: f64,
         left: usize,
         right: usize,
@@ -52,19 +51,11 @@ enum Node {
 pub struct RegressionTree {
     config: TreeConfig,
     nodes: Vec<Node>,
-    n_features: usize,
     fitted: bool,
-    /// The order features are searched in, which breaks split ties between
-    /// features; supplied by the forest so a single tree stays
-    /// deterministic given its seed. Empty means column order.
-    feature_order: Vec<usize>,
 }
 
 /// The best split found at a node.
 struct SplitCandidate {
-    /// Position of the feature in the candidate list (its column in
-    /// [`Growth`]).
-    slot: usize,
     threshold: f64,
     score: f64,
 }
@@ -75,19 +66,17 @@ struct SplitCandidate {
 /// tree).
 struct Growth<'a> {
     config: &'a TreeConfig,
-    /// Dataset column of each candidate slot, in evaluation order.
-    features: Vec<usize>,
     /// Sample size.
     m: usize,
     /// Target of each sample position.
     y: Vec<f64>,
-    /// Candidate columns by sample position: slot `s` is `x[s*m..(s+1)*m]`.
+    /// Input of each sample position.
     x: Vec<f64>,
     /// Sample positions in their original order, partitioned split by split.
     /// Sums and leaf means read it, so they add in the sample order.
     order: Vec<u32>,
-    /// Per slot, the sample positions sorted by that column (ties in sample
-    /// order), partitioned split by split: slot `s` is `sorted[s*m..(s+1)*m]`.
+    /// Sample positions sorted by input (ties in sample order), partitioned
+    /// split by split.
     sorted: Vec<u32>,
     /// Side of the split being applied, by sample position.
     goes_left: Vec<bool>,
@@ -97,38 +86,19 @@ struct Growth<'a> {
 }
 
 impl<'a> Growth<'a> {
-    /// Gathers the candidate columns of the rows `indices` selects and
-    /// sorts the sample once per candidate.
-    fn new(
-        config: &'a TreeConfig,
-        features: Vec<usize>,
-        data: &Dataset,
-        indices: &[usize],
-        nodes: Vec<Node>,
-    ) -> Self {
+    /// Gathers the inputs and targets of the rows `indices` selects and
+    /// sorts the sample once.
+    fn new(config: &'a TreeConfig, data: &Dataset, indices: &[usize], nodes: Vec<Node>) -> Self {
         let m = indices.len();
         let y: Vec<f64> = indices.iter().map(|&i| data.targets()[i]).collect();
-        let mut x = Vec::with_capacity(features.len() * m);
-        for &f in &features {
-            x.extend(indices.iter().map(|&i| data.row(i)[f]));
-        }
+        let x: Vec<f64> = indices.iter().map(|&i| data.inputs()[i]).collect();
         let positions = 0..u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
-        let mut sorted = Vec::with_capacity(features.len() * m);
-        for slot in 0..features.len() {
-            let column = &x[slot * m..(slot + 1) * m];
-            let start = sorted.len();
-            sorted.extend(positions.clone());
-            // Positions are unique, so breaking value ties by position gives
-            // the stable order without a stable sort's scratch buffer.
-            sorted[start..].sort_unstable_by(|&a, &b| {
-                column[a as usize]
-                    .total_cmp(&column[b as usize])
-                    .then(a.cmp(&b))
-            });
-        }
+        let mut sorted: Vec<u32> = positions.clone().collect();
+        // Positions are unique, so breaking value ties by position gives the
+        // stable order without a stable sort's scratch buffer.
+        sorted.sort_unstable_by(|&a, &b| x[a as usize].total_cmp(&x[b as usize]).then(a.cmp(&b)));
         Growth {
             config,
-            features,
             m,
             y,
             x,
@@ -162,59 +132,48 @@ impl<'a> Growth<'a> {
             .sum();
         let parent_sse = parent_sq - parent_sum * parent_sum / n as f64;
 
-        let m = self.m;
         let mut best: Option<SplitCandidate> = None;
-        for slot in 0..self.features.len() {
-            let x = &self.x[slot * m..(slot + 1) * m];
-            let sorted = &self.sorted[slot * m + lo..slot * m + hi];
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            for (prev_pos, pair) in sorted.windows(2).enumerate() {
-                let (prev, next) = (pair[0] as usize, pair[1] as usize);
-                let y_prev = self.y[prev];
-                left_sum += y_prev;
-                left_sq += y_prev * y_prev;
+        let mut left_sum = 0.0;
+        let mut left_sq = 0.0;
+        for (prev_pos, pair) in self.sorted[lo..hi].windows(2).enumerate() {
+            let (prev, next) = (pair[0] as usize, pair[1] as usize);
+            let y_prev = self.y[prev];
+            left_sum += y_prev;
+            left_sq += y_prev * y_prev;
 
-                let x_prev = x[prev];
-                let x_next = x[next];
-                if x_prev == x_next {
-                    continue; // cannot split between identical values
-                }
-                // `prev` goes left and `next` right: neither side is empty.
-                let n_left = prev_pos + 1;
-                let n_right = n - n_left;
-                let right_sum = parent_sum - left_sum;
-                let right_sq = parent_sq - left_sq;
-                let left_sse = left_sq - left_sum * left_sum / n_left as f64;
-                let right_sse = right_sq - right_sum * right_sum / n_right as f64;
-                let gain = parent_sse - (left_sse + right_sse);
-                if gain > best.as_ref().map_or(1e-12, |b| b.score) {
-                    best = Some(SplitCandidate {
-                        slot,
-                        threshold: 0.5 * (x_prev + x_next),
-                        score: gain,
-                    });
-                }
+            let x_prev = self.x[prev];
+            let x_next = self.x[next];
+            if x_prev == x_next {
+                continue; // cannot split between identical values
+            }
+            // `prev` goes left and `next` right: neither side is empty.
+            let n_left = prev_pos + 1;
+            let n_right = n - n_left;
+            let right_sum = parent_sum - left_sum;
+            let right_sq = parent_sq - left_sq;
+            let left_sse = left_sq - left_sum * left_sum / n_left as f64;
+            let right_sse = right_sq - right_sum * right_sum / n_right as f64;
+            let gain = parent_sse - (left_sse + right_sse);
+            if gain > best.as_ref().map_or(1e-12, |b| b.score) {
+                best = Some(SplitCandidate {
+                    threshold: 0.5 * (x_prev + x_next),
+                    score: gain,
+                });
             }
         }
         best
     }
 
-    /// Sends the node `[lo, hi)` to its children: every list is stably
+    /// Sends the node `[lo, hi)` to its children: both lists are stably
     /// partitioned in place, left (`x <= threshold`) first. Returns the
     /// boundary.
-    fn partition(&mut self, lo: usize, hi: usize, split: &SplitCandidate) -> usize {
-        let m = self.m;
-        let x = &self.x[split.slot * m..(split.slot + 1) * m];
+    fn partition(&mut self, lo: usize, hi: usize, threshold: f64) -> usize {
         for &p in &self.order[lo..hi] {
             let p = p as usize;
-            self.goes_left[p] = x[p] <= split.threshold;
+            self.goes_left[p] = self.x[p] <= threshold;
         }
         let mid = lo + stable_partition(&mut self.order[lo..hi], &self.goes_left, &mut self.right);
-        for slot in 0..self.features.len() {
-            let list = &mut self.sorted[slot * m + lo..slot * m + hi];
-            stable_partition(list, &self.goes_left, &mut self.right);
-        }
+        stable_partition(&mut self.sorted[lo..hi], &self.goes_left, &mut self.right);
         mid
     }
 
@@ -225,20 +184,19 @@ impl<'a> Growth<'a> {
         } else {
             self.best_split(lo, hi)
         };
-        let Some(split) = split else {
+        let Some(SplitCandidate { threshold, .. }) = split else {
             let value = self.mean(lo, hi);
             self.nodes.push(Node::Leaf { value });
             return self.nodes.len() - 1;
         };
-        let mid = self.partition(lo, hi, &split);
+        let mid = self.partition(lo, hi, threshold);
         // Reserve a slot for this split node, then build children.
         let node_pos = self.nodes.len();
         self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
         let left = self.grow(lo, mid, depth + 1);
         let right = self.grow(mid, hi, depth + 1);
         self.nodes[node_pos] = Node::Split {
-            feature: self.features[split.slot],
-            threshold: split.threshold,
+            threshold,
             left,
             right,
         };
@@ -272,9 +230,7 @@ impl RegressionTree {
         RegressionTree {
             config,
             nodes: Vec::new(),
-            n_features: 0,
             fitted: false,
-            feature_order: Vec::new(),
         }
     }
 
@@ -286,13 +242,6 @@ impl RegressionTree {
     /// The configuration used by this tree.
     pub fn config(&self) -> TreeConfig {
         self.config
-    }
-
-    /// Sets an explicit feature evaluation order (the random forest shuffles
-    /// one per tree): among equally good splits, the feature searched first
-    /// wins.
-    pub fn set_feature_order(&mut self, order: Vec<usize>) {
-        self.feature_order = order;
     }
 
     /// Number of nodes in the fitted tree (0 before fitting).
@@ -336,27 +285,13 @@ impl RegressionTree {
     /// [`RegressionTree::fit_with_indices`]. `indices` is freed once the
     /// growth buffers hold the sample.
     fn grow(&mut self, data: &Dataset, indices: Vec<usize>) {
-        self.n_features = data.n_features();
-        let features = self.candidate_features(self.n_features);
         let mut nodes = std::mem::take(&mut self.nodes);
         nodes.clear();
-        let mut growth = Growth::new(&self.config, features, data, &indices, nodes);
+        let mut growth = Growth::new(&self.config, data, &indices, nodes);
         drop(indices);
         growth.grow(0, growth.m, 0);
         self.nodes = growth.nodes;
         self.fitted = true;
-    }
-
-    fn candidate_features(&self, n_features: usize) -> Vec<usize> {
-        if self.feature_order.is_empty() {
-            (0..n_features).collect()
-        } else {
-            self.feature_order
-                .iter()
-                .copied()
-                .filter(|&f| f < n_features)
-                .collect()
-        }
     }
 }
 
@@ -371,22 +306,17 @@ impl Regressor for RegressionTree {
         if !self.fitted || self.nodes.is_empty() {
             return Err(ModelError::NotFitted);
         }
-        validate_query(features, self.n_features)?;
+        let x = validate_query(features)?;
         let mut idx = 0usize;
         loop {
             match &self.nodes[idx] {
                 Node::Leaf { value } => return Ok(*value),
                 Node::Split {
-                    feature,
                     threshold,
                     left,
                     right,
                 } => {
-                    idx = if features[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
+                    idx = if x <= *threshold { *left } else { *right };
                 }
             }
         }
@@ -449,22 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn multivariate_split_uses_informative_feature() {
-        // Target depends on feature 1 only.
-        let mut features = Vec::new();
-        let mut targets = Vec::new();
-        for i in 0..20 {
-            features.push(vec![(i % 3) as f64, if i < 10 { 0.0 } else { 1.0 }]);
-            targets.push(if i < 10 { 5.0 } else { 50.0 });
-        }
-        let data = Dataset::from_parts(features, targets);
-        let mut t = RegressionTree::with_defaults();
-        t.fit(&data).unwrap();
-        assert_eq!(t.predict(&[1.0, 0.0]).unwrap(), 5.0);
-        assert_eq!(t.predict(&[1.0, 1.0]).unwrap(), 50.0);
-    }
-
-    #[test]
     fn prediction_is_within_observed_target_range() {
         let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x * x).collect();
@@ -487,25 +401,5 @@ mod tests {
     fn errors_before_fit() {
         let t = RegressionTree::with_defaults();
         assert!(matches!(t.predict(&[1.0]), Err(ModelError::NotFitted)));
-    }
-
-    #[test]
-    fn feature_order_breaks_ties_between_equal_features() {
-        // Features 0 and 1 are copies: both split the data equally well, so
-        // the one searched first wins.
-        let mut features = Vec::new();
-        let mut targets = Vec::new();
-        for i in 0..20 {
-            let x = if i < 10 { 0.0 } else { 1.0 };
-            features.push(vec![x, x]);
-            targets.push(1.0 + x);
-        }
-        let data = Dataset::from_parts(features, targets);
-        for (order, feature) in [(vec![0, 1], 0), (vec![1, 0], 1)] {
-            let mut t = RegressionTree::with_defaults();
-            t.set_feature_order(order);
-            t.fit(&data).unwrap();
-            assert!(matches!(t.nodes[0], Node::Split { feature: f, .. } if f == feature));
-        }
     }
 }

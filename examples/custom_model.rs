@@ -24,18 +24,18 @@ struct MedianRatioModel {
 impl Regressor for MedianRatioModel {
     fn fit(&mut self, data: &Dataset) -> Result<(), sizey_ml::ModelError> {
         self.ratios.clear();
-        for (features, target) in data.iter() {
-            if features[0] > 0.0 {
-                self.ratios.push(target / features[0]);
+        for (input, target) in data.iter() {
+            if input > 0.0 {
+                self.ratios.push(target / input);
             }
         }
         Ok(())
     }
 
     fn partial_fit(&mut self, data: &Dataset) -> Result<(), sizey_ml::ModelError> {
-        for (features, target) in data.iter() {
-            if features[0] > 0.0 {
-                self.ratios.push(target / features[0]);
+        for (input, target) in data.iter() {
+            if input > 0.0 {
+                self.ratios.push(target / input);
             }
         }
         Ok(())

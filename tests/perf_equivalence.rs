@@ -2,10 +2,12 @@
 //! must be **bit-identical** to the straightforward implementation it
 //! replaced.
 //!
-//! * k-NN: flattened/pre-scaled buffer + `select_nth_unstable` partial
-//!   selection vs. scale-per-row + stable full sort,
-//! * regression tree: one presort per feature + in-place stable partitions
-//!   vs. a stable sort of every node's index list per feature,
+//! * k-NN: pre-scaled buffer + `select_nth_unstable` partial selection vs.
+//!   scale-per-row + stable full sort,
+//! * regression tree: one presort + in-place stable partitions vs. a stable
+//!   sort of every node's index list,
+//! * linear regression: five scalar sums and an inline 2×2 solve vs. the
+//!   Gram matrix of `[1, x]` rows solved by general Gaussian elimination,
 //! * `Cluster::select_node`: the free-capacity index (segment tree +
 //!   ordered-by-free set) vs. the naive linear scans, across random
 //!   occupancy states, policies and degenerate allocations,
@@ -21,9 +23,9 @@ use proptest::prelude::*;
 use sizey_core::{ModelPool, PoolScratch};
 use sizey_ml::forest::{ForestConfig, RandomForestRegression};
 use sizey_ml::knn::{KnnConfig, KnnRegression, KnnWeighting};
-use sizey_ml::linear::{LinearConfig, LinearRegression};
-use sizey_ml::model::Regressor;
-use sizey_ml::scaler::{Scaler, ScalerKind};
+use sizey_ml::linear::{solve_normal_equations, LinearConfig, LinearRegression};
+use sizey_ml::model::{ModelError, Regressor};
+use sizey_ml::scaler::MinMaxScaler;
 use sizey_ml::tree::{RegressionTree, TreeConfig};
 use sizey_sim::{Node, Placement};
 use sizey_suite::prelude::*;
@@ -33,50 +35,35 @@ use sizey_suite::prelude::*;
 // ---------------------------------------------------------------------------
 
 /// The pre-overhaul k-NN, verbatim but for one thing: the min-max scaler is
-/// fitted on the first `epoch` rows only (all of them for a fresh fit; the
-/// rows up to the last rescale for a model grown by `partial_fit`). Every
-/// stored row is re-scaled per query, and distances are ranked by a stable
+/// fitted on the first `epoch` inputs only (all of them for a fresh fit; the
+/// inputs up to the last rescale for a model grown by `partial_fit`). Every
+/// stored input is re-scaled per query, and distances are ranked by a stable
 /// full sort.
 fn naive_knn_predict(
     config: KnnConfig,
-    rows: &[Vec<f64>],
+    inputs: &[f64],
     epoch: usize,
     targets: &[f64],
-    query: &[f64],
+    query: f64,
 ) -> f64 {
-    let n_cols = rows[0].len();
-    // Min-max scaler parameters, exactly as `Scaler::fit` computes them.
-    let mut shift = vec![0.0; n_cols];
-    let mut scale = vec![1.0; n_cols];
-    for c in 0..n_cols {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for r in &rows[..epoch] {
-            lo = lo.min(r[c]);
-            hi = hi.max(r[c]);
-        }
-        let range = hi - lo;
-        shift[c] = lo;
-        scale[c] = if range > 1e-12 { range } else { 1.0 };
+    // Min-max scaler parameters, exactly as `MinMaxScaler::fit` computes
+    // them.
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for &x in &inputs[..epoch] {
+        lo = lo.min(x);
+        hi = hi.max(x);
     }
-    let transform = |row: &[f64]| -> Vec<f64> {
-        row.iter()
-            .enumerate()
-            .map(|(c, &v)| (v - shift[c]) / scale[c])
-            .collect()
-    };
+    let range = hi - lo;
+    let scale = if range > 1e-12 { range } else { 1.0 };
+    let transform = |v: f64| (v - lo) / scale;
     let scaled_query = transform(query);
-    let mut dists: Vec<(usize, f64)> = rows
+    let mut dists: Vec<(usize, f64)> = inputs
         .iter()
         .enumerate()
-        .map(|(i, row)| {
-            let scaled = transform(row);
-            let d2: f64 = scaled
-                .iter()
-                .zip(scaled_query.iter())
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum();
-            (i, d2)
+        .map(|(i, &x)| {
+            let d = transform(x) - scaled_query;
+            (i, d * d)
         })
         .collect();
     dists.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -121,16 +108,13 @@ proptest! {
 
     #[test]
     fn knn_partial_selection_is_bit_identical_to_the_full_sort(
-        raw in proptest::collection::vec(
-            (proptest::collection::vec(0.0f64..1e10, 2..3), 1e8f64..1e11),
-            1..40,
-        ),
-        query in proptest::collection::vec(0.0f64..1e10, 2..3),
+        raw in proptest::collection::vec((0.0f64..1e10, 1e8f64..1e11), 1..40),
+        query in 0.0f64..1e10,
         k in 1usize..12,
         uniform in 0u8..2,
     ) {
         let uniform = uniform == 1;
-        let rows: Vec<Vec<f64>> = raw.iter().map(|(f, _)| f.clone()).collect();
+        let inputs: Vec<f64> = raw.iter().map(|(x, _)| *x).collect();
         let targets: Vec<f64> = raw.iter().map(|(_, t)| *t).collect();
         let config = KnnConfig {
             k,
@@ -141,9 +125,9 @@ proptest! {
             },
         };
         let mut model = KnnRegression::new(config);
-        model.fit(&Dataset::from_parts(rows.clone(), targets.clone())).unwrap();
-        let optimized = model.predict(&query).unwrap();
-        let reference = naive_knn_predict(config, &rows, rows.len(), &targets, &query);
+        model.fit(&univariate(&raw)).unwrap();
+        let optimized = model.predict(&[query]).unwrap();
+        let reference = naive_knn_predict(config, &inputs, inputs.len(), &targets, query);
         prop_assert_eq!(
             optimized.to_bits(),
             reference.to_bits(),
@@ -187,11 +171,11 @@ proptest! {
             if model.rows_since_rescale() == 0 {
                 epoch = seen.len();
             }
-            let rows: Vec<Vec<f64>> = seen.iter().map(|(x, _)| vec![*x]).collect();
+            let inputs: Vec<f64> = seen.iter().map(|(x, _)| *x).collect();
             let targets: Vec<f64> = seen.iter().map(|(_, y)| *y).collect();
             for &query in &queries {
                 let optimized = model.predict(&[query]).unwrap();
-                let reference = naive_knn_predict(config, &rows, epoch, &targets, &[query]);
+                let reference = naive_knn_predict(config, &inputs, epoch, &targets, query);
                 prop_assert_eq!(
                     optimized.to_bits(),
                     reference.to_bits(),
@@ -217,7 +201,6 @@ enum TreeNode {
         value: f64,
     },
     Split {
-        feature: usize,
         threshold: f64,
         left: usize,
         right: usize,
@@ -226,90 +209,66 @@ enum TreeNode {
 
 /// The per-node-sort tree growth the presorted one replaced, verbatim at the
 /// settings the tree keeps as constants (a node splits from
-/// `MIN_SAMPLES_SPLIT` samples, a leaf keeps `MIN_SAMPLES_LEAF`, every
-/// feature is a candidate): every node stable-sorts a copy of its index list
-/// by each candidate feature, and every split allocates both children's
-/// lists.
+/// `MIN_SAMPLES_SPLIT` samples, a leaf keeps `MIN_SAMPLES_LEAF`): every node
+/// stable-sorts a copy of its index list by input, and every split allocates
+/// both children's lists.
 const MIN_SAMPLES_SPLIT: usize = 2;
 const MIN_SAMPLES_LEAF: usize = 1;
 
 struct NaiveTree {
     config: TreeConfig,
-    feature_order: Vec<usize>,
     nodes: Vec<TreeNode>,
 }
 
 impl NaiveTree {
-    fn grow(
-        config: TreeConfig,
-        feature_order: &[usize],
-        data: &Dataset,
-        indices: Vec<usize>,
-    ) -> Self {
+    fn grow(config: TreeConfig, data: &Dataset, indices: Vec<usize>) -> Self {
         let mut tree = NaiveTree {
             config,
-            feature_order: feature_order.to_vec(),
             nodes: Vec::new(),
         };
         tree.build(data, indices, 0);
         tree
     }
 
-    fn candidate_features(&self, n_features: usize) -> Vec<usize> {
-        if self.feature_order.is_empty() {
-            (0..n_features).collect()
-        } else {
-            self.feature_order
-                .iter()
-                .copied()
-                .filter(|&f| f < n_features)
-                .collect()
-        }
-    }
-
-    /// The best `(feature, threshold, score)`.
-    fn best_split(&self, data: &Dataset, indices: &[usize]) -> Option<(usize, f64, f64)> {
+    /// The best `(threshold, score)`.
+    fn best_split(&self, data: &Dataset, indices: &[usize]) -> Option<(f64, f64)> {
         let n = indices.len();
         if n < MIN_SAMPLES_SPLIT {
             return None;
         }
-        let parent_sum: f64 = indices.iter().map(|&i| data.targets()[i]).sum();
-        let parent_sq: f64 = indices
-            .iter()
-            .map(|&i| data.targets()[i] * data.targets()[i])
-            .sum();
+        let (x, y) = (data.inputs(), data.targets());
+        let parent_sum: f64 = indices.iter().map(|&i| y[i]).sum();
+        let parent_sq: f64 = indices.iter().map(|&i| y[i] * y[i]).sum();
         let parent_sse = parent_sq - parent_sum * parent_sum / n as f64;
 
-        let mut best: Option<(usize, f64, f64)> = None;
-        for &feature in &self.candidate_features(data.n_features()) {
-            let mut order: Vec<usize> = indices.to_vec();
-            order.sort_by(|&a, &b| data.row(a)[feature].total_cmp(&data.row(b)[feature]));
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            for split_pos in 1..n {
-                let prev = order[split_pos - 1];
-                let y_prev = data.targets()[prev];
-                left_sum += y_prev;
-                left_sq += y_prev * y_prev;
+        let mut best: Option<(f64, f64)> = None;
+        let mut order: Vec<usize> = indices.to_vec();
+        order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
+        let mut left_sum = 0.0;
+        let mut left_sq = 0.0;
+        for split_pos in 1..n {
+            let prev = order[split_pos - 1];
+            let y_prev = y[prev];
+            left_sum += y_prev;
+            left_sq += y_prev * y_prev;
 
-                let x_prev = data.row(prev)[feature];
-                let x_next = data.row(order[split_pos])[feature];
-                if x_prev == x_next {
-                    continue;
-                }
-                let n_left = split_pos;
-                let n_right = n - split_pos;
-                if n_left < MIN_SAMPLES_LEAF || n_right < MIN_SAMPLES_LEAF {
-                    continue;
-                }
-                let right_sum = parent_sum - left_sum;
-                let right_sq = parent_sq - left_sq;
-                let left_sse = left_sq - left_sum * left_sum / n_left as f64;
-                let right_sse = right_sq - right_sum * right_sum / n_right as f64;
-                let gain = parent_sse - (left_sse + right_sse);
-                if gain > best.map_or(1e-12, |b| b.2) {
-                    best = Some((feature, 0.5 * (x_prev + x_next), gain));
-                }
+            let x_prev = x[prev];
+            let x_next = x[order[split_pos]];
+            if x_prev == x_next {
+                continue;
+            }
+            let n_left = split_pos;
+            let n_right = n - split_pos;
+            if n_left < MIN_SAMPLES_LEAF || n_right < MIN_SAMPLES_LEAF {
+                continue;
+            }
+            let right_sum = parent_sum - left_sum;
+            let right_sq = parent_sq - left_sq;
+            let left_sse = left_sq - left_sum * left_sum / n_left as f64;
+            let right_sse = right_sq - right_sum * right_sum / n_right as f64;
+            let gain = parent_sse - (left_sse + right_sse);
+            if gain > best.map_or(1e-12, |b| b.1) {
+                best = Some((0.5 * (x_prev + x_next), gain));
             }
         }
         best
@@ -330,16 +289,15 @@ impl NaiveTree {
                 self.nodes.push(TreeNode::Leaf { value: mean });
                 self.nodes.len() - 1
             }
-            Some((feature, threshold, _)) => {
+            Some((threshold, _)) => {
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
                     .into_iter()
-                    .partition(|&i| data.row(i)[feature] <= threshold);
+                    .partition(|&i| data.inputs()[i] <= threshold);
                 let node_pos = self.nodes.len();
                 self.nodes.push(TreeNode::Leaf { value: mean });
                 let left = self.build(data, left_idx, depth + 1);
                 let right = self.build(data, right_idx, depth + 1);
                 self.nodes[node_pos] = TreeNode::Split {
-                    feature,
                     threshold,
                     left,
                     right,
@@ -356,23 +314,16 @@ impl NaiveTree {
         }
     }
 
-    fn predict(&self, features: &[f64]) -> f64 {
+    fn predict(&self, x: f64) -> f64 {
         let mut idx = 0;
         loop {
             match &self.nodes[idx] {
                 TreeNode::Leaf { value } => return *value,
                 TreeNode::Split {
-                    feature,
                     threshold,
                     left,
                     right,
-                } => {
-                    idx = if features[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    }
-                }
+                } => idx = if x <= *threshold { *left } else { *right },
             }
         }
     }
@@ -386,39 +337,28 @@ fn tree_arena(tree: &RegressionTree) -> String {
         .expect("RegressionTree prints its arena")
         + "nodes: ".len();
     let end = text
-        .find(", n_features: ")
-        .expect("arena is followed by n_features");
+        .find(", fitted: ")
+        .expect("arena is followed by fitted");
     text[start..end].to_string()
 }
 
 /// Holds a fitted tree to the reference grown from the same sample: arena,
-/// node count, depth, and the prediction at every training row and at every
-/// finite split threshold (substituted into each row).
+/// node count, depth, and the prediction at every training input and at
+/// every finite split threshold.
 fn assert_tree_matches(
     tree: &RegressionTree,
     naive: &NaiveTree,
-    rows: &[Vec<f64>],
+    inputs: &[f64],
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(tree_arena(tree), format!("{:?}", naive.nodes));
     prop_assert_eq!(tree.n_nodes(), naive.nodes.len());
     prop_assert_eq!(tree.depth(), naive.depth(0));
-    let mut probes: Vec<Vec<f64>> = rows.to_vec();
-    for node in &naive.nodes {
-        if let TreeNode::Split {
-            feature, threshold, ..
-        } = node
-        {
-            if threshold.is_finite() {
-                for row in rows {
-                    let mut probe = row.clone();
-                    probe[*feature] = *threshold;
-                    probes.push(probe);
-                }
-            }
-        }
-    }
-    for probe in &probes {
-        let got = tree.predict(probe).unwrap();
+    let thresholds = naive.nodes.iter().filter_map(|node| match node {
+        TreeNode::Split { threshold, .. } if threshold.is_finite() => Some(*threshold),
+        _ => None,
+    });
+    for probe in inputs.iter().copied().chain(thresholds) {
+        let got = tree.predict(&[probe]).unwrap();
         prop_assert_eq!(
             got.to_bits(),
             naive.predict(probe).to_bits(),
@@ -429,7 +369,7 @@ fn assert_tree_matches(
     Ok(())
 }
 
-/// A feature value: mostly runs of small integers (ties, including ±0), some
+/// An input value: mostly runs of small integers (ties, including ±0), some
 /// continuous values, and a few near ±`f64::MAX`. Those stand in for ±inf,
 /// which training rejects before growth: the midpoint of two of them
 /// overflows to an infinite threshold. The float just above 1 has a
@@ -447,65 +387,241 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The presorted growth vs. the per-node sort, on the full sample and on
-    /// a bootstrap (duplicated indices, any order), for 1–3 features in
-    /// column order or a shuffled `feature_order`, and depths 0–9. Also pins
-    /// `fit_with_indices(d, idx)` to `fit(&d.subset(&idx))`, and the
-    /// rejection of ±inf features by both entry points.
+    /// a bootstrap (duplicated indices, any order), for depths 0–9. Also
+    /// pins `fit_with_indices(d, idx)` to `fit(&d.subset(&idx))`, and the
+    /// rejection of ±inf inputs by both entry points.
     #[test]
     fn presorted_tree_growth_matches_the_per_node_sort(
         raw in proptest::collection::vec(
-            (tree_feature(), tree_feature(), tree_feature(), prop_oneof![
+            (tree_feature(), prop_oneof![
                 (0u8..4).prop_map(|k| f64::from(k) * 1e9),
                 1e8f64..1e11,
             ]),
             1..120,
         ),
-        shape in (1usize..4, 0usize..10),
-        order_keys in proptest::collection::vec(0u32..1_000, 3..4),
+        max_depth in 0usize..10,
         bootstrap in proptest::collection::vec(0usize..1_000, 1..240),
-        shuffled in 0u8..2,
     ) {
-        let (n_features, max_depth) = shape;
-        let rows: Vec<Vec<f64>> = raw.iter().map(|r| [r.0, r.1, r.2][..n_features].to_vec()).collect();
-        let targets: Vec<f64> = raw.iter().map(|r| r.3).collect();
-        let data = Dataset::from_parts(rows.clone(), targets);
+        let inputs: Vec<f64> = raw.iter().map(|r| r.0).collect();
+        let data = univariate(&raw);
         let config = TreeConfig { max_depth };
-        // A shuffled order over all three features, as the forest draws it
-        // (entries past the dataset's width are skipped), or none.
-        let mut feature_order: Vec<usize> = (0..3).collect();
-        feature_order.sort_by_key(|&f| order_keys[f]);
-        if shuffled == 0 {
-            feature_order.clear();
-        }
-        let new_tree = || {
-            let mut tree = RegressionTree::new(config);
-            if !feature_order.is_empty() {
-                tree.set_feature_order(feature_order.clone());
-            }
-            tree
-        };
 
-        let mut full = new_tree();
+        let mut full = RegressionTree::new(config);
         full.fit(&data).unwrap();
-        let naive = NaiveTree::grow(config, &feature_order, &data, (0..rows.len()).collect());
-        assert_tree_matches(&full, &naive, &rows)?;
+        let naive = NaiveTree::grow(config, &data, (0..inputs.len()).collect());
+        assert_tree_matches(&full, &naive, &inputs)?;
 
-        let indices: Vec<usize> = bootstrap.iter().map(|&i| i % rows.len()).collect();
-        let mut indexed = new_tree();
+        let indices: Vec<usize> = bootstrap.iter().map(|&i| i % inputs.len()).collect();
+        let mut indexed = RegressionTree::new(config);
         indexed.fit_with_indices(&data, indices.clone()).unwrap();
-        let naive = NaiveTree::grow(config, &feature_order, &data, indices.clone());
-        assert_tree_matches(&indexed, &naive, &rows)?;
+        let naive = NaiveTree::grow(config, &data, indices.clone());
+        assert_tree_matches(&indexed, &naive, &inputs)?;
 
-        let mut subset = new_tree();
+        let mut subset = RegressionTree::new(config);
         subset.fit(&data.subset(&indices)).unwrap();
         prop_assert_eq!(format!("{indexed:?}"), format!("{subset:?}"));
 
         for bad in [f64::INFINITY, f64::NEG_INFINITY] {
-            let mut poisoned = rows.clone();
-            poisoned[indices[0]][0] = bad;
-            let poisoned = Dataset::from_parts(poisoned, data.targets().to_vec());
-            prop_assert!(new_tree().fit(&poisoned).is_err());
-            prop_assert!(new_tree().fit_with_indices(&poisoned, indices.clone()).is_err());
+            let mut poisoned = inputs.clone();
+            poisoned[indices[0]] = bad;
+            let poisoned = Dataset::from_univariate(&poisoned, data.targets());
+            prop_assert!(RegressionTree::new(config).fit(&poisoned).is_err());
+            prop_assert!(RegressionTree::new(config)
+                .fit_with_indices(&poisoned, indices.clone())
+                .is_err());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Linear regression: five scalar sums and an inline 2×2 solve vs. the Gram
+// matrix of `[1, x]` rows solved by general Gaussian elimination.
+// ---------------------------------------------------------------------------
+
+/// The general dense solver the inline 2×2 solve replaced, verbatim:
+/// Gaussian elimination with partial pivoting of the row-major `n × n`
+/// system `a · x = b`, `None` when a pivot is below `1e-12`.
+fn general_elimination(mut a: Vec<f64>, b: &[f64]) -> Option<Vec<f64>> {
+    let n = b.len();
+    let mut x = b.to_vec();
+    for col in 0..n {
+        let mut pivot_row = col;
+        let mut pivot_val = a[col * n + col].abs();
+        for r in (col + 1)..n {
+            let v = a[r * n + col].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = r;
+            }
+        }
+        if pivot_val < 1e-12 {
+            return None;
+        }
+        if pivot_row != col {
+            for c in 0..n {
+                a.swap(col * n + c, pivot_row * n + c);
+            }
+            x.swap(col, pivot_row);
+        }
+        let pivot = a[col * n + col];
+        for r in (col + 1)..n {
+            let factor = a[r * n + col] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            a[r * n + col] = 0.0;
+            for c in (col + 1)..n {
+                a[r * n + c] -= factor * a[col * n + c];
+            }
+            x[r] -= factor * x[col];
+        }
+    }
+    for col in (0..n).rev() {
+        let mut sum = x[col];
+        for c in (col + 1)..n {
+            sum -= a[col * n + c] * x[c];
+        }
+        x[col] = sum / a[col * n + col];
+    }
+    Some(x)
+}
+
+/// The former ridge solve over the general solver: the tiny ridge, one
+/// escalation on a singular system, and the refusal of non-finite
+/// coefficients.
+fn reference_ridge_solve(gram: &[f64], moments: &[f64], l2: f64) -> Result<Vec<f64>, ModelError> {
+    let n = moments.len();
+    let with_diagonal = |lambda: f64| {
+        let mut a = gram.to_vec();
+        for i in 0..n {
+            a[i * n + i] += lambda;
+        }
+        a
+    };
+    let lambda = l2.max(1e-10);
+    let coeffs = match general_elimination(with_diagonal(lambda), moments) {
+        Some(coeffs) => coeffs,
+        None => general_elimination(with_diagonal(lambda.max(1e-3) * 1e3), moments)
+            .ok_or_else(|| ModelError::Numerical("matrix is singular".to_string()))?,
+    };
+    if coeffs.iter().any(|c| !c.is_finite()) {
+        return Err(ModelError::Numerical(
+            "normal-equation solve produced non-finite coefficients".to_string(),
+        ));
+    }
+    Ok(coeffs)
+}
+
+/// The former sufficient statistics: the Gram matrix (row-major) and moment
+/// vector of the augmented rows `[1, x]`.
+fn reference_gram(pairs: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
+    let mut gram = vec![0.0; 4];
+    let mut moments = vec![0.0; 2];
+    for &(x, y) in pairs {
+        let row = [1.0, x];
+        for (i, &xi) in row.iter().enumerate() {
+            moments[i] += xi * y;
+            for (j, &xj) in row.iter().enumerate() {
+                gram[i * 2 + j] += xi * xj;
+            }
+        }
+    }
+    (gram, moments)
+}
+
+fn solve_bits(solved: Result<&[f64], &ModelError>) -> Result<Vec<u64>, ModelError> {
+    solved
+        .map(|c| c.iter().map(|v| v.to_bits()).collect())
+        .map_err(Clone::clone)
+}
+
+/// A Gram or moment entry: small integers, values a ridge term cancels,
+/// pivots just either side of `1e-12`, continuous and huge values, and ±inf.
+fn system_entry() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        3 => (-3i8..4).prop_map(f64::from),
+        2 => prop_oneof![Just(-1e-8), Just(-1e-10), Just(-1.0), Just(-1e3)],
+        1 => prop_oneof![Just(5e-13), Just(2e-12), Just(-5e-13)],
+        3 => -1e6f64..1e6,
+        1 => prop_oneof![Just(1e300), Just(-1e300), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The inline 2×2 solve vs. the general elimination, bit for bit, at
+    /// two levels. Directly, on arbitrary 2×2 systems and ridge strengths,
+    /// including ones that come out singular or non-finite; in a third of
+    /// the cases the ridge cancels the leading entry to an exact zero pivot,
+    /// which forces the escalated ridge, and in another third the first
+    /// column's two entries tie in magnitude, where partial pivoting must
+    /// keep the rows in place. And
+    /// through `LinearRegression`, whose five scalar sums must solve to the
+    /// coefficients of the former `[1, x]` Gram matrix after every
+    /// `partial_fit` and after a batch `fit`, and predict the same bits, on
+    /// random one-feature data, on identical inputs (a rank-deficient Gram
+    /// matrix that only the ridge makes solvable) and on inputs whose
+    /// squares overflow the Gram matrix (refused, the previous coefficients
+    /// keep serving).
+    #[test]
+    fn inline_linear_solve_matches_the_general_elimination(
+        system in ((system_entry(), system_entry(), system_entry(), system_entry()),
+                   (system_entry(), system_entry())),
+        l2 in prop_oneof![Just(0.0), Just(1e-8), Just(1e-3), Just(1.0), -1.0f64..1.0],
+        shape in 0u8..3,
+        pairs in proptest::collection::vec((0.0f64..1e10, 1e8f64..1e11), 1..40),
+        family in 0u8..3,
+        queries in proptest::collection::vec(0.0f64..2e10, 1..4),
+    ) {
+        let ((mut g00, g01, mut g10, g11), (m0, m1)) = system;
+        let lambda = l2.max(1e-10);
+        if shape == 1 {
+            (g00, g10) = (-lambda, 0.0);
+            let first = vec![g00 + lambda, g01, g10, g11 + lambda];
+            prop_assert!(general_elimination(first, &[m0, m1]).is_none());
+        } else if shape == 2 {
+            g10 = -(g00 + lambda);
+        }
+        prop_assert_eq!(
+            solve_bits(solve_normal_equations([[g00, g01], [g10, g11]], [m0, m1], l2).as_ref().map(|c| &c[..])),
+            solve_bits(reference_ridge_solve(&[g00, g01, g10, g11], &[m0, m1], l2).as_deref())
+        );
+
+        let pairs: Vec<(f64, f64)> = match family {
+            0 => pairs,
+            1 => pairs.iter().map(|&(_, y)| (pairs[0].0, y)).collect(),
+            _ => pairs.iter().map(|&(x, y)| (x * 1e150 + 1e155, y)).collect(),
+        };
+        let config = LinearConfig { l2: l2.abs() };
+        let mut grown = LinearRegression::new(config);
+        let mut serving: Vec<f64> = Vec::new();
+        for end in 1..=pairs.len() {
+            grown.partial_fit(&univariate(&pairs[end - 1..end])).unwrap();
+            let (gram, moments) = reference_gram(&pairs[..end]);
+            let want = reference_ridge_solve(&gram, &moments, config.l2);
+            prop_assert_eq!(grown.is_solved(), want.is_ok(), "after {} rows", end);
+            if let Ok(coeffs) = want {
+                serving = coeffs;
+            }
+            prop_assert_eq!(solve_bits(Ok(grown.coefficients())), solve_bits(Ok(&serving)));
+        }
+        let (gram, moments) = reference_gram(&pairs);
+        let want = reference_ridge_solve(&gram, &moments, config.l2);
+        prop_assert!(family != 2 || want.is_err(), "an overflowing Gram matrix solved");
+        let mut batch = LinearRegression::new(config);
+        prop_assert_eq!(batch.fit(&univariate(&pairs)).is_ok(), want.is_ok());
+        prop_assert_eq!(
+            solve_bits(Ok(batch.coefficients())),
+            solve_bits(Ok(want.as_deref().unwrap_or(&[])))
+        );
+        for q in queries {
+            let expected: Option<f64> = (!serving.is_empty())
+                .then(|| [1.0, q].iter().zip(&serving).map(|(x, c)| x * c).sum());
+            prop_assert_eq!(
+                grown.predict(&[q]).ok().map(f64::to_bits),
+                expected.map(f64::to_bits)
+            );
         }
     }
 }
@@ -536,38 +652,32 @@ fn within_targets(p: f64, targets: impl Iterator<Item = f64>) -> Result<(), Test
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The O(columns) `Scaler::observe_row` update vs. a batch `fit` on the
-    /// same rows: **bit-identical** for min-max (the min/max fold is
-    /// order-exact), the one kind that updates row by row.
+    /// The O(1) `MinMaxScaler::observe` update vs. a batch `fit` on the
+    /// same values: **bit-identical** (the min/max fold is order-exact).
     #[test]
     fn incremental_scaler_matches_the_batch_fit(
-        raw in proptest::collection::vec((-1e12f64..1e12, -1e12f64..1e12), 1..60),
+        values in proptest::collection::vec(-1e12f64..1e12, 1..60),
         split in 0usize..60,
     ) {
-        let rows: Vec<Vec<f64>> = raw.iter().map(|&(a, b)| vec![a, b]).collect();
-        let flat: Vec<f64> = rows.concat();
-        let split = split.min(rows.len());
+        let split = split.min(values.len());
 
-        let mut batch = Scaler::new(ScalerKind::MinMax);
-        batch.fit(&flat, 2);
+        let mut batch = MinMaxScaler::default();
+        batch.fit(&values);
         // Pure incremental and batch-prefix-then-incremental must both land
         // on exactly the batch parameters.
-        let mut incremental = Scaler::new(ScalerKind::MinMax);
-        for row in &rows {
-            incremental.observe_row(row);
+        let mut incremental = MinMaxScaler::default();
+        for &v in &values {
+            incremental.observe(v);
         }
-        let mut resumed = Scaler::new(ScalerKind::MinMax);
-        resumed.fit(&flat[..split * 2], 2);
-        for row in &rows[split..] {
-            resumed.observe_row(row);
+        let mut resumed = MinMaxScaler::default();
+        resumed.fit(&values[..split]);
+        for &v in &values[split..] {
+            resumed.observe(v);
         }
         for grown in [&incremental, &resumed] {
-            for c in 0..rows[0].len() {
-                prop_assert_eq!(grown.shift()[c].to_bits(), batch.shift()[c].to_bits());
-                prop_assert_eq!(grown.scale()[c].to_bits(), batch.scale()[c].to_bits());
-            }
+            prop_assert_eq!(grown.shift().to_bits(), batch.shift().to_bits());
+            prop_assert_eq!(grown.scale().to_bits(), batch.scale().to_bits());
         }
-
     }
 
     /// A fit followed by a `partial_fit` of the remaining rows vs. one batch
@@ -1090,13 +1200,9 @@ proptest! {
     /// predict bit for bit what its class's single-member pool predicts.
     #[test]
     fn concurrent_retrain_matches_sequential_fits(
-        rows in proptest::collection::vec(
-            (proptest::collection::vec(0.0f64..1e10, 3..4), 1e8f64..1e11),
-            1..601,
-        ),
-        width in 1usize..4,
+        rows in proptest::collection::vec((0.0f64..1e10, 1e8f64..1e11), 1..601),
         seed in 0u64..u64::MAX,
-        queries in proptest::collection::vec(proptest::collection::vec(0.0f64..2e10, 3..4), 1..6),
+        queries in proptest::collection::vec(0.0f64..2e10, 1..6),
     ) {
         let config = |model_classes: Vec<ModelClass>| SizeyConfig {
             model_classes,
@@ -1114,10 +1220,10 @@ proptest! {
             let mut pool = ModelPool::new(&config);
             let mut scratch = PoolScratch::default();
             let (last, head) = rows.split_last().unwrap();
-            for (features, peak) in head {
-                pool.observe_success(&features[..width], *peak, &config, &mut scratch);
+            for &(input, peak) in head {
+                pool.observe_success(input, peak, &config, &mut scratch);
             }
-            pool.observe_success(&last.0[..width], last.1, &retrain, &mut scratch);
+            pool.observe_success(last.0, last.1, &retrain, &mut scratch);
             assert_eq!(pool.model_epoch(), 1);
             pool
         };
@@ -1126,8 +1232,7 @@ proptest! {
             .iter()
             .map(|&class| feed(config(vec![class])))
             .collect();
-        for query in &queries {
-            let query = &query[..width];
+        for &query in &queries {
             let concurrent = together.member_estimates(query);
             for (&class, single) in ModelClass::ALL.iter().zip(&alone) {
                 let bits = |estimates: &[(ModelClass, f64)]| {
@@ -1139,10 +1244,9 @@ proptest! {
                 prop_assert_eq!(
                     bits(&single.member_estimates(query)),
                     bits(&concurrent),
-                    "{} on {} rows of width {}, seed {}",
+                    "{} on {} rows, seed {}",
                     class,
                     rows.len(),
-                    width,
                     seed
                 );
             }

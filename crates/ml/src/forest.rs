@@ -56,18 +56,21 @@ pub const PARALLEL_FIT_MIN_ROWS: usize = 64;
 ///
 /// | rows | one after another | beside | speed-up |
 /// |---|---|---|---|
-/// | 3 | 213 | 273 | 0.78 |
-/// | 5 | 133 | 210 | 0.63 |
-/// | 10 | 348 | 342 | 1.02 |
-/// | 14 | 127 | 222 | 0.57 |
-/// | 18 | 184 | 241 | 0.76 |
-/// | 20 | 397 | 375 | 1.06 |
-/// | 24 | 502 | 469 | 1.07 |
-/// | 32 | 656 | 583 | 1.13 |
-/// | 64 | 1,704 | 1,336 | 1.28 |
-/// | 256 | 4,182 | 2,931 | 1.43 |
+/// | 3 | 47 | 108 | 0.44 |
+/// | 5 | 73 | 131 | 0.56 |
+/// | 10 | 194 | 193 | 1.00 |
+/// | 14 | 264 | 238 | 1.11 |
+/// | 18 | 263 | 249 | 1.06 |
+/// | 20 | 297 | 265 | 1.12 |
+/// | 24 | 428 | 358 | 1.20 |
+/// | 32 | 603 | 474 | 1.27 |
+/// | 64 | 1,136 | 814 | 1.40 |
+/// | 256 | 2,452 | 1,572 | 1.56 |
 ///
-/// Below 20 rows the MLP's fit often stops early and the spawn dominates.
+/// Below 20 rows the MLP's fit often stops early and the spawn dominates:
+/// across three runs the speed-up at 10–18 rows read 0.78–1.11, and at 20
+/// rows 1.03–1.18. While the host's second vCPU was busy with other work,
+/// the side job lost at every size (0.95 at 256 rows).
 pub const PARALLEL_BESIDE_MIN_ROWS: usize = 20;
 
 /// Share of the forest's trees a `partial_fit` refreshes per observation

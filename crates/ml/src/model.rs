@@ -86,17 +86,14 @@ impl fmt::Display for ModelClass {
 /// vector a model prediction needs, owned by the caller and recycled across
 /// calls so the steady-state predict path performs zero heap allocations.
 ///
-/// The fields are per-model working sets, not a shared pool — a single
-/// prediction may use several of them at once (the MLP borrows both
-/// activation buffers simultaneously), so they must stay distinct.
+/// The fields are per-model working sets, not a shared pool.
 #[derive(Debug, Default, Clone)]
 pub struct PredictScratch {
     /// `(row index, squared distance)` table for KNN neighbour selection.
     pub dists: Vec<(usize, f64)>,
-    /// MLP forward-pass activation ping buffer.
-    pub act_a: Vec<f64>,
-    /// MLP forward-pass activation pong buffer.
-    pub act_b: Vec<f64>,
+    /// MLP forward-pass activations: the scaled input, then every hidden
+    /// unit.
+    pub acts: Vec<f64>,
 }
 
 /// A trainable regression model mapping an input size to a scalar target.

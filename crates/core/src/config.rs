@@ -99,7 +99,9 @@ pub enum DriftPolicy {
 pub struct SizeyConfig {
     /// The RAQ weighting hyper-parameter α ∈ [0, 1] (§II-C, Eq. 3): 0
     /// favours accurate models, 1 punishes large outlying estimates. The
-    /// default 0.0 is the value the paper's experiments use.
+    /// default 0.0 is the value the paper's experiments use. A value
+    /// outside [0, 1] is clamped into it where it is used; a NaN is refused
+    /// by [`SizeyPredictor::new`](crate::SizeyPredictor::new).
     pub alpha: f64,
     /// Gating strategy combining the pool outputs.
     pub gating: GatingStrategy,
@@ -162,6 +164,13 @@ impl Default for SizeyConfig {
     }
 }
 
+/// Refuses a NaN α: it passes through every clamp and makes every gated
+/// estimate NaN, which the offset's `max(0)` turns into a first attempt of
+/// 0 bytes.
+pub(crate) fn assert_alpha_is_a_number(alpha: f64) {
+    assert!(!alpha.is_nan(), "SizeyConfig::alpha must not be NaN");
+}
+
 impl SizeyConfig {
     /// Configuration for the full-retraining variant of Fig. 9 ("Sizey-Full"):
     /// a retrain on every completion, with hyper-parameter optimisation.
@@ -173,8 +182,13 @@ impl SizeyConfig {
         }
     }
 
-    /// Returns a copy with a different α.
+    /// Returns a copy with a different α, clamped to [0, 1].
+    ///
+    /// # Panics
+    ///
+    /// If `alpha` is NaN.
     pub fn with_alpha(mut self, alpha: f64) -> Self {
+        assert_alpha_is_a_number(alpha);
         self.alpha = alpha.clamp(0.0, 1.0);
         self
     }
@@ -225,6 +239,12 @@ mod tests {
         assert_eq!(SizeyConfig::default().with_alpha(2.0).alpha, 1.0);
         assert_eq!(SizeyConfig::default().with_alpha(-1.0).alpha, 0.0);
         assert_eq!(SizeyConfig::default().with_alpha(0.3).alpha, 0.3);
+    }
+
+    #[test]
+    #[should_panic(expected = "SizeyConfig::alpha must not be NaN")]
+    fn with_alpha_refuses_nan() {
+        let _ = SizeyConfig::default().with_alpha(f64::NAN);
     }
 
     #[test]

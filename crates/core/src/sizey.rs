@@ -88,7 +88,12 @@ impl std::fmt::Debug for SizeyPredictor {
 
 impl SizeyPredictor {
     /// Creates a Sizey predictor with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `config.alpha` is NaN.
     pub fn new(config: SizeyConfig) -> Self {
+        crate::config::assert_alpha_is_a_number(config.alpha);
         // A bounded-history predictor also bounds its provenance store, the
         // journal snapshots are taken from. Predictions read only the pools
         // (the retry escalation's per-key maximum included), so retaining a
@@ -354,6 +359,17 @@ mod tests {
     use super::*;
     use crate::config::GatingStrategy;
     use sizey_provenance::{MachineId, TaskTypeId};
+
+    /// A NaN α would make every gated estimate NaN, and the offset's
+    /// `max(0)` would size the first attempt at 0 bytes.
+    #[test]
+    #[should_panic(expected = "SizeyConfig::alpha must not be NaN")]
+    fn a_nan_alpha_is_refused_at_construction() {
+        let _ = SizeyPredictor::new(SizeyConfig {
+            alpha: f64::NAN,
+            ..SizeyConfig::default()
+        });
+    }
 
     fn submission(seq: u64, input: f64) -> TaskSubmission {
         TaskSubmission {

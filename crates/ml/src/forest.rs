@@ -15,11 +15,18 @@
 //! subset of trees on the most recent observations, which is the classic
 //! cheap approximation of online random forests and is what gives the
 //! "Sizey-Incremental" variant its speed advantage in Fig. 9.
+//!
+//! No tree sorts its sample. A full fit sorts its rows by input once, for
+//! all its trees, and every tree counts its bootstrap into that order
+//! ([`RegressionTree::fit_presorted`]). The refresh window keeps its rows in
+//! the same order across updates: each new row is inserted by binary
+//! search and the row that leaves the window is removed, and a full fit
+//! derives the window's order from its own.
 
 use crate::dataset::Dataset;
 use crate::model::{validate_query, validate_training_data, ModelClass, ModelError, Regressor};
 use crate::parallel::{default_parallelism, parallel_map, parallel_map_beside};
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{cmp_rows, sorted_rows, RegressionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -124,6 +131,9 @@ pub struct RandomForestRegression {
     refresh_credit: f64,
     /// Monotonic counter so each (re)fit uses fresh bootstrap seeds.
     fit_generation: u64,
+    /// The rows of the refresh window, the last [`REFRESH_WINDOW`] of
+    /// `history`, sorted by input, ties by row. Empty before the first fit.
+    sorted_window: Vec<u32>,
 }
 
 impl std::fmt::Debug for RandomForestRegression {
@@ -148,6 +158,7 @@ impl RandomForestRegression {
             refresh_cursor: 0,
             refresh_credit: 0.0,
             fit_generation: 0,
+            sorted_window: Vec::new(),
         }
     }
 
@@ -177,33 +188,41 @@ impl RandomForestRegression {
         }
     }
 
-    /// Trains a single tree on a bootstrap resample drawn with `seed`. The
-    /// resample stays an index buffer into the retained history — the tree
-    /// trains through [`RegressionTree::fit_with_indices`], which gathers
-    /// only the sample's inputs and targets, so no per-tree copy of the rows
-    /// is materialised (the rng consumption and the resulting tree are
-    /// bit-identical to fitting on the cloned subset).
-    fn train_tree(&self, seed: u64, window_start: usize) -> Result<RegressionTree, ModelError> {
+    /// Trains a single tree on a bootstrap resample of the rows
+    /// `window_start..` drawn with `seed`; `sorted_rows` holds those rows
+    /// sorted by input, ties by row. The resample stays a list of row
+    /// indices into the retained history, which the tree counts into
+    /// `sorted_rows` ([`RegressionTree::fit_presorted`]): no per-tree copy
+    /// of the rows is materialised and no per-tree sort runs, and the tree
+    /// is bit-identical to one fitted on the cloned subset.
+    fn train_tree(
+        &self,
+        seed: u64,
+        window_start: usize,
+        sorted_rows: &[u32],
+    ) -> Result<RegressionTree, ModelError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.history.len();
         // The bootstrap draws only from `window_start..n`; a full fit passes
         // `window_start == 0`, which consumes the rng identically to the
         // pre-window implementation.
-        let indices: Vec<usize> = (0..n - window_start)
+        let draws: Vec<usize> = (0..n - window_start)
             .map(|_| rng.gen_range(window_start..n))
             .collect();
         let mut tree = RegressionTree::new(self.tree_config());
-        tree.fit_with_indices(&self.history, indices)?;
+        tree.fit_presorted(&self.history, window_start, sorted_rows, &draws)?;
         Ok(tree)
     }
 
-    /// Regrows the trees at `tree_indices` from bootstrap draws of
-    /// `window_start..`, with `side` at the head of the tree queue when
-    /// given.
+    /// Grows the trees at `tree_indices` from bootstrap draws of
+    /// `window_start..`, whose rows `sorted_rows` holds in sorted order,
+    /// with `side` at the head of the tree queue when given, and installs
+    /// them.
     fn fit_trees(
         &mut self,
         tree_indices: &[usize],
         window_start: usize,
+        sorted_rows: &[u32],
         side: Option<&mut dyn FnMut()>,
     ) -> Result<(), ModelError> {
         let generation = self.fit_generation;
@@ -230,7 +249,7 @@ impl RandomForestRegression {
             default_parallelism()
         };
         let this = &*self;
-        let grow = |&(_, seed): &(usize, u64)| this.train_tree(seed, window_start);
+        let grow = |&(_, seed): &(usize, u64)| this.train_tree(seed, window_start, sorted_rows);
         let results = match side {
             Some(side) => parallel_map_beside(&seeds, threads, side, grow),
             None => parallel_map(&seeds, threads, grow),
@@ -280,14 +299,44 @@ impl RandomForestRegression {
         staged.history = data.clone();
         staged.fit_generation = self.fit_generation;
         let all: Vec<usize> = (0..self.config.n_trees).collect();
-        staged.fit_trees(&all, 0, side)?;
+        let sorted = sorted_rows(data.inputs(), 0);
+        staged.fit_trees(&all, 0, &sorted, side)?;
+        // The refresh window's order is the tail of the full one.
+        let window_start = data.len().saturating_sub(REFRESH_WINDOW) as u32;
+        let mut window = Vec::with_capacity(data.len().min(REFRESH_WINDOW));
+        window.extend(sorted.into_iter().filter(|&row| row >= window_start));
         self.history = staged.history;
         self.trees = staged.trees;
         self.fit_generation = staged.fit_generation;
+        self.sorted_window = window;
         self.fitted = true;
         self.refresh_cursor = 0;
         self.refresh_credit = 0.0;
         Ok(())
+    }
+
+    /// Appends a row to the history and slides the refresh window over it:
+    /// the row that leaves the window is removed from its sorted order, and
+    /// the new row is inserted, after every row whose input sorts at or
+    /// below its own.
+    fn push_row(&mut self, input: f64, target: f64) {
+        self.history.push(input, target);
+        let n = self.history.len();
+        let newest = u32::try_from(n - 1).expect("a forest keeps fewer than 2^32 rows");
+        let inputs = self.history.inputs();
+        let window = &mut self.sorted_window;
+        if n > REFRESH_WINDOW {
+            let leaving = newest - REFRESH_WINDOW as u32;
+            let at = window.partition_point(|&row| cmp_rows(inputs, row, leaving).is_lt());
+            debug_assert_eq!(window[at], leaving);
+            window.remove(at);
+        }
+        if window.len() == window.capacity() {
+            // Double, but never past the window.
+            window.reserve_exact(window.len().max(4).min(REFRESH_WINDOW - window.len()));
+        }
+        let at = window.partition_point(|&row| cmp_rows(inputs, row, newest).is_lt());
+        window.insert(at, newest);
     }
 }
 
@@ -309,7 +358,7 @@ impl Regressor for RandomForestRegression {
             return self.fit(data);
         }
         for (x, y) in data.iter() {
-            self.history.push(x, y);
+            self.push_row(x, y);
         }
         // Bank the per-observation refresh budget and spend whole trees; a
         // budget below one tree per observation therefore refreshes nothing
@@ -326,7 +375,10 @@ impl Regressor for RandomForestRegression {
             .collect();
         self.refresh_cursor = (self.refresh_cursor + refresh) % self.config.n_trees;
         let window_start = self.history.len().saturating_sub(REFRESH_WINDOW);
-        self.fit_trees(&indices, window_start, None)
+        let window = std::mem::take(&mut self.sorted_window);
+        let refreshed = self.fit_trees(&indices, window_start, &window, None);
+        self.sorted_window = window;
+        refreshed
     }
 
     fn predict(&self, features: &[f64]) -> Result<f64, ModelError> {

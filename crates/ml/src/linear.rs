@@ -130,21 +130,20 @@ impl LinearRegression {
 ///
 /// A task type whose observed input sizes are all identical produces a
 /// rank-deficient Gram matrix `G`, hence the tiny ridge term that is always
-/// added. If a pivot still falls below `1e-12`, the solve is retried once
-/// with `λ = max(λ, 1e-3) · 1e3` before giving up. An overflowed Gram entry
-/// (inf) sails through elimination without a small pivot and comes out as a
-/// non-finite coefficient; that is refused too, rather than serving a
-/// poisoned model.
+/// added. A Gram matrix of data is then never singular: its leading entry
+/// is the row count, and the second pivot is about `λ(1 + x̄²)`. A system
+/// with a pivot below `1e-12` is refused as singular. An overflowed Gram
+/// entry (inf) sails through elimination without a small pivot and comes
+/// out as a non-finite coefficient; that is refused too, rather than
+/// serving a poisoned model.
 pub fn solve_normal_equations(
     gram: [[f64; 2]; 2],
     moments: [f64; 2],
     l2: f64,
 ) -> Result<[f64; 2], ModelError> {
     let [[g00, g01], [g10, g11]] = gram;
-    let ridged = |lambda: f64| solve_2x2([[g00 + lambda, g01], [g10, g11 + lambda]], moments);
     let lambda = l2.max(1e-10);
-    let coefficients = ridged(lambda)
-        .or_else(|| ridged(lambda.max(1e-3) * 1e3))
+    let coefficients = solve_2x2([[g00 + lambda, g01], [g10, g11 + lambda]], moments)
         .ok_or_else(|| ModelError::Numerical("matrix is singular".to_string()))?;
     if coefficients.iter().any(|c| !c.is_finite()) {
         return Err(ModelError::Numerical(

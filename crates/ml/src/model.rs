@@ -174,12 +174,18 @@ impl Clone for Box<dyn Regressor> {
 /// Validates a dataset before fitting: it must be non-empty and hold only
 /// finite values.
 pub fn validate_training_data(data: &Dataset) -> Result<(), ModelError> {
-    if data.is_empty() {
+    validate_rows(data.inputs(), data.targets())
+}
+
+/// [`validate_training_data`] on rows given as aligned input and target
+/// columns, such as a window of a dataset.
+pub(crate) fn validate_rows(inputs: &[f64], targets: &[f64]) -> Result<(), ModelError> {
+    if inputs.is_empty() {
         return Err(ModelError::InvalidTrainingData(
             "dataset is empty".to_string(),
         ));
     }
-    for (input, target) in data.iter() {
+    for (&input, &target) in inputs.iter().zip(targets) {
         if !target.is_finite() {
             return Err(ModelError::InvalidTrainingData(format!(
                 "non-finite target value {target}"

@@ -5,18 +5,30 @@
 //! reduction) and are searched over candidate thresholds at the midpoints
 //! between consecutive distinct input values.
 //!
-//! The split search sorts once per tree, not once per node. Growth gathers
-//! the sample's inputs into a contiguous column and stable-sorts the sample
-//! by it at the root. Every node then owns a `[lo, hi)` range of that sorted
-//! list and of the sample in its original order. A split stable-partitions
-//! both lists in place, so each child's ranges are already sorted and the
-//! search at a node is one linear scan. Stable-partitioning a stable-sorted
-//! list gives the same list as stable-sorting the partitioned one (ties keep
-//! their sample order), so the tree is, bit for bit, the one a per-node sort
-//! grows.
+//! Growth works on one sorted order of the rows. The caller gives the rows
+//! the sample is drawn from sorted by `(input, row)`; a forest sorts once for
+//! all its trees ([`RegressionTree::fit_presorted`]). The tree counts its
+//! sample into that order in O(m): the draw positions are bucketed by row,
+//! and a walk of the rows in sorted order emits each row's copies in draw
+//! order. Only a run of distinct rows with bit-equal inputs needs a local
+//! sort by position. So the sample comes out sorted by input with ties in
+//! sample order, as a stable sort of the sample orders it, and its inputs
+//! and targets are gathered once into contiguous sorted columns.
+//!
+//! In a univariate tree each node holds the samples whose inputs lie in an
+//! interval, so every node is a `[lo, hi)` range of the sorted columns and
+//! the split search is one contiguous scan. A split cuts the range where
+//! the inputs stop passing the threshold and never reorders the columns.
+//! Only the list of sample positions in their original order is stably
+//! partitioned, by each position's rank in the sorted order, so each node's
+//! sums and leaf mean still add its targets in sample order. The tree is,
+//! bit for bit, the one a per-node sort grows.
 
 use crate::dataset::Dataset;
-use crate::model::{validate_query, validate_training_data, ModelClass, ModelError, Regressor};
+use crate::model::{
+    validate_query, validate_rows, validate_training_data, ModelClass, ModelError, Regressor,
+};
+use std::cmp::Ordering;
 
 /// Hyper-parameters for [`RegressionTree`]. A node of two or more samples
 /// may split, and every leaf keeps at least one.
@@ -60,97 +72,140 @@ struct SplitCandidate {
     score: f64,
 }
 
+/// The order [`RegressionTree::fit_presorted`] takes rows in: by input
+/// (`f64::total_cmp`), ties by row.
+pub(crate) fn cmp_rows(inputs: &[f64], a: u32, b: u32) -> Ordering {
+    inputs[a as usize]
+        .total_cmp(&inputs[b as usize])
+        .then(a.cmp(&b))
+}
+
+/// The rows `window_start..inputs.len()` in [`cmp_rows`] order.
+pub(crate) fn sorted_rows(inputs: &[f64], window_start: usize) -> Vec<u32> {
+    let end = u32::try_from(inputs.len()).expect("a tree trains on fewer than 2^32 rows");
+    let mut rows: Vec<u32> = (window_start as u32..end).collect();
+    // Rows are unique, so breaking ties by row needs no stable sort.
+    rows.sort_unstable_by(|&a, &b| cmp_rows(inputs, a, b));
+    rows
+}
+
 /// The buffers one tree grows in. A sample position `p` in `0..m` (a `u32`)
-/// names the `p`-th entry of the training index list, so positions follow
-/// the order the sample was given in (the bootstrap order, for a forest
-/// tree).
+/// names the `p`-th draw, so positions follow the order the sample was
+/// given in (the bootstrap order, for a forest tree).
 struct Growth<'a> {
     config: &'a TreeConfig,
-    /// Sample size.
-    m: usize,
     /// Target of each sample position.
     y: Vec<f64>,
-    /// Input of each sample position.
-    x: Vec<f64>,
+    /// The sample's inputs, sorted (ties in sample order).
+    sx: Vec<f64>,
+    /// The sample's targets, in the order of `sx`.
+    sy: Vec<f64>,
+    /// Index in `sx` of each sample position.
+    rank: Vec<u32>,
     /// Sample positions in their original order, partitioned split by split.
     /// Sums and leaf means read it, so they add in the sample order.
     order: Vec<u32>,
-    /// Sample positions sorted by input (ties in sample order), partitioned
-    /// split by split.
-    sorted: Vec<u32>,
-    /// Side of the split being applied, by sample position.
-    goes_left: Vec<bool>,
     /// Holds the right-hand side of a stable partition.
     right: Vec<u32>,
     nodes: Vec<Node>,
 }
 
 impl<'a> Growth<'a> {
-    /// Gathers the inputs and targets of the rows `indices` selects and
-    /// sorts the sample once.
-    fn new(config: &'a TreeConfig, data: &Dataset, indices: &[usize], nodes: Vec<Node>) -> Self {
-        let m = indices.len();
-        let y: Vec<f64> = indices.iter().map(|&i| data.targets()[i]).collect();
-        let x: Vec<f64> = indices.iter().map(|&i| data.inputs()[i]).collect();
-        let positions = 0..u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
-        let mut sorted: Vec<u32> = positions.clone().collect();
-        // Positions are unique, so breaking value ties by position gives the
-        // stable order without a stable sort's scratch buffer.
-        sorted.sort_unstable_by(|&a, &b| x[a as usize].total_cmp(&x[b as usize]).then(a.cmp(&b)));
+    /// Counts the sample `draws` into `sorted_rows`, the rows
+    /// `window_start..` of `data` in [`cmp_rows`] order, and gathers its
+    /// sorted columns.
+    fn new(
+        config: &'a TreeConfig,
+        data: &Dataset,
+        window_start: usize,
+        sorted_rows: &[u32],
+        draws: &[usize],
+        nodes: Vec<Node>,
+    ) -> Self {
+        let m = draws.len();
+        let positions = u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
+        let (inputs, targets) = (data.inputs(), data.targets());
+        // A counting sort keyed by run: the rows of a run of bit-equal inputs
+        // share one key, so the copies of all its rows come out in draw
+        // order. `key` first counts each window row's draws, then holds its
+        // run; `next[run]` is the run's next free slot in the sorted sample.
+        let mut key = vec![0u32; sorted_rows.len()];
+        for &row in draws {
+            key[row - window_start] += 1;
+        }
+        let mut next = vec![0u32; sorted_rows.len()];
+        let (mut runs, mut filled, mut run_bits) = (0, 0, None);
+        for &row in sorted_rows {
+            let bits = Some(inputs[row as usize].to_bits());
+            if bits != run_bits {
+                run_bits = bits;
+                next[runs] = filled;
+                runs += 1;
+            }
+            let r = row as usize - window_start;
+            filled += key[r];
+            key[r] = (runs - 1) as u32;
+        }
+        let mut y = vec![0.0; m];
+        let mut sx = vec![0.0; m];
+        let mut sy = vec![0.0; m];
+        let mut rank = vec![0u32; m];
+        for (p, &row) in draws.iter().enumerate() {
+            let slot = &mut next[key[row - window_start] as usize];
+            let i = *slot as usize;
+            *slot += 1;
+            rank[p] = i as u32;
+            y[p] = targets[row];
+            sx[i] = inputs[row];
+            sy[i] = targets[row];
+        }
         Growth {
             config,
-            m,
             y,
-            x,
-            order: positions.collect(),
-            sorted,
-            goes_left: vec![false; m],
+            sx,
+            sy,
+            rank,
+            order: (0..positions).collect(),
             right: vec![0; m],
             nodes,
         }
     }
 
-    fn mean(&self, lo: usize, hi: usize) -> f64 {
-        if lo == hi {
-            0.0
-        } else {
-            self.order[lo..hi]
-                .iter()
-                .map(|&p| self.y[p as usize])
-                .sum::<f64>()
-                / (hi - lo) as f64
+    /// The sum and the sum of squares of the node's targets, added in
+    /// sample order from `-0.0`, where `Iterator::sum` starts.
+    fn sums(&self, lo: usize, hi: usize) -> (f64, f64) {
+        let (mut sum, mut sq) = (-0.0, -0.0);
+        for &p in &self.order[lo..hi] {
+            let y = self.y[p as usize];
+            sum += y;
+            sq += y * y;
         }
+        (sum, sq)
     }
 
-    fn best_split(&self, lo: usize, hi: usize) -> Option<SplitCandidate> {
+    /// The best split of the node `[lo, hi)` (two or more samples) whose
+    /// targets add up to `sum` and their squares to `sq`.
+    fn best_split(&self, lo: usize, hi: usize, sum: f64, sq: f64) -> Option<SplitCandidate> {
         let n = hi - lo;
-        let node = &self.order[lo..hi];
-        let parent_sum: f64 = node.iter().map(|&p| self.y[p as usize]).sum();
-        let parent_sq: f64 = node
-            .iter()
-            .map(|&p| self.y[p as usize] * self.y[p as usize])
-            .sum();
-        let parent_sse = parent_sq - parent_sum * parent_sum / n as f64;
+        let parent_sse = sq - sum * sum / n as f64;
+        let (xs, ys) = (&self.sx[lo..hi], &self.sy[lo..hi]);
 
         let mut best: Option<SplitCandidate> = None;
         let mut left_sum = 0.0;
         let mut left_sq = 0.0;
-        for (prev_pos, pair) in self.sorted[lo..hi].windows(2).enumerate() {
-            let (prev, next) = (pair[0] as usize, pair[1] as usize);
-            let y_prev = self.y[prev];
+        for (prev_pos, (pair, &y_prev)) in xs.windows(2).zip(ys).enumerate() {
             left_sum += y_prev;
             left_sq += y_prev * y_prev;
 
-            let x_prev = self.x[prev];
-            let x_next = self.x[next];
+            let (x_prev, x_next) = (pair[0], pair[1]);
             if x_prev == x_next {
                 continue; // cannot split between identical values
             }
             // `prev` goes left and `next` right: neither side is empty.
             let n_left = prev_pos + 1;
             let n_right = n - n_left;
-            let right_sum = parent_sum - left_sum;
-            let right_sq = parent_sq - left_sq;
+            let right_sum = sum - left_sum;
+            let right_sq = sq - left_sq;
             let left_sse = left_sq - left_sum * left_sum / n_left as f64;
             let right_sse = right_sq - right_sum * right_sum / n_right as f64;
             let gain = parent_sse - (left_sse + right_sse);
@@ -164,28 +219,32 @@ impl<'a> Growth<'a> {
         best
     }
 
-    /// Sends the node `[lo, hi)` to its children: both lists are stably
-    /// partitioned in place, left (`x <= threshold`) first. Returns the
-    /// boundary.
+    /// Sends the node `[lo, hi)` to its children, left (`x <= threshold`)
+    /// first, and returns the boundary. The sorted columns stay as they are:
+    /// the left child is the prefix of the node that passes the threshold.
+    /// That prefix is found in the inputs themselves, not taken from the
+    /// split scan, because the midpoint threshold can round onto the next
+    /// input or overflow to ±inf.
     fn partition(&mut self, lo: usize, hi: usize, threshold: f64) -> usize {
-        for &p in &self.order[lo..hi] {
-            let p = p as usize;
-            self.goes_left[p] = self.x[p] <= threshold;
-        }
-        let mid = lo + stable_partition(&mut self.order[lo..hi], &self.goes_left, &mut self.right);
-        stable_partition(&mut self.sorted[lo..hi], &self.goes_left, &mut self.right);
-        mid
+        let cut = lo + self.sx[lo..hi].partition_point(|&x| x <= threshold);
+        let cut32 = cut as u32;
+        let n_left = stable_partition(&mut self.order[lo..hi], &mut self.right, |p| {
+            self.rank[p as usize] < cut32
+        });
+        debug_assert_eq!(lo + n_left, cut);
+        cut
     }
 
     /// Grows the subtree over `[lo, hi)` in pre-order and returns its root.
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        let split = if depth >= self.config.max_depth || hi - lo < 2 {
-            None
+        let (value, split) = if depth >= self.config.max_depth || hi - lo < 2 {
+            (self.mean(lo, hi), None)
         } else {
-            self.best_split(lo, hi)
+            // A leaf whose search finds no split reuses the search's sum.
+            let (sum, sq) = self.sums(lo, hi);
+            (sum / (hi - lo) as f64, self.best_split(lo, hi, sum, sq))
         };
         let Some(SplitCandidate { threshold, .. }) = split else {
-            let value = self.mean(lo, hi);
             self.nodes.push(Node::Leaf { value });
             return self.nodes.len() - 1;
         };
@@ -202,6 +261,16 @@ impl<'a> Growth<'a> {
         };
         node_pos
     }
+
+    /// The mean target of a node that does not search for a split: 0 when
+    /// it is empty.
+    fn mean(&self, lo: usize, hi: usize) -> f64 {
+        if lo == hi {
+            0.0
+        } else {
+            self.sums(lo, hi).0 / (hi - lo) as f64
+        }
+    }
 }
 
 /// Moves the positions of `list` that go left to its front and the rest
@@ -209,12 +278,12 @@ impl<'a> Growth<'a> {
 /// The loop has no branch on the side, which a predictor would miss half the
 /// time: each position is written to both sides and only its own side's
 /// cursor advances. `right` is at least as long as `list`.
-fn stable_partition(list: &mut [u32], goes_left: &[bool], right: &mut [u32]) -> usize {
+fn stable_partition(list: &mut [u32], right: &mut [u32], goes_left: impl Fn(u32) -> bool) -> usize {
     let mut n_left = 0;
     let mut n_right = 0;
     for r in 0..list.len() {
         let p = list[r];
-        let left = goes_left[p as usize];
+        let left = goes_left(p);
         list[n_left] = p;
         right[n_right] = p;
         n_left += usize::from(left);
@@ -267,29 +336,65 @@ impl RegressionTree {
     }
 
     /// Fits the tree on the observations of `data` selected by `indices`
-    /// (duplicates allowed — this is how the random forest trains on a
-    /// bootstrap resample without materialising the sample). The result is
-    /// bit-identical to fitting on `data.subset(&indices)`: the sample keeps
-    /// the order of `indices` throughout.
+    /// (duplicates allowed). The result is bit-identical to fitting on
+    /// `data.subset(&indices)`: the sample keeps the order of `indices`
+    /// throughout. Sorts the rows of `data` first; a caller that fits
+    /// several trees on one dataset sorts once and calls
+    /// [`RegressionTree::fit_presorted`].
+    ///
+    /// # Panics
+    ///
+    /// If an index is out of bounds.
     pub fn fit_with_indices(
         &mut self,
         data: &Dataset,
         indices: Vec<usize>,
     ) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        self.grow(data, indices);
+        self.grow(data, 0, &sorted_rows(data.inputs(), 0), &indices);
         Ok(())
     }
 
-    /// The one growth path of [`Regressor::fit`] and
-    /// [`RegressionTree::fit_with_indices`]. `indices` is freed once the
-    /// growth buffers hold the sample.
-    fn grow(&mut self, data: &Dataset, indices: Vec<usize>) {
+    /// Fits the tree on a sample of the rows `window_start..` of `data`:
+    /// sample position `p` is row `draws[p]` (duplicates allowed — this is
+    /// how the random forest trains on a bootstrap resample without
+    /// materialising it). `sorted_rows` holds the rows `window_start..`
+    /// sorted by input (`f64::total_cmp`), ties by row. One such order
+    /// serves every sample of the window, so the tree sorts nothing. The
+    /// result is bit-identical to [`RegressionTree::fit_with_indices`] on
+    /// `draws`. Only the window's rows are validated.
+    ///
+    /// # Panics
+    ///
+    /// If `sorted_rows` does not hold as many rows as the window, or a draw
+    /// lies outside it.
+    pub fn fit_presorted(
+        &mut self,
+        data: &Dataset,
+        window_start: usize,
+        sorted_rows: &[u32],
+        draws: &[usize],
+    ) -> Result<(), ModelError> {
+        let window = window_start.min(data.len());
+        validate_rows(&data.inputs()[window..], &data.targets()[window..])?;
+        assert_eq!(
+            sorted_rows.len(),
+            data.len() - window_start,
+            "the sorted rows are the window's"
+        );
+        debug_assert!(sorted_rows
+            .windows(2)
+            .all(|w| cmp_rows(data.inputs(), w[0], w[1]) == Ordering::Less));
+        self.grow(data, window_start, sorted_rows, draws);
+        Ok(())
+    }
+
+    /// The one growth path of every fit.
+    fn grow(&mut self, data: &Dataset, window_start: usize, sorted_rows: &[u32], draws: &[usize]) {
         let mut nodes = std::mem::take(&mut self.nodes);
         nodes.clear();
-        let mut growth = Growth::new(&self.config, data, &indices, nodes);
-        drop(indices);
-        growth.grow(0, growth.m, 0);
+        let mut growth = Growth::new(&self.config, data, window_start, sorted_rows, draws, nodes);
+        growth.grow(0, draws.len(), 0);
         self.nodes = growth.nodes;
         self.fitted = true;
     }
@@ -298,7 +403,8 @@ impl RegressionTree {
 impl Regressor for RegressionTree {
     fn fit(&mut self, data: &Dataset) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        self.grow(data, (0..data.len()).collect());
+        let draws: Vec<usize> = (0..data.len()).collect();
+        self.grow(data, 0, &sorted_rows(data.inputs(), 0), &draws);
         Ok(())
     }
 
@@ -395,6 +501,41 @@ mod tests {
         let mut t = RegressionTree::with_defaults();
         t.fit(&data).unwrap();
         assert!((t.predict(&[3.0]).unwrap() - 20.0).abs() < 1e-12);
+    }
+
+    /// The counting sort against a sort of the sample: inputs drawn from a
+    /// few values (runs of distinct rows with equal inputs, and ±0, which
+    /// compare equal but sort apart), a window, and draws with duplicates
+    /// in any order. Ties must go by sample position.
+    #[test]
+    fn counted_sample_is_the_sorted_sample() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let values = [-0.0, 0.0, 1.0, 2.5, -3.0, f64::MAX];
+        for _ in 0..300 {
+            let n: usize = rng.gen_range(1..40);
+            let xs: Vec<f64> = (0..n).map(|_| values[rng.gen_range(0..values.len())]).collect();
+            let ys: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            let data = Dataset::from_univariate(&xs, &ys);
+            let window_start = rng.gen_range(0..n);
+            let m = rng.gen_range(0..2 * n);
+            let draws: Vec<usize> = (0..m).map(|_| rng.gen_range(window_start..n)).collect();
+            let config = TreeConfig::default();
+            let rows = sorted_rows(&xs, window_start);
+            let growth = Growth::new(&config, &data, window_start, &rows, &draws, Vec::new());
+
+            let mut sorted: Vec<usize> = (0..m).collect();
+            sorted.sort_by(|&a, &b| xs[draws[a]].total_cmp(&xs[draws[b]]).then(a.cmp(&b)));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want_x: Vec<f64> = sorted.iter().map(|&p| xs[draws[p]]).collect();
+            let want_y: Vec<f64> = sorted.iter().map(|&p| ys[draws[p]]).collect();
+            assert_eq!(bits(&growth.sx), bits(&want_x));
+            assert_eq!(growth.sy, want_y);
+            for (i, &p) in sorted.iter().enumerate() {
+                assert_eq!(growth.rank[p] as usize, i);
+            }
+        }
     }
 
     #[test]

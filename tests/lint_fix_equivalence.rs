@@ -19,6 +19,7 @@
 //! anywhere, the digest changes.
 
 use sizey_core::{select_dynamic_offset_with, OffsetScratch};
+use sizey_ml::RandomForestRegression;
 use sizey_suite::prelude::*;
 
 /// FNV-1a, 64 bit: simple, dependency-free, stable across platforms.
@@ -462,6 +463,97 @@ fn generated_workloads_are_pinned() {
     check("generated", d, GOLDEN_GENERATED);
 }
 
+/// A deterministic forest row: mostly small integers (ties, including
+/// duplicated rows), some ±0, continuous values and inputs near
+/// ±`f64::MAX`, whose midpoints overflow to infinite thresholds.
+fn forest_row(state: &mut u64) -> (f64, f64) {
+    let mut next = || {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    };
+    let kind = next() % 10;
+    let raw = next();
+    let input = match kind {
+        0..=3 => (raw % 6) as f64,
+        4 => [0.0, -0.0][(raw % 2) as usize],
+        5 => [f64::MAX, -f64::MAX, 1e308, -1e308][(raw % 4) as usize],
+        _ => (raw % 2_000_001) as f64 - 1e6 + (raw % 7) as f64 / 8.0,
+    };
+    let target = ((next() % 4) as f64 + 1.0) * 1e9 + (next() % 1_000) as f64 * 1e6;
+    (input, target)
+}
+
+fn forest_rows(state: &mut u64, n: usize) -> Dataset {
+    let mut data = Dataset::new();
+    for _ in 0..n {
+        let (x, y) = forest_row(state);
+        data.push(x, y);
+    }
+    data
+}
+
+/// Every prediction of a fitted forest at `probes`, bit for bit.
+fn digest_forest(d: &mut Digest, forest: &RandomForestRegression, probes: &[f64]) {
+    for &x in probes {
+        d.f64(forest.predict(&[x]).expect("fitted forest predicts"));
+    }
+}
+
+/// The random forest on its own, across commits: full fits of 3, 30, 256
+/// and 1,000 rows (each probed at every training input and a few fixed
+/// points), a `fit_beside`, and 600 `partial_fit`s (one of seven rows, the
+/// rest of one) after a 30-row fit that carry the history across the 256-row
+/// refresh window, then a refit and 300 more. The rows hold ties, duplicates, ±0 and inputs near
+/// ±`f64::MAX`.
+#[test]
+fn forest_predictions_are_pinned() {
+    let mut d = Digest::new();
+    let mut state = 0x5eed_f0e5_u64;
+    let fixed = [
+        -f64::MAX,
+        -1e6,
+        -0.0,
+        0.0,
+        0.5,
+        2.0,
+        2.5,
+        5.0,
+        1e5,
+        1e308,
+        f64::MAX,
+    ];
+    let probes =
+        |data: &Dataset| -> Vec<f64> { data.inputs().iter().copied().chain(fixed).collect() };
+    for n in [3, 30, 256, 1_000] {
+        let data = forest_rows(&mut state, n);
+        let mut forest = RandomForestRegression::with_defaults();
+        forest.fit(&data).unwrap();
+        digest_forest(&mut d, &forest, &probes(&data));
+    }
+
+    let data = forest_rows(&mut state, 100);
+    let mut beside = RandomForestRegression::with_defaults();
+    let mut runs = 0;
+    beside.fit_beside(&data, &mut || runs += 1).unwrap();
+    assert_eq!(runs, 1);
+    digest_forest(&mut d, &beside, &probes(&data));
+
+    let mut online = RandomForestRegression::with_defaults();
+    online.fit(&forest_rows(&mut state, 30)).unwrap();
+    for step in 0..900 {
+        if step == 600 {
+            online.fit(&forest_rows(&mut state, 40)).unwrap();
+        }
+        let rows = forest_rows(&mut state, if step == 300 { 7 } else { 1 });
+        online.partial_fit(&rows).unwrap();
+        let probes: Vec<f64> = rows.inputs().iter().copied().chain(fixed).collect();
+        digest_forest(&mut d, &online, &probes);
+    }
+    check("forest", d, GOLDEN_FOREST);
+}
+
 // Golden digests captured on the tree immediately before the PR-8 lint
 // fixes (see module docs for the capture command).
 const GOLDEN_SCHEDULED: u64 = 0x861adc7d669c1355;
@@ -485,3 +577,6 @@ const GOLDEN_GENERATED: u64 = 0x758694b58a7983d1;
 // Captured on the last commit with `OnlineMode` and the drift policy's
 // settable fields (21b2455).
 const GOLDEN_SIZEY_VARIANTS: u64 = 0xd6048d0aa8367b0f;
+// Captured on the last commit that sorted each tree's bootstrap sample on
+// its own (ed73b58).
+const GOLDEN_FOREST: u64 = 0x421d1051830a4ec3;

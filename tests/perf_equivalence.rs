@@ -386,21 +386,27 @@ fn tree_feature() -> impl Strategy<Value = f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The presorted growth vs. the per-node sort, on the full sample and on
-    /// a bootstrap (duplicated indices, any order), for depths 0–9. Also
-    /// pins `fit_with_indices(d, idx)` to `fit(&d.subset(&idx))`, and the
-    /// rejection of ±inf inputs by both entry points.
+    /// The presorted growth vs. the per-node sort, on the full sample, on
+    /// a bootstrap (duplicated indices, any order) and on a bootstrap of a
+    /// window `window_start..` grown from a caller-given sorted row order,
+    /// as a forest grows its trees, for depths 0–9. Targets include `-0.0`,
+    /// which pins the fold start of the node sums. Also pins
+    /// `fit_with_indices(d, idx)` to `fit(&d.subset(&idx))`, the rejection
+    /// of ±inf inputs by every entry point, and that `fit_presorted`
+    /// validates only its window.
     #[test]
     fn presorted_tree_growth_matches_the_per_node_sort(
         raw in proptest::collection::vec(
             (tree_feature(), prop_oneof![
-                (0u8..4).prop_map(|k| f64::from(k) * 1e9),
-                1e8f64..1e11,
+                4 => (0u8..4).prop_map(|k| f64::from(k) * 1e9),
+                1 => Just(-0.0),
+                4 => 1e8f64..1e11,
             ]),
             1..120,
         ),
         max_depth in 0usize..10,
         bootstrap in proptest::collection::vec(0usize..1_000, 1..240),
+        window_start in 0usize..1_000,
     ) {
         let inputs: Vec<f64> = raw.iter().map(|r| r.0).collect();
         let data = univariate(&raw);
@@ -421,6 +427,16 @@ proptest! {
         subset.fit(&data.subset(&indices)).unwrap();
         prop_assert_eq!(format!("{indexed:?}"), format!("{subset:?}"));
 
+        let n = inputs.len();
+        let window_start = window_start % n;
+        let draws: Vec<usize> = bootstrap.iter().map(|&i| window_start + i % (n - window_start)).collect();
+        let mut rows: Vec<u32> = (window_start as u32..n as u32).collect();
+        rows.sort_by(|&a, &b| inputs[a as usize].total_cmp(&inputs[b as usize]).then(a.cmp(&b)));
+        let mut windowed = RegressionTree::new(config);
+        windowed.fit_presorted(&data, window_start, &rows, &draws).unwrap();
+        let naive = NaiveTree::grow(config, &data, draws.clone());
+        assert_tree_matches(&windowed, &naive, &inputs)?;
+
         for bad in [f64::INFINITY, f64::NEG_INFINITY] {
             let mut poisoned = inputs.clone();
             poisoned[indices[0]] = bad;
@@ -429,6 +445,22 @@ proptest! {
             prop_assert!(RegressionTree::new(config)
                 .fit_with_indices(&poisoned, indices.clone())
                 .is_err());
+
+            let mut in_window = inputs.clone();
+            in_window[draws[0]] = bad;
+            let in_window = Dataset::from_univariate(&in_window, data.targets());
+            prop_assert!(RegressionTree::new(config)
+                .fit_presorted(&in_window, window_start, &rows, &draws)
+                .is_err());
+            if window_start > 0 {
+                // A row before the window is never read.
+                let mut before = inputs.clone();
+                before[0] = bad;
+                let before = Dataset::from_univariate(&before, data.targets());
+                let mut tree = RegressionTree::new(config);
+                tree.fit_presorted(&before, window_start, &rows, &draws).unwrap();
+                prop_assert_eq!(format!("{tree:?}"), format!("{windowed:?}"));
+            }
         }
     }
 }
@@ -486,30 +518,27 @@ fn general_elimination(mut a: Vec<f64>, b: &[f64]) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// The former ridge solve over the general solver: the tiny ridge, one
-/// escalation on a singular system, and the refusal of non-finite
-/// coefficients.
+/// The former ridge solve over the general solver: the tiny ridge and the
+/// refusal of a singular system and of non-finite coefficients. (It once
+/// retried a singular system with a larger ridge; no fit of data reached
+/// that retry, and the solve lost it.)
 fn reference_ridge_solve(gram: &[f64], moments: &[f64], l2: f64) -> Result<Vec<f64>, ModelError> {
     let n = moments.len();
-    let with_diagonal = |lambda: f64| {
-        let mut a = gram.to_vec();
-        for i in 0..n {
-            a[i * n + i] += lambda;
-        }
-        a
-    };
-    let lambda = l2.max(1e-10);
-    let coeffs = match general_elimination(with_diagonal(lambda), moments) {
-        Some(coeffs) => coeffs,
-        None => general_elimination(with_diagonal(lambda.max(1e-3) * 1e3), moments)
-            .ok_or_else(|| ModelError::Numerical("matrix is singular".to_string()))?,
-    };
+    let mut a = gram.to_vec();
+    for i in 0..n {
+        a[i * n + i] += l2.max(1e-10);
+    }
+    let coeffs = general_elimination(a, moments).ok_or_else(singular)?;
     if coeffs.iter().any(|c| !c.is_finite()) {
         return Err(ModelError::Numerical(
             "normal-equation solve produced non-finite coefficients".to_string(),
         ));
     }
     Ok(coeffs)
+}
+
+fn singular() -> ModelError {
+    ModelError::Numerical("matrix is singular".to_string())
 }
 
 /// The former sufficient statistics: the Gram matrix (row-major) and moment
@@ -554,16 +583,16 @@ proptest! {
     /// two levels. Directly, on arbitrary 2×2 systems and ridge strengths,
     /// including ones that come out singular or non-finite; in a third of
     /// the cases the ridge cancels the leading entry to an exact zero pivot,
-    /// which forces the escalated ridge, and in another third the first
+    /// which the solve refuses as singular, and in another third the first
     /// column's two entries tie in magnitude, where partial pivoting must
     /// keep the rows in place. And
     /// through `LinearRegression`, whose five scalar sums must solve to the
     /// coefficients of the former `[1, x]` Gram matrix after every
     /// `partial_fit` and after a batch `fit`, and predict the same bits, on
     /// random one-feature data, on identical inputs (a rank-deficient Gram
-    /// matrix that only the ridge makes solvable) and on inputs whose
-    /// squares overflow the Gram matrix (refused, the previous coefficients
-    /// keep serving).
+    /// matrix that only the ridge makes solvable, never singular) and on
+    /// inputs whose squares overflow the Gram matrix (refused, the previous
+    /// coefficients keep serving).
     #[test]
     fn inline_linear_solve_matches_the_general_elimination(
         system in ((system_entry(), system_entry(), system_entry(), system_entry()),
@@ -578,8 +607,10 @@ proptest! {
         let lambda = l2.max(1e-10);
         if shape == 1 {
             (g00, g10) = (-lambda, 0.0);
-            let first = vec![g00 + lambda, g01, g10, g11 + lambda];
-            prop_assert!(general_elimination(first, &[m0, m1]).is_none());
+            prop_assert_eq!(
+                solve_normal_equations([[g00, g01], [g10, g11]], [m0, m1], l2),
+                Err(singular())
+            );
         } else if shape == 2 {
             g10 = -(g00 + lambda);
         }
@@ -600,6 +631,7 @@ proptest! {
             grown.partial_fit(&univariate(&pairs[end - 1..end])).unwrap();
             let (gram, moments) = reference_gram(&pairs[..end]);
             let want = reference_ridge_solve(&gram, &moments, config.l2);
+            prop_assert!(want != Err(singular()), "singular after {} rows", end);
             prop_assert_eq!(grown.is_solved(), want.is_ok(), "after {} rows", end);
             if let Ok(coeffs) = want {
                 serving = coeffs;

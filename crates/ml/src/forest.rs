@@ -331,10 +331,8 @@ impl RandomForestRegression {
             debug_assert_eq!(window[at], leaving);
             window.remove(at);
         }
-        if window.len() == window.capacity() {
-            // Double, but never past the window.
-            window.reserve_exact(window.len().max(4).min(REFRESH_WINDOW - window.len()));
-        }
+        // Grow by one row, not by doubling: the order holds 4 bytes per row.
+        window.reserve_exact(1);
         let at = window.partition_point(|&row| cmp_rows(inputs, row, newest).is_lt());
         window.insert(at, newest);
     }
@@ -584,6 +582,33 @@ mod tests {
             f.partial_fit(&new).unwrap();
         }
         assert_eq!(f.predict(&[3.0]).unwrap(), 7_000.0);
+    }
+
+    #[test]
+    fn the_refresh_window_stays_sorted() {
+        let sorted_window = |f: &RandomForestRegression| {
+            let n = f.history.len();
+            sorted_rows(f.history.inputs(), n.saturating_sub(REFRESH_WINDOW))
+        };
+        // Ties, ±0 and a history that outgrows the window, after a small
+        // fit and after one larger than the window.
+        let input = |i: usize| [-0.0, 0.0, 3.0, (i % 11) as f64][i % 4];
+        for rows in [5, 300] {
+            let xs: Vec<f64> = (0..rows).map(input).collect();
+            let mut f = RandomForestRegression::new(ForestConfig {
+                n_trees: 4,
+                ..ForestConfig::default()
+            });
+            f.fit(&Dataset::from_univariate(&xs, &vec![1.0; rows]))
+                .unwrap();
+            assert_eq!(f.sorted_window, sorted_window(&f));
+            for i in 0..300 {
+                let row = Dataset::from_univariate(&[input(i * 7)], &[2.0]);
+                f.partial_fit(&row).unwrap();
+                assert_eq!(f.sorted_window, sorted_window(&f));
+            }
+            assert!(f.sorted_window.capacity() <= REFRESH_WINDOW);
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! Growth works on one sorted order of the rows. The caller gives the rows
 //! the sample is drawn from sorted by `(input, row)`; a forest sorts once for
 //! all its trees ([`RegressionTree::fit_presorted`]). The tree counts its
-//! sample into that order in O(m): the draw positions are bucketed by row,
-//! and a walk of the rows in sorted order emits each row's copies in draw
-//! order. Only a run of distinct rows with bit-equal inputs needs a local
-//! sort by position. So the sample comes out sorted by input with ties in
+//! sample into that order, in O(m) for m draws from a window of m rows: a
+//! walk of the rows in sorted order gives each run of bit-equal inputs one
+//! counter, and a pass over the draws in draw order places each copy at
+//! its run's next slot. No run needs a sort: the copies of its rows come
+//! out in draw order. So the sample comes out sorted by input with ties in
 //! sample order, as a stable sort of the sample orders it, and its inputs
 //! and targets are gathered once into contiguous sorted columns.
 //!
@@ -64,12 +65,6 @@ pub struct RegressionTree {
     config: TreeConfig,
     nodes: Vec<Node>,
     fitted: bool,
-}
-
-/// The best split found at a node.
-struct SplitCandidate {
-    threshold: f64,
-    score: f64,
 }
 
 /// The order [`RegressionTree::fit_presorted`] takes rows in: by input
@@ -183,22 +178,25 @@ impl<'a> Growth<'a> {
         (sum, sq)
     }
 
-    /// The best split of the node `[lo, hi)` (two or more samples) whose
-    /// targets add up to `sum` and their squares to `sq`.
-    fn best_split(&self, lo: usize, hi: usize, sum: f64, sq: f64) -> Option<SplitCandidate> {
+    /// The threshold of the best split of the node `[lo, hi)` (two or more
+    /// samples) whose targets add up to `sum` and their squares to `sq`: the
+    /// midpoint of the boundary with the largest gain above `1e-12`, the
+    /// first of equal gains.
+    fn best_split(&self, lo: usize, hi: usize, sum: f64, sq: f64) -> Option<f64> {
         let n = hi - lo;
         let parent_sse = sq - sum * sum / n as f64;
         let (xs, ys) = (&self.sx[lo..hi], &self.sy[lo..hi]);
 
-        let mut best: Option<SplitCandidate> = None;
+        // The best boundary so far is kept as two scalars, not as a
+        // candidate written on every improvement: the loop runs faster.
+        let mut best_score = 1e-12;
+        let mut best_pos = None;
         let mut left_sum = 0.0;
         let mut left_sq = 0.0;
         for (prev_pos, (pair, &y_prev)) in xs.windows(2).zip(ys).enumerate() {
             left_sum += y_prev;
             left_sq += y_prev * y_prev;
-
-            let (x_prev, x_next) = (pair[0], pair[1]);
-            if x_prev == x_next {
+            if pair[0] == pair[1] {
                 continue; // cannot split between identical values
             }
             // `prev` goes left and `next` right: neither side is empty.
@@ -209,14 +207,12 @@ impl<'a> Growth<'a> {
             let left_sse = left_sq - left_sum * left_sum / n_left as f64;
             let right_sse = right_sq - right_sum * right_sum / n_right as f64;
             let gain = parent_sse - (left_sse + right_sse);
-            if gain > best.as_ref().map_or(1e-12, |b| b.score) {
-                best = Some(SplitCandidate {
-                    threshold: 0.5 * (x_prev + x_next),
-                    score: gain,
-                });
+            if gain > best_score {
+                best_score = gain;
+                best_pos = Some(prev_pos);
             }
         }
-        best
+        best_pos.map(|p| 0.5 * (xs[p] + xs[p + 1]))
     }
 
     /// Sends the node `[lo, hi)` to its children, left (`x <= threshold`)
@@ -244,7 +240,7 @@ impl<'a> Growth<'a> {
             let (sum, sq) = self.sums(lo, hi);
             (sum / (hi - lo) as f64, self.best_split(lo, hi, sum, sq))
         };
-        let Some(SplitCandidate { threshold, .. }) = split else {
+        let Some(threshold) = split else {
             self.nodes.push(Node::Leaf { value });
             return self.nodes.len() - 1;
         };
@@ -515,7 +511,9 @@ mod tests {
         let values = [-0.0, 0.0, 1.0, 2.5, -3.0, f64::MAX];
         for _ in 0..300 {
             let n: usize = rng.gen_range(1..40);
-            let xs: Vec<f64> = (0..n).map(|_| values[rng.gen_range(0..values.len())]).collect();
+            let xs: Vec<f64> = (0..n)
+                .map(|_| values[rng.gen_range(0..values.len())])
+                .collect();
             let ys: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let data = Dataset::from_univariate(&xs, &ys);
             let window_start = rng.gen_range(0..n);

@@ -519,9 +519,7 @@ fn general_elimination(mut a: Vec<f64>, b: &[f64]) -> Option<Vec<f64>> {
 }
 
 /// The former ridge solve over the general solver: the tiny ridge and the
-/// refusal of a singular system and of non-finite coefficients. (It once
-/// retried a singular system with a larger ridge; no fit of data reached
-/// that retry, and the solve lost it.)
+/// refusal of a singular system and of non-finite coefficients.
 fn reference_ridge_solve(gram: &[f64], moments: &[f64], l2: f64) -> Result<Vec<f64>, ModelError> {
     let n = moments.len();
     let mut a = gram.to_vec();

@@ -303,8 +303,9 @@ impl RandomForestRegression {
         staged.fit_trees(&all, 0, &sorted, side)?;
         // The refresh window's order is the tail of the full one.
         let window_start = data.len().saturating_sub(REFRESH_WINDOW) as u32;
-        let mut window = Vec::with_capacity(data.len().min(REFRESH_WINDOW));
-        window.extend(sorted.into_iter().filter(|&row| row >= window_start));
+        let mut window = sorted;
+        window.retain(|&row| row >= window_start);
+        window.shrink_to_fit();
         self.history = staged.history;
         self.trees = staged.trees;
         self.fit_generation = staged.fit_generation;

@@ -90,82 +90,66 @@ pub(crate) fn sorted_rows(inputs: &[f64], window_start: usize) -> Vec<u32> {
 struct Growth<'a> {
     config: &'a TreeConfig,
     /// Target of each sample position.
-    y: Vec<f64>,
+    y: &'a [f64],
     /// The sample's inputs, sorted (ties in sample order).
-    sx: Vec<f64>,
+    sx: &'a [f64],
     /// The sample's targets, in the order of `sx`.
-    sy: Vec<f64>,
+    sy: &'a [f64],
     /// Index in `sx` of each sample position.
-    rank: Vec<u32>,
+    rank: &'a [u32],
     /// Sample positions in their original order, partitioned split by split.
     /// Sums and leaf means read it, so they add in the sample order.
-    order: Vec<u32>,
+    order: &'a mut [u32],
     /// Holds the right-hand side of a stable partition.
-    right: Vec<u32>,
+    right: &'a mut [u32],
     nodes: Vec<Node>,
 }
 
-impl<'a> Growth<'a> {
-    /// Counts the sample `draws` into `sorted_rows`, the rows
-    /// `window_start..` of `data` in [`cmp_rows`] order, and gathers its
-    /// sorted columns.
-    fn new(
-        config: &'a TreeConfig,
-        data: &Dataset,
-        window_start: usize,
-        sorted_rows: &[u32],
-        draws: &[usize],
-        nodes: Vec<Node>,
-    ) -> Self {
-        let m = draws.len();
-        let positions = u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
-        let (inputs, targets) = (data.inputs(), data.targets());
-        // A counting sort keyed by run: the rows of a run of bit-equal inputs
-        // share one key, so the copies of all its rows come out in draw
-        // order. `key` first counts each window row's draws, then holds its
-        // run; `next[run]` is the run's next free slot in the sorted sample.
-        let mut key = vec![0u32; sorted_rows.len()];
-        for &row in draws {
-            key[row - window_start] += 1;
-        }
-        let mut next = vec![0u32; sorted_rows.len()];
-        let (mut runs, mut filled, mut run_bits) = (0, 0, None);
-        for &row in sorted_rows {
-            let bits = Some(inputs[row as usize].to_bits());
-            if bits != run_bits {
-                run_bits = bits;
-                next[runs] = filled;
-                runs += 1;
-            }
-            let r = row as usize - window_start;
-            filled += key[r];
-            key[r] = (runs - 1) as u32;
-        }
-        let mut y = vec![0.0; m];
-        let mut sx = vec![0.0; m];
-        let mut sy = vec![0.0; m];
-        let mut rank = vec![0u32; m];
-        for (p, &row) in draws.iter().enumerate() {
-            let slot = &mut next[key[row - window_start] as usize];
-            let i = *slot as usize;
-            *slot += 1;
-            rank[p] = i as u32;
-            y[p] = targets[row];
-            sx[i] = inputs[row];
-            sy[i] = targets[row];
-        }
-        Growth {
-            config,
-            y,
-            sx,
-            sy,
-            rank,
-            order: (0..positions).collect(),
-            right: vec![0; m],
-            nodes,
-        }
+/// Counts the sample `draws` into `sorted_rows`, the rows `window_start..`
+/// of `data` in [`cmp_rows`] order: fills each position's target `y` and
+/// `rank`, and the sorted columns `sx` and `sy`.
+fn count_sample(
+    data: &Dataset,
+    window_start: usize,
+    sorted_rows: &[u32],
+    draws: &[usize],
+    [y, sx, sy]: [&mut [f64]; 3],
+    rank: &mut [u32],
+) {
+    let (inputs, targets) = (data.inputs(), data.targets());
+    // A counting sort keyed by run: the rows of a run of bit-equal inputs
+    // share one key, so the copies of all its rows come out in draw order.
+    // `key` first counts each window row's draws, then holds its run;
+    // `next[run]` is the run's next free slot in the sorted sample.
+    let mut counts = vec![0u32; 2 * sorted_rows.len()];
+    let (key, next) = counts.split_at_mut(sorted_rows.len());
+    for &row in draws {
+        key[row - window_start] += 1;
     }
+    let (mut runs, mut filled, mut run_bits) = (0, 0, None);
+    for &row in sorted_rows {
+        let bits = Some(inputs[row as usize].to_bits());
+        if bits != run_bits {
+            run_bits = bits;
+            next[runs] = filled;
+            runs += 1;
+        }
+        let r = row as usize - window_start;
+        filled += key[r];
+        key[r] = (runs - 1) as u32;
+    }
+    for (p, &row) in draws.iter().enumerate() {
+        let slot = &mut next[key[row - window_start] as usize];
+        let i = *slot as usize;
+        *slot += 1;
+        rank[p] = i as u32;
+        y[p] = targets[row];
+        sx[i] = inputs[row];
+        sy[i] = targets[row];
+    }
+}
 
+impl Growth<'_> {
     /// The sum and the sum of squares of the node's targets, added in
     /// sample order from `-0.0`, where `Iterator::sum` starts.
     fn sums(&self, lo: usize, hi: usize) -> (f64, f64) {
@@ -387,10 +371,31 @@ impl RegressionTree {
 
     /// The one growth path of every fit.
     fn grow(&mut self, data: &Dataset, window_start: usize, sorted_rows: &[u32], draws: &[usize]) {
+        let m = draws.len();
+        let positions = u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
+        // Two allocations hold the six growth buffers: on the forest's
+        // smallest fits, allocation is much of the cost.
+        let mut columns = vec![0.0; 3 * m];
+        let (y, rest) = columns.split_at_mut(m);
+        let (sx, sy) = rest.split_at_mut(m);
+        let mut lists = vec![0u32; 3 * m];
+        let (rank, rest) = lists.split_at_mut(m);
+        let (order, right) = rest.split_at_mut(m);
+        count_sample(data, window_start, sorted_rows, draws, [y, sx, sy], rank);
+        order.iter_mut().zip(0..positions).for_each(|(o, p)| *o = p);
         let mut nodes = std::mem::take(&mut self.nodes);
         nodes.clear();
-        let mut growth = Growth::new(&self.config, data, window_start, sorted_rows, draws, nodes);
-        growth.grow(0, draws.len(), 0);
+        let mut growth = Growth {
+            config: &self.config,
+            y,
+            sx,
+            sy,
+            rank,
+            order,
+            right,
+            nodes,
+        };
+        growth.grow(0, m, 0);
         self.nodes = growth.nodes;
         self.fitted = true;
     }
@@ -519,19 +524,22 @@ mod tests {
             let window_start = rng.gen_range(0..n);
             let m = rng.gen_range(0..2 * n);
             let draws: Vec<usize> = (0..m).map(|_| rng.gen_range(window_start..n)).collect();
-            let config = TreeConfig::default();
             let rows = sorted_rows(&xs, window_start);
-            let growth = Growth::new(&config, &data, window_start, &rows, &draws, Vec::new());
+            let (mut y, mut sx, mut sy) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+            let mut rank = vec![0; m];
+            let columns = [&mut y[..], &mut sx[..], &mut sy[..]];
+            count_sample(&data, window_start, &rows, &draws, columns, &mut rank);
 
             let mut sorted: Vec<usize> = (0..m).collect();
             sorted.sort_by(|&a, &b| xs[draws[a]].total_cmp(&xs[draws[b]]).then(a.cmp(&b)));
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let want_x: Vec<f64> = sorted.iter().map(|&p| xs[draws[p]]).collect();
             let want_y: Vec<f64> = sorted.iter().map(|&p| ys[draws[p]]).collect();
-            assert_eq!(bits(&growth.sx), bits(&want_x));
-            assert_eq!(growth.sy, want_y);
+            assert_eq!(bits(&sx), bits(&want_x));
+            assert_eq!(sy, want_y);
             for (i, &p) in sorted.iter().enumerate() {
-                assert_eq!(growth.rank[p] as usize, i);
+                assert_eq!(rank[p] as usize, i);
+                assert_eq!(y[p], ys[draws[p]]);
             }
         }
     }

@@ -208,7 +208,7 @@ impl Growth<'_> {
     fn partition(&mut self, lo: usize, hi: usize, threshold: f64) -> usize {
         let cut = lo + self.sx[lo..hi].partition_point(|&x| x <= threshold);
         let cut32 = cut as u32;
-        let n_left = stable_partition(&mut self.order[lo..hi], &mut self.right, |p| {
+        let n_left = stable_partition(&mut self.order[lo..hi], self.right, |p| {
             self.rank[p as usize] < cut32
         });
         debug_assert_eq!(lo + n_left, cut);

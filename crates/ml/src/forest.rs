@@ -36,17 +36,19 @@ use rand::{Rng, SeedableRng};
 /// A fit with a side job ([`Regressor::fit_beside`]) is governed by
 /// [`PARALLEL_BESIDE_MIN_ROWS`] instead. The forest is the same either way.
 /// Full fits of 24 depth-8 trees on one feature without a side job, on a
-/// 2-vCPU x86-64 host (medians of five alternating runs of each, µs):
+/// 2-vCPU x86-64 host (medians of 21 alternating runs of each, µs; trees
+/// grown from one sorted order):
 ///
 /// | rows | threaded | serial | threaded faster |
 /// |---|---|---|---|
-/// | 32 | 165 | 86 | 0 of 5 |
-/// | 48 | 196 | 167 | 1 of 5 |
-/// | 64 | 335 | 329 | 3 of 5 |
-/// | 96 | 445 | 556 | 5 of 5 |
-/// | 128 | 631 | 817 | 4 of 5 |
-/// | 268 | 1,305 | 2,048 | 4 of 5 |
-/// | 800 | 3,244 | 5,390 | 5 of 5 |
+/// | 24 | 70 | 41 | 0 of 21 |
+/// | 32 | 72 | 53 | 0 of 21 |
+/// | 48 | 94 | 86 | 1 of 21 |
+/// | 64 | 118 | 129 | 19 of 21 |
+/// | 96 | 172 | 210 | 18 of 21 |
+/// | 128 | 217 | 303 | 21 of 21 |
+/// | 268 | 481 | 680 | 21 of 21 |
+/// | 800 | 1,111 | 1,711 | 21 of 21 |
 ///
 /// The break-even is at 64 rows. Only fits without a side job are measured
 /// here and governed by it.

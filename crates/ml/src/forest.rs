@@ -59,27 +59,30 @@ pub const PARALLEL_FIT_MIN_ROWS: usize = 64;
 /// calling thread busy, so the break-even sits far below
 /// [`PARALLEL_FIT_MIN_ROWS`]; a smaller fit runs the side job and then its
 /// trees on the calling thread. Sizey's full retrain, the one caller, fits
-/// its MLP (one hidden layer of 16, 120 epochs) beside 24 depth-8 trees;
-/// on one feature, on a 2-vCPU x86-64 host (medians of 500 alternating
-/// rounds of each, µs):
+/// its MLP (one hidden layer of 16, 120 epochs) beside 24 depth-8 trees
+/// grown from one sorted order; on one feature, on a 2-vCPU x86-64 host
+/// (medians of 500 alternating rounds of each, µs):
 ///
 /// | rows | one after another | beside | speed-up |
 /// |---|---|---|---|
-/// | 3 | 47 | 108 | 0.44 |
-/// | 5 | 73 | 131 | 0.56 |
-/// | 10 | 194 | 193 | 1.00 |
-/// | 14 | 264 | 238 | 1.11 |
-/// | 18 | 263 | 249 | 1.06 |
-/// | 20 | 297 | 265 | 1.12 |
-/// | 24 | 428 | 358 | 1.20 |
-/// | 32 | 603 | 474 | 1.27 |
-/// | 64 | 1,136 | 814 | 1.40 |
-/// | 256 | 2,452 | 1,572 | 1.56 |
+/// | 3 | 41 | 64 | 0.65 |
+/// | 5 | 31 | 68 | 0.45 |
+/// | 10 | 99 | 111 | 0.90 |
+/// | 14 | 123 | 129 | 0.96 |
+/// | 18 | 70 | 94 | 0.75 |
+/// | 20 | 153 | 147 | 1.04 |
+/// | 24 | 279 | 278 | 1.01 |
+/// | 28 | 336 | 315 | 1.07 |
+/// | 32 | 269 | 253 | 1.06 |
+/// | 40 | 341 | 319 | 1.07 |
+/// | 64 | 422 | 349 | 1.21 |
+/// | 256 | 1,263 | 859 | 1.47 |
 ///
 /// Below 20 rows the MLP's fit often stops early and the spawn dominates:
-/// across three runs the speed-up at 10–18 rows read 0.78–1.11, and at 20
-/// rows 1.03–1.18. While the host's second vCPU was busy with other work,
-/// the side job lost at every size (0.95 at 256 rows).
+/// across four runs with the second vCPU free, the speed-up at 10–18 rows
+/// read 0.73–0.97, at 20 rows 0.98–1.04, at 24 rows 1.01–1.03 and at 32
+/// rows 1.06–1.11. While the host's second vCPU was busy with other work,
+/// the side job lost at every size (0.96 at 256 rows).
 pub const PARALLEL_BESIDE_MIN_ROWS: usize = 20;
 
 /// Share of the forest's trees a `partial_fit` refreshes per observation

@@ -217,14 +217,16 @@ impl Growth<'_> {
 
     /// Grows the subtree over `[lo, hi)` in pre-order and returns its root.
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        let (value, split) = if depth >= self.config.max_depth || hi - lo < 2 {
-            (self.mean(lo, hi), None)
+        let n = hi - lo;
+        let (sum, sq) = self.sums(lo, hi);
+        let split = if depth >= self.config.max_depth || n < 2 {
+            None
         } else {
-            // A leaf whose search finds no split reuses the search's sum.
-            let (sum, sq) = self.sums(lo, hi);
-            (sum / (hi - lo) as f64, self.best_split(lo, hi, sum, sq))
+            self.best_split(lo, hi, sum, sq)
         };
         let Some(threshold) = split else {
+            // An empty sample grows one leaf of 0.
+            let value = if n == 0 { 0.0 } else { sum / n as f64 };
             self.nodes.push(Node::Leaf { value });
             return self.nodes.len() - 1;
         };
@@ -240,16 +242,6 @@ impl Growth<'_> {
             right,
         };
         node_pos
-    }
-
-    /// The mean target of a node that does not search for a split: 0 when
-    /// it is empty.
-    fn mean(&self, lo: usize, hi: usize) -> f64 {
-        if lo == hi {
-            0.0
-        } else {
-            self.sums(lo, hi).0 / (hi - lo) as f64
-        }
     }
 }
 

@@ -504,9 +504,9 @@ fn digest_forest(d: &mut Digest, forest: &RandomForestRegression, probes: &[f64]
 /// The random forest on its own, across commits: full fits of 3, 30, 256
 /// and 1,000 rows (each probed at every training input and a few fixed
 /// points), a `fit_beside`, and 600 `partial_fit`s (one of seven rows, the
-/// rest of one) after a 30-row fit that carry the history across the 256-row
-/// refresh window, then a refit and 300 more. The rows hold ties, duplicates, ±0 and inputs near
-/// ±`f64::MAX`.
+/// rest of one) after a 30-row fit that carry the history across the
+/// 256-row refresh window, then a refit and 300 more. The rows hold ties,
+/// duplicates, ±0 and inputs near ±`f64::MAX`.
 #[test]
 fn forest_predictions_are_pinned() {
     let mut d = Digest::new();

@@ -107,7 +107,8 @@ struct Growth<'a> {
 
 /// Counts the sample `draws` into `sorted_rows`, the rows `window_start..`
 /// of `data` in [`cmp_rows`] order: fills each position's target `y` and
-/// `rank`, and the sorted columns `sx` and `sy`.
+/// `rank`, and the sorted columns `sx` and `sy`. `counts` holds two zeroed
+/// counters per window row.
 fn count_sample(
     data: &Dataset,
     window_start: usize,
@@ -115,13 +116,13 @@ fn count_sample(
     draws: &[usize],
     [y, sx, sy]: [&mut [f64]; 3],
     rank: &mut [u32],
+    counts: &mut [u32],
 ) {
     let (inputs, targets) = (data.inputs(), data.targets());
     // A counting sort keyed by run: the rows of a run of bit-equal inputs
     // share one key, so the copies of all its rows come out in draw order.
     // `key` first counts each window row's draws, then holds its run;
     // `next[run]` is the run's next free slot in the sorted sample.
-    let mut counts = vec![0u32; 2 * sorted_rows.len()];
     let (key, next) = counts.split_at_mut(sorted_rows.len());
     for &row in draws {
         key[row - window_start] += 1;
@@ -365,15 +366,25 @@ impl RegressionTree {
     fn grow(&mut self, data: &Dataset, window_start: usize, sorted_rows: &[u32], draws: &[usize]) {
         let m = draws.len();
         let positions = u32::try_from(m).expect("a tree trains on fewer than 2^32 rows");
-        // Two allocations hold the six growth buffers: on the forest's
-        // smallest fits, allocation is much of the cost.
+        // Two allocations hold the growth buffers and the sample count's
+        // two counters per window row: on the forest's smallest fits,
+        // allocation is much of the cost.
         let mut columns = vec![0.0; 3 * m];
         let (y, rest) = columns.split_at_mut(m);
         let (sx, sy) = rest.split_at_mut(m);
-        let mut lists = vec![0u32; 3 * m];
+        let mut lists = vec![0u32; 3 * m + 2 * sorted_rows.len()];
         let (rank, rest) = lists.split_at_mut(m);
-        let (order, right) = rest.split_at_mut(m);
-        count_sample(data, window_start, sorted_rows, draws, [y, sx, sy], rank);
+        let (order, rest) = rest.split_at_mut(m);
+        let (right, counts) = rest.split_at_mut(m);
+        count_sample(
+            data,
+            window_start,
+            sorted_rows,
+            draws,
+            [y, sx, sy],
+            rank,
+            counts,
+        );
         order.iter_mut().zip(0..positions).for_each(|(o, p)| *o = p);
         let mut nodes = std::mem::take(&mut self.nodes);
         nodes.clear();
@@ -518,9 +529,17 @@ mod tests {
             let draws: Vec<usize> = (0..m).map(|_| rng.gen_range(window_start..n)).collect();
             let rows = sorted_rows(&xs, window_start);
             let (mut y, mut sx, mut sy) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
-            let mut rank = vec![0; m];
+            let (mut rank, mut counts) = (vec![0; m], vec![0; 2 * rows.len()]);
             let columns = [&mut y[..], &mut sx[..], &mut sy[..]];
-            count_sample(&data, window_start, &rows, &draws, columns, &mut rank);
+            count_sample(
+                &data,
+                window_start,
+                &rows,
+                &draws,
+                columns,
+                &mut rank,
+                &mut counts,
+            );
 
             let mut sorted: Vec<usize> = (0..m).collect();
             sorted.sort_by(|&a, &b| xs[draws[a]].total_cmp(&xs[draws[b]]).then(a.cmp(&b)));

@@ -317,6 +317,99 @@ fn faulted_multi_tenant_output_is_pinned() {
     );
 }
 
+/// The blocked-head scenario: Sizey, a baseline and the workflow presets
+/// share a six-slot cluster with every instance of a tenant arriving at its
+/// offset (`submit_interval_seconds` 0), so the pending queue stays long and
+/// its head is blocked most of the time. Task types carry a `<tenant>:`
+/// prefix, as in the faulted scenario.
+fn backfill_scenario(window: usize) -> (Vec<WorkflowTenant>, SimulationConfig) {
+    let plan = FaultPlan::default()
+        .with_node_crash(NodeCrash {
+            time_seconds: 400.0,
+            node: 1,
+            down_seconds: 300.0,
+        })
+        .with_task_kills(TaskKillBurst {
+            time_seconds: 900.0,
+            tasks: 3,
+        });
+    let mut config = SimulationConfig::default()
+        .with_nodes(2, 24e9, 3)
+        .with_extra_pool(NodePoolSpec {
+            count: 1,
+            memory_bytes: 16e9,
+            slots: 2,
+        })
+        .with_policy(SchedulePolicy::Backfill)
+        .with_faults(plan);
+    config.backfill_window = window;
+    let methods: [Box<dyn MemoryPredictor>; 3] = [
+        Box::new(SizeyPredictor::with_defaults()),
+        Box::new(WittPercentile::new()),
+        Box::new(PresetPredictor),
+    ];
+    let tenants = [
+        ("mag", 0.03, 9u64, 0.0),
+        ("rnaseq", 0.04, 5, 30.0),
+        ("iwd", 0.03, 17, 60.0),
+    ]
+    .into_iter()
+    .zip(methods)
+    .enumerate()
+    .map(|(ti, ((name, scale, seed, offset), method))| {
+        let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
+        let mut instances = generate_workflow(&spec, &GeneratorConfig::scaled(scale, seed));
+        for inst in &mut instances {
+            inst.task_type = TaskTypeId::new(format!("{ti}:{}", inst.task_type.as_str()));
+        }
+        WorkflowTenant::new(spec.name.to_string(), instances, method).with_arrival_offset(offset)
+    })
+    .collect();
+    (tenants, config)
+}
+
+/// Backfill behind a blocked head, at windows of 1, 8 and 64, under one
+/// node crash and one task-kill burst. `GOLDEN_BACKFILL` was captured on the
+/// last commit that called `select_node` for every task in the backfill
+/// window (54f75e2), so it pins the bound-filtered scan to that output.
+#[test]
+fn backfill_queue_output_is_pinned() {
+    let mut d = Digest::new();
+    for window in [1, 8, 64] {
+        let (tenants, config) = backfill_scenario(window);
+        let multi = schedule_workflows(tenants, &config);
+        assert!(multi.stats.crash_lost_attempts > 0, "window {window}");
+        assert!(
+            multi.stats.requeued_attempts > multi.stats.crash_lost_attempts,
+            "window {window}: the task-kill burst must hit running attempts"
+        );
+        // First submissions and fault requeues (attempt 0) join the back of
+        // the queue in submission order, so without backfill none of them
+        // starts before one submitted earlier. One that does proves the
+        // blocked-head scan placed it.
+        let starts: Vec<(f64, f64)> = multi
+            .reports
+            .iter()
+            .flat_map(|r| &r.events)
+            .filter(|e| e.attempt == 0)
+            .map(|e| {
+                let start = e.submit_time_seconds;
+                (start - e.queue_delay_seconds, start)
+            })
+            .collect();
+        assert!(
+            starts
+                .iter()
+                .any(|&(submit, start)| { starts.iter().any(|&(s, t)| s < submit && start < t) }),
+            "window {window}: no attempt started ahead of an earlier submission"
+        );
+        d.u64(window as u64);
+        d.u64(multi.peak_inflight_instances as u64);
+        digest_faulted_run(&mut d, &multi);
+    }
+    check("backfill_queue", d, GOLDEN_BACKFILL);
+}
+
 /// Kernel-level pin of the reworked predict-path pieces: the offset
 /// strategies (with their percentile/median kernels) and their dynamic
 /// selection — on synthetic fixtures independent of the replay engines.
@@ -580,3 +673,6 @@ const GOLDEN_SIZEY_VARIANTS: u64 = 0xd6048d0aa8367b0f;
 // Captured on the last commit that sorted each tree's bootstrap sample on
 // its own (ed73b58).
 const GOLDEN_FOREST: u64 = 0x421d1051830a4ec3;
+// Captured on the last commit that called `select_node` for every task in
+// the backfill window (54f75e2).
+const GOLDEN_BACKFILL: u64 = 0x771c6a49cba79faa;

@@ -196,6 +196,12 @@ impl FreeIndex {
         }
     }
 
+    /// The segment-tree root: the largest effective free memory of any node
+    /// with a free slot, `-inf` when there is none (or no node at all).
+    fn bound(&self) -> f64 {
+        self.tree.get(1).copied().unwrap_or(f64::NEG_INFINITY)
+    }
+
     /// Lowest-indexed node that fits the allocation (first fit).
     ///
     /// The negated float comparisons are deliberate (hence the lint allow):
@@ -205,19 +211,27 @@ impl FreeIndex {
     /// obscure that.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn first_fit(&self, allocation_bytes: f64) -> Option<usize> {
+        // A `-inf` request would pass `<=` against the `-inf` leaves of
+        // slot-saturated nodes too. `f64::MIN` fits exactly the nodes `-inf`
+        // fits, since a node with a free slot has effective free memory of
+        // at least 0, and no saturated one.
+        let allocation_bytes = if allocation_bytes == f64::NEG_INFINITY {
+            f64::MIN
+        } else {
+            allocation_bytes
+        };
         // NaN allocations compare false against every subtree max, exactly
         // like `fits` rejecting them node by node.
-        // lint:allow(no-panic-hot-path): a non-empty index has base >= 1,
-        // so the root tree[1] exists; the descent doubles i while
-        // i < base, keeping i + 1 below 2·base — in bounds throughout.
-        if self.len == 0 || !(allocation_bytes <= self.tree[1]) {
+        if self.len == 0 || !(allocation_bytes <= self.bound()) {
             return None;
         }
         let mut i = 1;
         while i < self.base {
             i *= 2;
-            // lint:allow(no-panic-hot-path): i <= 2·base - 1 after the
-            // doubling, within the 2·base-sized tree.
+            // lint:allow(no-panic-hot-path): a non-empty index has
+            // base >= 1 and the descent doubles i while i < base, so
+            // i <= 2·base - 1 after the doubling, within the 2·base-sized
+            // tree.
             if !(allocation_bytes <= self.tree[i]) {
                 i += 1;
             }
@@ -229,6 +243,11 @@ impl FreeIndex {
     fn best_fit(&self, allocation_bytes: f64, nodes: &[Node]) -> Option<usize> {
         if allocation_bytes.is_nan() {
             return None;
+        }
+        // A `-inf` request leaves every fitting node an infinite leftover:
+        // the tie goes to the lowest id, which is first fit's answer.
+        if allocation_bytes == f64::NEG_INFINITY {
+            return self.first_fit(allocation_bytes);
         }
         // Start at the loosest tolerance below the allocation: every
         // fitting node satisfies `free >= allocation - capacity·tol`, and
@@ -315,6 +334,21 @@ impl Cluster {
             }
             SchedulePolicy::BestFit => self.index.best_fit(allocation_bytes, &self.nodes),
         }
+    }
+
+    /// The free-capacity bound of first fit: the largest effective free
+    /// memory (`free_bytes + memory_bytes × FIT_TOLERANCE`, the right-hand
+    /// side of [`Node::fits`]) of any online node with a free slot, or `-inf`
+    /// when no node has one. It is the root of the first-fit index, so it
+    /// costs one read.
+    ///
+    /// First fit (and backfill) places exactly the allocations at or below
+    /// it: `select_node(a, FirstFit)` is `None` whenever `!(a <= bound)` —
+    /// NaN included — and `Some` for every other `a` above `-inf`. A caller
+    /// that tries many allocations against one cluster state can refuse most
+    /// of them with one comparison each.
+    pub fn first_fit_bound(&self) -> f64 {
+        self.index.bound()
     }
 
     /// Places a task on a specific node (chosen via [`Cluster::select_node`])
@@ -567,6 +601,57 @@ mod tests {
         assert_eq!(c.select_node(1e9, SchedulePolicy::FirstFit), Some(0));
         // Out-of-range indices are ignored, not a panic.
         c.set_offline(99, true);
+    }
+
+    #[test]
+    fn first_fit_bound_is_the_largest_placeable_allocation() {
+        let empty = Cluster::new(&SimulationConfig {
+            node_count: 0,
+            ..SimulationConfig::default()
+        });
+        assert_eq!(empty.first_fit_bound(), f64::NEG_INFINITY);
+        assert_eq!(
+            empty.select_node(f64::NEG_INFINITY, SchedulePolicy::FirstFit),
+            None
+        );
+
+        let mut c = small_cluster();
+        let edge = 10e9 + 10e9 * FIT_TOLERANCE;
+        assert_eq!(c.first_fit_bound(), edge);
+        c.place_on(1, 3e9);
+        assert_eq!(c.first_fit_bound(), edge, "node 0 is still empty");
+        c.set_offline(0, true);
+        assert_eq!(c.first_fit_bound(), 7e9 + 10e9 * FIT_TOLERANCE);
+        assert_eq!(
+            c.select_node(c.first_fit_bound(), SchedulePolicy::FirstFit),
+            Some(1)
+        );
+        assert_eq!(
+            c.select_node(c.first_fit_bound().next_up(), SchedulePolicy::FirstFit),
+            None
+        );
+        // Node 1's last slot: memory stays free, but nothing can be placed.
+        c.place_on(1, 0.0);
+        assert_eq!(c.first_fit_bound(), f64::NEG_INFINITY);
+        for policy in SchedulePolicy::ALL {
+            assert_eq!(c.select_node(f64::NEG_INFINITY, policy), None, "{policy:?}");
+        }
+    }
+
+    /// A `-inf` request fits every node with a free slot, so it must skip a
+    /// saturated node 0 rather than descend to it.
+    #[test]
+    fn negative_infinite_allocation_skips_saturated_nodes() {
+        let mut c = small_cluster();
+        c.place_on(0, 1e9);
+        c.place_on(0, 1e9);
+        for policy in SchedulePolicy::ALL {
+            assert_eq!(
+                c.select_node(f64::NEG_INFINITY, policy),
+                Some(1),
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

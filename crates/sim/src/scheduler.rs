@@ -168,8 +168,19 @@ pub struct WorkflowTenant {
     pub instances: Vec<TaskInstance>,
     /// The sizing method deciding this tenant's allocations.
     pub predictor: Box<dyn MemoryPredictor>,
-    /// Virtual time at which the tenant's first task arrives.
+    /// Virtual time at which the tenant's first task arrives. Must be
+    /// finite (negative is allowed): the engine refuses the tenant otherwise.
     pub arrival_offset_seconds: f64,
+}
+
+/// Panics unless a tenant's arrival offset is finite. A NaN offset would
+/// start every attempt of the tenant at virtual time NaN, which the makespan
+/// silently leaves out, and an infinite one would never arrive.
+fn assert_finite_offset(workflow: &str, seconds: f64) {
+    assert!(
+        seconds.is_finite(),
+        "tenant `{workflow}`: arrival_offset_seconds must be finite, found {seconds}"
+    );
 }
 
 impl WorkflowTenant {
@@ -188,7 +199,12 @@ impl WorkflowTenant {
     }
 
     /// Returns the tenant with a different arrival offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the tenant, when `seconds` is NaN or infinite.
     pub fn with_arrival_offset(mut self, seconds: f64) -> Self {
+        assert_finite_offset(&self.workflow, seconds);
         self.arrival_offset_seconds = seconds;
         self
     }
@@ -318,7 +334,8 @@ pub struct StreamingTenant {
     pub instances: Box<dyn Iterator<Item = TaskInstance>>,
     /// The sizing method deciding this tenant's allocations.
     pub predictor: Box<dyn MemoryPredictor>,
-    /// Virtual time at which the tenant's first task arrives.
+    /// Virtual time at which the tenant's first task arrives. Must be
+    /// finite (negative is allowed): the engine refuses the tenant otherwise.
     pub arrival_offset_seconds: f64,
 }
 
@@ -338,7 +355,12 @@ impl StreamingTenant {
     }
 
     /// Returns the tenant with a different arrival offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the tenant, when `seconds` is NaN or infinite.
     pub fn with_arrival_offset(mut self, seconds: f64) -> Self {
+        assert_finite_offset(&self.workflow, seconds);
         self.arrival_offset_seconds = seconds;
         self
     }
@@ -387,12 +409,14 @@ struct Engine<'a, F> {
     peak_inflight: usize,
     /// In-flight entries currently carrying a retry baseline.
     retrying: usize,
-    /// Arrival frontier: index and value of each tenant's next
-    /// not-yet-arrived instance, pulled eagerly so "does this tenant have
-    /// more work?" is answerable without consuming. At most one instance per
-    /// tenant.
-    next_idx: Vec<usize>,
+    /// Each tenant's next not-yet-arrived instance, pulled eagerly so "does
+    /// this tenant have more work?" is answerable without consuming. At most
+    /// one instance per tenant.
     peeked: Vec<Option<TaskInstance>>,
+    /// The arrival time and arrival index of each tenant's `peeked`
+    /// instance, `None` beside an empty slot: the compact array
+    /// [`Engine::next_arrival`] scans.
+    arrivals: Vec<Option<(f64, usize)>>,
     aggs: Vec<ReplayAggregates>,
     makespan: f64,
 }
@@ -409,6 +433,11 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             cluster.node_count() > 0,
             "simulation config describes a cluster with no nodes"
         );
+        // The field is public, so `with_arrival_offset` cannot be the only
+        // guard.
+        for tenant in &tenants {
+            assert_finite_offset(&tenant.workflow, tenant.arrival_offset_seconds);
+        }
         // Faults enter the heap before the run pushes any completion or
         // retry, so a fault wins a time-tie against those; arrivals win
         // time-ties against everything on the heap (see `run`).
@@ -418,7 +447,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
                 events.push(fe.time_seconds, Event::Fault(fe.action));
             }
         }
-        Engine {
+        let mut engine = Engine {
             config,
             on_attempt,
             records,
@@ -431,27 +460,41 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             inflight: BTreeMap::new(),
             peak_inflight: 0,
             retrying: 0,
-            next_idx: vec![0; tenants.len()],
             peeked: tenants.iter_mut().map(|t| t.instances.next()).collect(),
+            arrivals: Vec::new(),
             aggs: vec![ReplayAggregates::new(); tenants.len()],
             makespan: 0.0,
             workflows: tenants.iter().map(|t| t.workflow.as_str().into()).collect(),
             tenants,
-        }
+        };
+        engine.arrivals = (0..engine.tenants.len())
+            .map(|ti| engine.arrival_entry(ti, 0))
+            .collect();
+        engine
+    }
+
+    /// The frontier entry of tenant `ti` once `idx` of its instances have
+    /// arrived: its next arrival time and index, or `None` when its iterator
+    /// is exhausted. Instance `idx` arrives at `offset + idx × interval`.
+    fn arrival_entry(&self, ti: usize, idx: usize) -> Option<(f64, usize)> {
+        self.peeked[ti].as_ref().map(|_| {
+            let time = self.tenants[ti].arrival_offset_seconds
+                + idx as f64 * self.config.submit_interval_seconds;
+            (time, idx)
+        })
     }
 
     /// The earliest pending arrival as (time, tenant), minimal by (time,
     /// arrival index, tenant index): simultaneous arrivals interleave
     /// round-robin across tenants instead of draining tenant 0 first.
+    ///
+    /// The frontier reads only the `arrivals` array, which changes only when
+    /// an instance arrives, so [`Engine::run`] computes it once up front and
+    /// again after each arrival instead of on every turn of its loop.
     fn next_arrival(&self) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize, usize)> = None;
-        for (ti, slot) in self.peeked.iter().enumerate() {
-            if slot.is_none() {
-                continue;
-            }
-            let idx = self.next_idx[ti];
-            let time = self.tenants[ti].arrival_offset_seconds
-                + idx as f64 * self.config.submit_interval_seconds;
+        for (ti, &next) in self.arrivals.iter().enumerate() {
+            let Some((time, idx)) = next else { continue };
             let better = match best {
                 None => true,
                 Some((bt, bidx, _)) => time < bt || (time == bt && idx < bidx),
@@ -466,20 +509,20 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
     /// Runs the virtual clock until every instance of every tenant has
     /// reached a terminal state.
     fn run(mut self) -> MultiReplayReport {
+        let mut frontier = self.next_arrival();
         loop {
             // Arrivals win time-ties against heap events: a first submission
             // is ordered before any fault, completion or retry of the same
             // instant.
             let heap_time = self.events.peek_time();
-            let arrival = self
-                .next_arrival()
-                .filter(|&(at, _)| heap_time.is_none_or(|ht| at <= ht));
+            let arrival = frontier.filter(|&(at, _)| heap_time.is_none_or(|ht| at <= ht));
 
             if let Some((now, ti)) = arrival {
-                let idx = self.next_idx[ti];
+                let (_, idx) = self.arrivals[ti].expect("arrival is on the frontier");
                 let inst = self.peeked[ti].take().expect("arrival has an instance");
                 self.peeked[ti] = self.tenants[ti].instances.next();
-                self.next_idx[ti] += 1;
+                self.arrivals[ti] = self.arrival_entry(ti, idx + 1);
+                frontier = self.next_arrival();
                 self.inflight.insert(
                     (ti, idx),
                     InFlight {
@@ -516,10 +559,7 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             // pending means the head can never fit (caller bypassed the
             // clamp, or every node is down for good). Force it through so
             // the replay terminates.
-            if self.events.is_empty()
-                && !self.pending.is_empty()
-                && self.peeked.iter().all(Option::is_none)
-            {
+            if self.events.is_empty() && !self.pending.is_empty() && frontier.is_none() {
                 let queued = self.pending.remove(0).expect("non-empty queue");
                 self.stats.forced_placements += 1;
                 self.dispatch(queued, 0, self.makespan);
@@ -612,12 +652,18 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
                 Some((0, node))
             } else if policy == SchedulePolicy::Backfill {
                 // Head blocked: scan a bounded window behind it for a task
-                // that fits right now.
+                // that fits right now. First fit places exactly the
+                // allocations at or below the cluster's free-capacity bound
+                // (and refuses NaN), so one comparison refuses each task
+                // above it, and a task at or below it always finds a node
+                // (sizing floors every allocation, so none is -inf).
+                let bound = self.cluster.first_fit_bound();
                 self.pending
                     .iter()
                     .enumerate()
                     .skip(1)
                     .take(self.config.backfill_window)
+                    .filter(|(_, t)| t.allocation_bytes <= bound)
                     .find_map(|(idx, t)| {
                         self.cluster
                             .select_node(t.allocation_bytes, policy)
@@ -771,6 +817,12 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
 /// events in its [`ReplayReport::events`]; use the streaming entry point
 /// when the workload or its event trace should not be held in memory.
 ///
+/// # Panics
+///
+/// Panics when the config describes no node, or when a tenant's
+/// `arrival_offset_seconds` is NaN or infinite (the message names the
+/// tenant).
+///
 /// ```
 /// use sizey_sim::{schedule_workflows, PresetPredictor, SimulationConfig, WorkflowTenant};
 /// use sizey_workflows::{generate_workflow, profiles, GeneratorConfig};
@@ -820,6 +872,12 @@ pub fn schedule_workflows(
 /// events per tenant: for the same workload both entry points make the same
 /// scheduling decisions and return equal aggregates, and `sink` sees, in
 /// dispatch order, exactly the events that the materialised reports hold.
+///
+/// # Panics
+///
+/// Panics when the config describes no node, or when a tenant's
+/// `arrival_offset_seconds` is NaN or infinite (the message names the
+/// tenant).
 ///
 /// ```
 /// use sizey_sim::{
@@ -1282,6 +1340,47 @@ mod tests {
         assert_eq!(result.stats.crash_lost_attempts, 4);
         assert_eq!(result.stats.forced_placements, 6);
         assert_eq!(result.stats.leaked_inflight_retries, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant `late`: arrival_offset_seconds must be finite, found NaN")]
+    fn nan_arrival_offset_is_refused() {
+        let mut tenant = WorkflowTenant::new(
+            "late",
+            vec![instance(0, 1e9, 60.0, 2e9)],
+            Box::new(PresetPredictor),
+        );
+        // Set the public field directly: the engine is the guard.
+        tenant.arrival_offset_seconds = f64::NAN;
+        schedule_workflows(
+            vec![
+                WorkflowTenant::new("wf", vec![], Box::new(PresetPredictor)),
+                tenant,
+            ],
+            &tiny_cluster(SchedulePolicy::FirstFit),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant `late`: arrival_offset_seconds must be finite, found inf")]
+    fn infinite_arrival_offset_is_refused() {
+        let _ = StreamingTenant::new("late", std::iter::empty(), Box::new(PresetPredictor))
+            .with_arrival_offset(f64::INFINITY);
+    }
+
+    #[test]
+    fn negative_arrival_offset_is_allowed() {
+        let result = schedule_workflows(
+            vec![WorkflowTenant::new(
+                "early",
+                vec![instance(0, 1e9, 60.0, 2e9)],
+                Box::new(PresetPredictor),
+            )
+            .with_arrival_offset(-30.0)],
+            &tiny_cluster(SchedulePolicy::FirstFit),
+        );
+        assert_eq!(result.reports[0].events[0].submit_time_seconds, -30.0);
+        assert_eq!(result.makespan_seconds, 30.0);
     }
 
     #[test]

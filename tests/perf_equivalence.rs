@@ -10,7 +10,8 @@
 //!   Gram matrix of `[1, x]` rows solved by general Gaussian elimination,
 //! * `Cluster::select_node`: the free-capacity index (segment tree +
 //!   ordered-by-free set) vs. the naive linear scans, across random
-//!   occupancy states, policies and degenerate allocations,
+//!   occupancy states, policies and degenerate allocations, and its
+//!   first-fit bound vs. whether the linear scan finds a node,
 //! * the four paper baselines: per-key state learned once per successful
 //!   observe vs. refitting the key's whole history on every predict.
 //!
@@ -27,7 +28,7 @@ use sizey_ml::linear::{solve_normal_equations, LinearConfig, LinearRegression};
 use sizey_ml::model::{ModelError, Regressor};
 use sizey_ml::scaler::MinMaxScaler;
 use sizey_ml::tree::{RegressionTree, TreeConfig};
-use sizey_sim::{Node, Placement};
+use sizey_sim::{Node, Placement, FIT_TOLERANCE};
 use sizey_suite::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -1137,16 +1138,44 @@ fn naive_select_node(
     }
 }
 
+/// The first-fit bound's lemma on one cluster state: an allocation above
+/// `Cluster::first_fit_bound` (or NaN) fits no node, and every allocation
+/// above `-inf` fits some node exactly when it is at or below the bound.
+/// (`-inf` is at or below every bound, saturated clusters' `-inf` included.)
+/// The negated comparison is the engine's filter, true for NaN as well.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn check_first_fit_bound(cluster: &sizey_sim::Cluster, probe: f64) -> Result<(), TestCaseError> {
+    let bound = cluster.first_fit_bound();
+    let fits = naive_select_node(cluster.nodes(), probe, SchedulePolicy::FirstFit).is_some();
+    if !(probe <= bound) {
+        prop_assert!(!fits, "probe {} above bound {} fits", probe, bound);
+    }
+    if probe > f64::NEG_INFINITY {
+        prop_assert_eq!(
+            probe <= bound,
+            fits,
+            "probe {} against bound {}",
+            probe,
+            bound
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Also pins the first-fit bound (`check_first_fit_bound`) on every
+    /// state and probe. Op kinds: 0 releases a placement, 1 places first
+    /// fit, 2 toggles a node offline or back, 3 fills every free slot of a
+    /// node with zero-byte placements (memory free, no slot).
     #[test]
     fn indexed_select_node_matches_the_linear_scan(
         node_count in 1usize..12,
         node_mem_gb in 4.0f64..64.0,
         slots in 1usize..4,
         extra_pool in (0usize..4, 8.0f64..128.0, 1usize..6),
-        ops in proptest::collection::vec((0.1f64..40.0, 0u8..2), 1..60),
+        ops in proptest::collection::vec((0.1f64..40.0, 0u8..4), 1..60),
         probes in proptest::collection::vec(0.05f64..80.0, 1..10),
     ) {
         let mut config = SimulationConfig {
@@ -1166,19 +1195,33 @@ proptest! {
         let mut cluster = sizey_sim::Cluster::new(&config);
         let mut placements: Vec<(Placement, f64)> = Vec::new();
 
-        for (alloc_gb, place) in ops {
-            let place = place == 1;
+        for (alloc_gb, kind) in ops {
             let alloc = alloc_gb * 1e9;
+            // The node a toggle or a fill acts on.
+            let node = alloc_gb as usize % cluster.node_count();
             // Every mutation is followed by a full policy comparison, so the
             // index is validated across arbitrary occupancy states, not just
             // the final one.
-            if place || placements.is_empty() {
-                if let Some(p) = cluster.try_place(alloc) {
-                    placements.push((p, alloc));
+            match kind {
+                0 if !placements.is_empty() => {
+                    let (p, released) = placements.swap_remove(placements.len() / 2);
+                    cluster.release(p, released);
                 }
-            } else {
-                let (p, released) = placements.swap_remove(placements.len() / 2);
-                cluster.release(p, released);
+                2 => {
+                    let offline = cluster.nodes()[node].offline;
+                    cluster.set_offline(node, !offline);
+                }
+                3 => {
+                    let n = &cluster.nodes()[node];
+                    for _ in n.used_slots..n.slots {
+                        placements.push((cluster.place_on(node, 0.0), 0.0));
+                    }
+                }
+                _ => {
+                    if let Some(p) = cluster.try_place(alloc) {
+                        placements.push((p, alloc));
+                    }
+                }
             }
             for &probe_gb in &probes {
                 let probe = probe_gb * 1e9;
@@ -1191,14 +1234,29 @@ proptest! {
                         probe
                     );
                 }
+                check_first_fit_bound(&cluster, probe)?;
             }
             // Exact-boundary and degenerate allocations: free amounts
-            // themselves, NaN and infinity must agree as well.
+            // themselves, exact fits at the tolerance edge and just past it,
+            // the bound and just past it, NaN, ±inf and ±0 must agree as
+            // well.
+            let bound = cluster.first_fit_bound();
             let boundary: Vec<f64> = cluster
                 .nodes()
                 .iter()
-                .map(|n| n.free_bytes())
-                .chain([f64::NAN, f64::INFINITY, 0.0])
+                .flat_map(|n| {
+                    let edge = n.free_bytes() + n.memory_bytes * FIT_TOLERANCE;
+                    [n.free_bytes(), edge, edge.next_up()]
+                })
+                .chain([
+                    bound,
+                    bound.next_up(),
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.0,
+                    -0.0,
+                ])
                 .collect();
             for probe in boundary {
                 for policy in SchedulePolicy::ALL {
@@ -1210,6 +1268,7 @@ proptest! {
                         probe
                     );
                 }
+                check_first_fit_bound(&cluster, probe)?;
             }
         }
     }

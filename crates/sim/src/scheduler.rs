@@ -523,15 +523,20 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
                 self.peeked[ti] = self.tenants[ti].instances.next();
                 self.arrivals[ti] = self.arrival_entry(ti, idx + 1);
                 frontier = self.next_arrival();
-                self.inflight.insert(
-                    (ti, idx),
-                    InFlight {
-                        instance: inst,
-                        retry_from: None,
-                    },
+                // Sized from the entry just inserted, without a second search.
+                let entry = self.inflight.entry((ti, idx)).or_insert(InFlight {
+                    instance: inst,
+                    retry_from: None,
+                });
+                let run = size_attempt(
+                    &self.tenants[ti],
+                    entry,
+                    0,
+                    self.largest_node,
+                    self.config.time_to_failure,
                 );
                 self.peak_inflight = self.peak_inflight.max(self.inflight.len());
-                self.submit(now, ti, idx, 0);
+                self.enqueue(now, ti, idx, 0, run);
                 self.try_dispatch(now);
             } else if let Some((now, event)) = self.events.pop() {
                 match event {
@@ -603,23 +608,22 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
         }
     }
 
-    /// Sizes one attempt with its tenant's predictor and enqueues it.
+    /// Sizes a retried or requeued attempt of an in-flight instance and
+    /// enqueues it.
     fn submit(&mut self, now: f64, ti: usize, instance: usize, attempt: u32) {
         let entry = &self.inflight[&(ti, instance)];
-        let inst = &entry.instance;
-        let ctx = AttemptContext {
+        let run = size_attempt(
+            &self.tenants[ti],
+            entry,
             attempt,
-            last_allocation_bytes: entry.retry_from,
-        };
-        let prediction = self.tenants[ti]
-            .predictor
-            .predict(&TaskSubmission::from(inst), ctx);
-        let run = Attempt::size(
-            inst,
-            &prediction,
             self.largest_node,
             self.config.time_to_failure,
         );
+        self.enqueue(now, ti, instance, attempt, run);
+    }
+
+    /// Enqueues a sized attempt submitted at virtual time `now`.
+    fn enqueue(&mut self, now: f64, ti: usize, instance: usize, attempt: u32, run: Attempt) {
         let queued = PendingTask {
             submit_time: now,
             allocation_bytes: run.allocation_bytes,
@@ -714,8 +718,14 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
         self.makespan = self.makespan.max(now);
         let ti = run.task.tenant;
         let key = (ti, run.task.instance);
+        // The entry leaves the map here and goes back only for a retry, so a
+        // terminal attempt costs one search.
+        let mut entry = self
+            .inflight
+            .remove(&key)
+            .expect("completed task is in flight");
         let record = sized.record(
-            &self.inflight[&key].instance,
+            &entry.instance,
             &self.workflows[ti],
             run.concurrent_at_start as u32,
             run.start_time - run.submit_time,
@@ -724,15 +734,12 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
         self.tenants[ti].predictor.observe(&record);
         let next_attempt = run.task.attempt + 1;
         if !sized.success && next_attempt < self.config.max_attempts {
-            let entry = self
-                .inflight
-                .get_mut(&key)
-                .expect("completed task is in flight");
             if entry.retry_from.replace(sized.allocation_bytes).is_none() {
                 self.retrying += 1;
                 self.stats.peak_inflight_retries =
                     self.stats.peak_inflight_retries.max(self.retrying);
             }
+            self.inflight.insert(key, entry);
             self.events.push(
                 now,
                 Event::Submit {
@@ -743,11 +750,10 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             );
         } else {
             // Terminal, by success or by an exhausted attempt budget: the
-            // in-flight entry leaves the working set now, and its retry
+            // in-flight entry has left the working set, and its retry
             // baseline with it — a stranded entry is a leak that grows with
             // the workload.
-            let entry = self.inflight.remove(&key);
-            if entry.is_some_and(|entry| entry.retry_from.is_some()) {
+            if entry.retry_from.is_some() {
                 self.retrying -= 1;
             }
             self.aggs[ti].observe_instance(sized.success);
@@ -792,6 +798,30 @@ impl<'a, F: FnMut(usize, AttemptEvent)> Engine<'a, F> {
             }
         }
     }
+}
+
+/// Sizes attempt `attempt` of an in-flight instance with its tenant's
+/// predictor.
+fn size_attempt(
+    tenant: &StreamingTenant,
+    entry: &InFlight,
+    attempt: u32,
+    largest_node_bytes: f64,
+    time_to_failure: f64,
+) -> Attempt {
+    let ctx = AttemptContext {
+        attempt,
+        last_allocation_bytes: entry.retry_from,
+    };
+    let prediction = tenant
+        .predictor
+        .predict(&TaskSubmission::from(&entry.instance), ctx);
+    Attempt::size(
+        &entry.instance,
+        &prediction,
+        largest_node_bytes,
+        time_to_failure,
+    )
 }
 
 /// Replays several workflows **concurrently** against one shared cluster.

@@ -318,7 +318,7 @@ fn faulted_multi_tenant_output_is_pinned() {
 }
 
 /// The blocked-head scenario: Sizey, a baseline and the workflow presets
-/// share a six-slot cluster with every instance of a tenant arriving at its
+/// share an eight-slot cluster with every instance of a tenant arriving at its
 /// offset (`submit_interval_seconds` 0), so the pending queue stays long and
 /// its head is blocked most of the time. Task types carry a `<tenant>:`
 /// prefix, as in the faulted scenario.

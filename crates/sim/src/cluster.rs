@@ -14,6 +14,7 @@
 use crate::config::SimulationConfig;
 use crate::scheduler::SchedulePolicy;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Relative tolerance used by [`Node::fits`], expressed as a fraction of the
 /// node's capacity. Allocation counters are `f64` sums of many placements and
@@ -103,9 +104,9 @@ fn total_order_key(value: f64) -> u64 {
 
 /// The free-capacity index behind [`Cluster::select_node`]: node selection
 /// used to scan every node per placement decision, which dominates
-/// per-decision cost at cluster scale. Two ordered structures — both
-/// maintained on every placement/release — make the policies sublinear
-/// while reproducing the linear scans' decisions bit for bit:
+/// per-decision cost at cluster scale. Two ordered structures — each
+/// maintained on every placement/release once it exists — make the policies
+/// sublinear while reproducing the linear scans' decisions bit for bit:
 ///
 /// * a **segment tree** over node ids storing the maximum *effective free
 ///   memory* (`free_bytes + capacity × FIT_TOLERANCE`, the exact
@@ -120,7 +121,9 @@ fn total_order_key(value: f64) -> u64 {
 ///   the smallest leftover, and the id tiebreak matches `min_by`'s
 ///   first-of-equals over index order. The scan window below `allocation`
 ///   is tolerance-sized (bytes); the first node at or above `allocation`
-///   always fits, so the scan is O(log n + window).
+///   always fits, so the scan is O(log n + window). The set is built from
+///   the nodes on the first best-fit query, so a cluster that only ever
+///   places first fit (or backfill) never maintains it.
 #[derive(Debug, Clone)]
 struct FreeIndex {
     /// Number of indexed nodes (leaves).
@@ -130,13 +133,51 @@ struct FreeIndex {
     /// 1-indexed segment tree of max effective free bytes; leaf `i` lives at
     /// `tree[base + i]`.
     tree: Vec<f64>,
-    /// Nodes with at least one free slot, ordered by (free bytes, id).
-    by_free: BTreeSet<(u64, usize)>,
-    /// Current `by_free` key per node (`None` while slot-saturated).
-    keys: Vec<Option<u64>>,
+    /// The best-fit order, once a best-fit query has asked for it.
+    by_free: OnceLock<ByFree>,
     /// Largest `capacity × FIT_TOLERANCE` across the cluster — the lower
     /// bound of the best-fit scan window.
     max_slack: f64,
+}
+
+/// Nodes with at least one free slot, ordered by (free bytes, id). Its
+/// content is a function of the nodes' current state, so building it from
+/// scratch and keeping it in sync through every update give the same set.
+#[derive(Debug, Clone)]
+struct ByFree {
+    set: BTreeSet<(u64, usize)>,
+    /// Current `set` key per node (`None` while slot-saturated).
+    keys: Vec<Option<u64>>,
+}
+
+impl ByFree {
+    fn new(nodes: &[Node]) -> Self {
+        let mut by_free = ByFree {
+            set: BTreeSet::new(),
+            keys: vec![None; nodes.len()],
+        };
+        for node in nodes {
+            by_free.update(node);
+        }
+        by_free
+    }
+
+    /// Re-syncs one node after its occupancy changed.
+    fn update(&mut self, node: &Node) {
+        let id = node.id;
+        // lint:allow(no-panic-hot-path): keys has one slot per node and
+        // node ids are assigned densely below the node count.
+        if let Some(old) = self.keys[id].take() {
+            self.set.remove(&(old, id));
+        }
+        if !node.offline && node.used_slots < node.slots {
+            let key = total_order_key(node.free_bytes());
+            self.set.insert((key, id));
+            // lint:allow(no-panic-hot-path): same dense node-id invariant
+            // as the take() above.
+            self.keys[id] = Some(key);
+        }
+    }
 }
 
 impl FreeIndex {
@@ -147,8 +188,7 @@ impl FreeIndex {
             len,
             base,
             tree: vec![f64::NEG_INFINITY; 2 * base],
-            by_free: BTreeSet::new(),
-            keys: vec![None; len],
+            by_free: OnceLock::new(),
             max_slack: nodes
                 .iter()
                 .map(|n| n.memory_bytes * FIT_TOLERANCE)
@@ -181,18 +221,8 @@ impl FreeIndex {
             // children 2i and 2i + 1 are below 2·base — in bounds.
             self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
         }
-        // Ordered-by-free set.
-        // lint:allow(no-panic-hot-path): keys has one slot per node and
-        // node ids are assigned densely below the node count.
-        if let Some(old) = self.keys[id].take() {
-            self.by_free.remove(&(old, id));
-        }
-        if has_slot {
-            let key = total_order_key(node.free_bytes());
-            self.by_free.insert((key, id));
-            // lint:allow(no-panic-hot-path): same dense node-id invariant
-            // as the take() above.
-            self.keys[id] = Some(key);
+        if let Some(by_free) = self.by_free.get_mut() {
+            by_free.update(node);
         }
     }
 
@@ -255,10 +285,12 @@ impl FreeIndex {
         let start = (allocation_bytes - self.max_slack).max(0.0);
         let start = if start.is_nan() { 0.0 } else { start };
         self.by_free
+            .get_or_init(|| ByFree::new(nodes))
+            .set
             .range((total_order_key(start), 0)..)
             // lint:allow(no-panic-hot-path): the set only ever holds ids
-            // inserted by update(), which are node.id values below the
-            // node count.
+            // inserted by ByFree::update(), which are node.id values below
+            // the node count.
             .find(|&&(_, id)| nodes[id].fits(allocation_bytes))
             .map(|&(_, id)| id)
     }
@@ -650,6 +682,51 @@ mod tests {
                 c.select_node(f64::NEG_INFINITY, policy),
                 Some(1),
                 "{policy:?}"
+            );
+        }
+    }
+
+    /// The best-fit order is built on the first best-fit query: built late,
+    /// after many occupancy changes, it answers as one kept in sync from the
+    /// start.
+    #[test]
+    fn best_fit_order_built_late_matches_one_kept_in_sync() {
+        fn churn(c: &mut Cluster) {
+            let mut placed = Vec::new();
+            for step in 0..60u32 {
+                match step % 5 {
+                    4 => c.set_offline((step / 5) as usize % 5, step % 10 == 4),
+                    2 if !placed.is_empty() => {
+                        let (p, alloc) = placed.swap_remove(0);
+                        c.release(p, alloc);
+                    }
+                    _ => {
+                        let alloc = f64::from(step % 7 + 1) * 1.5e9;
+                        if let Some(p) = c.try_place(alloc) {
+                            placed.push((p, alloc));
+                        }
+                    }
+                }
+            }
+        }
+        let config = SimulationConfig::default()
+            .with_nodes(3, 16e9, 3)
+            .with_extra_pool(crate::config::NodePoolSpec {
+                count: 2,
+                memory_bytes: 32e9,
+                slots: 2,
+            });
+        let mut early = Cluster::new(&config);
+        assert_eq!(early.select_node(1e9, SchedulePolicy::BestFit), Some(0));
+        churn(&mut early);
+        let mut late = Cluster::new(&config);
+        churn(&mut late);
+        assert_eq!(late.nodes(), early.nodes());
+        for probe in [0.0, 1e9, 2.5e9, 6e9, 12e9, 20e9, 31e9, f64::INFINITY] {
+            assert_eq!(
+                late.select_node(probe, SchedulePolicy::BestFit),
+                early.select_node(probe, SchedulePolicy::BestFit),
+                "probe {probe}"
             );
         }
     }
